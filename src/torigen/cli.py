@@ -14,6 +14,7 @@ import sys
 from . import divdiff, fgl, genus, rootdata, stablex
 from .chern import s_to_chern
 from .exactalg import CobordismPoly, MultiPoly
+from .symmfunc import omega_weight, trim
 
 
 def _default_threads():
@@ -103,20 +104,20 @@ def cmd_snumbers(args):
     spec = _build_space(args)
     fp = rootdata.fixed_point_weights(spec)
     n = len(fp[0].weights)
+    omega = _ints(args.omega) if args.omega else None
+    if omega is not None and (min(omega, default=0) < 0 or omega_weight(omega) != n):
+        raise ValueError("omega %s is not a nonnegative omega of weight %d, the dimension of %s"
+                         % (list(omega), n, spec.descriptor))
     if args.numeric:
         point = _ints(args.numeric)
-        if not args.omega:
-            raise SystemExit("--numeric needs --omega")
-        value = genus.s_number_numeric(fp, _ints(args.omega), point)
-        _emit(args, str(value), {"omega": list(_ints(args.omega)), "point": list(point), "value": str(value)})
+        if omega is None:
+            raise ValueError("--numeric needs --omega")
+        value = genus.s_number_numeric(fp, omega, point)
+        _emit(args, str(value), {"omega": list(omega), "point": list(point), "value": str(value)})
         return 0
     table = genus.s_numbers(fp, threads=args.threads)
-    if args.omega:
-        omega = _ints(args.omega)
-        key = tuple(omega)
-        while key and key[-1] == 0:
-            key = key[:-1]
-        value = table.get(key, 0)
+    if omega is not None:
+        value = table.get(trim(omega), 0)
         _emit(args, str(value), {"omega": list(omega), "value": value})
         return 0
     rows = [(list(_pad(om, n)), v) for om, v in sorted(table.items())]
@@ -148,7 +149,8 @@ def cmd_verify(args):
     checks["class_integral"] = cls.is_integral() and cls.is_homogeneous(n)
     table = genus.s_numbers(fp, threads=args.threads)
     checks["class_matches_s"] = all(cls.coeff(om) == v for om, v in table.items())
-    checks["euler"] = table.get((n,) if n > 0 else (), 0) == len(fp)
+    # c_n[M] = sum_p sign(p): -chi for a conjugate structure of odd n
+    checks["euler"] = table.get((n,), 0) == sum(pt.sign for pt in fp)
     checks["weyl_invariance"] = genus.weyl_invariance_ok(spec, fp, threads=args.threads)
     point = genus.default_numeric_point(fp)
     checks["numeric_agreement"] = all(
@@ -201,7 +203,9 @@ def cmd_stable(args):
 
 
 def cmd_fgl(args):
-    order = args.trunc or 4
+    order = 4 if args.trunc is None else args.trunc
+    if order < 1:
+        raise ValueError("--trunc must be at least 1, got %d" % order)
     law = fgl.fgl_addition(order)
     _emit(args, law.canonical_text(), {"order": order, "addition": law.canonical_text()})
     return 0

@@ -181,10 +181,6 @@ class MultiPoly:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def leading_term(self):
-        exp = max(self.terms, key=grlex_key)
-        return exp, self.terms[exp]
-
     def __add__(self, other):
         if not isinstance(other, MultiPoly):
             other = MultiPoly.const(self.arena, other)

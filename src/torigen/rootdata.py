@@ -146,6 +146,8 @@ def build_space(text, structure=None, signs=None):
                          _block_roots(blocks, rank), (1,) * len(_block_roots(blocks, rank)),
                          "standard")
 
+    if spec.n == 0:
+        raise ParseError("%s is a point: it has no isotropy weights" % text)
     return set_structure(spec, structure=structure, signs=signs)
 
 

@@ -6,7 +6,8 @@ tuples trimmed of trailing zeros so they double as cobordism exponent keys.
 """
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import groupby, permutations
+from math import comb
 
 from .exactalg import MultiPoly, exact_div, xvars
 
@@ -20,10 +21,6 @@ def trim(omega):
 
 def omega_weight(omega):
     return sum((l + 1) * m for l, m in enumerate(omega))
-
-
-def omega_parts(omega):
-    return sum(omega)
 
 
 def omega_to_partition(omega, n=None):
@@ -87,14 +84,24 @@ def perm_sign(perm):
     return s
 
 
+def _rearrangements(xi):
+    """Distinct rearrangements of the tuple xi, each once."""
+    if not xi:
+        yield ()
+        return
+    for v in sorted(set(xi)):
+        i = xi.index(v)
+        for tail in _rearrangements(xi[:i] + xi[i + 1:]):
+            yield (v,) + tail
+
+
 def orbit_monomial(xi, n, arena=None):
     """Sum of the distinct S_n-orbit of the monomial u^xi."""
     if len(xi) != n:
         raise ValueError("exponent vector length %d != arity %d" % (len(xi), n))
     if arena is None:
         arena = xvars(n)
-    seen = {tuple(xi[i] for i in perm) for perm in permutations(range(n))}
-    return MultiPoly(arena, {e: 1 for e in seen})
+    return MultiPoly(arena, {e: 1 for e in _rearrangements(xi)})
 
 
 def monomial_sym(lam, n, arena=None):
@@ -172,7 +179,63 @@ def f_omega_decomposition(n, nmax, arena=None):
     return {omega: p for omega, p in acc.items() if omega and not p.is_zero()}
 
 
+def _row_choices(groups, r):
+    """(ways, column sums left) for one row of sum r over column groups.
+
+    groups lists (remaining sum v, number of columns c), v decreasing. Taking
+    k columns of a group leaves c - k at v and k at v - 1, in comb(c, k) ways;
+    the column sums left stay weakly decreasing.
+    """
+    if not groups:
+        if r == 0:
+            yield 1, ()
+        return
+    (v, c), rest = groups[0], groups[1:]
+    for k in range(min(c, r) + 1):
+        for ways, tail in _row_choices(rest, r - k):
+            yield comb(c, k) * ways, (v,) * (c - k) + (v - 1,) * k + tail
+
+
+def _zero_one_count(rows, cols, memo):
+    """Number of 0-1 matrices with row sums rows and column sums cols.
+
+    Both are partitions without zeros. The count depends only on the multiset
+    of column sums, so memo is keyed on the sorted tuple.
+    """
+    if not rows:
+        return 0 if cols else 1
+    key = (rows, cols)
+    if key not in memo:
+        groups = tuple((v, len(tuple(g))) for v, g in groupby(cols))
+        memo[key] = sum(ways * _zero_one_count(rows[1:], tuple(v for v in left if v), memo)
+                        for ways, left in _row_choices(groups, rows[0]))
+    return memo[key]
+
+
 @lru_cache(maxsize=None)
+def _monomial_to_elementary_table(n):
+    """All expansions m_lambda = sum_nu U[lambda][nu] e_{nu'} of weight n.
+
+    T[nu][lambda] = number of 0-1 matrices with row sums nu' and column sums
+    lambda is the coefficient of m_lambda in e_{nu'} (Macdonald, Symmetric
+    Functions and Hall Polynomials, I.6, (6.6)). It is unitriangular in
+    dominance order, so lower unitriangular in lexicographic order, and its
+    inverse U comes from forward substitution in integers.
+    """
+    lams = sorted(partitions(n))
+    memo = {}
+    T = [[_zero_one_count(conjugate_partition(nu), lam, memo) for lam in lams] for nu in lams]
+    if any(t[i] != 1 or any(t[i + 1:]) for i, t in enumerate(T)):
+        raise AssertionError("e to m transition matrix is not unitriangular")
+    U = []
+    for i, t in enumerate(T):
+        row = [-sum(t[k] * U[k][j] for k in range(j, i)) for j in range(i)]
+        U.append(row + [1] + [0] * (len(lams) - 1 - i))
+    xis = [partition_to_omega(conjugate_partition(nu)) for nu in lams]
+    return {partition_to_omega(lam): {xi: c for xi, c in zip(xis, row) if c}
+            for lam, row in zip(lams, U)}
+
+
 def monomial_to_elementary(omega):
     """Expansion of the orbit polynomial of shape omega in elementary symmetrics.
 
@@ -181,25 +244,7 @@ def monomial_to_elementary(omega):
     each xi is trimmed and satisfies sum k*xi_k = n.
     """
     omega = trim(omega)
-    n = omega_weight(omega)
-    arena = xvars(n)
-    target = monomial_sym(omega_to_partition(omega), n, arena)
-    es = [elementary(k, n, arena) for k in range(n + 1)]
-    beta = {}
-    rem = target
-    while not rem.is_zero():
-        exp, c = rem.leading_term()
-        mu = tuple(sorted(exp, reverse=True))
-        if mu != exp:
-            raise AssertionError("leading term of symmetric polynomial not dominant")
-        conj = conjugate_partition(mu)
-        xi = trim(partition_to_omega(conj))
-        prod = MultiPoly.const(arena, c)
-        for part in conj:
-            prod = prod * es[part]
-        rem = rem - prod
-        beta[xi] = beta.get(xi, 0) + c
-    return {xi: c for xi, c in beta.items() if c}
+    return dict(_monomial_to_elementary_table(omega_weight(omega))[omega])
 
 
 def elementary_product(xi, n, arena=None):

@@ -30,10 +30,18 @@ def det_fraction(rows):
 
 
 def test_beta_matrix_is_unimodular():
-    for n in range(1, 6):
+    for n in range(1, 11):
         index, rows = beta_matrix(n)
         assert len(index) == len(rows)
         assert abs(det_fraction(rows)) == 1
+
+
+def test_beta_matrix_weight_twelve():
+    index, rows = beta_matrix(12)
+    assert len(index) == len(rows) == 77
+    pos = {om: i for i, om in enumerate(index)}
+    # m_(1^12) = e_12
+    assert {index[j]: v for j, v in enumerate(rows[pos[(12,)]]) if v} == {(0,) * 11 + (1,): 1}
 
 
 def test_beta_known_rows():
@@ -61,7 +69,7 @@ def test_six_sphere_tangent_numbers():
 
 def test_round_trips_random_tables():
     rng = random.Random(20260823)
-    for n in range(1, 7):
+    for n in range(1, 11):
         index, _ = beta_matrix(n)
         for _ in range(4):
             c = {xi: rng.randint(-50, 50) for xi in index}

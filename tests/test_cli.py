@@ -44,6 +44,16 @@ def test_verify_passes(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("space", ["CP1", "CP3", "U(3)/T3", "G2/SU(3)"])
+@pytest.mark.parametrize("structure", ["standard", "conjugate"])
+def test_verify_passes_both_orientations(capsys, space, structure):
+    # odd n: the conjugate structure has c_n = -chi, still sum_p sign(p)
+    code, out, _ = run(capsys, "verify", "--space", space, "--structure", structure)
+    assert code == 0
+    assert "check euler: ok" in out.splitlines()
+    assert "FAIL" not in out
+
+
 def test_structure_and_signs_flags(capsys):
     code, out, _ = run(capsys, "class", "--space", "G2/SU(3)", "--structure", "conjugate")
     assert code == 0
@@ -125,3 +135,36 @@ def test_stable_budget_exit(capsys):
     code, _, err = run(capsys, "stable", "--space", "U(4)/U(2)xU(2)")
     assert code == 1
     assert "budget" in err
+
+
+def test_snumbers_rejects_bad_omega(capsys):
+    for omega in ("9,9", "4,-1"):
+        code, out, err = run(capsys, "snumbers", "--space", "CP2", "--omega", omega)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("error:") == 1
+    code, out, err = run(capsys, "snumbers", "--space", "CP2", "--numeric", "1,2,3")
+    assert code == 2
+    assert err == "error: --numeric needs --omega\n"
+    code, out, _ = run(capsys, "snumbers", "--space", "CP2", "--omega", "0,1,0")
+    assert code == 0
+    assert out.strip() == "3"
+
+
+def test_fgl_rejects_nonpositive_order(capsys):
+    for trunc in ("0", "-2"):
+        code, out, err = run(capsys, "fgl", "--trunc", trunc)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("error:") == 1
+    code, out, _ = run(capsys, "fgl", "--trunc", "1")
+    assert code == 0
+    assert out.strip() == "(1)*u2 + (1)*u1"
+
+
+def test_zero_dimensional_spaces_rejected(capsys):
+    for space in ("U(2)/U(2)", "U(1)/T1", "U(3)/U(0)xU(3)"):
+        code, out, err = run(capsys, "class", "--space", space)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("error:") == 1

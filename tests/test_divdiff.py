@@ -149,3 +149,13 @@ def test_flag_vanishing_reports():
         assert rep["even_chern"]["ok"]
     with pytest.raises(ValueError):
         flag_vanishing_checks(6)
+
+
+def test_flag_vanishing_reports_n5():
+    # s_to_chern at weight 10 needs the 42-row beta matrix
+    rep = flag_vanishing_checks(5)
+    assert rep["ok"]
+    assert rep["m"] == 10
+    assert rep["s_m"] == {"value": 0, "expected": 0, "ok": True}
+    assert rep["odd_zero"]["applicable"] and rep["odd_zero"]["ok"]
+    assert rep["even_chern"]["ok"]

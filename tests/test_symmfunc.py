@@ -19,6 +19,7 @@ from torigen.symmfunc import (
     omega_weight,
     omegas_of_weight,
     omegas_up_to,
+    orbit_monomial,
     partition_to_omega,
     partitions,
     perm_sign,
@@ -117,7 +118,7 @@ def test_f_omega_decomposition_blocks():
 
 
 def test_monomial_to_elementary_reassembles():
-    for w in range(1, 6):
+    for w in range(1, 7):
         for om in omegas_of_weight(w):
             beta = monomial_to_elementary(om)
             ar = xvars(w)
@@ -144,6 +145,15 @@ def test_orbit_polynomials_are_symmetric(exps):
         perm = list(range(n))
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
         assert p.permute(tuple(perm)) == p
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+def test_orbit_monomial_matches_permutation_orbit(exps):
+    n = len(exps)
+    ar = xvars(n)
+    orbit = {tuple(exps[i] for i in perm) for perm in permutations(range(n))}
+    assert orbit_monomial(tuple(exps), n, ar) == MultiPoly(ar, {e: 1 for e in orbit})
 
 
 @settings(max_examples=30, deadline=None)
