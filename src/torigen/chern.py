@@ -3,14 +3,14 @@
 The dictionary is the integer matrix beta: expanding the orbit polynomial of
 shape omega in elementary symmetric polynomials gives
 s_omega = sum_xi beta_{omega,xi} c_1^{xi_1} ... c_n^{xi_n}, and the matrix is
-invertible over the integers, so Chern numbers are recovered by exact solve.
+unimodular: its inverse is the integer e -> m transition matrix, so Chern
+numbers are recovered by an integer matrix-vector product.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .exactalg import clean
-from .symmfunc import monomial_to_elementary, omegas_of_weight
+from .symmfunc import elementary_to_monomial, monomial_to_elementary, omegas_of_weight
 
 
 class NonIntegerSolution(Exception):
@@ -43,28 +43,15 @@ def chern_to_s(table, n):
 
 
 def s_to_chern(s, n):
-    """Exact solve of the beta system; integer solution or NonIntegerSolution."""
-    index, rows = beta_matrix(n)
-    size = len(index)
-    aug = []
-    for i, om in enumerate(index):
+    """c^xi = sum_omega T[xi][omega] s_omega, where T = beta^-1 is the integer
+    e -> m matrix; an integer table or NonIntegerSolution."""
+    index = omegas_of_weight(n)
+    for om in index:
         if om not in s:
             raise KeyError("s table missing omega %s" % (om,))
-        aug.append([Fraction(v) for v in rows[i]] + [Fraction(s[om])])
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise NonIntegerSolution("beta system is singular at column %d" % col)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
     out = {}
-    for j, xi in enumerate(index):
-        v = clean(aug[j][size])
+    for xi in index:
+        v = clean(sum(c * s[om] for om, c in elementary_to_monomial(xi).items()))
         if not isinstance(v, int):
             raise NonIntegerSolution("c^%s = %s is not an integer" % (xi, v))
         out[xi] = v

@@ -10,18 +10,12 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 
 from . import divdiff, fgl, genus, rootdata, stablex
 from .chern import s_to_chern
 from .exactalg import CobordismPoly, MultiPoly
 from .symmfunc import omega_weight, trim
-
-
-def _default_threads():
-    try:
-        return max(1, int(os.environ.get("TORIGEN_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _ints(text):
@@ -58,35 +52,58 @@ def _json_poly(p):
     return p.canonical_text()
 
 
-def _cache_poly(args, key, compute):
-    """Memoize a CobordismPoly as canonical JSON terms under --cache DIR."""
-    if not getattr(args, "cache", None):
-        return compute()
-    path = os.path.join(args.cache, key + ".json")
-    if os.path.exists(path):
+CACHE_VERSION = 1
+
+
+def _cache_load(path):
+    """The CobordismPoly stored at path; None if absent, corrupt or of another version."""
+    try:
         with open(path) as fh:
             raw = json.load(fh)
-        return CobordismPoly({tuple(t["exponents"]): int(t["coefficient"]) for t in raw})
+        if not isinstance(raw, dict) or raw.get("version") != CACHE_VERSION:
+            return None
+        return CobordismPoly({tuple(t["exponents"]): int(t["coefficient"]) for t in raw["terms"]})
+    except (FileNotFoundError, ValueError, KeyError, TypeError):
+        return None
+
+
+def _cache_poly(args, key, compute):
+    """Memoize a CobordismPoly as versioned canonical JSON terms under --cache DIR.
+
+    A missing, corrupt or stale entry is recomputed and replaced atomically:
+    the entry is written to a temporary file in DIR and renamed over the old one.
+    """
+    if not args.cache:
+        return compute()
+    path = os.path.join(args.cache, key + ".json")
+    value = _cache_load(path)
+    if value is not None:
+        return value
     value = compute()
     os.makedirs(args.cache, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(
-            [{"exponents": list(e), "coefficient": str(c)} for e, c in sorted(value.terms.items())],
-            fh,
-        )
+    fd, tmp = tempfile.mkstemp(dir=args.cache, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump({"version": CACHE_VERSION,
+                       "terms": [{"exponents": list(e), "coefficient": str(c)}
+                                 for e, c in sorted(value.terms.items())]}, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return value
 
 
 def cmd_class(args):
     spec = _build_space(args)
-    cls = genus.cobordism_class(rootdata.fixed_point_weights(spec), threads=args.threads)
+    cls = genus.cobordism_class(rootdata.fixed_point_weights(spec))
     _emit(args, cls.canonical_text(), {"space": spec.descriptor, "structure": genus.structure_label(spec), "class": _json_poly(cls)})
     return 0
 
 
 def cmd_genus(args):
     spec = _build_space(args)
-    report = genus.genus_report(spec, order=args.trunc, threads=args.threads)
+    report = genus.genus_report(spec, order=args.trunc)
     if args.format == "json":
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
         return 0 if all(report["checks"].values()) else 1
@@ -115,7 +132,7 @@ def cmd_snumbers(args):
         value = genus.s_number_numeric(fp, omega, point)
         _emit(args, str(value), {"omega": list(omega), "point": list(point), "value": str(value)})
         return 0
-    table = genus.s_numbers(fp, threads=args.threads)
+    table = genus.s_numbers(fp)
     if omega is not None:
         value = table.get(trim(omega), 0)
         _emit(args, str(value), {"omega": list(omega), "value": value})
@@ -130,7 +147,7 @@ def cmd_chern(args):
     spec = _build_space(args)
     fp = rootdata.fixed_point_weights(spec)
     n = len(fp[0].weights)
-    table = s_to_chern(genus.s_numbers(fp, threads=args.threads), n)
+    table = s_to_chern(genus.s_numbers(fp), n)
     rows = [(xi, table[xi]) for xi in sorted(table)]
     text = "\n".join("%s = %d" % (_chern_label(_pad(xi, n)), v) for xi, v in rows)
     _emit(args, text, {"space": spec.descriptor,
@@ -143,15 +160,15 @@ def cmd_verify(args):
     fp = rootdata.fixed_point_weights(spec)
     n = len(fp[0].weights)
     checks = {}
-    vr = genus.verify_low_vanishing(fp, threads=args.threads)
+    vr = genus.verify_low_vanishing(fp)
     checks["low_vanishing"] = vr.ok
-    cls = genus.cobordism_class(fp, threads=args.threads)
+    cls = genus.cobordism_class(fp)
     checks["class_integral"] = cls.is_integral() and cls.is_homogeneous(n)
-    table = genus.s_numbers(fp, threads=args.threads)
+    table = genus.s_numbers(fp)
     checks["class_matches_s"] = all(cls.coeff(om) == v for om, v in table.items())
     # c_n[M] = sum_p sign(p): -chi for a conjugate structure of odd n
     checks["euler"] = table.get((n,), 0) == sum(pt.sign for pt in fp)
-    checks["weyl_invariance"] = genus.weyl_invariance_ok(spec, fp, threads=args.threads)
+    checks["weyl_invariance"] = genus.weyl_invariance_ok(spec, fp)
     point = genus.default_numeric_point(fp)
     checks["numeric_agreement"] = all(
         genus.s_number_numeric(fp, om, point) == v for om, v in table.items())
@@ -476,8 +493,6 @@ def _parser():
             sp.add_argument("--structure", help="structure preset (standard, conjugate, J1..J3)")
             sp.add_argument("--signs", help="explicit root signs, e.g. 1,-1,1")
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--threads", type=int, default=_default_threads())
-        sp.add_argument("--cache", help="directory for memoized polynomials")
 
     sp = sub.add_parser("class", help="cobordism class")
     common(sp)
@@ -506,12 +521,14 @@ def _parser():
     common(sp, space=False)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--method", choices=("corL", "tchi", "thm8"), default="corL")
+    sp.add_argument("--cache", help="directory for memoized polynomials")
     sp.set_defaults(fn=cmd_flag)
 
     sp = sub.add_parser("grassmann", help="[G_{q+l,l}] by the operator L")
     common(sp, space=False)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--l", type=int, required=True)
+    sp.add_argument("--cache", help="directory for memoized polynomials")
     sp.set_defaults(fn=cmd_grassmann)
 
     sp = sub.add_parser("stable", help="equivariant stable complex structures")
@@ -527,7 +544,6 @@ def _parser():
 
     sp = sub.add_parser("reproduce", help="recompute the published value table")
     common(sp, space=False)
-    sp.add_argument("--all", action="store_true", help="accepted for compatibility; always runs all rows")
     sp.set_defaults(fn=cmd_reproduce)
 
     return p
@@ -542,7 +558,7 @@ def main(argv=None):
         print('space grammar: "CPn", "U(n)/Tn", "U(n)/U(k1)x...xU(km)", '
               '"G2/SU(3)", "SU(4)/S(U(1)xU(1)xU(2))"', file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (genus.SingularSum, genus.NonIntegerClass, genus.NonConstantResult,

@@ -72,13 +72,6 @@ def render_terms(terms, names):
     return " ".join(parts)
 
 
-def terms_to_json(terms):
-    out = []
-    for exp in sorted(terms, key=grlex_key, reverse=True):
-        out.append({"exponents": list(exp), "coefficient": _fmt_coeff(terms[exp])})
-    return out
-
-
 class VarArena:
     """Immutable set of variable names; fixes exponent-vector arity."""
 
@@ -90,9 +83,6 @@ class VarArena:
     @property
     def arity(self):
         return len(self.names)
-
-    def index(self, name):
-        return self.names.index(name)
 
     def __eq__(self, other):
         return isinstance(other, VarArena) and self.names == other.names
@@ -158,9 +148,6 @@ class MultiPoly:
 
     def coeff(self, exp):
         return self.terms.get(tuple(exp), 0)
-
-    def constant_term(self):
-        return self.terms.get((0,) * self.arena.arity, 0)
 
     def as_constant(self):
         if not self.terms:
@@ -284,9 +271,6 @@ class MultiPoly:
 
     def canonical_text(self):
         return render_terms(self.terms, self.arena.names)
-
-    def to_json(self):
-        return terms_to_json(self.terms)
 
     def __repr__(self):
         return "MultiPoly(%s)" % self.canonical_text()
@@ -479,11 +463,6 @@ class CobordismPoly:
         padded = {e + (0,) * (n - len(e)): c for e, c in self.terms.items()}
         return render_terms(padded, names)
 
-    def to_json(self):
-        n = self.max_gen()
-        padded = {e + (0,) * (n - len(e)): c for e, c in self.terms.items()}
-        return terms_to_json(padded)
-
     def __repr__(self):
         return "CobordismPoly(%s)" % self.canonical_text()
 
@@ -527,9 +506,6 @@ class GradedSeries:
 
     def homogeneous_part(self, d):
         return {e: c for e, c in self.terms.items() if sum(e) == d}
-
-    def truncate(self, order):
-        return GradedSeries(self.arena, order, self.terms)
 
     def is_zero(self):
         return not self.terms
@@ -642,12 +618,6 @@ class GradedSeries:
             else:
                 parts.append(ctext)
         return " + ".join(parts)
-
-    def to_json(self):
-        out = []
-        for exp in sorted(self.terms, key=grlex_key):
-            out.append({"exponents": list(exp), "coefficient": self.terms[exp].canonical_text()})
-        return out
 
     def __repr__(self):
         return "GradedSeries(%s)" % self.canonical_text()

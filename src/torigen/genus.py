@@ -16,13 +16,12 @@ order-N character holds the blocks with n + d <= N.
 """
 
 from collections import Counter, namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .exactalg import (CobordismPoly, GradedSeries, MultiPoly, NotDivisible,
                        clean, exact_div, exact_div_terms, xvars)
 from .fgl import b_in_a
-from .rootdata import apply_weyl, fixed_point_weights, weyl_cosets
+from .rootdata import fixed_point_weights
 from .symmfunc import monomial_sym, omega_to_partition, omegas_of_weight
 
 
@@ -116,34 +115,20 @@ def f_of_form(form, order, arena):
     return GradedSeries(arena, order, out)
 
 
-def _pmap(fn, items, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, items))
-    return [fn(it) for it in items]
-
-
-def _numerator(fp, loc, top, threads=1):
+def _numerator(fp, loc, top):
     """sum_p prefactor_p * cofactor_p * prod_j f(<Lambda_j(p),x>), degree <= top."""
     D = loc.denom.degree()
     forder = top - (D - loc.n)
-
-    def one_point(idx):
-        pt = fp[idx]
+    total = GradedSeries(loc.arena, top)
+    for pt, cof, pre in zip(fp, loc.cofactors, loc.prefactors):
         prod = GradedSeries.const(loc.arena, forder, 1)
         for w in pt.weights:
             prod = prod * f_of_form(MultiPoly.linear_form(loc.arena, w), forder, loc.arena)
-        lifted = GradedSeries(loc.arena, top, prod.terms)
-        return lifted * loc.cofactors[idx] * loc.prefactors[idx]
-
-    parts = _pmap(one_point, range(len(fp)), threads)
-    total = GradedSeries(loc.arena, top)
-    for part in parts:
-        total = total + part
+        total = total + GradedSeries(loc.arena, top, prod.terms) * cof * pre
     return total
 
 
-def chern_character_of_genus(fp, order, threads=1):
+def chern_character_of_genus(fp, order):
     """ch Phi truncated at absolute order (weight n + geometric degree <= order)."""
     n = len(fp[0].weights)
     if order < n:
@@ -151,7 +136,7 @@ def chern_character_of_genus(fp, order, threads=1):
     loc = localization_data(fp)
     D = loc.denom.degree()
     xorder = order - n
-    num = _numerator(fp, loc, D + xorder, threads)
+    num = _numerator(fp, loc, D + xorder)
     for e in range(max(D - n, 0), D):
         block = num.homogeneous_part(e)
         if block:
@@ -171,10 +156,10 @@ def chern_character_of_genus(fp, order, threads=1):
     return GradedSeries(loc.arena, xorder, terms)
 
 
-def cobordism_class(fp, threads=1):
+def cobordism_class(fp):
     """The t^n coefficient: degree-0 block of ch Phi, an integer class of weight n."""
     n = len(fp[0].weights)
-    ch = chern_character_of_genus(fp, n, threads)
+    ch = chern_character_of_genus(fp, n)
     cls = ch.coeff((0,) * ch.arena.arity)
     if not cls.is_homogeneous(n):
         raise SingularSum("class is not homogeneous of weight %d" % n)
@@ -183,12 +168,12 @@ def cobordism_class(fp, threads=1):
     return cls
 
 
-def verify_low_vanishing(fp, threads=1):
+def verify_low_vanishing(fp):
     """Check the numerator blocks for t^0..t^{n-1} cancel; failure is reported, not raised."""
     n = len(fp[0].weights)
     loc = localization_data(fp)
     D = loc.denom.degree()
-    num = _numerator(fp, loc, D - 1, threads)
+    num = _numerator(fp, loc, D - 1)
     for level in range(n):
         block = num.homogeneous_part(D - n + level)
         if block:
@@ -209,25 +194,26 @@ def omega_numerator(fp, loc, omega):
     return num
 
 
-def s_numbers(fp, threads=1):
+def s_numbers(fp):
     """All s_omega, ||omega|| = n, each from its own f_omega localization sum."""
     n = len(fp[0].weights)
     loc = localization_data(fp)
 
-    def one_omega(omega):
+    out = {}
+    for omega in omegas_of_weight(n):
         num = omega_numerator(fp, loc, omega)
         if num.is_zero():
-            return omega, 0
+            out[omega] = 0
+            continue
         try:
             quot = exact_div(num, loc.denom)
         except NotDivisible as exc:
             raise NonConstantResult("s_%s sum is not a multiple of the denominator" % (omega,)) from exc
         try:
-            return omega, quot.as_constant()
+            out[omega] = quot.as_constant()
         except ValueError as exc:
             raise NonConstantResult("s_%s collapsed to %s" % (omega, quot.canonical_text())) from exc
-
-    return dict(_pmap(one_omega, omegas_of_weight(n), threads))
+    return out
 
 
 def default_numeric_point(fp):
@@ -268,7 +254,7 @@ def s_number_numeric(fp, omega, point=None):
     return clean(total)
 
 
-def genus_fibration_coefficients(fp, order, max_xi, threads=1):
+def genus_fibration_coefficients(fp, order, max_xi):
     """Coefficients [G_xi] of ch Phi rewritten in y_i = x_i/f(x_i).
 
     Returns a dict over all xi with |xi| <= max_xi (xi = 0 gives the class).
@@ -276,7 +262,7 @@ def genus_fibration_coefficients(fp, order, max_xi, threads=1):
     n = len(fp[0].weights)
     if order < n + max_xi:
         raise TruncationTooLow("order %d < n + |xi| = %d" % (order, n + max_xi))
-    ch = chern_character_of_genus(fp, order, threads)
+    ch = chern_character_of_genus(fp, order)
     xorder = order - n
     arena = ch.arena
     k = arena.arity
@@ -300,12 +286,12 @@ def genus_fibration_coefficients(fp, order, max_xi, threads=1):
     return out
 
 
-def weyl_invariance_ok(spec, fp, order=None, threads=1):
+def weyl_invariance_ok(spec, fp, order=None):
     """ch Phi must be invariant under every Weyl generator of G."""
     n = len(fp[0].weights)
     if order is None:
         order = n + 1
-    ch = chern_character_of_genus(fp, order, threads)
+    ch = chern_character_of_genus(fp, order)
     if spec.family == "G2":
         from .rootdata import G2_S_LONG, G2_S_SHORT
         for M in (G2_S_SHORT, G2_S_LONG):
@@ -327,16 +313,16 @@ def structure_label(spec):
     return ",".join("%+d" % s for s in spec.signs)
 
 
-def genus_report(spec, order=None, threads=1):
+def genus_report(spec, order=None):
     """Full result bundle for a space: class, s-table, and consistency checks."""
     fp = fixed_point_weights(spec)
     n = spec.n
     if order is None:
         order = n + 1
-    cls = cobordism_class(fp, threads)
-    stable = s_numbers(fp, threads)
-    vanishing = verify_low_vanishing(fp, threads)
-    weyl_ok = weyl_invariance_ok(spec, fp, min(order, n + 1), threads)
+    cls = cobordism_class(fp)
+    stable = s_numbers(fp)
+    vanishing = verify_low_vanishing(fp)
+    weyl_ok = weyl_invariance_ok(spec, fp, min(order, n + 1))
     class_rows = []
     for omega in omegas_of_weight(n):
         c = cls.coeff(omega)

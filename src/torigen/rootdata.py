@@ -224,11 +224,6 @@ def g2_subgroup():
     return _closure([G2_S_LONG, G2_S_LONG23], G2_IDENTITY, lambda a, b: _matmul(b, a))
 
 
-def _perm_mul(p, q):
-    """(p after q): apply q, then p."""
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
 def apply_weyl(spec, rep, weight):
     """Image of an integer weight vector under a Weyl element."""
     if spec.family == "G2":
@@ -237,36 +232,6 @@ def apply_weyl(spec, rep, weight):
     for i, c in enumerate(weight):
         out[rep[i]] = c
     return tuple(out)
-
-
-def weyl_group(spec):
-    if spec.family == "G2":
-        return g2_weyl_group()
-    return [tuple(p) for p in permutations(range(spec.rank))]
-
-
-def weyl_subgroup(spec):
-    if spec.family == "G2":
-        return g2_subgroup()
-    groups = []
-    for block in spec.blocks:
-        groups.append([tuple(p) for p in permutations(range(len(block)))])
-    out = []
-    import itertools
-    for combo in itertools.product(*groups):
-        perm = list(range(spec.rank))
-        for block, local in zip(spec.blocks, combo):
-            for pos, img in zip(block, local):
-                perm[pos - 1] = block[img] - 1
-        out.append(tuple(perm))
-    return out
-
-
-def weyl_mul(spec, a, b):
-    """Composition a*b, meaning apply b first."""
-    if spec.family == "G2":
-        return _matmul(a, b)
-    return _perm_mul(a, b)
 
 
 def weyl_cosets(spec):

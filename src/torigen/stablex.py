@@ -14,13 +14,13 @@ geometric question that we do not decide.
 """
 
 from collections import namedtuple
-from itertools import permutations, product
+from itertools import product
 
 from .exactalg import MultiPoly, NotDivisible, clean, exact_div
 from .genus import localization_data, omega_numerator
 from .genus import s_numbers as _genus_s_numbers
 from .rootdata import FixedPoint, fixed_point_weights
-from .symmfunc import omega_to_partition, omegas_of_weight
+from .symmfunc import omega_to_partition, omegas_of_weight, rearrangements
 
 
 class BudgetExceeded(Exception):
@@ -97,11 +97,6 @@ def check_necessary(spec, assign):
     return NecessaryReport(True, None, None)
 
 
-def _orbit_exponents(lam, n):
-    pad = tuple(lam) + (0,) * (n - len(lam))
-    return sorted(set(permutations(pad)))
-
-
 def _sign_tables(base, loc):
     """Per point and omega, contributions keyed by the parity of each a_i.
 
@@ -130,7 +125,7 @@ def _sign_tables(base, loc):
             lam = omega_to_partition(om)
             buckets = {}
             if len(lam) <= n:
-                for e in _orbit_exponents(lam, n):
+                for e in rearrangements(lam + (0,) * (n - len(lam))):
                     mask = sum(1 << j for j, d in enumerate(e) if d % 2)
                     poly = scale
                     for j, d in enumerate(e):

@@ -84,14 +84,14 @@ def perm_sign(perm):
     return s
 
 
-def _rearrangements(xi):
-    """Distinct rearrangements of the tuple xi, each once."""
+def rearrangements(xi):
+    """Distinct rearrangements of the tuple xi, each once, in lexicographic order."""
     if not xi:
         yield ()
         return
     for v in sorted(set(xi)):
         i = xi.index(v)
-        for tail in _rearrangements(xi[:i] + xi[i + 1:]):
+        for tail in rearrangements(xi[:i] + xi[i + 1:]):
             yield (v,) + tail
 
 
@@ -101,7 +101,7 @@ def orbit_monomial(xi, n, arena=None):
         raise ValueError("exponent vector length %d != arity %d" % (len(xi), n))
     if arena is None:
         arena = xvars(n)
-    return MultiPoly(arena, {e: 1 for e in _rearrangements(xi)})
+    return MultiPoly(arena, {e: 1 for e in rearrangements(xi)})
 
 
 def monomial_sym(lam, n, arena=None):
@@ -213,14 +213,16 @@ def _zero_one_count(rows, cols, memo):
 
 
 @lru_cache(maxsize=None)
-def _monomial_to_elementary_table(n):
-    """All expansions m_lambda = sum_nu U[lambda][nu] e_{nu'} of weight n.
+def _transition_tables(n):
+    """Both directions of the m <-> e basis change in weight n, as sparse rows.
 
     T[nu][lambda] = number of 0-1 matrices with row sums nu' and column sums
     lambda is the coefficient of m_lambda in e_{nu'} (Macdonald, Symmetric
     Functions and Hall Polynomials, I.6, (6.6)). It is unitriangular in
     dominance order, so lower unitriangular in lexicographic order, and its
-    inverse U comes from forward substitution in integers.
+    inverse U, with m_lambda = sum_nu U[lambda][nu] e_{nu'}, comes from
+    forward substitution in integers. Returns (m_to_e, e_to_m): U keyed
+    omega -> {xi: c} and T keyed xi -> {omega: c}.
     """
     lams = sorted(partitions(n))
     memo = {}
@@ -232,8 +234,10 @@ def _monomial_to_elementary_table(n):
         row = [-sum(t[k] * U[k][j] for k in range(j, i)) for j in range(i)]
         U.append(row + [1] + [0] * (len(lams) - 1 - i))
     xis = [partition_to_omega(conjugate_partition(nu)) for nu in lams]
-    return {partition_to_omega(lam): {xi: c for xi, c in zip(xis, row) if c}
-            for lam, row in zip(lams, U)}
+    omegas = [partition_to_omega(lam) for lam in lams]
+    m_to_e = {om: {xi: c for xi, c in zip(xis, row) if c} for om, row in zip(omegas, U)}
+    e_to_m = {xi: {om: c for om, c in zip(omegas, row) if c} for xi, row in zip(xis, T)}
+    return m_to_e, e_to_m
 
 
 def monomial_to_elementary(omega):
@@ -244,7 +248,17 @@ def monomial_to_elementary(omega):
     each xi is trimmed and satisfies sum k*xi_k = n.
     """
     omega = trim(omega)
-    return dict(_monomial_to_elementary_table(omega_weight(omega))[omega])
+    return dict(_transition_tables(omega_weight(omega))[0][omega])
+
+
+def elementary_to_monomial(xi):
+    """Expansion of e_1^{xi_1} ... e_n^{xi_n} in orbit polynomials, the inverse of beta.
+
+    For sum k*xi_k = n, returns a dict omega -> integer with
+    e^xi = sum_omega c_omega * m_{lambda(omega)} in n variables.
+    """
+    xi = trim(xi)
+    return dict(_transition_tables(omega_weight(xi))[1][xi])
 
 
 def elementary_product(xi, n, arena=None):

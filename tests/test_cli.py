@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from torigen.cli import main
+from torigen.cli import main, reproduce_table
 
 
 def run(capsys, *argv):
@@ -67,9 +67,11 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["class"])  # missing --space
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["not-a-verb"])
-    assert exc.value.code == 2
+    for argv in (["not-a-verb"], ["class", "--space", "CP1", "--cache", "memo"],
+                 ["reproduce", "--all"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     code, _, err = run(capsys, "class", "--space", "E8/T8")
     assert code == 2
     assert "grammar" in err
@@ -107,6 +109,34 @@ def test_cache_directory(tmp_path, capsys):
     assert (tmp_path / "memo" / "flag_3_corL.json").exists()
     code, out2, _ = run(capsys, "flag", "--n", "3", "--cache", cache)
     assert out2 == out1
+
+
+def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys):
+    memo = tmp_path / "memo"
+    memo.mkdir()
+    entry = memo / "flag_3_corL.json"
+    for planted in ('{"exponents": [3', '[{"exponents": [3], "coefficient": "7"}]',
+                    '{"version": 0, "terms": []}'):
+        entry.write_text(planted)
+        code, out, err = run(capsys, "flag", "--n", "3", "--cache", str(memo))
+        assert code == 0 and err == ""
+        assert out.strip() == "6*a1^3 + 6*a1*a2 - 6*a3"
+        assert json.loads(entry.read_text())["version"] == 1
+    assert sorted(p.name for p in memo.iterdir()) == ["flag_3_corL.json"]
+
+
+def test_os_errors_exit_two(tmp_path, capsys):
+    code, out, err = run(capsys, "stable", "--space", "CP1",
+                         "--assign", str(tmp_path / "missing.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    plain = tmp_path / "plain"
+    plain.write_text("not a directory")
+    code, out, err = run(capsys, "flag", "--n", "3", "--cache", str(plain))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_stable_verbs(tmp_path, capsys):
@@ -168,3 +198,9 @@ def test_zero_dimensional_spaces_rejected(capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("error:") == 1
+
+
+def test_reproduce_table_passes():
+    ok, rows = reproduce_table()
+    assert [name for name, row_ok, _ in rows if not row_ok] == []
+    assert ok and len(rows) == 27

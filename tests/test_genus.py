@@ -123,12 +123,6 @@ def test_numeric_evaluation_matches_symbolic():
         s_number_numeric(fp, (3,), (1, 1, 1))
 
 
-def test_threading_is_transparent():
-    fp = fp_of("U(3)/T3")
-    assert chern_character_of_genus(fp, 4, threads=2) == chern_character_of_genus(fp, 4)
-    assert s_numbers(fp, threads=2) == s_numbers(fp)
-
-
 def test_weyl_invariance_of_character():
     for text, structure in (("CP2", None), ("U(3)/T3", None),
                             ("G2/SU(3)", None), ("G2/SU(3)", "conjugate")):

@@ -11,6 +11,7 @@ from torigen.symmfunc import (
     conjugate_partition,
     elementary,
     elementary_product,
+    elementary_to_monomial,
     f_omega_decomposition,
     monomial_sym,
     monomial_to_elementary,
@@ -129,6 +130,27 @@ def test_monomial_to_elementary_reassembles():
             # every xi in the expansion has matching weight
             for xi in beta:
                 assert sum((k + 1) * m for k, m in enumerate(xi)) == w
+
+
+def test_elementary_to_monomial_expands_e_products():
+    for w in range(1, 7):
+        ar = xvars(w)
+        for xi in omegas_of_weight(w):
+            acc = MultiPoly(ar)
+            for om, c in elementary_to_monomial(xi).items():
+                acc = acc + monomial_sym(omega_to_partition(om), w, ar) * c
+            assert acc == elementary_product(xi, w, ar)
+
+
+def test_transition_directions_are_inverse():
+    for w in range(1, 11):
+        oms = omegas_of_weight(w)
+        for om in oms:
+            back = {}
+            for xi, c in monomial_to_elementary(om).items():
+                for om2, d in elementary_to_monomial(xi).items():
+                    back[om2] = back.get(om2, 0) + c * d
+            assert {k: v for k, v in back.items() if v} == {om: 1}
 
 
 # -- light randomized checks --------------------------------------------------
