@@ -5,10 +5,12 @@ Given a fixed-point weight table, the Chern-Dold character of the genus is
     ch Phi = sum_p sign(p) prod_j f(<Lambda_j(p), x>) / <Lambda_j(p), x>
 
 and everything here (cobordism class, low-degree vanishing, s_omega numbers,
-fibration coefficients) is read off that sum. The sum is evaluated by putting
-all points over one polynomial common denominator and dividing back exactly;
-inconsistent input data is detected as a failed division, never hidden by
-per-summand simplification.
+fibration coefficients) is read off that sum. The class and the s_omega are
+read off one integer point wherever the exact certificate _pole_free shows
+that the sum has no poles. Otherwise, and wherever the full series in x is
+needed, the sum is evaluated by putting all points over one polynomial common
+denominator and dividing back exactly; inconsistent input data is detected as
+a failed division, never hidden by per-summand simplification.
 
 Degrees: the geometric-degree-d block of ch Phi carries cobordism weight
 n + d, where 2n is the real dimension. Truncation orders are absolute: an
@@ -17,12 +19,15 @@ order-N character holds the blocks with n + d <= N.
 
 from collections import Counter, namedtuple
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm, prod
 
 from .exactalg import (CobordismPoly, GradedSeries, MultiPoly, NotDivisible,
-                       clean, exact_div, exact_div_terms, xvars)
+                       clean, exact_div_terms, xvars)
 from .fgl import b_in_a
 from .rootdata import fixed_point_weights
-from .symmfunc import monomial_sym, omega_to_partition, omegas_of_weight
+from .symmfunc import (monomial_sym, omega_to_partition, omega_weight, omegas_of_weight,
+                       omegas_up_to, trim)
 
 
 class SingularSum(Exception):
@@ -30,10 +35,6 @@ class SingularSum(Exception):
 
 
 class NonIntegerClass(Exception):
-    pass
-
-
-class NonConstantResult(Exception):
     pass
 
 
@@ -156,13 +157,26 @@ def chern_character_of_genus(fp, order):
     return GradedSeries(loc.arena, xorder, terms)
 
 
-def cobordism_class(fp):
-    """The t^n coefficient: degree-0 block of ch Phi, an integer class of weight n."""
+def symbolic_class(fp):
+    """The t^n coefficient read off the symbolic character: its degree-0 block,
+    an integer class of weight n."""
     n = len(fp[0].weights)
     ch = chern_character_of_genus(fp, n)
     cls = ch.coeff((0,) * ch.arena.arity)
     if not cls.is_homogeneous(n):
         raise SingularSum("class is not homogeneous of weight %d" % n)
+    if not cls.is_integral():
+        raise NonIntegerClass(cls.canonical_text())
+    return cls
+
+
+def cobordism_class(fp):
+    """The class sum_omega s_omega a^omega, ||omega|| = n: from one integer point
+    where _pole_free vouches for the data, else from symbolic_class."""
+    table = _certified_s_numbers(fp)
+    if table is None:
+        return symbolic_class(fp)
+    cls = CobordismPoly(table)
     if not cls.is_integral():
         raise NonIntegerClass(cls.canonical_text())
     return cls
@@ -194,26 +208,119 @@ def omega_numerator(fp, loc, omega):
     return num
 
 
-def s_numbers(fp):
-    """All s_omega, ||omega|| = n, each from its own f_omega localization sum."""
-    n = len(fp[0].weights)
-    loc = localization_data(fp)
+def _pole_free(fp):
+    """Exact certificate that every residue of the localization sum cancels.
 
-    out = {}
-    for omega in omegas_of_weight(n):
-        num = omega_numerator(fp, loc, omega)
-        if num.is_zero():
-            out[omega] = 0
-            continue
-        try:
-            quot = exact_div(num, loc.denom)
-        except NotDivisible as exc:
-            raise NonConstantResult("s_%s sum is not a multiple of the denominator" % (omega,)) from exc
-        try:
-            out[omega] = quot.as_constant()
-        except ValueError as exc:
-            raise NonConstantResult("s_%s collapsed to %s" % (omega, quot.canonical_text())) from exc
-    return out
+    True only if every weight is primitive, the n weight lines at each point
+    are distinct, and for every line l the points carrying l cancel in
+    groups: points whose other weights agree modulo l as multisets (keyed
+    by l_i*u - u_i*l, i the first nonzero coordinate of l) have
+    sum sign(p) * orientation_p(l) = 0.
+
+    Guarantee: then each point's term has at most a simple pole along
+    <l, x> = 0, and within a group the residues there are one and the same
+    rational function, so they cancel. Every a^omega block of the sum is
+    therefore a polynomial, homogeneous of degree ||omega|| - n: zero for
+    ||omega|| < n, and for ||omega|| = n a constant that its value at one
+    nonsingular integer point gives exactly. False promises nothing; the
+    caller falls back to the symbolic route.
+    """
+    n = len(fp[0].weights)
+    groups = Counter()
+    for pt in fp:
+        if len(pt.weights) != n or any(gcd(*w) != 1 for w in pt.weights):
+            return False
+        lines = [canonical_line(w) for w in pt.weights]
+        if len({line for line, _ in lines}) != n:
+            return False
+        for j, (line, orient) in enumerate(lines):
+            i = next(i for i, c in enumerate(line) if c)
+            rest = sorted(tuple(line[i] * uc - u[i] * lc for uc, lc in zip(u, line))
+                          for m, u in enumerate(pt.weights) if m != j)
+            groups[line, tuple(rest)] += pt.sign * orient
+    return not any(groups.values())
+
+
+@lru_cache(maxsize=None)
+def _product_steps(n):
+    """Monomials a^omega of weight <= n, and for each the (k, index of a_k * a^omega)
+    that stay within weight n: the moves of one factor 1 + sum_k a_k (c t)^k."""
+    omegas = omegas_up_to(n)
+    index = {om: i for i, om in enumerate(omegas)}
+    steps = []
+    for om in omegas:
+        w = omega_weight(om)
+        moves = []
+        for k in range(1, n - w + 1):
+            up = list(om) + [0] * (k - len(om))
+            up[k - 1] += 1
+            moves.append((k, index[tuple(up)]))
+        steps.append(moves)
+    return omegas, steps
+
+
+def point_s_numbers(fp, point):
+    """All s_omega, ||omega|| = n, evaluated at one integer point:
+
+        s_omega = sum_p sign(p) [a^omega t^n] prod_j f(c_j t) / prod_j c_j,
+
+    c_j = <Lambda_j(p), point>, in exact integers and one Fraction per omega.
+    This is the localization sum at that point; it is the s-number wherever the
+    sum is constant (see _pole_free)."""
+    n = len(fp[0].weights)
+    point = tuple(point)
+    omegas, steps = _product_steps(n)
+    top = [i for i, om in enumerate(omegas) if omega_weight(om) == n]
+    rows = []
+    for pt in fp:
+        cs = []
+        for w in pt.weights:
+            c = sum(a * x for a, x in zip(w, point))
+            if c == 0:
+                raise SingularPoint("weight %s vanishes at %s" % (w, point))
+            cs.append(c)
+        acc = [0] * len(omegas)
+        acc[0] = 1
+        for c in cs:
+            powers = [c ** k for k in range(n + 1)]
+            nxt = acc[:]
+            for i, v in enumerate(acc):
+                if v:
+                    for k, j in steps[i]:
+                        nxt[j] += v * powers[k]
+            acc = nxt
+        rows.append((pt.sign, prod(cs), acc))
+    common = lcm(*(den for _, den, _ in rows))
+    sums = [0] * len(omegas)
+    for sign, den, acc in rows:
+        scale = sign * (common // den)
+        for i in top:
+            sums[i] += scale * acc[i]
+    return {omegas[i]: clean(Fraction(sums[i], common)) for i in top}
+
+
+def _certified_s_numbers(fp):
+    """point_s_numbers at default_numeric_point if _pole_free holds, else None."""
+    if not _pole_free(fp):
+        return None
+    try:
+        return point_s_numbers(fp, default_numeric_point(fp))
+    except SingularPoint:
+        return None
+
+
+def s_numbers(fp):
+    """All s_omega, ||omega|| = n: the certified point values, else the
+    coefficients of symbolic_class (whose errors propagate)."""
+    table = _certified_s_numbers(fp)
+    if table is None:
+        cls = symbolic_class(fp)
+        table = {om: cls.coeff(om) for om in omegas_of_weight(len(fp[0].weights))}
+    return table
+
+
+def _nonsingular(fp, point):
+    return all(sum(c * x for c, x in zip(w, point)) != 0 for pt in fp for w in pt.weights)
 
 
 def default_numeric_point(fp):
@@ -221,37 +328,30 @@ def default_numeric_point(fp):
     k = len(fp[0].weights[0])
     point = tuple(range(k))
     for _ in range(32):
-        if all(sum(c * x for c, x in zip(w, point)) != 0
-               for pt in fp for w in pt.weights):
+        if _nonsingular(fp, point):
             return point
         point = tuple(x + k for x in point)
     raise SingularPoint("no nonsingular default point found")
 
 
+def second_numeric_point(fp):
+    """A nonsingular point (1, m, m^2, ...), m >= 2, for a cross-check against
+    default_numeric_point. The default sequence steps along (1, ..., 1), on
+    which every root of U(n) vanishes, so its points all give the same weight
+    values; this one does not."""
+    k = len(fp[0].weights[0])
+    for m in range(2, 34):
+        point = tuple(m ** i for i in range(k))
+        if _nonsingular(fp, point):
+            return point
+    raise SingularPoint("no nonsingular second point found")
+
+
 def s_number_numeric(fp, omega, point=None):
-    """Evaluate the s_omega sum at an integer point; must match the symbolic value."""
-    n = len(fp[0].weights)
+    """One entry of point_s_numbers, at point or at default_numeric_point."""
     if point is None:
         point = default_numeric_point(fp)
-    else:
-        point = tuple(point)
-        for pt in fp:
-            for w in pt.weights:
-                if sum(c * x for c, x in zip(w, point)) == 0:
-                    raise SingularPoint("weight %s vanishes at %s" % (w, point))
-    lam = omega_to_partition(omega)
-    tarena = xvars(n, "t")
-    f_omega = monomial_sym(lam, n, tarena)
-    total = Fraction(0)
-    for pt in fp:
-        ts = [sum(c * x for c, x in zip(w, point)) for w in pt.weights]
-        if any(t == 0 for t in ts):
-            raise SingularPoint("weight vanishes at %s" % (point,))
-        denom = 1
-        for t in ts:
-            denom *= t
-        total += Fraction(pt.sign * f_omega.evaluate(ts), denom)
-    return clean(total)
+    return point_s_numbers(fp, point)[trim(omega)]
 
 
 def genus_fibration_coefficients(fp, order, max_xi):

@@ -212,13 +212,19 @@ def assignment_to_json(assign):
 
 
 def assignment_from_json(data, spec):
+    """SignAssignment from {coset_index: [signs], "epsilon": e}, optionally
+    nested under "table"; ValueError for any other shape."""
     base = fixed_point_weights(spec)
-    src = data.get("table", data)
+    src = data.get("table", data) if isinstance(data, dict) else data
+    if not isinstance(src, dict):
+        raise ValueError("assignment must be a JSON object, got %s" % type(src).__name__)
     table = []
     for i in range(len(base)):
         key = str(i)
         if key not in src:
             raise ValueError("assignment missing point %s" % key)
+        if not isinstance(src[key], list):
+            raise ValueError("point %s needs a list of signs" % key)
         table.append(tuple(src[key]))
     epsilon = data.get("epsilon", src.get("epsilon", 1))
     assign = SignAssignment(tuple(table), epsilon)

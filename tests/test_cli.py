@@ -139,6 +139,26 @@ def test_os_errors_exit_two(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("verb", ["class", "snumbers", "chern"])
+def test_rejected_signs_fail_alike_on_every_verb(capsys, verb):
+    # the localization sum of these weights has poles: no verb prints numbers
+    code, out, err = run(capsys, verb, "--space", "CP2", "--signs=1,-1")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: degree-2 numerator block does not cancel: "
+                   "(2*a1)*x2*x3 + (-2*a1)*x2^2 + (-2*a1)*x1*x3 + (2*a1)*x1*x2\n")
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", "3", "null", '{"table": [1]}'])
+def test_stable_assign_non_object_exits_two(tmp_path, capsys, content):
+    path = tmp_path / "assign.json"
+    path.write_text(content)
+    code, out, err = run(capsys, "stable", "--space", "CP1", "--assign", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_stable_verbs(tmp_path, capsys):
     code, out, _ = run(capsys, "stable", "--space", "CP1")
     assert code == 0
@@ -176,6 +196,11 @@ def test_snumbers_rejects_bad_omega(capsys):
     code, out, err = run(capsys, "snumbers", "--space", "CP2", "--numeric", "1,2,3")
     assert code == 2
     assert err == "error: --numeric needs --omega\n"
+    for point in ("1,2", "1,2,3,4"):
+        code, out, err = run(capsys, "snumbers", "--space", "CP2", "--numeric", point, "--omega", "0,1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: point ") and err.count("\n") == 1
     code, out, _ = run(capsys, "snumbers", "--space", "CP2", "--omega", "0,1,0")
     assert code == 0
     assert out.strip() == "3"

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from torigen.genus import cobordism_class, s_numbers
+from torigen.genus import _pole_free, cobordism_class, s_numbers
 from torigen.rootdata import build_space, fixed_point_weights
 from torigen.stablex import (
     BudgetExceeded,
@@ -92,19 +92,36 @@ def test_six_sphere_has_ten_sign_systems():
         assert rep.ok
 
 
-def test_cp3_feasible_set_matches_slot_classes():
-    spec = build_space("CP3")
-    sols = enumerate_feasible(spec)
-    assert len(sols) == 16
-    got = {sol.table for sol in sols}
-    want = set()
+def cp3_slot_tables():
+    out = set()
     for choice in product((1, -1), repeat=4):
         table = [[0] * 3 for _ in range(4)]
         for cls, s in zip(CP3_CLASSES, choice):
             for p, j in cls:
                 table[p][j] = s
-        want.add(tuple(tuple(r) for r in table))
-    assert got == want
+        out.add(tuple(tuple(r) for r in table))
+    return out
+
+
+def test_cp3_feasible_set_matches_slot_classes():
+    spec = build_space("CP3")
+    sols = enumerate_feasible(spec)
+    assert len(sols) == 16
+    assert {sol.table for sol in sols} == cp3_slot_tables()
+
+
+def test_certificate_accepts_admissible_tables():
+    # the pole-cancellation certificate vouches for every admissible table
+    # of CP3 and S^6, so their classes come from one point evaluation
+    spec = build_space("CP3")
+    for table in cp3_slot_tables():
+        for epsilon in (1, -1):
+            assert _pole_free(derived_fixed_point_data(spec, SignAssignment(table, epsilon)))
+    spec = build_space("G2/SU(3)")
+    sols = enumerate_feasible(spec)
+    assert len(sols) == 10
+    for sol in sols:
+        assert _pole_free(derived_fixed_point_data(spec, sol))
 
 
 def test_line_sum_structure():
@@ -143,3 +160,10 @@ def test_assignment_json_round_trip():
     assert back == assign
     nested = assignment_from_json({"table": data}, spec)
     assert nested == assign
+
+
+@pytest.mark.parametrize("data", [[1, 2], 3, "table", None, {"table": [1, 2]},
+                                  {"0": 1, "1": [1, 1], "2": [1, 1]}])
+def test_assignment_json_rejects_other_shapes(data):
+    with pytest.raises(ValueError):
+        assignment_from_json(data, build_space("CP2"))
