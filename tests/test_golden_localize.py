@@ -47,8 +47,22 @@ EXTRA = [
     ("verify", "--space", M10, "--structure", "J2"),
     ("verify", "--space", "G2/SU(3)", "--structure", "conjugate"),
     ("verify", "--space", "CP2", "--signs=1,-1"),
+    ("verify", "--space", "CP4"),
+    ("verify", "--space", "U(4)/T4"),
+    ("verify", "--space", "U(4)/U(1)xU(1)xU(2)", "--signs=1,-1,-1,1,1"),
+    ("verify", "--space", M10, "--structure", "J3"),
     ("genus", "--space", "CP3"),
     ("genus", "--space", "G2/SU(3)"),
+    ("genus", "--space", "U(4)/U(2)xU(2)"),
+    # a truncation below n is a usage error
+    ("genus", "--space", "U(4)/U(2)xU(2)", "--trunc", "3"),
+    # large chi: the point evaluator does the most work here
+    ("class", "--space", "U(5)/T5"),
+    ("snumbers", "--space", "U(5)/T5"),
+    ("chern", "--space", "U(5)/T5"),
+    ("class", "--space", "U(5)/U(1)xU(2)xU(2)"),
+    ("snumbers", "--space", "U(5)/U(1)xU(2)xU(2)"),
+    ("chern", "--space", "U(5)/U(1)xU(2)xU(2)"),
 ]
 
 
