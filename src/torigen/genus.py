@@ -4,13 +4,23 @@ Given a fixed-point weight table, the Chern-Dold character of the genus is
 
     ch Phi = sum_p sign(p) prod_j f(<Lambda_j(p), x>) / <Lambda_j(p), x>
 
-and everything here (cobordism class, low-degree vanishing, s_omega numbers,
-fibration coefficients) is read off that sum. The class and the s_omega are
-read off one integer point wherever the exact certificate _pole_free shows
-that the sum has no poles. Otherwise, and wherever the full series in x is
-needed, the sum is evaluated by putting all points over one polynomial common
-denominator and dividing back exactly; inconsistent input data is detected as
-a failed division, never hidden by per-summand simplification.
+and everything here (cobordism class, s_omega numbers, Chern numbers,
+fibration coefficients) is read off that sum. Each kind of answer has one
+route:
+
+- Numbers come from one point evaluator. At a fixed point the Chern classes
+  restrict to the elementary symmetric functions of the weights, so
+  c^xi[M] = sum_p sign(p) e^xi(c(p)) / prod_j c_j(p) (Atiyah-Bott);
+  point_chern_numbers evaluates this at an integer point, and the s-numbers
+  are the unimodular change of basis s = beta c (chern.chern_to_s). Where the
+  exact certificate _pole_free shows that the sum has no poles, one point
+  gives every number exactly.
+- Otherwise, and wherever the full series in x is needed, the symbolic
+  character puts all points over one polynomial common denominator, checks
+  that the singular blocks cancel and divides back exactly; inconsistent
+  input data is detected as a failed cancellation or division, never hidden
+  by per-summand simplification. One character carries the low-block
+  cancellation, the class (its degree-0 block) and the Weyl check.
 
 Degrees: the geometric-degree-d block of ch Phi carries cobordism weight
 n + d, where 2n is the real dimension. Truncation orders are absolute: an
@@ -19,15 +29,14 @@ order-N character holds the blocks with n + d <= N.
 
 from collections import Counter, namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm, prod
 
+from .chern import chern_to_s, s_to_chern
 from .exactalg import (CobordismPoly, GradedSeries, MultiPoly, NotDivisible,
                        clean, exact_div_terms, xvars)
 from .fgl import b_in_a
 from .rootdata import fixed_point_weights
-from .symmfunc import (monomial_sym, omega_to_partition, omega_weight, omegas_of_weight,
-                       omegas_up_to, trim)
+from .symmfunc import monomial_sym, omega_to_partition, omegas_of_weight, trim
 
 
 class SingularSum(Exception):
@@ -46,7 +55,6 @@ class TruncationTooLow(Exception):
     pass
 
 
-VanishingReport = namedtuple("VanishingReport", "ok level residue")
 LocData = namedtuple("LocData", "arena n denom cofactors prefactors")
 
 
@@ -157,11 +165,9 @@ def chern_character_of_genus(fp, order):
     return GradedSeries(loc.arena, xorder, terms)
 
 
-def symbolic_class(fp):
-    """The t^n coefficient read off the symbolic character: its degree-0 block,
-    an integer class of weight n."""
-    n = len(fp[0].weights)
-    ch = chern_character_of_genus(fp, n)
+def class_of_character(ch, n):
+    """The t^n coefficient of a character: its degree-0 block, which must be an
+    integer class of weight n."""
     cls = ch.coeff((0,) * ch.arena.arity)
     if not cls.is_homogeneous(n):
         raise SingularSum("class is not homogeneous of weight %d" % n)
@@ -170,30 +176,15 @@ def symbolic_class(fp):
     return cls
 
 
-def cobordism_class(fp):
-    """The class sum_omega s_omega a^omega, ||omega|| = n: from one integer point
-    where _pole_free vouches for the data, else from symbolic_class."""
-    table = _certified_s_numbers(fp)
-    if table is None:
-        return symbolic_class(fp)
-    cls = CobordismPoly(table)
-    if not cls.is_integral():
-        raise NonIntegerClass(cls.canonical_text())
-    return cls
-
-
-def verify_low_vanishing(fp):
-    """Check the numerator blocks for t^0..t^{n-1} cancel; failure is reported, not raised."""
+def symbolic_class(fp):
+    """The class read off the symbolic character of order n."""
     n = len(fp[0].weights)
-    loc = localization_data(fp)
-    D = loc.denom.degree()
-    num = _numerator(fp, loc, D - 1)
-    for level in range(n):
-        block = num.homogeneous_part(D - n + level)
-        if block:
-            residue = GradedSeries(loc.arena, D - 1, block)
-            return VanishingReport(False, level, residue)
-    return VanishingReport(True, None, None)
+    return class_of_character(chern_character_of_genus(fp, n), n)
+
+
+def cobordism_class(fp):
+    """The class sum_omega s_omega a^omega, ||omega|| = n."""
+    return CobordismPoly(s_numbers(fp))
 
 
 def omega_numerator(fp, loc, omega):
@@ -241,36 +232,18 @@ def _pole_free(fp):
     return not any(groups.values())
 
 
-@lru_cache(maxsize=None)
-def _product_steps(n):
-    """Monomials a^omega of weight <= n, and for each the (k, index of a_k * a^omega)
-    that stay within weight n: the moves of one factor 1 + sum_k a_k (c t)^k."""
-    omegas = omegas_up_to(n)
-    index = {om: i for i, om in enumerate(omegas)}
-    steps = []
-    for om in omegas:
-        w = omega_weight(om)
-        moves = []
-        for k in range(1, n - w + 1):
-            up = list(om) + [0] * (k - len(om))
-            up[k - 1] += 1
-            moves.append((k, index[tuple(up)]))
-        steps.append(moves)
-    return omegas, steps
+def point_chern_numbers(fp, point):
+    """All Chern numbers c^xi, |xi| = n, evaluated at one integer point:
 
+        c^xi = sum_p sign(p) e_1^xi_1 ... e_n^xi_n / prod_j c_j,
 
-def point_s_numbers(fp, point):
-    """All s_omega, ||omega|| = n, evaluated at one integer point:
-
-        s_omega = sum_p sign(p) [a^omega t^n] prod_j f(c_j t) / prod_j c_j,
-
-    c_j = <Lambda_j(p), point>, in exact integers and one Fraction per omega.
-    This is the localization sum at that point; it is the s-number wherever the
-    sum is constant (see _pole_free)."""
+    e_k the elementary symmetric functions of c_j = <Lambda_j(p), point>, in
+    exact integers and one Fraction per xi. This is the localization sum at
+    that point; it is the Chern number wherever the sum is constant (see
+    _pole_free)."""
     n = len(fp[0].weights)
     point = tuple(point)
-    omegas, steps = _product_steps(n)
-    top = [i for i, om in enumerate(omegas) if omega_weight(om) == n]
+    xis = omegas_of_weight(n)
     rows = []
     for pt in fp:
         cs = []
@@ -279,44 +252,58 @@ def point_s_numbers(fp, point):
             if c == 0:
                 raise SingularPoint("weight %s vanishes at %s" % (w, point))
             cs.append(c)
-        acc = [0] * len(omegas)
-        acc[0] = 1
-        for c in cs:
-            powers = [c ** k for k in range(n + 1)]
-            nxt = acc[:]
-            for i, v in enumerate(acc):
-                if v:
-                    for k, j in steps[i]:
-                        nxt[j] += v * powers[k]
-            acc = nxt
-        rows.append((pt.sign, prod(cs), acc))
+        e = [1] + [0] * n
+        for i, c in enumerate(cs, 1):
+            for k in range(i, 0, -1):
+                e[k] += c * e[k - 1]
+        rows.append((pt.sign, prod(cs),
+                     [prod(e[k] ** m for k, m in enumerate(xi, 1) if m) for xi in xis]))
     common = lcm(*(den for _, den, _ in rows))
-    sums = [0] * len(omegas)
-    for sign, den, acc in rows:
+    sums = [0] * len(xis)
+    for sign, den, vals in rows:
         scale = sign * (common // den)
-        for i in top:
-            sums[i] += scale * acc[i]
-    return {omegas[i]: clean(Fraction(sums[i], common)) for i in top}
+        for i, v in enumerate(vals):
+            sums[i] += scale * v
+    return {xi: clean(Fraction(v, common)) for xi, v in zip(xis, sums)}
 
 
-def _certified_s_numbers(fp):
-    """point_s_numbers at default_numeric_point if _pole_free holds, else None."""
+def _certified_chern_numbers(fp):
+    """point_chern_numbers at default_numeric_point if _pole_free holds, else
+    None. A certified table that is not integral raises NonIntegerClass: beta
+    is unimodular, so the Chern numbers are integers exactly when the
+    s-numbers are."""
     if not _pole_free(fp):
         return None
     try:
-        return point_s_numbers(fp, default_numeric_point(fp))
+        table = point_chern_numbers(fp, default_numeric_point(fp))
     except SingularPoint:
         return None
+    if not all(isinstance(v, int) for v in table.values()):
+        raise NonIntegerClass(CobordismPoly(chern_to_s(table, len(fp[0].weights))).canonical_text())
+    return table
+
+
+def _symbolic_s_numbers(fp):
+    cls = symbolic_class(fp)
+    return {om: cls.coeff(om) for om in omegas_of_weight(len(fp[0].weights))}
+
+
+def chern_numbers(fp):
+    """All c^xi, |xi| = n: the certified point values, else s_to_chern of the
+    coefficients of symbolic_class (whose errors propagate)."""
+    table = _certified_chern_numbers(fp)
+    if table is None:
+        return s_to_chern(_symbolic_s_numbers(fp), len(fp[0].weights))
+    return table
 
 
 def s_numbers(fp):
-    """All s_omega, ||omega|| = n: the certified point values, else the
-    coefficients of symbolic_class (whose errors propagate)."""
-    table = _certified_s_numbers(fp)
+    """All s_omega, ||omega|| = n: beta times the certified Chern numbers, else
+    the coefficients of symbolic_class (whose errors propagate)."""
+    table = _certified_chern_numbers(fp)
     if table is None:
-        cls = symbolic_class(fp)
-        table = {om: cls.coeff(om) for om in omegas_of_weight(len(fp[0].weights))}
-    return table
+        return _symbolic_s_numbers(fp)
+    return chern_to_s(table, len(fp[0].weights))
 
 
 def _nonsingular(fp, point):
@@ -347,11 +334,13 @@ def second_numeric_point(fp):
     raise SingularPoint("no nonsingular second point found")
 
 
-def s_number_numeric(fp, omega, point=None):
-    """One entry of point_s_numbers, at point or at default_numeric_point."""
-    if point is None:
-        point = default_numeric_point(fp)
-    return point_s_numbers(fp, point)[trim(omega)]
+def s_number_numeric(fp, omega, point):
+    """s_omega of the localization sum at point. Data that _pole_free rejects
+    goes through symbolic_class first, so inconsistent data raises the error
+    that class raises."""
+    if _certified_chern_numbers(fp) is None:
+        symbolic_class(fp)
+    return chern_to_s(point_chern_numbers(fp, point), len(fp[0].weights))[trim(omega)]
 
 
 def genus_fibration_coefficients(fp, order, max_xi):
@@ -386,12 +375,9 @@ def genus_fibration_coefficients(fp, order, max_xi):
     return out
 
 
-def weyl_invariance_ok(spec, fp, order=None):
-    """ch Phi must be invariant under every Weyl generator of G."""
-    n = len(fp[0].weights)
-    if order is None:
-        order = n + 1
-    ch = chern_character_of_genus(fp, order)
+def weyl_invariance_ok(spec, ch):
+    """The character ch of a space of spec must be invariant under every Weyl
+    generator of G."""
     if spec.family == "G2":
         from .rootdata import G2_S_LONG, G2_S_SHORT
         for M in (G2_S_SHORT, G2_S_LONG):
@@ -419,21 +405,15 @@ def genus_report(spec, order=None):
     n = spec.n
     if order is None:
         order = n + 1
-    cls = cobordism_class(fp)
     stable = s_numbers(fp)
-    vanishing = verify_low_vanishing(fp)
-    weyl_ok = weyl_invariance_ok(spec, fp, min(order, n + 1))
-    class_rows = []
-    for omega in omegas_of_weight(n):
-        c = cls.coeff(omega)
-        if c:
-            class_rows.append({"omega": list(omega) + [0] * (n - len(omega)), "coeff": str(c)})
-    s_rows = [{"omega": list(om) + [0] * (n - len(om)), "value": val}
-              for om, val in sorted(stable.items())]
+    # the build raises SingularSum unless the low blocks cancel, so a report
+    # exists only if the vanishing check holds
+    ch = chern_character_of_genus(fp, min(order, n + 1))
+    rows = [(list(om) + [0] * (n - len(om)), val) for om, val in sorted(stable.items())]
     return {
         "space": spec.descriptor,
         "structure": structure_label(spec),
-        "class": class_rows,
-        "s_numbers": s_rows,
-        "checks": {"vanishing": bool(vanishing.ok), "weyl_invariance": bool(weyl_ok)},
+        "class": [{"omega": om, "coeff": str(val)} for om, val in rows if val],
+        "s_numbers": [{"omega": om, "value": val} for om, val in rows],
+        "checks": {"vanishing": True, "weyl_invariance": weyl_invariance_ok(spec, ch)},
     }

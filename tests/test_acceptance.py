@@ -26,7 +26,6 @@ from torigen.genus import (
     cobordism_class,
     s_number_numeric,
     s_numbers,
-    verify_low_vanishing,
     weyl_invariance_ok,
 )
 from torigen.rootdata import (
@@ -238,9 +237,9 @@ def test_structural_invariants():
         spec = build_space(text, structure=structure)
         fp = fixed_point_weights(spec)
         n = len(fp[0].weights)
-        assert verify_low_vanishing(fp).ok
-        assert weyl_invariance_ok(spec, fp)
+        # the build raises SingularSum unless the low blocks cancel
         ch = chern_character_of_genus(fp, n + 2)
+        assert weyl_invariance_ok(spec, ch)
         for e, c in ch.terms.items():
             assert c.is_homogeneous(n + sum(e))
         table = s_numbers(fp)

@@ -1,9 +1,11 @@
 """Command-line surface: outputs, formats and exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from torigen import genus
 from torigen.cli import main, reproduce_table
 
 
@@ -139,14 +141,31 @@ def test_os_errors_exit_two(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("verb", ["class", "snumbers", "chern"])
-def test_rejected_signs_fail_alike_on_every_verb(capsys, verb):
-    # the localization sum of these weights has poles: no verb prints numbers
-    code, out, err = run(capsys, verb, "--space", "CP2", "--signs=1,-1")
+@pytest.mark.parametrize("argv", [("class",), ("snumbers",), ("chern",),
+                                  ("snumbers", "--numeric", "1,2,4", "--omega", "0,1")],
+                         ids=" ".join)
+def test_rejected_signs_fail_alike_on_every_verb(capsys, argv):
+    # the localization sum of these weights has poles: no verb prints numbers,
+    # not even the value of the sum at one point
+    code, out, err = run(capsys, argv[0], "--space", "CP2", "--signs=1,-1", *argv[1:])
     assert code == 1
     assert out == ""
     assert err == ("error: degree-2 numerator block does not cancel: "
                    "(2*a1)*x2*x3 + (-2*a1)*x2^2 + (-2*a1)*x1*x3 + (2*a1)*x1*x2\n")
+
+
+@pytest.mark.parametrize("argv", [("class",), ("snumbers",), ("snumbers", "--omega", "0,1"),
+                                  ("snumbers", "--numeric", "1,2,4", "--omega", "0,1"),
+                                  ("chern",)], ids=" ".join)
+def test_non_integral_point_values_fail_alike(capsys, monkeypatch, argv):
+    # one integrality check guards every number read off the certified point
+    monkeypatch.setattr(genus, "point_chern_numbers",
+                        lambda fp, point: {(0, 1): Fraction(3, 2), (2,): 9})
+    code, out, err = run(capsys, argv[0], "--space", "CP2", *argv[1:])
+    assert code == 1
+    assert out == ""
+    # s = beta c: s_(2) = c2 = 3/2 and s_(0,1) = c1^2 - 2*c2 = 6
+    assert err == "error: 3/2*a1^2 + 6*a2\n"
 
 
 @pytest.mark.parametrize("content", ["[1, 2]", "3", "null", '{"table": [1]}'])

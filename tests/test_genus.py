@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torigen import genus
+from torigen.chern import chern_to_s, s_to_chern
+from torigen.cli import main
 from torigen.exactalg import CobordismPoly, MultiPoly
 from torigen.genus import (
     NonIntegerClass,
@@ -15,18 +18,18 @@ from torigen.genus import (
     _pole_free,
     canonical_line,
     chern_character_of_genus,
+    chern_numbers,
     cobordism_class,
     default_numeric_point,
     f_of_form,
     genus_fibration_coefficients,
     genus_report,
     localization_data,
-    point_s_numbers,
+    point_chern_numbers,
     s_number_numeric,
     s_numbers,
     second_numeric_point,
     symbolic_class,
-    verify_low_vanishing,
     weyl_invariance_ok,
 )
 from torigen.divdiff import flag_class
@@ -100,17 +103,20 @@ def test_conjugate_structure_classes():
 
 
 def test_low_vanishing_reports():
+    # building the character raises SingularSum unless the low blocks cancel
     for text in ("CP1", "CP3", "U(3)/T3", "G2/SU(3)"):
-        rep = verify_low_vanishing(fp_of(text))
-        assert rep.ok and rep.level is None and rep.residue is None
+        fp = fp_of(text)
+        chern_character_of_genus(fp, len(fp[0].weights))
 
 
 def test_inconsistent_data_fails_cancellation():
     fp = fp_of("CP2")
     broken = [FixedPoint(fp[0].rep, fp[0].weights, -1)] + list(fp[1:])
-    rep = verify_low_vanishing(broken)
-    assert not rep.ok
-    assert rep.level == 0
+    n = len(fp[0].weights)
+    # the first low block, t^0, is the numerator block of degree D - n
+    low = localization_data(broken).denom.degree() - n
+    with pytest.raises(SingularSum, match="^degree-%d numerator block does not cancel: " % low):
+        chern_character_of_genus(broken, n)
     with pytest.raises(SingularSum):
         cobordism_class(broken)
 
@@ -137,7 +143,8 @@ def test_weyl_invariance_of_character():
     for text, structure in (("CP2", None), ("U(3)/T3", None),
                             ("G2/SU(3)", None), ("G2/SU(3)", "conjugate")):
         spec = build_space(text, structure=structure)
-        assert weyl_invariance_ok(spec, fixed_point_weights(spec))
+        ch = chern_character_of_genus(fixed_point_weights(spec), spec.n + 1)
+        assert weyl_invariance_ok(spec, ch)
 
 
 def test_fibration_coefficients_cp1():
@@ -188,18 +195,22 @@ def character_class(fp):
 
 
 def evaluated(fp):
-    return point_s_numbers(fp, default_numeric_point(fp))
+    """The s-numbers of the sum at the default point, as beta times its Chern numbers."""
+    return chern_to_s(point_chern_numbers(fp, default_numeric_point(fp)), len(fp[0].weights))
 
 
 @pytest.mark.parametrize("text,structure", SYMBOLIC_SPACES)
 def test_evaluator_matches_symbolic_character(text, structure):
     fp = fp_of(text, structure)
     assert _pole_free(fp)
+    n = len(fp[0].weights)
     table = evaluated(fp)
-    assert set(table) == set(omegas_of_weight(len(fp[0].weights)))
-    assert CobordismPoly(table) == character_class(fp)
+    assert set(table) == set(omegas_of_weight(n))
+    cls = character_class(fp)
+    assert CobordismPoly(table) == cls
     assert cobordism_class(fp) == CobordismPoly(table)
     assert s_numbers(fp) == table
+    assert chern_numbers(fp) == s_to_chern({om: cls.coeff(om) for om in omegas_of_weight(n)}, n)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -210,6 +221,15 @@ def test_evaluator_matches_projective_closed_form(n):
     for om, v in s_numbers(fp).items():
         rest = n + 1 - sum(om)
         assert v == factorial(n + 1) // (factorial(rest) * prod(factorial(m) for m in om))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_chern_numbers_match_projective_closed_form(n):
+    # c(CP^n) = (1 + x)^(n+1): c_k = C(n+1, k) x^k, and x^n integrates to 1
+    table = chern_numbers(fp_of("CP%d" % n))
+    assert set(table) == set(omegas_of_weight(n))
+    for xi, v in table.items():
+        assert v == prod(comb(n + 1, k) ** m for k, m in enumerate(xi, 1))
 
 
 def test_evaluator_matches_flag_route():
@@ -225,10 +245,13 @@ def test_evaluator_beyond_symbolic_reach(text):
     spec = build_space(text)
     fp = fixed_point_weights(spec)
     assert _pole_free(fp)
-    table = evaluated(fp)
-    assert point_s_numbers(fp, second_numeric_point(fp)) == table
-    assert point_s_numbers(fp, (3, -1, 4, -15, 9, 26)[:len(fp[0].weights[0])]) == table
-    assert all(isinstance(v, int) for v in table.values())
+    chern = point_chern_numbers(fp, default_numeric_point(fp))
+    assert point_chern_numbers(fp, second_numeric_point(fp)) == chern
+    assert point_chern_numbers(fp, (3, -1, 4, -15, 9, 26)[:len(fp[0].weights[0])]) == chern
+    assert all(isinstance(v, int) for v in chern.values())
+    assert chern_numbers(fp) == chern
+    table = s_numbers(fp)
+    assert table == chern_to_s(chern, spec.n)
     assert table[(spec.n,)] == euler_characteristic(spec)
 
 
@@ -267,7 +290,7 @@ def test_second_point_differs_in_weight_values():
         return [sum(c * x for c, x in zip(w, point)) for pt in fp for w in pt.weights]
     assert 0 not in values(second)
     assert values(first) != values(second)
-    assert point_s_numbers(fp, first) == point_s_numbers(fp, second)
+    assert point_chern_numbers(fp, first) == point_chern_numbers(fp, second)
 
 
 def outcome(fn, fp):
@@ -303,3 +326,19 @@ def test_random_sign_tables_agree_with_symbolic(text, data):
     table = tuple(tuple(data.draw(st.sampled_from((1, -1))) for _ in pt.weights) for pt in base)
     epsilon = data.draw(st.sampled_from((1, -1)))
     check_routes(derived_fixed_point_data(spec, SignAssignment(table, epsilon)))
+
+
+@pytest.mark.parametrize("argv", [("verify", "--space", "CP3"), ("genus", "--space", "CP3"),
+                                  ("verify", "--space", "U(3)/T3", "--structure", "conjugate")],
+                         ids=" ".join)
+def test_one_character_per_run(monkeypatch, capsys, argv):
+    orders = []
+    build = genus.chern_character_of_genus
+
+    def counted(fp, order):
+        orders.append(order)
+        return build(fp, order)
+    monkeypatch.setattr(genus, "chern_character_of_genus", counted)
+    assert main(list(argv)) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert len(orders) == 1
