@@ -1,4 +1,5 @@
-"""Pinned CLI output of class, snumbers and chern on the localization ladder.
+"""Pinned CLI output of class, snumbers and chern on the localization ladder,
+and of verify, genus and stable on a few spaces.
 
 Each case records stdout, stderr and the exit code of one command, in text
 and JSON. The file golden_localize.json was written by running this module
@@ -7,6 +8,7 @@ as a script:
     PYTHONPATH=src python tests/test_golden_localize.py
 """
 
+import hashlib
 import io
 import json
 import sys
@@ -63,6 +65,19 @@ EXTRA = [
     ("class", "--space", "U(5)/U(1)xU(2)xU(2)"),
     ("snumbers", "--space", "U(5)/U(1)xU(2)xU(2)"),
     ("chern", "--space", "U(5)/U(1)xU(2)xU(2)"),
+    # the sign-system search, and its budget refusal (exit 1)
+    ("stable", "--space", "CP1"),
+    ("stable", "--space", "CP2"),
+    ("stable", "--space", "CP3"),
+    ("stable", "--space", "G2/SU(3)"),
+    ("stable", "--space", "U(4)/U(2)xU(2)"),
+]
+
+# U(3)/T3 lists 4372 tables, too many for the golden file: pin the sha256 and
+# the length of its stdout instead
+STABLE_U3_DIGESTS = [
+    ((), "ab9ab5602bf91d52d1b96ae9c32ef8cd23dd8092411174025f31cff8b5e89844", 524657),
+    (("--format", "json"), "fbf4b3317209ef30192aa6debf73e8d22c6a7a4ebaddd0b78be16561c672897d", 415389),
 ]
 
 
@@ -95,6 +110,14 @@ def test_cli_output_is_pinned(case):
 def test_golden_covers_every_command():
     cases = json.loads(GOLDEN.read_text())
     assert [c["argv"] for c in cases] == [list(a) for a in commands()]
+
+
+@pytest.mark.parametrize("fmt, digest, size", STABLE_U3_DIGESTS, ids=("text", "json"))
+def test_stable_u3_output_is_pinned(fmt, digest, size):
+    case = run(("stable", "--space", "U(3)/T3") + fmt)
+    assert (case["code"], case["stderr"]) == (0, "")
+    data = case["stdout"].encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, size)
 
 
 if __name__ == "__main__":
