@@ -6,7 +6,9 @@ a_i(w), with point signs epsilon * prod_i a_i(w).  The localization sum then
 imposes necessary conditions on the a_i(w): every f_omega sum with
 ||omega|| <= n-1 must vanish identically and the ||omega|| = n sums must be
 integers.  This module derives the rescaled fixed-point data, checks those
-conditions, and enumerates all admissible sign tables.
+conditions symbolically for one table, and enumerates all admissible tables
+by an exhaustive, exact search in which each point's low-weight blocks are
+packed into one int per sign vector.
 
 "Admissible" is deliberate: the conditions are necessary, and which admissible
 tables are realized by honest stable complex structures is a separate
@@ -20,7 +22,7 @@ from .exactalg import MultiPoly, NotDivisible, clean, exact_div
 from .genus import localization_data, omega_numerator
 from .genus import s_numbers as _genus_s_numbers
 from .rootdata import FixedPoint, fixed_point_weights
-from .symmfunc import omega_to_partition, omegas_of_weight, rearrangements
+from .symmfunc import omegas_of_weight
 
 
 class BudgetExceeded(Exception):
@@ -97,105 +99,100 @@ def check_necessary(spec, assign):
     return NecessaryReport(True, None, None)
 
 
-def _sign_tables(base, loc):
-    """Per point and omega, contributions keyed by the parity of each a_i.
+def _point_blocks(base, loc, signs, omegas):
+    """Per point p and sign vector a, p's own omega_numerator blocks
+    cofactor_p * prefactor_p * m_lambda(a_1 w_1, ..., a_n w_n) as int maps.
 
-    m_lambda of the rescaled weights is the same sum of form-products with a
-    monomial in the a_i in front; a_i = +-1 only sees the exponent parity, so
-    each orbit term lands in a bucket keyed by the set of odd positions.
-
-    The prod_i a_i(w) from the sign formula never shows up here: flipping a
-    weight also flips its canonical line orientation in the common
-    denominator, so each a_i enters the prefactor squared and cancels.
+    prefactor_p does not depend on a: flipping a weight also flips its
+    canonical line orientation, so each a_i enters it squared and cancels.
     """
-    n = len(base[0].weights)
-    omegas = [om for k in range(n + 1) for om in omegas_of_weight(k)]
-    tables = []
-    for idx, pt in enumerate(base):
-        forms = [MultiPoly.linear_form(loc.arena, w) for w in pt.weights]
-        scale = loc.cofactors[idx] * loc.prefactors[idx]
-        powers = []
-        for form in forms:
-            row = [MultiPoly.const(loc.arena, 1)]
-            for _ in range(n):
-                row.append(row[-1] * form)
-            powers.append(row)
-        per = {}
-        for om in omegas:
-            lam = omega_to_partition(om)
-            buckets = {}
-            if len(lam) <= n:
-                for e in rearrangements(lam + (0,) * (n - len(lam))):
-                    mask = sum(1 << j for j, d in enumerate(e) if d % 2)
-                    poly = scale
-                    for j, d in enumerate(e):
-                        if d:
-                            poly = poly * powers[j][d]
-                    buckets[mask] = buckets[mask] + poly if mask in buckets else poly
-            per[om] = buckets
-        tables.append(per)
-    return omegas, tables
+    out = []
+    for pt, cof, pre in zip(base, loc.cofactors, loc.prefactors):
+        one = loc._replace(cofactors=[cof], prefactors=[pre])
+        row = []
+        for avec in signs:
+            fp = [pt._replace(weights=tuple(tuple(a * c for c in w) for a, w in zip(avec, pt.weights)))]
+            row.append({om: omega_numerator(fp, one, om).terms for om in omegas})
+        out.append(row)
+    return out
 
 
-def _masked_sum(tables, cand, omega, arena):
-    num = MultiPoly(arena)
-    for idx, per in enumerate(tables):
-        av = cand[idx]
-        for mask, poly in per[omega].items():
-            s = 1
-            j = 0
-            while mask:
-                if mask & 1:
-                    s *= av[j]
-                mask >>= 1
-                j += 1
-            num = num + (poly if s > 0 else -poly)
-    return num
+def _integer_multiple(num, denom):
+    """The ||omega|| = n rule of check_necessary in exact ints: True if the
+    int map num is q * denom for an integer q, zero included.  A q that is
+    not an integer makes the floor quotient miss num[exp]."""
+    exp, d = next(iter(denom.items()))
+    q = num.get(exp, 0) // d
+    return num == {e: q * c for e, c in denom.items() if q}
+
+
+def _pack(rows):
+    """One int per point and sign vector, from rows of {omega: {exponent: c}}.
+
+    Each (omega, exponent) gets its own slot of W bits.  With B the sum over
+    points of the largest |c| a point has, 2^W > 2B + 1: a table's packed
+    sum is a number in balanced base 2^W whose digits are the slot totals,
+    and balanced digits are unique, so the sum is 0 exactly when every slot
+    total is 0.
+    """
+    bound = sum(max((abs(c) for b in row for terms in b.values() for c in terms.values()), default=0)
+                for row in rows)
+    width = (2 * bound + 1).bit_length()
+    slots = {}
+    return [[sum(c << width * slots.setdefault((om, e), len(slots))
+                 for om, terms in b.items() for e, c in terms.items()) for b in row] for row in rows]
 
 
 def enumerate_feasible(spec, budget=1 << 20):
-    """All sign tables passing check_necessary, in deterministic order.
+    """All sign tables passing check_necessary, in the order of
+    product((1, -1), repeat=n*chi).
 
-    The search space is 2^(n*chi); anything past `budget` candidates raises
-    BudgetExceeded.  Conditions are tested by ascending ||omega||, so the
-    cheap linear relations prune almost everything before the expensive ones
-    run.  Feasibility does not depend on epsilon (a global sign scales every
-    condition), so each table is reported once with epsilon = +1.
+    The search is exhaustive and exact; past `budget` candidates it raises
+    BudgetExceeded.  Per point and sign vector, the ||omega|| < n blocks are
+    packed into one int (_pack).  A depth-first walk over the points adds
+    one int per step and looks up the last point by the value that cancels
+    the rest, 2^(n*(chi-1)) additions and lookups in all; the tables found
+    are checked on the ||omega|| = n blocks.  Feasibility does not depend on
+    epsilon (a global sign scales every condition), so each table is
+    reported once with epsilon = +1.
     """
+    if budget < 1:
+        raise ValueError("budget must be at least 1, got %d" % budget)
     base = fixed_point_weights(spec)
     n = len(base[0].weights)
     chi = len(base)
-    bits = n * chi
-    if 2 ** bits > budget:
-        raise BudgetExceeded("2^%d candidates exceed budget %d" % (bits, budget))
+    if 2 ** (n * chi) > budget:
+        raise BudgetExceeded("2^%d candidates exceed budget %d" % (n * chi, budget))
     loc = localization_data(base)
-    omegas, tables = _sign_tables(base, loc)
-    low = [om for om in omegas if sum((k + 1) * m for k, m in enumerate(om)) < n]
-    top = [om for om in omegas if om not in low]
+    signs = list(product((1, -1), repeat=n))
+    top = omegas_of_weight(n)
+    packed = _pack(_point_blocks(base, loc, signs, [om for k in range(n) for om in omegas_of_weight(k)]))
+    tops = _point_blocks(base, loc, signs, top)
+    cancels = {}
+    for i, v in enumerate(packed[-1]):
+        cancels.setdefault(-v, []).append(i)
     found = []
-    for flat in product((1, -1), repeat=bits):
-        cand = tuple(flat[p * n:(p + 1) * n] for p in range(chi))
-        ok = True
-        for om in low:
-            if not _masked_sum(tables, cand, om, loc.arena).is_zero():
-                ok = False
-                break
-        if not ok:
-            continue
+
+    def admissible(picks):
         for om in top:
-            num = _masked_sum(tables, cand, om, loc.arena)
-            if num.is_zero():
-                continue
-            try:
-                value = clean(exact_div(num, loc.denom).as_constant())
-            except (NotDivisible, ValueError):
-                ok = False
-                break
-            if not isinstance(value, int):
-                ok = False
-                break
-        if ok:
-            found.append(SignAssignment(cand, 1))
+            num = {}
+            for row, i in zip(tops, picks):
+                for e, c in row[i][om].items():
+                    num[e] = num.get(e, 0) + c
+            if not _integer_multiple({e: c for e, c in num.items() if c}, loc.denom.terms):
+                return False
+        return True
+
+    def walk(p, total, picks):
+        if p == chi - 1:
+            for i in cancels.get(total, ()):
+                if admissible(picks + (i,)):
+                    found.append(SignAssignment(tuple(signs[j] for j in picks + (i,)), 1))
+            return
+        for i, v in enumerate(packed[p]):
+            walk(p + 1, total + v, picks + (i,))
+
+    walk(0, 0, ())
     return found
 
 

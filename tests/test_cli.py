@@ -206,6 +206,14 @@ def test_stable_budget_exit(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_stable_budget_below_one_is_usage_error(capsys, budget):
+    code, out, err = run(capsys, "stable", "--space", "CP1", "--budget", budget)
+    assert code == 2
+    assert out == ""
+    assert err == "error: budget must be at least 1, got %s\n" % budget
+
+
 def test_snumbers_rejects_bad_omega(capsys):
     for omega in ("9,9", "4,-1"):
         code, out, err = run(capsys, "snumbers", "--space", "CP2", "--omega", omega)

@@ -1,14 +1,18 @@
 """Admissible torus-equivariant sign systems on the fixed-point data."""
 
+import random
 from itertools import product
 
 import pytest
 
+from torigen.exactalg import MultiPoly, NotDivisible, clean, exact_div, xvars
 from torigen.genus import _pole_free, cobordism_class, s_numbers
 from torigen.rootdata import build_space, fixed_point_weights
 from torigen.stablex import (
     BudgetExceeded,
     SignAssignment,
+    _integer_multiple,
+    _pack,
     assignment_from_json,
     assignment_to_json,
     check_necessary,
@@ -148,6 +152,94 @@ def test_budget_guard():
     # raising the budget is allowed in principle; a tiny budget always trips
     with pytest.raises(BudgetExceeded):
         enumerate_feasible(build_space("CP1"), budget=2)
+
+
+def all_tables(base):
+    """Every sign table of the space, in the order enumerate_feasible keeps."""
+    n = len(base[0].weights)
+    for flat in product((1, -1), repeat=n * len(base)):
+        yield tuple(flat[p * n:(p + 1) * n] for p in range(len(base)))
+
+
+@pytest.mark.parametrize("text", ["CP1", "CP2", "G2/SU(3)"])
+def test_search_matches_symbolic_checker_exhaustively(text):
+    spec = build_space(text)
+    expected = [SignAssignment(t, 1) for t in all_tables(fixed_point_weights(spec))
+                if check_necessary(spec, SignAssignment(t, 1)).ok]
+    assert enumerate_feasible(spec) == expected
+
+
+@pytest.mark.parametrize("text, found", [("CP3", 16), ("U(3)/T3", 4372)])
+def test_search_matches_symbolic_checker_on_a_sample(text, found):
+    spec = build_space(text)
+    base = fixed_point_weights(spec)
+    sols = enumerate_feasible(spec)
+    tables = {sol.table for sol in sols}
+    assert len(sols) == len(tables) == found
+    rng = random.Random(20080131)
+    for sol in rng.sample(sols, min(found, 60)):
+        assert check_necessary(spec, sol).ok
+    for _ in range(300):
+        table = tuple(tuple(rng.choice((1, -1)) for _ in pt.weights) for pt in base)
+        assert check_necessary(spec, SignAssignment(table, 1)).ok == (table in tables)
+
+
+def test_cp4_fits_the_default_budget():
+    spec = build_space("CP4")
+    sols = enumerate_feasible(spec)
+    assert len(sols) == 32
+    assert all(check_necessary(spec, sol).ok for sol in sols)
+
+
+def test_packed_sum_is_zero_exactly_when_every_slot_cancels():
+    # 2 at slot 0 and -1 at slot 1 would read 0 with one-bit slots
+    assert sum(r[0] for r in _pack([[{(): {(0,): 2}}], [{(): {(1,): -1}}]])) != 0
+    rng = random.Random(7)
+    keys = [((), (0,)), ((), (1,)), ((1,), (0,))]
+    for _ in range(200):
+        rows = [[{} for _ in range(3)] for _ in range(3)]
+        for row in rows:
+            for b in row:
+                for om, e in rng.sample(keys, 2):
+                    b.setdefault(om, {})[e] = rng.randint(-3, 3)
+        packed = _pack(rows)
+        for picks in product(range(3), repeat=3):
+            totals = {key: sum(rows[p][i].get(key[0], {}).get(key[1], 0) for p, i in enumerate(picks))
+                      for key in keys}
+            assert (sum(packed[p][i] for p, i in enumerate(picks)) == 0) == (not any(totals.values()))
+
+
+def _symbolic_top_rule(num, denom):
+    # the ||omega|| = n test of check_necessary, on int maps in two variables
+    if not num:
+        return True
+    arena = xvars(2)
+    try:
+        value = clean(exact_div(MultiPoly(arena, num), MultiPoly(arena, denom)).as_constant())
+    except (NotDivisible, ValueError):
+        return False
+    return isinstance(value, int)
+
+
+@pytest.mark.parametrize("denom", [
+    {(1, 1): 1, (0, 2): -1},    # x2 * (x1 - x2)
+    {(2, 0): 2, (1, 1): 4},     # 2 * x1 * (x1 + 2 x2): not primitive
+])
+def test_top_weight_rule(denom):
+    # no table of a real space reaches this rule after the low blocks cancel,
+    # so it is planted on synthetic maps
+    double = {e: 2 * c for e, c in denom.items()}
+    bent = {e: c + (e == max(denom)) for e, c in double.items()}
+    extra = dict(double)
+    extra[(0, 1)] = 1
+    accepted = [double, {}]
+    rejected = [bent, extra]
+    if any(abs(c) != 1 for c in denom.values()):
+        rejected.append({e: c // 2 for e, c in denom.items()})    # denom / 2
+    for num in accepted:
+        assert _integer_multiple(num, denom) and _symbolic_top_rule(num, denom)
+    for num in rejected:
+        assert not _integer_multiple(num, denom) and not _symbolic_top_rule(num, denom)
 
 
 def test_assignment_json_round_trip():
