@@ -1,5 +1,6 @@
 """Pinned CLI output of class, snumbers and chern on the localization ladder,
-and of verify, genus and stable on a few spaces.
+of verify, genus and stable on a few spaces, and of the divided-difference
+routes flag and grassmann.
 
 Each case records stdout, stderr and the exit code of one command, in text
 and JSON. The file golden_localize.json was written by running this module
@@ -71,6 +72,15 @@ EXTRA = [
     ("stable", "--space", "CP3"),
     ("stable", "--space", "G2/SU(3)"),
     ("stable", "--space", "U(4)/U(2)xU(2)"),
+    # the divided-difference routes, and their usage errors (exit 2)
+    *(("flag", "--n", str(n), "--method", m) for n in (2, 3, 4) for m in ("corL", "tchi")),
+    ("flag", "--n", "4", "--method", "thm8"),
+    ("flag", "--n", "5", "--method", "thm8"),
+    ("flag", "--n", "5", "--method", "corL"),
+    *(("grassmann", "--q", str(q), "--l", str(l)) for q, l in ((1, 1), (1, 3), (2, 2), (2, 3), (3, 2))),
+    ("flag", "--n", "3", "--method", "thm8"),
+    ("flag", "--n", "1"),
+    ("grassmann", "--q", "0", "--l", "2"),
 ]
 
 # U(3)/T3 lists 4372 tables, too many for the golden file: pin the sha256 and
