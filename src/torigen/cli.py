@@ -174,16 +174,32 @@ def cmd_verify(args):
     # table, and that table against the sum at a second point
     chern = genus.chern_numbers(fp)
     table = chern_to_s(chern, n)
-    checks["class_matches_s"] = all(cls.coeff(om) == v for om, v in table.items())
+    # a failed comparison names its first offending omega or xi and both values
+    evidence = {}
+    bad = [om for om in sorted(table) if cls.coeff(om) != table[om]]
+    checks["class_matches_s"] = not bad
+    if bad:
+        evidence["class_matches_s"] = {"omega": list(_pad(bad[0], n)), "symbolic": str(cls.coeff(bad[0])),
+                                       "point": str(table[bad[0]])}
     # c_n[M] = sum_p sign(p): -chi for a conjugate structure of odd n
     checks["euler"] = table.get((n,), 0) == sum(pt.sign for pt in fp)
     checks["weyl_invariance"] = genus.weyl_invariance_ok(spec, ch)
     second = genus.point_chern_numbers(fp, genus.second_numeric_point(fp))
-    checks["numeric_agreement"] = second == chern
+    bad = [xi for xi in sorted(set(chern) | set(second)) if chern.get(xi) != second.get(xi)]
+    checks["numeric_agreement"] = not bad
+    if bad:
+        evidence["numeric_agreement"] = {"xi": list(_pad(bad[0], n)), "default_point": str(chern.get(bad[0])),
+                                         "second_point": str(second.get(bad[0]))}
     ok = all(checks.values())
-    text = "\n".join("check %s: %s" % (k, "ok" if v else "FAIL") for k, v in sorted(checks.items()))
-    _emit(args, text, {"space": spec.descriptor, "structure": genus.structure_label(spec),
-                       "checks": checks, "ok": ok})
+    lines = []
+    for k, v in sorted(checks.items()):
+        lines.append("check %s: %s" % (k, "ok" if v else "FAIL"))
+        if k in evidence:
+            lines[-1] += " at " + ", ".join("%s=%s" % kv for kv in evidence[k].items())
+    data = {"space": spec.descriptor, "structure": genus.structure_label(spec), "checks": checks, "ok": ok}
+    if evidence:
+        data["evidence"] = evidence
+    _emit(args, "\n".join(lines), data)
     return 0 if ok else 1
 
 
@@ -227,10 +243,17 @@ def cmd_stable(args):
     return 0
 
 
+# fgl --trunc 24 takes about half a minute and prints 3 MB; the cost grows
+# about fourfold per four orders
+FGL_TRUNC_LIMIT = 24
+
+
 def cmd_fgl(args):
     order = 4 if args.trunc is None else args.trunc
     if order < 1:
         raise ValueError("--trunc must be at least 1, got %d" % order)
+    if order > FGL_TRUNC_LIMIT:
+        raise ValueError("--trunc must be at most %d, got %d" % (FGL_TRUNC_LIMIT, order))
     law = fgl.fgl_addition(order)
     _emit(args, law.canonical_text(), {"order": order, "addition": law.canonical_text()})
     return 0

@@ -5,22 +5,19 @@ data, so the flag and Grassmannian classes computed below form an independent
 cross-check against the localization route in the genus module.
 
 The operator L sends p to (1/Delta_n) sum_sigma sign(sigma) sigma(p); on
-monomials x^(lambda+delta) it produces the Schur polynomial Sh_lambda.
+monomials x^(lambda+delta) it produces the Schur polynomial Sh_lambda. The
+products prod f(x_i - x_j) behind the flag and Grassmann classes are the
+a^omega blocks of exactalg.f_product_blocks, and L of a block of degree
+C(n, 2) is read off as its signed delta-orbit coefficient sum
+(_signed_delta_sum).
 """
 
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
 
-from .exactalg import (
-    CobordismPoly,
-    GradedSeries,
-    MultiPoly,
-    exact_div,
-    exact_div_terms,
-    xvars,
-)
-from .symmfunc import antisymmetrize, omegas_of_weight, perm_sign, vandermonde
+from .exactalg import CobordismPoly, MultiPoly, exact_div, f_product_blocks, xvars
+from .symmfunc import antisymmetrize, omega_weight, omegas_of_weight, perm_sign, vandermonde
 
 
 def operator_L(p, n=None):
@@ -33,32 +30,6 @@ def operator_L(p, n=None):
     if n is not None and p.arena.arity != n:
         raise ValueError("polynomial lives in %d variables, expected %d" % (p.arena.arity, n))
     return exact_div(antisymmetrize(p), vandermonde(p.arena))
-
-
-def _antisymmetrize_terms(terms, n):
-    # same sum as antisymmetrize() but over a bare exponent->coefficient dict,
-    # so it also covers blocks whose coefficients are CobordismPoly
-    out = {}
-    for perm in permutations(range(n)):
-        s = perm_sign(perm)
-        for e, c in terms.items():
-            ne = [0] * n
-            for i, d in enumerate(e):
-                ne[perm[i]] = d
-            ne = tuple(ne)
-            add = c * s
-            if ne in out:
-                add = add + out[ne]
-            out[ne] = add
-    return {e: c for e, c in out.items() if not (c.is_zero() if isinstance(c, CobordismPoly) else c == 0)}
-
-
-def _L_terms(terms, arena):
-    """operator_L on an exponent dict with ring-valued coefficients."""
-    anti = _antisymmetrize_terms(terms, arena.arity)
-    if not anti:
-        return {}
-    return exact_div_terms(anti, vandermonde(arena).terms)
 
 
 def divided_difference(i, p):
@@ -132,30 +103,22 @@ def schubert_polynomial(w, n=None):
     return p
 
 
-def _line_series(arena, i, j, order, odd_only=False):
-    """f(x_i - x_j) truncated at total degree `order`; odd_only keeps only the
-    odd part a_1 t + a_3 t^3 + ... (and drops the constant 1)."""
-    coeffs = [0] * arena.arity
-    coeffs[i], coeffs[j] = 1, -1
-    form = MultiPoly.linear_form(arena, coeffs)
-    out = GradedSeries.const(arena, order, 0 if odd_only else 1)
-    power = MultiPoly.const(arena, 1)
-    for k in range(1, order + 1):
-        power = power * form
-        if odd_only and k % 2 == 0:
-            continue
-        out = out + GradedSeries.from_multipoly(power, order, scale=CobordismPoly.gen(k))
-    return out
+def _root(n, i, j):
+    """The weight of x_i - x_j."""
+    w = [0] * n
+    w[i], w[j] = 1, -1
+    return tuple(w)
+
+
+def _coefficient(blocks, e):
+    """sum_omega a^omega * (x^e coefficient of block omega)."""
+    return CobordismPoly({om: b.coeff(e) for om, b in blocks.items()})
 
 
 @lru_cache(maxsize=None)
 def _flag_product(n, order):
-    """prod_{i<j} f(x_i - x_j) over n variables, truncated at `order`."""
-    arena = xvars(n)
-    out = GradedSeries.const(arena, order, 1)
-    for i, j in combinations(range(n), 2):
-        out = out * _line_series(arena, i, j, order)
-    return out
+    """The a^omega blocks of prod_{i<j} f(x_i - x_j) over n variables, weight <= order."""
+    return f_product_blocks(xvars(n), [_root(n, i, j) for i, j in combinations(range(n), 2)], order)
 
 
 @lru_cache(maxsize=None)
@@ -164,15 +127,35 @@ def flag_P_polynomials(n, xi):
     xi = tuple(xi)
     if len(xi) != n:
         raise ValueError("exponent length %d does not match n=%d" % (len(xi), n))
-    return _flag_product(n, sum(xi)).coeff(xi)
+    return _coefficient(_flag_product(n, sum(xi)), xi)
 
 
 def _signed_delta_sum(n, read):
+    """sum_sigma sign(sigma) read(e_sigma), e_sigma the exponent sigma(delta).
+
+    With read(e) the x^e coefficient of a polynomial p of degree C(n, 2) this
+    is L(p): antisym(p) is alternating of the degree of Delta_n, so it is
+    c * Delta_n for a number c, and as Delta_n has x^delta coefficient 1, c is
+    the x^delta coefficient of antisym(p), this sum.
+    """
     delta = tuple(range(n - 1, -1, -1))
     total = CobordismPoly()
     for perm in permutations(range(n)):
-        total = total + read(perm, delta) * perm_sign(perm)
+        e = [0] * n
+        for i, d in enumerate(delta):
+            e[perm[i]] = d
+        total = total + read(tuple(e)) * perm_sign(perm)
     return total
+
+
+def _thm8_blocks(n):
+    """The weight-C(n, 2) blocks of prod_{i<j} f(x_i - x_j) with the (1,2) and
+    (n-1,n) factors replaced by the odd part of f."""
+    m = n * (n - 1) // 2
+    pairs = list(combinations(range(n), 2))
+    odd = (pairs.index((0, 1)), pairs.index((n - 2, n - 1)))
+    blocks = f_product_blocks(xvars(n), [_root(n, i, j) for i, j in pairs], m, odd)
+    return {om: b for om, b in blocks.items() if omega_weight(om) == m}
 
 
 def flag_class(n, method="corL"):
@@ -180,56 +163,39 @@ def flag_class(n, method="corL"):
 
     corL reads the P polynomials on the orbit of delta, tchi reads the
     permuted products at x^delta, thm8 (n >= 4 only) replaces the (1,2) and
-    (n-1,n) factors by the odd part of f and applies L to the top block.
+    (n-1,n) factors by the odd part of f and takes L of the top blocks.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     m = n * (n - 1) // 2
     if method == "corL":
-        def read(perm, delta):
-            e = [0] * n
-            for i, d in enumerate(delta):
-                e[perm[i]] = d
-            return flag_P_polynomials(n, tuple(e))
-        return _signed_delta_sum(n, read)
+        return _signed_delta_sum(n, lambda e: flag_P_polynomials(n, e))
     if method == "tchi":
-        prod = _flag_product(n, m)
-
-        def read(perm, delta):
-            return prod.permute(perm).coeff(delta)
-        return _signed_delta_sum(n, read)
+        # the permuted product sigma^-1(p) at x^delta is the product at
+        # x^sigma(delta), and sigma^-1 has the sign of sigma
+        blocks = _flag_product(n, m)
+        return _signed_delta_sum(n, lambda e: _coefficient(blocks, e))
     if method == "thm8":
         if n < 4:
             raise ValueError("thm8 route needs n >= 4")
-        arena = xvars(n)
-        out = GradedSeries.const(arena, m, 1)
-        for i, j in combinations(range(n), 2):
-            odd = (i, j) in ((0, 1), (n - 2, n - 1))
-            out = out * _line_series(arena, i, j, m, odd_only=odd)
-        quot = _L_terms(out.homogeneous_part(m), arena)
-        return quot.get((0,) * n, CobordismPoly())
+        blocks = _thm8_blocks(n)
+        return _signed_delta_sum(n, lambda e: _coefficient(blocks, e))
     raise ValueError("unknown method %r" % (method,))
 
 
 @lru_cache(maxsize=None)
-def _grassmann_product(q, l, order):
-    """Delta_q * Delta_{q+1,q+l} * prod_{i<=q<j} f(x_i - x_j), truncated."""
+def _grassmann_blocks(q, l, weight):
+    """The a^omega blocks, ||omega|| = weight, of
+    Delta_q * Delta_{q+1,q+l} * prod_{i<=q<j} f(x_i - x_j); each has total
+    degree weight + C(q,2) + C(l,2)."""
     n = q + l
     arena = xvars(n)
     base = MultiPoly.const(arena, 1)
-    for i, j in combinations(range(q), 2):
-        coeffs = [0] * n
-        coeffs[i], coeffs[j] = 1, -1
-        base = base * MultiPoly.linear_form(arena, coeffs)
-    for i, j in combinations(range(q, n), 2):
-        coeffs = [0] * n
-        coeffs[i], coeffs[j] = 1, -1
-        base = base * MultiPoly.linear_form(arena, coeffs)
-    out = GradedSeries.from_multipoly(base, order)
-    for i in range(q):
-        for j in range(q, n):
-            out = out * _line_series(arena, i, j, order)
-    return out
+    for i, j in list(combinations(range(q), 2)) + list(combinations(range(q, n), 2)):
+        base = base * MultiPoly.linear_form(arena, _root(n, i, j))
+    weights = [_root(n, i, j) for i in range(q) for j in range(q, n)]
+    return {om: base * b for om, b in f_product_blocks(arena, weights, weight).items()
+            if omega_weight(om) == weight}
 
 
 @lru_cache(maxsize=None)
@@ -238,23 +204,21 @@ def grassmann_Q_polynomials(q, l, xi):
     xi = tuple(xi)
     if len(xi) != q + l:
         raise ValueError("exponent length %d does not match q+l=%d" % (len(xi), q + l))
-    return _grassmann_product(q, l, sum(xi)).coeff(xi)
+    weight = sum(xi) - q * (q - 1) // 2 - l * (l - 1) // 2
+    return _coefficient(_grassmann_blocks(q, l, weight), xi)
 
 
 def grassmann_class(q, l):
     """[G_{q+l,l}] = (1/q!l!) L(Delta_q Delta_{q+1,q+l} prod f(x_i - x_j)).
 
-    Only the top block of total degree C(q+l,2) contributes a degree-zero
-    result after dividing by the Vandermonde, and that block carries exactly
-    the polynomial weight ql of the class.
+    Only the top blocks, of total degree C(q+l,2) and weight ql, contribute a
+    degree-zero result after dividing by the Vandermonde; L of each is its
+    signed delta-orbit coefficient sum.
     """
     if q < 1 or l < 1:
         raise ValueError("need q, l >= 1")
-    n = q + l
-    m = n * (n - 1) // 2
-    prod = _grassmann_product(q, l, m)
-    quot = _L_terms(prod.homogeneous_part(m), prod.arena)
-    cls = quot.get((0,) * n, CobordismPoly()) / (factorial(q) * factorial(l))
+    blocks = _grassmann_blocks(q, l, q * l)
+    cls = _signed_delta_sum(q + l, lambda e: _coefficient(blocks, e)) / (factorial(q) * factorial(l))
     if not cls.is_integral():
         raise ArithmeticError("Grassmann class failed q!l! integrality")
     return cls

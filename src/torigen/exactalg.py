@@ -4,6 +4,12 @@ Everything is exact. Coefficients are python ints whenever they are integral
 and fractions.Fraction otherwise; no floats anywhere. Polynomials are dicts
 from exponent tuples to coefficients, term order is graded lex (total degree
 first, then lex on the exponent tuple).
+
+f_product_blocks is the one kernel for prod_j f(<w_j, x>), f(t) = 1 + a_1 t +
+a_2 t^2 + ...: the localization character, the sign search and the
+divided-difference routes all read their products off its a^omega blocks,
+each a MultiPoly in x, instead of multiplying GradedSeries of CobordismPoly
+coefficients.
 """
 
 from fractions import Fraction
@@ -276,43 +282,27 @@ class MultiPoly:
         return "MultiPoly(%s)" % self.canonical_text()
 
 
-def _coeff_div(a, b):
-    """Exact a/b where b is a nonzero number and a is a number or ring element."""
-    if isinstance(a, (int, Fraction)):
-        return clean(Fraction(a) / Fraction(b))
-    return a / b
-
-
 def exact_div_terms(num_terms, div_terms):
-    """Divide exponent->coeff maps, raising NotDivisible on nonzero remainder.
-
-    The numerator coefficients may be any ring elements supporting +,*,/number;
-    the divisor must have numeric coefficients.
-    """
+    """Divide exponent->coeff maps with numeric coefficients, raising
+    NotDivisible on nonzero remainder."""
     rem = dict(num_terms)
     dexp = max(div_terms, key=grlex_key)
     dc = div_terms[dexp]
     quot = {}
     while rem:
         exp = max(rem, key=grlex_key)
-        c = rem[exp]
         q = tuple(a - b for a, b in zip(exp, dexp))
         if any(x < 0 for x in q):
             raise NotDivisible("leading term x^%s not divisible" % (exp,))
-        qc = _coeff_div(c, dc)
+        qc = clean(Fraction(rem[exp]) / dc)
         quot[q] = qc
         for e2, c2 in div_terms.items():
             e = tuple(a + b for a, b in zip(q, e2))
-            nc = rem.get(e, 0) - qc * c2
-            if isinstance(nc, (int, Fraction)):
-                nc = clean(nc)
-                gone = nc == 0
-            else:
-                gone = nc.is_zero()
-            if gone:
-                rem.pop(e, None)
-            else:
+            nc = clean(rem.get(e, 0) - qc * c2)
+            if nc:
                 rem[e] = nc
+            else:
+                rem.pop(e, None)
     return quot
 
 
@@ -324,6 +314,44 @@ def exact_div(p, q):
     if p.is_zero():
         return MultiPoly(p.arena)
     return MultiPoly(p.arena, exact_div_terms(p.terms, q.terms))
+
+
+def f_product_blocks(arena, weights, order, odd=()):
+    """The a^omega coefficients of prod_j f(<w_j, x>), f(t) = 1 + a_1 t + a_2 t^2 + ...
+
+    Returns {omega: MultiPoly} over the omega (trimmed, as CobordismPoly keys)
+    of weight sum l * omega_l <= order; block omega is homogeneous of x-degree
+    its weight. One pass over the factors: factor j sends block omega to
+    omega + e_k times <w_j, x>^k. A factor whose index is in odd uses the odd
+    part a_1 t + a_3 t^3 + ... of f. Exponents are packed into one int with
+    `bits` bits per variable (no exponent exceeds order < 2^bits), so
+    multiplying by x_i is one addition.
+    """
+    bits = order.bit_length()
+    shifts = [1 << bits * i for i in range(arena.arity)]
+    blocks = {(): (0, {0: 1})}
+    for j, w in enumerate(weights):
+        form = [(shifts[i], c) for i, c in enumerate(w) if c]
+        nxt = {} if j in odd else {om: (wt, dict(t)) for om, (wt, t) in blocks.items()}
+        for om, (wt, t) in blocks.items():
+            for k in range(1, order - wt + 1):
+                step = {}
+                for e, c in t.items():
+                    for sh, wc in form:
+                        step[e + sh] = step.get(e + sh, 0) + c * wc
+                t = step
+                if j in odd and k % 2 == 0:
+                    continue
+                key = list(om) + [0] * (k - len(om))
+                key[k - 1] += 1
+                acc = nxt.setdefault(tuple(key), (wt + k, {}))[1]
+                for e, c in t.items():
+                    acc[e] = acc.get(e, 0) + c
+        blocks = nxt
+    mask = (1 << bits) - 1
+    return {om: MultiPoly(arena, {tuple(e >> bits * i & mask for i in range(arena.arity)): c
+                                  for e, c in t.items()})
+            for om, (_, t) in blocks.items()}
 
 
 class CobordismPoly:

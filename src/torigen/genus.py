@@ -19,8 +19,14 @@ route:
   character puts all points over one polynomial common denominator, checks
   that the singular blocks cancel and divides back exactly; inconsistent
   input data is detected as a failed cancellation or division, never hidden
-  by per-summand simplification. One character carries the low-block
-  cancellation, the class (its degree-0 block) and the Weyl check.
+  by per-summand simplification. Each point's product prod_j f(<Lambda_j(p),
+  x>) comes from exactalg.f_product_blocks, one polynomial in x per a^omega,
+  and the sum is built, checked and divided a^omega by a^omega. One
+  character carries the low-block cancellation, the class (its degree-0
+  block) and the Weyl check.
+- omega_numerator builds one a^omega block by m_lambda substitution instead;
+  it stays as the route of stablex.check_necessary and the tests' reference
+  for the kernel.
 
 Degrees: the geometric-degree-d block of ch Phi carries cobordism weight
 n + d, where 2n is the real dimension. Truncation orders are absolute: an
@@ -33,10 +39,10 @@ from math import gcd, lcm, prod
 
 from .chern import chern_to_s, s_to_chern
 from .exactalg import (CobordismPoly, GradedSeries, MultiPoly, NotDivisible,
-                       clean, exact_div_terms, xvars)
+                       clean, exact_div_terms, f_product_blocks, xvars)
 from .fgl import b_in_a
 from .rootdata import fixed_point_weights
-from .symmfunc import monomial_sym, omega_to_partition, omegas_of_weight, trim
+from .symmfunc import monomial_sym, omega_to_partition, omega_weight, omegas_of_weight, trim
 
 
 class SingularSum(Exception):
@@ -110,59 +116,48 @@ def localization_data(fp):
     return LocData(arena, n, denom, cofactors, prefactors)
 
 
-def f_of_form(form, order, arena):
-    """f(w) = 1 + a_1 w + a_2 w^2 + ... for a linear form w, as a GradedSeries."""
-    out = {(0,) * arena.arity: CobordismPoly.const(1)}
-    power = MultiPoly.const(arena, 1)
-    for i in range(1, order + 1):
-        power = power * form
-        gen = CobordismPoly.gen(i)
-        for e, c in power.terms.items():
-            cur = out.get(e)
-            add = gen * c
-            out[e] = add if cur is None else cur + add
-    return GradedSeries(arena, order, out)
-
-
-def _numerator(fp, loc, top):
-    """sum_p prefactor_p * cofactor_p * prod_j f(<Lambda_j(p),x>), degree <= top."""
-    D = loc.denom.degree()
-    forder = top - (D - loc.n)
-    total = GradedSeries(loc.arena, top)
-    for pt, cof, pre in zip(fp, loc.cofactors, loc.prefactors):
-        prod = GradedSeries.const(loc.arena, forder, 1)
-        for w in pt.weights:
-            prod = prod * f_of_form(MultiPoly.linear_form(loc.arena, w), forder, loc.arena)
-        total = total + GradedSeries(loc.arena, top, prod.terms) * cof * pre
-    return total
-
-
 def chern_character_of_genus(fp, order):
-    """ch Phi truncated at absolute order (weight n + geometric degree <= order)."""
+    """ch Phi truncated at absolute order (weight n + geometric degree <= order).
+
+    The a^omega block of the numerator is sum_p prefactor_p * cofactor_p *
+    f_product_blocks(p)[omega], of x-degree ||omega|| + D - n. Blocks with
+    ||omega|| < n must vanish; the others are divided exactly by the
+    denominator, and block omega of the quotient is the a^omega part of the
+    geometric-degree ||omega|| - n terms.
+    """
     n = len(fp[0].weights)
     if order < n:
         raise ValueError("order %d below dimension grade %d" % (order, n))
     loc = localization_data(fp)
     D = loc.denom.degree()
-    xorder = order - n
-    num = _numerator(fp, loc, D + xorder)
-    for e in range(max(D - n, 0), D):
-        block = num.homogeneous_part(e)
-        if block:
+    num = {}
+    for pt, cof, pre in zip(fp, loc.cofactors, loc.prefactors):
+        cof = cof * pre
+        for om, block in f_product_blocks(loc.arena, pt.weights, order).items():
+            num[om] = num.get(om, 0) + block * cof
+    by_weight = [[] for _ in range(order + 1)]
+    for om in sorted(num):
+        if num[om].terms:
+            by_weight[omega_weight(om)].append(om)
+    for wt in range(n):
+        if by_weight[wt]:
+            block = {}
+            for om in by_weight[wt]:
+                for e, c in num[om].terms.items():
+                    block[e] = block.get(e, 0) + CobordismPoly.monomial(om, c)
             raise SingularSum(
                 "degree-%d numerator block does not cancel: %s"
-                % (e, GradedSeries(loc.arena, e, block).canonical_text()))
+                % (wt + D - n, GradedSeries(loc.arena, wt + D - n, block).canonical_text()))
     terms = {}
-    for d in range(xorder + 1):
-        block = num.homogeneous_part(D + d)
-        if not block:
-            continue
-        try:
-            quot = exact_div_terms(block, loc.denom.terms)
-        except NotDivisible as exc:
-            raise SingularSum("degree-%d block not divisible by denominator" % (D + d)) from exc
-        terms.update(quot)
-    return GradedSeries(loc.arena, xorder, terms)
+    for wt in range(n, order + 1):
+        for om in by_weight[wt]:
+            try:
+                quot = exact_div_terms(num[om].terms, loc.denom.terms)
+            except NotDivisible as exc:
+                raise SingularSum("degree-%d block not divisible by denominator" % (wt + D - n)) from exc
+            for e, c in quot.items():
+                terms[e] = terms.get(e, 0) + CobordismPoly.monomial(om, c)
+    return GradedSeries(loc.arena, order - n, terms)
 
 
 def class_of_character(ch, n):

@@ -18,11 +18,11 @@ geometric question that we do not decide.
 from collections import namedtuple
 from itertools import product
 
-from .exactalg import MultiPoly, NotDivisible, clean, exact_div
+from .exactalg import NotDivisible, clean, exact_div, f_product_blocks
 from .genus import localization_data, omega_numerator
 from .genus import s_numbers as _genus_s_numbers
 from .rootdata import FixedPoint, fixed_point_weights
-from .symmfunc import omegas_of_weight
+from .symmfunc import omega_weight, omegas_of_weight
 
 
 class BudgetExceeded(Exception):
@@ -99,20 +99,24 @@ def check_necessary(spec, assign):
     return NecessaryReport(True, None, None)
 
 
-def _point_blocks(base, loc, signs, omegas):
+def _point_blocks(base, loc, signs):
     """Per point p and sign vector a, p's own omega_numerator blocks
-    cofactor_p * prefactor_p * m_lambda(a_1 w_1, ..., a_n w_n) as int maps.
+    cofactor_p * prefactor_p * m_lambda(a_1 w_1, ..., a_n w_n), ||omega|| <= n,
+    as int maps: the a^omega blocks of prod_j f(<a_j w_j, x>) (f_product_blocks)
+    times cofactor_p * prefactor_p.
 
     prefactor_p does not depend on a: flipping a weight also flips its
     canonical line orientation, so each a_i enters it squared and cancels.
     """
+    n = len(base[0].weights)
     out = []
     for pt, cof, pre in zip(base, loc.cofactors, loc.prefactors):
-        one = loc._replace(cofactors=[cof], prefactors=[pre])
+        cof = cof * pre
         row = []
         for avec in signs:
-            fp = [pt._replace(weights=tuple(tuple(a * c for c in w) for a, w in zip(avec, pt.weights)))]
-            row.append({om: omega_numerator(fp, one, om).terms for om in omegas})
+            weights = [tuple(a * c for c in w) for a, w in zip(avec, pt.weights)]
+            row.append({om: (block * cof).terms
+                        for om, block in f_product_blocks(loc.arena, weights, n).items()})
         out.append(row)
     return out
 
@@ -166,8 +170,8 @@ def enumerate_feasible(spec, budget=1 << 20):
     loc = localization_data(base)
     signs = list(product((1, -1), repeat=n))
     top = omegas_of_weight(n)
-    packed = _pack(_point_blocks(base, loc, signs, [om for k in range(n) for om in omegas_of_weight(k)]))
-    tops = _point_blocks(base, loc, signs, top)
+    blocks = _point_blocks(base, loc, signs)
+    packed = _pack([[{om: t for om, t in b.items() if omega_weight(om) < n} for b in row] for row in blocks])
     cancels = {}
     for i, v in enumerate(packed[-1]):
         cancels.setdefault(-v, []).append(i)
@@ -176,8 +180,8 @@ def enumerate_feasible(spec, budget=1 << 20):
     def admissible(picks):
         for om in top:
             num = {}
-            for row, i in zip(tops, picks):
-                for e, c in row[i][om].items():
+            for row, i in zip(blocks, picks):
+                for e, c in row[i].get(om, {}).items():
                     num[e] = num.get(e, 0) + c
             if not _integer_multiple({e: c for e, c in num.items() if c}, loc.denom.terms):
                 return False

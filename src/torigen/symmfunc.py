@@ -154,31 +154,6 @@ def schur(lam, n, arena=None):
     return exact_div(antisymmetrize(mono), vandermonde(arena))
 
 
-def f_omega_decomposition(n, nmax, arena=None):
-    """Coefficients f_omega of a^omega in prod_i (1 + sum_k a_k t_i^k).
-
-    Returns a dict from trimmed omega (1 <= weight <= nmax) to a MultiPoly
-    in t_1..t_n.
-    """
-    if arena is None:
-        arena = xvars(n, "t")
-    acc = {(): MultiPoly.const(arena, 1)}
-    for i in range(n):
-        ti = MultiPoly.variable(arena, i)
-        tpow = {k: ti ** k for k in range(1, nmax + 1)}
-        nxt = {}
-        for omega, poly in acc.items():
-            w = omega_weight(omega)
-            nxt[omega] = nxt.get(omega, MultiPoly(arena)) + poly
-            for k in range(1, nmax - w + 1):
-                no = list(omega) + [0] * (k - len(omega))
-                no[k - 1] += 1
-                no = trim(no)
-                nxt[no] = nxt.get(no, MultiPoly(arena)) + poly * tpow[k]
-        acc = nxt
-    return {omega: p for omega, p in acc.items() if omega and not p.is_zero()}
-
-
 def _row_choices(groups, r):
     """(ways, column sums left) for one row of sum r over column groups.
 

@@ -244,6 +244,52 @@ def test_fgl_rejects_nonpositive_order(capsys):
     assert out.strip() == "(1)*u2 + (1)*u1"
 
 
+def test_fgl_rejects_order_above_limit(capsys):
+    code, out, err = run(capsys, "fgl", "--trunc", "1000000000")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --trunc must be at most 24, got 1000000000\n"
+
+
+def _raise_c1_squared(monkeypatch, at_point):
+    """Make point_chern_numbers return c1^2 + 1 on CP2 at one of its two points."""
+    real = genus.point_chern_numbers
+
+    def fake(fp, point):
+        table = dict(real(fp, point))
+        if point == at_point(fp):
+            table[(2,)] += 1
+        return table
+    monkeypatch.setattr(genus, "point_chern_numbers", fake)
+
+
+def test_verify_class_mismatch_names_omega(capsys, monkeypatch):
+    # the certified table now disagrees with the symbolic class and with the
+    # second point: s_(0,1) = c1^2 - 2*c2 reads 4 instead of 3
+    _raise_c1_squared(monkeypatch, genus.default_numeric_point)
+    code, out, _ = run(capsys, "verify", "--space", "CP2")
+    assert code == 1
+    assert "check class_matches_s: FAIL at omega=[0, 1], symbolic=3, point=4" in out.splitlines()
+    assert "check numeric_agreement: FAIL at xi=[2, 0], default_point=10, second_point=9" in out.splitlines()
+    code, out, _ = run(capsys, "verify", "--space", "CP2", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["evidence"] == {
+        "class_matches_s": {"omega": [0, 1], "symbolic": "3", "point": "4"},
+        "numeric_agreement": {"xi": [2, 0], "default_point": "10", "second_point": "9"}}
+
+
+def test_verify_numeric_mismatch_names_xi(capsys, monkeypatch):
+    _raise_c1_squared(monkeypatch, genus.second_numeric_point)
+    code, out, _ = run(capsys, "verify", "--space", "CP2")
+    assert code == 1
+    assert [line for line in out.splitlines() if "FAIL" in line] == [
+        "check numeric_agreement: FAIL at xi=[2, 0], default_point=9, second_point=10"]
+    code, out, _ = run(capsys, "verify", "--space", "CP2", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["evidence"] == {
+        "numeric_agreement": {"xi": [2, 0], "default_point": "9", "second_point": "10"}}
+
+
 def test_zero_dimensional_spaces_rejected(capsys):
     for space in ("U(2)/U(2)", "U(1)/T1", "U(3)/U(0)xU(3)"):
         code, out, err = run(capsys, "class", "--space", space)

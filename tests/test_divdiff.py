@@ -4,6 +4,9 @@ import pytest
 
 from torigen.divdiff import (
     PermWord,
+    _grassmann_blocks,
+    _signed_delta_sum,
+    _thm8_blocks,
     divided_difference,
     flag_P_polynomials,
     flag_class,
@@ -159,3 +162,24 @@ def test_flag_vanishing_reports_n5():
     assert rep["s_m"] == {"value": 0, "expected": 0, "ok": True}
     assert rep["odd_zero"]["applicable"] and rep["odd_zero"]["ok"]
     assert rep["even_chern"]["ok"]
+
+
+def signed_delta_sum(n, block):
+    return _signed_delta_sum(n, lambda e: block.coeff(e))
+
+
+@pytest.mark.parametrize("n, blocks", [(4, lambda: _thm8_blocks(4)),
+                                       (4, lambda: _grassmann_blocks(2, 2, 4)),
+                                       (5, lambda: _grassmann_blocks(2, 3, 6))],
+                         ids=("thm8-4", "grassmann-2-2", "grassmann-2-3"))
+def test_L_of_top_block_is_signed_delta_sum(n, blocks):
+    # a block of degree C(n, 2): antisym(p) = c * Delta_n, and c is the x^delta
+    # coefficient of antisym(p)
+    tops = blocks()
+    assert tops and all(b.degree() == n * (n - 1) // 2 for b in tops.values())
+    for block in tops.values():
+        assert signed_delta_sum(n, block) == CobordismPoly.const(operator_L(block).as_constant())
+
+
+def test_grassmann_3_3_matches_localization():
+    assert grassmann_class(3, 3) == cobordism_class(fixed_point_weights(build_space("U(6)/U(3)xU(3)")))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from torigen import genus
 from torigen.chern import chern_to_s, s_to_chern
 from torigen.cli import main
-from torigen.exactalg import CobordismPoly, MultiPoly
+from torigen.exactalg import CobordismPoly, MultiPoly, f_product_blocks
 from torigen.genus import (
     NonIntegerClass,
     SingularPoint,
@@ -21,10 +21,10 @@ from torigen.genus import (
     chern_numbers,
     cobordism_class,
     default_numeric_point,
-    f_of_form,
     genus_fibration_coefficients,
     genus_report,
     localization_data,
+    omega_numerator,
     point_chern_numbers,
     s_number_numeric,
     s_numbers,
@@ -35,7 +35,7 @@ from torigen.genus import (
 from torigen.divdiff import flag_class
 from torigen.rootdata import FixedPoint, build_space, euler_characteristic, fixed_point_weights
 from torigen.stablex import SignAssignment, derived_fixed_point_data
-from torigen.symmfunc import omegas_of_weight
+from torigen.symmfunc import omegas_of_weight, omegas_up_to
 
 U3T3 = "6*a1^3 + 6*a1*a2 - 6*a3"
 G42 = "6*a1^4 + 24*a1^2*a2 + 4*a1*a3 + 14*a2^2 - 20*a4"
@@ -66,15 +66,40 @@ def test_localization_common_denominator():
         assert loc.prefactors[idx] == sign
 
 
-def test_f_of_form_series():
+def test_f_product_blocks_one_factor():
+    # f(x1 - x2) = 1 + a1 (x1 - x2) + a2 (x1 - x2)^2 + ...
     fp = fp_of("CP1")
     loc = localization_data(fp)
-    s = f_of_form(MultiPoly.linear_form(loc.arena, (1, -1)), 2, loc.arena)
-    assert s.coeff((0, 0)) == CobordismPoly.const(1)
-    assert s.coeff((1, 0)) == CobordismPoly.gen(1)
-    assert s.coeff((0, 1)) == CobordismPoly.gen(1) * -1
-    assert s.coeff((2, 0)) == CobordismPoly.gen(2)
-    assert s.coeff((1, 1)) == CobordismPoly.gen(2) * -2
+    blocks = f_product_blocks(loc.arena, [(1, -1)], 2)
+    assert set(blocks) == {(), (1,), (0, 1)}
+    assert blocks[()] == MultiPoly.const(loc.arena, 1)
+    assert blocks[(1,)].coeff((1, 0)) == 1
+    assert blocks[(1,)].coeff((0, 1)) == -1
+    assert blocks[(0, 1)].coeff((2, 0)) == 1
+    assert blocks[(0, 1)].coeff((1, 1)) == -2
+
+
+def kernel_numerators(fp, order):
+    """sum_p prefactor_p * cofactor_p * f_product_blocks(p), omega by omega."""
+    loc = localization_data(fp)
+    num = {}
+    for pt, cof, pre in zip(fp, loc.cofactors, loc.prefactors):
+        for om, block in f_product_blocks(loc.arena, pt.weights, order).items():
+            num[om] = num.get(om, 0) + block * cof * pre
+    return loc, num
+
+
+def check_kernel_numerators(fp):
+    """Every a^omega block, ||omega|| <= n + 1, equals omega_numerator; omegas
+    with more than n parts have no block."""
+    n = len(fp[0].weights)
+    loc, num = kernel_numerators(fp, n + 1)
+    for om in omegas_up_to(n + 1):
+        if sum(om) <= n:
+            assert num.get(om, MultiPoly(loc.arena)) == omega_numerator(fp, loc, om), om
+        else:
+            assert num.get(om, MultiPoly(loc.arena)).is_zero(), om
+    assert set(num) <= set(omegas_up_to(n + 1))
 
 
 def test_cp1_character_blocks():
@@ -186,6 +211,22 @@ SYMBOLIC_SPACES = [
     ("CP1", "conjugate"), ("CP3", "conjugate"), ("CP4", "conjugate"),
     ("U(3)/T3", "conjugate"), ("U(4)/U(2)xU(2)", "conjugate"), ("G2/SU(3)", "conjugate"),
 ]
+
+
+# the --signs tables of the golden file; the last two have poles
+GOLDEN_SIGNS = [("U(4)/T4", (1, -1, 1, 1, -1, 1)), ("U(4)/T4", (-1, 1, 1, -1, -1, 1)),
+                ("U(4)/U(1)xU(1)xU(2)", (1, -1, -1, 1, 1)), ("CP2", (1, -1)),
+                ("U(4)/U(1)xU(1)xU(2)", (1, -1, 1, -1, 1))]
+
+
+@pytest.mark.parametrize("text,structure", SYMBOLIC_SPACES)
+def test_kernel_matches_omega_numerator(text, structure):
+    check_kernel_numerators(fp_of(text, structure))
+
+
+@pytest.mark.parametrize("text,signs", GOLDEN_SIGNS)
+def test_kernel_matches_omega_numerator_signed(text, signs):
+    check_kernel_numerators(fixed_point_weights(build_space(text, signs=signs)))
 
 
 def character_class(fp):
@@ -306,6 +347,7 @@ def check_routes(fp):
     if _pole_free(fp):
         assert CobordismPoly(evaluated(fp)) == character_class(fp)
     assert outcome(cobordism_class, fp) == outcome(symbolic_class, fp)
+    check_kernel_numerators(fp)
 
 
 ROOTS = {"CP2": 2, "CP3": 3, "U(3)/T3": 3}

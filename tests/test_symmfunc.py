@@ -5,14 +5,13 @@ from itertools import permutations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torigen.exactalg import MultiPoly, xvars
+from torigen.exactalg import MultiPoly, f_product_blocks, xvars
 from torigen.symmfunc import (
     antisymmetrize,
     conjugate_partition,
     elementary,
     elementary_product,
     elementary_to_monomial,
-    f_omega_decomposition,
     monomial_sym,
     monomial_to_elementary,
     newton_power,
@@ -107,9 +106,12 @@ def test_schur_polynomials():
     assert schur((2, 1), 3, ar) == monomial_sym((2, 1), 3, ar) + monomial_sym((1, 1, 1), 3, ar) * 2
 
 
-def test_f_omega_decomposition_blocks():
+def test_f_product_blocks_of_the_variables():
+    # prod_i f(t_i): block omega is m_lambda, lambda with omega_k parts equal to k
     ar = xvars(2, "t")
-    table = f_omega_decomposition(2, 3, ar)
+    table = f_product_blocks(ar, [(1, 0), (0, 1)], 3)
+    for om, block in table.items():
+        assert block == monomial_sym(omega_to_partition(om), 2, ar)
     t1, t2 = MultiPoly.variable(ar, 0), MultiPoly.variable(ar, 1)
     assert table[(1,)] == t1 + t2
     assert table[(2,)] == t1 * t2
