@@ -81,6 +81,12 @@ EXTRA = [
     ("flag", "--n", "3", "--method", "thm8"),
     ("flag", "--n", "1"),
     ("grassmann", "--q", "0", "--l", "2"),
+    # the symbolic products that take the longest
+    ("verify", "--space", "CP5"),
+    ("genus", "--space", "CP5"),
+    ("verify", "--space", "U(5)/U(2)xU(3)"),
+    ("flag", "--n", "5", "--method", "tchi"),
+    ("grassmann", "--q", "3", "--l", "3"),
 ]
 
 # U(3)/T3 lists 4372 tables, too many for the golden file: pin the sha256 and
