@@ -203,7 +203,14 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
+# flag --n 6 takes 10-14 s and about 400 MB; n + 1 multiplies n more factors,
+# to an order n higher
+FLAG_N_LIMIT = 6
+
+
 def cmd_flag(args):
+    if args.n > FLAG_N_LIMIT:
+        raise ValueError("--n must be at most %d, got %d" % (FLAG_N_LIMIT, args.n))
     cls = _cache_poly(args, "flag_%d_%s" % (args.n, args.method),
                       lambda: divdiff.flag_class(args.n, args.method))
     _emit(args, cls.canonical_text(), {"n": args.n, "method": args.method, "class": _json_poly(cls)})

@@ -7,17 +7,21 @@ cross-check against the localization route in the genus module.
 The operator L sends p to (1/Delta_n) sum_sigma sign(sigma) sigma(p); on
 monomials x^(lambda+delta) it produces the Schur polynomial Sh_lambda. The
 products prod f(x_i - x_j) behind the flag and Grassmann classes are the
-a^omega blocks of exactalg.f_product_blocks, and L of a block of degree
+top a^omega blocks of exactalg.f_product_sum, and L of a block of degree
 C(n, 2) is read off as its signed delta-orbit coefficient sum
-(_signed_delta_sum).
+(_signed_delta_sum). Each product keeps only the terms whose exponents are
+at most the largest one its caller reads: n - 1 on the delta orbit, max(xi)
+for a P_xi or Q_xi. Every factor raises exponents, so a dropped term never
+reaches a read one; and a degree-C(n, 2) monomial with an exponent >= n
+repeats an exponent, so L kills it anyway.
 """
 
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
 
-from .exactalg import CobordismPoly, MultiPoly, exact_div, f_product_blocks, xvars
-from .symmfunc import antisymmetrize, omega_weight, omegas_of_weight, perm_sign, vandermonde
+from .exactalg import CobordismPoly, MultiPoly, exact_div, f_product_sum, xvars
+from .symmfunc import antisymmetrize, omegas_of_weight, perm_sign, vandermonde
 
 
 def operator_L(p, n=None):
@@ -116,9 +120,11 @@ def _coefficient(blocks, e):
 
 
 @lru_cache(maxsize=None)
-def _flag_product(n, order):
-    """The a^omega blocks of prod_{i<j} f(x_i - x_j) over n variables, weight <= order."""
-    return f_product_blocks(xvars(n), [_root(n, i, j) for i, j in combinations(range(n), 2)], order)
+def _flag_product(n, order, cap):
+    """The a^omega blocks of weight order of prod_{i<j} f(x_i - x_j) over n
+    variables, keeping only the terms with every exponent <= cap."""
+    roots = [_root(n, i, j) for i, j in combinations(range(n), 2)]
+    return f_product_sum(xvars(n), [(roots, None)], order, cap=cap, top=True)
 
 
 @lru_cache(maxsize=None)
@@ -127,7 +133,7 @@ def flag_P_polynomials(n, xi):
     xi = tuple(xi)
     if len(xi) != n:
         raise ValueError("exponent length %d does not match n=%d" % (len(xi), n))
-    return _coefficient(_flag_product(n, sum(xi)), xi)
+    return _coefficient(_flag_product(n, sum(xi), max(xi)), xi)
 
 
 def _signed_delta_sum(n, read):
@@ -150,12 +156,12 @@ def _signed_delta_sum(n, read):
 
 def _thm8_blocks(n):
     """The weight-C(n, 2) blocks of prod_{i<j} f(x_i - x_j) with the (1,2) and
-    (n-1,n) factors replaced by the odd part of f."""
-    m = n * (n - 1) // 2
+    (n-1,n) factors replaced by the odd part of f, on exponents <= n - 1 (all
+    that the delta orbit reads)."""
     pairs = list(combinations(range(n), 2))
     odd = (pairs.index((0, 1)), pairs.index((n - 2, n - 1)))
-    blocks = f_product_blocks(xvars(n), [_root(n, i, j) for i, j in pairs], m, odd)
-    return {om: b for om, b in blocks.items() if omega_weight(om) == m}
+    roots = [_root(n, i, j) for i, j in pairs]
+    return f_product_sum(xvars(n), [(roots, None)], len(pairs), odd, cap=n - 1, top=True)
 
 
 def flag_class(n, method="corL"):
@@ -173,7 +179,7 @@ def flag_class(n, method="corL"):
     if method == "tchi":
         # the permuted product sigma^-1(p) at x^delta is the product at
         # x^sigma(delta), and sigma^-1 has the sign of sigma
-        blocks = _flag_product(n, m)
+        blocks = _flag_product(n, m, n - 1)
         return _signed_delta_sum(n, lambda e: _coefficient(blocks, e))
     if method == "thm8":
         if n < 4:
@@ -184,18 +190,17 @@ def flag_class(n, method="corL"):
 
 
 @lru_cache(maxsize=None)
-def _grassmann_blocks(q, l, weight):
+def _grassmann_blocks(q, l, weight, cap):
     """The a^omega blocks, ||omega|| = weight, of
-    Delta_q * Delta_{q+1,q+l} * prod_{i<=q<j} f(x_i - x_j); each has total
-    degree weight + C(q,2) + C(l,2)."""
+    Delta_q * Delta_{q+1,q+l} * prod_{i<=q<j} f(x_i - x_j), on exponents
+    <= cap; each has total degree weight + C(q,2) + C(l,2)."""
     n = q + l
     arena = xvars(n)
     base = MultiPoly.const(arena, 1)
     for i, j in list(combinations(range(q), 2)) + list(combinations(range(q, n), 2)):
         base = base * MultiPoly.linear_form(arena, _root(n, i, j))
     weights = [_root(n, i, j) for i in range(q) for j in range(q, n)]
-    return {om: base * b for om, b in f_product_blocks(arena, weights, weight).items()
-            if omega_weight(om) == weight}
+    return f_product_sum(arena, [(weights, base)], weight, cap=cap, top=True)
 
 
 @lru_cache(maxsize=None)
@@ -205,7 +210,7 @@ def grassmann_Q_polynomials(q, l, xi):
     if len(xi) != q + l:
         raise ValueError("exponent length %d does not match q+l=%d" % (len(xi), q + l))
     weight = sum(xi) - q * (q - 1) // 2 - l * (l - 1) // 2
-    return _coefficient(_grassmann_blocks(q, l, weight), xi)
+    return _coefficient(_grassmann_blocks(q, l, weight, max(xi)), xi)
 
 
 def grassmann_class(q, l):
@@ -217,7 +222,7 @@ def grassmann_class(q, l):
     """
     if q < 1 or l < 1:
         raise ValueError("need q, l >= 1")
-    blocks = _grassmann_blocks(q, l, q * l)
+    blocks = _grassmann_blocks(q, l, q * l, q + l - 1)
     cls = _signed_delta_sum(q + l, lambda e: _coefficient(blocks, e)) / (factorial(q) * factorial(l))
     if not cls.is_integral():
         raise ArithmeticError("Grassmann class failed q!l! integrality")

@@ -5,11 +5,12 @@ and fractions.Fraction otherwise; no floats anywhere. Polynomials are dicts
 from exponent tuples to coefficients, term order is graded lex (total degree
 first, then lex on the exponent tuple).
 
-f_product_blocks is the one kernel for prod_j f(<w_j, x>), f(t) = 1 + a_1 t +
+f_product_sum is the one kernel for prod_j f(<w_j, x>), f(t) = 1 + a_1 t +
 a_2 t^2 + ...: the localization character, the sign search and the
 divided-difference routes all read their products off its a^omega blocks,
 each a MultiPoly in x, instead of multiplying GradedSeries of CobordismPoly
-coefficients.
+coefficients. It also multiplies each product by a polynomial cofactor and
+sums over the products on its packed exponents, which no caller sees.
 """
 
 from fractions import Fraction
@@ -321,25 +322,90 @@ def f_product_blocks(arena, weights, order, odd=()):
 
     Returns {omega: MultiPoly} over the omega (trimmed, as CobordismPoly keys)
     of weight sum l * omega_l <= order; block omega is homogeneous of x-degree
-    its weight. One pass over the factors: factor j sends block omega to
-    omega + e_k times <w_j, x>^k. A factor whose index is in odd uses the odd
-    part a_1 t + a_3 t^3 + ... of f. Exponents are packed into one int with
-    `bits` bits per variable (no exponent exceeds order < 2^bits), so
-    multiplying by x_i is one addition.
+    its weight. A factor whose index is in odd uses the odd part
+    a_1 t + a_3 t^3 + ... of f.
     """
-    bits = order.bit_length()
-    shifts = [1 << bits * i for i in range(arena.arity)]
-    blocks = {(): (0, {0: 1})}
-    for j, w in enumerate(weights):
-        form = [(shifts[i], c) for i, c in enumerate(w) if c]
+    return f_product_sum(arena, [(weights, None)], order, odd)
+
+
+def f_product_sum(arena, summands, order, odd=(), cap=None, top=False):
+    """sum over (weights, times) in summands of times * prod_j f(<w_j, x>), as
+    {omega: MultiPoly} blocks like f_product_blocks; times is a MultiPoly, or
+    None for 1.
+
+    top keeps only the blocks of weight order. cap keeps only the terms whose
+    exponent in every x_i is at most cap: exact for a caller that reads no
+    higher exponent, as every factor and every times has exponents >= 0, so a
+    dropped term has no descendant it could read.
+
+    Each product and the sum stay on packed exponents, one int per monomial
+    with `bits` bits per variable (Monagan-Pearce), so multiplying by x_i is
+    one addition; blocks are unpacked once, at the end. With a cap, each
+    field holds its exponent plus bias = guard - 1 - cap, guard the field's
+    top bit, so an exponent above cap sets its guard bit and one AND finds it.
+    """
+    tdeg = max((t.degree() for _, t in summands if t is not None), default=0)
+    if cap is None:
+        bits = (order + tdeg).bit_length()
+    else:
+        cap = max(cap, 0)
+        bits = max(cap, tdeg).bit_length() + 1
+    offsets = range(0, bits * arena.arity, bits)
+    guard = bias = 0
+    if cap is not None:
+        guard = sum(1 << s + bits - 1 for s in offsets)
+        bias = sum((1 << bits - 1) - 1 - cap << s for s in offsets)
+    shifts = [1 << s for s in offsets]
+    total = {}
+    for weights, times in summands:
+        blocks = _packed_blocks([[(shifts[i], c) for i, c in enumerate(w) if c] for w in weights],
+                                order, odd, bias, guard)
+        if times is None and len(summands) == 1:
+            total = blocks
+            break
+        times = [(0, 1)] if times is None else [(sum(d << s for s, d in zip(offsets, e)), c)
+                                                for e, c in times.terms.items()]
+        for om, (wt, t) in blocks.items():
+            if top and wt != order:
+                continue
+            acc = total.setdefault(om, (wt, {}))[1]
+            for e1, c1 in t.items():
+                for e2, c2 in times:
+                    e = e1 + e2
+                    if not e & guard:
+                        acc[e] = acc.get(e, 0) + c1 * c2
+    mask = (1 << bits) - 1
+
+    def unpack(t):
+        out = {}
+        for e, c in t.items():
+            if c:
+                e -= bias
+                out[tuple(e >> s & mask for s in offsets)] = c
+        return MultiPoly(arena, out)
+
+    return {om: unpack(t) for om, (wt, t) in total.items() if not top or wt == order}
+
+
+def _packed_blocks(forms, order, odd, bias, guard):
+    """{omega: (weight, {packed exponent: c})} for prod_j f(form_j), each form
+    a list of (shift, coefficient). One pass over the factors: factor j sends
+    block omega to omega + e_k times form_j^k; a term whose exponent sets a
+    guard bit is dropped."""
+    blocks = {(): (0, {bias: 1})}
+    for j, form in enumerate(forms):
         nxt = {} if j in odd else {om: (wt, dict(t)) for om, (wt, t) in blocks.items()}
         for om, (wt, t) in blocks.items():
             for k in range(1, order - wt + 1):
                 step = {}
                 for e, c in t.items():
                     for sh, wc in form:
-                        step[e + sh] = step.get(e + sh, 0) + c * wc
+                        x = e + sh
+                        if not x & guard:
+                            step[x] = step.get(x, 0) + c * wc
                 t = step
+                if not t:
+                    break
                 if j in odd and k % 2 == 0:
                     continue
                 key = list(om) + [0] * (k - len(om))
@@ -348,10 +414,7 @@ def f_product_blocks(arena, weights, order, odd=()):
                 for e, c in t.items():
                     acc[e] = acc.get(e, 0) + c
         blocks = nxt
-    mask = (1 << bits) - 1
-    return {om: MultiPoly(arena, {tuple(e >> bits * i & mask for i in range(arena.arity)): c
-                                  for e, c in t.items()})
-            for om, (_, t) in blocks.items()}
+    return blocks
 
 
 class CobordismPoly:

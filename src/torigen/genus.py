@@ -19,11 +19,11 @@ route:
   character puts all points over one polynomial common denominator, checks
   that the singular blocks cancel and divides back exactly; inconsistent
   input data is detected as a failed cancellation or division, never hidden
-  by per-summand simplification. Each point's product prod_j f(<Lambda_j(p),
-  x>) comes from exactalg.f_product_blocks, one polynomial in x per a^omega,
-  and the sum is built, checked and divided a^omega by a^omega. One
-  character carries the low-block cancellation, the class (its degree-0
-  block) and the Weyl check.
+  by per-summand simplification. The numerator, sum_p prefactor_p *
+  cofactor_p * prod_j f(<Lambda_j(p), x>), comes from exactalg.f_product_sum
+  as one polynomial in x per a^omega, and is checked and divided a^omega by
+  a^omega. One character carries the low-block cancellation, the class (its
+  degree-0 block) and the Weyl check.
 - omega_numerator builds one a^omega block by m_lambda substitution instead;
   it stays as the route of stablex.check_necessary and the tests' reference
   for the kernel.
@@ -39,7 +39,7 @@ from math import gcd, lcm, prod
 
 from .chern import chern_to_s, s_to_chern
 from .exactalg import (CobordismPoly, GradedSeries, MultiPoly, NotDivisible,
-                       clean, exact_div_terms, f_product_blocks, xvars)
+                       clean, exact_div_terms, f_product_sum, xvars)
 from .fgl import b_in_a
 from .rootdata import fixed_point_weights
 from .symmfunc import monomial_sym, omega_to_partition, omega_weight, omegas_of_weight, trim
@@ -116,25 +116,28 @@ def localization_data(fp):
     return LocData(arena, n, denom, cofactors, prefactors)
 
 
+def character_numerator(fp, order):
+    """loc and the numerator blocks sum_p prefactor_p * cofactor_p *
+    prod_j f(<Lambda_j(p), x>), {omega: MultiPoly} for ||omega|| <= order,
+    multiplied and summed over the points in the kernel (f_product_sum)."""
+    loc = localization_data(fp)
+    summands = [(pt.weights, cof * pre) for pt, cof, pre in zip(fp, loc.cofactors, loc.prefactors)]
+    return loc, f_product_sum(loc.arena, summands, order)
+
+
 def chern_character_of_genus(fp, order):
     """ch Phi truncated at absolute order (weight n + geometric degree <= order).
 
-    The a^omega block of the numerator is sum_p prefactor_p * cofactor_p *
-    f_product_blocks(p)[omega], of x-degree ||omega|| + D - n. Blocks with
-    ||omega|| < n must vanish; the others are divided exactly by the
-    denominator, and block omega of the quotient is the a^omega part of the
-    geometric-degree ||omega|| - n terms.
+    The a^omega block of the numerator (character_numerator) has x-degree
+    ||omega|| + D - n. Blocks with ||omega|| < n must vanish; the others are
+    divided exactly by the denominator, and block omega of the quotient is
+    the a^omega part of the geometric-degree ||omega|| - n terms.
     """
     n = len(fp[0].weights)
     if order < n:
         raise ValueError("order %d below dimension grade %d" % (order, n))
-    loc = localization_data(fp)
+    loc, num = character_numerator(fp, order)
     D = loc.denom.degree()
-    num = {}
-    for pt, cof, pre in zip(fp, loc.cofactors, loc.prefactors):
-        cof = cof * pre
-        for om, block in f_product_blocks(loc.arena, pt.weights, order).items():
-            num[om] = num.get(om, 0) + block * cof
     by_weight = [[] for _ in range(order + 1)]
     for om in sorted(num):
         if num[om].terms:

@@ -80,6 +80,8 @@ def test_usage_errors_exit_two(capsys):
     code, _, err = run(capsys, "flag", "--n", "3", "--method", "thm8")
     assert code == 2
     assert "n >= 4" in err
+    code, out, err = run(capsys, "flag", "--n", "9")
+    assert (code, out, err) == (2, "", "error: --n must be at most 6, got 9\n")
 
 
 def test_json_output_is_stable(capsys):

@@ -17,7 +17,7 @@ from torigen.divdiff import (
     reduced_word,
     schubert_polynomial,
 )
-from torigen.exactalg import CobordismPoly, MultiPoly, xvars
+from torigen.exactalg import CobordismPoly, MultiPoly, f_product_blocks, xvars
 from torigen.genus import cobordism_class
 from torigen.rootdata import build_space, fixed_point_weights
 from torigen.symmfunc import elementary, vandermonde
@@ -169,8 +169,8 @@ def signed_delta_sum(n, block):
 
 
 @pytest.mark.parametrize("n, blocks", [(4, lambda: _thm8_blocks(4)),
-                                       (4, lambda: _grassmann_blocks(2, 2, 4)),
-                                       (5, lambda: _grassmann_blocks(2, 3, 6))],
+                                       (4, lambda: _grassmann_blocks(2, 2, 4, 3)),
+                                       (5, lambda: _grassmann_blocks(2, 3, 6, 4))],
                          ids=("thm8-4", "grassmann-2-2", "grassmann-2-3"))
 def test_L_of_top_block_is_signed_delta_sum(n, blocks):
     # a block of degree C(n, 2): antisym(p) = c * Delta_n, and c is the x^delta
@@ -179,6 +179,30 @@ def test_L_of_top_block_is_signed_delta_sum(n, blocks):
     assert tops and all(b.degree() == n * (n - 1) // 2 for b in tops.values())
     for block in tops.values():
         assert signed_delta_sum(n, block) == CobordismPoly.const(operator_L(block).as_constant())
+
+
+def test_capped_reads_match_the_uncapped_kernel():
+    # the products keep exponents up to the largest one read, max(xi): a cap
+    # fixed at n - 1 would read 0 at x1^3 and at x1^4
+    roots = [(1, -1, 0), (1, 0, -1), (0, 1, -1)]
+    full = f_product_blocks(xvars(3), roots, 3)
+    want = CobordismPoly({om: b.coeff((3, 0, 0)) for om, b in full.items()})
+    assert not want.is_zero()
+    assert flag_P_polynomials(3, (3, 0, 0)) == want
+
+    ar = xvars(4)
+    base = MultiPoly.linear_form(ar, (1, -1, 0, 0)) * MultiPoly.linear_form(ar, (0, 0, 1, -1))
+    weights = [(1, 0, -1, 0), (1, 0, 0, -1), (0, 1, -1, 0), (0, 1, 0, -1)]
+    xi = (4, 1, 1, 0)
+    want = CobordismPoly({om: (base * b).coeff(xi) for om, b in f_product_blocks(ar, weights, 4).items()})
+    assert not want.is_zero()
+    assert grassmann_Q_polynomials(2, 2, xi) == want
+
+    # a degree-C(n, 2) monomial with an exponent >= n is killed by L
+    capped, uncapped = _grassmann_blocks(2, 2, 4, 3), _grassmann_blocks(2, 2, 4, 6)
+    assert capped != uncapped
+    for om, block in uncapped.items():
+        assert operator_L(capped.get(om, MultiPoly(ar))) == operator_L(block)
 
 
 def test_grassmann_3_3_matches_localization():

@@ -14,6 +14,8 @@ from torigen.exactalg import (
     MultiPoly,
     NotDivisible,
     exact_div,
+    f_product_blocks,
+    f_product_sum,
     reverse_series,
     series_compose,
     series_mul,
@@ -198,3 +200,31 @@ def test_exact_div_recovers_factor(ta, tb):
     if b.is_zero():
         return
     assert exact_div(a * b, b) == a
+
+
+summand = st.tuples(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=3),
+                    small_poly)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(summand, min_size=1, max_size=3), st.integers(1, 4),
+       st.none() | st.integers(0, 6), st.booleans())
+def test_f_product_sum_matches_products_of_blocks(summands, order, cap, top):
+    # the packed multiply, sum, cap and top against MultiPoly products of the
+    # blocks of each summand, filtered afterwards
+    ar = xvars(2)
+    zero = MultiPoly(ar)
+    summands = [(weights, MultiPoly(ar, dict(t))) for weights, t in summands]
+    want = {}
+    for weights, times in summands:
+        for om, block in f_product_blocks(ar, weights, order).items():
+            want[om] = want.get(om, zero) + block * times
+    got = f_product_sum(ar, summands, order, cap=cap, top=top)
+    assert set(got) <= set(want)
+    for om, block in want.items():
+        if top and sum(k * m for k, m in enumerate(om, 1)) != order:
+            assert om not in got
+            continue
+        if cap is not None:
+            block = MultiPoly(ar, {e: c for e, c in block.terms.items() if max(e) <= cap})
+        assert got.get(om, zero) == block, om

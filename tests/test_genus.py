@@ -17,6 +17,7 @@ from torigen.genus import (
     TruncationTooLow,
     _pole_free,
     canonical_line,
+    character_numerator,
     chern_character_of_genus,
     chern_numbers,
     cobordism_class,
@@ -91,15 +92,21 @@ def kernel_numerators(fp, order):
 
 def check_kernel_numerators(fp):
     """Every a^omega block, ||omega|| <= n + 1, equals omega_numerator; omegas
-    with more than n parts have no block."""
+    with more than n parts have no block. The character's numerator, which
+    the kernel multiplies and sums over the points on packed exponents,
+    equals the per-point reference block by block."""
     n = len(fp[0].weights)
     loc, num = kernel_numerators(fp, n + 1)
+    _, packed = character_numerator(fp, n + 1)
+    zero = MultiPoly(loc.arena)
     for om in omegas_up_to(n + 1):
+        assert packed.get(om, zero) == num.get(om, zero), om
         if sum(om) <= n:
-            assert num.get(om, MultiPoly(loc.arena)) == omega_numerator(fp, loc, om), om
+            assert num.get(om, zero) == omega_numerator(fp, loc, om), om
         else:
-            assert num.get(om, MultiPoly(loc.arena)).is_zero(), om
+            assert num.get(om, zero).is_zero(), om
     assert set(num) <= set(omegas_up_to(n + 1))
+    assert set(packed) <= set(omegas_up_to(n + 1))
 
 
 def test_cp1_character_blocks():
