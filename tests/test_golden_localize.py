@@ -3,7 +3,7 @@ of verify, genus and stable on a few spaces, and of the divided-difference
 routes flag and grassmann.
 
 Each case records stdout, stderr and the exit code of one command, in text
-and JSON. The file golden_localize.json was written by running this module
+and JSON; file arguments are relative to this directory. The file golden_localize.json was written by running this module
 as a script:
 
     PYTHONPATH=src python tests/test_golden_localize.py
@@ -13,7 +13,7 @@ import hashlib
 import io
 import json
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import chdir, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -72,6 +72,12 @@ EXTRA = [
     ("stable", "--space", "CP3"),
     ("stable", "--space", "G2/SU(3)"),
     ("stable", "--space", "U(4)/U(2)xU(2)"),
+    # one table each: passing on CP3 and on an invariant structure of the SU(4)
+    # quotient, and failing on a low block, with its residue (no table of CP3
+    # or U(3)/T3 cancels its low blocks and fails at the top weight)
+    ("stable", "--space", "CP3", "--assign", "assign/cp3.json"),
+    ("stable", "--space", M10, "--assign", "assign/m10_j.json"),
+    ("stable", "--space", "CP3", "--assign", "assign/cp3_flip.json"),
     # the divided-difference routes, and their usage errors (exit 2)
     *(("flag", "--n", str(n), "--method", m) for n in (2, 3, 4) for m in ("corL", "tchi")),
     ("flag", "--n", "4", "--method", "thm8"),
@@ -108,7 +114,7 @@ def commands():
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with chdir(GOLDEN.parent), redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
     return {"argv": list(argv), "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
