@@ -217,7 +217,20 @@ def cmd_flag(args):
     return 0
 
 
+# grassmann (3,3) takes 0.8 s, (1,6) 1.1 s and (2,4) 0.4 s; (2,5) takes 17.5 s
+# and 300 MB, (1,7) 28 s and 650 MB, and (1,8) and (4,4) run out of a 1.5 GB
+# address space. The top blocks have weight q*l, and the base
+# Delta_q * Delta_{q+1,q+l} has q! * l! terms, so both are bounded.
+GRASSMANN_QL_LIMIT = 9
+GRASSMANN_SIDE_LIMIT = 6
+
+
 def cmd_grassmann(args):
+    if args.q * args.l > GRASSMANN_QL_LIMIT:
+        raise ValueError("--q times --l must be at most %d, got %d" % (GRASSMANN_QL_LIMIT, args.q * args.l))
+    if max(args.q, args.l) > GRASSMANN_SIDE_LIMIT:
+        raise ValueError("--q and --l must be at most %d, got %d"
+                         % (GRASSMANN_SIDE_LIMIT, max(args.q, args.l)))
     cls = _cache_poly(args, "grassmann_%d_%d" % (args.q, args.l),
                       lambda: divdiff.grassmann_class(args.q, args.l))
     _emit(args, cls.canonical_text(), {"q": args.q, "l": args.l, "class": _json_poly(cls)})
@@ -242,11 +255,12 @@ def cmd_stable(args):
               {"ok": False, "omega": list(report.omega), "value": value})
         return 1
     sols = stablex.enumerate_feasible(spec, budget=args.budget)
-    lines = ["admissible: %d" % len(sols)]
-    lines += [json.dumps(stablex.assignment_to_json(s), sort_keys=True) for s in sols]
-    _emit(args, "\n".join(lines),
-          {"space": spec.descriptor, "count": len(sols),
-           "assignments": [stablex.assignment_to_json(s) for s in sols]})
+    assignments = [stablex.assignment_to_json(s) for s in sols]
+    # U(3)/T3 lists 4372 tables: render the text lines only when printing them
+    text = None
+    if args.format != "json":
+        text = "\n".join(["admissible: %d" % len(sols)] + [json.dumps(a, sort_keys=True) for a in assignments])
+    _emit(args, text, {"space": spec.descriptor, "count": len(sols), "assignments": assignments})
     return 0
 
 

@@ -24,9 +24,9 @@ route:
   as one polynomial in x per a^omega, and is checked and divided a^omega by
   a^omega. One character carries the low-block cancellation, the class (its
   degree-0 block) and the Weyl check.
-- omega_numerator builds one a^omega block by m_lambda substitution instead;
-  it stays as the route of stablex.check_necessary and the tests' reference
-  for the kernel.
+- omega_numerator builds one a^omega block by m_lambda substitution instead.
+  No verb calls it: it stays as the tests' reference for the kernel and for
+  stablex.check_necessary.
 
 Degrees: the geometric-degree-d block of ch Phi carries cobordism weight
 n + d, where 2n is the real dimension. Truncation orders are absolute: an

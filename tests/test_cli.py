@@ -82,6 +82,10 @@ def test_usage_errors_exit_two(capsys):
     assert "n >= 4" in err
     code, out, err = run(capsys, "flag", "--n", "9")
     assert (code, out, err) == (2, "", "error: --n must be at most 6, got 9\n")
+    code, out, err = run(capsys, "grassmann", "--q", "4", "--l", "4")
+    assert (code, out, err) == (2, "", "error: --q times --l must be at most 9, got 16\n")
+    code, out, err = run(capsys, "grassmann", "--q", "1", "--l", "8")
+    assert (code, out, err) == (2, "", "error: --q and --l must be at most 6, got 8\n")
 
 
 def test_json_output_is_stable(capsys):

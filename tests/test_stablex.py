@@ -6,13 +6,14 @@ from itertools import product
 import pytest
 
 from torigen.exactalg import MultiPoly, NotDivisible, clean, exact_div, xvars
-from torigen.genus import _pole_free, cobordism_class, s_numbers
+from torigen.genus import _pole_free, cobordism_class, localization_data, omega_numerator, s_numbers
 from torigen.rootdata import build_space, fixed_point_weights
 from torigen.stablex import (
     BudgetExceeded,
+    NecessaryReport,
     SignAssignment,
-    _integer_multiple,
     _pack,
+    _top_rule,
     assignment_from_json,
     assignment_to_json,
     check_necessary,
@@ -21,6 +22,9 @@ from torigen.stablex import (
     identity_assignment,
     s_numbers_for,
 )
+from torigen.symmfunc import omegas_of_weight
+
+M10 = "SU(4)/S(U(1)xU(1)xU(2))"
 
 # equality classes of sign slots (point, weight index) cutting the CP3
 # feasible set down to 2^4
@@ -221,6 +225,12 @@ def _symbolic_top_rule(num, denom):
     return isinstance(value, int)
 
 
+def _top_accepts(nums, denom):
+    """_top_rule on one point with one sign vector whose blocks are nums."""
+    packed, accepts = _top_rule([[nums]], denom)
+    return accepts(packed[0][0])
+
+
 @pytest.mark.parametrize("denom", [
     {(1, 1): 1, (0, 2): -1},    # x2 * (x1 - x2)
     {(2, 0): 2, (1, 1): 4},     # 2 * x1 * (x1 + 2 x2): not primitive
@@ -237,9 +247,108 @@ def test_top_weight_rule(denom):
     if any(abs(c) != 1 for c in denom.values()):
         rejected.append({e: c // 2 for e, c in denom.items()})    # denom / 2
     for num in accepted:
-        assert _integer_multiple(num, denom) and _symbolic_top_rule(num, denom)
+        assert _top_accepts({(3,): num}, denom) and _symbolic_top_rule(num, denom)
+        assert _top_accepts({(3,): num, (1, 1): double}, denom)
     for num in rejected:
-        assert not _integer_multiple(num, denom) and not _symbolic_top_rule(num, denom)
+        assert not _top_accepts({(3,): num}, denom) and not _symbolic_top_rule(num, denom)
+        assert not _top_accepts({(3,): double, (1, 1): num}, denom)
+
+
+def test_top_weight_rule_width_covers_the_quotient():
+    # num = 3 x1^2 - x1 x2 + 2 x2^2 is no multiple of x1^2 + 5 x1 x2.  With
+    # B = 3, a width sized by B alone is 3 bits, and q = 3 puts the digit 15
+    # in the x1 x2 slot, which carries: 3 - 8 + 2 * 64 == 3 + 15 * 8.  The
+    # width of _top_rule also covers q * 5.
+    denom = {(2, 0): 1, (1, 1): 5}
+    num = {(2, 0): 3, (1, 1): -1, (0, 2): 2}
+    assert 3 - 1 * 8 + 2 * 64 == 3 + 15 * 8
+    assert not _symbolic_top_rule(num, denom)
+    assert not _top_accepts({(2,): num}, denom)
+
+
+def test_top_weight_rule_on_packed_sums():
+    # tables of three points with three sign vectors each: every block a
+    # small multiple of denom, some with a planted error; a table passes
+    # exactly when every omega's total is a multiple of denom
+    denom = {(1, 1): 2, (0, 2): -3, (2, 0): 1}
+    omegas = [(2,), (0, 1)]
+    rng = random.Random(11)
+    for _ in range(100):
+        rows = []
+        for _ in range(3):
+            row = []
+            for _ in range(3):
+                b = {}
+                for om in rng.sample(omegas, rng.randint(0, 2)):
+                    q = rng.randint(-4, 4)
+                    b[om] = {e: q * c for e, c in denom.items()}
+                    if rng.random() < 0.3:
+                        e = rng.choice([(2, 0), (1, 1), (0, 2)])
+                        b[om][e] = b[om].get(e, 0) + rng.choice((-2, -1, 1, 2))
+                row.append(b)
+            rows.append(row)
+        packed, accepts = _top_rule(rows, denom)
+        for picks in product(range(3), repeat=3):
+            totals = {om: {} for om in omegas}
+            for p, i in enumerate(picks):
+                for om, terms in rows[p][i].items():
+                    for e, c in terms.items():
+                        totals[om][e] = totals[om].get(e, 0) + c
+            want = all(_symbolic_top_rule({e: c for e, c in t.items() if c}, denom) for t in totals.values())
+            assert accepts(sum(packed[p][i] for p, i in enumerate(picks))) == want
+
+
+def reference_check(spec, assign):
+    """check_necessary with one omega_numerator m_lambda substitution per omega."""
+    fp = derived_fixed_point_data(spec, assign)
+    n = len(fp[0].weights)
+    loc = localization_data(fp)
+    for k in range(n):
+        for omega in omegas_of_weight(k):
+            num = omega_numerator(fp, loc, omega)
+            if not num.is_zero():
+                return NecessaryReport(False, omega, num)
+    for omega in omegas_of_weight(n):
+        num = omega_numerator(fp, loc, omega)
+        if num.is_zero():
+            continue
+        try:
+            value = clean(exact_div(num, loc.denom).as_constant())
+        except (NotDivisible, ValueError):
+            return NecessaryReport(False, omega, num)
+        if not isinstance(value, int):
+            return NecessaryReport(False, omega, value)
+    return NecessaryReport(True, None, None)
+
+
+def _report_text(rep):
+    value = rep.value.canonical_text() if isinstance(rep.value, MultiPoly) else str(rep.value)
+    return rep.ok, rep.omega, value
+
+
+def _tables_to_check(text):
+    spec = build_space(text)
+    base = fixed_point_weights(spec)
+    if text in ("CP1", "CP2", "G2/SU(3)"):
+        return [SignAssignment(t, e) for t in all_tables(base) for e in (1, -1)]
+    rng = random.Random(text)
+    sample = [SignAssignment(tuple(tuple(rng.choice((1, -1)) for _ in pt.weights) for pt in base),
+                             rng.choice((1, -1))) for _ in range(6)]
+    if text == M10:
+        # an invariant structure takes one sign per isotropy summand: roots
+        # 0, 2 | 1, 3 | 4
+        sample += [SignAssignment(((a, b, a, b, c),) * len(base), 1) for a, b, c in product((1, -1), repeat=3)]
+    else:
+        sols = enumerate_feasible(spec)
+        sample += [SignAssignment(sol.table, rng.choice((1, -1))) for sol in rng.sample(sols, 4)]
+    return sample
+
+
+@pytest.mark.parametrize("text", ["CP1", "CP2", "G2/SU(3)", "CP3", "U(3)/T3", "CP4", M10])
+def test_check_necessary_matches_reference(text):
+    spec = build_space(text)
+    for assign in _tables_to_check(text):
+        assert _report_text(check_necessary(spec, assign)) == _report_text(reference_check(spec, assign))
 
 
 def test_assignment_json_round_trip():
