@@ -1,50 +1,37 @@
 """Exact translation between the numbers s_omega and classical Chern numbers.
 
-The dictionary is the integer matrix beta: expanding the orbit polynomial of
-shape omega in elementary symmetric polynomials gives
-s_omega = sum_xi beta_{omega,xi} c_1^{xi_1} ... c_n^{xi_n}, and the matrix is
-unimodular: its inverse is the integer e -> m transition matrix, so Chern
-numbers are recovered by an integer matrix-vector product.
+The dictionary is the integer e -> m transition matrix T: expanding
+e_1^{xi_1} ... e_n^{xi_n} in orbit polynomials gives
+c^xi = sum_omega T[xi][omega] s_omega. T is lower unitriangular in
+lexicographic order (symmfunc.transition_table), so Chern numbers come from
+an integer matrix-vector product and s-numbers from forward substitution on
+the same rows, in integers for an integer table.
 """
 
-from functools import lru_cache
-
 from .exactalg import clean
-from .symmfunc import elementary_to_monomial, monomial_to_elementary, omegas_of_weight
+from .symmfunc import elementary_to_monomial, omegas_of_weight, transition_table
 
 
 class NonIntegerSolution(Exception):
     pass
 
 
-@lru_cache(maxsize=None)
-def beta_matrix(n):
-    """(index, rows): index = sorted omega/xi keys, rows[i][j] = beta."""
-    index = omegas_of_weight(n)
-    pos = {xi: j for j, xi in enumerate(index)}
-    rows = []
-    for om in index:
-        row = [0] * len(index)
-        for xi, c in monomial_to_elementary(om).items():
-            row[pos[xi]] = c
-        rows.append(row)
-    return index, rows
-
-
 def chern_to_s(table, n):
-    """Forward application: s_omega = sum beta_{omega,xi} * c^xi."""
-    index, rows = beta_matrix(n)
-    vals = []
-    for xi in index:
+    """s_omega from the Chern numbers c^xi, |xi| = n, solving
+    c^xi = sum_omega T[xi][omega] s_omega row by row: row xi has the diagonal
+    omega with coefficient 1, and every other omega it names was solved by
+    an earlier row. The values stay exact, as the table gives them."""
+    s = {}
+    for xi, (om, row) in transition_table(n).items():
         if xi not in table:
             raise KeyError("Chern table missing partition %s" % (xi,))
-        vals.append(table[xi])
-    return {om: sum(b * v for b, v in zip(row, vals)) for om, row in zip(index, rows)}
+        s[om] = table[xi] - sum(c * s[o] for o, c in row.items() if o != om)
+    return s
 
 
 def s_to_chern(s, n):
-    """c^xi = sum_omega T[xi][omega] s_omega, where T = beta^-1 is the integer
-    e -> m matrix; an integer table or NonIntegerSolution."""
+    """c^xi = sum_omega T[xi][omega] s_omega, T the integer e -> m matrix; an
+    integer table or NonIntegerSolution."""
     index = omegas_of_weight(n)
     for om in index:
         if om not in s:

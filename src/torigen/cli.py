@@ -14,7 +14,7 @@ import tempfile
 
 from . import divdiff, fgl, genus, rootdata, stablex
 from .chern import chern_to_s
-from .exactalg import CobordismPoly, MultiPoly
+from .exactalg import CobordismPoly, MultiPoly, block_coefficient, xvars
 from .symmfunc import omega_weight, trim
 
 
@@ -285,26 +285,23 @@ def _s6_sigma_blocks():
     spec = rootdata.build_space("G2/SU(3)")
     fp = rootdata.fixed_point_weights(spec)
     ch = genus.chern_character_of_genus(fp, 9)
-    arena = ch.arena
+    arena = xvars(2)
     x1 = MultiPoly.variable(arena, 0)
     x2 = MultiPoly.variable(arena, 1)
     s2 = x1 * x2 + (x1 + x2) * (-(x1 + x2))
     s3 = x1 * x2 * (-(x1 + x2))
     out = {}
-    for d, basis in (((2,), (s2,)), ((4,), (s2 * s2,)), ((6,), (s2 * s2 * s2, s3 * s3))):
-        block = ch.homogeneous_part(d[0])
-        if len(basis) == 1:
-            mono = next(iter(basis[0].terms))
-            out[("s2", d[0])] = block.get(mono, CobordismPoly()) / basis[0].terms[mono]
-        else:
-            e1, e2 = (6, 0), (4, 2)
-            a11, a12 = basis[0].coeff(e1), basis[1].coeff(e1)
-            a21, a22 = basis[0].coeff(e2), basis[1].coeff(e2)
-            det = a11 * a22 - a12 * a21
-            b1 = block.get(e1, CobordismPoly())
-            b2 = block.get(e2, CobordismPoly())
-            out[("s2", 6)] = (b1 * a22 - b2 * a12) / det
-            out[("s3", 6)] = (b2 * a11 - b1 * a21) / det
+    for d, basis in ((2, s2), (4, s2 * s2)):
+        mono = next(iter(basis.terms))
+        out[("s2", d)] = block_coefficient(ch, mono) / basis.terms[mono]
+    b1, b2 = s2 * s2 * s2, s3 * s3
+    e1, e2 = (6, 0), (4, 2)
+    a11, a12 = b1.coeff(e1), b2.coeff(e1)
+    a21, a22 = b1.coeff(e2), b2.coeff(e2)
+    det = a11 * a22 - a12 * a21
+    v1, v2 = block_coefficient(ch, e1), block_coefficient(ch, e2)
+    out[("s2", 6)] = (v1 * a22 - v2 * a12) / det
+    out[("s3", 6)] = (v2 * a11 - v1 * a21) / det
     return out
 
 

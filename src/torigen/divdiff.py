@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
 
-from .exactalg import CobordismPoly, MultiPoly, exact_div, f_product_sum, xvars
+from .exactalg import CobordismPoly, MultiPoly, block_coefficient, exact_div, f_product_sum, xvars
 from .symmfunc import antisymmetrize, omegas_of_weight, perm_sign, vandermonde
 
 
@@ -114,11 +114,6 @@ def _root(n, i, j):
     return tuple(w)
 
 
-def _coefficient(blocks, e):
-    """sum_omega a^omega * (x^e coefficient of block omega)."""
-    return CobordismPoly({om: b.coeff(e) for om, b in blocks.items()})
-
-
 @lru_cache(maxsize=None)
 def _flag_product(n, order, cap):
     """The a^omega blocks of weight order of prod_{i<j} f(x_i - x_j) over n
@@ -133,7 +128,7 @@ def flag_P_polynomials(n, xi):
     xi = tuple(xi)
     if len(xi) != n:
         raise ValueError("exponent length %d does not match n=%d" % (len(xi), n))
-    return _coefficient(_flag_product(n, sum(xi), max(xi)), xi)
+    return block_coefficient(_flag_product(n, sum(xi), max(xi)), xi)
 
 
 def _signed_delta_sum(n, read):
@@ -180,12 +175,12 @@ def flag_class(n, method="corL"):
         # the permuted product sigma^-1(p) at x^delta is the product at
         # x^sigma(delta), and sigma^-1 has the sign of sigma
         blocks = _flag_product(n, m, n - 1)
-        return _signed_delta_sum(n, lambda e: _coefficient(blocks, e))
+        return _signed_delta_sum(n, lambda e: block_coefficient(blocks, e))
     if method == "thm8":
         if n < 4:
             raise ValueError("thm8 route needs n >= 4")
         blocks = _thm8_blocks(n)
-        return _signed_delta_sum(n, lambda e: _coefficient(blocks, e))
+        return _signed_delta_sum(n, lambda e: block_coefficient(blocks, e))
     raise ValueError("unknown method %r" % (method,))
 
 
@@ -210,7 +205,7 @@ def grassmann_Q_polynomials(q, l, xi):
     if len(xi) != q + l:
         raise ValueError("exponent length %d does not match q+l=%d" % (len(xi), q + l))
     weight = sum(xi) - q * (q - 1) // 2 - l * (l - 1) // 2
-    return _coefficient(_grassmann_blocks(q, l, weight, max(xi)), xi)
+    return block_coefficient(_grassmann_blocks(q, l, weight, max(xi)), xi)
 
 
 def grassmann_class(q, l):
@@ -223,7 +218,7 @@ def grassmann_class(q, l):
     if q < 1 or l < 1:
         raise ValueError("need q, l >= 1")
     blocks = _grassmann_blocks(q, l, q * l, q + l - 1)
-    cls = _signed_delta_sum(q + l, lambda e: _coefficient(blocks, e)) / (factorial(q) * factorial(l))
+    cls = _signed_delta_sum(q + l, lambda e: block_coefficient(blocks, e)) / (factorial(q) * factorial(l))
     if not cls.is_integral():
         raise ArithmeticError("Grassmann class failed q!l! integrality")
     return cls

@@ -11,6 +11,8 @@ divided-difference routes all read their products off its a^omega blocks,
 each a MultiPoly in x, instead of multiplying GradedSeries of CobordismPoly
 coefficients. It also multiplies each product by a polynomial cofactor and
 sums over the products on its packed exponents, which no caller sees.
+Callers read the x^e coefficient of a block dict as one CobordismPoly through
+block_coefficient. GradedSeries stays for the formal group law (fgl).
 """
 
 from fractions import Fraction
@@ -417,6 +419,12 @@ def _packed_blocks(forms, order, odd, bias, guard):
     return blocks
 
 
+def block_coefficient(blocks, e):
+    """sum_omega a^omega * (x^e coefficient of block omega), for blocks
+    {omega: MultiPoly} as f_product_sum returns them."""
+    return CobordismPoly({om: b.coeff(e) for om, b in blocks.items()})
+
+
 class CobordismPoly:
     """Integer/rational polynomial in the cobordism generators a_1, a_2, ...
 
@@ -585,18 +593,11 @@ class GradedSeries:
         return cls(arena, order, {(0,) * arena.arity: c})
 
     @classmethod
-    def from_multipoly(cls, p, order, scale=None):
-        t = {}
-        for e, c in p.terms.items():
-            cc = CobordismPoly.const(c) if scale is None else scale * c
-            t[e] = cc
-        return cls(p.arena, order, t)
+    def from_multipoly(cls, p, order):
+        return cls(p.arena, order, p.terms)
 
     def coeff(self, exp):
         return self.terms.get(tuple(exp), CobordismPoly())
-
-    def homogeneous_part(self, d):
-        return {e: c for e, c in self.terms.items() if sum(e) == d}
 
     def is_zero(self):
         return not self.terms
@@ -660,22 +661,6 @@ class GradedSeries:
                 ne[perm[i]] = d
             t[tuple(ne)] = c
         return GradedSeries(self.arena, self.order, t)
-
-    def substitute_linear(self, forms):
-        """Substitute x_i -> forms[i], a numeric MultiPoly, exactly (re-truncated)."""
-        result = GradedSeries(self.arena, self.order)
-        pows = [{0: MultiPoly.const(self.arena, 1)} for _ in forms]
-        for e, c in self.terms.items():
-            m = MultiPoly.const(self.arena, 1)
-            for i, d in enumerate(e):
-                if d:
-                    cache = pows[i]
-                    while max(cache) < d:
-                        top = max(cache)
-                        cache[top + 1] = cache[top] * forms[i]
-                    m = m * cache[d]
-            result = result + GradedSeries.from_multipoly(m, self.order, scale=c)
-        return result
 
     def substitute_series(self, bindings, arena, order):
         """Substitute x_i -> bindings[i] (GradedSeries over the target arena)."""

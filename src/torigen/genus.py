@@ -4,33 +4,34 @@ Given a fixed-point weight table, the Chern-Dold character of the genus is
 
     ch Phi = sum_p sign(p) prod_j f(<Lambda_j(p), x>) / <Lambda_j(p), x>
 
-and everything here (cobordism class, s_omega numbers, Chern numbers,
-fibration coefficients) is read off that sum. Each kind of answer has one
+and everything here (cobordism class, s_omega numbers, Chern numbers, the
+character's a^omega blocks) is read off that sum. Each kind of answer has one
 route:
 
 - Numbers come from one point evaluator. At a fixed point the Chern classes
   restrict to the elementary symmetric functions of the weights, so
   c^xi[M] = sum_p sign(p) e^xi(c(p)) / prod_j c_j(p) (Atiyah-Bott);
   point_chern_numbers evaluates this at an integer point, and the s-numbers
-  are the unimodular change of basis s = beta c (chern.chern_to_s). Where the
-  exact certificate _pole_free shows that the sum has no poles, one point
-  gives every number exactly.
-- Otherwise, and wherever the full series in x is needed, the symbolic
+  solve c = T s by forward substitution on the integer unitriangular e -> m
+  matrix T (chern.chern_to_s). Where the exact certificate _pole_free shows
+  that the sum has no poles, one point gives every number exactly.
+- Otherwise, and wherever the blocks in x are needed, the symbolic
   character puts all points over one polynomial common denominator, checks
   that the singular blocks cancel and divides back exactly; inconsistent
   input data is detected as a failed cancellation or division, never hidden
   by per-summand simplification. The numerator, sum_p prefactor_p *
   cofactor_p * prod_j f(<Lambda_j(p), x>), comes from exactalg.f_product_sum
   as one polynomial in x per a^omega, and is checked and divided a^omega by
-  a^omega. One character carries the low-block cancellation, the class (its
-  degree-0 block) and the Weyl check.
+  a^omega. The character stays in that form, {omega: MultiPoly}, and carries
+  the low-block cancellation, the class (the blocks' constant terms) and the
+  Weyl check.
 - omega_numerator builds one a^omega block by m_lambda substitution instead.
   No verb calls it: it stays as the tests' reference for the kernel and for
   stablex.check_necessary.
 
-Degrees: the geometric-degree-d block of ch Phi carries cobordism weight
-n + d, where 2n is the real dimension. Truncation orders are absolute: an
-order-N character holds the blocks with n + d <= N.
+Degrees: block omega of ch Phi is homogeneous of geometric degree
+d = ||omega|| - n, where 2n is the real dimension. Truncation orders are
+absolute: an order-N character holds the blocks with ||omega|| = n + d <= N.
 """
 
 from collections import Counter, namedtuple
@@ -38,9 +39,8 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .chern import chern_to_s, s_to_chern
-from .exactalg import (CobordismPoly, GradedSeries, MultiPoly, NotDivisible,
+from .exactalg import (CobordismPoly, GradedSeries, MultiPoly, NotDivisible, block_coefficient,
                        clean, exact_div_terms, f_product_sum, xvars)
-from .fgl import b_in_a
 from .rootdata import fixed_point_weights
 from .symmfunc import monomial_sym, omega_to_partition, omega_weight, omegas_of_weight, trim
 
@@ -54,10 +54,6 @@ class NonIntegerClass(Exception):
 
 
 class SingularPoint(Exception):
-    pass
-
-
-class TruncationTooLow(Exception):
     pass
 
 
@@ -126,12 +122,13 @@ def character_numerator(fp, order):
 
 
 def chern_character_of_genus(fp, order):
-    """ch Phi truncated at absolute order (weight n + geometric degree <= order).
+    """ch Phi truncated at absolute order: {omega: MultiPoly}, the nonzero
+    a^omega blocks with n <= ||omega|| <= order.
 
     The a^omega block of the numerator (character_numerator) has x-degree
     ||omega|| + D - n. Blocks with ||omega|| < n must vanish; the others are
     divided exactly by the denominator, and block omega of the quotient is
-    the a^omega part of the geometric-degree ||omega|| - n terms.
+    homogeneous of x-degree ||omega|| - n.
     """
     n = len(fp[0].weights)
     if order < n:
@@ -151,22 +148,21 @@ def chern_character_of_genus(fp, order):
             raise SingularSum(
                 "degree-%d numerator block does not cancel: %s"
                 % (wt + D - n, GradedSeries(loc.arena, wt + D - n, block).canonical_text()))
-    terms = {}
+    blocks = {}
     for wt in range(n, order + 1):
         for om in by_weight[wt]:
             try:
-                quot = exact_div_terms(num[om].terms, loc.denom.terms)
+                blocks[om] = MultiPoly(loc.arena, exact_div_terms(num[om].terms, loc.denom.terms))
             except NotDivisible as exc:
                 raise SingularSum("degree-%d block not divisible by denominator" % (wt + D - n)) from exc
-            for e, c in quot.items():
-                terms[e] = terms.get(e, 0) + CobordismPoly.monomial(om, c)
-    return GradedSeries(loc.arena, order - n, terms)
+    return blocks
 
 
 def class_of_character(ch, n):
-    """The t^n coefficient of a character: its degree-0 block, which must be an
-    integer class of weight n."""
-    cls = ch.coeff((0,) * ch.arena.arity)
+    """The t^n coefficient of a character: the constant terms of its blocks,
+    which must form an integer class of weight n."""
+    k = next((b.arena.arity for b in ch.values()), 0)
+    cls = block_coefficient(ch, (0,) * k)
     if not cls.is_homogeneous(n):
         raise SingularSum("class is not homogeneous of weight %d" % n)
     if not cls.is_integral():
@@ -267,8 +263,8 @@ def point_chern_numbers(fp, point):
 
 def _certified_chern_numbers(fp):
     """point_chern_numbers at default_numeric_point if _pole_free holds, else
-    None. A certified table that is not integral raises NonIntegerClass: beta
-    is unimodular, so the Chern numbers are integers exactly when the
+    None. A certified table that is not integral raises NonIntegerClass: T is
+    integer unitriangular, so the Chern numbers are integers exactly when the
     s-numbers are."""
     if not _pole_free(fp):
         return None
@@ -296,7 +292,7 @@ def chern_numbers(fp):
 
 
 def s_numbers(fp):
-    """All s_omega, ||omega|| = n: beta times the certified Chern numbers, else
+    """All s_omega, ||omega|| = n: chern_to_s of the certified Chern numbers, else
     the coefficients of symbolic_class (whose errors propagate)."""
     table = _certified_chern_numbers(fp)
     if table is None:
@@ -341,52 +337,21 @@ def s_number_numeric(fp, omega, point):
     return chern_to_s(point_chern_numbers(fp, point), len(fp[0].weights))[trim(omega)]
 
 
-def genus_fibration_coefficients(fp, order, max_xi):
-    """Coefficients [G_xi] of ch Phi rewritten in y_i = x_i/f(x_i).
-
-    Returns a dict over all xi with |xi| <= max_xi (xi = 0 gives the class).
-    """
-    n = len(fp[0].weights)
-    if order < n + max_xi:
-        raise TruncationTooLow("order %d < n + |xi| = %d" % (order, n + max_xi))
-    ch = chern_character_of_genus(fp, order)
-    xorder = order - n
-    arena = ch.arena
-    k = arena.arity
-    growth = b_in_a(xorder) if xorder >= 1 else ()
-    bindings = []
-    for i in range(k):
-        t = {}
-        for m in range(1, xorder + 1):
-            e = [0] * k
-            e[i] = m
-            c = CobordismPoly.const(1) if m == 1 else growth[m - 2]
-            t[tuple(e)] = c
-        bindings.append(GradedSeries(arena, xorder, t))
-    in_y = ch.substitute_series(bindings, arena, xorder) if xorder >= 1 else ch
-    out = {}
-    for e, c in in_y.terms.items():
-        if sum(e) <= max_xi:
-            out[e] = c
-    zero = (0,) * k
-    out.setdefault(zero, CobordismPoly())
-    return out
-
-
 def weyl_invariance_ok(spec, ch):
-    """The character ch of a space of spec must be invariant under every Weyl
-    generator of G."""
+    """Every block of the character ch of a space of spec must be invariant
+    under every Weyl generator of G."""
     if spec.family == "G2":
         from .rootdata import G2_S_LONG, G2_S_SHORT
         for M in (G2_S_SHORT, G2_S_LONG):
-            forms = [MultiPoly.linear_form(ch.arena, (M[0][i], M[1][i])) for i in range(2)]
-            if ch.substitute_linear(forms) != ch:
-                return False
+            for block in ch.values():
+                forms = {i: MultiPoly.linear_form(block.arena, (M[0][i], M[1][i])) for i in range(2)}
+                if block.substitute(forms) != block:
+                    return False
         return True
     for i in range(spec.rank - 1):
         perm = list(range(spec.rank))
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        if ch.permute(tuple(perm)) != ch:
+        if any(block.permute(perm) != block for block in ch.values()):
             return False
     return True
 

@@ -188,52 +188,36 @@ def _zero_one_count(rows, cols, memo):
 
 
 @lru_cache(maxsize=None)
-def _transition_tables(n):
-    """Both directions of the m <-> e basis change in weight n, as sparse rows.
+def transition_table(n):
+    """The e -> m basis change in weight n, as sparse rows.
 
     T[nu][lambda] = number of 0-1 matrices with row sums nu' and column sums
     lambda is the coefficient of m_lambda in e_{nu'} (Macdonald, Symmetric
     Functions and Hall Polynomials, I.6, (6.6)). It is unitriangular in
-    dominance order, so lower unitriangular in lexicographic order, and its
-    inverse U, with m_lambda = sum_nu U[lambda][nu] e_{nu'}, comes from
-    forward substitution in integers. Returns (m_to_e, e_to_m): U keyed
-    omega -> {xi: c} and T keyed xi -> {omega: c}.
+    dominance order, so lower unitriangular in lexicographic order. Returns
+    {xi: (omega, row)} with the rows in lexicographic order of nu: xi and
+    omega are the omega indices of nu' and nu, and e^xi = sum row[omega'] *
+    m_{lambda(omega')}. row[omega] = 1 is the diagonal, and every other
+    omega' in row is the diagonal of an earlier row.
     """
     lams = sorted(partitions(n))
     memo = {}
     T = [[_zero_one_count(conjugate_partition(nu), lam, memo) for lam in lams] for nu in lams]
     if any(t[i] != 1 or any(t[i + 1:]) for i, t in enumerate(T)):
         raise AssertionError("e to m transition matrix is not unitriangular")
-    U = []
-    for i, t in enumerate(T):
-        row = [-sum(t[k] * U[k][j] for k in range(j, i)) for j in range(i)]
-        U.append(row + [1] + [0] * (len(lams) - 1 - i))
-    xis = [partition_to_omega(conjugate_partition(nu)) for nu in lams]
     omegas = [partition_to_omega(lam) for lam in lams]
-    m_to_e = {om: {xi: c for xi, c in zip(xis, row) if c} for om, row in zip(omegas, U)}
-    e_to_m = {xi: {om: c for om, c in zip(omegas, row) if c} for xi, row in zip(xis, T)}
-    return m_to_e, e_to_m
-
-
-def monomial_to_elementary(omega):
-    """Expansion of the orbit polynomial of shape omega in elementary symmetrics.
-
-    For ||omega|| = n, returns a dict xi -> integer with
-    m_{lambda(omega)} = sum beta_xi * e_1^{xi_1} ... e_n^{xi_n} in n variables;
-    each xi is trimmed and satisfies sum k*xi_k = n.
-    """
-    omega = trim(omega)
-    return dict(_transition_tables(omega_weight(omega))[0][omega])
+    return {partition_to_omega(conjugate_partition(nu)): (om, {o: c for o, c in zip(omegas, t) if c})
+            for nu, om, t in zip(lams, omegas, T)}
 
 
 def elementary_to_monomial(xi):
-    """Expansion of e_1^{xi_1} ... e_n^{xi_n} in orbit polynomials, the inverse of beta.
+    """Expansion of e_1^{xi_1} ... e_n^{xi_n} in orbit polynomials.
 
     For sum k*xi_k = n, returns a dict omega -> integer with
     e^xi = sum_omega c_omega * m_{lambda(omega)} in n variables.
     """
     xi = trim(xi)
-    return dict(_transition_tables(omega_weight(xi))[1][xi])
+    return dict(transition_table(omega_weight(xi))[xi][1])
 
 
 def elementary_product(xi, n, arena=None):

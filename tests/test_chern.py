@@ -5,58 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from torigen.chern import NonIntegerSolution, beta_matrix, chern_to_s, s_to_chern
+from torigen.chern import NonIntegerSolution, chern_to_s, s_to_chern
+from torigen.exactalg import CobordismPoly
+from torigen.symmfunc import omegas_of_weight
 
 
-def det_fraction(rows):
-    m = [[Fraction(v) for v in row] for row in rows]
-    size = len(m)
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = m[col][col]
-        m[col] = [v / inv for v in m[col]]
-        for r in range(col + 1, size):
-            if m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return det
-
-
-def test_beta_matrix_is_unimodular():
-    for n in range(1, 11):
-        index, rows = beta_matrix(n)
-        assert len(index) == len(rows)
-        assert abs(det_fraction(rows)) == 1
-
-
-def test_beta_matrix_weight_twelve():
-    index, rows = beta_matrix(12)
-    assert len(index) == len(rows) == 77
-    pos = {om: i for i, om in enumerate(index)}
-    # m_(1^12) = e_12
-    assert {index[j]: v for j, v in enumerate(rows[pos[(12,)]]) if v} == {(0,) * 11 + (1,): 1}
-
-
-def test_beta_known_rows():
-    index, rows = beta_matrix(4)
-    pos = {om: i for i, om in enumerate(index)}
-
-    def row_of(om):
-        return {index[j]: v for j, v in enumerate(rows[pos[om]]) if v}
-
+def test_chern_to_s_known_rows():
+    # on the symbolic table {xi: c^xi}, s_omega is the expansion of m_omega in
+    # the products e^xi, with c^xi standing for e_1^xi_1 ... e_n^xi_n
+    s = chern_to_s({xi: CobordismPoly.monomial(xi) for xi in omegas_of_weight(4)}, 4)
     # m_(2,1,1) = e1 e3 - 4 e4
-    assert row_of((2, 1)) == {(1, 0, 1): 1, (0, 0, 0, 1): -4}
+    assert s[(2, 1)] == CobordismPoly({(1, 0, 1): 1, (0, 0, 0, 1): -4})
     # m_(3,1) = e1^2 e2 - 2 e2^2 - e1 e3 + 4 e4
-    assert row_of((1, 0, 1)) == {(2, 1): 1, (0, 2): -2, (1, 0, 1): -1, (0, 0, 0, 1): 4}
+    assert s[(1, 0, 1)] == CobordismPoly({(2, 1): 1, (0, 2): -2, (1, 0, 1): -1, (0, 0, 0, 1): 4})
     # m_(1,1,1,1) = e4
-    assert row_of((4,)) == {(0, 0, 0, 1): 1}
+    assert s[(4,)] == CobordismPoly({(0, 0, 0, 1): 1})
 
 
 def test_six_sphere_tangent_numbers():
@@ -69,8 +32,8 @@ def test_six_sphere_tangent_numbers():
 
 def test_round_trips_random_tables():
     rng = random.Random(20260823)
-    for n in range(1, 11):
-        index, _ = beta_matrix(n)
+    for n in range(1, 13):
+        index = omegas_of_weight(n)
         for _ in range(4):
             c = {xi: rng.randint(-50, 50) for xi in index}
             assert s_to_chern(chern_to_s(c, n), n) == c
@@ -86,7 +49,7 @@ def test_missing_keys_rejected():
 
 
 def test_non_integer_solution_rejected():
-    # beta for n=1 is the identity on one key; a fraction cannot appear there,
+    # T for n=1 is the identity on one key; a fraction cannot appear there,
     # so drive the failure through n=2 with a half-integer input
     with pytest.raises(NonIntegerSolution):
         s_to_chern({(2,): Fraction(1, 2), (0, 1): 0}, 2)

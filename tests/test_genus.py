@@ -1,4 +1,4 @@
-"""Localization pipeline: characters, classes, s_omega, fibration data."""
+"""Localization pipeline: characters, classes, s_omega, Chern numbers."""
 
 from math import comb, factorial, prod
 
@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from torigen import genus
 from torigen.chern import chern_to_s, s_to_chern
 from torigen.cli import main
-from torigen.exactalg import CobordismPoly, MultiPoly, f_product_blocks
+from torigen.exactalg import CobordismPoly, MultiPoly, block_coefficient, f_product_blocks
 from torigen.genus import (
     NonIntegerClass,
     SingularPoint,
     SingularSum,
-    TruncationTooLow,
     _pole_free,
     canonical_line,
     character_numerator,
@@ -22,7 +21,6 @@ from torigen.genus import (
     chern_numbers,
     cobordism_class,
     default_numeric_point,
-    genus_fibration_coefficients,
     genus_report,
     localization_data,
     omega_numerator,
@@ -36,7 +34,7 @@ from torigen.genus import (
 from torigen.divdiff import flag_class
 from torigen.rootdata import FixedPoint, build_space, euler_characteristic, fixed_point_weights
 from torigen.stablex import SignAssignment, derived_fixed_point_data
-from torigen.symmfunc import omegas_of_weight, omegas_up_to
+from torigen.symmfunc import omega_weight, omegas_of_weight, omegas_up_to
 
 U3T3 = "6*a1^3 + 6*a1*a2 - 6*a3"
 G42 = "6*a1^4 + 24*a1^2*a2 + 4*a1*a3 + 14*a2^2 - 20*a4"
@@ -112,13 +110,13 @@ def check_kernel_numerators(fp):
 def test_cp1_character_blocks():
     fp = fp_of("CP1")
     ch = chern_character_of_genus(fp, 5)
-    assert ch.coeff((0, 0)) == CobordismPoly.gen(1) * 2
-    # odd blocks cancel between the two fixed points
-    assert not ch.homogeneous_part(1)
-    assert not ch.homogeneous_part(3)
-    assert ch.coeff((2, 0)) == CobordismPoly.gen(3) * 2
-    assert ch.coeff((1, 1)) == CobordismPoly.gen(3) * -4
-    assert ch.coeff((0, 2)) == CobordismPoly.gen(3) * 2
+    assert block_coefficient(ch, (0, 0)) == CobordismPoly.gen(1) * 2
+    # odd degrees cancel between the two fixed points: block omega has
+    # x-degree ||omega|| - 1, so every block left has odd weight
+    assert all(omega_weight(om) % 2 == 1 for om in ch)
+    assert block_coefficient(ch, (2, 0)) == CobordismPoly.gen(3) * 2
+    assert block_coefficient(ch, (1, 1)) == CobordismPoly.gen(3) * -4
+    assert block_coefficient(ch, (0, 2)) == CobordismPoly.gen(3) * 2
 
 
 def test_class_goldens():
@@ -176,26 +174,19 @@ def test_weyl_invariance_of_character():
                             ("G2/SU(3)", None), ("G2/SU(3)", "conjugate")):
         spec = build_space(text, structure=structure)
         ch = chern_character_of_genus(fixed_point_weights(spec), spec.n + 1)
+        assert all(isinstance(block, MultiPoly) for block in ch.values())
         assert weyl_invariance_ok(spec, ch)
 
 
-def test_fibration_coefficients_cp1():
-    fp = fp_of("CP1")
-    out = genus_fibration_coefficients(fp, 8, 6)
-    assert out[(0, 0)] == CobordismPoly.gen(1) * 2
-    # antidiagonal sums vanish: the two projections glue to a trivial total space
-    for m in range(1, 7):
-        acc = CobordismPoly()
-        for i in range(m + 1):
-            acc = acc + out.get((i, m - i), CobordismPoly())
-        assert acc.is_zero()
-    # single-generator part of [G_(i,j)], i+j = 2k, is (-1)^i 2 C(2k,i) a_{2k+1}
-    for k in (1, 2, 3):
-        for i in range(2 * k + 1):
-            c = out[(i, 2 * k - i)].coeff((0,) * (2 * k) + (1,))
-            assert c == (-1) ** i * 2 * comb(2 * k, i)
-    with pytest.raises(TruncationTooLow):
-        genus_fibration_coefficients(fp, 4, 6)
+def test_weyl_invariance_fails_on_a_moved_term():
+    # x1 added to one block: a transposition of U(3) moves it to x2, and it is
+    # not fixed by both G2 reflections, as no nonzero linear form is
+    for text in ("U(3)/T3", "G2/SU(3)"):
+        spec = build_space(text)
+        ch = chern_character_of_genus(fixed_point_weights(spec), spec.n + 1)
+        om, block = max(ch.items())
+        ch[om] = block + MultiPoly.variable(block.arena, 0)
+        assert not weyl_invariance_ok(spec, ch)
 
 
 def test_genus_report_shape():
@@ -237,9 +228,9 @@ def test_kernel_matches_omega_numerator_signed(text, signs):
 
 
 def character_class(fp):
-    """Degree-0 block of the symbolic character, with no check on the class."""
+    """Constant terms of the symbolic character's blocks, with no check on the class."""
     ch = chern_character_of_genus(fp, len(fp[0].weights))
-    return ch.coeff((0,) * ch.arena.arity)
+    return block_coefficient(ch, (0,) * len(fp[0].weights[0]))
 
 
 def evaluated(fp):

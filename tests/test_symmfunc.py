@@ -5,6 +5,7 @@ from itertools import permutations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torigen.chern import chern_to_s, s_to_chern
 from torigen.exactalg import MultiPoly, f_product_blocks, xvars
 from torigen.symmfunc import (
     antisymmetrize,
@@ -13,7 +14,6 @@ from torigen.symmfunc import (
     elementary_product,
     elementary_to_monomial,
     monomial_sym,
-    monomial_to_elementary,
     newton_power,
     omega_to_partition,
     omega_weight,
@@ -120,18 +120,13 @@ def test_f_product_blocks_of_the_variables():
     assert table[(1, 1)] == t1 * t2 * t2 + t1 * t1 * t2
 
 
-def test_monomial_to_elementary_reassembles():
+def test_chern_to_s_reassembles_monomials():
+    # forward substitution on T, fed the e-products themselves, gives back m_lambda
     for w in range(1, 7):
+        ar = xvars(w)
+        s = chern_to_s({xi: elementary_product(xi, w, ar) for xi in omegas_of_weight(w)}, w)
         for om in omegas_of_weight(w):
-            beta = monomial_to_elementary(om)
-            ar = xvars(w)
-            acc = MultiPoly(ar)
-            for xi, c in beta.items():
-                acc = acc + elementary_product(xi, w, ar) * c
-            assert acc == monomial_sym(omega_to_partition(om), w, ar)
-            # every xi in the expansion has matching weight
-            for xi in beta:
-                assert sum((k + 1) * m for k, m in enumerate(xi)) == w
+            assert s[om] == monomial_sym(omega_to_partition(om), w, ar)
 
 
 def test_elementary_to_monomial_expands_e_products():
@@ -148,11 +143,9 @@ def test_transition_directions_are_inverse():
     for w in range(1, 11):
         oms = omegas_of_weight(w)
         for om in oms:
-            back = {}
-            for xi, c in monomial_to_elementary(om).items():
-                for om2, d in elementary_to_monomial(xi).items():
-                    back[om2] = back.get(om2, 0) + c * d
-            assert {k: v for k, v in back.items() if v} == {om: 1}
+            unit = {o: int(o == om) for o in oms}
+            assert chern_to_s(s_to_chern(unit, w), w) == unit
+            assert s_to_chern(chern_to_s(unit, w), w) == unit
 
 
 # -- light randomized checks --------------------------------------------------
