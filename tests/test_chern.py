@@ -7,7 +7,7 @@ import pytest
 
 from torigen.chern import NonIntegerSolution, chern_to_s, s_to_chern
 from torigen.exactalg import CobordismPoly
-from torigen.symmfunc import omegas_of_weight
+from torigen.symmfunc import omegas_of_weight, transition_table
 
 
 def test_chern_to_s_known_rows():
@@ -20,6 +20,34 @@ def test_chern_to_s_known_rows():
     assert s[(1, 0, 1)] == CobordismPoly({(2, 1): 1, (0, 2): -2, (1, 0, 1): -1, (0, 0, 0, 1): 4})
     # m_(1,1,1,1) = e4
     assert s[(4,)] == CobordismPoly({(0, 0, 0, 1): 1})
+
+
+def test_transition_table_is_unitriangular():
+    # each row of T has coefficient 1 on its diagonal omega and names no
+    # omega that a later row solves, so T is unimodular and an integer
+    # Chern table has integer s-numbers
+    rng = random.Random(20261018)
+    for n in range(1, 11):
+        index = omegas_of_weight(n)
+        table = transition_table(n)
+        assert sorted(table) == index
+        solved = set()
+        for om, row in table.values():
+            assert row[om] == 1
+            assert set(row) - {om} <= solved
+            solved.add(om)
+        assert sorted(solved) == index
+        s = chern_to_s({xi: rng.randint(-50, 50) for xi in index}, n)
+        assert all(isinstance(v, int) for v in s.values())
+
+
+def test_chern_to_s_weight_twelve():
+    s = chern_to_s({xi: CobordismPoly.monomial(xi) for xi in omegas_of_weight(12)}, 12)
+    assert len(s) == 77
+    # m_(1^12) = e_12
+    assert s[(12,)] == CobordismPoly({(0,) * 11 + (1,): 1})
+    # m_(12) = p_12, whose e_12 coefficient is (-1)^11 * 12 by Newton's identities
+    assert s[(0,) * 11 + (1,)].coeff((0,) * 11 + (1,)) == -12
 
 
 def test_six_sphere_tangent_numbers():
