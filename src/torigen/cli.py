@@ -103,6 +103,9 @@ def cmd_class(args):
 
 def cmd_genus(args):
     spec = _build_space(args)
+    if args.trunc is not None and args.trunc > spec.n + 1:
+        raise ValueError("--trunc must be %d or %d on %s, got %d"
+                         % (spec.n, spec.n + 1, spec.descriptor, args.trunc))
     report = genus.genus_report(spec, order=args.trunc)
     if args.format == "json":
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))

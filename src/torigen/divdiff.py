@@ -1,8 +1,8 @@
-"""Divided differences, the operator L, and Schubert-calculus class formulas.
+"""Flag and Grassmannian classes by the operator L, with no fixed-point data.
 
-Everything here works directly on the polynomial ring, with no fixed-point
-data, so the flag and Grassmannian classes computed below form an independent
-cross-check against the localization route in the genus module.
+Everything here works directly on the polynomial ring, so the flag and
+Grassmannian classes computed below form an independent cross-check against
+the localization route in the genus module.
 
 The operator L sends p to (1/Delta_n) sum_sigma sign(sigma) sigma(p); on
 monomials x^(lambda+delta) it produces the Schur polynomial Sh_lambda. The
@@ -20,91 +20,8 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
 
-from .exactalg import CobordismPoly, MultiPoly, block_coefficient, exact_div, f_product_sum, xvars
-from .symmfunc import antisymmetrize, omegas_of_weight, perm_sign, vandermonde
-
-
-def operator_L(p, n=None):
-    """Antisymmetrize and divide by the Vandermonde determinant.
-
-    The division is always exact because the antisymmetrization is an
-    alternating polynomial.  n defaults to the arena arity and is accepted
-    only as a guard against feeding a polynomial in the wrong ring.
-    """
-    if n is not None and p.arena.arity != n:
-        raise ValueError("polynomial lives in %d variables, expected %d" % (p.arena.arity, n))
-    return exact_div(antisymmetrize(p), vandermonde(p.arena))
-
-
-def divided_difference(i, p):
-    """partial_i p = (p - s_i p)/(x_i - x_{i+1}) for 1 <= i < n."""
-    n = p.arena.arity
-    if not 1 <= i < n:
-        raise ValueError("divided difference index %d out of range for %d variables" % (i, n))
-    perm = list(range(n))
-    perm[i - 1], perm[i] = perm[i], perm[i - 1]
-    coeffs = [0] * n
-    coeffs[i - 1], coeffs[i] = 1, -1
-    return exact_div(p - p.permute(perm), MultiPoly.linear_form(p.arena, coeffs))
-
-
-def _descent_peel(u):
-    """Swap positions at adjacent descents until sorted; returns the 1-based
-    swap positions in peel order.  Each swap is a right multiplication by an
-    adjacent transposition, so the list has length ell(u)."""
-    v = list(u)
-    out = []
-    while True:
-        i = next((i for i in range(len(v) - 1) if v[i] > v[i + 1]), None)
-        if i is None:
-            return out
-        v[i], v[i + 1] = v[i + 1], v[i]
-        out.append(i + 1)
-
-
-def reduced_word(w):
-    """A reduced word (j_1, ..., j_p) with w = s_{j_1} o ... o s_{j_p}.
-
-    Composition is right-to-left: the rightmost letter acts first.  w is a
-    permutation in one-line notation (1-based values).
-    """
-    return tuple(reversed(_descent_peel(w)))
-
-
-class PermWord:
-    """Permutation in one-line notation plus the cached word driving nabla_w.
-
-    The cached word is a reduced word of w0*w: nabla_w applies the divided
-    differences indexed by it left to right.
-    """
-
-    __slots__ = ("one_line", "word")
-
-    def __init__(self, one_line):
-        w = tuple(one_line)
-        n = len(w)
-        if sorted(w) != list(range(1, n + 1)):
-            raise ValueError("not a permutation in one-line notation: %r" % (w,))
-        self.one_line = w
-        self.word = reduced_word(tuple(n + 1 - v for v in w))
-
-    def __repr__(self):
-        return "PermWord(%r)" % (self.one_line,)
-
-
-def schubert_polynomial(w, n=None):
-    """Schubert polynomial nabla_w x^delta, delta = (n-1, ..., 1, 0)."""
-    if not isinstance(w, PermWord):
-        w = PermWord(w)
-    if n is None:
-        n = len(w.one_line)
-    elif n != len(w.one_line):
-        raise ValueError("permutation length %d does not match n=%d" % (len(w.one_line), n))
-    arena = xvars(n)
-    p = MultiPoly.monomial(arena, tuple(range(n - 1, -1, -1)))
-    for j in w.word:
-        p = divided_difference(j, p)
-    return p
+from .exactalg import CobordismPoly, MultiPoly, block_coefficient, f_product_sum, xvars
+from .symmfunc import omegas_of_weight, perm_sign
 
 
 def _root(n, i, j):

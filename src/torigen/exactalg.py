@@ -170,9 +170,6 @@ class MultiPoly:
     def degree(self):
         return max((sum(e) for e in self.terms), default=0)
 
-    def homogeneous_part(self, d):
-        return MultiPoly(self.arena, {e: c for e, c in self.terms.items() if sum(e) == d})
-
     def is_homogeneous(self):
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
@@ -267,17 +264,6 @@ class MultiPoly:
             result = result + factor
         return result
 
-    def evaluate(self, point):
-        """Exact value at a rational point (sequence of numbers)."""
-        total = 0
-        for e, c in self.terms.items():
-            v = c
-            for i, d in enumerate(e):
-                if d:
-                    v = v * (Fraction(point[i]) ** d if not isinstance(point[i], int) else point[i] ** d)
-            total += v
-        return clean(Fraction(total) if isinstance(total, Fraction) else total)
-
     def canonical_text(self):
         return render_terms(self.terms, self.arena.names)
 
@@ -319,21 +305,14 @@ def exact_div(p, q):
     return MultiPoly(p.arena, exact_div_terms(p.terms, q.terms))
 
 
-def f_product_blocks(arena, weights, order, odd=()):
-    """The a^omega coefficients of prod_j f(<w_j, x>), f(t) = 1 + a_1 t + a_2 t^2 + ...
+def f_product_sum(arena, summands, order, odd=(), cap=None, top=False):
+    """sum over (weights, times) in summands of times * prod_j f(<w_j, x>),
+    f(t) = 1 + a_1 t + a_2 t^2 + ...; times is a MultiPoly, or None for 1.
 
     Returns {omega: MultiPoly} over the omega (trimmed, as CobordismPoly keys)
-    of weight sum l * omega_l <= order; block omega is homogeneous of x-degree
-    its weight. A factor whose index is in odd uses the odd part
-    a_1 t + a_3 t^3 + ... of f.
-    """
-    return f_product_sum(arena, [(weights, None)], order, odd)
-
-
-def f_product_sum(arena, summands, order, odd=(), cap=None, top=False):
-    """sum over (weights, times) in summands of times * prod_j f(<w_j, x>), as
-    {omega: MultiPoly} blocks like f_product_blocks; times is a MultiPoly, or
-    None for 1.
+    of weight sum l * omega_l <= order; block omega of one product is
+    homogeneous of x-degree its weight. A factor whose index is in odd uses
+    the odd part a_1 t + a_3 t^3 + ... of f.
 
     top keeps only the blocks of weight order. cap keeps only the terms whose
     exponent in every x_i is at most cap: exact for a caller that reads no
@@ -479,11 +458,6 @@ class CobordismPoly:
             return False
         return True if weight is None else (not ws or ws == {weight})
 
-    def weight_part(self, w):
-        return CobordismPoly(
-            {e: c for e, c in self.terms.items() if sum((l + 1) * m for l, m in enumerate(e)) == w}
-        )
-
     def is_integral(self):
         return all(isinstance(c, int) for c in self.terms.values())
 
@@ -540,18 +514,6 @@ class CobordismPoly:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def substitute_gens(self, values):
-        """Replace a_i by values[i-1] (numbers or CobordismPoly)."""
-        result = CobordismPoly()
-        for e, c in self.terms.items():
-            factor = CobordismPoly.const(c)
-            for i, d in enumerate(e):
-                for _ in range(d):
-                    v = values[i]
-                    factor = factor * (v if isinstance(v, CobordismPoly) else CobordismPoly.const(v))
-            result = result + factor
-        return result
 
     def max_gen(self):
         return max((len(e) for e in self.terms), default=0)
@@ -652,32 +614,6 @@ class GradedSeries:
         if not isinstance(other, GradedSeries):
             return NotImplemented
         return self.arena == other.arena and self.order == other.order and self.terms == other.terms
-
-    def permute(self, perm):
-        t = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(e)
-            for i, d in enumerate(e):
-                ne[perm[i]] = d
-            t[tuple(ne)] = c
-        return GradedSeries(self.arena, self.order, t)
-
-    def substitute_series(self, bindings, arena, order):
-        """Substitute x_i -> bindings[i] (GradedSeries over the target arena)."""
-        result = GradedSeries(arena, order)
-        one = GradedSeries.const(arena, order, 1)
-        pows = [{0: one} for _ in bindings]
-        for e, c in self.terms.items():
-            m = one
-            for i, d in enumerate(e):
-                if d:
-                    cache = pows[i]
-                    while max(cache) < d:
-                        top = max(cache)
-                        cache[top + 1] = cache[top] * bindings[i]
-                    m = m * cache[d]
-            result = result + m * c
-        return result
 
     def canonical_text(self):
         if not self.terms:

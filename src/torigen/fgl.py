@@ -1,24 +1,15 @@
-"""Formal group law of geometric cobordisms, truncated, over two generator
-families: a_i (coefficients of f(x) = 1 + sum a_i x^i) and b_i = [CP^i]/(i+1)
-(coefficients of the logarithm g(u) = u + sum b_i u^{i+1}).
+"""Formal group law of geometric cobordisms, truncated: the addition law
+F(u, v) = g^{-1}(g(u) + g(v)) of the logarithm g(u) = u + sum b_i u^{i+1},
+b_i = [CP^i]/(i+1), which the fgl verb prints.
 
-Univariate series are plain coefficient lists (index = power); multivariate
-ones are GradedSeries. The bridge between the families is g^{-1}(x) = x/f(x).
+The b_i sit on the a-slots of CobordismPoly, so the fgl verb prints b_i as
+a<i>. Univariate series are plain coefficient lists (index = power);
+multivariate ones are GradedSeries.
 """
 
 from functools import lru_cache
 
-from .exactalg import (CobordismPoly, GradedSeries, MultiPoly, reverse_series,
-                       series_mul, xvars)
-
-
-class ZeroWeight(Exception):
-    pass
-
-
-def f_series(order):
-    """f(x) = 1 + a_1 x + a_2 x^2 + ... as a coefficient list."""
-    return [CobordismPoly.const(1)] + [CobordismPoly.gen(i) for i in range(1, order + 1)]
+from .exactalg import CobordismPoly, GradedSeries, reverse_series, xvars
 
 
 def log_series(order):
@@ -26,25 +17,6 @@ def log_series(order):
     out = [CobordismPoly(), CobordismPoly.const(1)]
     out += [CobordismPoly.gen(i - 1) for i in range(2, order + 1)]
     return out
-
-
-def series_inverse(c, order):
-    """Reciprocal of a series with c[0] = 1."""
-    inv = [CobordismPoly.const(1)] + [CobordismPoly() for _ in range(order)]
-    for n in range(1, order + 1):
-        acc = CobordismPoly()
-        for k in range(1, n + 1):
-            if k < len(c):
-                acc = acc + c[k] * inv[n - k]
-        inv[n] = -acc
-    return inv
-
-
-@lru_cache(maxsize=None)
-def x_over_f(order):
-    """x/f(x), the inverse logarithm written in the a-generators."""
-    finv = series_inverse(f_series(order), order)
-    return tuple([CobordismPoly()] + finv[: order])
 
 
 def _as_cob(c):
@@ -55,32 +27,6 @@ def _as_cob(c):
 def exp_series(order):
     """g^{-1}(y) in the b-generators, by series reversion."""
     return tuple(_as_cob(c) for c in reverse_series(list(log_series(order)), order))
-
-
-@lru_cache(maxsize=None)
-def b_in_a(order):
-    """b_i as integer polynomials in a_j: g = reverse(x/f(x))."""
-    g = reverse_series(list(x_over_f(order + 1)), order + 1)
-    return tuple(_as_cob(g[i + 1]) for i in range(1, order + 1))
-
-
-@lru_cache(maxsize=None)
-def a_in_b(order):
-    """a_i as integer polynomials in b_j: f(x) = x / g^{-1}(x)."""
-    e = exp_series(order + 1)
-    # f = x / ghat(x); ghat(x)/x has constant term 1
-    shifted = [e[i + 1] for i in range(order + 1)]
-    f = series_inverse(shifted, order)
-    return tuple(f[i] for i in range(1, order + 1))
-
-
-def to_b_generators(p, order):
-    """Rewrite a CobordismPoly in a-generators through the b-family."""
-    return p.substitute_gens(list(a_in_b(max(order, p.max_gen()))))
-
-
-def to_a_generators(p, order):
-    return p.substitute_gens(list(b_in_a(max(order, p.max_gen()))))
 
 
 def apply_series(coeffs, s):
@@ -114,50 +60,3 @@ def fgl_addition(order, arena=None):
     g = log_series(order)
     s = _univariate(arena, order, g, 0) + _univariate(arena, order, g, 1)
     return apply_series(exp_series(order), s)
-
-
-def power_system(w, order):
-    """[w](u) = g^{-1}(w * g(u)) as a coefficient list in the b-generators."""
-    g = [c * w for c in log_series(order)]
-    out = [CobordismPoly() for _ in range(order + 1)]
-    power = [CobordismPoly.const(1)] + [CobordismPoly() for _ in range(order)]
-    for m, c in enumerate(exp_series(order)):
-        if m > order:
-            break
-        if m > 0:
-            power = series_mul(power, g, order)
-        if not c.is_zero():
-            for j in range(order + 1):
-                pj = power[j]
-                if not (isinstance(pj, CobordismPoly) and pj.is_zero()):
-                    out[j] = out[j] + c * pj
-    return out
-
-
-def multi_bracket(weight, order, arena=None):
-    """[Lambda](u_1..u_k) = g^{-1}(sum_q Lambda_q g(u_q)), iterated formal sum."""
-    k = len(weight)
-    if arena is None:
-        arena = xvars(k, "u")
-    g = log_series(order)
-    s = GradedSeries(arena, order)
-    for q, wq in enumerate(weight):
-        if wq:
-            s = s + _univariate(arena, order, [c * wq for c in g], q)
-    return apply_series(exp_series(order), s)
-
-
-def chern_dold_of_bracket(weight, order, arena=None):
-    """ch_U [Lambda](u) = <Lambda,x> / f(<Lambda,x>) as a GradedSeries in x."""
-    if not any(weight):
-        raise ZeroWeight("zero weight vector has no geometric cobordism")
-    if arena is None:
-        arena = xvars(len(weight))
-    form = MultiPoly.linear_form(arena, weight)
-    coeffs = x_over_f(order)
-    out = GradedSeries(arena, order)
-    power = GradedSeries.const(arena, order, 1)
-    for m in range(1, min(len(coeffs), order + 1)):
-        power = power * form
-        out = out + power * coeffs[m]
-    return out

@@ -25,9 +25,9 @@ route:
   a^omega. The character stays in that form, {omega: MultiPoly}, and carries
   the low-block cancellation, the class (the blocks' constant terms) and the
   Weyl check.
-- omega_numerator builds one a^omega block by m_lambda substitution instead.
-  No verb calls it: it stays as the tests' reference for the kernel and for
-  stablex.check_necessary.
+- The tests check the kernel and stablex.check_necessary against
+  omega_numerator in tests/reference.py, which builds one a^omega block by
+  m_lambda substitution instead.
 
 Degrees: block omega of ch Phi is homogeneous of geometric degree
 d = ||omega|| - n, where 2n is the real dimension. Truncation orders are
@@ -42,7 +42,7 @@ from .chern import chern_to_s, s_to_chern
 from .exactalg import (CobordismPoly, GradedSeries, MultiPoly, NotDivisible, block_coefficient,
                        clean, exact_div_terms, f_product_sum, xvars)
 from .rootdata import fixed_point_weights
-from .symmfunc import monomial_sym, omega_to_partition, omega_weight, omegas_of_weight, trim
+from .symmfunc import omega_weight, omegas_of_weight, trim
 
 
 class SingularSum(Exception):
@@ -179,18 +179,6 @@ def symbolic_class(fp):
 def cobordism_class(fp):
     """The class sum_omega s_omega a^omega, ||omega|| = n."""
     return CobordismPoly(s_numbers(fp))
-
-
-def omega_numerator(fp, loc, omega):
-    """Numerator of sum_p sign(p) m_{lambda(omega)}(weights) / prod(weights)
-    over the common denominator loc.denom."""
-    n = len(fp[0].weights)
-    f_omega = monomial_sym(omega_to_partition(omega), n, xvars(n, "t"))
-    num = MultiPoly(loc.arena)
-    for idx, pt in enumerate(fp):
-        bindings = {j: MultiPoly.linear_form(loc.arena, w) for j, w in enumerate(pt.weights)}
-        num = num + f_omega.substitute(bindings) * loc.cofactors[idx] * loc.prefactors[idx]
-    return num
 
 
 def _pole_free(fp):
@@ -371,7 +359,7 @@ def genus_report(spec, order=None):
     stable = s_numbers(fp)
     # the build raises SingularSum unless the low blocks cancel, so a report
     # exists only if the vanishing check holds
-    ch = chern_character_of_genus(fp, min(order, n + 1))
+    ch = chern_character_of_genus(fp, order)
     rows = [(list(om) + [0] * (n - len(om)), val) for om, val in sorted(stable.items())]
     return {
         "space": spec.descriptor,

@@ -261,18 +261,6 @@ def weyl_cosets(spec):
     return reps
 
 
-def euler_characteristic(spec):
-    if spec.family == "G2":
-        return 2
-    total = 1
-    for i in range(2, spec.rank + 1):
-        total *= i
-    for block in spec.blocks:
-        for i in range(2, len(block) + 1):
-            total //= i
-    return total
-
-
 def _check_primitive(weight):
     g = 0
     for c in weight:

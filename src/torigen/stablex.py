@@ -36,12 +36,6 @@ SignAssignment = namedtuple("SignAssignment", "table epsilon")
 NecessaryReport = namedtuple("NecessaryReport", "ok omega value")
 
 
-def identity_assignment(spec):
-    """All a_i(w) = +1, epsilon = +1: reproduces the structure spec carries."""
-    base = fixed_point_weights(spec)
-    return SignAssignment(tuple((1,) * len(pt.weights) for pt in base), 1)
-
-
 def _check_shape(assign, base):
     if assign.epsilon not in (1, -1):
         raise ValueError("epsilon must be +-1")

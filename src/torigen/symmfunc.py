@@ -1,4 +1,4 @@
-"""Partitions, omega indices, symmetric polynomials, and basis transitions.
+"""Partitions, omega indices, and the elementary-to-monomial basis change.
 
 An omega index is a tuple (i_1, i_2, ...) counting how many parts of the
 matching partition equal 1, 2, ...; its weight is sum l*i_l. We keep omega
@@ -6,10 +6,8 @@ tuples trimmed of trailing zeros so they double as cobordism exponent keys.
 """
 
 from functools import lru_cache
-from itertools import groupby, permutations
+from itertools import groupby
 from math import comb
-
-from .exactalg import MultiPoly, exact_div, xvars
 
 
 def trim(omega):
@@ -21,18 +19,6 @@ def trim(omega):
 
 def omega_weight(omega):
     return sum((l + 1) * m for l, m in enumerate(omega))
-
-
-def omega_to_partition(omega, n=None):
-    """Partition with i_k parts equal to k, weakly decreasing, padded to n."""
-    parts = []
-    for l in range(len(omega) - 1, -1, -1):
-        parts.extend([l + 1] * omega[l])
-    if n is not None:
-        if len(parts) > n:
-            raise ValueError("omega has more parts than arity %d" % n)
-        parts.extend([0] * (n - len(parts)))
-    return tuple(parts)
 
 
 def partition_to_omega(lam):
@@ -61,13 +47,6 @@ def omegas_of_weight(w):
     return sorted(partition_to_omega(lam) for lam in partitions(w))
 
 
-def omegas_up_to(w):
-    out = []
-    for k in range(w + 1):
-        out.extend(omegas_of_weight(k))
-    return out
-
-
 def conjugate_partition(lam):
     lam = [p for p in lam if p]
     if not lam:
@@ -82,76 +61,6 @@ def perm_sign(perm):
             if perm[i] > perm[j]:
                 s = -s
     return s
-
-
-def rearrangements(xi):
-    """Distinct rearrangements of the tuple xi, each once, in lexicographic order."""
-    if not xi:
-        yield ()
-        return
-    for v in sorted(set(xi)):
-        i = xi.index(v)
-        for tail in rearrangements(xi[:i] + xi[i + 1:]):
-            yield (v,) + tail
-
-
-def orbit_monomial(xi, n, arena=None):
-    """Sum of the distinct S_n-orbit of the monomial u^xi."""
-    if len(xi) != n:
-        raise ValueError("exponent vector length %d != arity %d" % (len(xi), n))
-    if arena is None:
-        arena = xvars(n)
-    return MultiPoly(arena, {e: 1 for e in rearrangements(xi)})
-
-
-def monomial_sym(lam, n, arena=None):
-    """m_lambda in n variables."""
-    lam = tuple(lam) + (0,) * (n - len(lam))
-    return orbit_monomial(lam, n, arena)
-
-
-def elementary(k, n, arena=None):
-    if arena is None:
-        arena = xvars(n)
-    if k == 0:
-        return MultiPoly.const(arena, 1)
-    if k > n:
-        return MultiPoly(arena)
-    return orbit_monomial((1,) * k + (0,) * (n - k), n, arena)
-
-
-def newton_power(k, n, arena=None):
-    return orbit_monomial((k,) + (0,) * (n - 1), n, arena)
-
-
-def antisymmetrize(p):
-    """Sum of sign(sigma) * sigma(p) over the full symmetric group of the arena."""
-    n = p.arena.arity
-    total = MultiPoly(p.arena)
-    for perm in permutations(range(n)):
-        total = total + p.permute(perm) * perm_sign(perm)
-    return total
-
-
-def vandermonde(arena):
-    n = arena.arity
-    v = MultiPoly.const(arena, 1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = v * (MultiPoly.variable(arena, i) - MultiPoly.variable(arena, j))
-    return v
-
-
-def schur(lam, n, arena=None):
-    """Sh_lambda as the bialternant antisym(x^(lam+delta)) / Delta_n."""
-    if arena is None:
-        arena = xvars(n)
-    lam = tuple(lam) + (0,) * (n - len(lam))
-    if len(lam) > n:
-        raise ValueError("partition longer than arity")
-    delta = tuple(range(n - 1, -1, -1))
-    mono = MultiPoly.monomial(arena, tuple(l + d for l, d in zip(lam, delta)))
-    return exact_div(antisymmetrize(mono), vandermonde(arena))
 
 
 def _row_choices(groups, r):
@@ -218,14 +127,3 @@ def elementary_to_monomial(xi):
     """
     xi = trim(xi)
     return dict(transition_table(omega_weight(xi))[xi][1])
-
-
-def elementary_product(xi, n, arena=None):
-    """e_1^{xi_1} * e_2^{xi_2} * ... in n variables."""
-    if arena is None:
-        arena = xvars(n)
-    prod = MultiPoly.const(arena, 1)
-    for k, mult in enumerate(xi, start=1):
-        for _ in range(mult):
-            prod = prod * elementary(k, n, arena)
-    return prod

@@ -257,6 +257,20 @@ def test_fgl_rejects_order_above_limit(capsys):
     assert err == "error: --trunc must be at most 24, got 1000000000\n"
 
 
+def test_genus_rejects_order_above_n_plus_one(capsys):
+    code, out, err = run(capsys, "genus", "--space", "CP2", "--trunc", "100000000")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --trunc must be 2 or 3 on CP2, got 100000000\n"
+    code, out, _ = run(capsys, "genus", "--space", "CP2", "--trunc", "4")
+    assert code == 2
+    assert out == ""
+    for trunc in ("2", "3"):
+        code, out, _ = run(capsys, "genus", "--space", "CP2", "--trunc", trunc)
+        assert code == 0
+        assert "check weyl_invariance: ok" in out
+
+
 def _raise_c1_squared(monkeypatch, at_point):
     """Make point_chern_numbers return c1^2 + 1 on CP2 at one of its two points."""
     real = genus.point_chern_numbers

@@ -1,80 +1,25 @@
-"""Divided differences, Schubert polynomials and the operator-L routes."""
+"""The operator L and the operator-L routes to flag and Grassmann classes."""
 
 import pytest
 
 from torigen.divdiff import (
-    PermWord,
     _grassmann_blocks,
     _signed_delta_sum,
     _thm8_blocks,
-    divided_difference,
     flag_P_polynomials,
     flag_class,
     flag_vanishing_checks,
     grassmann_Q_polynomials,
     grassmann_class,
-    operator_L,
-    reduced_word,
-    schubert_polynomial,
 )
-from torigen.exactalg import CobordismPoly, MultiPoly, f_product_blocks, xvars
+from torigen.exactalg import CobordismPoly, MultiPoly, f_product_sum, xvars
 from torigen.genus import cobordism_class
 from torigen.rootdata import build_space, fixed_point_weights
-from torigen.symmfunc import elementary, vandermonde
 
-# full one-line Schubert basis for n = 3
-SCHUBERT3 = {
-    (1, 2, 3): {(0, 0, 0): 1},
-    (2, 1, 3): {(1, 0, 0): 1},
-    (1, 3, 2): {(1, 0, 0): 1, (0, 1, 0): 1},
-    (2, 3, 1): {(1, 1, 0): 1},
-    (3, 1, 2): {(2, 0, 0): 1},
-    (3, 2, 1): {(2, 1, 0): 1},
-}
+from reference import elementary, operator_L, vandermonde
 
 PDELTA = "a1^3 - a1*a2 - 3*a3"
 PDELTA_SWAP = "-a1^3 - 5*a1*a2 - 3*a3"
-
-
-def test_divided_difference_basics():
-    ar = xvars(3)
-    x1, x2 = MultiPoly.variable(ar, 0), MultiPoly.variable(ar, 1)
-    assert divided_difference(1, x1) == MultiPoly.const(ar, 1)
-    assert divided_difference(1, x1 * x1) == x1 + x2
-    assert divided_difference(1, elementary(2, 3, ar)).is_zero()
-    assert divided_difference(2, x1) .is_zero()
-    with pytest.raises(ValueError):
-        divided_difference(3, x1)
-
-
-def test_divided_difference_relations():
-    ar = xvars(3)
-    p = MultiPoly.monomial(ar, (3, 1, 0)) + MultiPoly.monomial(ar, (0, 2, 2)) * 2
-    d1 = lambda q: divided_difference(1, q)
-    d2 = lambda q: divided_difference(2, q)
-    assert d1(d1(p)).is_zero()
-    assert d2(d2(p)).is_zero()
-    assert d1(d2(d1(p))) == d2(d1(d2(p)))
-
-
-def test_reduced_words():
-    assert reduced_word((0, 1, 2)) == ()
-    assert len(reduced_word((2, 1, 0))) == 3
-    for w in ((1, 0, 2), (2, 0, 1), (1, 2, 0), (2, 1, 0)):
-        # replaying the word as position swaps rebuilds the permutation
-        cur = list(range(3))
-        for j in reduced_word(w):
-            cur[j - 1], cur[j] = cur[j], cur[j - 1]
-        assert tuple(cur) == w
-
-
-def test_schubert_polynomials_n3():
-    for w, terms in SCHUBERT3.items():
-        assert schubert_polynomial(w).terms == terms
-    with pytest.raises(ValueError):
-        PermWord((1, 1, 2))
-    with pytest.raises(ValueError):
-        schubert_polynomial((2, 1, 3), n=4)
 
 
 def test_operator_L_properties():
@@ -185,7 +130,7 @@ def test_capped_reads_match_the_uncapped_kernel():
     # the products keep exponents up to the largest one read, max(xi): a cap
     # fixed at n - 1 would read 0 at x1^3 and at x1^4
     roots = [(1, -1, 0), (1, 0, -1), (0, 1, -1)]
-    full = f_product_blocks(xvars(3), roots, 3)
+    full = f_product_sum(xvars(3), [(roots, None)], 3)
     want = CobordismPoly({om: b.coeff((3, 0, 0)) for om, b in full.items()})
     assert not want.is_zero()
     assert flag_P_polynomials(3, (3, 0, 0)) == want
@@ -194,7 +139,7 @@ def test_capped_reads_match_the_uncapped_kernel():
     base = MultiPoly.linear_form(ar, (1, -1, 0, 0)) * MultiPoly.linear_form(ar, (0, 0, 1, -1))
     weights = [(1, 0, -1, 0), (1, 0, 0, -1), (0, 1, -1, 0), (0, 1, 0, -1)]
     xi = (4, 1, 1, 0)
-    want = CobordismPoly({om: (base * b).coeff(xi) for om, b in f_product_blocks(ar, weights, 4).items()})
+    want = CobordismPoly({om: (base * b).coeff(xi) for om, b in f_product_sum(ar, [(weights, None)], 4).items()})
     assert not want.is_zero()
     assert grassmann_Q_polynomials(2, 2, xi) == want
 

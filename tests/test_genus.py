@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from torigen import genus
 from torigen.chern import chern_to_s, s_to_chern
 from torigen.cli import main
-from torigen.exactalg import CobordismPoly, MultiPoly, block_coefficient, f_product_blocks
+from torigen.exactalg import CobordismPoly, MultiPoly, block_coefficient, f_product_sum
 from torigen.genus import (
     NonIntegerClass,
     SingularPoint,
@@ -23,7 +23,6 @@ from torigen.genus import (
     default_numeric_point,
     genus_report,
     localization_data,
-    omega_numerator,
     point_chern_numbers,
     s_number_numeric,
     s_numbers,
@@ -32,9 +31,11 @@ from torigen.genus import (
     weyl_invariance_ok,
 )
 from torigen.divdiff import flag_class
-from torigen.rootdata import FixedPoint, build_space, euler_characteristic, fixed_point_weights
+from torigen.rootdata import FixedPoint, build_space, fixed_point_weights
 from torigen.stablex import SignAssignment, derived_fixed_point_data
-from torigen.symmfunc import omega_weight, omegas_of_weight, omegas_up_to
+from torigen.symmfunc import omega_weight, omegas_of_weight
+
+from reference import euler_characteristic, omega_numerator, omegas_up_to
 
 U3T3 = "6*a1^3 + 6*a1*a2 - 6*a3"
 G42 = "6*a1^4 + 24*a1^2*a2 + 4*a1*a3 + 14*a2^2 - 20*a4"
@@ -65,11 +66,11 @@ def test_localization_common_denominator():
         assert loc.prefactors[idx] == sign
 
 
-def test_f_product_blocks_one_factor():
+def test_kernel_one_factor():
     # f(x1 - x2) = 1 + a1 (x1 - x2) + a2 (x1 - x2)^2 + ...
     fp = fp_of("CP1")
     loc = localization_data(fp)
-    blocks = f_product_blocks(loc.arena, [(1, -1)], 2)
+    blocks = f_product_sum(loc.arena, [([(1, -1)], None)], 2)
     assert set(blocks) == {(), (1,), (0, 1)}
     assert blocks[()] == MultiPoly.const(loc.arena, 1)
     assert blocks[(1,)].coeff((1, 0)) == 1
@@ -79,11 +80,11 @@ def test_f_product_blocks_one_factor():
 
 
 def kernel_numerators(fp, order):
-    """sum_p prefactor_p * cofactor_p * f_product_blocks(p), omega by omega."""
+    """sum_p prefactor_p * cofactor_p * (the kernel's blocks of p alone), omega by omega."""
     loc = localization_data(fp)
     num = {}
     for pt, cof, pre in zip(fp, loc.cofactors, loc.prefactors):
-        for om, block in f_product_blocks(loc.arena, pt.weights, order).items():
+        for om, block in f_product_sum(loc.arena, [(pt.weights, None)], order).items():
             num[om] = num.get(om, 0) + block * cof * pre
     return loc, num
 

