@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from torigen import genus
+from torigen import cli, genus
 from torigen.cli import main, reproduce_table
 
 
@@ -271,6 +271,20 @@ def test_genus_rejects_order_above_n_plus_one(capsys):
         assert "check weyl_invariance: ok" in out
 
 
+def test_genus_trunc_bounds_follow_the_dimension(capsys):
+    # U(3)/T3 has n = 3: --trunc 3 and 4 run, 4 is the default, 5 is refused
+    code, default, _ = run(capsys, "genus", "--space", "U(3)/T3", "--format", "json")
+    assert code == 0
+    for trunc in ("3", "4"):
+        code, out, _ = run(capsys, "genus", "--space", "U(3)/T3", "--trunc", trunc, "--format", "json")
+        assert code == 0
+        assert out == default
+    code, out, err = run(capsys, "genus", "--space", "U(3)/T3", "--trunc", "5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --trunc must be 3 or 4 on U(3)/T3, got 5\n"
+
+
 def _raise_c1_squared(monkeypatch, at_point):
     """Make point_chern_numbers return c1^2 + 1 on CP2 at one of its two points."""
     real = genus.point_chern_numbers
@@ -316,6 +330,28 @@ def test_zero_dimensional_spaces_rejected(capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("error:") == 1
+
+
+def test_reproduce_verb_counts_failed_and_crashed_rows(capsys, monkeypatch):
+    def crash():
+        raise ZeroDivisionError("no value")
+    rows = [("holds", lambda: (True, "1")), ("differs", lambda: (False, "2")), ("crashes", crash)]
+    monkeypatch.setattr(cli, "_reproduce_rows", lambda: rows)
+    code, out, _ = run(capsys, "reproduce")
+    assert code == 1
+    assert out.splitlines() == ["%-28s PASS  1" % "holds", "%-28s FAIL  2" % "differs",
+                                "%-28s FAIL  ZeroDivisionError: no value" % "crashes",
+                                "1/3 rows pass"]
+    code, out, _ = run(capsys, "reproduce", "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {"ok": False, "rows": [
+        {"name": "holds", "ok": True, "value": "1"},
+        {"name": "differs", "ok": False, "value": "2"},
+        {"name": "crashes", "ok": False, "value": "ZeroDivisionError: no value"}]}
+    monkeypatch.setattr(cli, "_reproduce_rows", lambda: rows[:1])
+    code, out, _ = run(capsys, "reproduce")
+    assert code == 0
+    assert out.splitlines()[-1] == "1/1 rows pass"
 
 
 def test_reproduce_table_passes():

@@ -26,6 +26,15 @@ def test_addition_law_low_terms():
     assert law.coeff((1, 2)) == law.coeff((2, 1))
 
 
+def test_power_system_values():
+    # [w](u) = g^{-1}(w g(u)), from the fgl verb's logarithm and exponential
+    ar = xvars(1, "u")
+    two = multi_bracket((2,), 3, ar)
+    assert texts([two.coeff((m,)) for m in range(4)], "b") == ["0", "2", "-2*b1", "8*b1^2 - 6*b2"]
+    one = multi_bracket((1,), 4, ar)
+    assert texts([one.coeff((m,)) for m in range(5)], "b") == ["0", "1", "0", "0", "0"]
+
+
 def test_bracket_inverse_law():
     # F(u, [-1](u)) = 0
     ar = xvars(1, "u")

@@ -105,3 +105,88 @@ def test_every_definition_is_reached_from_a_verb():
 def test_every_import_is_used():
     unused = unused_imports(_modules())
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+def _parse(**sources):
+    return {mod: ast.parse(text) for mod, text in sources.items()}
+
+
+def test_walk_lists_what_no_verb_reaches():
+    mods = _parse(cli='''
+from .alg import Poly
+
+def main():
+    return Poly().add(helper())
+
+def helper():
+    return 1
+
+def orphan():
+    return helper()
+''', alg='''
+class Poly:
+    def __init__(self):
+        self.terms = {}
+
+    def add(self, other):
+        return self
+
+    def evaluate(self, point):
+        return 0
+
+class Unused:
+    def __repr__(self):
+        return "Unused"
+''')
+    # dunder methods come with their class, so Unused.__repr__ is not listed
+    # apart from Unused
+    assert unreached(mods) == ["alg.Poly.evaluate", "alg.Unused", "cli.orphan"]
+
+
+def test_walk_starts_at_module_level_statements():
+    mods = _parse(cli='''
+def main():
+    return 0
+
+def only_at_top():
+    return 1
+
+def only_under_main_guard():
+    return 2
+
+TABLE = only_at_top()
+
+if __name__ == "__main__":
+    only_under_main_guard()
+''')
+    assert unreached(mods) == []
+
+
+def test_walk_goes_by_name():
+    # a reached name reaches every definition of that name, in any class:
+    # nothing builds a Series, yet Series.permute passes beside Poly.permute
+    mods = _parse(cli='''
+class Series:
+    def permute(self, perm):
+        return self
+
+class Poly:
+    def permute(self, perm):
+        return self
+
+def main():
+    return Poly().permute((1, 0))
+''')
+    assert unreached(mods) == ["cli.Series"]
+
+
+def test_unused_import_is_listed():
+    mods = _parse(alg='''
+import json
+from itertools import permutations, product
+from .exactalg import MultiPoly as MP
+
+def pairs(xs):
+    return list(product(xs, xs)), MP
+''')
+    assert unused_imports(mods) == ["alg: json", "alg: permutations"]

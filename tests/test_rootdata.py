@@ -42,6 +42,17 @@ def test_descriptor_parsing_and_grammar_errors():
         build_space("Sp(2)/T2")
 
 
+def test_projective_and_subgroup_grammar_errors():
+    with pytest.raises(ParseError, match="CPn needs n >= 1"):
+        build_space("CP0")
+    with pytest.raises(UnsupportedGroup, match=r"'Sp\(1\)'"):
+        build_space("U(3)/U(2)xSp(1)")
+    with pytest.raises(UnsupportedGroup, match="'T1'"):
+        build_space("U(3)/U(2)xT1")
+    with pytest.raises(ParseError, match=r"bad subgroup factor 'V\(1\)'"):
+        build_space("U(3)/U(2)xV(1)")
+
+
 def test_euler_characteristic_counts_cosets():
     for text, chi in (
         ("CP1", 2), ("CP2", 3), ("CP3", 4), ("CP5", 6),

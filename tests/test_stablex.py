@@ -1,6 +1,7 @@
 """Admissible torus-equivariant sign systems on the fixed-point data."""
 
 import random
+import re
 from itertools import product
 
 import pytest
@@ -369,3 +370,20 @@ def test_assignment_json_round_trip():
 def test_assignment_json_rejects_other_shapes(data):
     with pytest.raises(ValueError):
         assignment_from_json(data, build_space("CP2"))
+
+
+def test_malformed_tables_are_rejected_with_the_fault_named():
+    spec = build_space("CP2")
+    cases = [
+        (SignAssignment(((1, 1), (1, 1), (1, 1)), 0), "epsilon must be +-1"),
+        (SignAssignment(((1, 1), (1, 1)), 1), "assignment covers 2 points, space has 3"),
+        (SignAssignment(((1, 1), (1,), (1, 1)), 1), "needs 2 signs"),
+        (SignAssignment(((1, 1), (1, 2), (1, 1)), 1), "signs must be +-1"),
+    ]
+    for assign, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            derived_fixed_point_data(spec, assign)
+    with pytest.raises(ValueError, match="assignment missing point 2"):
+        assignment_from_json({"0": [1, 1], "1": [1, 1]}, spec)
+    with pytest.raises(ValueError, match=re.escape("signs must be +-1")):
+        assignment_from_json({"0": [1, 1], "1": [1, 1], "2": [0, 1]}, spec)
