@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import tempfile
+from itertools import product
 
 from . import divdiff, fgl, genus, rootdata, stablex
 from .chern import chern_to_s
@@ -103,7 +104,7 @@ def cmd_class(args):
 
 def cmd_genus(args):
     spec = _build_space(args)
-    if args.trunc is not None and args.trunc > spec.n + 1:
+    if args.trunc is not None and not spec.n <= args.trunc <= spec.n + 1:
         raise ValueError("--trunc must be %d or %d on %s, got %d"
                          % (spec.n, spec.n + 1, spec.descriptor, args.trunc))
     report = genus.genus_report(spec, order=args.trunc)
@@ -206,8 +207,8 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
-# flag --n 6 takes 10-14 s and about 400 MB; n + 1 multiplies n more factors,
-# to an order n higher
+# flag --n 6 takes 10-14 s and peaks at about 225 MB (165 MB by thm8); n + 1
+# multiplies n more factors, to an order n higher
 FLAG_N_LIMIT = 6
 
 
@@ -258,13 +259,26 @@ def cmd_stable(args):
               {"ok": False, "omega": list(report.omega), "value": value})
         return 1
     sols = stablex.enumerate_feasible(spec, budget=args.budget)
-    assignments = [stablex.assignment_to_json(s) for s in sols]
-    # U(3)/T3 lists 4372 tables: render the text lines only when printing them
-    text = None
-    if args.format != "json":
-        text = "\n".join(["admissible: %d" % len(sols)] + [json.dumps(a, sort_keys=True) for a in assignments])
-    _emit(args, text, {"space": spec.descriptor, "count": len(sols), "assignments": assignments})
+    _write_tables(args, spec, sols)
     return 0
+
+
+def _write_tables(args, spec, sols):
+    """Write the tables one at a time, as _emit would write the list of
+    {coset_index: [signs], "epsilon": e}, keys sorted as strings ("10" before
+    "2"): U(3)/T3 lists 4372 of them. Each table is joined from the JSON
+    texts of the 2^n sign vectors, made once."""
+    compact = args.format == "json"
+    item, colon = (",", ":") if compact else (", ", ": ")
+    texts = {v: json.dumps(v, separators=(item, colon)) for v in product((1, -1), repeat=spec.n)}
+    keys = [(p, '"%d"%s' % (p, colon)) for p in sorted(range(len(sols[0].table) if sols else 0), key=str)]
+    write = sys.stdout.write
+    write('{"assignments":[' if compact else "admissible: %d" % len(sols))
+    for i, sol in enumerate(sols):
+        row = item.join([k + texts[sol.table[p]] for p, k in keys])
+        sep = ("," if i else "") if compact else "\n"
+        write('%s{%s%s"epsilon"%s%d}' % (sep, row, item, colon, sol.epsilon))
+    write('],"count":%d,"space":%s}\n' % (len(sols), json.dumps(spec.descriptor)) if compact else "\n")
 
 
 # fgl --trunc 24 takes about half a minute and prints 3 MB; the cost grows
@@ -278,8 +292,8 @@ def cmd_fgl(args):
         raise ValueError("--trunc must be at least 1, got %d" % order)
     if order > FGL_TRUNC_LIMIT:
         raise ValueError("--trunc must be at most %d, got %d" % (FGL_TRUNC_LIMIT, order))
-    law = fgl.fgl_addition(order)
-    _emit(args, law.canonical_text(), {"order": order, "addition": law.canonical_text()})
+    text = fgl.fgl_addition(order).canonical_text("b")
+    _emit(args, text, {"order": order, "addition": text})
     return 0
 
 

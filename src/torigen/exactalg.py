@@ -340,7 +340,7 @@ def f_product_sum(arena, summands, order, odd=(), cap=None, top=False):
     total = {}
     for weights, times in summands:
         blocks = _packed_blocks([[(shifts[i], c) for i, c in enumerate(w) if c] for w in weights],
-                                order, odd, bias, guard)
+                                order, odd, bias, guard, top)
         if times is None and len(summands) == 1:
             total = blocks
             break
@@ -365,18 +365,33 @@ def f_product_sum(arena, summands, order, odd=(), cap=None, top=False):
                 out[tuple(e >> s & mask for s in offsets)] = c
         return MultiPoly(arena, out)
 
-    return {om: unpack(t) for om, (wt, t) in total.items() if not top or wt == order}
+    # pop each packed block as it is unpacked, so that only one block at a
+    # time is held in both forms
+    out = {}
+    for om in list(total):
+        wt, t = total.pop(om)
+        if not top or wt == order:
+            out[om] = unpack(t)
+    return out
 
 
-def _packed_blocks(forms, order, odd, bias, guard):
+def _packed_blocks(forms, order, odd, bias, guard, top):
     """{omega: (weight, {packed exponent: c})} for prod_j f(form_j), each form
-    a list of (shift, coefficient). One pass over the factors: factor j sends
-    block omega to omega + e_k times form_j^k; a term whose exponent sets a
-    guard bit is dropped."""
+    a list of (shift, coefficient). One pass over the factors, updating the
+    blocks in place: factor j adds form_j^k times block omega into block
+    omega + e_k. A block only adds into heavier ones, so visiting the blocks
+    heaviest first reads each before this factor adds into it (the 0/1
+    knapsack order). A factor in odd has no constant term, so it deletes each
+    block once read; with top, the last factor writes only blocks of weight
+    order and deletes the lighter ones. A term whose exponent sets a guard
+    bit is dropped."""
     blocks = {(): (0, {bias: 1})}
     for j, form in enumerate(forms):
-        nxt = {} if j in odd else {om: (wt, dict(t)) for om, (wt, t) in blocks.items()}
-        for om, (wt, t) in blocks.items():
+        least = order if top and j == len(forms) - 1 else 0
+        for om in sorted(blocks, key=lambda om: blocks[om][0], reverse=True):
+            wt, t = blocks[om]
+            if j in odd or wt < least:
+                del blocks[om]
             for k in range(1, order - wt + 1):
                 step = {}
                 for e, c in t.items():
@@ -387,14 +402,13 @@ def _packed_blocks(forms, order, odd, bias, guard):
                 t = step
                 if not t:
                     break
-                if j in odd and k % 2 == 0:
+                if j in odd and k % 2 == 0 or wt + k < least:
                     continue
                 key = list(om) + [0] * (k - len(om))
                 key[k - 1] += 1
-                acc = nxt.setdefault(tuple(key), (wt + k, {}))[1]
+                acc = blocks.setdefault(tuple(key), (wt + k, {}))[1]
                 for e, c in t.items():
                     acc[e] = acc.get(e, 0) + c
-        blocks = nxt
     return blocks
 
 
@@ -615,7 +629,7 @@ class GradedSeries:
             return NotImplemented
         return self.arena == other.arena and self.order == other.order and self.terms == other.terms
 
-    def canonical_text(self):
+    def canonical_text(self, prefix="a"):
         if not self.terms:
             return "0"
         parts = []
@@ -624,7 +638,7 @@ class GradedSeries:
             mono = "*".join(
                 names[i] if d == 1 else "%s^%d" % (names[i], d) for i, d in enumerate(exp) if d
             )
-            ctext = self.terms[exp].canonical_text()
+            ctext = self.terms[exp].canonical_text(prefix)
             if mono:
                 parts.append("(%s)*%s" % (ctext, mono))
             else:

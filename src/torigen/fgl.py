@@ -2,9 +2,9 @@
 F(u, v) = g^{-1}(g(u) + g(v)) of the logarithm g(u) = u + sum b_i u^{i+1},
 b_i = [CP^i]/(i+1), which the fgl verb prints.
 
-The b_i sit on the a-slots of CobordismPoly, so the fgl verb prints b_i as
-a<i>. Univariate series are plain coefficient lists (index = power);
-multivariate ones are GradedSeries.
+The b_i sit on the a-slots of CobordismPoly, and the fgl verb prints them
+as b1, b2, ... Univariate series are plain coefficient lists (index =
+power); multivariate ones are GradedSeries.
 """
 
 from functools import lru_cache
@@ -13,7 +13,7 @@ from .exactalg import CobordismPoly, GradedSeries, reverse_series, xvars
 
 
 def log_series(order):
-    """g(u) = u + b_1 u^2 + b_2 u^3 + ... with b_i rendered on the a-slots."""
+    """g(u) = u + b_1 u^2 + b_2 u^3 + ... with b_i on the a-slots."""
     out = [CobordismPoly(), CobordismPoly.const(1)]
     out += [CobordismPoly.gen(i - 1) for i in range(2, order + 1)]
     return out

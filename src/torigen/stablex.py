@@ -240,13 +240,6 @@ def s_numbers_for(spec, assign):
     return _genus_s_numbers(derived_fixed_point_data(spec, assign))
 
 
-def assignment_to_json(assign):
-    """Flat mapping {coset_index: [signs], "epsilon": e}."""
-    out = {str(i): list(av) for i, av in enumerate(assign.table)}
-    out["epsilon"] = assign.epsilon
-    return out
-
-
 def assignment_from_json(data, spec):
     """SignAssignment from {coset_index: [signs], "epsilon": e}, optionally
     nested under "table"; ValueError for any other shape."""

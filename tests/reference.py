@@ -15,6 +15,8 @@ No verb runs any of these. Each builds its answer the slow, direct way:
   truncated series, and multi_bracket builds [Lambda](u) from the law's own
   logarithm and exponential; the axioms of the fgl verb's addition law are
   checked with them.
+- assignment_to_json builds one sign table as a dict; the stable verb's
+  streamed rendering must equal json.dumps of these dicts.
 """
 
 from itertools import permutations
@@ -156,6 +158,13 @@ def identity_assignment(spec):
     """All a_i(w) = +1, epsilon = +1: reproduces the structure spec carries."""
     base = fixed_point_weights(spec)
     return SignAssignment(tuple((1,) * len(pt.weights) for pt in base), 1)
+
+
+def assignment_to_json(assign):
+    """Flat mapping {coset_index: [signs], "epsilon": e}."""
+    out = {str(i): list(av) for i, av in enumerate(assign.table)}
+    out["epsilon"] = assign.epsilon
+    return out
 
 
 # -- truncated series and the formal group law -------------------------------

@@ -1,12 +1,18 @@
 """Command-line surface: outputs, formats and exit codes."""
 
 import json
+import random
+from argparse import Namespace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from torigen import cli, genus
 from torigen.cli import main, reproduce_table
+from torigen.stablex import SignAssignment
+
+from reference import assignment_to_json
 
 
 def run(capsys, *argv):
@@ -107,7 +113,7 @@ def test_flag_grassmann_fgl_verbs(capsys):
     assert out.strip() == "6*a1^4 + 24*a1^2*a2 + 4*a1*a3 + 14*a2^2 - 20*a4"
     code, out, _ = run(capsys, "fgl", "--trunc", "2")
     assert code == 0
-    assert "-2*a1" in out
+    assert "-2*b1" in out
 
 
 def test_cache_directory(tmp_path, capsys):
@@ -272,7 +278,8 @@ def test_genus_rejects_order_above_n_plus_one(capsys):
 
 
 def test_genus_trunc_bounds_follow_the_dimension(capsys):
-    # U(3)/T3 has n = 3: --trunc 3 and 4 run, 4 is the default, 5 is refused
+    # U(3)/T3 has n = 3: --trunc 3 and 4 run, 4 is the default, 2 and 5 are
+    # refused with the same message
     code, default, _ = run(capsys, "genus", "--space", "U(3)/T3", "--format", "json")
     assert code == 0
     for trunc in ("3", "4"):
@@ -283,6 +290,8 @@ def test_genus_trunc_bounds_follow_the_dimension(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: --trunc must be 3 or 4 on U(3)/T3, got 5\n"
+    code, out, err = run(capsys, "genus", "--space", "U(3)/T3", "--trunc", "2")
+    assert (code, out, err) == (2, "", "error: --trunc must be 3 or 4 on U(3)/T3, got 2\n")
 
 
 def _raise_c1_squared(monkeypatch, at_point):
@@ -358,3 +367,19 @@ def test_reproduce_table_passes():
     ok, rows = reproduce_table()
     assert [name for name, row_ok, _ in rows if not row_ok] == []
     assert ok and len(rows) == 27
+
+
+@pytest.mark.parametrize("count", [0, 5])
+def test_streamed_tables_match_json_dumps(capsys, count):
+    # 12 points, so the keys "10" and "11" sort before "2"; with no table the
+    # text is "admissible: 0" and the JSON has "assignments":[]
+    rng = random.Random(12)
+    sols = [SignAssignment(tuple(tuple(rng.choice((1, -1)) for _ in range(3)) for _ in range(12)),
+                           rng.choice((1, -1))) for _ in range(count)]
+    spec = SimpleNamespace(n=3, descriptor="X(12)")
+    cli._write_tables(Namespace(format="text"), spec, sols)
+    lines = ["admissible: %d" % count] + [json.dumps(assignment_to_json(s), sort_keys=True) for s in sols]
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+    cli._write_tables(Namespace(format="json"), spec, sols)
+    data = {"space": "X(12)", "count": count, "assignments": [assignment_to_json(s) for s in sols]}
+    assert capsys.readouterr().out == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"

@@ -1,6 +1,9 @@
 """Exact polynomial and graded-series kernel tests."""
 
+import random
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -215,3 +218,63 @@ def test_f_product_sum_matches_products_of_blocks(summands, order, cap, top):
         if cap is not None:
             block = MultiPoly(ar, {e: c for e, c in block.terms.items() if max(e) <= cap})
         assert got.get(om, zero) == block, om
+
+
+@pytest.mark.parametrize("odd", [False, True], ids=("even", "odd"))
+@pytest.mark.parametrize("cap", [None, 2], ids=("uncapped", "cap2"))
+@pytest.mark.parametrize("times", [False, True], ids=("bare", "times"))
+def test_f_product_sum_top_keeps_the_top_blocks(odd, cap, times):
+    # top drops the lighter blocks at the last factor; the top blocks must be
+    # those of the full product, also when the last factor is odd (as in thm8)
+    rng = random.Random(14)
+    ar = xvars(3)
+    for _ in range(12):
+        m = rng.randint(2, 5)
+        weights = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(m)]
+        order = rng.randint(1, 5)
+        poly = MultiPoly(ar, {tuple(rng.randint(0, 2) for _ in range(3)): rng.randint(-3, 3) for _ in range(3)})
+        summands = [(weights, poly if times else None)]
+        odds = (0, m - 1) if odd else ()
+        full = f_product_sum(ar, summands, order, odds, cap=cap)
+        want = {om: b for om, b in full.items() if sum(k * e for k, e in enumerate(om, 1)) == order}
+        assert f_product_sum(ar, summands, order, odds, cap=cap, top=True) == want
+
+
+def test_f_product_sum_odd_factors_take_the_odd_part_of_f():
+    # f_odd(t) = (f(t) - f(-t)) / 2, so the product with factors 0 and m - 1
+    # odd is 1/4 of the signed sum of the four products with those weights
+    # negated or not, each made without odd
+    rng = random.Random(8)
+    ar = xvars(3)
+    zero = MultiPoly(ar)
+    for _ in range(12):
+        m = rng.randint(2, 5)
+        weights = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(m)]
+        order = rng.randint(1, 5)
+        want = {}
+        for first, last in product((1, -1), repeat=2):
+            flipped = [tuple(first * c for c in weights[0])] + weights[1:-1] + [tuple(last * c for c in weights[-1])]
+            for om, b in f_product_sum(ar, [(flipped, None)], order).items():
+                want[om] = want.get(om, zero) + b * (first * last)
+        got = f_product_sum(ar, [(weights, None)], order, (0, m - 1))
+        for om in set(want) | set(got):
+            assert got.get(om, zero) * 4 == want.get(om, zero), om
+
+
+def test_flag_product_traced_peak():
+    # the n = 5 flag product that corL reads: blocks updated in place, and
+    # only the top weight written at the last factor
+    n = 5
+    roots = []
+    for i, j in combinations(range(n), 2):
+        w = [0] * n
+        w[i], w[j] = 1, -1
+        roots.append(tuple(w))
+    tracemalloc.start()
+    try:
+        blocks = f_product_sum(xvars(n), [(roots, None)], 10, cap=4, top=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(blocks) == 40
+    assert peak < 4.0e6, peak

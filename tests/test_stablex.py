@@ -16,7 +16,6 @@ from torigen.stablex import (
     _pack,
     _top_rule,
     assignment_from_json,
-    assignment_to_json,
     check_necessary,
     derived_fixed_point_data,
     enumerate_feasible,
@@ -24,7 +23,7 @@ from torigen.stablex import (
 )
 from torigen.symmfunc import omegas_of_weight
 
-from reference import identity_assignment, omega_numerator
+from reference import assignment_to_json, identity_assignment, omega_numerator
 
 M10 = "SU(4)/S(U(1)xU(1)xU(2))"
 
