@@ -8,7 +8,7 @@ an integer matrix-vector product and s-numbers from forward substitution on
 the same rows, in integers for an integer table.
 """
 
-from .exactalg import clean
+from .cobordism import clean
 from .symmfunc import elementary_to_monomial, omegas_of_weight, transition_table
 
 

@@ -4,19 +4,19 @@ Verbs: genus, class, snumbers, chern, verify, flag, grassmann, stable, fgl,
 reproduce.  Text output uses the canonical polynomial rendering so golden
 files stay diff-stable; --format json emits deterministic JSON (sorted keys).
 Exit codes: 0 success, 1 check failure, 2 usage error.
+
+Each verb imports the modules it runs inside its cmd_ function, so a run
+compiles only those: class, snumbers and chern on a space that the
+certificate answers never load the polynomial kernel in exactalg.
 """
 
 import argparse
 import json
 import os
 import sys
-import tempfile
 from itertools import product
 
-from . import divdiff, fgl, genus, rootdata, stablex
-from .chern import chern_to_s
-from .exactalg import CobordismPoly, MultiPoly, block_coefficient, xvars
-from .symmfunc import omega_weight, trim
+from . import CheckFailure, SpaceGrammarError
 
 
 def _ints(text):
@@ -24,6 +24,7 @@ def _ints(text):
 
 
 def _build_space(args):
+    from . import rootdata
     signs = _ints(args.signs) if getattr(args, "signs", None) else None
     return rootdata.build_space(args.space, structure=getattr(args, "structure", None), signs=signs)
 
@@ -58,6 +59,7 @@ CACHE_VERSION = 1
 
 def _cache_load(path):
     """The CobordismPoly stored at path; None if absent, corrupt or of another version."""
+    from .cobordism import CobordismPoly
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -76,6 +78,7 @@ def _cache_poly(args, key, compute):
     """
     if not args.cache:
         return compute()
+    import tempfile
     path = os.path.join(args.cache, key + ".json")
     value = _cache_load(path)
     if value is not None:
@@ -96,6 +99,7 @@ def _cache_poly(args, key, compute):
 
 
 def cmd_class(args):
+    from . import genus, rootdata
     spec = _build_space(args)
     cls = genus.cobordism_class(rootdata.fixed_point_weights(spec))
     _emit(args, cls.canonical_text(), {"space": spec.descriptor, "structure": genus.structure_label(spec), "class": _json_poly(cls)})
@@ -103,6 +107,8 @@ def cmd_class(args):
 
 
 def cmd_genus(args):
+    from . import genus
+    from .cobordism import CobordismPoly
     spec = _build_space(args)
     if args.trunc is not None and not spec.n <= args.trunc <= spec.n + 1:
         raise ValueError("--trunc must be %d or %d on %s, got %d"
@@ -122,6 +128,8 @@ def cmd_genus(args):
 
 
 def cmd_snumbers(args):
+    from . import genus, rootdata
+    from .symmfunc import omega_weight, trim
     spec = _build_space(args)
     fp = rootdata.fixed_point_weights(spec)
     n = len(fp[0].weights)
@@ -152,6 +160,7 @@ def cmd_snumbers(args):
 
 
 def cmd_chern(args):
+    from . import genus, rootdata
     spec = _build_space(args)
     fp = rootdata.fixed_point_weights(spec)
     n = len(fp[0].weights)
@@ -164,6 +173,8 @@ def cmd_chern(args):
 
 
 def cmd_verify(args):
+    from . import genus, rootdata
+    from .chern import chern_to_s
     spec = _build_space(args)
     fp = rootdata.fixed_point_weights(spec)
     n = len(fp[0].weights)
@@ -215,6 +226,7 @@ FLAG_N_LIMIT = 6
 def cmd_flag(args):
     if args.n > FLAG_N_LIMIT:
         raise ValueError("--n must be at most %d, got %d" % (FLAG_N_LIMIT, args.n))
+    from . import divdiff
     cls = _cache_poly(args, "flag_%d_%s" % (args.n, args.method),
                       lambda: divdiff.flag_class(args.n, args.method))
     _emit(args, cls.canonical_text(), {"n": args.n, "method": args.method, "class": _json_poly(cls)})
@@ -235,6 +247,7 @@ def cmd_grassmann(args):
     if max(args.q, args.l) > GRASSMANN_SIDE_LIMIT:
         raise ValueError("--q and --l must be at most %d, got %d"
                          % (GRASSMANN_SIDE_LIMIT, max(args.q, args.l)))
+    from . import divdiff
     cls = _cache_poly(args, "grassmann_%d_%d" % (args.q, args.l),
                       lambda: divdiff.grassmann_class(args.q, args.l))
     _emit(args, cls.canonical_text(), {"q": args.q, "l": args.l, "class": _json_poly(cls)})
@@ -242,6 +255,8 @@ def cmd_grassmann(args):
 
 
 def cmd_stable(args):
+    from . import rootdata, stablex
+    from .exactalg import MultiPoly
     spec = _build_space(args)
     if args.assign:
         with open(args.assign) as fh:
@@ -292,246 +307,14 @@ def cmd_fgl(args):
         raise ValueError("--trunc must be at least 1, got %d" % order)
     if order > FGL_TRUNC_LIMIT:
         raise ValueError("--trunc must be at most %d, got %d" % (FGL_TRUNC_LIMIT, order))
+    from . import fgl
     text = fgl.fgl_addition(order).canonical_text("b")
     _emit(args, text, {"order": order, "addition": text})
     return 0
 
 
-def _s6_sigma_blocks():
-    """ch_U Phi(S^6) blocks rewritten in sigma_2, sigma_3 (x3 eliminated)."""
-    spec = rootdata.build_space("G2/SU(3)")
-    fp = rootdata.fixed_point_weights(spec)
-    ch = genus.chern_character_of_genus(fp, 9)
-    arena = xvars(2)
-    x1 = MultiPoly.variable(arena, 0)
-    x2 = MultiPoly.variable(arena, 1)
-    s2 = x1 * x2 + (x1 + x2) * (-(x1 + x2))
-    s3 = x1 * x2 * (-(x1 + x2))
-    out = {}
-    for d, basis in ((2, s2), (4, s2 * s2)):
-        mono = next(iter(basis.terms))
-        out[("s2", d)] = block_coefficient(ch, mono) / basis.terms[mono]
-    b1, b2 = s2 * s2 * s2, s3 * s3
-    e1, e2 = (6, 0), (4, 2)
-    a11, a12 = b1.coeff(e1), b2.coeff(e1)
-    a21, a22 = b1.coeff(e2), b2.coeff(e2)
-    det = a11 * a22 - a12 * a21
-    v1, v2 = block_coefficient(ch, e1), block_coefficient(ch, e2)
-    out[("s2", 6)] = (v1 * a22 - v2 * a12) / det
-    out[("s3", 6)] = (v2 * a11 - v1 * a21) / det
-    return out
-
-
-def _reproduce_rows():
-    """(name, fn) pairs; fn returns (ok, shown-value) with exact comparisons."""
-    rows = []
-
-    def row(name):
-        def deco(fn):
-            rows.append((name, fn))
-            return fn
-        return deco
-
-    def cls_of(descriptor, structure=None):
-        spec = rootdata.build_space(descriptor, structure=structure)
-        return genus.cobordism_class(rootdata.fixed_point_weights(spec))
-
-    @row("CP1-class")
-    def _():
-        got = cls_of("CP1").canonical_text()
-        return got == "2*a1", got
-
-    @row("U3T3-class")
-    def _():
-        got = cls_of("U(3)/T3").canonical_text()
-        return got == "6*a1^3 + 6*a1*a2 - 6*a3", got
-
-    @row("U3T3-operator-L-route")
-    def _():
-        got = divdiff.flag_class(3).canonical_text()
-        return got == "6*a1^3 + 6*a1*a2 - 6*a3", got
-
-    @row("U3T3-chern")
-    def _():
-        spec = rootdata.build_space("U(3)/T3")
-        table = genus.chern_numbers(rootdata.fixed_point_weights(spec))
-        want = {(0, 0, 1): 6, (1, 1): 24, (3,): 48}
-        return table == want, str(sorted(table.items()))
-
-    @row("G42-class")
-    def _():
-        got = cls_of("U(4)/U(2)xU(2)").canonical_text()
-        want = "6*a1^4 + 24*a1^2*a2 + 4*a1*a3 + 14*a2^2 - 20*a4"
-        return got == want, got
-
-    @row("G42-s-table")
-    def _():
-        spec = rootdata.build_space("U(4)/U(2)xU(2)")
-        got = genus.s_numbers(rootdata.fixed_point_weights(spec))
-        want = {(4,): 6, (2, 1): 24, (0, 2): 14, (1, 0, 1): 4, (0, 0, 0, 1): -20}
-        return got == want, str(sorted(got.items()))
-
-    @row("G42-chern")
-    def _():
-        spec = rootdata.build_space("U(4)/U(2)xU(2)")
-        table = genus.chern_numbers(rootdata.fixed_point_weights(spec))
-        want = {(0, 0, 0, 1): 6, (1, 0, 1): 48, (0, 2): 98, (2, 1): 224, (4,): 512}
-        return table == want, str(sorted(table.items()))
-
-    @row("G42-s4-numeric")
-    def _():
-        spec = rootdata.build_space("U(4)/U(2)xU(2)")
-        got = genus.s_number_numeric(rootdata.fixed_point_weights(spec), (0, 0, 0, 1), (1, 2, 3, 4))
-        return got == -20, str(got)
-
-    @row("G42-Q-delta")
-    def _():
-        got = divdiff.grassmann_Q_polynomials(2, 2, (3, 2, 1, 0)).canonical_text()
-        return got == "a1^4 - 4*a1*a3 + 4*a2^2", got
-
-    m10_class = {
-        "J1": "12*a1^5 + 48*a1^3*a2 - 20*a1^2*a3 + 28*a1*a2^2 - 40*a1*a4 - 8*a2*a3 + 20*a5",
-        "J2": "12*a1^5 + 48*a1^3*a2 - 20*a1^2*a3 + 28*a1*a2^2 - 40*a1*a4 + 32*a2*a3 - 20*a5",
-        "J3": "12*a1^5 - 48*a1^3*a2 + 60*a1^2*a3 + 28*a1*a2^2 - 40*a1*a4 - 48*a2*a3 + 60*a5",
-    }
-    m10_chern = {
-        "J1": (12, 108, 292, 612, 1028, 2148, 4500),
-        "J2": (12, 108, 292, 612, 1068, 2268, 4860),
-        "J3": (12, 12, 4, 20, -4, -4, -20),
-    }
-    m10_keys = [(0, 0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 1), (2, 0, 1), (1, 2), (3, 1), (5,)]
-
-    def m10_rows(name):
-        @row("M10-%s-class" % name)
-        def _():
-            spec = rootdata.build_space(rootdata.M10_DESCRIPTOR, structure=name)
-            got = genus.cobordism_class(rootdata.fixed_point_weights(spec)).canonical_text()
-            return got == m10_class[name], got
-
-        @row("M10-%s-chern" % name)
-        def _():
-            spec = rootdata.build_space(rootdata.M10_DESCRIPTOR, structure=name)
-            table = genus.chern_numbers(rootdata.fixed_point_weights(spec))
-            got = tuple(table[k] for k in m10_keys)
-            return got == m10_chern[name], str(got)
-
-    for name in ("J1", "J2", "J3"):
-        m10_rows(name)
-
-    @row("S6-class")
-    def _():
-        got = cls_of("G2/SU(3)").canonical_text()
-        return got == "2*a1^3 - 6*a1*a2 + 6*a3", got
-
-    @row("S6-sigma-coefficients")
-    def _():
-        blocks = _s6_sigma_blocks()
-        g = CobordismPoly.gen
-        want = {
-            ("s2", 2): (g(1) * g(2) ** 2 - g(1) ** 2 * g(3) * 2 - g(2) * g(3)
-                        + g(1) * g(4) * 5 - g(5) * 5) * 2,
-            ("s2", 4): (g(1) * g(3) ** 2 - g(1) * g(2) * g(4) * 2 - g(3) * g(4)
-                        + g(1) ** 2 * g(5) * 2 + g(2) * g(5) * 3 - g(1) * g(6) * 7
-                        + g(7) * 7) * 2,
-            ("s2", 6): (g(9) * -9 + g(1) * g(8) * 9 - g(2) * g(7) * 5 + g(3) * g(6) * 3
-                        - g(4) * g(5) - g(1) ** 2 * g(7) * 2 + g(1) * g(2) * g(6) * 2
-                        - g(1) * g(3) * g(5) * 2 + g(1) * g(4) ** 2) * 2,
-            ("s3", 6): (g(9) * 3 - g(1) * g(8) * 3 - g(2) * g(7) * 3 + g(3) * g(6) * 6
-                        - g(4) * g(5) * 3 + g(1) ** 2 * g(7) * 3 - g(1) * g(2) * g(6) * 3
-                        - g(1) * g(3) * g(5) * 3 + g(1) * g(4) ** 2 * 3 + g(2) ** 2 * g(5) * 3
-                        - g(2) * g(3) * g(4) * 3 + g(3) ** 3) * 2,
-        }
-        ok = all(blocks[k] == want[k] for k in want)
-        return ok, "4 blocks"
-
-    @row("S6-stable-count")
-    def _():
-        sols = stablex.enumerate_feasible(rootdata.build_space("G2/SU(3)"))
-        return len(sols) == 10, str(len(sols))
-
-    @row("S6-stable-nonJ-trivial")
-    def _():
-        spec = rootdata.build_space("G2/SU(3)")
-        bad = []
-        for sol in stablex.enumerate_feasible(spec):
-            if sol.table in (((1, 1, 1), (1, 1, 1)), ((-1, -1, -1), (-1, -1, -1))):
-                continue
-            cls = genus.cobordism_class(stablex.derived_fixed_point_data(spec, sol))
-            if not cls.is_zero():
-                bad.append(sol.table)
-        return not bad, "all trivial" if not bad else str(bad)
-
-    @row("flag-s80")
-    def _():
-        got = divdiff.flag_class(4).coeff((1, 0, 0, 0, 1, 0))
-        return got == 80, str(got)
-
-    @row("flag-methods-agree-n4")
-    def _():
-        a = divdiff.flag_class(4, "corL")
-        b = divdiff.flag_class(4, "tchi")
-        c = divdiff.flag_class(4, "thm8")
-        spec = rootdata.build_space("U(4)/T4")
-        d = genus.cobordism_class(rootdata.fixed_point_weights(spec))
-        return a == b == c == d, "4 routes"
-
-    @row("flag-even-n4")
-    def _():
-        rep = divdiff.flag_vanishing_checks(4)
-        return rep["even_chern"]["ok"], str(rep["even_chern"])
-
-    @row("flag-vanishing-n4")
-    def _():
-        rep = divdiff.flag_vanishing_checks(4)
-        return rep["ok"], json.dumps(rep, sort_keys=True)
-
-    @row("flag-P-delta")
-    def _():
-        p = divdiff.flag_P_polynomials(3, (2, 1, 0)).canonical_text()
-        q = divdiff.flag_P_polynomials(3, (2, 0, 1)).canonical_text()
-        ok = p == "a1^3 - a1*a2 - 3*a3" and q == "-a1^3 - 5*a1*a2 - 3*a3"
-        return ok, "%s ; %s" % (p, q)
-
-    @row("CPn-sn")
-    def _():
-        got = []
-        for n in range(1, 6):
-            spec = rootdata.build_space("CP%d" % n)
-            table = genus.s_numbers(rootdata.fixed_point_weights(spec))
-            got.append(table[(0,) * (n - 1) + (1,)])
-        return got == [2, 3, 4, 5, 6], str(got)
-
-    @row("CP3-nonstandard-s3")
-    def _():
-        spec = rootdata.build_space("CP3")
-        assign = stablex.SignAssignment(
-            ((1, 1, 1), (1, 1, -1), (1, 1, -1), (1, 1, -1)), -1)
-        fp = stablex.derived_fixed_point_data(spec, assign)
-        signs = tuple(pt.sign for pt in fp)
-        s3 = genus.s_numbers(fp)[(0, 0, 1)]
-        return signs == (-1, 1, 1, 1) and s3 == -2, "signs=%s s3=%d" % (signs, s3)
-
-    @row("CP3-admissible-16")
-    def _():
-        sols = stablex.enumerate_feasible(rootdata.build_space("CP3"))
-        return len(sols) == 16, str(len(sols))
-
-    return rows
-
-
-def reproduce_table():
-    """Run every row; returns (all_ok, [(name, ok, shown)])."""
-    results = []
-    for name, fn in _reproduce_rows():
-        try:
-            ok, shown = fn()
-        except Exception as exc:  # a crashed row is a failed row
-            ok, shown = False, "%s: %s" % (type(exc).__name__, exc)
-        results.append((name, ok, shown))
-    return all(ok for _, ok, _ in results), results
-
-
 def cmd_reproduce(args):
+    from .reproduce import reproduce_table
     ok, results = reproduce_table()
     if args.format == "json":
         print(json.dumps(
@@ -619,7 +402,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (rootdata.ParseError, rootdata.UnsupportedGroup) as exc:
+    except SpaceGrammarError as exc:
         print("error: %s" % exc, file=sys.stderr)
         print('space grammar: "CPn", "U(n)/Tn", "U(n)/U(k1)x...xU(km)", '
               '"G2/SU(3)", "SU(4)/S(U(1)xU(1)xU(2))"', file=sys.stderr)
@@ -627,8 +410,7 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (genus.SingularSum, genus.NonIntegerClass, genus.SingularPoint,
-            stablex.BudgetExceeded) as exc:
+    except CheckFailure as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -20,7 +20,8 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
 
-from .exactalg import CobordismPoly, MultiPoly, block_coefficient, f_product_sum, xvars
+from .cobordism import CobordismPoly
+from .exactalg import MultiPoly, block_coefficient, f_product_sum, xvars
 from .symmfunc import omegas_of_weight, perm_sign
 
 

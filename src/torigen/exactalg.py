@@ -1,4 +1,4 @@
-"""Exact polynomial kernel: rationals, multivariate polynomials, graded series.
+"""Exact polynomial kernel: multivariate polynomials, exact division, graded series.
 
 Everything is exact. Coefficients are python ints whenever they are integral
 and fractions.Fraction otherwise; no floats anywhere. Polynomials are dicts
@@ -13,9 +13,13 @@ coefficients. It also multiplies each product by a polynomial cofactor and
 sums over the products on its packed exponents, which no caller sees.
 Callers read the x^e coefficient of a block dict as one CobordismPoly through
 block_coefficient. GradedSeries stays for the formal group law (fgl).
+CobordismPoly, clean and the term rendering live in cobordism, which the
+certified point route loads without this module.
 """
 
 from fractions import Fraction
+
+from .cobordism import CobordismPoly, clean, grlex_key, render_terms
 
 
 class ArenaMismatch(Exception):
@@ -28,57 +32,6 @@ class NotDivisible(Exception):
 
 class BadLeadingTerm(Exception):
     pass
-
-
-def clean(c):
-    """Collapse integral Fractions to int."""
-    if type(c) is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
-
-
-def grlex_key(exp):
-    return (sum(exp), exp)
-
-
-def _fmt_coeff(c):
-    c = clean(c)
-    if isinstance(c, Fraction):
-        return "%d/%d" % (c.numerator, c.denominator)
-    return str(c)
-
-
-def _fmt_term(exp, c, names):
-    factors = []
-    for i, e in enumerate(exp):
-        if e == 1:
-            factors.append(names[i])
-        elif e > 1:
-            factors.append("%s^%d" % (names[i], e))
-    c = clean(c)
-    neg = c < 0
-    c = -c if neg else c
-    if not factors:
-        body = _fmt_coeff(c)
-    elif c == 1:
-        body = "*".join(factors)
-    else:
-        body = _fmt_coeff(c) + "*" + "*".join(factors)
-    return neg, body
-
-
-def render_terms(terms, names):
-    """Canonical text of an exponent->coefficient map, graded lex descending."""
-    if not terms:
-        return "0"
-    parts = []
-    for exp in sorted(terms, key=grlex_key, reverse=True):
-        neg, body = _fmt_term(exp, terms[exp], names)
-        if not parts:
-            parts.append("-" + body if neg else body)
-        else:
-            parts.append(("- " if neg else "+ ") + body)
-    return " ".join(parts)
 
 
 class VarArena:
@@ -416,130 +369,6 @@ def block_coefficient(blocks, e):
     """sum_omega a^omega * (x^e coefficient of block omega), for blocks
     {omega: MultiPoly} as f_product_sum returns them."""
     return CobordismPoly({om: b.coeff(e) for om, b in blocks.items()})
-
-
-class CobordismPoly:
-    """Integer/rational polynomial in the cobordism generators a_1, a_2, ...
-
-    Keys are exponent tuples with trailing zeros stripped; generator a_i has
-    weight i, so the monomial a^omega has weight sum(l * omega_l).
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for exp, c in terms.items():
-                c = clean(c)
-                if c:
-                    exp = tuple(exp)
-                    while exp and exp[-1] == 0:
-                        exp = exp[:-1]
-                    t[exp] = t.get(exp, 0) + c
-                    if t[exp] == 0:
-                        del t[exp]
-        self.terms = t
-
-    @classmethod
-    def const(cls, c):
-        return cls({(): c})
-
-    @classmethod
-    def gen(cls, i):
-        """The generator a_i, i >= 1."""
-        return cls({(0,) * (i - 1) + (1,): 1})
-
-    @classmethod
-    def monomial(cls, omega, c=1):
-        return cls({tuple(omega): c})
-
-    def is_zero(self):
-        return not self.terms
-
-    def coeff(self, omega):
-        omega = tuple(omega)
-        while omega and omega[-1] == 0:
-            omega = omega[:-1]
-        return self.terms.get(omega, 0)
-
-    def weights(self):
-        return {sum((l + 1) * m for l, m in enumerate(e)) for e in self.terms}
-
-    def is_homogeneous(self, weight=None):
-        ws = self.weights()
-        if len(ws) > 1:
-            return False
-        return True if weight is None else (not ws or ws == {weight})
-
-    def is_integral(self):
-        return all(isinstance(c, int) for c in self.terms.values())
-
-    def __add__(self, other):
-        if not isinstance(other, CobordismPoly):
-            other = CobordismPoly.const(other)
-        t = dict(self.terms)
-        for exp, c in other.terms.items():
-            t[exp] = t.get(exp, 0) + c
-        return CobordismPoly(t)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CobordismPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-(other if isinstance(other, CobordismPoly) else CobordismPoly.const(other)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, CobordismPoly):
-            if other == 0:
-                return CobordismPoly()
-            return CobordismPoly({e: c * other for e, c in self.terms.items()})
-        t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                if len(e1) < len(e2):
-                    ea, eb = e2, e1
-                else:
-                    ea, eb = e1, e2
-                e = tuple(a + b for a, b in zip(ea, eb)) + ea[len(eb):]
-                t[e] = t.get(e, 0) + c1 * c2
-        return CobordismPoly(t)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, num):
-        return CobordismPoly({e: Fraction(c) / Fraction(num) for e, c in self.terms.items()})
-
-    def __pow__(self, n):
-        result = CobordismPoly.const(1)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, CobordismPoly):
-            other = CobordismPoly.const(other)
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def max_gen(self):
-        return max((len(e) for e in self.terms), default=0)
-
-    def canonical_text(self, prefix="a"):
-        n = self.max_gen()
-        names = ["%s%d" % (prefix, i + 1) for i in range(n)]
-        padded = {e + (0,) * (n - len(e)): c for e, c in self.terms.items()}
-        return render_terms(padded, names)
-
-    def __repr__(self):
-        return "CobordismPoly(%s)" % self.canonical_text()
 
 
 class GradedSeries:

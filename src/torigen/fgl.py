@@ -9,7 +9,8 @@ power); multivariate ones are GradedSeries.
 
 from functools import lru_cache
 
-from .exactalg import CobordismPoly, GradedSeries, reverse_series, xvars
+from .cobordism import CobordismPoly
+from .exactalg import GradedSeries, reverse_series, xvars
 
 
 def log_series(order):

@@ -25,6 +25,10 @@ route:
   a^omega. The character stays in that form, {omega: MultiPoly}, and carries
   the low-block cancellation, the class (the blocks' constant terms) and the
   Weyl check.
+- Only the symbolic route (localization_data, character_numerator,
+  chern_character_of_genus, class_of_character, weyl_invariance_ok)
+  imports the polynomial kernel, inside those functions: a verb that the
+  certificate answers never loads exactalg.
 - The tests check the kernel and stablex.check_necessary against
   omega_numerator in tests/reference.py, which builds one a^omega block by
   m_lambda substitution instead.
@@ -35,25 +39,24 @@ absolute: an order-N character holds the blocks with ||omega|| = n + d <= N.
 """
 
 from collections import Counter, namedtuple
-from fractions import Fraction
 from math import gcd, lcm, prod
 
+from . import CheckFailure
 from .chern import chern_to_s, s_to_chern
-from .exactalg import (CobordismPoly, GradedSeries, MultiPoly, NotDivisible, block_coefficient,
-                       clean, exact_div_terms, f_product_sum, xvars)
+from .cobordism import CobordismPoly
 from .rootdata import fixed_point_weights
 from .symmfunc import omega_weight, omegas_of_weight, trim
 
 
-class SingularSum(Exception):
+class SingularSum(CheckFailure):
     pass
 
 
-class NonIntegerClass(Exception):
+class NonIntegerClass(CheckFailure):
     pass
 
 
-class SingularPoint(Exception):
+class SingularPoint(CheckFailure):
     pass
 
 
@@ -77,6 +80,7 @@ def localization_data(fp):
     point; cofactors[p] * (point p's own denominator) = denom up to the sign
     prefactors[p], which absorbs sign(p) and the orientation of each weight.
     """
+    from .exactalg import MultiPoly, xvars
     k = len(fp[0].weights[0])
     n = len(fp[0].weights)
     arena = xvars(k)
@@ -116,6 +120,7 @@ def character_numerator(fp, order):
     """loc and the numerator blocks sum_p prefactor_p * cofactor_p *
     prod_j f(<Lambda_j(p), x>), {omega: MultiPoly} for ||omega|| <= order,
     multiplied and summed over the points in the kernel (f_product_sum)."""
+    from .exactalg import f_product_sum
     loc = localization_data(fp)
     summands = [(pt.weights, cof * pre) for pt, cof, pre in zip(fp, loc.cofactors, loc.prefactors)]
     return loc, f_product_sum(loc.arena, summands, order)
@@ -130,6 +135,7 @@ def chern_character_of_genus(fp, order):
     divided exactly by the denominator, and block omega of the quotient is
     homogeneous of x-degree ||omega|| - n.
     """
+    from .exactalg import GradedSeries, MultiPoly, NotDivisible, exact_div_terms
     n = len(fp[0].weights)
     if order < n:
         raise ValueError("order %d below dimension grade %d" % (order, n))
@@ -161,6 +167,7 @@ def chern_character_of_genus(fp, order):
 def class_of_character(ch, n):
     """The t^n coefficient of a character: the constant terms of its blocks,
     which must form an integer class of weight n."""
+    from .exactalg import block_coefficient
     k = next((b.arena.arity for b in ch.values()), 0)
     cls = block_coefficient(ch, (0,) * k)
     if not cls.is_homogeneous(n):
@@ -220,7 +227,8 @@ def point_chern_numbers(fp, point):
         c^xi = sum_p sign(p) e_1^xi_1 ... e_n^xi_n / prod_j c_j,
 
     e_k the elementary symmetric functions of c_j = <Lambda_j(p), point>, in
-    exact integers and one Fraction per xi. This is the localization sum at
+    exact integers over one common denominator; a value is an int where that
+    denominator divides it, else a Fraction. This is the localization sum at
     that point; it is the Chern number wherever the sum is constant (see
     _pole_free)."""
     n = len(fp[0].weights)
@@ -246,7 +254,14 @@ def point_chern_numbers(fp, point):
         scale = sign * (common // den)
         for i, v in enumerate(vals):
             sums[i] += scale * v
-    return {xi: clean(Fraction(v, common)) for xi, v in zip(xis, sums)}
+    out = {}
+    for xi, v in zip(xis, sums):
+        q, r = divmod(v, common)
+        if r:
+            from fractions import Fraction
+            q = Fraction(v, common)
+        out[xi] = q
+    return out
 
 
 def _certified_chern_numbers(fp):
@@ -328,6 +343,7 @@ def s_number_numeric(fp, omega, point):
 def weyl_invariance_ok(spec, ch):
     """Every block of the character ch of a space of spec must be invariant
     under every Weyl generator of G."""
+    from .exactalg import MultiPoly
     if spec.family == "G2":
         from .rootdata import G2_S_LONG, G2_S_SHORT
         for M in (G2_S_SHORT, G2_S_LONG):

@@ -11,16 +11,17 @@ Conventions:
 """
 
 from collections import namedtuple
-from itertools import permutations
 from math import gcd
 import re
 
+from . import SpaceGrammarError
 
-class ParseError(Exception):
+
+class ParseError(SpaceGrammarError):
     pass
 
 
-class UnsupportedGroup(Exception):
+class UnsupportedGroup(SpaceGrammarError):
     pass
 
 
@@ -247,17 +248,43 @@ def weyl_cosets(spec):
             for h in sub:
                 covered.add(_matmul(g, h))
         return reps
+    return _increasing_on_blocks(spec.blocks, spec.rank)
+
+
+def _increasing_on_blocks(blocks, rank):
+    """The permutations of range(rank) that increase on every block, in
+    lexicographic order. Positions are filled left to right, each trying the
+    unused values in ascending order; a position that is not first in its
+    block must exceed the previous value there, and a value is too large
+    once fewer unused values lie above it than the block has positions
+    left. With contiguous blocks no branch then dead-ends, so the work
+    grows with the number of representatives, not with rank!."""
+    prev = [None] * rank
+    left = [0] * rank
+    for block in blocks:
+        for i, pos in enumerate(block):
+            prev[pos - 1] = block[i - 1] - 1 if i else None
+            left[pos - 1] = len(block) - 1 - i
+    perm = [0] * rank
+    used = [False] * rank
     reps = []
-    for p in permutations(range(spec.rank)):
-        ok = True
-        for block in spec.blocks:
-            vals = [p[pos - 1] for pos in block]
-            if any(vals[i] > vals[i + 1] for i in range(len(vals) - 1)):
-                ok = False
+
+    def fill(pos):
+        if pos == rank:
+            reps.append(tuple(perm))
+            return
+        low = 0 if prev[pos] is None else perm[prev[pos]] + 1
+        for v in range(low, rank):
+            if used[v]:
+                continue
+            if sum(not u for u in used[v + 1:]) < left[pos]:
                 break
-        if ok:
-            reps.append(tuple(p))
-    reps.sort()
+            perm[pos] = v
+            used[v] = True
+            fill(pos + 1)
+            used[v] = False
+
+    fill(0)
     return reps
 
 

@@ -21,14 +21,16 @@ geometric question that we do not decide.
 from collections import namedtuple
 from itertools import product
 
-from .exactalg import NotDivisible, clean, exact_div, f_product_sum
+from . import CheckFailure
+from .cobordism import clean
+from .exactalg import NotDivisible, exact_div, f_product_sum
 from .genus import character_numerator, localization_data
 from .genus import s_numbers as _genus_s_numbers
 from .rootdata import FixedPoint, fixed_point_weights
 from .symmfunc import omega_weight, omegas_of_weight
 
 
-class BudgetExceeded(Exception):
+class BudgetExceeded(CheckFailure):
     pass
 
 

@@ -11,6 +11,9 @@ No verb runs any of these. Each builds its answer the slow, direct way:
   polynomials; symmfunc.transition_table and chern.chern_to_s must agree.
 - euler_characteristic counts the cosets by the order formula; the top
   number s_(n) must be +-chi.
+- cosets_by_filter keeps the permutations of the rank that increase on
+  every block; rootdata.weyl_cosets, which builds them directly, must list
+  the same ones in the same order.
 - substitute_series and permute_series substitute into and permute a
   truncated series, and multi_bracket builds [Lambda](u) from the law's own
   logarithm and exponential; the axioms of the fgl verb's addition law are
@@ -152,6 +155,13 @@ def euler_characteristic(spec):
         for i in range(2, len(block) + 1):
             total //= i
     return total
+
+
+def cosets_by_filter(blocks, rank):
+    """Minimal coset representatives as the sorted permutations of
+    range(rank) that increase on every block (1-based positions)."""
+    return sorted(p for p in permutations(range(rank))
+                  if all(p[a - 1] < p[b - 1] for block in blocks for a, b in zip(block, block[1:])))
 
 
 def identity_assignment(spec):

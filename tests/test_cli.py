@@ -8,8 +8,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from torigen import cli, genus
-from torigen.cli import main, reproduce_table
+from torigen import cli, genus, reproduce
+from torigen.cli import main
+from torigen.reproduce import reproduce_table
 from torigen.stablex import SignAssignment
 
 from reference import assignment_to_json
@@ -345,7 +346,7 @@ def test_reproduce_verb_counts_failed_and_crashed_rows(capsys, monkeypatch):
     def crash():
         raise ZeroDivisionError("no value")
     rows = [("holds", lambda: (True, "1")), ("differs", lambda: (False, "2")), ("crashes", crash)]
-    monkeypatch.setattr(cli, "_reproduce_rows", lambda: rows)
+    monkeypatch.setattr(reproduce, "_reproduce_rows", lambda: rows)
     code, out, _ = run(capsys, "reproduce")
     assert code == 1
     assert out.splitlines() == ["%-28s PASS  1" % "holds", "%-28s FAIL  2" % "differs",
@@ -357,7 +358,7 @@ def test_reproduce_verb_counts_failed_and_crashed_rows(capsys, monkeypatch):
         {"name": "holds", "ok": True, "value": "1"},
         {"name": "differs", "ok": False, "value": "2"},
         {"name": "crashes", "ok": False, "value": "ZeroDivisionError: no value"}]}
-    monkeypatch.setattr(cli, "_reproduce_rows", lambda: rows[:1])
+    monkeypatch.setattr(reproduce, "_reproduce_rows", lambda: rows[:1])
     code, out, _ = run(capsys, "reproduce")
     assert code == 0
     assert out.splitlines()[-1] == "1/1 rows pass"

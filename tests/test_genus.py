@@ -1,5 +1,6 @@
 """Localization pipeline: characters, classes, s_omega, Chern numbers."""
 
+from fractions import Fraction
 from math import comb, factorial, prod
 
 import pytest
@@ -276,6 +277,19 @@ def test_evaluator_matches_flag_route():
     fp = fp_of("U(5)/T5")
     assert _pole_free(fp)
     assert cobordism_class(fp) == flag_class(5)
+
+
+def test_point_values_are_ints_or_exact_fractions():
+    # one point with weights x1, x2 at (2, 3): c = (2, 3), e = (5, 6), so
+    # c1^2 = 25/6 and c2 = 6/6 over prod c = 6; over two points the sums
+    # keep one common denominator
+    one = [FixedPoint(0, ((1, 0), (0, 1)), 1)]
+    got = point_chern_numbers(one, (2, 3))
+    assert got == {(2,): Fraction(25, 6), (0, 1): 1} and type(got[(0, 1)]) is int
+    two = one + [FixedPoint(1, ((1, 1), (0, -1)), 1)]
+    # second point: c = (5, -3), e = (2, -15), prod c = -15
+    assert point_chern_numbers(two, (2, 3)) == {(2,): Fraction(25, 6) + Fraction(4, -15),
+                                                  (0, 1): 2}
 
 
 @pytest.mark.parametrize("text", ["U(5)/U(1)xU(2)xU(2)", "U(6)/U(3)xU(3)"])

@@ -1,5 +1,9 @@
 """Space parsing, Weyl cosets and fixed-point weight tables."""
 
+import random
+import time
+from types import SimpleNamespace
+
 import pytest
 
 from torigen.rootdata import (
@@ -14,7 +18,7 @@ from torigen.rootdata import (
     weyl_cosets,
 )
 
-from reference import euler_characteristic
+from reference import cosets_by_filter, euler_characteristic
 
 CP3_WEIGHTS = [
     ((1, 0, 0, -1), (0, 1, 0, -1), (0, 0, 1, -1)),
@@ -142,3 +146,46 @@ def test_coset_representatives_increase_on_blocks():
     for rep in reps:
         assert rep[0] < rep[1] and rep[2] < rep[3]
     assert reps == sorted(reps)
+
+
+PRESETS = ["CP%d" % n for n in range(1, 7)] + ["U(%d)/T%d" % (n, n) for n in range(2, 7)] + [
+    "U(4)/U(2)xU(2)", "U(4)/U(1)xU(1)xU(2)", "U(5)/U(2)xU(3)", "U(5)/U(1)xU(2)xU(2)",
+    "U(6)/U(3)xU(3)", "U(7)/U(2)xU(1)xU(4)", M10_DESCRIPTOR]
+
+
+@pytest.mark.parametrize("text", PRESETS)
+def test_cosets_match_the_permutation_filter(text):
+    spec = build_space(text)
+    assert weyl_cosets(spec) == cosets_by_filter(spec.blocks, spec.rank)
+
+
+def test_cosets_match_the_filter_on_random_block_shapes():
+    # contiguous blocks as the grammar builds them, and scattered ones, on
+    # which the walk may dead-end but must still list the same permutations
+    rng = random.Random(7)
+    for _ in range(60):
+        rank = rng.randint(1, 7)
+        sizes = []
+        while sum(sizes) < rank:
+            sizes.append(rng.randint(1, rank - sum(sizes)))
+        if len(sizes) > 1:
+            spec = build_space("U(%d)/%s" % (rank, "x".join("U(%d)" % k for k in sizes)))
+            assert weyl_cosets(spec) == cosets_by_filter(spec.blocks, spec.rank)
+        positions = list(range(1, rank + 1))
+        rng.shuffle(positions)
+        blocks, start = [], 0
+        for k in sizes:
+            blocks.append(tuple(sorted(positions[start:start + k])))
+            start += k
+        spec = SimpleNamespace(family="A", rank=rank, blocks=tuple(blocks))
+        assert weyl_cosets(spec) == cosets_by_filter(spec.blocks, rank)
+
+
+def test_projective_cosets_do_not_walk_every_permutation():
+    # CP10 has 11! = 39916800 permutations of its rank and 11 representatives;
+    # the filter took 53.6 s on CP10 and the direct walk takes well under 1 ms
+    spec = build_space("CP10")
+    start = time.perf_counter()
+    reps = weyl_cosets(spec)
+    assert time.perf_counter() - start < 1.0
+    assert reps == [tuple(j for j in range(11) if j != i) + (i,) for i in reversed(range(11))]
