@@ -75,6 +75,8 @@ def _cache_poly(args, key, compute):
 
     A missing, corrupt or stale entry is recomputed and replaced atomically:
     the entry is written to a temporary file in DIR and renamed over the old one.
+    DIR and the temporary file are made before computing, so a cache that
+    cannot be written fails at once, not after the work.
     """
     if not args.cache:
         return compute()
@@ -83,11 +85,11 @@ def _cache_poly(args, key, compute):
     value = _cache_load(path)
     if value is not None:
         return value
-    value = compute()
     os.makedirs(args.cache, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=args.cache, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
+            value = compute()
             json.dump({"version": CACHE_VERSION,
                        "terms": [{"exponents": list(e), "coefficient": str(c)}
                                  for e, c in sorted(value.terms.items())]}, fh)
@@ -218,8 +220,8 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
-# flag --n 6 takes 10-14 s and peaks at about 225 MB (165 MB by thm8); n + 1
-# multiplies n more factors, to an order n higher
+# flag --n 6 takes 22-32 s on a 2-vCPU VM and peaks at about 108 MB (90 MB by
+# thm8); n + 1 multiplies n more factors, to an order n higher
 FLAG_N_LIMIT = 6
 
 
@@ -327,7 +329,36 @@ def cmd_reproduce(args):
     return 0 if ok else 1
 
 
-def _parser():
+def _parser(argv):
+    """The parser of argv. Every verb is registered with its name and help,
+    but only the verb that argv names gets its arguments: each add_argument
+    builds a help formatter, and a run parses one verb. That verb is the
+    first token not starting with "-": the top level takes no option but -h,
+    so argparse hands that token to the verb parsers, and a "-" token that it
+    reads as a verb instead ("-1") it rejects as no verb."""
+    # verb: (help, its function, whether it reads a space, its own arguments)
+    verbs = {
+        "class": ("cobordism class", cmd_class, True, ()),
+        "genus": ("full genus report", cmd_genus, True,
+                  (("--trunc", {"type": int, "help": "character truncation order"}),)),
+        "snumbers": ("s_omega characteristic numbers", cmd_snumbers, True,
+                     (("--omega", {"help": "single omega, e.g. 0,0,0,1"}),
+                      ("--numeric", {"help": "evaluate at an integer point, e.g. 1,2,3,4"}))),
+        "chern": ("classical Chern numbers", cmd_chern, True, ()),
+        "verify": ("run consistency checks for a space", cmd_verify, True, ()),
+        "flag": ("[U(n)/T^n] by Schubert calculus", cmd_flag, False,
+                 (("--n", {"type": int, "required": True}),
+                  ("--method", {"choices": ("corL", "tchi", "thm8"), "default": "corL"}),
+                  ("--cache", {"help": "directory for memoized polynomials"}))),
+        "grassmann": ("[G_{q+l,l}] by the operator L", cmd_grassmann, False,
+                      (("--q", {"type": int, "required": True}), ("--l", {"type": int, "required": True}),
+                       ("--cache", {"help": "directory for memoized polynomials"}))),
+        "stable": ("equivariant stable complex structures", cmd_stable, True,
+                   (("--assign", {"help": "JSON file {coset_index: [signs], epsilon}"}),
+                    ("--budget", {"type": int, "default": 1 << 20}))),
+        "fgl": ("formal group law of geometric cobordisms", cmd_fgl, False, (("--trunc", {"type": int}),)),
+        "reproduce": ("recompute the published value table", cmd_reproduce, False, ()),
+    }
     p = argparse.ArgumentParser(
         prog="torigen",
         description="Exact toric genus, cobordism classes and characteristic "
@@ -335,71 +366,25 @@ def _parser():
         epilog='Space grammar: "CPn", "U(n)/Tn", "U(n)/U(k1)x...xU(km)", '
                '"G2/SU(3)", "SU(4)/S(U(1)xU(1)xU(2))".')
     sub = p.add_subparsers(dest="verb", required=True)
-
-    def common(sp, space=True):
+    named = next((a for a in argv if not a.startswith("-")), None)
+    for verb, (text, fn, space, extra) in verbs.items():
+        sp = sub.add_parser(verb, help=text)
+        if verb != named:
+            continue
         if space:
             sp.add_argument("--space", required=True, help="space descriptor")
             sp.add_argument("--structure", help="structure preset (standard, conjugate, J1..J3)")
             sp.add_argument("--signs", help="explicit root signs, e.g. 1,-1,1")
         sp.add_argument("--format", choices=("text", "json"), default="text")
-
-    sp = sub.add_parser("class", help="cobordism class")
-    common(sp)
-    sp.set_defaults(fn=cmd_class)
-
-    sp = sub.add_parser("genus", help="full genus report")
-    common(sp)
-    sp.add_argument("--trunc", type=int, help="character truncation order")
-    sp.set_defaults(fn=cmd_genus)
-
-    sp = sub.add_parser("snumbers", help="s_omega characteristic numbers")
-    common(sp)
-    sp.add_argument("--omega", help="single omega, e.g. 0,0,0,1")
-    sp.add_argument("--numeric", help="evaluate at an integer point, e.g. 1,2,3,4")
-    sp.set_defaults(fn=cmd_snumbers)
-
-    sp = sub.add_parser("chern", help="classical Chern numbers")
-    common(sp)
-    sp.set_defaults(fn=cmd_chern)
-
-    sp = sub.add_parser("verify", help="run consistency checks for a space")
-    common(sp)
-    sp.set_defaults(fn=cmd_verify)
-
-    sp = sub.add_parser("flag", help="[U(n)/T^n] by Schubert calculus")
-    common(sp, space=False)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--method", choices=("corL", "tchi", "thm8"), default="corL")
-    sp.add_argument("--cache", help="directory for memoized polynomials")
-    sp.set_defaults(fn=cmd_flag)
-
-    sp = sub.add_parser("grassmann", help="[G_{q+l,l}] by the operator L")
-    common(sp, space=False)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--cache", help="directory for memoized polynomials")
-    sp.set_defaults(fn=cmd_grassmann)
-
-    sp = sub.add_parser("stable", help="equivariant stable complex structures")
-    common(sp)
-    sp.add_argument("--assign", help="JSON file {coset_index: [signs], epsilon}")
-    sp.add_argument("--budget", type=int, default=1 << 20)
-    sp.set_defaults(fn=cmd_stable)
-
-    sp = sub.add_parser("fgl", help="formal group law of geometric cobordisms")
-    common(sp, space=False)
-    sp.add_argument("--trunc", type=int)
-    sp.set_defaults(fn=cmd_fgl)
-
-    sp = sub.add_parser("reproduce", help="recompute the published value table")
-    common(sp, space=False)
-    sp.set_defaults(fn=cmd_reproduce)
-
+        for flag, kwargs in extra:
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(fn=fn)
     return p
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser(argv).parse_args(argv)
     try:
         return args.fn(args)
     except SpaceGrammarError as exc:

@@ -17,8 +17,6 @@ CobordismPoly, clean and the term rendering live in cobordism, which the
 certified point route loads without this module.
 """
 
-from fractions import Fraction
-
 from .cobordism import CobordismPoly, clean, grlex_key, render_terms
 
 
@@ -227,6 +225,8 @@ class MultiPoly:
 def exact_div_terms(num_terms, div_terms):
     """Divide exponent->coeff maps with numeric coefficients, raising
     NotDivisible on nonzero remainder."""
+    from fractions import Fraction
+
     rem = dict(num_terms)
     dexp = max(div_terms, key=grlex_key)
     dc = div_terms[dexp]
@@ -258,7 +258,7 @@ def exact_div(p, q):
     return MultiPoly(p.arena, exact_div_terms(p.terms, q.terms))
 
 
-def f_product_sum(arena, summands, order, odd=(), cap=None, top=False):
+def f_product_sum(arena, summands, order, odd=(), reads=None, top=False):
     """sum over (weights, times) in summands of times * prod_j f(<w_j, x>),
     f(t) = 1 + a_1 t + a_2 t^2 + ...; times is a MultiPoly, or None for 1.
 
@@ -267,33 +267,41 @@ def f_product_sum(arena, summands, order, odd=(), cap=None, top=False):
     homogeneous of x-degree its weight. A factor whose index is in odd uses
     the odd part a_1 t + a_3 t^3 + ... of f.
 
-    top keeps only the blocks of weight order. cap keeps only the terms whose
-    exponent in every x_i is at most cap: exact for a caller that reads no
-    higher exponent, as every factor and every times has exponents >= 0, so a
-    dropped term has no descendant it could read.
+    top keeps only the blocks of weight order. reads is an exponent vector
+    whose permutations are all the exponents the caller reads: only the
+    terms whose exponents sorted descending are <= reads sorted descending
+    are kept, those some permutation of reads dominates. That is exact:
+    every factor and every times has exponents >= 0, so a term only raises
+    its exponents, and a term that no permutation of reads dominates has no
+    descendant that one does.
 
     Each product and the sum stay on packed exponents, one int per monomial
     with `bits` bits per variable (Monagan-Pearce), so multiplying by x_i is
-    one addition; blocks are unpacked once, at the end. With a cap, each
-    field holds its exponent plus bias = guard - 1 - cap, guard the field's
-    top bit, so an exponent above cap sets its guard bit and one AND finds it.
+    one addition; blocks are unpacked once, at the end. With reads, each
+    field holds its exponent plus bias = guard - 1 - max(reads), guard the
+    field's top bit, so an exponent above max(reads) sets its guard bit and
+    one AND finds it. Where reads has unequal entries, a term that passes the
+    guard must also be in the set of dominated exponents, built once.
     """
     tdeg = max((t.degree() for _, t in summands if t is not None), default=0)
-    if cap is None:
+    if reads is None:
         bits = (order + tdeg).bit_length()
     else:
-        cap = max(cap, 0)
+        cap = max(max(reads), 0)
         bits = max(cap, tdeg).bit_length() + 1
     offsets = range(0, bits * arena.arity, bits)
     guard = bias = 0
-    if cap is not None:
+    allowed = None
+    if reads is not None:
         guard = sum(1 << s + bits - 1 for s in offsets)
         bias = sum((1 << bits - 1) - 1 - cap << s for s in offsets)
+        if min(reads) < cap:
+            allowed = _dominated(reads, offsets, bias)
     shifts = [1 << s for s in offsets]
     total = {}
     for weights, times in summands:
         blocks = _packed_blocks([[(shifts[i], c) for i, c in enumerate(w) if c] for w in weights],
-                                order, odd, bias, guard, top)
+                                order, odd, bias, guard, allowed, top)
         if times is None and len(summands) == 1:
             total = blocks
             break
@@ -306,7 +314,7 @@ def f_product_sum(arena, summands, order, odd=(), cap=None, top=False):
             for e1, c1 in t.items():
                 for e2, c2 in times:
                     e = e1 + e2
-                    if not e & guard:
+                    if not e & guard and (allowed is None or e in allowed):
                         acc[e] = acc.get(e, 0) + c1 * c2
     mask = (1 << bits) - 1
 
@@ -328,7 +336,35 @@ def f_product_sum(arena, summands, order, odd=(), cap=None, top=False):
     return out
 
 
-def _packed_blocks(forms, order, odd, bias, guard, top):
+def _dominated(reads, offsets, bias):
+    """The packed exponents, plus bias, of every e >= 0 whose entries sorted
+    descending are <= reads sorted descending: those with, for every t, at
+    most as many entries >= t as reads has. Filled one position at a time,
+    with room[t] the entries >= t still allowed; a prefix that fits always
+    extends by zeros, so no branch is abandoned."""
+    top = max(reads)
+    room = [sum(1 for r in reads if r >= t) for t in range(top + 1)]
+    out = set()
+
+    def fill(i, packed):
+        if i == len(offsets):
+            out.add(packed)
+            return
+        v = 0
+        while True:
+            fill(i + 1, packed + (v << offsets[i]))
+            if v == top or not room[v + 1]:
+                break
+            v += 1
+            room[v] -= 1
+        for t in range(1, v + 1):
+            room[t] += 1
+
+    fill(0, bias)
+    return out
+
+
+def _packed_blocks(forms, order, odd, bias, guard, allowed, top):
     """{omega: (weight, {packed exponent: c})} for prod_j f(form_j), each form
     a list of (shift, coefficient). One pass over the factors, updating the
     blocks in place: factor j adds form_j^k times block omega into block
@@ -337,7 +373,7 @@ def _packed_blocks(forms, order, odd, bias, guard, top):
     knapsack order). A factor in odd has no constant term, so it deletes each
     block once read; with top, the last factor writes only blocks of weight
     order and deletes the lighter ones. A term whose exponent sets a guard
-    bit is dropped."""
+    bit, or is missing from allowed when that is a set, is dropped."""
     blocks = {(): (0, {bias: 1})}
     for j, form in enumerate(forms):
         least = order if top and j == len(forms) - 1 else 0
@@ -350,7 +386,7 @@ def _packed_blocks(forms, order, odd, bias, guard, top):
                 for e, c in t.items():
                     for sh, wc in form:
                         x = e + sh
-                        if not x & guard:
+                        if not x & guard and (allowed is None or x in allowed):
                             step[x] = step.get(x, 0) + c * wc
                 t = step
                 if not t:

@@ -154,6 +154,25 @@ def test_os_errors_exit_two(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [("flag", "--n", "6"), ("grassmann", "--q", "3", "--l", "3")], ids=" ".join)
+def test_unwritable_cache_fails_before_the_work(tmp_path, capsys, monkeypatch, argv):
+    # a dangling link: the entry reads as missing, and the directory cannot
+    # be made; both verbs must say so before computing
+    from torigen import divdiff
+
+    def never(*args):
+        raise AssertionError("computed before the cache was made")
+
+    monkeypatch.setattr(divdiff, "flag_class", never)
+    monkeypatch.setattr(divdiff, "grassmann_class", never)
+    link = tmp_path / "memo"
+    link.symlink_to(tmp_path / "nowhere")
+    code, out, err = run(capsys, *argv, "--cache", str(link))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["memo"]
+
+
 @pytest.mark.parametrize("argv", [("class",), ("snumbers",), ("chern",),
                                   ("snumbers", "--numeric", "1,2,4", "--omega", "0,1")],
                          ids=" ".join)
@@ -384,3 +403,214 @@ def test_streamed_tables_match_json_dumps(capsys, count):
     cli._write_tables(Namespace(format="json"), spec, sols)
     data = {"space": "X(12)", "count": count, "assignments": [assignment_to_json(s) for s in sols]}
     assert capsys.readouterr().out == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# torigen --help, VERB --help for every verb, and four usage errors (no verb,
+# an unknown verb, a missing --space, an unknown option), byte for byte at 80
+# columns: the parser adds a verb's arguments only when it parses that verb
+USAGE = [
+    (('--help',), 0,
+     """\
+usage: torigen [-h]
+               {class,genus,snumbers,chern,verify,flag,grassmann,stable,fgl,reproduce}
+               ...
+
+Exact toric genus, cobordism classes and characteristic numbers of homogeneous
+spaces.
+
+positional arguments:
+  {class,genus,snumbers,chern,verify,flag,grassmann,stable,fgl,reproduce}
+    class               cobordism class
+    genus               full genus report
+    snumbers            s_omega characteristic numbers
+    chern               classical Chern numbers
+    verify              run consistency checks for a space
+    flag                [U(n)/T^n] by Schubert calculus
+    grassmann           [G_{q+l,l}] by the operator L
+    stable              equivariant stable complex structures
+    fgl                 formal group law of geometric cobordisms
+    reproduce           recompute the published value table
+
+options:
+  -h, --help            show this help message and exit
+
+Space grammar: "CPn", "U(n)/Tn", "U(n)/U(k1)x...xU(km)", "G2/SU(3)",
+"SU(4)/S(U(1)xU(1)xU(2))".
+""",
+     ""),
+    (('class', '--help'), 0,
+     """\
+usage: torigen class [-h] --space SPACE [--structure STRUCTURE]
+                     [--signs SIGNS] [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --space SPACE         space descriptor
+  --structure STRUCTURE
+                        structure preset (standard, conjugate, J1..J3)
+  --signs SIGNS         explicit root signs, e.g. 1,-1,1
+  --format {text,json}
+""",
+     ""),
+    (('genus', '--help'), 0,
+     """\
+usage: torigen genus [-h] --space SPACE [--structure STRUCTURE]
+                     [--signs SIGNS] [--format {text,json}] [--trunc TRUNC]
+
+options:
+  -h, --help            show this help message and exit
+  --space SPACE         space descriptor
+  --structure STRUCTURE
+                        structure preset (standard, conjugate, J1..J3)
+  --signs SIGNS         explicit root signs, e.g. 1,-1,1
+  --format {text,json}
+  --trunc TRUNC         character truncation order
+""",
+     ""),
+    (('snumbers', '--help'), 0,
+     """\
+usage: torigen snumbers [-h] --space SPACE [--structure STRUCTURE]
+                        [--signs SIGNS] [--format {text,json}] [--omega OMEGA]
+                        [--numeric NUMERIC]
+
+options:
+  -h, --help            show this help message and exit
+  --space SPACE         space descriptor
+  --structure STRUCTURE
+                        structure preset (standard, conjugate, J1..J3)
+  --signs SIGNS         explicit root signs, e.g. 1,-1,1
+  --format {text,json}
+  --omega OMEGA         single omega, e.g. 0,0,0,1
+  --numeric NUMERIC     evaluate at an integer point, e.g. 1,2,3,4
+""",
+     ""),
+    (('chern', '--help'), 0,
+     """\
+usage: torigen chern [-h] --space SPACE [--structure STRUCTURE]
+                     [--signs SIGNS] [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --space SPACE         space descriptor
+  --structure STRUCTURE
+                        structure preset (standard, conjugate, J1..J3)
+  --signs SIGNS         explicit root signs, e.g. 1,-1,1
+  --format {text,json}
+""",
+     ""),
+    (('verify', '--help'), 0,
+     """\
+usage: torigen verify [-h] --space SPACE [--structure STRUCTURE]
+                      [--signs SIGNS] [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --space SPACE         space descriptor
+  --structure STRUCTURE
+                        structure preset (standard, conjugate, J1..J3)
+  --signs SIGNS         explicit root signs, e.g. 1,-1,1
+  --format {text,json}
+""",
+     ""),
+    (('flag', '--help'), 0,
+     """\
+usage: torigen flag [-h] [--format {text,json}] --n N
+                    [--method {corL,tchi,thm8}] [--cache CACHE]
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --n N
+  --method {corL,tchi,thm8}
+  --cache CACHE         directory for memoized polynomials
+""",
+     ""),
+    (('grassmann', '--help'), 0,
+     """\
+usage: torigen grassmann [-h] [--format {text,json}] --q Q --l L
+                         [--cache CACHE]
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --q Q
+  --l L
+  --cache CACHE         directory for memoized polynomials
+""",
+     ""),
+    (('stable', '--help'), 0,
+     """\
+usage: torigen stable [-h] --space SPACE [--structure STRUCTURE]
+                      [--signs SIGNS] [--format {text,json}] [--assign ASSIGN]
+                      [--budget BUDGET]
+
+options:
+  -h, --help            show this help message and exit
+  --space SPACE         space descriptor
+  --structure STRUCTURE
+                        structure preset (standard, conjugate, J1..J3)
+  --signs SIGNS         explicit root signs, e.g. 1,-1,1
+  --format {text,json}
+  --assign ASSIGN       JSON file {coset_index: [signs], epsilon}
+  --budget BUDGET
+""",
+     ""),
+    (('fgl', '--help'), 0,
+     """\
+usage: torigen fgl [-h] [--format {text,json}] [--trunc TRUNC]
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --trunc TRUNC
+""",
+     ""),
+    (('reproduce', '--help'), 0,
+     """\
+usage: torigen reproduce [-h] [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+""",
+     ""),
+    ((), 2,
+     "",
+     """\
+usage: torigen [-h]
+               {class,genus,snumbers,chern,verify,flag,grassmann,stable,fgl,reproduce}
+               ...
+torigen: error: the following arguments are required: verb
+"""),
+    (('nope',), 2,
+     "",
+     """\
+usage: torigen [-h]
+               {class,genus,snumbers,chern,verify,flag,grassmann,stable,fgl,reproduce}
+               ...
+torigen: error: argument verb: invalid choice: 'nope' (choose from 'class', 'genus', 'snumbers', 'chern', 'verify', 'flag', 'grassmann', 'stable', 'fgl', 'reproduce')
+"""),
+    (('class',), 2,
+     "",
+     """\
+usage: torigen class [-h] --space SPACE [--structure STRUCTURE]
+                     [--signs SIGNS] [--format {text,json}]
+torigen class: error: the following arguments are required: --space
+"""),
+    (('class', '--space', 'CP1', '--bogus'), 2,
+     "",
+     """\
+usage: torigen [-h]
+               {class,genus,snumbers,chern,verify,flag,grassmann,stable,fgl,reproduce}
+               ...
+torigen: error: unrecognized arguments: --bogus
+"""),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", USAGE, ids=[" ".join(case[0]) or "no-verb" for case in USAGE])
+def test_help_and_usage_errors_are_pinned(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert (exc.value.code, *capsys.readouterr()) == (code, out, err)

@@ -1,8 +1,11 @@
 """The operator L and the operator-L routes to flag and Grassmann classes."""
 
+from itertools import combinations, permutations
+
 import pytest
 
 from torigen.divdiff import (
+    _flag_product,
     _grassmann_blocks,
     _signed_delta_sum,
     _thm8_blocks,
@@ -12,7 +15,7 @@ from torigen.divdiff import (
     grassmann_Q_polynomials,
     grassmann_class,
 )
-from torigen.exactalg import CobordismPoly, MultiPoly, f_product_sum, xvars
+from torigen.exactalg import CobordismPoly, MultiPoly, block_coefficient, f_product_sum, xvars
 from torigen.genus import cobordism_class
 from torigen.rootdata import build_space, fixed_point_weights
 
@@ -114,8 +117,8 @@ def signed_delta_sum(n, block):
 
 
 @pytest.mark.parametrize("n, blocks", [(4, lambda: _thm8_blocks(4)),
-                                       (4, lambda: _grassmann_blocks(2, 2, 4, 3)),
-                                       (5, lambda: _grassmann_blocks(2, 3, 6, 4))],
+                                       (4, lambda: _grassmann_blocks(2, 2, 4, (3,) * 4)),
+                                       (5, lambda: _grassmann_blocks(2, 3, 6, (4,) * 5))],
                          ids=("thm8-4", "grassmann-2-2", "grassmann-2-3"))
 def test_L_of_top_block_is_signed_delta_sum(n, blocks):
     # a block of degree C(n, 2): antisym(p) = c * Delta_n, and c is the x^delta
@@ -144,10 +147,60 @@ def test_capped_reads_match_the_uncapped_kernel():
     assert grassmann_Q_polynomials(2, 2, xi) == want
 
     # a degree-C(n, 2) monomial with an exponent >= n is killed by L
-    capped, uncapped = _grassmann_blocks(2, 2, 4, 3), _grassmann_blocks(2, 2, 4, 6)
+    capped, uncapped = _grassmann_blocks(2, 2, 4, (3,) * 4), _grassmann_blocks(2, 2, 4, (6,) * 4)
     assert capped != uncapped
     for om, block in uncapped.items():
         assert operator_L(capped.get(om, MultiPoly(ar))) == operator_L(block)
+
+
+def flag_roots(n):
+    """The weights of x_i - x_j, i < j."""
+    return [tuple(1 if k == i else -1 if k == j else 0 for k in range(n)) for i, j in combinations(range(n), 2)]
+
+
+def capped_flag_class(n, method):
+    """flag_class read off products that keep every exponent <= n - 1."""
+    pairs = list(combinations(range(n), 2))
+    odd = (pairs.index((0, 1)), pairs.index((n - 2, n - 1))) if method == "thm8" else ()
+    blocks = f_product_sum(xvars(n), [(flag_roots(n), None)], len(pairs), odd, reads=(n - 1,) * n, top=True)
+    return _signed_delta_sum(n, lambda e: block_coefficient(blocks, e))
+
+
+@pytest.mark.parametrize("n, method", [(n, m) for n in range(2, 6) for m in ("corL", "tchi", "thm8")
+                                       if n >= 4 or m != "thm8"], ids=lambda v: str(v))
+def test_delta_reads_match_the_cap(n, method):
+    # the classes read off products pruned to what delta dominates equal
+    # those read off products that keep every exponent <= n - 1
+    assert flag_class(n, method) == capped_flag_class(n, method)
+
+
+@pytest.mark.parametrize("q, l", [(1, 3), (2, 2), (2, 3), (3, 2)])
+def test_grassmann_delta_reads_match_the_cap(q, l):
+    n = q + l
+    delta = tuple(range(n - 1, -1, -1))
+    pruned, capped = _grassmann_blocks(q, l, q * l, delta), _grassmann_blocks(q, l, q * l, (n - 1,) * n)
+    assert _signed_delta_sum(n, lambda e: block_coefficient(pruned, e)) == \
+        _signed_delta_sum(n, lambda e: block_coefficient(capped, e))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_delta_reads_leave_only_the_delta_orbit(n):
+    # a term delta dominates of degree C(n, 2) sorts to delta itself
+    orbit = set(permutations(range(n)))
+    delta = tuple(range(n - 1, -1, -1))
+    for blocks in (_flag_product(n, n * (n - 1) // 2, delta), _thm8_blocks(n)):
+        assert blocks
+        for block in blocks.values():
+            assert set(block.terms) <= orbit
+
+
+@pytest.mark.parametrize("xi", [(2, 2, 0, 0), (0, 2, 0, 2), (3, 1, 1, 0)], ids=lambda xi: "".join(map(str, xi)))
+def test_P_off_the_delta_orbit_matches_the_unpruned_kernel(xi):
+    # reads = xi keeps only what xi dominates, less than delta keeps
+    full = f_product_sum(xvars(4), [(flag_roots(4), None)], sum(xi))
+    want = CobordismPoly({om: b.coeff(xi) for om, b in full.items()})
+    assert not want.is_zero()
+    assert flag_P_polynomials(4, xi) == want
 
 
 def test_grassmann_3_3_matches_localization():

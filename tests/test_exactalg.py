@@ -196,12 +196,17 @@ summand = st.tuples(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), 
                     small_poly)
 
 
+def dominated(e, reads):
+    """Whether e sorted descending is <= reads sorted descending."""
+    return all(a <= b for a, b in zip(sorted(e, reverse=True), sorted(reads, reverse=True)))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(summand, min_size=1, max_size=3), st.integers(1, 4),
-       st.none() | st.integers(0, 6), st.booleans())
-def test_f_product_sum_matches_products_of_blocks(summands, order, cap, top):
-    # the packed multiply, sum, cap and top against MultiPoly products of the
-    # blocks of each summand, filtered afterwards
+       st.none() | st.tuples(st.integers(0, 6), st.integers(0, 6)), st.booleans())
+def test_f_product_sum_matches_products_of_blocks(summands, order, reads, top):
+    # the packed multiply, sum, reads and top against MultiPoly products of
+    # the blocks of each summand, filtered afterwards
     ar = xvars(2)
     zero = MultiPoly(ar)
     summands = [(weights, MultiPoly(ar, dict(t))) for weights, t in summands]
@@ -209,21 +214,21 @@ def test_f_product_sum_matches_products_of_blocks(summands, order, cap, top):
     for weights, times in summands:
         for om, block in f_product_sum(ar, [(weights, None)], order).items():
             want[om] = want.get(om, zero) + block * times
-    got = f_product_sum(ar, summands, order, cap=cap, top=top)
+    got = f_product_sum(ar, summands, order, reads=reads, top=top)
     assert set(got) <= set(want)
     for om, block in want.items():
         if top and sum(k * m for k, m in enumerate(om, 1)) != order:
             assert om not in got
             continue
-        if cap is not None:
-            block = MultiPoly(ar, {e: c for e, c in block.terms.items() if max(e) <= cap})
+        if reads is not None:
+            block = MultiPoly(ar, {e: c for e, c in block.terms.items() if dominated(e, reads)})
         assert got.get(om, zero) == block, om
 
 
 @pytest.mark.parametrize("odd", [False, True], ids=("even", "odd"))
-@pytest.mark.parametrize("cap", [None, 2], ids=("uncapped", "cap2"))
+@pytest.mark.parametrize("reads", [None, (2, 2, 2), (2, 1, 0)], ids=("all", "reads222", "reads210"))
 @pytest.mark.parametrize("times", [False, True], ids=("bare", "times"))
-def test_f_product_sum_top_keeps_the_top_blocks(odd, cap, times):
+def test_f_product_sum_top_keeps_the_top_blocks(odd, reads, times):
     # top drops the lighter blocks at the last factor; the top blocks must be
     # those of the full product, also when the last factor is odd (as in thm8)
     rng = random.Random(14)
@@ -235,9 +240,9 @@ def test_f_product_sum_top_keeps_the_top_blocks(odd, cap, times):
         poly = MultiPoly(ar, {tuple(rng.randint(0, 2) for _ in range(3)): rng.randint(-3, 3) for _ in range(3)})
         summands = [(weights, poly if times else None)]
         odds = (0, m - 1) if odd else ()
-        full = f_product_sum(ar, summands, order, odds, cap=cap)
+        full = f_product_sum(ar, summands, order, odds, reads=reads)
         want = {om: b for om, b in full.items() if sum(k * e for k, e in enumerate(om, 1)) == order}
-        assert f_product_sum(ar, summands, order, odds, cap=cap, top=True) == want
+        assert f_product_sum(ar, summands, order, odds, reads=reads, top=True) == want
 
 
 def test_f_product_sum_odd_factors_take_the_odd_part_of_f():
@@ -262,8 +267,9 @@ def test_f_product_sum_odd_factors_take_the_odd_part_of_f():
 
 
 def test_flag_product_traced_peak():
-    # the n = 5 flag product that corL reads: blocks updated in place, and
-    # only the top weight written at the last factor
+    # the n = 5 flag product that corL reads: blocks updated in place, only
+    # the top weight written at the last factor, and only the terms delta
+    # dominates kept; 2.15 MB measured on Python 3.11
     n = 5
     roots = []
     for i, j in combinations(range(n), 2):
@@ -272,9 +278,9 @@ def test_flag_product_traced_peak():
         roots.append(tuple(w))
     tracemalloc.start()
     try:
-        blocks = f_product_sum(xvars(n), [(roots, None)], 10, cap=4, top=True)
+        blocks = f_product_sum(xvars(n), [(roots, None)], 10, reads=(4, 3, 2, 1, 0), top=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(blocks) == 40
-    assert peak < 4.0e6, peak
+    assert len(blocks) == 38
+    assert peak < 2.58e6, peak

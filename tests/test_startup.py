@@ -63,6 +63,13 @@ def test_integral_point_values_load_no_fractions():
     assert "fractions" not in _modules(RUN_AND_LIST, "class", "--space", "CP5") - bare
 
 
+@pytest.mark.parametrize("argv", [("flag", "--n", "4"), ("stable", "--space", "CP2")], ids=" ".join)
+def test_kernel_verbs_load_no_fractions(argv):
+    # exactalg imports fractions, and with it decimal, only to divide
+    bare = _modules("import json, sys; print(json.dumps(sorted(sys.modules)))")
+    assert "fractions" not in _modules(RUN_AND_LIST, *argv) - bare
+
+
 def test_flag_loads_no_localization():
     loaded = _loaded("flag", "--n", "3")
     assert "divdiff" in loaded
