@@ -1,6 +1,6 @@
 """Pinned CLI output of class, snumbers and chern on the localization ladder,
-of verify, genus and stable on a few spaces, and of the divided-difference
-routes flag and grassmann.
+of verify, genus and stable on a few spaces, of the divided-difference
+routes flag and grassmann, and of the formal group law fgl.
 
 Each case records stdout, stderr and the exit code of one command, in text
 and JSON; file arguments are relative to this directory. The file golden_localize.json was written by running this module
@@ -93,6 +93,8 @@ EXTRA = [
     ("verify", "--space", "U(5)/U(2)xU(3)"),
     ("flag", "--n", "5", "--method", "tchi"),
     ("grassmann", "--q", "3", "--l", "3"),
+    # the formal group law; higher orders are pinned by digest below
+    *(("fgl", "--trunc", str(t)) for t in range(1, 9)),
 ]
 
 # U(3)/T3 lists 4372 tables, too many for the golden file: pin the sha256 and
@@ -100,6 +102,18 @@ EXTRA = [
 STABLE_U3_DIGESTS = [
     ((), "ab9ab5602bf91d52d1b96ae9c32ef8cd23dd8092411174025f31cff8b5e89844", 524657),
     (("--format", "json"), "fbf4b3317209ef30192aa6debf73e8d22c6a7a4ebaddd0b78be16561c672897d", 415389),
+]
+
+# fgl --trunc 9 to 12 print 6 to 29 kB each: pin the sha256 and the length
+FGL_DIGESTS = [
+    (9, (), "ede0361fcc3439c6e6051e4694c88643fd43905f783b30d93c4fc7c1803492de", 6041),
+    (9, ("--format", "json"), "c0938c21fc91c025bc900d45d0cc68689553c096562a3c1369386e3e9452685a", 6066),
+    (10, (), "aa3d91087f62907626d5f4cb933051cad0da44439eedd3942ffff60f29267f81", 10444),
+    (10, ("--format", "json"), "d249f2fe6e88f9a897c8200f2aed50e03c6360b446ddf01aa7d494dc8ffc50da", 10470),
+    (11, (), "9187efe8768057971f842cce7b859d31e37416537aea8544804a3c6eb9b934e9", 17652),
+    (11, ("--format", "json"), "7c2097ab2040da55e433990a42b3a61e3bed05097a53ac8285c839ac33ff2bed", 17678),
+    (12, (), "ca532b9db2d09ba4f867745b9501827d92e1824c286075f0564493ff88fa005d", 28883),
+    (12, ("--format", "json"), "962c1ea0ccf0d3b212d162a267a1b89413aefb6f2cb95117a832f1b65c8f6c69", 28909),
 ]
 
 
@@ -134,12 +148,22 @@ def test_golden_covers_every_command():
     assert [c["argv"] for c in cases] == [list(a) for a in commands()]
 
 
-@pytest.mark.parametrize("fmt, digest, size", STABLE_U3_DIGESTS, ids=("text", "json"))
-def test_stable_u3_output_is_pinned(fmt, digest, size):
-    case = run(("stable", "--space", "U(3)/T3") + fmt)
+def _digest(argv):
+    case = run(argv)
     assert (case["code"], case["stderr"]) == (0, "")
     data = case["stdout"].encode()
-    assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, size)
+    return hashlib.sha256(data).hexdigest(), len(data)
+
+
+@pytest.mark.parametrize("fmt, digest, size", STABLE_U3_DIGESTS, ids=("text", "json"))
+def test_stable_u3_output_is_pinned(fmt, digest, size):
+    assert _digest(("stable", "--space", "U(3)/T3") + fmt) == (digest, size)
+
+
+@pytest.mark.parametrize("trunc, fmt, digest, size", FGL_DIGESTS,
+                         ids=["%d-%s" % (t, "json" if f else "text") for t, f, _, _ in FGL_DIGESTS])
+def test_fgl_output_is_pinned(trunc, fmt, digest, size):
+    assert _digest(("fgl", "--trunc", str(trunc)) + fmt) == (digest, size)
 
 
 if __name__ == "__main__":
