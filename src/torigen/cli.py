@@ -298,8 +298,8 @@ def _write_tables(args, spec, sols):
     write('],"count":%d,"space":%s}\n' % (len(sols), json.dumps(spec.descriptor)) if compact else "\n")
 
 
-# fgl --trunc 24 takes about half a minute and prints 3 MB; the cost grows
-# about fourfold per four orders
+# fgl --trunc 24 takes 8.5-11 s on a 2-vCPU VM (20: about 2 s) and prints
+# 3 MB; the cost grows about fourfold per four orders
 FGL_TRUNC_LIMIT = 24
 
 
@@ -309,8 +309,9 @@ def cmd_fgl(args):
         raise ValueError("--trunc must be at least 1, got %d" % order)
     if order > FGL_TRUNC_LIMIT:
         raise ValueError("--trunc must be at most %d, got %d" % (FGL_TRUNC_LIMIT, order))
-    from . import fgl
-    text = fgl.fgl_addition(order).canonical_text("b")
+    from .cobordism import render_series
+    from .fgl import fgl_addition
+    text = render_series(fgl_addition(order), ("u1", "u2"), "b")
     _emit(args, text, {"order": order, "addition": text})
     return 0
 

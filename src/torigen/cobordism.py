@@ -1,10 +1,12 @@
 """The coefficient ring and the canonical text of every polynomial.
 
 CobordismPoly is a polynomial in the cobordism generators a_1, a_2, ...:
-the class of a space, and the coefficient of each x^e in the blocks and
-series of exactalg. clean collapses an integral Fraction to int, and
+the class of a space, the coefficient of each x^e in the kernel's blocks,
+and that of each u^a v^b in the formal group law. clean collapses an integral Fraction to int, and
 render_terms writes an exponent -> coefficient map in graded lex order,
-highest first; MultiPoly and CobordismPoly print through it.
+highest first; MultiPoly and CobordismPoly print through it. render_series
+writes an exponent -> CobordismPoly map, lowest first: the fgl verb's law and
+the blocks of a localization sum that does not cancel.
 
 The certified point route of genus (class, s-numbers, Chern numbers) needs
 only this module, not the polynomial kernel in exactalg. Coefficients are
@@ -63,6 +65,19 @@ def render_terms(terms, names):
         else:
             parts.append(("- " if neg else "+ ") + body)
     return " ".join(parts)
+
+
+def render_series(terms, names, prefix="a"):
+    """Canonical text of an exponent -> CobordismPoly map, graded lex
+    ascending: each term "(coefficient)*monomial", a constant term bare."""
+    if not terms:
+        return "0"
+    parts = []
+    for exp in sorted(terms, key=grlex_key):
+        mono = "*".join(names[i] if d == 1 else "%s^%d" % (names[i], d) for i, d in enumerate(exp) if d)
+        ctext = terms[exp].canonical_text(prefix)
+        parts.append("(%s)*%s" % (ctext, mono) if mono else ctext)
+    return " + ".join(parts)
 
 
 class CobordismPoly:

@@ -1,4 +1,4 @@
-"""Exact polynomial kernel: multivariate polynomials, exact division, graded series.
+"""Exact polynomial kernel: multivariate polynomials and exact division.
 
 Everything is exact. Coefficients are python ints whenever they are integral
 and fractions.Fraction otherwise; no floats anywhere. Polynomials are dicts
@@ -8,13 +8,13 @@ first, then lex on the exponent tuple).
 f_product_sum is the one kernel for prod_j f(<w_j, x>), f(t) = 1 + a_1 t +
 a_2 t^2 + ...: the localization character, the sign search and the
 divided-difference routes all read their products off its a^omega blocks,
-each a MultiPoly in x, instead of multiplying GradedSeries of CobordismPoly
+each a MultiPoly in x, instead of multiplying series of CobordismPoly
 coefficients. It also multiplies each product by a polynomial cofactor and
 sums over the products on its packed exponents, which no caller sees.
 Callers read the x^e coefficient of a block dict as one CobordismPoly through
-block_coefficient. GradedSeries stays for the formal group law (fgl).
-CobordismPoly, clean and the term rendering live in cobordism, which the
-certified point route loads without this module.
+block_coefficient. CobordismPoly, clean and the term rendering live in
+cobordism, which the certified point route and the fgl verb load without this
+module.
 """
 
 from .cobordism import CobordismPoly, clean, grlex_key, render_terms
@@ -25,10 +25,6 @@ class ArenaMismatch(Exception):
 
 
 class NotDivisible(Exception):
-    pass
-
-
-class BadLeadingTerm(Exception):
     pass
 
 
@@ -405,162 +401,3 @@ def block_coefficient(blocks, e):
     """sum_omega a^omega * (x^e coefficient of block omega), for blocks
     {omega: MultiPoly} as f_product_sum returns them."""
     return CobordismPoly({om: b.coeff(e) for om, b in blocks.items()})
-
-
-class GradedSeries:
-    """Series in geometric variables truncated by total degree.
-
-    Coefficients are CobordismPoly; exponent tuples follow the arena.
-    """
-
-    __slots__ = ("arena", "order", "terms")
-
-    def __init__(self, arena, order, terms=None):
-        self.arena = arena
-        self.order = order
-        t = {}
-        if terms:
-            for exp, c in terms.items():
-                if sum(exp) > order:
-                    continue
-                if not isinstance(c, CobordismPoly):
-                    c = CobordismPoly.const(c)
-                if not c.is_zero():
-                    t[tuple(exp)] = c
-        self.terms = t
-
-    @classmethod
-    def const(cls, arena, order, c):
-        return cls(arena, order, {(0,) * arena.arity: c})
-
-    @classmethod
-    def from_multipoly(cls, p, order):
-        return cls(p.arena, order, p.terms)
-
-    def coeff(self, exp):
-        return self.terms.get(tuple(exp), CobordismPoly())
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if not isinstance(other, GradedSeries):
-            other = GradedSeries.const(self.arena, self.order, other)
-        _check_arena(self.arena, other.arena)
-        t = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = t.get(exp, CobordismPoly()) + c
-            if s.is_zero():
-                t.pop(exp, None)
-            else:
-                t[exp] = s
-        return GradedSeries(self.arena, min(self.order, other.order), t)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GradedSeries(self.arena, self.order, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, GradedSeries):
-            other = GradedSeries.const(self.arena, self.order, other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, MultiPoly):
-            other = GradedSeries.from_multipoly(other, self.order)
-        if not isinstance(other, GradedSeries):
-            return GradedSeries(self.arena, self.order, {e: c * other for e, c in self.terms.items()})
-        _check_arena(self.arena, other.arena)
-        order = min(self.order, other.order)
-        t = {}
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > order:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                if e in t:
-                    t[e] = t[e] + prod
-                else:
-                    t[e] = prod
-        return GradedSeries(self.arena, order, t)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedSeries):
-            return NotImplemented
-        return self.arena == other.arena and self.order == other.order and self.terms == other.terms
-
-    def canonical_text(self, prefix="a"):
-        if not self.terms:
-            return "0"
-        parts = []
-        names = self.arena.names
-        for exp in sorted(self.terms, key=grlex_key):
-            mono = "*".join(
-                names[i] if d == 1 else "%s^%d" % (names[i], d) for i, d in enumerate(exp) if d
-            )
-            ctext = self.terms[exp].canonical_text(prefix)
-            if mono:
-                parts.append("(%s)*%s" % (ctext, mono))
-            else:
-                parts.append(ctext)
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return "GradedSeries(%s)" % self.canonical_text()
-
-
-def series_mul(a, b, order):
-    """Truncated product of univariate coefficient lists (index = power)."""
-    out = [0] * (order + 1)
-    for i, ca in enumerate(a):
-        if i > order or _is_zero_coeff(ca):
-            continue
-        for j, cb in enumerate(b):
-            if i + j > order:
-                break
-            if _is_zero_coeff(cb):
-                continue
-            out[i + j] = out[i + j] + ca * cb
-    return out
-
-
-def _is_zero_coeff(c):
-    return c.is_zero() if isinstance(c, CobordismPoly) else c == 0
-
-
-def series_compose(h, r, order):
-    """h(r(y)) truncated; requires r[0] = 0."""
-    if r and not _is_zero_coeff(r[0]):
-        raise ValueError("inner series must have zero constant term")
-    out = [0] * (order + 1)
-    power = [1] + [0] * order
-    for i, c in enumerate(h):
-        if i > order:
-            break
-        if i > 0:
-            power = series_mul(power, r, order)
-        if _is_zero_coeff(c):
-            continue
-        for j in range(order + 1):
-            if not _is_zero_coeff(power[j]):
-                out[j] = out[j] + c * power[j]
-    return out
-
-
-def reverse_series(h, order):
-    """Compositional inverse of h = y + O(y^2) to the given order.
-
-    Returns r with h(r(y)) = y mod y^(order+1).
-    """
-    if len(h) < 2 or not _is_zero_coeff(h[0]) or h[1] != 1:
-        raise BadLeadingTerm("need h(0)=0 and linear coefficient 1")
-    r = [0, 1] + [0] * (order - 1)
-    for d in range(2, order + 1):
-        c = series_compose(h, r, d)[d]
-        r[d] = -c
-    return r[: order + 1]

@@ -43,7 +43,7 @@ from math import gcd, lcm, prod
 
 from . import CheckFailure
 from .chern import chern_to_s, s_to_chern
-from .cobordism import CobordismPoly
+from .cobordism import CobordismPoly, render_series
 from .rootdata import fixed_point_weights
 from .symmfunc import omega_weight, omegas_of_weight, trim
 
@@ -135,7 +135,7 @@ def chern_character_of_genus(fp, order):
     divided exactly by the denominator, and block omega of the quotient is
     homogeneous of x-degree ||omega|| - n.
     """
-    from .exactalg import GradedSeries, MultiPoly, NotDivisible, exact_div_terms
+    from .exactalg import MultiPoly, NotDivisible, exact_div_terms
     n = len(fp[0].weights)
     if order < n:
         raise ValueError("order %d below dimension grade %d" % (order, n))
@@ -153,7 +153,7 @@ def chern_character_of_genus(fp, order):
                     block[e] = block.get(e, 0) + CobordismPoly.monomial(om, c)
             raise SingularSum(
                 "degree-%d numerator block does not cancel: %s"
-                % (wt + D - n, GradedSeries(loc.arena, wt + D - n, block).canonical_text()))
+                % (wt + D - n, render_series(block, loc.arena.names)))
     blocks = {}
     for wt in range(n, order + 1):
         for om in by_weight[wt]:

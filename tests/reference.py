@@ -14,18 +14,22 @@ No verb runs any of these. Each builds its answer the slow, direct way:
 - cosets_by_filter keeps the permutations of the rank that increase on
   every block; rootdata.weyl_cosets, which builds them directly, must list
   the same ones in the same order.
-- substitute_series and permute_series substitute into and permute a
-  truncated series, and multi_bracket builds [Lambda](u) from the law's own
-  logarithm and exponential; the axioms of the fgl verb's addition law are
-  checked with them.
+- GradedSeries is a series in several variables truncated by total degree,
+  and apply_series substitutes one into a univariate series: the formal
+  group law as g^{-1}(g(u1) + g(u2)) by series products, which
+  fgl.fgl_addition must equal. substitute_series and permute_series
+  substitute into and permute a truncated series, and multi_bracket builds
+  [Lambda](u) from the law's own logarithm and exponential; the axioms of
+  the fgl verb's addition law are checked with them.
 - assignment_to_json builds one sign table as a dict; the stable verb's
   streamed rendering must equal json.dumps of these dicts.
 """
 
 from itertools import permutations
 
-from torigen.exactalg import GradedSeries, MultiPoly, exact_div, xvars
-from torigen.fgl import _univariate, apply_series, exp_series, log_series
+from torigen.cobordism import CobordismPoly, grlex_key
+from torigen.exactalg import MultiPoly, _check_arena, exact_div, xvars
+from torigen.fgl import exp_series, log_series
 from torigen.rootdata import fixed_point_weights
 from torigen.stablex import SignAssignment
 from torigen.symmfunc import omegas_of_weight, perm_sign
@@ -178,6 +182,138 @@ def assignment_to_json(assign):
 
 
 # -- truncated series and the formal group law -------------------------------
+
+
+class GradedSeries:
+    """Series in geometric variables truncated by total degree.
+
+    Coefficients are CobordismPoly; exponent tuples follow the arena.
+    """
+
+    __slots__ = ("arena", "order", "terms")
+
+    def __init__(self, arena, order, terms=None):
+        self.arena = arena
+        self.order = order
+        t = {}
+        if terms:
+            for exp, c in terms.items():
+                if sum(exp) > order:
+                    continue
+                if not isinstance(c, CobordismPoly):
+                    c = CobordismPoly.const(c)
+                if not c.is_zero():
+                    t[tuple(exp)] = c
+        self.terms = t
+
+    @classmethod
+    def const(cls, arena, order, c):
+        return cls(arena, order, {(0,) * arena.arity: c})
+
+    @classmethod
+    def from_multipoly(cls, p, order):
+        return cls(p.arena, order, p.terms)
+
+    def coeff(self, exp):
+        return self.terms.get(tuple(exp), CobordismPoly())
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        if not isinstance(other, GradedSeries):
+            other = GradedSeries.const(self.arena, self.order, other)
+        _check_arena(self.arena, other.arena)
+        t = dict(self.terms)
+        for exp, c in other.terms.items():
+            s = t.get(exp, CobordismPoly()) + c
+            if s.is_zero():
+                t.pop(exp, None)
+            else:
+                t[exp] = s
+        return GradedSeries(self.arena, min(self.order, other.order), t)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GradedSeries(self.arena, self.order, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, GradedSeries):
+            other = GradedSeries.const(self.arena, self.order, other)
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, MultiPoly):
+            other = GradedSeries.from_multipoly(other, self.order)
+        if not isinstance(other, GradedSeries):
+            return GradedSeries(self.arena, self.order, {e: c * other for e, c in self.terms.items()})
+        _check_arena(self.arena, other.arena)
+        order = min(self.order, other.order)
+        t = {}
+        for e1, c1 in self.terms.items():
+            d1 = sum(e1)
+            for e2, c2 in other.terms.items():
+                if d1 + sum(e2) > order:
+                    continue
+                e = tuple(a + b for a, b in zip(e1, e2))
+                prod = c1 * c2
+                if e in t:
+                    t[e] = t[e] + prod
+                else:
+                    t[e] = prod
+        return GradedSeries(self.arena, order, t)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, GradedSeries):
+            return NotImplemented
+        return self.arena == other.arena and self.order == other.order and self.terms == other.terms
+
+    def canonical_text(self, prefix="a"):
+        if not self.terms:
+            return "0"
+        parts = []
+        names = self.arena.names
+        for exp in sorted(self.terms, key=grlex_key):
+            mono = "*".join(
+                names[i] if d == 1 else "%s^%d" % (names[i], d) for i, d in enumerate(exp) if d
+            )
+            ctext = self.terms[exp].canonical_text(prefix)
+            if mono:
+                parts.append("(%s)*%s" % (ctext, mono))
+            else:
+                parts.append(ctext)
+        return " + ".join(parts)
+
+    def __repr__(self):
+        return "GradedSeries(%s)" % self.canonical_text()
+
+
+def apply_series(coeffs, s):
+    """sum coeffs[m] * s^m for a GradedSeries s with zero constant term."""
+    out = GradedSeries.const(s.arena, s.order, coeffs[0]) if len(coeffs) else \
+        GradedSeries(s.arena, s.order)
+    power = GradedSeries.const(s.arena, s.order, 1)
+    for m in range(1, min(len(coeffs), s.order + 1)):
+        power = power * s
+        c = coeffs[m]
+        if not (isinstance(c, CobordismPoly) and c.is_zero()):
+            out = out + power * c
+    return out
+
+
+def _univariate(arena, order, coeffs, var):
+    t = {}
+    for m, c in enumerate(coeffs):
+        if m > order:
+            break
+        e = [0] * arena.arity
+        e[var] = m
+        t[tuple(e)] = c
+    return GradedSeries(arena, order, t)
+
 
 
 def permute_series(series, perm):

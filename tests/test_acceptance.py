@@ -15,7 +15,7 @@ from torigen.divdiff import (
     grassmann_Q_polynomials,
     grassmann_class,
 )
-from torigen.exactalg import CobordismPoly, GradedSeries, MultiPoly, block_coefficient, xvars
+from torigen.exactalg import CobordismPoly, MultiPoly, block_coefficient, xvars
 from torigen.fgl import fgl_addition
 from torigen.genus import (
     SingularPoint,
@@ -38,7 +38,7 @@ from torigen.stablex import (
 )
 from torigen.symmfunc import omega_weight, omegas_of_weight
 
-from reference import euler_characteristic, multi_bracket, permute_series, substitute_series
+from reference import GradedSeries, euler_characteristic, multi_bracket, permute_series, substitute_series
 
 
 def fp_of(text, structure=None):
@@ -248,7 +248,7 @@ def test_structural_invariants():
     ar1 = xvars(1, "u")
     ar2 = xvars(2, "u")
     ar3 = xvars(3, "u")
-    law = fgl_addition(order, ar2)
+    law = GradedSeries(ar2, order, fgl_addition(order))
     u = GradedSeries(ar1, order, {(1,): CobordismPoly.const(1)})
     zero = GradedSeries(ar1, order)
     assert substitute_series(law, [u, zero], ar1, order) == u

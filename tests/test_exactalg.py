@@ -1,4 +1,5 @@
-"""Exact polynomial and graded-series kernel tests."""
+"""Exact polynomial kernel and coefficient ring tests, with the reference
+graded series the formal group law is checked against."""
 
 import random
 import tracemalloc
@@ -9,22 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torigen.cobordism import render_series
 from torigen.exactalg import (
     ArenaMismatch,
-    BadLeadingTerm,
     CobordismPoly,
-    GradedSeries,
     MultiPoly,
     NotDivisible,
     exact_div,
     f_product_sum,
-    reverse_series,
-    series_compose,
-    series_mul,
     xvars,
 )
 
-from reference import permute_series
+from reference import GradedSeries, permute_series
 
 
 def test_multipoly_basic_arithmetic():
@@ -112,6 +109,19 @@ def test_cobordism_canonical_text():
     assert CobordismPoly.const(-1).canonical_text() == "-1"
 
 
+def test_render_series():
+    g = CobordismPoly.gen
+    names = ("u1", "u2")
+    assert render_series({}, names) == "0"
+    # a bare constant first, then ascending grlex, whatever the dict order
+    terms = {(1, 1): g(1) * -2, (0, 1): CobordismPoly.const(1),
+             (1, 0): CobordismPoly.const(Fraction(-3, 2)), (0, 0): CobordismPoly.const(Fraction(1, 2)),
+             (2, 1): g(1) ** 2 * 4 - g(2) * 3}
+    assert render_series(terms, names, "b") == \
+        "1/2 + (1)*u2 + (-3/2)*u1 + (-2*b1)*u1*u2 + (4*b1^2 - 3*b2)*u1^2*u2"
+    assert render_series({(0, 0): g(1)}, names) == "a1"
+
+
 def test_graded_series_truncation_in_products():
     ar = xvars(1)
     x = MultiPoly.variable(ar, 0)
@@ -134,30 +144,6 @@ def test_graded_series_permute_and_scalars():
     u = s * CobordismPoly.gen(2) + 1
     assert u.coeff((2, 0)) == CobordismPoly.gen(2)
     assert u.coeff((0, 0)) == CobordismPoly.const(1)
-
-
-def _flat(cs):
-    return [c.coeff(()) if isinstance(c, CobordismPoly) else c for c in cs]
-
-
-def test_series_mul_and_compose():
-    one = CobordismPoly.const(1)
-    # (1 + u)^2 = 1 + 2u + u^2
-    assert _flat(series_mul([one, one], [one, one], 2)) == [1, 2, 1]
-    # compose u/(1-u) with itself: u/(1-2u)
-    geo = [CobordismPoly(), one, one, one, one]
-    assert _flat(series_compose(geo, geo, 4)) == [0, 1, 2, 4, 8]
-
-
-def test_reverse_series_inverts_composition():
-    one = CobordismPoly.const(1)
-    g = [CobordismPoly(), one, CobordismPoly.gen(1), CobordismPoly.gen(2)]
-    rev = reverse_series(g, 3)
-    back = series_compose(g, rev, 3)
-    assert all(c == 0 for c in _flat(back[2:]))
-    assert back[1] == one
-    with pytest.raises(BadLeadingTerm):
-        reverse_series([one, one], 2)
 
 
 # -- light randomized ring checks ---------------------------------------------

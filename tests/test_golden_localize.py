@@ -12,8 +12,9 @@ as a script:
 import hashlib
 import io
 import json
+import os
 import sys
-from contextlib import chdir, redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -124,6 +125,17 @@ def commands():
             out.append((verb, "--space") + space)
     out += EXTRA
     return [argv + fmt for argv in out for fmt in ((), ("--format", "json"))]
+
+
+@contextmanager
+def chdir(path):
+    # contextlib.chdir exists only from Python 3.11
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
 
 
 def run(argv):

@@ -76,6 +76,12 @@ def test_flag_loads_no_localization():
     assert not loaded & {"genus", "stablex", "fgl", "reproduce"}
 
 
+def test_fgl_loads_no_kernel():
+    loaded = _loaded("fgl", "--trunc", "4")
+    assert {"fgl", "cobordism"} <= loaded
+    assert not loaded & {"exactalg", "genus", "divdiff", "stablex", "reproduce"}
+
+
 def test_chern_module_loads_no_kernel():
     assert "torigen.exactalg" not in _modules("import json, sys, torigen.chern; "
                                               "print(json.dumps(sorted(sys.modules)))")
