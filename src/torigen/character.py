@@ -1,0 +1,250 @@
+"""The symbolic character of the genus, and the verify and genus verbs.
+
+ch Phi = sum_p sign(p) prod_j f(<Lambda_j(p), x>) / <Lambda_j(p), x> is put
+over one polynomial common denominator (localization_data); the numerator,
+sum_p prefactor_p * cofactor_p * prod_j f(<Lambda_j(p), x>), comes from
+exactalg.f_product_sum as one polynomial in x per a^omega, and is checked
+and divided a^omega by a^omega. Inconsistent input data is detected as a
+failed cancellation or division, never hidden by per-summand
+simplification. The character stays in that form, {omega: MultiPoly}, and
+carries the low-block cancellation, the class (the blocks' constant terms)
+and the Weyl check.
+
+genus answers class, snumbers and chern by its certified point route, and
+imports this module only where the certificate does not hold. verify and
+genus read the character itself, and stablex and reproduce read its
+numerator and blocks. The tests check the kernel and
+stablex.check_necessary against omega_numerator in tests/reference.py, which
+builds one a^omega block by m_lambda substitution instead.
+
+Degrees: block omega of ch Phi is homogeneous of geometric degree
+d = ||omega|| - n, where 2n is the real dimension. Truncation orders are
+absolute: an order-N character holds the blocks with ||omega|| = n + d <= N.
+"""
+
+import json
+from collections import Counter, namedtuple
+
+from . import CheckFailure, genus
+from .chern import chern_to_s
+from .cobordism import CobordismPoly, render_series
+from .exactalg import MultiPoly, NotDivisible, block_coefficient, exact_div_terms, f_product_sum, xvars
+from .genus import NonIntegerClass, canonical_line
+from .rootdata import G2_S_LONG, G2_S_SHORT, fixed_point_weights
+from .symmfunc import omega_weight
+
+
+class SingularSum(CheckFailure):
+    pass
+
+
+LocData = namedtuple("LocData", "arena n denom cofactors prefactors")
+
+
+def localization_data(fp):
+    """Common denominator for the localization sum.
+
+    denom = product over weight lines of the highest multiplicity seen at any
+    point; cofactors[p] * (point p's own denominator) = denom up to the sign
+    prefactors[p], which absorbs sign(p) and the orientation of each weight.
+    """
+    k = len(fp[0].weights[0])
+    n = len(fp[0].weights)
+    arena = xvars(k)
+    counted = []
+    prefactors = []
+    for pt in fp:
+        if len(pt.weights) != n:
+            raise ValueError("ragged fixed-point table")
+        cnt = Counter()
+        s = pt.sign
+        for w in pt.weights:
+            line, sg = canonical_line(w)
+            cnt[line] += 1
+            s *= sg
+        counted.append(cnt)
+        prefactors.append(s)
+    need = Counter()
+    for cnt in counted:
+        for line, m in cnt.items():
+            need[line] = max(need[line], m)
+    lines = {line: MultiPoly.linear_form(arena, line) for line in need}
+    denom = MultiPoly.const(arena, 1)
+    for line in sorted(need):
+        for _ in range(need[line]):
+            denom = denom * lines[line]
+    cofactors = []
+    for cnt in counted:
+        cof = MultiPoly.const(arena, 1)
+        for line in need:
+            for _ in range(need[line] - cnt.get(line, 0)):
+                cof = cof * lines[line]
+        cofactors.append(cof)
+    return LocData(arena, n, denom, cofactors, prefactors)
+
+
+def character_numerator(fp, order):
+    """loc and the numerator blocks sum_p prefactor_p * cofactor_p *
+    prod_j f(<Lambda_j(p), x>), {omega: MultiPoly} for ||omega|| <= order,
+    multiplied and summed over the points in the kernel (f_product_sum)."""
+    loc = localization_data(fp)
+    summands = [(pt.weights, cof * pre) for pt, cof, pre in zip(fp, loc.cofactors, loc.prefactors)]
+    return loc, f_product_sum(loc.arena, summands, order)
+
+
+def chern_character_of_genus(fp, order):
+    """ch Phi truncated at absolute order: {omega: MultiPoly}, the nonzero
+    a^omega blocks with n <= ||omega|| <= order.
+
+    The a^omega block of the numerator (character_numerator) has x-degree
+    ||omega|| + D - n. Blocks with ||omega|| < n must vanish; the others are
+    divided exactly by the denominator, and block omega of the quotient is
+    homogeneous of x-degree ||omega|| - n.
+    """
+    n = len(fp[0].weights)
+    if order < n:
+        raise ValueError("order %d below dimension grade %d" % (order, n))
+    loc, num = character_numerator(fp, order)
+    D = loc.denom.degree()
+    by_weight = [[] for _ in range(order + 1)]
+    for om in sorted(num):
+        if num[om].terms:
+            by_weight[omega_weight(om)].append(om)
+    for wt in range(n):
+        if by_weight[wt]:
+            block = {}
+            for om in by_weight[wt]:
+                for e, c in num[om].terms.items():
+                    block[e] = block.get(e, 0) + CobordismPoly.monomial(om, c)
+            raise SingularSum(
+                "degree-%d numerator block does not cancel: %s"
+                % (wt + D - n, render_series(block, loc.arena.names)))
+    blocks = {}
+    for wt in range(n, order + 1):
+        for om in by_weight[wt]:
+            try:
+                blocks[om] = MultiPoly(loc.arena, exact_div_terms(num[om].terms, loc.denom.terms))
+            except NotDivisible as exc:
+                raise SingularSum("degree-%d block not divisible by denominator" % (wt + D - n)) from exc
+    return blocks
+
+
+def class_of_character(ch, n):
+    """The t^n coefficient of a character: the constant terms of its blocks,
+    which must form an integer class of weight n."""
+    k = next((b.arena.arity for b in ch.values()), 0)
+    cls = block_coefficient(ch, (0,) * k)
+    if not cls.is_homogeneous(n):
+        raise SingularSum("class is not homogeneous of weight %d" % n)
+    if not cls.is_integral():
+        raise NonIntegerClass(cls.canonical_text())
+    return cls
+
+
+def symbolic_class(fp):
+    """The class read off the symbolic character of order n."""
+    n = len(fp[0].weights)
+    return class_of_character(chern_character_of_genus(fp, n), n)
+
+
+def weyl_invariance_ok(spec, ch):
+    """Every block of the character ch of a space of spec must be invariant
+    under every Weyl generator of G."""
+    if spec.family == "G2":
+        for M in (G2_S_SHORT, G2_S_LONG):
+            for block in ch.values():
+                forms = {i: MultiPoly.linear_form(block.arena, (M[0][i], M[1][i])) for i in range(2)}
+                if block.substitute(forms) != block:
+                    return False
+        return True
+    for i in range(spec.rank - 1):
+        perm = list(range(spec.rank))
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        if any(block.permute(perm) != block for block in ch.values()):
+            return False
+    return True
+
+
+def genus_report(spec, order=None):
+    """Full result bundle for a space: class, s-table, and consistency checks."""
+    fp = fixed_point_weights(spec)
+    n = spec.n
+    if order is None:
+        order = n + 1
+    stable = genus.s_numbers(fp)
+    # the build raises SingularSum unless the low blocks cancel, so a report
+    # exists only if the vanishing check holds
+    ch = chern_character_of_genus(fp, order)
+    rows = [(list(om) + [0] * (n - len(om)), val) for om, val in sorted(stable.items())]
+    return {
+        "space": spec.descriptor,
+        "structure": genus.structure_label(spec),
+        "class": [{"omega": om, "coeff": str(val)} for om, val in rows if val],
+        "s_numbers": [{"omega": om, "value": val} for om, val in rows],
+        "checks": {"vanishing": True, "weyl_invariance": weyl_invariance_ok(spec, ch)},
+    }
+
+
+def cmd_genus(args):
+    from .cli import _build_space
+    spec = _build_space(args)
+    if args.trunc is not None and not spec.n <= args.trunc <= spec.n + 1:
+        raise ValueError("--trunc must be %d or %d on %s, got %d"
+                         % (spec.n, spec.n + 1, spec.descriptor, args.trunc))
+    report = genus_report(spec, order=args.trunc)
+    if args.format == "json":
+        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+        return 0 if all(report["checks"].values()) else 1
+    print("space: %s  structure: %s" % (report["space"], report["structure"]))
+    cls = CobordismPoly({tuple(row["omega"]): int(row["coeff"]) for row in report["class"]})
+    print("class: %s" % cls.canonical_text())
+    for row in report["s_numbers"]:
+        print("s_%s = %d" % (list(row["omega"]), row["value"]))
+    for name, ok in sorted(report["checks"].items()):
+        print("check %s: %s" % (name, "ok" if ok else "FAIL"))
+    return 0 if all(report["checks"].values()) else 1
+
+
+def cmd_verify(args):
+    from .cli import _build_space, _emit, _pad
+    spec = _build_space(args)
+    fp = fixed_point_weights(spec)
+    n = len(fp[0].weights)
+    checks = {}
+    # one symbolic character: building it raises SingularSum unless the low
+    # blocks cancel, and its degree-0 block is the class
+    ch = chern_character_of_genus(fp, n + 1)
+    checks["low_vanishing"] = True
+    cls = class_of_character(ch, n)
+    checks["class_integral"] = cls.is_integral() and cls.is_homogeneous(n)
+    # two independent routes: the symbolic class against the point-evaluated
+    # table, and that table against the sum at a second point
+    chern = genus.chern_numbers(fp)
+    table = chern_to_s(chern, n)
+    # a failed comparison names its first offending omega or xi and both values
+    evidence = {}
+    bad = [om for om in sorted(table) if cls.coeff(om) != table[om]]
+    checks["class_matches_s"] = not bad
+    if bad:
+        evidence["class_matches_s"] = {"omega": list(_pad(bad[0], n)), "symbolic": str(cls.coeff(bad[0])),
+                                       "point": str(table[bad[0]])}
+    # c_n[M] = sum_p sign(p): -chi for a conjugate structure of odd n
+    checks["euler"] = table.get((n,), 0) == sum(pt.sign for pt in fp)
+    checks["weyl_invariance"] = weyl_invariance_ok(spec, ch)
+    second = genus.point_chern_numbers(fp, genus.second_numeric_point(fp))
+    bad = [xi for xi in sorted(set(chern) | set(second)) if chern.get(xi) != second.get(xi)]
+    checks["numeric_agreement"] = not bad
+    if bad:
+        evidence["numeric_agreement"] = {"xi": list(_pad(bad[0], n)), "default_point": str(chern.get(bad[0])),
+                                         "second_point": str(second.get(bad[0]))}
+    ok = all(checks.values())
+    lines = []
+    for k, v in sorted(checks.items()):
+        lines.append("check %s: %s" % (k, "ok" if v else "FAIL"))
+        if k in evidence:
+            lines[-1] += " at " + ", ".join("%s=%s" % kv for kv in evidence[k].items())
+    data = {"space": spec.descriptor, "structure": genus.structure_label(spec), "checks": checks, "ok": ok}
+    if evidence:
+        data["evidence"] = evidence
+    _emit(args, "\n".join(lines), data)
+    return 0 if ok else 1

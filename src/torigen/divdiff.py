@@ -16,8 +16,13 @@ reach one only if its exponents, sorted descending, stay <= reads sorted
 descending (exactalg.f_product_sum). With reads = delta the top blocks hold
 only the n! monomials x^sigma(delta): 1,296 of the 3,125 exponent vectors
 with every entry <= 4 pass at n = 5, and 16,807 of 46,656 at n = 6.
+
+The flag and grassmann verbs live here, with the --cache store that memoizes
+their classes.
 """
 
+import json
+import os
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
@@ -208,3 +213,84 @@ def flag_vanishing_checks(n):
         report[key]["ok"] for key in ("s_m", "cor8", "inequality", "odd_zero", "even_chern")
     )
     return report
+
+
+CACHE_VERSION = 1
+
+
+def _cache_load(path):
+    """The CobordismPoly stored at path; None if absent, corrupt or of another version."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+        if not isinstance(raw, dict) or raw.get("version") != CACHE_VERSION:
+            return None
+        return CobordismPoly({tuple(t["exponents"]): int(t["coefficient"]) for t in raw["terms"]})
+    except (FileNotFoundError, ValueError, KeyError, TypeError):
+        return None
+
+
+def _cache_poly(args, key, compute):
+    """Memoize a CobordismPoly as versioned canonical JSON terms under --cache DIR.
+
+    A missing, corrupt or stale entry is recomputed and replaced atomically:
+    the entry is written to a temporary file in DIR and renamed over the old one.
+    DIR and the temporary file are made before computing, so a cache that
+    cannot be written fails at once, not after the work.
+    """
+    if not args.cache:
+        return compute()
+    import tempfile
+    path = os.path.join(args.cache, key + ".json")
+    value = _cache_load(path)
+    if value is not None:
+        return value
+    os.makedirs(args.cache, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=args.cache, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            value = compute()
+            json.dump({"version": CACHE_VERSION,
+                       "terms": [{"exponents": list(e), "coefficient": str(c)}
+                                 for e, c in sorted(value.terms.items())]}, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return value
+
+
+# flag --n 6 takes 22-32 s on a 2-vCPU VM and peaks at about 108 MB (90 MB by
+# thm8); n + 1 multiplies n more factors, to an order n higher
+FLAG_N_LIMIT = 6
+
+
+def cmd_flag(args):
+    from .cli import _emit
+    if args.n > FLAG_N_LIMIT:
+        raise ValueError("--n must be at most %d, got %d" % (FLAG_N_LIMIT, args.n))
+    text = _cache_poly(args, "flag_%d_%s" % (args.n, args.method),
+                       lambda: flag_class(args.n, args.method)).canonical_text()
+    _emit(args, text, {"n": args.n, "method": args.method, "class": text})
+    return 0
+
+
+# grassmann (3,3) takes 0.8 s, (1,6) 1.1 s and (2,4) 0.4 s; (2,5) takes 17.5 s
+# and 300 MB, (1,7) 28 s and 650 MB, and (1,8) and (4,4) run out of a 1.5 GB
+# address space. The top blocks have weight q*l, and the base
+# Delta_q * Delta_{q+1,q+l} has q! * l! terms, so both are bounded.
+GRASSMANN_QL_LIMIT = 9
+GRASSMANN_SIDE_LIMIT = 6
+
+
+def cmd_grassmann(args):
+    from .cli import _emit
+    if args.q * args.l > GRASSMANN_QL_LIMIT:
+        raise ValueError("--q times --l must be at most %d, got %d" % (GRASSMANN_QL_LIMIT, args.q * args.l))
+    if max(args.q, args.l) > GRASSMANN_SIDE_LIMIT:
+        raise ValueError("--q and --l must be at most %d, got %d"
+                         % (GRASSMANN_SIDE_LIMIT, max(args.q, args.l)))
+    text = _cache_poly(args, "grassmann_%d_%d" % (args.q, args.l),
+                       lambda: grassmann_class(args.q, args.l)).canonical_text()
+    _emit(args, text, {"q": args.q, "l": args.l, "class": text})
+    return 0

@@ -372,22 +372,19 @@ def _packed_blocks(forms, order, odd, bias, guard, allowed, top):
     bit, or is missing from allowed when that is a set, is dropped."""
     blocks = {(): (0, {bias: 1})}
     for j, form in enumerate(forms):
+        is_odd = j in odd
         least = order if top and j == len(forms) - 1 else 0
+        by_coeff = {c: sh for sh, c in form}
+        pair = (by_coeff[1], by_coeff[-1]) if len(form) == 2 and by_coeff.keys() == {1, -1} else None
         for om in sorted(blocks, key=lambda om: blocks[om][0], reverse=True):
             wt, t = blocks[om]
-            if j in odd or wt < least:
+            if is_odd or wt < least:
                 del blocks[om]
             for k in range(1, order - wt + 1):
-                step = {}
-                for e, c in t.items():
-                    for sh, wc in form:
-                        x = e + sh
-                        if not x & guard and (allowed is None or x in allowed):
-                            step[x] = step.get(x, 0) + c * wc
-                t = step
+                t = _times_form(t, form, pair, guard, allowed)
                 if not t:
                     break
-                if j in odd and k % 2 == 0 or wt + k < least:
+                if is_odd and k % 2 == 0 or wt + k < least:
                     continue
                 key = list(om) + [0] * (k - len(om))
                 key[k - 1] += 1
@@ -395,6 +392,46 @@ def _packed_blocks(forms, order, odd, bias, guard, allowed, top):
                 for e, c in t.items():
                     acc[e] = acc.get(e, 0) + c
     return blocks
+
+
+def _times_form(t, form, pair, guard, allowed):
+    """t times one form, {packed exponent: c}, without the terms that set a
+    guard bit or, when allowed is a set, are missing from it. pair is
+    (shift of x_a, shift of x_b) when the form is x_a - x_b, as every root of
+    type A is: its +-1 coefficients are unrolled into one addition and one
+    subtraction per term.
+
+    Each shift raises one field by 1, and every exponent in t clears the
+    guard bits (every allowed value does), so no field carries into the next
+    one before its guard bit is set. Where allowed is a set, membership alone
+    therefore drops every term that the guard test would."""
+    step = {}
+    get = step.get
+    if pair is None:
+        for e, c in t.items():
+            for sh, wc in form:
+                x = e + sh
+                if not x & guard and (allowed is None or x in allowed):
+                    step[x] = get(x, 0) + c * wc
+        return step
+    a, b = pair
+    if allowed is None:
+        for e, c in t.items():
+            x = e + a
+            if not x & guard:
+                step[x] = get(x, 0) + c
+            x = e + b
+            if not x & guard:
+                step[x] = get(x, 0) - c
+        return step
+    for e, c in t.items():
+        x = e + a
+        if x in allowed:
+            step[x] = get(x, 0) + c
+        x = e + b
+        if x in allowed:
+            step[x] = get(x, 0) - c
+    return step
 
 
 def block_coefficient(blocks, e):

@@ -8,7 +8,7 @@ exactly with the published value.
 
 import json
 
-from . import divdiff, genus, rootdata, stablex
+from . import character, divdiff, genus, rootdata, stablex
 from .cobordism import CobordismPoly
 from .exactalg import MultiPoly, block_coefficient, xvars
 
@@ -17,7 +17,7 @@ def _s6_sigma_blocks():
     """ch_U Phi(S^6) blocks rewritten in sigma_2, sigma_3 (x3 eliminated)."""
     spec = rootdata.build_space("G2/SU(3)")
     fp = rootdata.fixed_point_weights(spec)
-    ch = genus.chern_character_of_genus(fp, 9)
+    ch = character.chern_character_of_genus(fp, 9)
     arena = xvars(2)
     x1 = MultiPoly.variable(arena, 0)
     x2 = MultiPoly.variable(arena, 1)
@@ -245,3 +245,16 @@ def reproduce_table():
             ok, shown = False, "%s: %s" % (type(exc).__name__, exc)
         results.append((name, ok, shown))
     return all(ok for _, ok, _ in results), results
+
+
+def cmd_reproduce(args):
+    ok, results = reproduce_table()
+    if args.format == "json":
+        print(json.dumps(
+            {"ok": ok, "rows": [{"name": n, "ok": o, "value": s} for n, o, s in results]},
+            sort_keys=True, separators=(",", ":")))
+    else:
+        for name, row_ok, shown in results:
+            print("%-28s %s  %s" % (name, "PASS" if row_ok else "FAIL", shown))
+        print("%d/%d rows pass" % (sum(1 for _, o, _ in results if o), len(results)))
+    return 0 if ok else 1

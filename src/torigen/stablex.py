@@ -7,7 +7,7 @@ imposes necessary conditions on the a_i(w): every f_omega sum with
 ||omega|| <= n-1 must vanish identically and the ||omega|| = n sums must be
 integers.  This module derives the rescaled fixed-point data and checks
 those conditions for one table on the numerator blocks of one kernel pass
-(genus.character_numerator).  It enumerates all admissible tables by an
+(character.character_numerator).  It enumerates all admissible tables by an
 exhaustive, exact search on ints: per point and sign vector, the kernel's
 ||omega|| < n blocks are packed into one int, which the table's sum must
 cancel, and its ||omega|| = n blocks into another, whose sum must be an
@@ -16,15 +16,20 @@ integer multiple of the common denominator in every block.
 "Admissible" is deliberate: the conditions are necessary, and which admissible
 tables are realized by honest stable complex structures is a separate
 geometric question that we do not decide.
+
+The stable verb, which enumerates the tables or checks one given with
+--assign, lives here.
 """
 
+import json
+import sys
 from collections import namedtuple
 from itertools import product
 
 from . import CheckFailure
+from .character import character_numerator, localization_data
 from .cobordism import clean
-from .exactalg import NotDivisible, exact_div, f_product_sum
-from .genus import character_numerator, localization_data
+from .exactalg import MultiPoly, NotDivisible, exact_div, f_product_sum
 from .genus import s_numbers as _genus_s_numbers
 from .rootdata import FixedPoint, fixed_point_weights
 from .symmfunc import omega_weight, omegas_of_weight
@@ -73,7 +78,7 @@ def check_necessary(spec, assign):
     """Evaluate the localization conditions for one sign table.
 
     Walks omega by weight over the numerator blocks of one kernel pass
-    (genus.character_numerator at order n): each sum with ||omega|| <= n-1
+    (character.character_numerator at order n): each sum with ||omega|| <= n-1
     must vanish as a polynomial, each ||omega|| = n sum must collapse to an
     integer.  Returns the first violated omega with the offending value
     (residue polynomial or non-integer constant).
@@ -261,3 +266,44 @@ def assignment_from_json(data, spec):
     assign = SignAssignment(tuple(table), epsilon)
     _check_shape(assign, base)
     return assign
+
+
+def cmd_stable(args):
+    from .cli import _build_space, _emit, _pad
+    spec = _build_space(args)
+    if args.assign is not None:
+        with open(args.assign) as fh:
+            assign = assignment_from_json(json.load(fh), spec)
+        report = check_necessary(spec, assign)
+        if report.ok:
+            table = s_numbers_for(spec, assign)
+            n = len(next(iter(fixed_point_weights(spec))).weights)
+            rows = [(list(_pad(om, n)), v) for om, v in sorted(table.items())]
+            text = "PASS\n" + "\n".join("s_%s = %d" % (om, v) for om, v in rows)
+            _emit(args, text, {"ok": True, "s_numbers": [{"omega": om, "value": v} for om, v in rows]})
+            return 0
+        value = report.value.canonical_text() if isinstance(report.value, MultiPoly) else str(report.value)
+        _emit(args, "FAIL at omega=%s: %s" % (list(report.omega), value),
+              {"ok": False, "omega": list(report.omega), "value": value})
+        return 1
+    sols = enumerate_feasible(spec, budget=args.budget)
+    _write_tables(args, spec, sols)
+    return 0
+
+
+def _write_tables(args, spec, sols):
+    """Write the tables one at a time, as _emit would write the list of
+    {coset_index: [signs], "epsilon": e}, keys sorted as strings ("10" before
+    "2"): U(3)/T3 lists 4372 of them. Each table is joined from the JSON
+    texts of the 2^n sign vectors, made once."""
+    compact = args.format == "json"
+    item, colon = (",", ":") if compact else (", ", ": ")
+    texts = {v: json.dumps(v, separators=(item, colon)) for v in product((1, -1), repeat=spec.n)}
+    keys = [(p, '"%d"%s' % (p, colon)) for p in sorted(range(len(sols[0].table) if sols else 0), key=str)]
+    write = sys.stdout.write
+    write('{"assignments":[' if compact else "admissible: %d" % len(sols))
+    for i, sol in enumerate(sols):
+        row = item.join([k + texts[sol.table[p]] for p, k in keys])
+        sep = ("," if i else "") if compact else "\n"
+        write('%s{%s%s"epsilon"%s%d}' % (sep, row, item, colon, sol.epsilon))
+    write('],"count":%d,"space":%s}\n' % (len(sols), json.dumps(spec.descriptor)) if compact else "\n")

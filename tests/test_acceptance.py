@@ -16,15 +16,9 @@ from torigen.divdiff import (
     grassmann_class,
 )
 from torigen.exactalg import CobordismPoly, MultiPoly, block_coefficient, xvars
+from torigen.character import chern_character_of_genus, weyl_invariance_ok
 from torigen.fgl import fgl_addition
-from torigen.genus import (
-    SingularPoint,
-    chern_character_of_genus,
-    cobordism_class,
-    s_number_numeric,
-    s_numbers,
-    weyl_invariance_ok,
-)
+from torigen.genus import SingularPoint, cobordism_class, s_number_numeric, s_numbers
 from torigen.rootdata import (
     M10_DESCRIPTOR,
     build_space,

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, formats and exit codes."""
 
+import argparse
 import json
 import random
 from argparse import Namespace
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from torigen import cli, genus, reproduce
+from torigen import cli, genus, reproduce, stablex
 from torigen.cli import main
 from torigen.reproduce import reproduce_table
 from torigen.stablex import SignAssignment
@@ -265,6 +266,32 @@ def test_snumbers_rejects_bad_omega(capsys):
     assert out.strip() == "3"
 
 
+NOT_INTEGERS = [
+    (("class", "--space", "CP2", "--signs="), "error: --signs takes integers, got ''\n"),
+    (("verify", "--space", "CP2", "--signs", " , "), "error: --signs takes integers, got ' , '\n"),
+    (("class", "--space", "CP1", "--signs=-1,z"), "error: --signs takes integers, got 'z'\n"),
+    (("snumbers", "--space", "CP2", "--omega", ""), "error: --omega takes integers, got ''\n"),
+    (("snumbers", "--space", "CP2", "--omega", "x"), "error: --omega takes integers, got 'x'\n"),
+    (("snumbers", "--space", "CP2", "--omega", "0,1.0"), "error: --omega takes integers, got '1.0'\n"),
+    (("snumbers", "--space", "CP2", "--omega", "0,1", "--numeric", ""),
+     "error: --numeric takes integers, got ''\n"),
+    (("snumbers", "--space", "CP2", "--omega", "0,1", "--numeric", "1,two,3"),
+     "error: --numeric takes integers, got 'two'\n"),
+]
+
+
+@pytest.mark.parametrize("argv, err", NOT_INTEGERS, ids=[" ".join(argv) for argv, _ in NOT_INTEGERS])
+def test_option_values_that_are_not_integers_exit_two(capsys, argv, err):
+    # an empty value is refused too, not read as the option left out
+    assert run(capsys, *argv) == (2, "", err)
+
+
+def test_empty_assign_is_not_the_enumeration(capsys):
+    code, out, err = run(capsys, "stable", "--space", "CP1", "--assign", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_fgl_rejects_nonpositive_order(capsys):
     for trunc in ("0", "-2"):
         code, out, err = run(capsys, "fgl", "--trunc", trunc)
@@ -397,17 +424,18 @@ def test_streamed_tables_match_json_dumps(capsys, count):
     sols = [SignAssignment(tuple(tuple(rng.choice((1, -1)) for _ in range(3)) for _ in range(12)),
                            rng.choice((1, -1))) for _ in range(count)]
     spec = SimpleNamespace(n=3, descriptor="X(12)")
-    cli._write_tables(Namespace(format="text"), spec, sols)
+    stablex._write_tables(Namespace(format="text"), spec, sols)
     lines = ["admissible: %d" % count] + [json.dumps(assignment_to_json(s), sort_keys=True) for s in sols]
     assert capsys.readouterr().out == "\n".join(lines) + "\n"
-    cli._write_tables(Namespace(format="json"), spec, sols)
+    stablex._write_tables(Namespace(format="json"), spec, sols)
     data = {"space": "X(12)", "count": count, "assignments": [assignment_to_json(s) for s in sols]}
     assert capsys.readouterr().out == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-# torigen --help, VERB --help for every verb, and four usage errors (no verb,
-# an unknown verb, a missing --space, an unknown option), byte for byte at 80
-# columns: the parser adds a verb's arguments only when it parses that verb
+# torigen --help, VERB --help for every verb, and five usage errors (no verb,
+# an unknown verb, a missing --space, an unknown option on two verbs), byte
+# for byte at 80 columns: the parser adds a verb's arguments only when it
+# parses that verb, and registers no other verb when that verb comes first
 USAGE = [
     (('--help',), 0,
      """\
@@ -605,6 +633,14 @@ usage: torigen [-h]
                ...
 torigen: error: unrecognized arguments: --bogus
 """),
+    (('stable', '--space', 'CP1', '--bogus'), 2,
+     "",
+     """\
+usage: torigen [-h]
+               {class,genus,snumbers,chern,verify,flag,grassmann,stable,fgl,reproduce}
+               ...
+torigen: error: unrecognized arguments: --bogus
+"""),
 ]
 
 
@@ -614,3 +650,27 @@ def test_help_and_usage_errors_are_pinned(capsys, monkeypatch, argv, code, out, 
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert (exc.value.code, *capsys.readouterr()) == (code, out, err)
+
+
+def test_help_before_the_verb_lists_every_verb(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        main(["--help", "class"])
+    assert capsys.readouterr().out == USAGE[0][2]
+
+
+def test_a_named_verb_builds_two_parsers(monkeypatch):
+    # the top level and that verb's; with no verb, or an unknown one, all ten
+    # verbs are registered so that the error can list them
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    args = cli._parser(["chern", "--space", "CP2"]).parse_args(["chern", "--space", "CP2"])
+    assert (args.verb, args.space, built) == ("chern", "CP2", ["torigen", "torigen chern"])
+    built.clear()
+    cli._parser(["nope"])
+    assert len(built) == 11

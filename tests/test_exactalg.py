@@ -252,6 +252,34 @@ def test_f_product_sum_odd_factors_take_the_odd_part_of_f():
             assert got.get(om, zero) * 4 == want.get(om, zero), om
 
 
+@pytest.mark.parametrize("reads", [None, (3, 3, 3), (3, 1, 0)], ids=("all", "reads333", "reads310"))
+def test_f_product_sum_matches_powers_of_the_forms(reads):
+    # roots x_a - x_b, whose +-1 coefficients the kernel unrolls, and forms
+    # with other coefficients, against the product of f(<w, x>) =
+    # sum_k a_k <w, x>^k made from MultiPoly powers of each form
+    ar = xvars(3)
+    zero = MultiPoly(ar)
+    weights = [(1, -1, 0), (0, -1, 1), (2, 0, -1), (-1, 0, 1), (1, 1, -1)]
+    order = 4
+    want = {(): MultiPoly.const(ar, 1)}
+    for w in weights:
+        form = MultiPoly.linear_form(ar, w)
+        grown = {}
+        for om, block in want.items():
+            for k in range(order - sum(i * m for i, m in enumerate(om, 1)) + 1):
+                key = list(om) + [0] * (k - len(om))
+                if k:
+                    key[k - 1] += 1
+                grown[tuple(key)] = grown.get(tuple(key), zero) + block * form ** k
+        want = grown
+    if reads is not None:
+        want = {om: MultiPoly(ar, {e: c for e, c in b.terms.items() if dominated(e, reads)})
+                for om, b in want.items()}
+    got = f_product_sum(ar, [(weights, None)], order, reads=reads)
+    for om in set(want) | set(got):
+        assert got.get(om, zero) == want.get(om, zero), om
+
+
 def test_flag_product_traced_peak():
     # the n = 5 flag product that corL reads: blocks updated in place, only
     # the top weight written at the last factor, and only the terms delta

@@ -7,29 +7,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torigen import genus
+from torigen import character
+from torigen.character import (
+    SingularSum,
+    character_numerator,
+    chern_character_of_genus,
+    genus_report,
+    localization_data,
+    symbolic_class,
+    weyl_invariance_ok,
+)
 from torigen.chern import chern_to_s, s_to_chern
 from torigen.cli import main
 from torigen.exactalg import CobordismPoly, MultiPoly, block_coefficient, f_product_sum
 from torigen.genus import (
     NonIntegerClass,
     SingularPoint,
-    SingularSum,
     _pole_free,
     canonical_line,
-    character_numerator,
-    chern_character_of_genus,
     chern_numbers,
     cobordism_class,
     default_numeric_point,
-    genus_report,
-    localization_data,
     point_chern_numbers,
     s_number_numeric,
     s_numbers,
     second_numeric_point,
-    symbolic_class,
-    weyl_invariance_ok,
 )
 from torigen.divdiff import flag_class
 from torigen.rootdata import FixedPoint, build_space, fixed_point_weights
@@ -388,12 +390,12 @@ def test_random_sign_tables_agree_with_symbolic(text, data):
                          ids=" ".join)
 def test_one_character_per_run(monkeypatch, capsys, argv):
     orders = []
-    build = genus.chern_character_of_genus
+    build = character.chern_character_of_genus
 
     def counted(fp, order):
         orders.append(order)
         return build(fp, order)
-    monkeypatch.setattr(genus, "chern_character_of_genus", counted)
+    monkeypatch.setattr(character, "chern_character_of_genus", counted)
     assert main(list(argv)) == 0
     assert "FAIL" not in capsys.readouterr().out
     assert len(orders) == 1

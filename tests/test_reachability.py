@@ -1,6 +1,7 @@
 """src/torigen holds only what a verb runs.
 
-The walk starts from the names in cli.main and in the module-level
+The walk starts from the names in cli.main, from the functions that the verb
+table cli.VERBS names by string, and from the names in the module-level
 statements of every module in the package (the `if __name__ == "__main__"`
 block included; import statements excluded). A top-level function or class,
 or a method, is reached when its name is used, as a bare name or as an
@@ -68,11 +69,21 @@ def _own_code(node, is_class):
                    if not isinstance(item, ast.FunctionDef) or _is_dunder(item.name)]
 
 
+def verb_functions(modules):
+    """The function names in cli's VERBS table: each entry is (help, module,
+    function, reads a space, arguments), the module and the function as
+    strings, since main imports the module only for the verb that runs."""
+    for node in modules["cli"].body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["VERBS"]:
+            return {entry.elts[2].value for entry in node.value.values}
+    raise AssertionError("cli defines no VERBS table")
+
+
 def unreached(modules):
     defs = _definitions(modules)
     roots = [node for tree in modules.values() for node in tree.body
              if not isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom))]
-    todo = _names(roots) | {"main"}
+    todo = _names(roots) | {"main"} | verb_functions(modules)
     seen = set()
     reached = set()
     while todo:
@@ -115,6 +126,8 @@ def test_walk_lists_what_no_verb_reaches():
     mods = _parse(cli='''
 from .alg import Poly
 
+VERBS = {}
+
 def main():
     return Poly().add(helper())
 
@@ -145,6 +158,8 @@ class Unused:
 
 def test_walk_starts_at_module_level_statements():
     mods = _parse(cli='''
+VERBS = {}
+
 def main():
     return 0
 
@@ -166,6 +181,8 @@ def test_walk_goes_by_name():
     # a reached name reaches every definition of that name, in any class:
     # nothing builds a Series, yet Series.permute passes beside Poly.permute
     mods = _parse(cli='''
+VERBS = {}
+
 class Series:
     def permute(self, perm):
         return self
@@ -178,6 +195,37 @@ def main():
     return Poly().permute((1, 0))
 ''')
     assert unreached(mods) == ["cli.Series"]
+
+
+def test_walk_follows_the_verb_table():
+    # a verb's function is named by string, in the module that runs it; a
+    # cmd_ function that no entry names is still listed
+    mods = _parse(cli='''
+VERBS = {
+    "show": ("show it", "cli", "cmd_show", False, ()),
+    "draw": ("draw it", "art", "cmd_draw", True, (("--size", {"type": int}),)),
+}
+
+def main():
+    return 0
+
+def cmd_show(args):
+    return 0
+
+def cmd_hide(args):
+    return 0
+''', art='''
+def cmd_draw(args):
+    return brush()
+
+def brush():
+    return 1
+
+def cmd_erase(args):
+    return 0
+''')
+    assert verb_functions(mods) == {"cmd_show", "cmd_draw"}
+    assert unreached(mods) == ["art.cmd_erase", "cli.cmd_hide"]
 
 
 def test_unused_import_is_listed():

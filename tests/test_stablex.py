@@ -6,8 +6,9 @@ from itertools import product
 
 import pytest
 
+from torigen.character import localization_data
 from torigen.exactalg import MultiPoly, NotDivisible, clean, exact_div, xvars
-from torigen.genus import _pole_free, cobordism_class, localization_data, s_numbers
+from torigen.genus import _pole_free, cobordism_class, s_numbers
 from torigen.rootdata import build_space, fixed_point_weights
 from torigen.stablex import (
     BudgetExceeded,

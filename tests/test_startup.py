@@ -6,15 +6,21 @@ picks the right exit code without them. These tests start a new
 interpreter for each command.
 """
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 import torigen
+from torigen import cli
+from torigen.cobordism import CobordismPoly
+
+from test_golden_localize import STABLE_U3_DIGESTS
 
 SRC = str(Path(torigen.__file__).resolve().parent.parent)
 
@@ -46,7 +52,8 @@ def _loaded(*argv):
     return {name[len("torigen."):] for name in _modules(RUN_AND_LIST, *argv) if name.startswith("torigen.")}
 
 
-SYMBOLIC = {"exactalg", "divdiff", "stablex", "fgl", "reproduce"}
+# the kernel, and the modules of every verb but class, snumbers and chern
+SYMBOLIC = {"exactalg", "character", "divdiff", "stablex", "fgl", "reproduce"}
 
 
 @pytest.mark.parametrize("verb", ["class", "snumbers", "chern"])
@@ -54,6 +61,59 @@ def test_certified_point_route_loads_no_symbolic_engine(verb):
     loaded = _loaded(verb, "--space", "CP5", "--format", "json")
     assert "genus" in loaded
     assert not loaded & SYMBOLIC
+
+
+@pytest.mark.parametrize("verb", sorted(cli.VERBS))
+def test_every_verb_resolves_to_a_function(verb):
+    _, module, name, _, _ = cli.VERBS[verb]
+    assert callable(getattr(import_module("torigen." + module), name))
+    assert name == "cmd_" + verb
+
+
+@pytest.mark.parametrize("argv, module", [(("verify", "--space", "CP2"), "character"),
+                                          (("stable", "--space", "CP1"), "stablex"),
+                                          (("reproduce",), "reproduce")], ids=("verify", "stable", "reproduce"))
+def test_a_verb_loads_its_own_module(argv, module):
+    assert module in _loaded(*argv)
+
+
+def test_collection_stays_on_until_exit():
+    # importing cli freezes nothing; its exit hook, registered after this
+    # one and so run before it, freezes what is left
+    code = ("import atexit, gc, json\n"
+            "atexit.register(lambda: print(json.dumps([gc.isenabled(), gc.get_freeze_count() > 0])))\n"
+            "from torigen import cli\n"
+            "print(json.dumps([gc.isenabled(), gc.get_freeze_count()]))\n")
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[true, 0]", "[true, true]"]
+
+
+def test_library_modules_load_no_command_line():
+    # a verb's module imports cli only when its verb runs, so importing the
+    # library registers no exit hook and loads no argparse
+    loaded = _modules("import json, sys, torigen.character, torigen.divdiff, torigen.fgl, "
+                      "torigen.reproduce, torigen.stablex; print(json.dumps(sorted(sys.modules)))")
+    assert not loaded & {"torigen.cli", "argparse"}
+
+
+def test_streamed_tables_survive_the_exit_hook():
+    # stable writes its 415 kB of JSON in pieces; a fresh interpreter must
+    # print all of it, as the golden digest pins, before it exits
+    proc = _python("-m", "torigen.cli", "stable", "--space", "U(3)/T3", "--format", "json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    data = proc.stdout.encode()
+    digest, size = next((d, n) for fmt, d, n in STABLE_U3_DIGESTS if fmt == ("--format", "json"))
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, size)
+
+
+def test_cache_entry_is_complete_after_exit(tmp_path):
+    proc = _python("-m", "torigen.cli", "flag", "--n", "4", "--cache", str(tmp_path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["flag_4_corL.json"]
+    raw = json.loads((tmp_path / "flag_4_corL.json").read_text())
+    cls = CobordismPoly({tuple(t["exponents"]): int(t["coefficient"]) for t in raw["terms"]})
+    assert raw["version"] == 1 and cls.canonical_text() == proc.stdout.strip()
 
 
 def test_integral_point_values_load_no_fractions():
