@@ -22,7 +22,6 @@ d = ||omega|| - n, where 2n is the real dimension. Truncation orders are
 absolute: an order-N character holds the blocks with ||omega|| = n + d <= N.
 """
 
-import json
 from collections import Counter, namedtuple
 
 from . import CheckFailure, genus
@@ -166,7 +165,8 @@ def weyl_invariance_ok(spec, ch):
 
 
 def genus_report(spec, order=None):
-    """Full result bundle for a space: class, s-table, and consistency checks."""
+    """Full result bundle for a space: the report (class, s-table and
+    consistency checks) and the class as a CobordismPoly."""
     fp = fixed_point_weights(spec)
     n = spec.n
     if order is None:
@@ -182,26 +182,21 @@ def genus_report(spec, order=None):
         "class": [{"omega": om, "coeff": str(val)} for om, val in rows if val],
         "s_numbers": [{"omega": om, "value": val} for om, val in rows],
         "checks": {"vanishing": True, "weyl_invariance": weyl_invariance_ok(spec, ch)},
-    }
+    }, CobordismPoly(stable)
 
 
 def cmd_genus(args):
-    from .cli import _build_space
+    from .cli import _build_space, _emit
     spec = _build_space(args)
     if args.trunc is not None and not spec.n <= args.trunc <= spec.n + 1:
         raise ValueError("--trunc must be %d or %d on %s, got %d"
                          % (spec.n, spec.n + 1, spec.descriptor, args.trunc))
-    report = genus_report(spec, order=args.trunc)
-    if args.format == "json":
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
-        return 0 if all(report["checks"].values()) else 1
-    print("space: %s  structure: %s" % (report["space"], report["structure"]))
-    cls = CobordismPoly({tuple(row["omega"]): int(row["coeff"]) for row in report["class"]})
-    print("class: %s" % cls.canonical_text())
-    for row in report["s_numbers"]:
-        print("s_%s = %d" % (list(row["omega"]), row["value"]))
-    for name, ok in sorted(report["checks"].items()):
-        print("check %s: %s" % (name, "ok" if ok else "FAIL"))
+    report, cls = genus_report(spec, order=args.trunc)
+    lines = ["space: %s  structure: %s" % (report["space"], report["structure"]),
+             "class: %s" % cls.canonical_text()]
+    lines += ["s_%s = %d" % (row["omega"], row["value"]) for row in report["s_numbers"]]
+    lines += ["check %s: %s" % (name, "ok" if ok else "FAIL") for name, ok in sorted(report["checks"].items())]
+    _emit(args, "\n".join(lines), report)
     return 0 if all(report["checks"].values()) else 1
 
 

@@ -9,7 +9,7 @@ the same rows, in integers for an integer table.
 """
 
 from .cobordism import clean
-from .symmfunc import elementary_to_monomial, omegas_of_weight, transition_table
+from .symmfunc import omegas_of_weight, transition_table
 
 
 class NonIntegerSolution(Exception):
@@ -36,9 +36,10 @@ def s_to_chern(s, n):
     for om in index:
         if om not in s:
             raise KeyError("s table missing omega %s" % (om,))
+    rows = transition_table(n)
     out = {}
     for xi in index:
-        v = clean(sum(c * s[om] for om, c in elementary_to_monomial(xi).items()))
+        v = clean(sum(c * s[om] for om, c in rows[xi][1].items()))
         if not isinstance(v, int):
             raise NonIntegerSolution("c^%s = %s is not an integer" % (xi, v))
         out[xi] = v

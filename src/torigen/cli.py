@@ -26,6 +26,12 @@ from importlib import import_module
 
 from . import CheckFailure, SpaceGrammarError
 
+if __name__ == "__main__":
+    # python -m torigen.cli runs this file as __main__; registering it under
+    # its own name too keeps a verb's `from .cli import ...` from loading
+    # the file a second time
+    sys.modules.setdefault(__spec__.name, sys.modules[__name__])
+
 atexit.register(gc.freeze)
 
 # verb: (help, the module and the function that run it, whether it reads a

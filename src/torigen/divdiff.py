@@ -94,23 +94,22 @@ def flag_class(n, method="corL"):
     corL reads the P polynomials on the orbit of delta, tchi reads the
     permuted products at x^delta, thm8 (n >= 4 only) replaces the (1,2) and
     (n-1,n) factors by the odd part of f and takes L of the top blocks.
+    corL and tchi coincide, and both read one product p = prod f(x_i - x_j):
+    P_sigma(delta) is the x^sigma(delta) coefficient of p, which is also the
+    coefficient of the permuted product sigma^-1(p) at x^delta, and
+    sigma^-1 has the sign of sigma.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    m = n * (n - 1) // 2
-    if method == "corL":
-        return _signed_delta_sum(n, lambda e: flag_P_polynomials(n, e))
-    if method == "tchi":
-        # the permuted product sigma^-1(p) at x^delta is the product at
-        # x^sigma(delta), and sigma^-1 has the sign of sigma
-        blocks = _flag_product(n, m, _delta(n))
-        return _signed_delta_sum(n, lambda e: block_coefficient(blocks, e))
-    if method == "thm8":
+    if method in ("corL", "tchi"):
+        blocks = _flag_product(n, n * (n - 1) // 2, _delta(n))
+    elif method == "thm8":
         if n < 4:
             raise ValueError("thm8 route needs n >= 4")
         blocks = _thm8_blocks(n)
-        return _signed_delta_sum(n, lambda e: block_coefficient(blocks, e))
-    raise ValueError("unknown method %r" % (method,))
+    else:
+        raise ValueError("unknown method %r" % (method,))
+    return _signed_delta_sum(n, lambda e: block_coefficient(blocks, e))
 
 
 @lru_cache(maxsize=None)

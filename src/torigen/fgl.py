@@ -3,8 +3,10 @@ F(u, v) = g^{-1}(g(u) + g(v)) of the logarithm g(u) = u + sum b_i u^{i+1},
 b_i = [CP^i]/(i+1), which the fgl verb, defined here, prints.
 
 The b_i sit on the a-slots of CobordismPoly, and the fgl verb prints them
-as b1, b2, ... Series are univariate coefficient lists (index = power) of
-ints and CobordismPoly; the law itself is a {(a, b): CobordismPoly} map.
+as b1, b2, ... A series is the list of its CobordismPoly coefficients
+(index = power); the law itself is a {(a, b): CobordismPoly} map. One table
+of powers (_powers) gives both the exponential e = g^{-1} and the powers of
+g that the law reads.
 """
 
 from functools import lru_cache
@@ -13,60 +15,22 @@ from math import comb
 from .cobordism import CobordismPoly, render_series
 
 
-class BadLeadingTerm(Exception):
-    pass
+def _powers(order, coefficient):
+    """P[j][d] = [y^d] s^j for 0 <= j, d <= order, s = y + s_2 y^2 + ...
 
-
-def series_mul(a, b, order):
-    """Truncated product of univariate coefficient lists (index = power)."""
-    out = [0] * (order + 1)
-    for i, ca in enumerate(a):
-        if i > order or _is_zero_coeff(ca):
-            continue
-        for j, cb in enumerate(b):
-            if i + j > order:
-                break
-            if _is_zero_coeff(cb):
-                continue
-            out[i + j] = out[i + j] + ca * cb
-    return out
-
-
-def _is_zero_coeff(c):
-    return c.is_zero() if isinstance(c, CobordismPoly) else c == 0
-
-
-def series_compose(h, r, order):
-    """h(r(y)) truncated; requires r[0] = 0."""
-    if r and not _is_zero_coeff(r[0]):
-        raise ValueError("inner series must have zero constant term")
-    out = [0] * (order + 1)
-    power = [1] + [0] * order
-    for i, c in enumerate(h):
-        if i > order:
-            break
-        if i > 0:
-            power = series_mul(power, r, order)
-        if _is_zero_coeff(c):
-            continue
-        for j in range(order + 1):
-            if not _is_zero_coeff(power[j]):
-                out[j] = out[j] + c * power[j]
-    return out
-
-
-def reverse_series(h, order):
-    """Compositional inverse of h = y + O(y^2) to the given order.
-
-    Returns r with h(r(y)) = y mod y^(order+1).
+    The table, order >= 1, is filled one degree d at a time (Knuth, TAOCP
+    vol. 2, 4.7). [y^d] s^j for j >= 2 needs only s_1..s_{d-j+1}, so column
+    d of those powers comes first, and then s_d = coefficient(d, P) may read it.
     """
-    if len(h) < 2 or not _is_zero_coeff(h[0]) or h[1] != 1:
-        raise BadLeadingTerm("need h(0)=0 and linear coefficient 1")
-    r = [0, 1] + [0] * (order - 1)
+    zero = CobordismPoly()
+    P = [[zero] * (order + 1) for _ in range(order + 1)]
+    P[0][0] = P[1][1] = CobordismPoly.const(1)
     for d in range(2, order + 1):
-        c = series_compose(h, r, d)[d]
-        r[d] = -c
-    return r[: order + 1]
+        for j in range(2, d + 1):
+            # s^j = s * s^(j-1); the k = 1 term is s_1 = 1 times [y^(d-1)] s^(j-1)
+            P[j][d] = sum((P[1][k] * P[j - 1][d - k] for k in range(2, d - j + 2)), P[j - 1][d - 1])
+        P[1][d] = coefficient(d, P)
+    return P
 
 
 def log_series(order):
@@ -76,14 +40,13 @@ def log_series(order):
     return out
 
 
-def _as_cob(c):
-    return c if isinstance(c, CobordismPoly) else CobordismPoly.const(c)
-
-
 @lru_cache(maxsize=None)
 def exp_series(order):
-    """g^{-1}(y) in the b-generators, by series reversion."""
-    return tuple(_as_cob(c) for c in reverse_series(list(log_series(order)), order))
+    """g^{-1}(y) in the b-generators: from g(e(y)) = y,
+    e_d = -sum_{j=2..d} b_{j-1} [y^d] e^j for d >= 2."""
+    g = log_series(order)
+    return tuple(_powers(order, lambda d, P: -sum((g[j] * P[j][d] for j in range(2, d + 1)),
+                                                   CobordismPoly()))[1])
 
 
 def fgl_addition(order):
@@ -98,9 +61,7 @@ def fgl_addition(order):
     """
     e = exp_series(order)
     g = log_series(order)
-    powers = [[1] + [0] * order]
-    for _ in range(order):
-        powers.append(series_mul(powers[-1], g, order))
+    powers = _powers(order, lambda d, P: g[d])
     law = {(1, 0): CobordismPoly.const(1), (0, 1): CobordismPoly.const(1)}
     for a in range(1, order // 2 + 1):
         h = {j: sum((e[i + j] * comb(i + j, i) * powers[i][a] for i in range(1, a + 1)), CobordismPoly())
@@ -112,8 +73,8 @@ def fgl_addition(order):
     return law
 
 
-# fgl --trunc 24 takes 8.5-11 s on a 2-vCPU VM (20: about 2 s) and prints
-# 3 MB; the cost grows about fourfold per four orders
+# fgl --trunc 24 takes about 10 s on a 2-vCPU VM (20: about 2 s), 2 s of it
+# in exp_series, and prints 3 MB; the cost grows about fourfold per four orders
 FGL_TRUNC_LIMIT = 24
 
 

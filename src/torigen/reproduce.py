@@ -248,13 +248,10 @@ def reproduce_table():
 
 
 def cmd_reproduce(args):
+    from .cli import _emit
     ok, results = reproduce_table()
-    if args.format == "json":
-        print(json.dumps(
-            {"ok": ok, "rows": [{"name": n, "ok": o, "value": s} for n, o, s in results]},
-            sort_keys=True, separators=(",", ":")))
-    else:
-        for name, row_ok, shown in results:
-            print("%-28s %s  %s" % (name, "PASS" if row_ok else "FAIL", shown))
-        print("%d/%d rows pass" % (sum(1 for _, o, _ in results if o), len(results)))
+    lines = ["%-28s %s  %s" % (name, "PASS" if row_ok else "FAIL", shown) for name, row_ok, shown in results]
+    lines.append("%d/%d rows pass" % (sum(1 for _, o, _ in results if o), len(results)))
+    _emit(args, "\n".join(lines),
+          {"ok": ok, "rows": [{"name": n, "ok": o, "value": s} for n, o, s in results]})
     return 0 if ok else 1

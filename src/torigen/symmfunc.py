@@ -117,13 +117,3 @@ def transition_table(n):
     omegas = [partition_to_omega(lam) for lam in lams]
     return {partition_to_omega(conjugate_partition(nu)): (om, {o: c for o, c in zip(omegas, t) if c})
             for nu, om, t in zip(lams, omegas, T)}
-
-
-def elementary_to_monomial(xi):
-    """Expansion of e_1^{xi_1} ... e_n^{xi_n} in orbit polynomials.
-
-    For sum k*xi_k = n, returns a dict omega -> integer with
-    e^xi = sum_omega c_omega * m_{lambda(omega)} in n variables.
-    """
-    xi = trim(xi)
-    return dict(transition_table(omega_weight(xi))[xi][1])

@@ -5,15 +5,7 @@ import pytest
 
 from torigen.cobordism import CobordismPoly
 from torigen.exactalg import xvars
-from torigen.fgl import (
-    BadLeadingTerm,
-    exp_series,
-    fgl_addition,
-    log_series,
-    reverse_series,
-    series_compose,
-    series_mul,
-)
+from torigen.fgl import exp_series, fgl_addition, log_series
 
 from reference import GradedSeries, _univariate, apply_series, multi_bracket, substitute_series
 
@@ -22,28 +14,14 @@ def texts(coeffs, prefix="a"):
     return [c.canonical_text(prefix) for c in coeffs]
 
 
-def _flat(cs):
-    return [c.coeff(()) if isinstance(c, CobordismPoly) else c for c in cs]
-
-
-def test_series_mul_and_compose():
-    one = CobordismPoly.const(1)
-    # (1 + u)^2 = 1 + 2u + u^2
-    assert _flat(series_mul([one, one], [one, one], 2)) == [1, 2, 1]
-    # compose u/(1-u) with itself: u/(1-2u)
-    geo = [CobordismPoly(), one, one, one, one]
-    assert _flat(series_compose(geo, geo, 4)) == [0, 1, 2, 4, 8]
-
-
-def test_reverse_series_inverts_composition():
-    one = CobordismPoly.const(1)
-    g = [CobordismPoly(), one, CobordismPoly.gen(1), CobordismPoly.gen(2)]
-    rev = reverse_series(g, 3)
-    back = series_compose(g, rev, 3)
-    assert all(c == 0 for c in _flat(back[2:]))
-    assert back[1] == one
-    with pytest.raises(BadLeadingTerm):
-        reverse_series([one, one], 2)
+@pytest.mark.parametrize("order", range(1, 11))
+def test_exp_series_reverts_log_series(order):
+    # g(e(y)) = y and e(g(y)) = y, by products of truncated series
+    ar = xvars(1, "y")
+    g, e = log_series(order), exp_series(order)
+    y = _univariate(ar, order, [0, 1], 0)
+    assert apply_series(g, _univariate(ar, order, e, 0)) == y
+    assert apply_series(e, _univariate(ar, order, g, 0)) == y
 
 
 def test_exp_series_values():

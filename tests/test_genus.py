@@ -194,7 +194,8 @@ def test_weyl_invariance_fails_on_a_moved_term():
 
 
 def test_genus_report_shape():
-    rep = genus_report(build_space("CP2"))
+    rep, cls = genus_report(build_space("CP2"))
+    assert cls.canonical_text() == "3*a1^2 + 3*a2"
     assert rep["space"] == "CP2"
     assert rep["structure"] == "standard"
     assert rep["checks"] == {"vanishing": True, "weyl_invariance": True}

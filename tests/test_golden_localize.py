@@ -105,7 +105,7 @@ STABLE_U3_DIGESTS = [
     (("--format", "json"), "fbf4b3317209ef30192aa6debf73e8d22c6a7a4ebaddd0b78be16561c672897d", 415389),
 ]
 
-# fgl --trunc 9 to 12 print 6 to 29 kB each: pin the sha256 and the length
+# fgl --trunc 9 to 14 print 6 to 73 kB each: pin the sha256 and the length
 FGL_DIGESTS = [
     (9, (), "ede0361fcc3439c6e6051e4694c88643fd43905f783b30d93c4fc7c1803492de", 6041),
     (9, ("--format", "json"), "c0938c21fc91c025bc900d45d0cc68689553c096562a3c1369386e3e9452685a", 6066),
@@ -115,6 +115,10 @@ FGL_DIGESTS = [
     (11, ("--format", "json"), "7c2097ab2040da55e433990a42b3a61e3bed05097a53ac8285c839ac33ff2bed", 17678),
     (12, (), "ca532b9db2d09ba4f867745b9501827d92e1824c286075f0564493ff88fa005d", 28883),
     (12, ("--format", "json"), "962c1ea0ccf0d3b212d162a267a1b89413aefb6f2cb95117a832f1b65c8f6c69", 28909),
+    (13, (), "4f1ae1c45507b257d419e19969bbe7e55b6a6e5cc9dd3e54dcf657f25bfabfee", 46427),
+    (13, ("--format", "json"), "150ef9b967ad097f7bedcbb8d76dc4e4bae15ad88f4889c6f6bcb9f4f28fabd8", 46453),
+    (14, (), "1843ea0c9510be8cc102248446f56878f5661ab47e3e86509244f9d66e407a83", 72814),
+    (14, ("--format", "json"), "acb04e3376dd34ac8fb54b79f4a82429c68e1cef72cb5ba9ebbb7462504e30a7", 72840),
 ]
 
 

@@ -77,6 +77,17 @@ def test_a_verb_loads_its_own_module(argv, module):
     assert module in _loaded(*argv)
 
 
+def test_module_run_loads_cli_once():
+    # python -m runs cli.py as __main__; verify's module imports cli's
+    # helpers, and must find that copy instead of loading the file again
+    proc = _python("-X", "importtime", "-m", "torigen.cli", "verify", "--space", "CP3")
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "torigen.exactalg" in imported
+    assert "torigen.cli" not in imported
+
+
 def test_collection_stays_on_until_exit():
     # importing cli freezes nothing; its exit hook, registered after this
     # one and so run before it, freezes what is left
