@@ -23,13 +23,14 @@ absolute: an order-N character holds the blocks with ||omega|| = n + d <= N.
 """
 
 from collections import Counter, namedtuple
+from itertools import combinations_with_replacement
 
 from . import CheckFailure, genus
 from .chern import chern_to_s
 from .cobordism import CobordismPoly, render_series
 from .exactalg import MultiPoly, NotDivisible, block_coefficient, exact_div_terms, f_product_sum, xvars
 from .genus import NonIntegerClass, canonical_line
-from .rootdata import G2_S_LONG, G2_S_SHORT, fixed_point_weights
+from .rootdata import fixed_point_weights, simple_reflections
 from .symmfunc import omega_weight
 
 
@@ -148,19 +149,23 @@ def symbolic_class(fp):
 
 def weyl_invariance_ok(spec, ch):
     """Every block of the character ch of a space of spec must be invariant
-    under every Weyl generator of G."""
-    if spec.family == "G2":
-        for M in (G2_S_SHORT, G2_S_LONG):
-            for block in ch.values():
-                forms = {i: MultiPoly.linear_form(block.arena, (M[0][i], M[1][i])) for i in range(2)}
-                if block.substitute(forms) != block:
+    under every simple reflection s of W_G, acting on x.
+
+    A block p of degree d in k variables is compared with p(s x) at the
+    points P of N^k whose coordinates sum to at most d. That is exact: a
+    polynomial of degree <= d vanishing there vanishes on x_1 = 0 (induction
+    on k), so it is x_1 q, and q vanishes on the points of sum <= d - 1
+    (induction on d)."""
+    reflections = simple_reflections(spec)
+    for block in ch.values():
+        k = block.arena.arity
+        # index k is the slack, so the coordinates sum to at most d
+        for picks in combinations_with_replacement(range(k + 1), block.degree()):
+            point = [picks.count(i) for i in range(k)]
+            value = block.evaluate(point)
+            for s in reflections:
+                if block.evaluate([sum(a * b for a, b in zip(row, point)) for row in s]) != value:
                     return False
-        return True
-    for i in range(spec.rank - 1):
-        perm = list(range(spec.rank))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        if any(block.permute(perm) != block for block in ch.values()):
-            return False
     return True
 
 

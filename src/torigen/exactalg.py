@@ -85,10 +85,6 @@ class MultiPoly:
         return cls(arena, {tuple(exp): 1})
 
     @classmethod
-    def monomial(cls, arena, exp, c=1):
-        return cls(arena, {tuple(exp): c})
-
-    @classmethod
     def linear_form(cls, arena, coeffs):
         """sum coeffs[i]*x_i from an integer vector."""
         t = {}
@@ -117,9 +113,14 @@ class MultiPoly:
     def degree(self):
         return max((sum(e) for e in self.terms), default=0)
 
-    def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+    def evaluate(self, point):
+        """The value at point, one number per variable."""
+        total = 0
+        for e, c in self.terms.items():
+            for v, d in zip(point, e):
+                c *= v ** d
+            total += c
+        return total
 
     def __add__(self, other):
         if not isinstance(other, MultiPoly):
@@ -169,47 +170,6 @@ class MultiPoly:
 
     def __hash__(self):
         return hash((self.arena, frozenset(self.terms.items())))
-
-    def permute(self, perm):
-        """Apply the variable permutation x_i -> x_{perm[i]} (perm 0-based)."""
-        t = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(e)
-            for i, d in enumerate(e):
-                ne[perm[i]] = d
-            t[tuple(ne)] = c
-        return MultiPoly(self.arena, t)
-
-    def substitute(self, bindings):
-        """bindings: var index -> MultiPoly (same or other arena) or number."""
-        target = self.arena
-        for v in bindings.values():
-            if isinstance(v, MultiPoly):
-                target = v.arena
-                break
-        pows = {}
-        for i, b in bindings.items():
-            if not isinstance(b, MultiPoly):
-                b = MultiPoly.const(target, b)
-            pows[i] = {0: MultiPoly.const(target, 1), 1: b}
-        result = MultiPoly(target)
-        for e, c in self.terms.items():
-            factor = MultiPoly.const(target, c)
-            for i, d in enumerate(e):
-                if d == 0:
-                    continue
-                if i in bindings:
-                    cache = pows[i]
-                    while max(cache) < d:
-                        top = max(cache)
-                        cache[top + 1] = cache[top] * cache[1]
-                    factor = factor * cache[d]
-                else:
-                    if self.arena != target:
-                        raise ArenaMismatch("unbound variable %s" % self.arena.names[i])
-                    factor = factor * MultiPoly.variable(target, i) ** d
-            result = result + factor
-        return result
 
     def canonical_text(self):
         return render_terms(self.terms, self.arena.names)

@@ -7,7 +7,11 @@ Conventions:
     by x_i -> x_{w(i)}; coset representatives are minimal length (values
     increasing on every block), sorted lexicographically in one-line notation.
   * G2 weights live in Z^2 with x_3 = -x_1-x_2 eliminated; Weyl elements are
-    2x2 integer matrices; representatives come in breadth-first word order.
+    2x2 integer matrices acting on weights; the representatives are the
+    identity and the short reflection, the first element of each coset of
+    W(SU(3)) in breadth-first word order.
+  * simple_reflections are W_G's generators acting on x rather than on
+    weights; the Weyl check of the character reads them.
 """
 
 from collections import namedtuple
@@ -163,20 +167,17 @@ def set_structure(spec, structure=None, signs=None):
             raise ParseError("need %d signs from {+1,-1}" % spec.n)
         name = "standard" if all(s == 1 for s in signs) else (
             "conjugate" if all(s == -1 for s in signs) else "custom")
-        return SpaceSpec(spec.descriptor, spec.family, spec.rank, spec.blocks,
-                         spec.roots, signs, name)
-    if structure == "standard":
-        return SpaceSpec(spec.descriptor, spec.family, spec.rank, spec.blocks,
-                         spec.roots, (1,) * spec.n, "standard")
-    if structure == "conjugate":
-        return SpaceSpec(spec.descriptor, spec.family, spec.rank, spec.blocks,
-                         spec.roots, (-1,) * spec.n, "conjugate")
-    if structure in J_PRESETS:
+    elif structure == "standard":
+        signs, name = (1,) * spec.n, "standard"
+    elif structure == "conjugate":
+        signs, name = (-1,) * spec.n, "conjugate"
+    elif structure in J_PRESETS:
         if spec.descriptor != M10_DESCRIPTOR:
             raise ParseError("structure %s is only defined for %s" % (structure, M10_DESCRIPTOR))
-        return SpaceSpec(spec.descriptor, spec.family, spec.rank, spec.blocks,
-                         spec.roots, J_PRESETS[structure], structure)
-    raise ParseError("unknown structure %r" % structure)
+        signs, name = J_PRESETS[structure], structure
+    else:
+        raise ParseError("unknown structure %r" % structure)
+    return SpaceSpec(spec.descriptor, spec.family, spec.rank, spec.blocks, spec.roots, signs, name)
 
 
 # Weyl machinery: permutations for the A series, 2x2 matrices for G2.
@@ -184,45 +185,20 @@ def set_structure(spec, structure=None, signs=None):
 G2_IDENTITY = ((1, 0), (0, 1))
 G2_S_SHORT = ((-1, 1), (0, 1))       # reflection in x1
 G2_S_LONG = ((0, 1), (1, 0))         # reflection in x1-x2 (swap)
-G2_S_LONG23 = ((1, -1), (0, -1))     # reflection in x2-x3
-
-
-def _matmul(A, B):
-    return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(2)) for j in range(2))
-        for i in range(2)
-    )
 
 
 def _matvec(A, v):
     return tuple(sum(A[i][j] * v[j] for j in range(2)) for i in range(2))
 
 
-def _closure(gens, identity, mul):
-    seen = [identity]
-    seen_set = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in gens:
-                h = mul(g, s)
-                if h not in seen_set:
-                    seen_set.add(h)
-                    seen.append(h)
-                    nxt.append(h)
-        frontier = nxt
-    return seen
-
-
-def g2_weyl_group():
-    """All 12 elements of W(G2) in breadth-first word order."""
-    return _closure([G2_S_SHORT, G2_S_LONG], G2_IDENTITY, lambda a, b: _matmul(b, a))
-
-
-def g2_subgroup():
-    """W(SU(3)), order 6."""
-    return _closure([G2_S_LONG, G2_S_LONG23], G2_IDENTITY, lambda a, b: _matmul(b, a))
+def simple_reflections(spec):
+    """The simple reflections of W_G as integer matrices acting on x: the
+    transposes of the matrices acting on weights, as <Mw, x> = <w, M^T x>.
+    Type A has the adjacent transpositions."""
+    if spec.family == "G2":
+        return [tuple(zip(*M)) for M in (G2_S_SHORT, G2_S_LONG)]
+    eye = [tuple(int(i == j) for j in range(spec.rank)) for i in range(spec.rank)]
+    return [tuple(eye[:i] + [eye[i + 1], eye[i]] + eye[i + 2:]) for i in range(spec.rank - 1)]
 
 
 def apply_weyl(spec, rep, weight):
@@ -236,18 +212,12 @@ def apply_weyl(spec, rep, weight):
 
 
 def weyl_cosets(spec):
-    """Minimal coset representatives of W_G / W_H, deterministic order."""
+    """Minimal coset representatives of W_G / W_H, deterministic order.
+
+    W(SU(3)) is generated by the long-root reflections and has index 2 in
+    W(G2); the short reflection lies outside it."""
     if spec.family == "G2":
-        sub = g2_subgroup()
-        reps = []
-        covered = set()
-        for g in g2_weyl_group():
-            if g in covered:
-                continue
-            reps.append(g)
-            for h in sub:
-                covered.add(_matmul(g, h))
-        return reps
+        return [G2_IDENTITY, G2_S_SHORT]
     return _increasing_on_blocks(spec.blocks, spec.rank)
 
 

@@ -43,15 +43,20 @@ SignAssignment = namedtuple("SignAssignment", "table epsilon")
 NecessaryReport = namedtuple("NecessaryReport", "ok omega value")
 
 
+def _is_unit(a):
+    """a is the int +1 or -1: not a float such as 1.0, and not a bool."""
+    return type(a) is int and a in (1, -1)
+
+
 def _check_shape(assign, base):
-    if assign.epsilon not in (1, -1):
+    if not _is_unit(assign.epsilon):
         raise ValueError("epsilon must be +-1")
     if len(assign.table) != len(base):
         raise ValueError("assignment covers %d points, space has %d" % (len(assign.table), len(base)))
     for avec, pt in zip(assign.table, base):
         if len(avec) != len(pt.weights):
             raise ValueError("point %s needs %d signs" % (pt.rep, len(pt.weights)))
-        if any(a not in (1, -1) for a in avec):
+        if not all(_is_unit(a) for a in avec):
             raise ValueError("signs must be +-1")
 
 

@@ -13,7 +13,13 @@ No verb runs any of these. Each builds its answer the slow, direct way:
   number s_(n) must be +-chi.
 - cosets_by_filter keeps the permutations of the rank that increase on
   every block; rootdata.weyl_cosets, which builds them directly, must list
-  the same ones in the same order.
+  the same ones in the same order. For G2, g2_weyl_group and g2_subgroup
+  build W(G2) and W(SU(3)) by closure, and weyl_cosets must list the first
+  element of each coset, as first_of_each_coset does.
+- permute and substitute act on a MultiPoly term by term; antisymmetrize
+  and omega_numerator are built on them, and weyl_invariance_by_substitution
+  compares each block of a character with its image under the simple
+  reflections, as character.weyl_invariance_ok must by values at points.
 - GradedSeries is a series in several variables truncated by total degree,
   and apply_series substitutes one into a univariate series: the formal
   group law as g^{-1}(g(u1) + g(u2)) by series products, which
@@ -28,9 +34,9 @@ No verb runs any of these. Each builds its answer the slow, direct way:
 from itertools import permutations
 
 from torigen.cobordism import CobordismPoly, grlex_key
-from torigen.exactalg import MultiPoly, _check_arena, exact_div, xvars
+from torigen.exactalg import ArenaMismatch, MultiPoly, _check_arena, exact_div, xvars
 from torigen.fgl import exp_series, log_series
-from torigen.rootdata import fixed_point_weights
+from torigen.rootdata import G2_IDENTITY, G2_S_LONG, G2_S_SHORT, fixed_point_weights
 from torigen.stablex import SignAssignment
 from torigen.symmfunc import omegas_of_weight, perm_sign
 
@@ -104,12 +110,55 @@ def elementary_product(xi, n, arena=None):
     return prod
 
 
+def permute(p, perm):
+    """Apply the variable permutation x_i -> x_{perm[i]} (perm 0-based)."""
+    t = {}
+    for e, c in p.terms.items():
+        ne = [0] * len(e)
+        for i, d in enumerate(e):
+            ne[perm[i]] = d
+        t[tuple(ne)] = c
+    return MultiPoly(p.arena, t)
+
+
+def substitute(p, bindings):
+    """bindings: var index -> MultiPoly (same or other arena) or number."""
+    target = p.arena
+    for v in bindings.values():
+        if isinstance(v, MultiPoly):
+            target = v.arena
+            break
+    pows = {}
+    for i, b in bindings.items():
+        if not isinstance(b, MultiPoly):
+            b = MultiPoly.const(target, b)
+        pows[i] = {0: MultiPoly.const(target, 1), 1: b}
+    result = MultiPoly(target)
+    for e, c in p.terms.items():
+        factor = MultiPoly.const(target, c)
+        for i, d in enumerate(e):
+            if d == 0:
+                continue
+            if i in bindings:
+                cache = pows[i]
+                while max(cache) < d:
+                    top = max(cache)
+                    cache[top + 1] = cache[top] * cache[1]
+                factor = factor * cache[d]
+            else:
+                if p.arena != target:
+                    raise ArenaMismatch("unbound variable %s" % p.arena.names[i])
+                factor = factor * MultiPoly.variable(target, i) ** d
+        result = result + factor
+    return result
+
+
 def antisymmetrize(p):
     """Sum of sign(sigma) * sigma(p) over the full symmetric group of the arena."""
     n = p.arena.arity
     total = MultiPoly(p.arena)
     for perm in permutations(range(n)):
-        total = total + p.permute(perm) * perm_sign(perm)
+        total = total + permute(p, perm) * perm_sign(perm)
     return total
 
 
@@ -145,7 +194,7 @@ def omega_numerator(fp, loc, omega):
     num = MultiPoly(loc.arena)
     for idx, pt in enumerate(fp):
         bindings = {j: MultiPoly.linear_form(loc.arena, w) for j, w in enumerate(pt.weights)}
-        num = num + f_omega.substitute(bindings) * loc.cofactors[idx] * loc.prefactors[idx]
+        num = num + substitute(f_omega, bindings) * loc.cofactors[idx] * loc.prefactors[idx]
     return num
 
 
@@ -166,6 +215,70 @@ def cosets_by_filter(blocks, rank):
     range(rank) that increase on every block (1-based positions)."""
     return sorted(p for p in permutations(range(rank))
                   if all(p[a - 1] < p[b - 1] for block in blocks for a, b in zip(block, block[1:])))
+
+
+G2_S_LONG23 = ((1, -1), (0, -1))     # reflection in x2-x3
+
+
+def _matmul(A, B):
+    return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(2)) for j in range(2)) for i in range(2))
+
+
+def g2_closure(gens):
+    """The group of 2x2 matrices that gens generate, in breadth-first word
+    order: each new element is s*g for a generator s and an earlier g."""
+    seen = [G2_IDENTITY]
+    frontier = [G2_IDENTITY]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s in gens:
+                h = _matmul(s, g)
+                if h not in seen:
+                    seen.append(h)
+                    nxt.append(h)
+        frontier = nxt
+    return seen
+
+
+def g2_weyl_group():
+    """All 12 elements of W(G2), acting on weights."""
+    return g2_closure([G2_S_SHORT, G2_S_LONG])
+
+
+def g2_subgroup():
+    """W(SU(3)), order 6, generated by the long-root reflections."""
+    return g2_closure([G2_S_LONG, G2_S_LONG23])
+
+
+def first_of_each_coset(group, sub):
+    """The first element of each left coset g*sub, in the order of group."""
+    reps = []
+    covered = set()
+    for g in group:
+        if g not in covered:
+            reps.append(g)
+            covered.update(_matmul(g, h) for h in sub)
+    return reps
+
+
+def weyl_invariance_by_substitution(spec, ch):
+    """Whether every block of ch is fixed by W_G, term by term: type A
+    permutes each block by the adjacent transpositions, G2 substitutes
+    x -> M^T x for its two simple reflections M."""
+    if spec.family == "G2":
+        for M in (G2_S_SHORT, G2_S_LONG):
+            for block in ch.values():
+                forms = {i: MultiPoly.linear_form(block.arena, (M[0][i], M[1][i])) for i in range(2)}
+                if substitute(block, forms) != block:
+                    return False
+        return True
+    for i in range(spec.rank - 1):
+        perm = list(range(spec.rank))
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        if any(permute(block, perm) != block for block in ch.values()):
+            return False
+    return True
 
 
 def identity_assignment(spec):

@@ -211,6 +211,22 @@ def test_stable_assign_non_object_exits_two(tmp_path, capsys, content):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("table, message", [
+    ({"0": [1.0], "1": [1]}, "signs must be +-1"),
+    ({"0": [1], "1": [1], "epsilon": 1.0}, "epsilon must be +-1"),
+    ({"0": [True], "1": [1]}, "signs must be +-1"),
+])
+def test_stable_assign_non_integer_signs_exit_two(tmp_path, capsys, table, message):
+    # a float 1.0 once reached cobordism.clean and ended in a traceback, and
+    # JSON true was taken as +1
+    path = tmp_path / "assign.json"
+    path.write_text(json.dumps(table))
+    code, out, err = run(capsys, "stable", "--space", "CP1", "--assign", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
 def test_stable_verbs(tmp_path, capsys):
     code, out, _ = run(capsys, "stable", "--space", "CP1")
     assert code == 0

@@ -19,7 +19,7 @@ from torigen.exactalg import CobordismPoly, MultiPoly, block_coefficient, f_prod
 from torigen.genus import cobordism_class
 from torigen.rootdata import build_space, fixed_point_weights
 
-from reference import elementary, operator_L, vandermonde
+from reference import elementary, operator_L, permute, vandermonde
 
 PDELTA = "a1^3 - a1*a2 - 3*a3"
 PDELTA_SWAP = "-a1^3 - 5*a1*a2 - 3*a3"
@@ -27,11 +27,11 @@ PDELTA_SWAP = "-a1^3 - 5*a1*a2 - 3*a3"
 
 def test_operator_L_properties():
     ar = xvars(3)
-    delta = MultiPoly.monomial(ar, (2, 1, 0))
+    delta = MultiPoly(ar, {(2, 1, 0): 1})
     assert operator_L(delta) == MultiPoly.const(ar, 1)
     # swapping two variables flips the sign
-    p = MultiPoly.monomial(ar, (3, 1, 0))
-    assert operator_L(p.permute((1, 0, 2))) == operator_L(p) * -1
+    p = MultiPoly(ar, {(3, 1, 0): 1})
+    assert operator_L(permute(p, (1, 0, 2))) == operator_L(p) * -1
     # symmetric factors pass through
     e2 = elementary(2, 3, ar)
     assert operator_L(e2 * delta) == e2

@@ -21,7 +21,7 @@ from torigen.exactalg import (
     xvars,
 )
 
-from reference import GradedSeries, permute_series
+from reference import GradedSeries, permute, permute_series, substitute
 
 
 def test_multipoly_basic_arithmetic():
@@ -41,22 +41,31 @@ def test_multipoly_linear_form():
     assert form.terms == {(1, 0, 0): 2, (0, 1, 0): -1}
 
 
-def test_multipoly_permute_moves_exponents():
+def test_reference_permute_moves_exponents():
     ar = xvars(3)
     x1 = MultiPoly.variable(ar, 0)
     x2 = MultiPoly.variable(ar, 1)
     p = x1 * x1 * x2
     # x1 -> x2, x2 -> x3, x3 -> x1
-    q = p.permute((1, 2, 0))
+    q = permute(p, (1, 2, 0))
     assert q.terms == {(0, 2, 1): 1}
 
 
-def test_multipoly_substitute():
+def test_reference_substitute():
     ar = xvars(2)
     x, y = MultiPoly.variable(ar, 0), MultiPoly.variable(ar, 1)
     p = x * x - y
-    q = p.substitute({0: x + y})
+    q = substitute(p, {0: x + y})
     assert q == x * x + 2 * x * y + y * y - y
+
+
+def test_multipoly_evaluate():
+    ar = xvars(2)
+    x, y = MultiPoly.variable(ar, 0), MultiPoly.variable(ar, 1)
+    p = x * x * Fraction(1, 2) - 3 * y + 7
+    assert p.evaluate((3, 2)) == Fraction(11, 2)
+    assert p.evaluate((0, 0)) == 7
+    assert MultiPoly(ar).evaluate((5, 5)) == 0
 
 
 def test_exact_div_and_failure():

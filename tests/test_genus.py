@@ -1,6 +1,8 @@
 """Localization pipeline: characters, classes, s_omega, Chern numbers."""
 
+import random
 from fractions import Fraction
+from itertools import permutations
 from math import comb, factorial, prod
 
 import pytest
@@ -19,7 +21,7 @@ from torigen.character import (
 )
 from torigen.chern import chern_to_s, s_to_chern
 from torigen.cli import main
-from torigen.exactalg import CobordismPoly, MultiPoly, block_coefficient, f_product_sum
+from torigen.exactalg import CobordismPoly, MultiPoly, block_coefficient, f_product_sum, xvars
 from torigen.genus import (
     NonIntegerClass,
     SingularPoint,
@@ -38,7 +40,15 @@ from torigen.rootdata import FixedPoint, build_space, fixed_point_weights
 from torigen.stablex import SignAssignment, derived_fixed_point_data
 from torigen.symmfunc import omega_weight, omegas_of_weight
 
-from reference import euler_characteristic, omega_numerator, omegas_up_to
+from reference import (
+    euler_characteristic,
+    g2_weyl_group,
+    omega_numerator,
+    omegas_up_to,
+    permute,
+    substitute,
+    weyl_invariance_by_substitution,
+)
 
 U3T3 = "6*a1^3 + 6*a1*a2 - 6*a3"
 G42 = "6*a1^4 + 24*a1^2*a2 + 4*a1*a3 + 14*a2^2 - 20*a4"
@@ -191,6 +201,56 @@ def test_weyl_invariance_fails_on_a_moved_term():
         om, block = max(ch.items())
         ch[om] = block + MultiPoly.variable(block.arena, 0)
         assert not weyl_invariance_ok(spec, ch)
+    # x1^2 added to a block of degree 2 at order n + 2: a transposition of
+    # U(3) moves it to x2^2, and the long reflection of G2 swaps x1 and x2
+    for text in ("U(3)/T3", "G2/SU(3)"):
+        spec = build_space(text)
+        ch = chern_character_of_genus(fixed_point_weights(spec), spec.n + 2)
+        assert weyl_invariance_ok(spec, ch)
+        om = max(om for om in ch if omega_weight(om) == spec.n + 2)
+        block = ch[om]
+        assert block.degree() == 2
+        ch[om] = block + MultiPoly.variable(block.arena, 0) ** 2
+        assert not weyl_invariance_ok(spec, ch)
+
+
+def _weyl_group_on_x(spec):
+    """Every element of W_G as a map on polynomials in x."""
+    if spec.family == "G2":
+        return [lambda p, M=M: substitute(p, {i: MultiPoly.linear_form(p.arena, (M[0][i], M[1][i]))
+                                              for i in range(2)})
+                for M in g2_weyl_group()]
+    return [lambda p, perm=perm: permute(p, perm) for perm in permutations(range(spec.rank))]
+
+
+def _random_poly(rng, arena, degree):
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        e = [0] * arena.arity
+        for _ in range(rng.randint(0, degree)):
+            e[rng.randrange(arena.arity)] += 1
+        terms[tuple(e)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))
+    return MultiPoly(arena, terms)
+
+
+@pytest.mark.parametrize("text", ["U(3)/T3", "U(4)/U(2)xU(2)", "G2/SU(3)"])
+def test_weyl_invariance_matches_substitution(text):
+    # seeded polynomials of degree <= 4, homogeneous or not: each raw,
+    # averaged over W_G, and averaged with a noise term added
+    spec = build_space(text)
+    group = _weyl_group_on_x(spec)
+    arena = xvars(2 if spec.family == "G2" else spec.rank)
+    rng = random.Random(20)
+    verdicts = set()
+    for _ in range(20):
+        p = _random_poly(rng, arena, 4)
+        avg = sum((g(p) for g in group), MultiPoly(arena)) * Fraction(1, len(group))
+        for q in (p, avg, avg + _random_poly(rng, arena, 4)):
+            ch = {(1,): q}
+            expected = weyl_invariance_by_substitution(spec, ch)
+            assert weyl_invariance_ok(spec, ch) == expected
+            verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_genus_report_shape():

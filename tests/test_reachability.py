@@ -9,8 +9,8 @@ attribute, in code already reached; the walk then takes in the names its own
 code uses. A reached class brings its bases, decorators, class-level
 statements and dunder methods with it; its other methods must be reached by
 name. The walk goes by name, not by type, so a method that shares its name
-with a reached one passes too: a CobordismPoly.permute would pass beside
-the reached MultiPoly.permute. Code that only tests need belongs in
+with a reached one passes too: a MultiPoly.monomial would pass beside the
+reached CobordismPoly.monomial. Code that only tests need belongs in
 tests/reference.py.
 
 A name that a module imports and never uses fails as well.

@@ -13,12 +13,18 @@ from torigen.rootdata import (
     apply_weyl,
     build_space,
     fixed_point_weights,
-    g2_subgroup,
-    g2_weyl_group,
+    simple_reflections,
     weyl_cosets,
 )
 
-from reference import cosets_by_filter, euler_characteristic
+from reference import (
+    cosets_by_filter,
+    euler_characteristic,
+    first_of_each_coset,
+    g2_closure,
+    g2_subgroup,
+    g2_weyl_group,
+)
 
 CP3_WEIGHTS = [
     ((1, 0, 0, -1), (0, 1, 0, -1), (0, 0, 1, -1)),
@@ -86,12 +92,24 @@ def test_cp3_weight_table():
 
 def test_g2_space():
     spec = build_space("G2/SU(3)")
-    assert len(g2_weyl_group()) == 12
-    assert len(g2_subgroup()) == 6
     fp = fixed_point_weights(spec)
     assert fp[0].weights == ((1, 0), (0, 1), (-1, -1))
     assert fp[1].weights == ((-1, 0), (1, 1), (0, -1))
     assert [pt.sign for pt in fp] == [1, 1]
+
+
+def test_g2_cosets_are_the_first_of_each_coset():
+    group, sub = g2_weyl_group(), g2_subgroup()
+    assert len(group) == 12 and len(sub) == 6
+    assert weyl_cosets(build_space("G2/SU(3)")) == first_of_each_coset(group, sub)
+
+
+def test_simple_reflections_act_on_x():
+    # W(G2) acts on x by the transposes of its matrices on weights
+    g2 = simple_reflections(build_space("G2/SU(3)"))
+    assert sorted(g2_closure(g2)) == sorted(tuple(zip(*g)) for g in g2_weyl_group())
+    assert simple_reflections(build_space("U(3)/T3")) == [
+        ((0, 1, 0), (1, 0, 0), (0, 0, 1)), ((1, 0, 0), (0, 0, 1), (0, 1, 0))]
 
 
 def test_conjugate_structure_flips_weights():

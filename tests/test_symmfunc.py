@@ -27,6 +27,7 @@ from reference import (
     omega_to_partition,
     omegas_up_to,
     orbit_monomial,
+    permute,
     vandermonde,
 )
 
@@ -93,7 +94,7 @@ def test_vandermonde_and_antisymmetrize():
     x1, x2, x3 = (MultiPoly.variable(ar, i) for i in range(3))
     v = vandermonde(ar)
     assert v == (x1 - x2) * (x1 - x3) * (x2 - x3)
-    assert antisymmetrize(MultiPoly.monomial(ar, (2, 1, 0))) == v
+    assert antisymmetrize(MultiPoly(ar, {(2, 1, 0): 1})) == v
     assert antisymmetrize(x1 * x2).is_zero()
 
 
@@ -152,7 +153,7 @@ def test_orbit_polynomials_are_symmetric(exps):
     for i in range(n - 1):
         perm = list(range(n))
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        assert p.permute(tuple(perm)) == p
+        assert permute(p, tuple(perm)) == p
 
 
 @settings(max_examples=40, deadline=None)
