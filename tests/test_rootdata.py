@@ -1,5 +1,6 @@
 """Space parsing, Weyl cosets and fixed-point weight tables."""
 
+import hashlib
 import random
 import time
 from types import SimpleNamespace
@@ -207,3 +208,69 @@ def test_projective_cosets_do_not_walk_every_permutation():
     reps = weyl_cosets(spec)
     assert time.perf_counter() - start < 1.0
     assert reps == [tuple(j for j in range(11) if j != i) + (i,) for i in reversed(range(11))]
+
+
+# SHA-256 of repr([(weights, sign) for each point]) of fixed_point_weights:
+# the weights, the order of the points and their signs, but not the form of
+# rep, so every way of enumerating the cosets must give these tables
+FIXED_POINT_DIGESTS = {
+    ("CP1", None, None):
+        "2c4bb15debf3077bd64f1031aa10a1ee21a8fc09d17ef537f2c108ad9ca7a473",
+    ("CP2", None, None):
+        "a2fe26f3e8a42cfc68765e021f12a7349b89a0cbb4176d96384a33b2b10092d9",
+    ("CP3", None, None):
+        "2b238d7c4c550f5e8bc0e00a1e747b9be4b882f640e5d70f7136823bc9b80072",
+    ("CP4", None, None):
+        "54d276639049b3d25c49778d5cbcf0fca85ab077f38380d2028e57bfb3c4ad85",
+    ("CP5", None, None):
+        "ca1100dcfee81d5656c068358444780495d164da69b1c2aa4fbc28af36b72436",
+    ("CP6", None, None):
+        "3410c03440f79ae081ca5de89daf39b710e76ab50a069b7175214ce78f51d016",
+    ("U(2)/T2", None, None):
+        "2c4bb15debf3077bd64f1031aa10a1ee21a8fc09d17ef537f2c108ad9ca7a473",
+    ("U(3)/T3", None, None):
+        "965f603c45377e182c94bee7ac80e05be13e5e2d9258728578cf579cf709b51b",
+    ("U(4)/T4", None, None):
+        "f71f15142cfcf7b0e71f2f4157a9ee5061c887c47e6cf164024d48b551d746e5",
+    ("U(5)/T5", None, None):
+        "006017a5d7bbe1b0f93a854a835ad4464c75fdf3d3031e22c4ee7439a41b9f7a",
+    ("U(6)/T6", None, None):
+        "c9e61aa543eb2c701e553f11d99f121668d9ce8c18ad23aa58f9408bed115ffa",
+    ("U(4)/U(2)xU(2)", None, None):
+        "15b5ba39ed0fd5a22049b55688f6d78061eaf327f3486fd1f92b98be0364deeb",
+    ("U(4)/U(1)xU(1)xU(2)", None, None):
+        "e0f15a190a400589a46022a442fd13e28fbdeaf2d6b4eda3c6e67251d902ca20",
+    ("U(5)/U(2)xU(3)", None, None):
+        "9ef23fa4aa25608b23d9c19411c978b65ced8057db42e751c3ae8f13a423c182",
+    ("U(5)/U(1)xU(2)xU(2)", None, None):
+        "6d1056424752609405b4501417bcfbdb966842f94c3e5df5a55a85e935e44dd2",
+    ("U(6)/U(3)xU(3)", None, None):
+        "5af63220ca3fbd6e9da67b039c678a8423e40b8fb701e4cf77ee8a35f63e3721",
+    ("U(7)/U(2)xU(1)xU(4)", None, None):
+        "2ba5b87f72d8bc3aa54979b522fa4889767eca1b11ac6e96e825e9a653d162f7",
+    (M10_DESCRIPTOR, None, None):
+        "c2bee595bfd8dd7385a45d3b68c35e68e9cdd89eaf436e0c447788bbfe1632f6",
+    ("G2/SU(3)", None, None):
+        "f62d3b05190b6a04fd327d6b202fc280ea72034bee92a3dccbd29212cb6fad79",
+    (M10_DESCRIPTOR, "J1", None):
+        "c2bee595bfd8dd7385a45d3b68c35e68e9cdd89eaf436e0c447788bbfe1632f6",
+    (M10_DESCRIPTOR, "J2", None):
+        "1ade5b55188c094d8ff1e2b0330f9548cf135decfe8a053f9a1fefecf67ebedc",
+    (M10_DESCRIPTOR, "J3", None):
+        "27adc115180957043543c620ad825429cf086191a6e1b16873cd157796bdf0d1",
+    ("CP3", "conjugate", None):
+        "7754b9527ec69d55a2ff2d60ed3e72490687338ee5113f51a821cd95bc9e596b",
+    ("U(3)/T3", "conjugate", None):
+        "95997b4544505510f4525a4ca2404814d95f62b6e47ab12534ae405862b54ca8",
+    ("G2/SU(3)", "conjugate", None):
+        "e805f397c6607b8140a09b0719e263bb86008eab5e5327f24a5397869c069cf7",
+    ("U(4)/U(1)xU(1)xU(2)", None, (1, -1, -1, 1, 1)):
+        "679502d6b69288368fca86fbb52c348b236818001a32c05fd47e8d21df5e11f7",
+}
+
+
+@pytest.mark.parametrize("text,structure,signs", sorted(FIXED_POINT_DIGESTS, key=repr))
+def test_fixed_point_tables_are_pinned(text, structure, signs):
+    fp = fixed_point_weights(build_space(text, structure=structure, signs=signs))
+    table = repr([(pt.weights, pt.sign) for pt in fp]).encode()
+    assert hashlib.sha256(table).hexdigest() == FIXED_POINT_DIGESTS[text, structure, signs]
