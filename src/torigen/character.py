@@ -30,7 +30,7 @@ from .chern import chern_to_s
 from .cobordism import CobordismPoly, render_series
 from .exactalg import MultiPoly, NotDivisible, block_coefficient, exact_div_terms, f_product_sum, xvars
 from .genus import NonIntegerClass, canonical_line
-from .rootdata import fixed_point_weights, simple_reflections
+from .rootdata import fixed_point_weights, reflect
 from .symmfunc import omega_weight
 
 
@@ -147,26 +147,47 @@ def symbolic_class(fp):
     return class_of_character(chern_character_of_genus(fp, n), n)
 
 
-def weyl_invariance_ok(spec, ch):
-    """Every block of the character ch of a space of spec must be invariant
-    under every simple reflection s of W_G, acting on x.
+def weyl_invariance_failure(spec, ch):
+    """None when every block of the character ch of a space of spec is
+    invariant under every simple reflection s of W_G, acting on x by
+    x -> x - <alpha, x> alpha^vee; else the first failure found: omega, the
+    reflection's index from 1, the point P, and the block's values at P and
+    s P.
 
     A block p of degree d in k variables is compared with p(s x) at the
     points P of N^k whose coordinates sum to at most d. That is exact: a
     polynomial of degree <= d vanishing there vanishes on x_1 = 0 (induction
     on k), so it is x_1 q, and q vanishes on the points of sum <= d - 1
-    (induction on d)."""
-    reflections = simple_reflections(spec)
-    for block in ch.values():
+    (induction on d). A reflection that fixes P is skipped, as p(s P) is
+    then p(P)."""
+    for om in sorted(ch):
+        block = ch[om]
         k = block.arena.arity
         # index k is the slack, so the coordinates sum to at most d
         for picks in combinations_with_replacement(range(k + 1), block.degree()):
-            point = [picks.count(i) for i in range(k)]
-            value = block.evaluate(point)
-            for s in reflections:
-                if block.evaluate([sum(a * b for a, b in zip(row, point)) for row in s]) != value:
-                    return False
-    return True
+            point = tuple(picks.count(i) for i in range(k))
+            value = None
+            for index, (alpha, coroot) in enumerate(spec.simple, 1):
+                image = reflect(point, coroot, alpha)
+                if image == point:
+                    continue
+                if value is None:
+                    value = block.evaluate(point)
+                moved = block.evaluate(image)
+                if moved != value:
+                    return {"omega": list(om) + [0] * (spec.n - len(om)), "reflection": index,
+                            "point": list(point), "block_at_p": str(value), "block_at_sp": str(moved)}
+    return None
+
+
+def _check_lines(checks, evidence):
+    """One line per check; a failed one names its evidence as at k=v, ..."""
+    lines = []
+    for name, ok in sorted(checks.items()):
+        lines.append("check %s: %s" % (name, "ok" if ok else "FAIL"))
+        if name in evidence:
+            lines[-1] += " at " + ", ".join("%s=%s" % kv for kv in evidence[name].items())
+    return lines
 
 
 def genus_report(spec, order=None):
@@ -181,13 +202,17 @@ def genus_report(spec, order=None):
     # exists only if the vanishing check holds
     ch = chern_character_of_genus(fp, order)
     rows = [(list(om) + [0] * (n - len(om)), val) for om, val in sorted(stable.items())]
-    return {
+    failure = weyl_invariance_failure(spec, ch)
+    report = {
         "space": spec.descriptor,
         "structure": genus.structure_label(spec),
         "class": [{"omega": om, "coeff": str(val)} for om, val in rows if val],
         "s_numbers": [{"omega": om, "value": val} for om, val in rows],
-        "checks": {"vanishing": True, "weyl_invariance": weyl_invariance_ok(spec, ch)},
-    }, CobordismPoly(stable)
+        "checks": {"vanishing": True, "weyl_invariance": failure is None},
+    }
+    if failure:
+        report["evidence"] = {"weyl_invariance": failure}
+    return report, CobordismPoly(stable)
 
 
 def cmd_genus(args):
@@ -200,7 +225,7 @@ def cmd_genus(args):
     lines = ["space: %s  structure: %s" % (report["space"], report["structure"]),
              "class: %s" % cls.canonical_text()]
     lines += ["s_%s = %d" % (row["omega"], row["value"]) for row in report["s_numbers"]]
-    lines += ["check %s: %s" % (name, "ok" if ok else "FAIL") for name, ok in sorted(report["checks"].items())]
+    lines += _check_lines(report["checks"], report.get("evidence", {}))
     _emit(args, "\n".join(lines), report)
     return 0 if all(report["checks"].values()) else 1
 
@@ -230,7 +255,10 @@ def cmd_verify(args):
                                        "point": str(table[bad[0]])}
     # c_n[M] = sum_p sign(p): -chi for a conjugate structure of odd n
     checks["euler"] = table.get((n,), 0) == sum(pt.sign for pt in fp)
-    checks["weyl_invariance"] = weyl_invariance_ok(spec, ch)
+    failure = weyl_invariance_failure(spec, ch)
+    checks["weyl_invariance"] = failure is None
+    if failure:
+        evidence["weyl_invariance"] = failure
     second = genus.point_chern_numbers(fp, genus.second_numeric_point(fp))
     bad = [xi for xi in sorted(set(chern) | set(second)) if chern.get(xi) != second.get(xi)]
     checks["numeric_agreement"] = not bad
@@ -238,11 +266,7 @@ def cmd_verify(args):
         evidence["numeric_agreement"] = {"xi": list(_pad(bad[0], n)), "default_point": str(chern.get(bad[0])),
                                          "second_point": str(second.get(bad[0]))}
     ok = all(checks.values())
-    lines = []
-    for k, v in sorted(checks.items()):
-        lines.append("check %s: %s" % (k, "ok" if v else "FAIL"))
-        if k in evidence:
-            lines[-1] += " at " + ", ".join("%s=%s" % kv for kv in evidence[k].items())
+    lines = _check_lines(checks, evidence)
     data = {"space": spec.descriptor, "structure": genus.structure_label(spec), "checks": checks, "ok": ok}
     if evidence:
         data["evidence"] = evidence

@@ -60,6 +60,9 @@ VERBS = {
     "reproduce": ("recompute the published value table", "reproduce", "cmd_reproduce", False, ()),
 }
 
+# the spaces --space accepts, in the help epilog and after a grammar error
+SPACE_GRAMMAR = '"CPn", "U(n)/Tn", "U(n)/U(k1)x...xU(km)", "G2/SU(3)", "SU(4)/S(U(1)xU(1)xU(2))"'
+
 
 def _ints(option, text):
     """The integers of an option's value, separated by commas or spaces. An
@@ -171,8 +174,7 @@ def _parser(argv):
         prog="torigen",
         description="Exact toric genus, cobordism classes and characteristic "
                     "numbers of homogeneous spaces.",
-        epilog='Space grammar: "CPn", "U(n)/Tn", "U(n)/U(k1)x...xU(km)", '
-               '"G2/SU(3)", "SU(4)/S(U(1)xU(1)xU(2))".')
+        epilog="Space grammar: %s." % SPACE_GRAMMAR)
     named = next((a for a in argv if not a.startswith("-")), None)
     if named in VERBS and argv[0] == named:
         sub = p.add_subparsers(dest="verb", required=True, metavar="{%s}" % ",".join(VERBS))
@@ -204,8 +206,7 @@ def main(argv=None):
         return fn(args)
     except SpaceGrammarError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        print('space grammar: "CPn", "U(n)/Tn", "U(n)/U(k1)x...xU(km)", '
-              '"G2/SU(3)", "SU(4)/S(U(1)xU(1)xU(2))"', file=sys.stderr)
+        print("space grammar: %s" % SPACE_GRAMMAR, file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -1,21 +1,32 @@
 """Root data for the supported homogeneous spaces G/H of positive Euler
-characteristic: block quotients of U(n), the SU(4) flag quotient, and
-G2/SU(3). Produces Weyl coset representatives and fixed-point weight tables.
+characteristic, H of maximal rank: block quotients of U(n), the SU(4) flag
+quotient, and G2/SU(3). Produces Weyl coset representatives and fixed-point
+weight tables, the same way for every space.
 
-Conventions:
-  * A-series coordinates are x_1..x_n; Weyl elements are permutations acting
-    by x_i -> x_{w(i)}; coset representatives are minimal length (values
-    increasing on every block), sorted lexicographically in one-line notation.
-  * G2 weights live in Z^2 with x_3 = -x_1-x_2 eliminated; Weyl elements are
-    2x2 integer matrices acting on weights; the representatives are the
-    identity and the short reflection, the first element of each coset of
-    W(SU(3)) in breadth-first word order.
-  * simple_reflections are W_G's generators acting on x rather than on
-    weights; the Weyl check of the character reads them.
+A space is a root datum in integer coordinates x_1..x_k of the weight
+lattice. A family supplies:
+  * simple: the simple reflections of G, each as a pair (alpha, alpha^vee) of
+    a simple root and its coroot. s acts on weights by
+    v -> v - <v, alpha^vee> alpha, and on x by x -> x - <alpha, x> alpha^vee,
+    the transpose, as <s v, x> = <v, s x>; reflect does both.
+  * rho_check: a covector positive on every positive root of G.
+  * h_simple: the simple roots of H, positive roots of G.
+  * roots: the positive roots of G that are not roots of H; with the
+    structure's signs, the weights at the identity coset.
+Type A has x_i - x_{i+1} as root and coroot and rho_check = (k-1, ..., 0).
+G2 eliminates x_3 = -x_1 - x_2, so its weights live in Z^2.
+
+The fixed points are the cosets W_G/W_H. A Weyl element w is written as its
+basis images (w(e_1), ..., w(e_k)), and each coset by its minimal element;
+the representatives are listed in descending lexicographic order of those
+images (lexicographic order in one-line notation for type A, the identity
+and then the short reflection for G2). The weights at w are w applied to the
+signed roots.
 """
 
 from collections import namedtuple
 from math import gcd
+from operator import mul
 import re
 
 from . import SpaceGrammarError
@@ -44,18 +55,22 @@ J_PRESETS = {
 
 
 class SpaceSpec:
-    """Parsed homogeneous space: coordinates, complementary roots, signs."""
+    """Parsed homogeneous space: its root datum, complementary roots and signs."""
 
-    __slots__ = ("descriptor", "family", "rank", "blocks", "roots", "signs", "structure_name")
+    __slots__ = ("descriptor", "simple", "rho_check", "h_simple", "roots", "signs", "structure_name")
 
-    def __init__(self, descriptor, family, rank, blocks, roots, signs, structure_name):
+    def __init__(self, descriptor, simple, rho_check, h_simple, roots, signs, structure_name):
         self.descriptor = descriptor
-        self.family = family
-        self.rank = rank
-        self.blocks = blocks
+        self.simple = tuple((tuple(a), tuple(c)) for a, c in simple)
+        self.rho_check = tuple(rho_check)
+        self.h_simple = tuple(tuple(b) for b in h_simple)
         self.roots = tuple(tuple(r) for r in roots)
         self.signs = tuple(signs)
         self.structure_name = structure_name
+
+    @property
+    def rank(self):
+        return len(self.rho_check)
 
     @property
     def n(self):
@@ -70,21 +85,23 @@ class SpaceSpec:
         return "SpaceSpec(%s, signs=%s)" % (self.descriptor, ",".join("%+d" % s for s in self.signs))
 
 
-def _block_roots(blocks, rank):
-    """Complementary roots x_i - x_j over cross-block pairs i < j, lex order."""
-    owner = {}
-    for b, positions in enumerate(blocks):
-        for p in positions:
-            owner[p] = b
-    roots = []
-    for i in range(1, rank + 1):
-        for j in range(i + 1, rank + 1):
-            if owner[i] != owner[j]:
-                v = [0] * rank
-                v[i - 1] = 1
-                v[j - 1] = -1
-                roots.append(tuple(v))
-    return roots
+def _unitary(descriptor, sizes):
+    """U(k)/U(k_1)x...xU(k_m), the blocks contiguous in x_1..x_k: the simple
+    roots x_i - x_{i+1}, each its own coroot; those inside a block are H's,
+    and the complementary roots x_i - x_j, i < j in different blocks, come in
+    lex order."""
+    k = sum(sizes)
+    owner = [b for b, size in enumerate(sizes) for _ in range(size)]
+
+    def root(i, j):
+        v = [0] * k
+        v[i], v[j] = 1, -1
+        return tuple(v)
+
+    roots = [root(i, j) for i in range(k) for j in range(i + 1, k) if owner[i] != owner[j]]
+    return SpaceSpec(descriptor, [(root(i, i + 1),) * 2 for i in range(k - 1)], range(k - 1, -1, -1),
+                     [root(i, i + 1) for i in range(k - 1) if owner[i] == owner[i + 1]],
+                     roots, (1,) * len(roots), "standard")
 
 
 _U_QUOTIENT = re.compile(r"^U\((\d+)\)/(.+)$")
@@ -109,17 +126,16 @@ def build_space(text, structure=None, signs=None):
         if n < 1:
             raise ParseError("CPn needs n >= 1")
         # big block first keeps the standard structure of projective space
-        blocks = (tuple(range(1, n + 1)), (n + 1,))
-        spec = SpaceSpec(descriptor, "A", n + 1, blocks,
-                         _block_roots(blocks, n + 1), (1,) * n, "standard")
+        spec = _unitary(descriptor, (n, 1))
     elif descriptor == "G2/SU(3)":
-        roots = ((1, 0), (0, 1), (-1, -1))
-        spec = SpaceSpec(descriptor, "G2", 2, None, roots, (1, 1, 1), "standard")
+        # x_3 = -x_1 - x_2 eliminated: the short simple root x_1 with coroot
+        # (2, -1) and the long one x_2 - x_1; SU(3) has the long roots, with
+        # simple roots x_2 - x_1 and x_1 - x_3
+        spec = SpaceSpec(descriptor, [((1, 0), (2, -1)), ((-1, 1), (-1, 1))], (1, 2),
+                         [(-1, 1), (2, 1)], [(1, 0), (0, 1), (-1, -1)], (1, 1, 1), "standard")
     elif descriptor == M10_DESCRIPTOR:
         # the U(2) factor sits on x_1, x_2
-        blocks = ((1, 2), (3,), (4,))
-        spec = SpaceSpec(descriptor, "A", 4, blocks,
-                         _block_roots(blocks, 4), (1,) * 5, "standard")
+        spec = _unitary(descriptor, (2, 1, 1))
     else:
         m = _U_QUOTIENT.match(descriptor)
         if not m:
@@ -141,15 +157,7 @@ def build_space(text, structure=None, signs=None):
                 sizes.append(int(bm.group(1)))
         if sum(sizes) != rank:
             raise ParseError("subgroup blocks sum to %d, expected %d" % (sum(sizes), rank))
-        blocks = []
-        start = 1
-        for k in sizes:
-            blocks.append(tuple(range(start, start + k)))
-            start += k
-        blocks = tuple(blocks)
-        spec = SpaceSpec(descriptor, "A", rank, blocks,
-                         _block_roots(blocks, rank), (1,) * len(_block_roots(blocks, rank)),
-                         "standard")
+        spec = _unitary(descriptor, sizes)
 
     if spec.n == 0:
         raise ParseError("%s is a point: it has no isotropy weights" % text)
@@ -177,109 +185,62 @@ def set_structure(spec, structure=None, signs=None):
         signs, name = J_PRESETS[structure], structure
     else:
         raise ParseError("unknown structure %r" % structure)
-    return SpaceSpec(spec.descriptor, spec.family, spec.rank, spec.blocks, spec.roots, signs, name)
+    return SpaceSpec(spec.descriptor, spec.simple, spec.rho_check, spec.h_simple, spec.roots, signs, name)
 
 
-# Weyl machinery: permutations for the A series, 2x2 matrices for G2.
-
-G2_IDENTITY = ((1, 0), (0, 1))
-G2_S_SHORT = ((-1, 1), (0, 1))       # reflection in x1
-G2_S_LONG = ((0, 1), (1, 0))         # reflection in x1-x2 (swap)
-
-
-def _matvec(A, v):
-    return tuple(sum(A[i][j] * v[j] for j in range(2)) for i in range(2))
+def reflect(v, alpha, coroot):
+    """v - <v, alpha^vee> alpha: the simple reflection s_alpha on a weight v.
+    On x it is reflect(x, coroot, alpha), and v itself comes back when s
+    fixes it."""
+    c = sum(map(mul, v, coroot))
+    return tuple([a - c * b for a, b in zip(v, alpha)]) if c else v
 
 
-def simple_reflections(spec):
-    """The simple reflections of W_G as integer matrices acting on x: the
-    transposes of the matrices acting on weights, as <Mw, x> = <w, M^T x>.
-    Type A has the adjacent transpositions."""
-    if spec.family == "G2":
-        return [tuple(zip(*M)) for M in (G2_S_SHORT, G2_S_LONG)]
-    eye = [tuple(int(i == j) for j in range(spec.rank)) for i in range(spec.rank)]
-    return [tuple(eye[:i] + [eye[i + 1], eye[i]] + eye[i + 2:]) for i in range(spec.rank - 1)]
+def _walk(spec, tracked):
+    """The minimal coset representatives w of W_G/W_H, each as its basis
+    images rep = (w(e_1), ..., w(e_k)) with the images of the tracked
+    vectors, in descending lexicographic order of rep.
 
-
-def apply_weyl(spec, rep, weight):
-    """Image of an integer weight vector under a Weyl element."""
-    if spec.family == "G2":
-        return _matvec(rep, weight)
-    out = [0] * len(weight)
-    for i, c in enumerate(weight):
-        out[rep[i]] = c
-    return tuple(out)
-
-
-def weyl_cosets(spec):
-    """Minimal coset representatives of W_G / W_H, deterministic order.
-
-    W(SU(3)) is generated by the long-root reflections and has index 2 in
-    W(G2); the short reflection lies outside it."""
-    if spec.family == "G2":
-        return [G2_IDENTITY, G2_S_SHORT]
-    return _increasing_on_blocks(spec.blocks, spec.rank)
-
-
-def _increasing_on_blocks(blocks, rank):
-    """The permutations of range(rank) that increase on every block, in
-    lexicographic order. Positions are filled left to right, each trying the
-    unused values in ascending order; a position that is not first in its
-    block must exceed the previous value there, and a value is too large
-    once fewer unused values lie above it than the block has positions
-    left. With contiguous blocks no branch then dead-ends, so the work
-    grows with the number of representatives, not with rank!."""
-    prev = [None] * rank
-    left = [0] * rank
-    for block in blocks:
-        for i, pos in enumerate(block):
-            prev[pos - 1] = block[i - 1] - 1 if i else None
-            left[pos - 1] = len(block) - 1 - i
-    perm = [0] * rank
-    used = [False] * rank
-    reps = []
-
-    def fill(pos):
-        if pos == rank:
-            reps.append(tuple(perm))
-            return
-        low = 0 if prev[pos] is None else perm[prev[pos]] + 1
-        for v in range(low, rank):
-            if used[v]:
-                continue
-            if sum(not u for u in used[v + 1:]) < left[pos]:
-                break
-            perm[pos] = v
-            used[v] = True
-            fill(pos + 1)
-            used[v] = False
-
-    fill(0)
-    return reps
-
-
-def _check_primitive(weight):
-    g = 0
-    for c in weight:
-        g = gcd(g, abs(c))
-    if g != 1:
-        raise NonPrimitiveWeight("weight %s has common factor %d" % (weight, g))
+    w is minimal exactly when it maps every simple root beta of H to a root
+    on which rho_check is positive. Removing the left letter of a minimal w
+    leaves a minimal element, so starting from the identity and keeping s*w
+    whenever it is new and minimal reaches every one, with work that grows
+    with their number times the rank, not with |W_G|. For minimal w, s*w is
+    minimal unless w(beta) = alpha_s for some beta, as s turns only alpha_s
+    negative among the positive roots. Elements are keyed by their action on
+    rho_check, as on x: rho_check is nonzero on every root, so only the
+    identity fixes it."""
+    k, h = spec.rank, len(spec.h_simple)
+    basis = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+    found = {spec.rho_check: spec.h_simple + basis + tuple(tracked)}
+    frontier = list(found.items())
+    while frontier:
+        grown = []
+        for key, images in frontier:
+            for alpha, coroot in spec.simple:
+                if alpha in images[:h]:
+                    continue
+                key2 = reflect(key, coroot, alpha)
+                if key2 not in found:
+                    found[key2] = tuple(reflect(v, alpha, coroot) for v in images)
+                    grown.append((key2, found[key2]))
+        frontier = grown
+    return sorted(((images[h:h + k], images[h + k:]) for images in found.values()), reverse=True)
 
 
 def fixed_point_weights(spec):
     """Weight table (Lambda_j(w))_j at every fixed point.
 
     Weights at the coset of w are w applied to the signed complementary roots.
+    w is an automorphism of the weight lattice, so they are primitive
+    exactly when the roots are, which is checked once.
     An invariant structure carries its own orientation, so signs are +1; the
     conjugate preset is expressed in the standard structure's orientation,
     where reversing all n weight lines contributes (-1)^n per point.
     """
     signed = spec.signed_roots()
+    for root in signed:
+        if gcd(*root) != 1:
+            raise NonPrimitiveWeight("weight %s has common factor %d" % (root, gcd(*root)))
     sign = -1 if spec.structure_name == "conjugate" and spec.n % 2 == 1 else 1
-    out = []
-    for rep in weyl_cosets(spec):
-        weights = tuple(apply_weyl(spec, rep, r) for r in signed)
-        for wgh in weights:
-            _check_primitive(wgh)
-        out.append(FixedPoint(rep, weights, sign))
-    return out
+    return [FixedPoint(rep, weights, sign) for rep, weights in _walk(spec, signed)]

@@ -53,9 +53,10 @@ def _check_shape(assign, base):
         raise ValueError("epsilon must be +-1")
     if len(assign.table) != len(base):
         raise ValueError("assignment covers %d points, space has %d" % (len(assign.table), len(base)))
-    for avec, pt in zip(assign.table, base):
+    # a point is named by its coset index, the key of the --assign JSON
+    for index, (avec, pt) in enumerate(zip(assign.table, base)):
         if len(avec) != len(pt.weights):
-            raise ValueError("point %s needs %d signs" % (pt.rep, len(pt.weights)))
+            raise ValueError("point %d needs %d signs" % (index, len(pt.weights)))
         if not all(_is_unit(a) for a in avec):
             raise ValueError("signs must be +-1")
 

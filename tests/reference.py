@@ -9,17 +9,21 @@ No verb runs any of these. Each builds its answer the slow, direct way:
   delta-orbit sums of divdiff must agree with it.
 - elementary_product and monomial_sym build e^xi and m_lambda as
   polynomials; symmfunc.transition_table and chern.chern_to_s must agree.
+- unitary_blocks reads the blocks of a type A space off its descriptor,
+  apart from rootdata's root datum; G2/SU(3) is told apart by its
+  descriptor too.
 - euler_characteristic counts the cosets by the order formula; the top
   number s_(n) must be +-chi.
 - cosets_by_filter keeps the permutations of the rank that increase on
-  every block; rootdata.weyl_cosets, which builds them directly, must list
-  the same ones in the same order. For G2, g2_weyl_group and g2_subgroup
-  build W(G2) and W(SU(3)) by closure, and weyl_cosets must list the first
-  element of each coset, as first_of_each_coset does.
+  every block; the representatives of rootdata.fixed_point_weights, which
+  walks the cosets on the root datum, must be the same ones in the same
+  order. For G2, g2_weyl_group and g2_subgroup build W(G2) and W(SU(3)) by
+  closure from the matrices here, and the representatives must be the
+  first element of each coset, as first_of_each_coset lists them.
 - permute and substitute act on a MultiPoly term by term; antisymmetrize
   and omega_numerator are built on them, and weyl_invariance_by_substitution
   compares each block of a character with its image under the simple
-  reflections, as character.weyl_invariance_ok must by values at points.
+  reflections, as character.weyl_invariance_failure must by values at points.
 - GradedSeries is a series in several variables truncated by total degree,
   and apply_series substitutes one into a univariate series: the formal
   group law as g^{-1}(g(u1) + g(u2)) by series products, which
@@ -32,11 +36,12 @@ No verb runs any of these. Each builds its answer the slow, direct way:
 """
 
 from itertools import permutations
+import re
 
 from torigen.cobordism import CobordismPoly, grlex_key
 from torigen.exactalg import ArenaMismatch, MultiPoly, _check_arena, exact_div, xvars
 from torigen.fgl import exp_series, log_series
-from torigen.rootdata import G2_IDENTITY, G2_S_LONG, G2_S_SHORT, fixed_point_weights
+from torigen.rootdata import M10_DESCRIPTOR, fixed_point_weights
 from torigen.stablex import SignAssignment
 from torigen.symmfunc import omegas_of_weight, perm_sign
 
@@ -198,13 +203,32 @@ def omega_numerator(fp, loc, omega):
     return num
 
 
+G2_DESCRIPTOR = "G2/SU(3)"
+
+
+def unitary_blocks(descriptor):
+    """The blocks of positions 1..k of a type A descriptor, read off the
+    text: CPn is U(n + 1)/U(n)xU(1), and the SU(4) quotient has its U(2) on
+    x_1, x_2."""
+    if descriptor.startswith("CP"):
+        sizes = [int(descriptor[2:]), 1]
+    elif descriptor == M10_DESCRIPTOR:
+        sizes = [2, 1, 1]
+    else:
+        rank, sub = re.fullmatch(r"U\((\d+)\)/(.+)", descriptor).groups()
+        sizes = [1] * int(rank) if sub == "T" + rank else [int(f[2:-1]) for f in sub.split("x")]
+    starts = [sum(sizes[:i]) + 1 for i in range(len(sizes))]
+    return tuple(tuple(range(a, a + k)) for a, k in zip(starts, sizes))
+
+
 def euler_characteristic(spec):
-    if spec.family == "G2":
+    if spec.descriptor == G2_DESCRIPTOR:
         return 2
+    blocks = unitary_blocks(spec.descriptor)
     total = 1
-    for i in range(2, spec.rank + 1):
+    for i in range(2, sum(map(len, blocks)) + 1):
         total *= i
-    for block in spec.blocks:
+    for block in blocks:
         for i in range(2, len(block) + 1):
             total //= i
     return total
@@ -217,6 +241,11 @@ def cosets_by_filter(blocks, rank):
                   if all(p[a - 1] < p[b - 1] for block in blocks for a, b in zip(block, block[1:])))
 
 
+# W(G2) as 2x2 integer matrices acting on weights, with x_3 = -x_1 - x_2
+# eliminated
+G2_IDENTITY = ((1, 0), (0, 1))
+G2_S_SHORT = ((-1, 1), (0, 1))       # reflection in x1
+G2_S_LONG = ((0, 1), (1, 0))         # reflection in x1-x2 (swap)
 G2_S_LONG23 = ((1, -1), (0, -1))     # reflection in x2-x3
 
 
@@ -266,17 +295,16 @@ def weyl_invariance_by_substitution(spec, ch):
     """Whether every block of ch is fixed by W_G, term by term: type A
     permutes each block by the adjacent transpositions, G2 substitutes
     x -> M^T x for its two simple reflections M."""
-    if spec.family == "G2":
-        for M in (G2_S_SHORT, G2_S_LONG):
-            for block in ch.values():
-                forms = {i: MultiPoly.linear_form(block.arena, (M[0][i], M[1][i])) for i in range(2)}
-                if substitute(block, forms) != block:
-                    return False
-        return True
-    for i in range(spec.rank - 1):
-        perm = list(range(spec.rank))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        if any(permute(block, perm) != block for block in ch.values()):
+    for block in ch.values():
+        k = block.arena.arity
+        if spec.descriptor == G2_DESCRIPTOR:
+            images = [substitute(block, {i: MultiPoly.linear_form(block.arena, (M[0][i], M[1][i]))
+                                         for i in range(2)})
+                      for M in (G2_S_SHORT, G2_S_LONG)]
+        else:
+            images = [permute(block, list(range(i)) + [i + 1, i] + list(range(i + 2, k)))
+                      for i in range(k - 1)]
+        if any(image != block for image in images):
             return False
     return True
 

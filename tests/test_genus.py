@@ -1,5 +1,6 @@
 """Localization pipeline: characters, classes, s_omega, Chern numbers."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -17,7 +18,7 @@ from torigen.character import (
     genus_report,
     localization_data,
     symbolic_class,
-    weyl_invariance_ok,
+    weyl_invariance_failure,
 )
 from torigen.chern import chern_to_s, s_to_chern
 from torigen.cli import main
@@ -41,12 +42,14 @@ from torigen.stablex import SignAssignment, derived_fixed_point_data
 from torigen.symmfunc import omega_weight, omegas_of_weight
 
 from reference import (
+    G2_DESCRIPTOR,
     euler_characteristic,
     g2_weyl_group,
     omega_numerator,
     omegas_up_to,
     permute,
     substitute,
+    unitary_blocks,
     weyl_invariance_by_substitution,
 )
 
@@ -189,38 +192,63 @@ def test_weyl_invariance_of_character():
         spec = build_space(text, structure=structure)
         ch = chern_character_of_genus(fixed_point_weights(spec), spec.n + 1)
         assert all(isinstance(block, MultiPoly) for block in ch.values())
-        assert weyl_invariance_ok(spec, ch)
+        assert weyl_invariance_failure(spec, ch) is None
+
+
+def _moved_term(ch):
+    """ch with x1 added to its largest block."""
+    om, block = max(ch.items())
+    return {**ch, om: block + MultiPoly.variable(block.arena, 0)}
 
 
 def test_weyl_invariance_fails_on_a_moved_term():
     # x1 added to one block: a transposition of U(3) moves it to x2, and it is
-    # not fixed by both G2 reflections, as no nonzero linear form is
-    for text in ("U(3)/T3", "G2/SU(3)"):
+    # not fixed by both G2 reflections, as no nonzero linear form is; the
+    # block is the constant 6 on U(3)/T3 and 2 on G2/SU(3)
+    for text, point, values in (("U(3)/T3", [1, 0, 0], ("7", "6")), ("G2/SU(3)", [1, 0], ("3", "1"))):
         spec = build_space(text)
-        ch = chern_character_of_genus(fixed_point_weights(spec), spec.n + 1)
-        om, block = max(ch.items())
-        ch[om] = block + MultiPoly.variable(block.arena, 0)
-        assert not weyl_invariance_ok(spec, ch)
+        ch = _moved_term(chern_character_of_genus(fixed_point_weights(spec), spec.n + 1))
+        assert weyl_invariance_failure(spec, ch) == {
+            "omega": [3, 0, 0], "reflection": 1, "point": point,
+            "block_at_p": values[0], "block_at_sp": values[1]}
     # x1^2 added to a block of degree 2 at order n + 2: a transposition of
     # U(3) moves it to x2^2, and the long reflection of G2 swaps x1 and x2
-    for text in ("U(3)/T3", "G2/SU(3)"):
+    for text, reflection in (("U(3)/T3", 1), ("G2/SU(3)", 2)):
         spec = build_space(text)
         ch = chern_character_of_genus(fixed_point_weights(spec), spec.n + 2)
-        assert weyl_invariance_ok(spec, ch)
+        assert weyl_invariance_failure(spec, ch) is None
         om = max(om for om in ch if omega_weight(om) == spec.n + 2)
         block = ch[om]
         assert block.degree() == 2
         ch[om] = block + MultiPoly.variable(block.arena, 0) ** 2
-        assert not weyl_invariance_ok(spec, ch)
+        failure = weyl_invariance_failure(spec, ch)
+        assert (failure["omega"], failure["reflection"]) == ([2, 0, 1], reflection)
+
+
+@pytest.mark.parametrize("verb", ["verify", "genus"])
+def test_weyl_invariance_failure_names_its_evidence(verb, monkeypatch, capsys):
+    # the verbs read the character with x1 added to its largest block
+    real = character.chern_character_of_genus
+    monkeypatch.setattr(character, "chern_character_of_genus", lambda fp, order: _moved_term(real(fp, order)))
+    assert main([verb, "--space", "U(3)/T3"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    assert failed == ["check weyl_invariance: FAIL at omega=[3, 0, 0], reflection=1, point=[1, 0, 0], "
+                      "block_at_p=7, block_at_sp=6"]
+    assert main([verb, "--space", "U(3)/T3", "--format", "json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["checks"]["weyl_invariance"] is False
+    assert data["evidence"] == {"weyl_invariance": {"omega": [3, 0, 0], "reflection": 1, "point": [1, 0, 0],
+                                                    "block_at_p": "7", "block_at_sp": "6"}}
 
 
 def _weyl_group_on_x(spec):
     """Every element of W_G as a map on polynomials in x."""
-    if spec.family == "G2":
+    if spec.descriptor == G2_DESCRIPTOR:
         return [lambda p, M=M: substitute(p, {i: MultiPoly.linear_form(p.arena, (M[0][i], M[1][i]))
                                               for i in range(2)})
                 for M in g2_weyl_group()]
-    return [lambda p, perm=perm: permute(p, perm) for perm in permutations(range(spec.rank))]
+    rank = sum(map(len, unitary_blocks(spec.descriptor)))
+    return [lambda p, perm=perm: permute(p, perm) for perm in permutations(range(rank))]
 
 
 def _random_poly(rng, arena, degree):
@@ -239,7 +267,7 @@ def test_weyl_invariance_matches_substitution(text):
     # averaged over W_G, and averaged with a noise term added
     spec = build_space(text)
     group = _weyl_group_on_x(spec)
-    arena = xvars(2 if spec.family == "G2" else spec.rank)
+    arena = xvars(spec.rank)
     rng = random.Random(20)
     verdicts = set()
     for _ in range(20):
@@ -248,7 +276,7 @@ def test_weyl_invariance_matches_substitution(text):
         for q in (p, avg, avg + _random_poly(rng, arena, 4)):
             ch = {(1,): q}
             expected = weyl_invariance_by_substitution(spec, ch)
-            assert weyl_invariance_ok(spec, ch) == expected
+            assert (weyl_invariance_failure(spec, ch) is None) == expected
             verdicts.add(expected)
     assert verdicts == {True, False}
 

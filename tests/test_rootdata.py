@@ -2,20 +2,19 @@
 
 import hashlib
 import random
+from operator import mul
 import time
-from types import SimpleNamespace
 
 import pytest
 
 from torigen.rootdata import (
     M10_DESCRIPTOR,
     ParseError,
+    SpaceSpec,
     UnsupportedGroup,
-    apply_weyl,
     build_space,
     fixed_point_weights,
-    simple_reflections,
-    weyl_cosets,
+    reflect,
 )
 
 from reference import (
@@ -25,6 +24,7 @@ from reference import (
     g2_closure,
     g2_subgroup,
     g2_weyl_group,
+    unitary_blocks,
 )
 
 CP3_WEIGHTS = [
@@ -35,11 +35,22 @@ CP3_WEIGHTS = [
 ]
 
 
+def cosets(spec):
+    """The coset representatives, in the order of the fixed points."""
+    return [pt.rep for pt in fixed_point_weights(spec)]
+
+
+def one_line(rep):
+    """The permutation of a type A representative: w(e_i) = e_{w(i)}."""
+    return tuple(image.index(1) for image in rep)
+
+
 def test_descriptor_parsing_and_grammar_errors():
     assert build_space("CP2").descriptor == "CP2"
-    assert build_space("U(3)/T3").blocks == ((1,), (2,), (3,))
-    assert build_space("U(4)/U(2)xU(2)").blocks == ((1, 2), (3, 4))
-    assert build_space(M10_DESCRIPTOR).blocks == ((1, 2), (3,), (4,))
+    # the simple roots of H are the x_i - x_{i+1} inside a block
+    assert build_space("U(3)/T3").h_simple == ()
+    assert build_space("U(4)/U(2)xU(2)").h_simple == ((1, -1, 0, 0), (0, 0, 1, -1))
+    assert build_space(M10_DESCRIPTOR).h_simple == ((1, -1, 0, 0),)
     assert build_space(" U(3) / T3 ").descriptor == "U(3)/T3"
     with pytest.raises(ParseError):
         build_space("")
@@ -73,7 +84,7 @@ def test_euler_characteristic_counts_cosets():
     ):
         spec = build_space(text)
         assert euler_characteristic(spec) == chi
-        assert len(weyl_cosets(spec)) == chi
+        assert len(cosets(spec)) == chi
         assert len(fixed_point_weights(spec)) == chi
 
 
@@ -102,15 +113,31 @@ def test_g2_space():
 def test_g2_cosets_are_the_first_of_each_coset():
     group, sub = g2_weyl_group(), g2_subgroup()
     assert len(group) == 12 and len(sub) == 6
-    assert weyl_cosets(build_space("G2/SU(3)")) == first_of_each_coset(group, sub)
+    # the reference matrices act on weights, so their columns are the basis images
+    reps = first_of_each_coset(group, sub)
+    assert cosets(build_space("G2/SU(3)")) == [tuple(zip(*M)) for M in reps]
+
+
+def matrices(spec, on_x):
+    """The simple reflections as integer matrices, column j the image of e_j."""
+    basis = [tuple(int(i == j) for j in range(spec.rank)) for i in range(spec.rank)]
+    return [tuple(zip(*(reflect(e, coroot, alpha) if on_x else reflect(e, alpha, coroot) for e in basis)))
+            for alpha, coroot in spec.simple]
 
 
 def test_simple_reflections_act_on_x():
-    # W(G2) acts on x by the transposes of its matrices on weights
-    g2 = simple_reflections(build_space("G2/SU(3)"))
-    assert sorted(g2_closure(g2)) == sorted(tuple(zip(*g)) for g in g2_weyl_group())
-    assert simple_reflections(build_space("U(3)/T3")) == [
+    # W(G2) acts on weights by its matrices and on x by their transposes
+    g2 = build_space("G2/SU(3)")
+    assert sorted(g2_closure(matrices(g2, False))) == sorted(g2_weyl_group())
+    assert sorted(g2_closure(matrices(g2, True))) == sorted(tuple(zip(*g)) for g in g2_weyl_group())
+    assert matrices(build_space("U(3)/T3"), True) == [
         ((0, 1, 0), (1, 0, 0), (0, 0, 1)), ((1, 0, 0), (0, 0, 1), (0, 1, 0))]
+    # <s v, x> = <v, s x>
+    rng = random.Random(3)
+    for alpha, coroot in g2.simple:
+        for _ in range(20):
+            v, x = (rng.randint(-5, 5), rng.randint(-5, 5)), (rng.randint(-5, 5), rng.randint(-5, 5))
+            assert sum(map(mul, reflect(v, alpha, coroot), x)) == sum(map(mul, v, reflect(x, coroot, alpha)))
 
 
 def test_conjugate_structure_flips_weights():
@@ -150,17 +177,24 @@ def test_j_presets_are_m10_only():
         build_space(M10_DESCRIPTOR, structure="J9")
 
 
-def test_apply_weyl_permutes_coordinates():
+def test_representatives_carry_their_weights():
+    # the weights at rep are rep applied to the roots: x_i -> x_{w(i)}
     spec = build_space("U(3)/T3")
-    # x_i -> x_{rep(i)}: the coefficient of x_i lands at slot rep(i)
-    assert apply_weyl(spec, (1, 2, 0), (1, -1, 0)) == (0, 1, -1)
-    g2 = build_space("G2/SU(3)")
-    assert apply_weyl(g2, ((0, 1), (1, 0)), (1, 0)) == (0, 1)
+    for pt in fixed_point_weights(spec):
+        w = one_line(pt.rep)
+        for root, weight in zip(spec.roots, pt.weights):
+            image = [0] * 3
+            for i, c in enumerate(root):
+                image[w[i]] = c
+            assert weight == tuple(image)
+    # the short reflection of G2 sends x1 to -x1 and x2 to x1 + x2
+    assert [pt.rep for pt in fixed_point_weights(build_space("G2/SU(3)"))] == [
+        ((1, 0), (0, 1)), ((-1, 0), (1, 1))]
 
 
 def test_coset_representatives_increase_on_blocks():
     spec = build_space("U(4)/U(2)xU(2)")
-    reps = weyl_cosets(spec)
+    reps = [one_line(rep) for rep in cosets(spec)]
     assert len(reps) == 6
     for rep in reps:
         assert rep[0] < rep[1] and rep[2] < rep[3]
@@ -175,12 +209,13 @@ PRESETS = ["CP%d" % n for n in range(1, 7)] + ["U(%d)/T%d" % (n, n) for n in ran
 @pytest.mark.parametrize("text", PRESETS)
 def test_cosets_match_the_permutation_filter(text):
     spec = build_space(text)
-    assert weyl_cosets(spec) == cosets_by_filter(spec.blocks, spec.rank)
+    blocks = unitary_blocks(text)
+    assert [one_line(rep) for rep in cosets(spec)] == cosets_by_filter(blocks, sum(map(len, blocks)))
 
 
 def test_cosets_match_the_filter_on_random_block_shapes():
-    # contiguous blocks as the grammar builds them, and scattered ones, on
-    # which the walk may dead-end but must still list the same permutations
+    # contiguous blocks as the grammar builds them, and scattered ones, whose
+    # simple roots of H are not simple roots of G
     rng = random.Random(7)
     for _ in range(60):
         rank = rng.randint(1, 7)
@@ -188,26 +223,38 @@ def test_cosets_match_the_filter_on_random_block_shapes():
         while sum(sizes) < rank:
             sizes.append(rng.randint(1, rank - sum(sizes)))
         if len(sizes) > 1:
-            spec = build_space("U(%d)/%s" % (rank, "x".join("U(%d)" % k for k in sizes)))
-            assert weyl_cosets(spec) == cosets_by_filter(spec.blocks, spec.rank)
+            text = "U(%d)/%s" % (rank, "x".join("U(%d)" % k for k in sizes))
+            reps = [one_line(rep) for rep in cosets(build_space(text))]
+            assert reps == cosets_by_filter(unitary_blocks(text), rank)
         positions = list(range(1, rank + 1))
         rng.shuffle(positions)
         blocks, start = [], 0
         for k in sizes:
             blocks.append(tuple(sorted(positions[start:start + k])))
             start += k
-        spec = SimpleNamespace(family="A", rank=rank, blocks=tuple(blocks))
-        assert weyl_cosets(spec) == cosets_by_filter(spec.blocks, rank)
+
+        def root(a, b):
+            return tuple(int(i == a) - int(i == b) for i in range(1, rank + 1))
+
+        # the root datum of U(rank), with H's simple roots x_a - x_b for
+        # neighbours a < b in one block
+        owner = {a: b for b, block in enumerate(blocks) for a in block}
+        roots = [root(a, b) for a in range(1, rank + 1) for b in range(a + 1, rank + 1) if owner[a] != owner[b]]
+        spec = SpaceSpec("scattered", [(root(i, i + 1),) * 2 for i in range(1, rank)], range(rank, 0, -1),
+                         [root(a, b) for block in blocks for a, b in zip(block, block[1:])],
+                         roots, (1,) * len(roots), "standard")
+        assert [one_line(rep) for rep in cosets(spec)] == cosets_by_filter(blocks, rank)
 
 
 def test_projective_cosets_do_not_walk_every_permutation():
     # CP10 has 11! = 39916800 permutations of its rank and 11 representatives;
-    # the filter took 53.6 s on CP10 and the direct walk takes well under 1 ms
+    # the filter took 53.6 s on CP10 and the coset walk takes about 1 ms
     spec = build_space("CP10")
     start = time.perf_counter()
-    reps = weyl_cosets(spec)
+    reps = cosets(spec)
     assert time.perf_counter() - start < 1.0
-    assert reps == [tuple(j for j in range(11) if j != i) + (i,) for i in reversed(range(11))]
+    assert [one_line(rep) for rep in reps] == [tuple(j for j in range(11) if j != i) + (i,)
+                                               for i in reversed(range(11))]
 
 
 # SHA-256 of repr([(weights, sign) for each point]) of fixed_point_weights:

@@ -377,7 +377,7 @@ def test_malformed_tables_are_rejected_with_the_fault_named():
     cases = [
         (SignAssignment(((1, 1), (1, 1), (1, 1)), 0), "epsilon must be +-1"),
         (SignAssignment(((1, 1), (1, 1)), 1), "assignment covers 2 points, space has 3"),
-        (SignAssignment(((1, 1), (1,), (1, 1)), 1), "needs 2 signs"),
+        (SignAssignment(((1, 1), (1,), (1, 1)), 1), "point 1 needs 2 signs"),
         (SignAssignment(((1, 1), (1, 2), (1, 1)), 1), "signs must be +-1"),
     ]
     for assign, message in cases:
