@@ -166,13 +166,11 @@ def weyl_invariance_failure(spec, ch):
         # index k is the slack, so the coordinates sum to at most d
         for picks in combinations_with_replacement(range(k + 1), block.degree()):
             point = tuple(picks.count(i) for i in range(k))
-            value = None
+            value = block.evaluate(point)
             for index, (alpha, coroot) in enumerate(spec.simple, 1):
                 image = reflect(point, coroot, alpha)
                 if image == point:
                     continue
-                if value is None:
-                    value = block.evaluate(point)
                 moved = block.evaluate(image)
                 if moved != value:
                     return {"omega": list(om) + [0] * (spec.n - len(om)), "reflection": index,

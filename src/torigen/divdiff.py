@@ -162,8 +162,8 @@ def flag_vanishing_checks(n):
 
     Covers: the value of s_m (2 for n=2, -6 for n=3, 0 for n > 3); s_omega = 0
     whenever omega meets a generator index above 2n-3; the inequality-based
-    vanishing family (sum q_p < l(2l-1), faithfully enumerated even though it
-    is empty for n <= 5); the all-even-Chern-numbers statement; and, for
+    vanishing statements (sum q_p < l(2l-1), faithfully enumerated though they
+    are empty for n <= 5); the all-even-Chern-numbers statement; and, for
     n = 4q or 4q+1, vanishing of every s_omega supported on even indices.
     """
     if not 2 <= n <= 5:

@@ -4,7 +4,7 @@ quotient, and G2/SU(3). Produces Weyl coset representatives and fixed-point
 weight tables, the same way for every space.
 
 A space is a root datum in integer coordinates x_1..x_k of the weight
-lattice. A family supplies:
+lattice; a new kind of space supplies its four parts:
   * simple: the simple reflections of G, each as a pair (alpha, alpha^vee) of
     a simple root and its coroot. s acts on weights by
     v -> v - <v, alpha^vee> alpha, and on x by x -> x - <alpha, x> alpha^vee,
