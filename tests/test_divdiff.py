@@ -1,5 +1,6 @@
 """The operator L and the operator-L routes to flag and Grassmann classes."""
 
+import hashlib
 from itertools import combinations, permutations
 
 import pytest
@@ -23,6 +24,22 @@ from reference import elementary, operator_L, permute, vandermonde
 
 PDELTA = "a1^3 - a1*a2 - 3*a3"
 PDELTA_SWAP = "-a1^3 - 5*a1*a2 - 3*a3"
+
+# SHA-256 of grassmann_class(q, l).canonical_text() for the (q, l) within the
+# grassmann verb's limits that the golden file does not pin
+GRASSMANN_DIGESTS = {
+    (1, 2): "728382410147e6cbbc3b51fd98e597d22d943d59021d7f8e466022e8f6d6b248",
+    (2, 1): "728382410147e6cbbc3b51fd98e597d22d943d59021d7f8e466022e8f6d6b248",
+    (3, 1): "1910fa918752a75d49e418e16db92920507a762d378446504ef1824ed08a795c",
+    (1, 4): "271ae35a860b5959444bba19d50e80cfa733eaaa3a9e8d71e4574cdecd9c85f5",
+    (4, 1): "271ae35a860b5959444bba19d50e80cfa733eaaa3a9e8d71e4574cdecd9c85f5",
+    (1, 5): "681871d272a7b4cb9d05f1d8fa59fc5ad70e03758a5cdcb3afef69b4659ae992",
+    (5, 1): "681871d272a7b4cb9d05f1d8fa59fc5ad70e03758a5cdcb3afef69b4659ae992",
+    (1, 6): "32fa7572718fa2ce2a1ef3800466aafcca354be21c7bf4155eee960a43aa848a",
+    (6, 1): "32fa7572718fa2ce2a1ef3800466aafcca354be21c7bf4155eee960a43aa848a",
+    (2, 4): "5ab97093c2ddd18b25b9793143c9903df0bdcb2e34841e4b4bfead7e85fe5ea0",
+    (4, 2): "5ab97093c2ddd18b25b9793143c9903df0bdcb2e34841e4b4bfead7e85fe5ea0",
+}
 
 
 def test_operator_L_properties():
@@ -205,3 +222,46 @@ def test_P_off_the_delta_orbit_matches_the_unpruned_kernel(xi):
 
 def test_grassmann_3_3_matches_localization():
     assert grassmann_class(3, 3) == cobordism_class(fixed_point_weights(build_space("U(6)/U(3)xU(3)")))
+
+
+@pytest.mark.parametrize("q, l", sorted(GRASSMANN_DIGESTS), ids=lambda v: str(v))
+def test_grassmann_class_digests(q, l):
+    assert hashlib.sha256(grassmann_class(q, l).canonical_text().encode()).hexdigest() == GRASSMANN_DIGESTS[q, l]
+
+
+FLAG_P_PINS = {
+    # a negative entry reads 0
+    (3, 0, -1): "0", (2, 1, -1): "0", (-1, 3, 1): "0",
+    # off the delta orbit
+    (2, 2, 0, 0): "a1^4 - 2*a1^2*a2 + 8*a2^2 + 6*a4",
+    (0, 2, 0, 2): "-3*a1^4 + 4*a1^2*a2 + 6*a1*a3 + 8*a2^2 + 6*a4",
+    (3, 1, 1, 0): "a1^5 - 4*a1^3*a2 - 6*a1^2*a3 - 12*a1*a2^2 + 6*a2*a3",
+    (4, 0, 1, 1): "3*a1^4*a2 + 16*a1^3*a3 + 7*a1^2*a2^2 + 32*a1^2*a4 + 30*a1*a2*a3 - 2*a2^3 + 20*a1*a5"
+                  " + 10*a2*a4 + 9*a3^2",
+    (1, 1, 1, 1, 1): "0",
+}
+
+GRASSMANN_Q_PINS = {
+    # a negative entry reads 0
+    (2, 2, (3, 2, -1, 0)): "0",
+    # |xi| below the base degree C(q, 2) + C(l, 2) reads 0; at it, the base's coefficient
+    (2, 2, (1, 0, 0, 0)): "0", (2, 2, (0, 0, 0, 0)): "0", (2, 2, (1, 0, 1, 0)): "1",
+    # off the delta orbit
+    (2, 2, (4, 1, 1, 0)): "4*a1^2*a2 + 2*a1*a3 - a2^2 - 2*a4",
+    (2, 2, (2, 2, 2, 0)): "0",
+    (2, 2, (5, 0, 1, 0)): "2*a1*a3 + a2^2 + 2*a4",
+    (2, 3, (3, 2, 1, 1, 0)): "0",
+    (2, 3, (4, 0, 3, 1, 0)): "-a1^4 - 10*a1^2*a2 - 11*a1*a3 - 4*a2^2 - 4*a4",
+    (1, 3, (2, 2, 1, 0)): "3*a1^2 + 3*a2",
+    (3, 1, (2, 2, 1, 0)): "0",
+}
+
+
+@pytest.mark.parametrize("xi", list(FLAG_P_PINS), ids=str)
+def test_flag_P_pins(xi):
+    assert flag_P_polynomials(len(xi), xi).canonical_text() == FLAG_P_PINS[xi]
+
+
+@pytest.mark.parametrize("q, l, xi", list(GRASSMANN_Q_PINS), ids=str)
+def test_grassmann_Q_pins(q, l, xi):
+    assert grassmann_Q_polynomials(q, l, xi).canonical_text() == GRASSMANN_Q_PINS[q, l, xi]
