@@ -5,17 +5,48 @@ Grassmannian classes computed below form an independent cross-check against
 the localization route in the genus module.
 
 The operator L sends p to (1/Delta_n) sum_sigma sign(sigma) sigma(p); on
-monomials x^(lambda+delta) it produces the Schur polynomial Sh_lambda. The
-products prod f(x_i - x_j) behind the flag and Grassmann classes are the
-top a^omega blocks of exactalg.f_product_sum, and L of a block of degree
-C(n, 2) is read off as its signed delta-orbit coefficient sum
-(_signed_delta_sum). Each product keeps only the terms that can still reach
-a monomial its caller reads, the x^e with e a permutation of `reads`: delta
-for L, xi for a P_xi or Q_xi. Every factor raises exponents, so a term can
-reach one only if its exponents, sorted descending, stay <= reads sorted
-descending (exactalg.f_product_sum). With reads = delta the top blocks hold
-only the n! monomials x^sigma(delta): 1,296 of the 3,125 exponent vectors
-with every entry <= 4 pass at n = 5, and 16,807 of 46,656 at n = 6.
+monomials x^(lambda+delta) it produces the Schur polynomial Sh_lambda. For p
+of degree C(n, 2), antisym(p) is alternating of the degree of Delta_n, so it
+is c * Delta_n, and c = L(p) is the x^delta coefficient of antisym(p): the
+signed sum sum_sigma sign(sigma) [x^sigma(delta)] p (_delta_orbit).
+
+Every answer here is such a signed sum of coefficients of the weight-d
+a^omega blocks of a product prod f(x_a - x_b) over a list of pairs (a, b),
+and one reader, _read, computes it:
+
+- flag_class: the reads sigma(delta), signed, of prod_{i<j} f(x_i - x_j) at
+  weight C(n, 2); thm8 takes the odd part of f at the (1,2) and (n-1,n)
+  factors. flag_P_polynomials reads one xi.
+- grassmann_Q_polynomials: the x^xi coefficient of Delta_q Delta_{q+1,q+l} C,
+  C = prod_{i<=q<j} f(x_i - x_j), is the signed sum of the reads xi - e over
+  the monomials x^e of the base.
+- grassmann_class: [G_{q+l,l}] = (1/q!l!) L(Delta_q Delta_{q+1,q+l} C)
+  = sum_rho sign(rho) [x^(rho(delta) - delta')] C, delta' = (delta_q, delta_l).
+  Delta_q Delta_{q+1,q+l} = sum_tau sign(tau) x^tau(delta'), tau in S_q x S_l,
+  and C is S_q x S_l-symmetric, so the x^rho(delta) coefficient of the product
+  is sum_tau sign(tau) [x^(tau^-1 rho(delta) - delta')] C; with
+  rho' = tau^-1 rho, each of the q!l! values of tau gives the same sum over
+  rho', which cancels the division. The same symmetry lets each read be
+  sorted within the two blocks of variables.
+
+The reader's layout (_packed_product). A block is held as two nonnegative
+ints P - N, Kronecker-packed over the box e_i <= cap_i, cap the largest entry
+read in each coordinate: x^e has the W-bit slot of index sum_i e_i * stride_i,
+with radix cap_i + 2, so each field has a guard value cap_i + 1. x_n is
+implicit: a block is homogeneous, so its exponent is the block's weight less
+the others. A factor x_a - x_b maps (P, N) to (P x_a + N x_b, N x_a + P x_b),
+each x_i a shift by W * stride_i bits (x_n by none), and one AND with the
+mask of the box clears the slots that reached a guard value. The cost follows
+the size of the box, not the number of terms.
+
+Exactness. Every monomial of every factor has nonnegative exponents, so a
+term outside the box has no descendant inside it, and dropping it is exact. A
+shift raises one field by 1, so a field leaves the box only onto its guard
+value, which cannot carry into the next field before the AND clears it. No
+slot overflows into the next: P + N of a block of weight d holds at most the
+L1 mass of the products without cancellation, sum over the factor degrees
+k_j of prod_j ||w_j||_1^k_j = [t^d] prod_j 1/(1 - 2t), and 2^W exceeds it for
+every d <= order.
 
 The flag and grassmann verbs live here, with the --cache store that memoizes
 their classes.
@@ -25,67 +56,109 @@ import json
 import os
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial
+from math import comb
 
 from .cobordism import CobordismPoly
-from .exactalg import MultiPoly, block_coefficient, f_product_sum, xvars
 from .symmfunc import omegas_of_weight, perm_sign
-
-
-def _root(n, i, j):
-    """The weight of x_i - x_j."""
-    w = [0] * n
-    w[i], w[j] = 1, -1
-    return tuple(w)
 
 
 def _delta(n):
     return tuple(range(n - 1, -1, -1))
 
 
+def _delta_orbit(n):
+    """(sigma(delta), sign(sigma)) for every permutation sigma of n: L of a
+    polynomial of degree C(n, 2) reads these, and Delta_n is
+    sum sign(sigma) x^sigma(delta). sigma(delta) = e is a permutation of
+    range(n) with e o sigma = delta, so sign(sigma) = sign(e) * sign(delta)."""
+    sign = perm_sign(_delta(n))
+    return [(e, sign * perm_sign(e)) for e in permutations(range(n))]
+
+
 @lru_cache(maxsize=None)
-def _flag_product(n, order, reads):
-    """The a^omega blocks of weight order of prod_{i<j} f(x_i - x_j) over n
-    variables, exact at x^e for every permutation e of reads (sorted
-    descending, so that its permutations share one product)."""
-    roots = [_root(n, i, j) for i, j in combinations(range(n), 2)]
-    return f_product_sum(xvars(n), [(roots, None)], order, reads=reads, top=True)
+def _packed_product(n, pairs, order, odd, cap):
+    """(W, shifts, {omega: (P, N)}): the weight-order a^omega blocks of
+    prod_j f(x_a - x_b), (a, b) = pairs[j], over the box e_i <= cap[i] of the
+    first n - 1 variables, laid out as the module docstring says; shifts[i]
+    is the bit shift of x_i. A factor whose index is in odd uses the odd part
+    a_1 t + a_3 t^3 + ... of f.
+
+    One pass over the factors updates the blocks in place: factor j adds
+    (x_a - x_b)^k times block omega into block omega + e_k, heaviest block
+    first, so that each is read before this factor adds into it (the 0/1
+    knapsack order). A factor in odd has no constant term, so it deletes
+    each block once read; the last factor writes only blocks of weight
+    order, and deletes the lighter ones."""
+    m = len(pairs)
+    width = (comb(order + m - 1, order) << order).bit_length()
+    shifts, stride, mask = [], width, (1 << width) - 1
+    for c in cap:
+        shifts.append(stride)
+        mask = sum(mask << stride * v for v in range(c + 1))
+        stride *= c + 2
+    shifts.append(0)
+    blocks = {(): (0, 1, 0)}
+    for j, (a, b) in enumerate(pairs):
+        sa, sb = shifts[a], shifts[b]
+        is_odd = j in odd
+        least = order if j == m - 1 else 0
+        for om in sorted(blocks, key=lambda om: blocks[om][0], reverse=True):
+            wt, p, q = blocks[om]
+            if is_odd or wt < least:
+                del blocks[om]
+            for k in range(1, order - wt + 1):
+                p, q = ((p << sa) + (q << sb)) & mask, ((q << sa) + (p << sb)) & mask
+                if not (p or q):
+                    break
+                if is_odd and k % 2 == 0 or wt + k < least:
+                    continue
+                key = list(om) + [0] * (k - len(om))
+                key[k - 1] += 1
+                key = tuple(key)
+                if key in blocks:
+                    _, p0, q0 = blocks[key]
+                    blocks[key] = (wt + k, p0 + p, q0 + q)
+                else:
+                    blocks[key] = (wt + k, p, q)
+    return width, shifts, {om: (p, q) for om, (wt, p, q) in blocks.items() if wt == order}
+
+
+def _read(n, pairs, order, reads, odd=(), cap=0):
+    """sum_r s_r [x^r] of the weight-order a^omega blocks of prod_j f(x_a - x_b),
+    (a, b) = pairs[j], as one CobordismPoly; reads lists (r, s_r), and a
+    factor whose index is in odd uses the odd part of f. A block of weight
+    order is homogeneous of that degree, so a read of another degree, or
+    with a negative entry, is 0. The box is cap_i = max(cap, every r_i): a
+    caller passes cap to share one product between reads."""
+    reads = [(r, s) for r, s in reads if min(r) >= 0 and sum(r) == order]
+    if not reads:
+        return CobordismPoly()
+    box = tuple(max(cap, *col) for col in list(zip(*(r for r, _ in reads)))[:n - 1])
+    width, shifts, blocks = _packed_product(n, tuple(pairs), order, tuple(odd), box)
+    signs = {}
+    for r, s in reads:
+        o = sum(e * sh for e, sh in zip(r, shifts))
+        signs[o] = signs.get(o, 0) + s
+    # (first byte, end byte, bit offset, sign) of each slot read
+    at = [(o >> 3, (o + width >> 3) + 1, o & 7, s) for o, s in signs.items() if s]
+    slot = (1 << width) - 1
+
+    def value(v):
+        data = v.to_bytes((v.bit_length() + 7) // 8, "little")
+        return sum(s * (int.from_bytes(data[lo:hi], "little") >> bit & slot) for lo, hi, bit, s in at)
+
+    return CobordismPoly({om: value(p) - value(q) for om, (p, q) in blocks.items()})
 
 
 @lru_cache(maxsize=None)
 def flag_P_polynomials(n, xi):
-    """P_xi for the flag manifold: the x^xi coefficient of prod f(x_i - x_j)."""
+    """P_xi for the flag manifold: the x^xi coefficient of prod f(x_i - x_j).
+    The box is max(xi) in every coordinate, so P over an orbit of xi shares
+    one product."""
     xi = tuple(xi)
     if len(xi) != n:
         raise ValueError("exponent length %d does not match n=%d" % (len(xi), n))
-    return block_coefficient(_flag_product(n, sum(xi), tuple(sorted(xi, reverse=True))), xi)
-
-
-def _signed_delta_sum(n, read):
-    """sum_sigma sign(sigma) read(e_sigma), e_sigma the exponent sigma(delta).
-
-    With read(e) the x^e coefficient of a polynomial p of degree C(n, 2) this
-    is L(p): antisym(p) is alternating of the degree of Delta_n, so it is
-    c * Delta_n for a number c, and as Delta_n has x^delta coefficient 1, c is
-    the x^delta coefficient of antisym(p), this sum.
-    """
-    delta = _delta(n)
-    total = CobordismPoly()
-    for perm in permutations(range(n)):
-        e = [0] * n
-        for i, d in enumerate(delta):
-            e[perm[i]] = d
-        total = total + read(tuple(e)) * perm_sign(perm)
-    return total
-
-
-def _thm8_blocks(n):
-    """The weight-C(n, 2) blocks of prod_{i<j} f(x_i - x_j) with the (1,2) and
-    (n-1,n) factors replaced by the odd part of f, exact on the delta orbit."""
-    pairs = list(combinations(range(n), 2))
-    odd = (pairs.index((0, 1)), pairs.index((n - 2, n - 1)))
-    roots = [_root(n, i, j) for i, j in pairs]
-    return f_product_sum(xvars(n), [(roots, None)], len(pairs), odd, reads=_delta(n), top=True)
+    return _read(n, list(combinations(range(n), 2)), sum(xi), [(xi, 1)], cap=max(xi))
 
 
 def flag_class(n, method="corL"):
@@ -101,60 +174,44 @@ def flag_class(n, method="corL"):
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    pairs = list(combinations(range(n), 2))
     if method in ("corL", "tchi"):
-        blocks = _flag_product(n, n * (n - 1) // 2, _delta(n))
+        odd = ()
     elif method == "thm8":
         if n < 4:
             raise ValueError("thm8 route needs n >= 4")
-        blocks = _thm8_blocks(n)
+        odd = (pairs.index((0, 1)), pairs.index((n - 2, n - 1)))
     else:
         raise ValueError("unknown method %r" % (method,))
-    return _signed_delta_sum(n, lambda e: block_coefficient(blocks, e))
+    return _read(n, pairs, len(pairs), _delta_orbit(n), odd)
 
 
-@lru_cache(maxsize=None)
-def _grassmann_blocks(q, l, weight, reads):
-    """The a^omega blocks, ||omega|| = weight, of
-    Delta_q * Delta_{q+1,q+l} * prod_{i<=q<j} f(x_i - x_j), exact at x^e for
-    every permutation e of reads; each has total degree
-    weight + C(q,2) + C(l,2)."""
-    n = q + l
-    arena = xvars(n)
-    base = MultiPoly.const(arena, 1)
-    for i, j in list(combinations(range(q), 2)) + list(combinations(range(q, n), 2)):
-        base = base * MultiPoly.linear_form(arena, _root(n, i, j))
-    weights = [_root(n, i, j) for i in range(q) for j in range(q, n)]
-    return f_product_sum(arena, [(weights, base)], weight, reads=reads, top=True)
+def _grassmann_read(q, l, order, reads):
+    """_read of C = prod_{i<=q<j} f(x_i - x_j), each read sorted within the
+    two blocks of variables, which C's symmetry allows."""
+    pairs = [(i, j) for i in range(q) for j in range(q, q + l)]
+    return _read(q + l, pairs, order, [(tuple(sorted(r[:q])) + tuple(sorted(r[q:])), s) for r, s in reads])
 
 
 @lru_cache(maxsize=None)
 def grassmann_Q_polynomials(q, l, xi):
-    """Q_{(q+l,l)xi}: the x^xi coefficient of the weighted Grassmann product."""
+    """Q_{(q+l,l)xi}: the x^xi coefficient of Delta_q Delta_{q+1,q+l} C, read
+    as C at xi - e over the monomials x^e of the base."""
     xi = tuple(xi)
     if len(xi) != q + l:
         raise ValueError("exponent length %d does not match q+l=%d" % (len(xi), q + l))
-    weight = sum(xi) - q * (q - 1) // 2 - l * (l - 1) // 2
-    return block_coefficient(_grassmann_blocks(q, l, weight, tuple(sorted(xi, reverse=True))), xi)
+    base = [(e + f, s * t) for e, s in _delta_orbit(q) for f, t in _delta_orbit(l)]
+    order = sum(xi) - q * (q - 1) // 2 - l * (l - 1) // 2
+    return _grassmann_read(q, l, order, [(tuple(x - y for x, y in zip(xi, e)), s) for e, s in base])
 
 
 def grassmann_class(q, l):
-    """[G_{q+l,l}] = (1/q!l!) L(Delta_q Delta_{q+1,q+l} prod f(x_i - x_j)).
-
-    Only the top blocks, of total degree C(q+l,2) and weight ql, contribute a
-    degree-zero result after dividing by the Vandermonde; L of each is its
-    signed delta-orbit coefficient sum.
-    """
+    """[G_{q+l,l}] = sum_rho sign(rho) [x^(rho(delta) - delta')] C (module docstring)."""
     if q < 1 or l < 1:
         raise ValueError("need q, l >= 1")
-    # delta pays only from (2, 3) on: at (2, 2), and wherever q = 1 or l = 1,
-    # its set costs more than it saves, 0.4 s and 12 MB at (1, 6) (CHANGES.md)
-    n = q + l
-    pays = min(q, l) > 1 and q * l > 4
-    blocks = _grassmann_blocks(q, l, q * l, _delta(n) if pays else (n - 1,) * n)
-    cls = _signed_delta_sum(n, lambda e: block_coefficient(blocks, e)) / (factorial(q) * factorial(l))
-    if not cls.is_integral():
-        raise ArithmeticError("Grassmann class failed q!l! integrality")
-    return cls
+    shift = _delta(q) + _delta(l)
+    reads = [(tuple(x - y for x, y in zip(e, shift)), s) for e, s in _delta_orbit(q + l)]
+    return _grassmann_read(q, l, q * l, reads)
 
 
 def flag_vanishing_checks(n):
@@ -259,8 +316,10 @@ def _cache_poly(args, key, compute):
     return value
 
 
-# flag --n 6 takes 22-32 s on a 2-vCPU VM and peaks at about 108 MB (90 MB by
-# thm8); n + 1 multiplies n more factors, to an order n higher
+# flag --n 6 takes 3.5-5.5 s on a 2-vCPU VM and peaks at about 118 MB (108 MB
+# by thm8): 684 blocks, two ints of up to 76 kB each (14,406 slots of 42
+# bits). At n = 7 the box has 229,376 slots of 59 bits, and the 3,506 blocks
+# of weight up to 21 would take up to 12 GB.
 FLAG_N_LIMIT = 6
 
 
@@ -274,10 +333,14 @@ def cmd_flag(args):
     return 0
 
 
-# grassmann (3,3) takes 0.8 s, (1,6) 1.1 s and (2,4) 0.4 s; (2,5) takes 17.5 s
-# and 300 MB, (1,7) 28 s and 650 MB, and (1,8) and (4,4) run out of a 1.5 GB
-# address space. The top blocks have weight q*l, and the base
-# Delta_q * Delta_{q+1,q+l} has q! * l! terms, so both are bounded.
+# grassmann_class (3,3) takes 0.07 s on a 2-vCPU VM, (1,6) 0.05 s and (2,4)
+# 0.03 s, each under 17 MB. Past the limits the (q+l)! reads of the delta orbit
+# cost the most on a long side: (1,8) takes 3.9 s and 151 MB, (1,9) 71 s and
+# 1.5 GB. The product grows with q*l: (3,4) takes 3.9 s and 146 MB, and at
+# (4,4) the 915 blocks of weight up to 16, two ints of up to 5 MB each, would
+# take up to 9 GB. So both q*l and the sides are bounded. These values decide
+# which inputs exit 2; (2,5) and (1,7), outside them, would take about 0.4 s
+# and 40 MB.
 GRASSMANN_QL_LIMIT = 9
 GRASSMANN_SIDE_LIMIT = 6
 

@@ -5,16 +5,17 @@ and fractions.Fraction otherwise; no floats anywhere. Polynomials are dicts
 from exponent tuples to coefficients, term order is graded lex (total degree
 first, then lex on the exponent tuple).
 
-f_product_sum is the one kernel for prod_j f(<w_j, x>), f(t) = 1 + a_1 t +
-a_2 t^2 + ...: the localization character, the sign search and the
-divided-difference routes all read their products off its a^omega blocks,
-each a MultiPoly in x, instead of multiplying series of CobordismPoly
-coefficients. It also multiplies each product by a polynomial cofactor and
-sums over the products on its packed exponents, which no caller sees.
-Callers read the x^e coefficient of a block dict as one CobordismPoly through
-block_coefficient. CobordismPoly, clean and the term rendering live in
-cobordism, which the certified point route and the fgl verb load without this
-module.
+f_product_sum is the kernel for prod_j f(<w_j, x>), f(t) = 1 + a_1 t +
+a_2 t^2 + ...; it serves the localization character (character) and the
+sign search (stablex) only, which read their products off its a^omega
+blocks, each a MultiPoly in x, instead of multiplying series of
+CobordismPoly coefficients. The divided-difference routes have their own
+reader on packed big ints (divdiff). The kernel also multiplies each product
+by a polynomial cofactor and sums over the products on its packed exponents,
+which no caller sees. Callers read the x^e coefficient of a block dict as one
+CobordismPoly through block_coefficient. CobordismPoly, clean and the term
+rendering live in cobordism, which the certified point route, the fgl verb
+and the divided-difference routes load without this module.
 """
 
 from .cobordism import CobordismPoly, clean, grlex_key, render_terms
@@ -214,183 +215,91 @@ def exact_div(p, q):
     return MultiPoly(p.arena, exact_div_terms(p.terms, q.terms))
 
 
-def f_product_sum(arena, summands, order, odd=(), reads=None, top=False):
+def f_product_sum(arena, summands, order):
     """sum over (weights, times) in summands of times * prod_j f(<w_j, x>),
     f(t) = 1 + a_1 t + a_2 t^2 + ...; times is a MultiPoly, or None for 1.
 
     Returns {omega: MultiPoly} over the omega (trimmed, as CobordismPoly keys)
     of weight sum l * omega_l <= order; block omega of one product is
-    homogeneous of x-degree its weight. A factor whose index is in odd uses
-    the odd part a_1 t + a_3 t^3 + ... of f.
-
-    top keeps only the blocks of weight order. reads is an exponent vector
-    whose permutations are all the exponents the caller reads: only the
-    terms whose exponents sorted descending are <= reads sorted descending
-    are kept, those some permutation of reads dominates. That is exact:
-    every factor and every times has exponents >= 0, so a term only raises
-    its exponents, and a term that no permutation of reads dominates has no
-    descendant that one does.
+    homogeneous of x-degree its weight.
 
     Each product and the sum stay on packed exponents, one int per monomial
     with `bits` bits per variable (Monagan-Pearce), so multiplying by x_i is
-    one addition; blocks are unpacked once, at the end. With reads, each
-    field holds its exponent plus bias = guard - 1 - max(reads), guard the
-    field's top bit, so an exponent above max(reads) sets its guard bit and
-    one AND finds it. Where reads has unequal entries, a term that passes the
-    guard must also be in the set of dominated exponents, built once.
+    one addition; blocks are unpacked once, at the end. No exponent exceeds
+    order plus the degree of times, so no field carries into the next.
     """
     tdeg = max((t.degree() for _, t in summands if t is not None), default=0)
-    if reads is None:
-        bits = (order + tdeg).bit_length()
-    else:
-        cap = max(max(reads), 0)
-        bits = max(cap, tdeg).bit_length() + 1
+    bits = (order + tdeg).bit_length() or 1
     offsets = range(0, bits * arena.arity, bits)
-    guard = bias = 0
-    allowed = None
-    if reads is not None:
-        guard = sum(1 << s + bits - 1 for s in offsets)
-        bias = sum((1 << bits - 1) - 1 - cap << s for s in offsets)
-        if min(reads) < cap:
-            allowed = _dominated(reads, offsets, bias)
     shifts = [1 << s for s in offsets]
     total = {}
     for weights, times in summands:
-        blocks = _packed_blocks([[(shifts[i], c) for i, c in enumerate(w) if c] for w in weights],
-                                order, odd, bias, guard, allowed, top)
+        blocks = _packed_blocks([[(shifts[i], c) for i, c in enumerate(w) if c] for w in weights], order)
         if times is None and len(summands) == 1:
             total = blocks
             break
         times = [(0, 1)] if times is None else [(sum(d << s for s, d in zip(offsets, e)), c)
                                                 for e, c in times.terms.items()]
-        for om, (wt, t) in blocks.items():
-            if top and wt != order:
-                continue
-            acc = total.setdefault(om, (wt, {}))[1]
+        for om, t in blocks.items():
+            acc = total.setdefault(om, {})
             for e1, c1 in t.items():
                 for e2, c2 in times:
                     e = e1 + e2
-                    if not e & guard and (allowed is None or e in allowed):
-                        acc[e] = acc.get(e, 0) + c1 * c2
+                    acc[e] = acc.get(e, 0) + c1 * c2
     mask = (1 << bits) - 1
 
     def unpack(t):
-        out = {}
-        for e, c in t.items():
-            if c:
-                e -= bias
-                out[tuple(e >> s & mask for s in offsets)] = c
-        return MultiPoly(arena, out)
+        return MultiPoly(arena, {tuple(e >> s & mask for s in offsets): c for e, c in t.items() if c})
 
     # pop each packed block as it is unpacked, so that only one block at a
     # time is held in both forms
-    out = {}
-    for om in list(total):
-        wt, t = total.pop(om)
-        if not top or wt == order:
-            out[om] = unpack(t)
-    return out
+    return {om: unpack(total.pop(om)) for om in list(total)}
 
 
-def _dominated(reads, offsets, bias):
-    """The packed exponents, plus bias, of every e >= 0 whose entries sorted
-    descending are <= reads sorted descending: those with, for every t, at
-    most as many entries >= t as reads has. Filled one position at a time,
-    with room[t] the entries >= t still allowed; a prefix that fits always
-    extends by zeros, so no branch is abandoned."""
-    top = max(reads)
-    room = [sum(1 for r in reads if r >= t) for t in range(top + 1)]
-    out = set()
-
-    def fill(i, packed):
-        if i == len(offsets):
-            out.add(packed)
-            return
-        v = 0
-        while True:
-            fill(i + 1, packed + (v << offsets[i]))
-            if v == top or not room[v + 1]:
-                break
-            v += 1
-            room[v] -= 1
-        for t in range(1, v + 1):
-            room[t] += 1
-
-    fill(0, bias)
-    return out
-
-
-def _packed_blocks(forms, order, odd, bias, guard, allowed, top):
-    """{omega: (weight, {packed exponent: c})} for prod_j f(form_j), each form
-    a list of (shift, coefficient). One pass over the factors, updating the
-    blocks in place: factor j adds form_j^k times block omega into block
-    omega + e_k. A block only adds into heavier ones, so visiting the blocks
-    heaviest first reads each before this factor adds into it (the 0/1
-    knapsack order). A factor in odd has no constant term, so it deletes each
-    block once read; with top, the last factor writes only blocks of weight
-    order and deletes the lighter ones. A term whose exponent sets a guard
-    bit, or is missing from allowed when that is a set, is dropped."""
-    blocks = {(): (0, {bias: 1})}
-    for j, form in enumerate(forms):
-        is_odd = j in odd
-        least = order if top and j == len(forms) - 1 else 0
+def _packed_blocks(forms, order):
+    """{omega: {packed exponent: c}} for prod_j f(form_j), each form a list of
+    (shift, coefficient). One pass over the factors, updating the blocks in
+    place: factor j adds form_j^k times block omega into block omega + e_k.
+    A block only adds into heavier ones, so visiting the blocks heaviest
+    first reads each before this factor adds into it (the 0/1 knapsack
+    order)."""
+    blocks = {(): (0, {0: 1})}
+    for form in forms:
         by_coeff = {c: sh for sh, c in form}
         pair = (by_coeff[1], by_coeff[-1]) if len(form) == 2 and by_coeff.keys() == {1, -1} else None
         for om in sorted(blocks, key=lambda om: blocks[om][0], reverse=True):
             wt, t = blocks[om]
-            if is_odd or wt < least:
-                del blocks[om]
             for k in range(1, order - wt + 1):
-                t = _times_form(t, form, pair, guard, allowed)
+                t = _times_form(t, form, pair)
                 if not t:
                     break
-                if is_odd and k % 2 == 0 or wt + k < least:
-                    continue
                 key = list(om) + [0] * (k - len(om))
                 key[k - 1] += 1
                 acc = blocks.setdefault(tuple(key), (wt + k, {}))[1]
                 for e, c in t.items():
                     acc[e] = acc.get(e, 0) + c
-    return blocks
+    return {om: t for om, (_, t) in blocks.items()}
 
 
-def _times_form(t, form, pair, guard, allowed):
-    """t times one form, {packed exponent: c}, without the terms that set a
-    guard bit or, when allowed is a set, are missing from it. pair is
-    (shift of x_a, shift of x_b) when the form is x_a - x_b, as every root of
-    type A is: its +-1 coefficients are unrolled into one addition and one
-    subtraction per term.
-
-    Each shift raises one field by 1, and every exponent in t clears the
-    guard bits (every allowed value does), so no field carries into the next
-    one before its guard bit is set. Where allowed is a set, membership alone
-    therefore drops every term that the guard test would."""
+def _times_form(t, form, pair):
+    """t times one form, {packed exponent: c}. pair is (shift of x_a, shift
+    of x_b) when the form is x_a - x_b, as every root of type A is: its +-1
+    coefficients are unrolled into one addition and one subtraction per
+    term."""
     step = {}
     get = step.get
     if pair is None:
         for e, c in t.items():
             for sh, wc in form:
                 x = e + sh
-                if not x & guard and (allowed is None or x in allowed):
-                    step[x] = get(x, 0) + c * wc
+                step[x] = get(x, 0) + c * wc
         return step
     a, b = pair
-    if allowed is None:
-        for e, c in t.items():
-            x = e + a
-            if not x & guard:
-                step[x] = get(x, 0) + c
-            x = e + b
-            if not x & guard:
-                step[x] = get(x, 0) - c
-        return step
     for e, c in t.items():
         x = e + a
-        if x in allowed:
-            step[x] = get(x, 0) + c
+        step[x] = get(x, 0) + c
         x = e + b
-        if x in allowed:
-            step[x] = get(x, 0) - c
+        step[x] = get(x, 0) - c
     return step
 
 

@@ -7,6 +7,14 @@ No verb runs any of these. Each builds its answer the slow, direct way:
   stablex.check_necessary must agree with it.
 - operator_L antisymmetrizes and divides by the Vandermonde; the signed
   delta-orbit sums of divdiff must agree with it.
+- pair_product_blocks builds the blocks of prod f(x_a - x_b) with the
+  kernel (exactalg.f_product_sum), with no box, taking the odd part of f as
+  (f(t) - f(-t))/2, and pair_product_reads reads them; divdiff's packed
+  product and reader must agree with them. The
+  Grassmann base route multiplies Delta_q * Delta_{q+1,q+l} into the product
+  with the kernel and takes L as the signed delta-orbit sum over q!l!
+  (grassmann_class_by_base, grassmann_Q_by_base); divdiff's reads of the
+  bare product must agree with it.
 - elementary_product and monomial_sym build e^xi and m_lambda as
   polynomials; symmfunc.transition_table and chern.chern_to_s must agree.
 - unitary_blocks reads the blocks of a type A space off its descriptor,
@@ -35,15 +43,19 @@ No verb runs any of these. Each builds its answer the slow, direct way:
   streamed rendering must equal json.dumps of these dicts.
 """
 
-from itertools import permutations
+from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, permutations, product
+from math import factorial, prod
 import re
 
 from torigen.cobordism import CobordismPoly, grlex_key
-from torigen.exactalg import ArenaMismatch, MultiPoly, _check_arena, exact_div, xvars
+from torigen.exactalg import (ArenaMismatch, MultiPoly, _check_arena, block_coefficient, exact_div,
+                              f_product_sum, xvars)
 from torigen.fgl import exp_series, log_series
 from torigen.rootdata import M10_DESCRIPTOR, fixed_point_weights
 from torigen.stablex import SignAssignment
-from torigen.symmfunc import omegas_of_weight, perm_sign
+from torigen.symmfunc import omega_weight, omegas_of_weight, perm_sign
 
 
 # -- partitions and symmetric polynomials ------------------------------------
@@ -186,6 +198,80 @@ def operator_L(p, n=None):
     if n is not None and p.arena.arity != n:
         raise ValueError("polynomial lives in %d variables, expected %d" % (p.arena.arity, n))
     return exact_div(antisymmetrize(p), vandermonde(p.arena))
+
+
+def pair_weights(n, pairs):
+    """The weights of x_a - x_b over the pairs (a, b), a != b."""
+    return tuple(tuple(1 if k == a else -1 if k == b else 0 for k in range(n)) for a, b in pairs)
+
+
+@lru_cache(maxsize=None)
+def pair_product_blocks(n, pairs, order, odd=()):
+    """The weight-order a^omega blocks of prod_j f(x_a - x_b), (a, b) =
+    pairs[j], from the kernel, with the odd part of f at the factors in odd:
+    f_odd(t) = (f(t) - f(-t))/2, so that product is 2^-|odd| times the sum
+    over flips eps of the odd factors' weights of prod(eps) times the
+    product with the flipped weights."""
+    weights = pair_weights(n, pairs)
+    zero = MultiPoly(xvars(n))
+    out = {}
+    for eps in product((1, -1), repeat=len(odd)):
+        flip = dict(zip(odd, eps))
+        flipped = [tuple(flip.get(j, 1) * c for c in w) for j, w in enumerate(weights)]
+        for om, b in f_product_sum(xvars(n), [(flipped, None)], order).items():
+            if omega_weight(om) == order:
+                out[om] = out.get(om, zero) + b * prod(eps)
+    return {om: b * Fraction(1, 2 ** len(odd)) for om, b in out.items() if not b.is_zero()}
+
+
+def pair_product_reads(n, pairs, order, reads, odd=()):
+    """sum_r s_r [x^r] of pair_product_blocks, reads listing (r, s_r)."""
+    blocks = pair_product_blocks(n, tuple(pairs), order, tuple(odd))
+    total = CobordismPoly()
+    for r, s in reads:
+        total = total + block_coefficient(blocks, r) * s
+    return total
+
+
+def delta_orbit(n):
+    """(sigma(delta), sign(sigma)) over the permutations sigma of range(n)."""
+    out = []
+    for perm in permutations(range(n)):
+        e = [0] * n
+        for i, d in enumerate(range(n - 1, -1, -1)):
+            e[perm[i]] = d
+        out.append((tuple(e), perm_sign(perm)))
+    return out
+
+
+@lru_cache(maxsize=None)
+def grassmann_base_blocks(q, l, weight):
+    """The a^omega blocks, ||omega|| = weight, of
+    Delta_q * Delta_{q+1,q+l} * prod_{i<=q<j} f(x_i - x_j), by the kernel."""
+    n = q + l
+    arena = xvars(n)
+    base = MultiPoly.const(arena, 1)
+    for i, j in list(combinations(range(q), 2)) + list(combinations(range(q, n), 2)):
+        base = base * MultiPoly.linear_form(arena, pair_weights(n, [(i, j)])[0])
+    weights = pair_weights(n, [(i, j) for i in range(q) for j in range(q, n)])
+    blocks = f_product_sum(arena, [(weights, base)], weight) if weight >= 0 else {}
+    return {om: b for om, b in blocks.items() if omega_weight(om) == weight}
+
+
+def grassmann_class_by_base(q, l):
+    """(1/q!l!) L(Delta_q Delta_{q+1,q+l} prod f(x_i - x_j)), L of the top
+    blocks as their signed delta-orbit sums."""
+    blocks = grassmann_base_blocks(q, l, q * l)
+    total = CobordismPoly()
+    for e, s in delta_orbit(q + l):
+        total = total + block_coefficient(blocks, e) * s
+    return total / (factorial(q) * factorial(l))
+
+
+def grassmann_Q_by_base(q, l, xi):
+    """The x^xi coefficient of Delta_q Delta_{q+1,q+l} prod f(x_i - x_j)."""
+    weight = sum(xi) - q * (q - 1) // 2 - l * (l - 1) // 2
+    return block_coefficient(grassmann_base_blocks(q, l, weight), xi)
 
 
 # -- localization and fixed points -------------------------------------------

@@ -1,26 +1,29 @@
 """The operator L and the operator-L routes to flag and Grassmann classes."""
 
 import hashlib
-from itertools import combinations, permutations
+import random
+import tracemalloc
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torigen.divdiff import (
-    _flag_product,
-    _grassmann_blocks,
-    _signed_delta_sum,
-    _thm8_blocks,
+    _packed_product,
+    _read,
     flag_P_polynomials,
     flag_class,
     flag_vanishing_checks,
     grassmann_Q_polynomials,
     grassmann_class,
 )
-from torigen.exactalg import CobordismPoly, MultiPoly, block_coefficient, f_product_sum, xvars
+from torigen.exactalg import CobordismPoly, MultiPoly, f_product_sum, xvars
 from torigen.genus import cobordism_class
 from torigen.rootdata import build_space, fixed_point_weights
 
-from reference import elementary, operator_L, permute, vandermonde
+from reference import (delta_orbit, elementary, grassmann_base_blocks, grassmann_class_by_base, grassmann_Q_by_base,
+                       operator_L, pair_product_blocks, pair_product_reads, pair_weights, permute, vandermonde)
 
 PDELTA = "a1^3 - a1*a2 - 3*a3"
 PDELTA_SWAP = "-a1^3 - 5*a1*a2 - 3*a3"
@@ -129,21 +132,26 @@ def test_flag_vanishing_reports_n5():
     assert rep["even_chern"]["ok"]
 
 
-def signed_delta_sum(n, block):
-    return _signed_delta_sum(n, lambda e: block.coeff(e))
+def L_of_top_blocks(blocks):
+    """sum_omega a^omega * L(block omega), L by antisymmetrizing and dividing."""
+    return CobordismPoly({om: operator_L(b).as_constant() for om, b in blocks.items()})
 
 
-@pytest.mark.parametrize("n, blocks", [(4, lambda: _thm8_blocks(4)),
-                                       (4, lambda: _grassmann_blocks(2, 2, 4, (3,) * 4)),
-                                       (5, lambda: _grassmann_blocks(2, 3, 6, (4,) * 5))],
-                         ids=("thm8-4", "grassmann-2-2", "grassmann-2-3"))
-def test_L_of_top_block_is_signed_delta_sum(n, blocks):
+def flag_pairs(n):
+    return list(combinations(range(n), 2))
+
+
+@pytest.mark.parametrize("route, by_L", [
+    (lambda: flag_class(4, "thm8"), lambda: L_of_top_blocks(pair_product_blocks(4, tuple(flag_pairs(4)), 6, (0, 5)))),
+    (lambda: grassmann_class(2, 2), lambda: L_of_top_blocks(grassmann_base_blocks(2, 2, 4)) / 4),
+    (lambda: grassmann_class(2, 3), lambda: L_of_top_blocks(grassmann_base_blocks(2, 3, 6)) / 12),
+], ids=("thm8-4", "grassmann-2-2", "grassmann-2-3"))
+def test_L_of_top_block_is_signed_delta_sum(route, by_L):
     # a block of degree C(n, 2): antisym(p) = c * Delta_n, and c is the x^delta
-    # coefficient of antisym(p)
-    tops = blocks()
-    assert tops and all(b.degree() == n * (n - 1) // 2 for b in tops.values())
-    for block in tops.values():
-        assert signed_delta_sum(n, block) == CobordismPoly.const(operator_L(block).as_constant())
+    # coefficient of antisym(p); the routes read that sum, L divides
+    cls = route()
+    assert not cls.is_zero()
+    assert cls == by_L()
 
 
 def test_capped_reads_match_the_uncapped_kernel():
@@ -163,58 +171,134 @@ def test_capped_reads_match_the_uncapped_kernel():
     assert not want.is_zero()
     assert grassmann_Q_polynomials(2, 2, xi) == want
 
-    # a degree-C(n, 2) monomial with an exponent >= n is killed by L
-    capped, uncapped = _grassmann_blocks(2, 2, 4, (3,) * 4), _grassmann_blocks(2, 2, 4, (6,) * 4)
-    assert capped != uncapped
-    for om, block in uncapped.items():
-        assert operator_L(capped.get(om, MultiPoly(ar))) == operator_L(block)
-
-
-def flag_roots(n):
-    """The weights of x_i - x_j, i < j."""
-    return [tuple(1 if k == i else -1 if k == j else 0 for k in range(n)) for i, j in combinations(range(n), 2)]
-
-
-def capped_flag_class(n, method):
-    """flag_class read off products that keep every exponent <= n - 1."""
-    pairs = list(combinations(range(n), 2))
-    odd = (pairs.index((0, 1)), pairs.index((n - 2, n - 1))) if method == "thm8" else ()
-    blocks = f_product_sum(xvars(n), [(flag_roots(n), None)], len(pairs), odd, reads=(n - 1,) * n, top=True)
-    return _signed_delta_sum(n, lambda e: block_coefficient(blocks, e))
-
 
 @pytest.mark.parametrize("n, method", [(n, m) for n in range(2, 6) for m in ("corL", "tchi", "thm8")
                                        if n >= 4 or m != "thm8"], ids=lambda v: str(v))
-def test_delta_reads_match_the_cap(n, method):
-    # the classes read off products pruned to what delta dominates equal
-    # those read off products that keep every exponent <= n - 1
-    assert flag_class(n, method) == capped_flag_class(n, method)
+def test_flag_class_matches_the_unpruned_kernel(n, method):
+    # L as the signed delta-orbit sum of the kernel's top blocks, with no box
+    pairs = flag_pairs(n)
+    odd = (0, len(pairs) - 1) if method == "thm8" else ()
+    assert flag_class(n, method) == pair_product_reads(n, pairs, len(pairs), delta_orbit(n), odd)
 
 
-@pytest.mark.parametrize("q, l", [(1, 3), (2, 2), (2, 3), (3, 2)])
-def test_grassmann_delta_reads_match_the_cap(q, l):
+QL_UP_TO_6 = [(q, l) for q in range(1, 7) for l in range(1, 7) if q * l <= 6]
+
+
+@pytest.mark.parametrize("q, l", QL_UP_TO_6, ids=str)
+def test_grassmann_class_matches_the_base_route(q, l):
+    assert grassmann_class(q, l) == grassmann_class_by_base(q, l)
+
+
+@pytest.mark.parametrize("q, l", QL_UP_TO_6, ids=str)
+def test_grassmann_Q_matches_the_base_route(q, l):
+    # exponents of the top degree, which share the base route's product with
+    # the class: on the delta orbit, and random ones, some with an entry
+    # beyond n - 1 or below 0; and one degree lower for small spaces
     n = q + l
-    delta = tuple(range(n - 1, -1, -1))
-    pruned, capped = _grassmann_blocks(q, l, q * l, delta), _grassmann_blocks(q, l, q * l, (n - 1,) * n)
-    assert _signed_delta_sum(n, lambda e: block_coefficient(pruned, e)) == \
-        _signed_delta_sum(n, lambda e: block_coefficient(capped, e))
+    rng = random.Random(q * 10 + l)
+    top = n * (n - 1) // 2
+    orbit = [e for e, _ in delta_orbit(n)]
+    xis = orbit[::max(1, len(orbit) // 8)]
+    for _ in range(8):
+        cut = sorted(rng.randint(0, top) for _ in range(n - 1))
+        xi = [b - a for a, b in zip([0] + cut, cut + [top])]
+        i, j = rng.sample(range(n), 2)
+        xi[i], xi[j] = xi[i] - 1, xi[j] + 1
+        xis.append(tuple(xi))
+    if n <= 4:
+        xis += [tuple(e - (i == 0) for i, e in enumerate(xi)) for xi in xis]
+    seen = 0
+    for xi in xis:
+        want = grassmann_Q_by_base(q, l, xi)
+        assert grassmann_Q_polynomials(q, l, xi) == want, xi
+        seen += not want.is_zero()
+    assert seen
 
 
-@pytest.mark.parametrize("n", [4, 5])
-def test_delta_reads_leave_only_the_delta_orbit(n):
-    # a term delta dominates of degree C(n, 2) sorts to delta itself
-    orbit = set(permutations(range(n)))
-    delta = tuple(range(n - 1, -1, -1))
-    for blocks in (_flag_product(n, n * (n - 1) // 2, delta), _thm8_blocks(n)):
-        assert blocks
-        for block in blocks.values():
-            assert set(block.terms) <= orbit
+def unpack(order, cap, width, packed):
+    """{exponent: coefficient} of a packed int, x_n at order less the others."""
+    out = {}
+    slots, index = packed, 0
+    while slots:
+        c = slots & (1 << width) - 1
+        if c:
+            e, rest = [], index
+            for cp in cap:
+                e.append(rest % (cp + 2))
+                rest //= cp + 2
+            assert not rest and all(v <= cp for v, cp in zip(e, cap)), (index, e)
+            out[tuple(e) + (order - sum(e),)] = c
+        slots >>= width
+        index += 1
+    return out
+
+
+@pytest.mark.parametrize("n, cap, odd", [(4, (3, 3, 3), ()), (4, (3, 1, 2), (0, 5)), (5, (2, 4, 3, 1), (3,))],
+                         ids=("flag-4", "thm8-4-box", "flag-5-box-odd"))
+def test_packed_blocks_are_the_kernel_blocks_in_the_box(n, cap, odd):
+    # every slot of P - N sits in the box, and P - N is the kernel's block
+    # with the terms outside the box dropped
+    pairs = tuple(flag_pairs(n))
+    order = len(pairs)
+    width, shifts, blocks = _packed_product(n, pairs, order, odd, cap)
+    assert shifts[-1] == 0 and blocks
+    want = pair_product_blocks(n, pairs, order, odd)
+    for om in set(want) | set(blocks):
+        block = want.get(om, MultiPoly(xvars(n)))
+        kept = {e: c for e, c in block.terms.items() if all(v <= cp for v, cp in zip(e, cap))}
+        p, m = (unpack(order, cap, width, v) for v in blocks.get(om, (0, 0)))
+        got = {e: p.get(e, 0) - m.get(e, 0) for e in set(p) | set(m)}
+        assert {e: c for e, c in got.items() if c} == kept, om
+
+
+@st.composite
+def reader_cases(draw):
+    n = draw(st.integers(2, 5))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
+                          min_size=1, max_size=5))
+    odd = tuple(sorted(draw(st.sets(st.integers(0, len(pairs) - 1), max_size=2))))
+    order = draw(st.integers(0, 5))
+    # mostly of the block's degree, so that they can read something; some
+    # with a negative entry or of another degree, which read 0
+    read = st.tuples(st.lists(st.integers(0, order), min_size=n - 1, max_size=n - 1), st.sampled_from((0, 0, 0, 1, -1)))
+    reads = [(tuple(head) + (order - sum(head) + off,), s)
+             for (head, off), s in draw(st.lists(st.tuples(read, st.integers(-2, 2)), min_size=1, max_size=6))]
+    cap = draw(st.integers(0, order + 1))
+    return n, pairs, order, reads, odd, cap
+
+
+@settings(max_examples=120, deadline=None)
+@given(reader_cases())
+# the last factor odd, as in thm8, and reads with unequal entries
+@example((4, [(0, 1), (0, 2), (2, 3), (1, 3), (2, 3)], 5, [((2, 1, 1, 1), 1), ((1, 0, 2, 2), -1), ((3, 2, 0, 0), 2)],
+          (0, 4), 0))
+# x_n as the first variable of a pair, and a read outside the box of the others
+@example((3, [(2, 0), (2, 1), (0, 1)], 4, [((0, 1, 3), 1), ((1, 1, 2), 1)], (), 2))
+def test_read_matches_the_unpruned_kernel(case):
+    n, pairs, order, reads, odd, cap = case
+    assert _read(n, pairs, order, reads, odd, cap) == pair_product_reads(n, pairs, order, reads, odd)
+
+
+def test_flag_product_traced_peak():
+    # the n = 5 flag product that corL reads: two ints per block over the
+    # box 6^4, blocks updated in place, and only the top weight written at
+    # the last factor; 0.98 MB measured on Python 3.11
+    pairs = tuple(flag_pairs(5))
+    tracemalloc.start()
+    try:
+        _, _, blocks = _packed_product(5, pairs, 10, (), (4, 4, 4, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _packed_product.cache_clear()
+    assert len(blocks) == 42
+    assert peak < 1.2e6, peak
 
 
 @pytest.mark.parametrize("xi", [(2, 2, 0, 0), (0, 2, 0, 2), (3, 1, 1, 0)], ids=lambda xi: "".join(map(str, xi)))
 def test_P_off_the_delta_orbit_matches_the_unpruned_kernel(xi):
     # reads = xi keeps only what xi dominates, less than delta keeps
-    full = f_product_sum(xvars(4), [(flag_roots(4), None)], sum(xi))
+    full = f_product_sum(xvars(4), [(pair_weights(4, flag_pairs(4)), None)], sum(xi))
     want = CobordismPoly({om: b.coeff(xi) for om, b in full.items()})
     assert not want.is_zero()
     assert flag_P_polynomials(4, xi) == want

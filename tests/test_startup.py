@@ -147,6 +147,14 @@ def test_flag_loads_no_localization():
     assert not loaded & {"genus", "stablex", "fgl", "reproduce"}
 
 
+@pytest.mark.parametrize("argv", [("flag", "--n", "3"), ("grassmann", "--q", "2", "--l", "2")], ids=" ".join)
+def test_divided_differences_load_no_kernel(argv):
+    # the operator-L routes read packed big ints of their own
+    loaded = _loaded(*argv)
+    assert "divdiff" in loaded
+    assert not loaded & {"exactalg", "character"}
+
+
 def test_fgl_loads_no_kernel():
     loaded = _loaded("fgl", "--trunc", "4")
     assert {"fgl", "cobordism"} <= loaded
