@@ -99,10 +99,13 @@ EXTRA = [
 ]
 
 # U(3)/T3 lists 4372 tables, too many for the golden file: pin the sha256 and
-# the length of its stdout instead
-STABLE_U3_DIGESTS = [
-    ((), "ab9ab5602bf91d52d1b96ae9c32ef8cd23dd8092411174025f31cff8b5e89844", 524657),
-    (("--format", "json"), "fbf4b3317209ef30192aa6debf73e8d22c6a7a4ebaddd0b78be16561c672897d", 415389),
+# the length of its stdout instead. CP4 (32 tables) is the only search within
+# the default budget with five variables and a cofactor of degree 6.
+STABLE_DIGESTS = [
+    ("U(3)/T3", (), "ab9ab5602bf91d52d1b96ae9c32ef8cd23dd8092411174025f31cff8b5e89844", 524657),
+    ("U(3)/T3", ("--format", "json"), "fbf4b3317209ef30192aa6debf73e8d22c6a7a4ebaddd0b78be16561c672897d", 415389),
+    ("CP4", (), "29b9c92abe32da1e146e17b20d9a6c94a79927d26726c3b0c099410d63e2a79e", 3855),
+    ("CP4", ("--format", "json"), "e234537af666b39a00b8729ccaa9bdeae369edc2a7780526bc18188b86e809bc", 3051),
 ]
 
 # fgl --trunc 9 to 14 print 6 to 73 kB each: pin the sha256 and the length
@@ -171,9 +174,10 @@ def _digest(argv):
     return hashlib.sha256(data).hexdigest(), len(data)
 
 
-@pytest.mark.parametrize("fmt, digest, size", STABLE_U3_DIGESTS, ids=("text", "json"))
-def test_stable_u3_output_is_pinned(fmt, digest, size):
-    assert _digest(("stable", "--space", "U(3)/T3") + fmt) == (digest, size)
+@pytest.mark.parametrize("space, fmt, digest, size", STABLE_DIGESTS,
+                         ids=["%s-%s" % (s, "json" if f else "text") for s, f, _, _ in STABLE_DIGESTS])
+def test_stable_output_is_pinned(space, fmt, digest, size):
+    assert _digest(("stable", "--space", space) + fmt) == (digest, size)
 
 
 @pytest.mark.parametrize("trunc, fmt, digest, size", FGL_DIGESTS,

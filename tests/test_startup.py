@@ -20,7 +20,7 @@ import torigen
 from torigen import cli
 from torigen.cobordism import CobordismPoly
 
-from test_golden_localize import STABLE_U3_DIGESTS
+from test_golden_localize import STABLE_DIGESTS
 
 SRC = str(Path(torigen.__file__).resolve().parent.parent)
 
@@ -114,7 +114,7 @@ def test_streamed_tables_survive_the_exit_hook():
     proc = _python("-m", "torigen.cli", "stable", "--space", "U(3)/T3", "--format", "json")
     assert (proc.returncode, proc.stderr) == (0, "")
     data = proc.stdout.encode()
-    digest, size = next((d, n) for fmt, d, n in STABLE_U3_DIGESTS if fmt == ("--format", "json"))
+    digest, size = next((d, n) for sp, fmt, d, n in STABLE_DIGESTS if (sp, fmt) == ("U(3)/T3", ("--format", "json")))
     assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, size)
 
 
