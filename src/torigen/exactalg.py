@@ -5,17 +5,18 @@ and fractions.Fraction otherwise; no floats anywhere. Polynomials are dicts
 from exponent tuples to coefficients, term order is graded lex (total degree
 first, then lex on the exponent tuple).
 
-f_product_sum is the kernel for prod_j f(<w_j, x>), f(t) = 1 + a_1 t +
-a_2 t^2 + ...; it serves the localization character (character) and the
-sign search (stablex) only, which read their products off its a^omega
-blocks, each a MultiPoly in x, instead of multiplying series of
-CobordismPoly coefficients. The divided-difference routes have their own
-reader on packed big ints (divdiff). The kernel also multiplies each product
-by a polynomial cofactor and sums over the products on its packed exponents,
-which no caller sees. Callers read the x^e coefficient of a block dict as one
-CobordismPoly through block_coefficient. CobordismPoly, clean and the term
-rendering live in cobordism, which the certified point route, the fgl verb
-and the divided-difference routes load without this module.
+packed_product_sum is the kernel for prod_j f(<w_j, x>), f(t) = 1 + a_1 t +
+a_2 t^2 + ...: each product times a polynomial cofactor, summed over the
+products, as a^omega blocks on packed exponents, one int per monomial, with
+the Layout that packs and unpacks them. One loop multiplies by every form
+<w, x>, whatever w is. The sign search (stablex) keys its slots on those
+ints; f_product_sum unpacks each block once into a MultiPoly in x for the
+localization character (character), whose readers take the x^e coefficient
+over all blocks as one CobordismPoly (block_coefficient). The
+divided-difference routes have their own reader on packed big ints
+(divdiff). CobordismPoly, clean and the term rendering live in cobordism,
+which the certified point route, the fgl verb and the divided-difference
+routes load without this module.
 """
 
 from .cobordism import CobordismPoly, clean, grlex_key, render_terms
@@ -215,45 +216,54 @@ def exact_div(p, q):
     return MultiPoly(p.arena, exact_div_terms(p.terms, q.terms))
 
 
-def f_product_sum(arena, summands, order):
-    """sum over (weights, times) in summands of times * prod_j f(<w_j, x>),
-    f(t) = 1 + a_1 t + a_2 t^2 + ...; times is a MultiPoly, or None for 1.
+class Layout:
+    """Packed exponents, one int per monomial (Monagan and Pearce, CASC 2007):
+    x_i's exponent in bits [i * bits, (i + 1) * bits), so multiplying
+    monomials adds ints. Exact for every monomial of degree <= `degree`."""
 
-    Returns {omega: MultiPoly} over the omega (trimmed, as CobordismPoly keys)
-    of weight sum l * omega_l <= order; block omega of one product is
-    homogeneous of x-degree its weight.
+    def __init__(self, arity, degree):
+        bits = degree.bit_length() or 1
+        self.offsets, self.mask = range(0, bits * arity, bits), (1 << bits) - 1
 
-    Each product and the sum stay on packed exponents, one int per monomial
-    with `bits` bits per variable (Monagan-Pearce), so multiplying by x_i is
-    one addition; blocks are unpacked once, at the end. No exponent exceeds
-    order plus the degree of times, so no field carries into the next.
-    """
-    tdeg = max((t.degree() for _, t in summands if t is not None), default=0)
-    bits = (order + tdeg).bit_length() or 1
-    offsets = range(0, bits * arena.arity, bits)
-    shifts = [1 << s for s in offsets]
+    def pack(self, terms):
+        return {sum(d << s for s, d in zip(self.offsets, e)): c for e, c in terms.items()}
+
+    def unpack(self, terms):
+        offsets, mask = self.offsets, self.mask
+        return {tuple(e >> s & mask for s in offsets): c for e, c in terms.items()}
+
+
+def packed_product_sum(arena, summands, order):
+    """(layout, {omega: {packed exponent: c}}): the blocks of sum over
+    (weights, times) in summands of times * prod_j f(<w_j, x>), f(t) = 1 +
+    a_1 t + a_2 t^2 + ..., times a MultiPoly, for the omega (trimmed, as
+    CobordismPoly keys) of weight sum l * omega_l <= order. Block omega of
+    one product is homogeneous of x-degree its weight.
+
+    The layout is built for order plus the largest degree of a times, which
+    bounds every exponent, so no field carries into the next. Terms that
+    cancelled are dropped."""
+    layout = Layout(arena.arity, order + max((t.degree() for _, t in summands), default=0))
+    shifts = [1 << s for s in layout.offsets]
     total = {}
     for weights, times in summands:
         blocks = _packed_blocks([[(shifts[i], c) for i, c in enumerate(w) if c] for w in weights], order)
-        if times is None and len(summands) == 1:
-            total = blocks
-            break
-        times = [(0, 1)] if times is None else [(sum(d << s for s, d in zip(offsets, e)), c)
-                                                for e, c in times.terms.items()]
+        times = layout.pack(times.terms).items()
         for om, t in blocks.items():
             acc = total.setdefault(om, {})
             for e1, c1 in t.items():
                 for e2, c2 in times:
                     e = e1 + e2
                     acc[e] = acc.get(e, 0) + c1 * c2
-    mask = (1 << bits) - 1
+    # one block at a time, so that only one is held in both forms
+    return layout, {om: {e: c for e, c in total.pop(om).items() if c} for om in list(total)}
 
-    def unpack(t):
-        return MultiPoly(arena, {tuple(e >> s & mask for s in offsets): c for e, c in t.items() if c})
 
-    # pop each packed block as it is unpacked, so that only one block at a
-    # time is held in both forms
-    return {om: unpack(total.pop(om)) for om in list(total)}
+def f_product_sum(arena, summands, order):
+    """packed_product_sum's blocks unpacked, {omega: MultiPoly}."""
+    layout, total = packed_product_sum(arena, summands, order)
+    # one block at a time, so that only one is held in both forms
+    return {om: MultiPoly(arena, layout.unpack(total.pop(om))) for om in list(total)}
 
 
 def _packed_blocks(forms, order):
@@ -265,12 +275,10 @@ def _packed_blocks(forms, order):
     order)."""
     blocks = {(): (0, {0: 1})}
     for form in forms:
-        by_coeff = {c: sh for sh, c in form}
-        pair = (by_coeff[1], by_coeff[-1]) if len(form) == 2 and by_coeff.keys() == {1, -1} else None
         for om in sorted(blocks, key=lambda om: blocks[om][0], reverse=True):
             wt, t = blocks[om]
             for k in range(1, order - wt + 1):
-                t = _times_form(t, form, pair)
+                t = _times_form(t, form)
                 if not t:
                     break
                 key = list(om) + [0] * (k - len(om))
@@ -281,25 +289,14 @@ def _packed_blocks(forms, order):
     return {om: t for om, (_, t) in blocks.items()}
 
 
-def _times_form(t, form, pair):
-    """t times one form, {packed exponent: c}. pair is (shift of x_a, shift
-    of x_b) when the form is x_a - x_b, as every root of type A is: its +-1
-    coefficients are unrolled into one addition and one subtraction per
-    term."""
+def _times_form(t, form):
+    """t times one form, {packed exponent: c}."""
     step = {}
     get = step.get
-    if pair is None:
+    for sh, wc in form:
         for e, c in t.items():
-            for sh, wc in form:
-                x = e + sh
-                step[x] = get(x, 0) + c * wc
-        return step
-    a, b = pair
-    for e, c in t.items():
-        x = e + a
-        step[x] = get(x, 0) + c
-        x = e + b
-        step[x] = get(x, 0) - c
+            x = e + sh
+            step[x] = get(x, 0) + c * wc
     return step
 
 

@@ -9,9 +9,10 @@ integers.  This module derives the rescaled fixed-point data and checks
 those conditions for one table on the numerator blocks of one kernel pass
 (character.character_numerator).  It enumerates all admissible tables by an
 exhaustive, exact search on ints: per point and sign vector, the kernel's
-||omega|| < n blocks are packed into one int, which the table's sum must
-cancel, and its ||omega|| = n blocks into another, whose sum must be an
-integer multiple of the common denominator in every block.
+packed blocks (exactalg.packed_product_sum) with ||omega|| < n become one
+int, a slot per (omega, packed exponent), which the table's sum must cancel,
+and those with ||omega|| = n another, whose sum must be an integer multiple
+of the common denominator in every block.
 
 "Admissible" is deliberate: the conditions are necessary, and which admissible
 tables are realized by honest stable complex structures is a separate
@@ -29,7 +30,7 @@ from itertools import product
 from . import CheckFailure
 from .character import character_numerator, localization_data
 from .cobordism import clean
-from .exactalg import MultiPoly, NotDivisible, exact_div, f_product_sum
+from .exactalg import MultiPoly, NotDivisible, exact_div, packed_product_sum
 from .genus import s_numbers as _genus_s_numbers
 from .rootdata import FixedPoint, fixed_point_weights
 from .symmfunc import omega_weight, omegas_of_weight
@@ -109,28 +110,26 @@ def check_necessary(spec, assign):
 
 
 def _point_blocks(base, loc, signs):
-    """Per point p and sign vector a, the a^omega blocks, ||omega|| <= n, of
-    cofactor_p * prefactor_p * prod_j f(<a_j w_j, x>) as int maps, multiplied
-    in the kernel (f_product_sum).
+    """(layout, rows): per point p and sign vector a, the a^omega blocks,
+    ||omega|| <= n, of cofactor_p * prefactor_p * prod_j f(<a_j w_j, x>), as
+    the kernel packs them (packed_product_sum).
 
+    Every cofactor has degree D - n, D = deg loc.denom, so every call builds
+    the same layout, for degree D, and loc.denom packs into it too.
     prefactor_p does not depend on a: flipping a weight also flips its
     canonical line orientation, so each a_i enters it squared and cancels.
     """
     n = len(base[0].weights)
-    # the kernel makes one exponent tuple per term; sharing them across all
-    # the blocks, which are held at once while packing, takes the peak of
-    # stable --space CP4 from 35 MB to 23 MB
-    exps = {}
-    out = []
+    rows = []
     for pt, cof, pre in zip(base, loc.cofactors, loc.prefactors):
         times = cof * pre
         row = []
         for avec in signs:
             weights = [tuple(a * c for c in w) for a, w in zip(avec, pt.weights)]
-            blocks = f_product_sum(loc.arena, [(weights, times)], n)
-            row.append({om: {exps.setdefault(e, e): c for e, c in b.terms.items()} for om, b in blocks.items()})
-        out.append(row)
-    return out
+            layout, blocks = packed_product_sum(loc.arena, [(weights, times)], n)
+            row.append(blocks)
+        rows.append(row)
+    return layout, rows
 
 
 def _bound(rows):
@@ -205,13 +204,13 @@ def enumerate_feasible(spec, budget=1 << 20):
     """All sign tables passing check_necessary, in the order of
     product((1, -1), repeat=n*chi).
 
-    The search is exhaustive and exact; past `budget` candidates it raises
-    BudgetExceeded.  Per point and sign vector, the kernel's blocks are
-    packed into two ints: the ||omega|| < n blocks (_pack) and, in slots and
-    a width of their own, the ||omega|| = n blocks (_top_rule).  A
-    depth-first walk over the points adds one low int per step and looks up
-    the last point by the value that cancels the rest, 2^(n*(chi-1))
-    additions and lookups in all; at each table found there, the chi top
+    The search is exhaustive and exact.  Per point and sign vector, the
+    kernel's blocks are packed into two ints: the ||omega|| < n blocks
+    (_pack) and, in slots and a width of their own, the ||omega|| = n blocks
+    (_top_rule).  A depth-first walk over the points adds one low int per
+    step and looks up the last point by the value that cancels the rest,
+    2^(n*(chi-1)) additions and lookups in all; past `budget` of them it
+    raises BudgetExceeded instead.  At each table found there, the chi top
     ints are summed and checked by _top_rule.  Feasibility does not depend
     on epsilon (a global sign scales every condition), so each table is
     reported once with epsilon = +1.
@@ -221,14 +220,14 @@ def enumerate_feasible(spec, budget=1 << 20):
     base = fixed_point_weights(spec)
     n = len(base[0].weights)
     chi = len(base)
-    if 2 ** (n * chi) > budget:
-        raise BudgetExceeded("2^%d candidates exceed budget %d" % (n * chi, budget))
+    if 2 ** (n * (chi - 1)) > budget:
+        raise BudgetExceeded("2^%d additions and lookups exceed budget %d" % (n * (chi - 1), budget))
     loc = localization_data(base)
     signs = list(product((1, -1), repeat=n))
-    blocks = _point_blocks(base, loc, signs)
+    layout, blocks = _point_blocks(base, loc, signs)
     packed = _pack([[{om: t for om, t in b.items() if omega_weight(om) < n} for b in row] for row in blocks])
     top, accepts = _top_rule([[{om: t for om, t in b.items() if omega_weight(om) == n} for b in row]
-                              for row in blocks], loc.denom.terms)
+                              for row in blocks], layout.pack(loc.denom.terms))
     cancels = {}
     for i, v in enumerate(packed[-1]):
         cancels.setdefault(-v, []).append(i)

@@ -218,7 +218,7 @@ def pair_product_blocks(n, pairs, order, odd=()):
     for eps in product((1, -1), repeat=len(odd)):
         flip = dict(zip(odd, eps))
         flipped = [tuple(flip.get(j, 1) * c for c in w) for j, w in enumerate(weights)]
-        for om, b in f_product_sum(xvars(n), [(flipped, None)], order).items():
+        for om, b in f_product_sum(xvars(n), [(flipped, MultiPoly.const(xvars(n), 1))], order).items():
             if omega_weight(om) == order:
                 out[om] = out.get(om, zero) + b * prod(eps)
     return {om: b * Fraction(1, 2 ** len(odd)) for om, b in out.items() if not b.is_zero()}

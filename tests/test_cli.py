@@ -250,7 +250,7 @@ def test_stable_verbs(tmp_path, capsys):
 
 
 def test_stable_budget_exit(capsys):
-    code, _, err = run(capsys, "stable", "--space", "U(4)/U(2)xU(2)")
+    code, _, err = run(capsys, "stable", "--space", "CP5")
     assert code == 1
     assert "budget" in err
 

@@ -158,7 +158,7 @@ def test_capped_reads_match_the_uncapped_kernel():
     # the products keep exponents up to the largest one read, max(xi): a cap
     # fixed at n - 1 would read 0 at x1^3 and at x1^4
     roots = [(1, -1, 0), (1, 0, -1), (0, 1, -1)]
-    full = f_product_sum(xvars(3), [(roots, None)], 3)
+    full = f_product_sum(xvars(3), [(roots, MultiPoly.const(xvars(3), 1))], 3)
     want = CobordismPoly({om: b.coeff((3, 0, 0)) for om, b in full.items()})
     assert not want.is_zero()
     assert flag_P_polynomials(3, (3, 0, 0)) == want
@@ -167,7 +167,8 @@ def test_capped_reads_match_the_uncapped_kernel():
     base = MultiPoly.linear_form(ar, (1, -1, 0, 0)) * MultiPoly.linear_form(ar, (0, 0, 1, -1))
     weights = [(1, 0, -1, 0), (1, 0, 0, -1), (0, 1, -1, 0), (0, 1, 0, -1)]
     xi = (4, 1, 1, 0)
-    want = CobordismPoly({om: (base * b).coeff(xi) for om, b in f_product_sum(ar, [(weights, None)], 4).items()})
+    blocks = f_product_sum(ar, [(weights, MultiPoly.const(ar, 1))], 4)
+    want = CobordismPoly({om: (base * b).coeff(xi) for om, b in blocks.items()})
     assert not want.is_zero()
     assert grassmann_Q_polynomials(2, 2, xi) == want
 
@@ -298,7 +299,7 @@ def test_flag_product_traced_peak():
 @pytest.mark.parametrize("xi", [(2, 2, 0, 0), (0, 2, 0, 2), (3, 1, 1, 0)], ids=lambda xi: "".join(map(str, xi)))
 def test_P_off_the_delta_orbit_matches_the_unpruned_kernel(xi):
     # reads = xi keeps only what xi dominates, less than delta keeps
-    full = f_product_sum(xvars(4), [(pair_weights(4, flag_pairs(4)), None)], sum(xi))
+    full = f_product_sum(xvars(4), [(pair_weights(4, flag_pairs(4)), MultiPoly.const(xvars(4), 1))], sum(xi))
     want = CobordismPoly({om: b.coeff(xi) for om, b in full.items()})
     assert not want.is_zero()
     assert flag_P_polynomials(4, xi) == want

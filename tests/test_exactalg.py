@@ -198,7 +198,7 @@ def test_f_product_sum_matches_products_of_blocks(summands, order):
     summands = [(weights, MultiPoly(ar, dict(t))) for weights, t in summands]
     want = {}
     for weights, times in summands:
-        for om, block in f_product_sum(ar, [(weights, None)], order).items():
+        for om, block in f_product_sum(ar, [(weights, MultiPoly.const(ar, 1))], order).items():
             want[om] = want.get(om, zero) + block * times
     got = f_product_sum(ar, summands, order)
     assert set(got) <= set(want)
@@ -225,6 +225,6 @@ def test_f_product_sum_matches_powers_of_the_forms():
                     key[k - 1] += 1
                 grown[tuple(key)] = grown.get(tuple(key), zero) + block * form ** k
         want = grown
-    got = f_product_sum(ar, [(weights, None)], order)
+    got = f_product_sum(ar, [(weights, MultiPoly.const(ar, 1))], order)
     for om in set(want) | set(got):
         assert got.get(om, zero) == want.get(om, zero), om

@@ -86,7 +86,7 @@ def test_kernel_one_factor():
     # f(x1 - x2) = 1 + a1 (x1 - x2) + a2 (x1 - x2)^2 + ...
     fp = fp_of("CP1")
     loc = localization_data(fp)
-    blocks = f_product_sum(loc.arena, [([(1, -1)], None)], 2)
+    blocks = f_product_sum(loc.arena, [([(1, -1)], MultiPoly.const(loc.arena, 1))], 2)
     assert set(blocks) == {(), (1,), (0, 1)}
     assert blocks[()] == MultiPoly.const(loc.arena, 1)
     assert blocks[(1,)].coeff((1, 0)) == 1
@@ -100,7 +100,7 @@ def kernel_numerators(fp, order):
     loc = localization_data(fp)
     num = {}
     for pt, cof, pre in zip(fp, loc.cofactors, loc.prefactors):
-        for om, block in f_product_sum(loc.arena, [(pt.weights, None)], order).items():
+        for om, block in f_product_sum(loc.arena, [(pt.weights, MultiPoly.const(loc.arena, 1))], order).items():
             num[om] = num.get(om, 0) + block * cof * pre
     return loc, num
 

@@ -67,7 +67,7 @@ EXTRA = [
     ("class", "--space", "U(5)/U(1)xU(2)xU(2)"),
     ("snumbers", "--space", "U(5)/U(1)xU(2)xU(2)"),
     ("chern", "--space", "U(5)/U(1)xU(2)xU(2)"),
-    # the sign-system search, and its budget refusal (exit 1)
+    # the sign-system search; U(4)/U(2)xU(2) makes 2^20 additions, the default budget
     ("stable", "--space", "CP1"),
     ("stable", "--space", "CP2"),
     ("stable", "--space", "CP3"),

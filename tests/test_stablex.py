@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from torigen.character import localization_data
-from torigen.exactalg import MultiPoly, NotDivisible, clean, exact_div, xvars
+from torigen.exactalg import MultiPoly, NotDivisible, clean, exact_div, f_product_sum, xvars
 from torigen.genus import _pole_free, cobordism_class, s_numbers
 from torigen.rootdata import build_space, fixed_point_weights
 from torigen.stablex import (
@@ -15,6 +15,7 @@ from torigen.stablex import (
     NecessaryReport,
     SignAssignment,
     _pack,
+    _point_blocks,
     _top_rule,
     assignment_from_json,
     check_necessary,
@@ -154,10 +155,10 @@ def test_s_numbers_for_identity_matches_direct():
 
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
-        enumerate_feasible(build_space("U(4)/U(2)xU(2)"))
+        enumerate_feasible(build_space("CP5"))
     # raising the budget is allowed in principle; a tiny budget always trips
     with pytest.raises(BudgetExceeded):
-        enumerate_feasible(build_space("CP1"), budget=2)
+        enumerate_feasible(build_space("CP1"), budget=1)
 
 
 def all_tables(base):
@@ -195,6 +196,24 @@ def test_cp4_fits_the_default_budget():
     sols = enumerate_feasible(spec)
     assert len(sols) == 32
     assert all(check_necessary(spec, sol).ok for sol in sols)
+
+
+@pytest.mark.parametrize("text", ["CP3", "G2/SU(3)"])
+def test_point_blocks_are_the_kernel_blocks_of_one_summand(text):
+    # the search keys its slots on the kernel's packed exponents: once
+    # unpacked, the row of each point and sign vector is that one summand's
+    # f_product_sum, and loc.denom packs into the same layout
+    base = fixed_point_weights(build_space(text))
+    loc = localization_data(base)
+    n = len(base[0].weights)
+    signs = list(product((1, -1), repeat=n))
+    layout, rows = _point_blocks(base, loc, signs)
+    for pt, cof, pre, row in zip(base, loc.cofactors, loc.prefactors, rows):
+        for avec, blocks in zip(signs, row):
+            weights = [tuple(a * c for c in w) for a, w in zip(avec, pt.weights)]
+            want = f_product_sum(loc.arena, [(weights, cof * pre)], n)
+            assert {om: MultiPoly(loc.arena, layout.unpack(t)) for om, t in blocks.items()} == want
+    assert MultiPoly(loc.arena, layout.unpack(layout.pack(loc.denom.terms))) == loc.denom
 
 
 def test_packed_sum_is_zero_exactly_when_every_slot_cancels():

@@ -167,7 +167,7 @@ def test_chern_module_loads_no_kernel():
 
 
 @pytest.mark.parametrize("argv, code, message", [
-    (("stable", "--space", "U(4)/U(2)xU(2)"), 1, "error: 2^24 candidates exceed budget 1048576"),
+    (("stable", "--space", "CP5"), 1, "error: 2^25 additions and lookups exceed budget 1048576"),
     (("class", "--space", "CP2", "--signs=1,-1"), 1, "error: degree-2 numerator block does not cancel"),
     (("class", "--space", "U(4)/U(2)xU(3)"), 2, "error: subgroup blocks sum to 5, expected 4"),
 ], ids=["stable-budget", "signs-with-poles", "grammar"])

@@ -101,7 +101,7 @@ def test_vandermonde_and_antisymmetrize():
 def test_kernel_of_the_variables():
     # prod_i f(t_i): block omega is m_lambda, lambda with omega_k parts equal to k
     ar = xvars(2, "t")
-    table = f_product_sum(ar, [([(1, 0), (0, 1)], None)], 3)
+    table = f_product_sum(ar, [([(1, 0), (0, 1)], MultiPoly.const(ar, 1))], 3)
     for om, block in table.items():
         assert block == monomial_sym(omega_to_partition(om), 2, ar)
     t1, t2 = MultiPoly.variable(ar, 0), MultiPoly.variable(ar, 1)
