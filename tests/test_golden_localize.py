@@ -73,6 +73,10 @@ EXTRA = [
     ("stable", "--space", "CP3"),
     ("stable", "--space", "G2/SU(3)"),
     ("stable", "--space", "U(4)/U(2)xU(2)"),
+    # on non-standard bases, whose signs the search composes with its own
+    ("stable", "--space", "CP2", "--signs=1,-1"),
+    ("stable", "--space", "CP3", "--signs=1,-1,1"),
+    ("stable", "--space", "G2/SU(3)", "--structure", "conjugate"),
     # one table each: passing on CP3 and on an invariant structure of the SU(4)
     # quotient, and failing on a low block, with its residue (no table of CP3
     # or U(3)/T3 cancels its low blocks and fails at the top weight)
@@ -99,11 +103,15 @@ EXTRA = [
 ]
 
 # U(3)/T3 lists 4372 tables, too many for the golden file: pin the sha256 and
-# the length of its stdout instead. CP4 (32 tables) is the only search within
-# the default budget with five variables and a cofactor of degree 6.
+# the length of its stdout instead, also on a non-standard basis. CP4 (32
+# tables) is the only search within the default budget with five variables
+# and a cofactor of degree 6.
 STABLE_DIGESTS = [
     ("U(3)/T3", (), "ab9ab5602bf91d52d1b96ae9c32ef8cd23dd8092411174025f31cff8b5e89844", 524657),
     ("U(3)/T3", ("--format", "json"), "fbf4b3317209ef30192aa6debf73e8d22c6a7a4ebaddd0b78be16561c672897d", 415389),
+    ("U(3)/T3", ("--signs=1,-1,1",), "11f35b003052936a41e0d24d8a47adb88bcccf7c8e78bd61befd4973e9f8a126", 524657),
+    ("U(3)/T3", ("--signs=1,-1,1", "--format", "json"),
+     "4f0ea39862d14495fdb57590a82e7adf834bfcd46ac8fa406f58490a6b08b868", 415389),
     ("CP4", (), "29b9c92abe32da1e146e17b20d9a6c94a79927d26726c3b0c099410d63e2a79e", 3855),
     ("CP4", ("--format", "json"), "e234537af666b39a00b8729ccaa9bdeae369edc2a7780526bc18188b86e809bc", 3051),
 ]
@@ -174,8 +182,14 @@ def _digest(argv):
     return hashlib.sha256(data).hexdigest(), len(data)
 
 
+def _stable_id(space, args):
+    """The space, any option but --format, then json or text."""
+    options = "".join(" " + a for a in args if a.startswith("--") and a != "--format")
+    return "%s%s-%s" % (space, options, "json" if "json" in args else "text")
+
+
 @pytest.mark.parametrize("space, fmt, digest, size", STABLE_DIGESTS,
-                         ids=["%s-%s" % (s, "json" if f else "text") for s, f, _, _ in STABLE_DIGESTS])
+                         ids=[_stable_id(s, f) for s, f, _, _ in STABLE_DIGESTS])
 def test_stable_output_is_pinned(space, fmt, digest, size):
     assert _digest(("stable", "--space", space) + fmt) == (digest, size)
 
