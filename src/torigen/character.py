@@ -252,7 +252,10 @@ def cmd_verify(args):
         evidence["class_matches_s"] = {"omega": list(_pad(bad[0], n)), "symbolic": str(cls.coeff(bad[0])),
                                        "point": str(table[bad[0]])}
     # c_n[M] = sum_p sign(p): -chi for a conjugate structure of odd n
-    checks["euler"] = table.get((n,), 0) == sum(pt.sign for pt in fp)
+    c_n, signs = table.get((n,), 0), sum(pt.sign for pt in fp)
+    checks["euler"] = c_n == signs
+    if c_n != signs:
+        evidence["euler"] = {"c_n": str(c_n), "sum_signs": str(signs)}
     failure = weyl_invariance_failure(spec, ch)
     checks["weyl_invariance"] = failure is None
     if failure:

@@ -5,18 +5,17 @@ and fractions.Fraction otherwise; no floats anywhere. Polynomials are dicts
 from exponent tuples to coefficients, term order is graded lex (total degree
 first, then lex on the exponent tuple).
 
-packed_product_sum is the kernel for prod_j f(<w_j, x>), f(t) = 1 + a_1 t +
+f_product_sum is the kernel for prod_j f(<w_j, x>), f(t) = 1 + a_1 t +
 a_2 t^2 + ...: each product times a polynomial cofactor, summed over the
-products, as a^omega blocks on packed exponents, one int per monomial, with
-the Layout that packs and unpacks them. One loop multiplies by every form
-<w, x>, whatever w is. The sign search (stablex) keys its slots on those
-ints; f_product_sum unpacks each block once into a MultiPoly in x for the
-localization character (character), whose readers take the x^e coefficient
-over all blocks as one CobordismPoly (block_coefficient). The
+products, as a^omega blocks in x, one MultiPoly each, built on packed
+exponents. Its one caller is the localization character (character), whose
+readers take the x^e coefficient over all blocks as one CobordismPoly
+(block_coefficient); through it, stablex.check_necessary is the independent
+oracle of the sign search, which does not load this module. The
 divided-difference routes have their own reader on packed big ints
 (divdiff). CobordismPoly, clean and the term rendering live in cobordism,
-which the certified point route, the fgl verb and the divided-difference
-routes load without this module.
+which the certified point route, the sign search, the fgl verb and the
+divided-difference routes load without this module.
 """
 
 from .cobordism import CobordismPoly, clean, grlex_key, render_terms
@@ -216,54 +215,34 @@ def exact_div(p, q):
     return MultiPoly(p.arena, exact_div_terms(p.terms, q.terms))
 
 
-class Layout:
-    """Packed exponents, one int per monomial (Monagan and Pearce, CASC 2007):
-    x_i's exponent in bits [i * bits, (i + 1) * bits), so multiplying
-    monomials adds ints. Exact for every monomial of degree <= `degree`."""
+def f_product_sum(arena, summands, order):
+    """{omega: MultiPoly}: the blocks of sum over (weights, times) in summands
+    of times * prod_j f(<w_j, x>), f(t) = 1 + a_1 t + a_2 t^2 + ..., times a
+    MultiPoly, for the omega (trimmed, as CobordismPoly keys) of weight sum
+    l * omega_l <= order. Block omega of one product is homogeneous of
+    x-degree its weight.
 
-    def __init__(self, arity, degree):
-        bits = degree.bit_length() or 1
-        self.offsets, self.mask = range(0, bits * arity, bits), (1 << bits) - 1
-
-    def pack(self, terms):
-        return {sum(d << s for s, d in zip(self.offsets, e)): c for e, c in terms.items()}
-
-    def unpack(self, terms):
-        offsets, mask = self.offsets, self.mask
-        return {tuple(e >> s & mask for s in offsets): c for e, c in terms.items()}
-
-
-def packed_product_sum(arena, summands, order):
-    """(layout, {omega: {packed exponent: c}}): the blocks of sum over
-    (weights, times) in summands of times * prod_j f(<w_j, x>), f(t) = 1 +
-    a_1 t + a_2 t^2 + ..., times a MultiPoly, for the omega (trimmed, as
-    CobordismPoly keys) of weight sum l * omega_l <= order. Block omega of
-    one product is homogeneous of x-degree its weight.
-
-    The layout is built for order plus the largest degree of a times, which
-    bounds every exponent, so no field carries into the next. Terms that
-    cancelled are dropped."""
-    layout = Layout(arena.arity, order + max((t.degree() for _, t in summands), default=0))
-    shifts = [1 << s for s in layout.offsets]
+    Products and sum stay on packed exponents, one int per monomial with
+    `bits` bits per variable (Monagan and Pearce, CASC 2007), so multiplying
+    monomials adds ints. No exponent exceeds order plus the largest degree
+    of a times, so no field carries into the next."""
+    bits = (order + max((t.degree() for _, t in summands), default=0)).bit_length() or 1
+    offsets = range(0, bits * arena.arity, bits)
+    shifts = [1 << s for s in offsets]
     total = {}
     for weights, times in summands:
         blocks = _packed_blocks([[(shifts[i], c) for i, c in enumerate(w) if c] for w in weights], order)
-        times = layout.pack(times.terms).items()
+        times = [(sum(d << s for s, d in zip(offsets, e)), c) for e, c in times.terms.items()]
         for om, t in blocks.items():
             acc = total.setdefault(om, {})
             for e1, c1 in t.items():
                 for e2, c2 in times:
                     e = e1 + e2
                     acc[e] = acc.get(e, 0) + c1 * c2
+    mask = (1 << bits) - 1
     # one block at a time, so that only one is held in both forms
-    return layout, {om: {e: c for e, c in total.pop(om).items() if c} for om in list(total)}
-
-
-def f_product_sum(arena, summands, order):
-    """packed_product_sum's blocks unpacked, {omega: MultiPoly}."""
-    layout, total = packed_product_sum(arena, summands, order)
-    # one block at a time, so that only one is held in both forms
-    return {om: MultiPoly(arena, layout.unpack(total.pop(om))) for om in list(total)}
+    return {om: MultiPoly(arena, {tuple(e >> s & mask for s in offsets): c for e, c in total.pop(om).items()})
+            for om in list(total)}
 
 
 def _packed_blocks(forms, order):

@@ -57,14 +57,30 @@ def cobordism_class(fp):
     return CobordismPoly(s_numbers(fp))
 
 
+def line_groups(pt):
+    """The groups of _pole_free at one point: ((line, key), orientation) per
+    weight, key the other weights modulo the line (l_i*u - u_i*l, i the first
+    nonzero coordinate of l), sorted. None when a weight is not primitive or
+    two weights share a line."""
+    lines = [canonical_line(w) for w in pt.weights if gcd(*w) == 1]
+    if len({line for line, _ in lines}) != len(pt.weights):
+        return None
+    out = []
+    for j, (line, orient) in enumerate(lines):
+        i = next(i for i, c in enumerate(line) if c)
+        rest = sorted(tuple(line[i] * uc - u[i] * lc for uc, lc in zip(u, line))
+                      for m, u in enumerate(pt.weights) if m != j)
+        out.append(((line, tuple(rest)), orient))
+    return out
+
+
 def _pole_free(fp):
     """Exact certificate that every residue of the localization sum cancels.
 
     True only if every weight is primitive, the n weight lines at each point
     are distinct, and for every line l the points carrying l cancel in
-    groups: points whose other weights agree modulo l as multisets (keyed
-    by l_i*u - u_i*l, i the first nonzero coordinate of l) have
-    sum sign(p) * orientation_p(l) = 0.
+    groups (line_groups): points whose other weights agree modulo l as
+    multisets have sum sign(p) * orientation_p(l) = 0.
 
     Guarantee: then each point's term has at most a simple pole along
     <l, x> = 0, and within a group the residues there are one and the same
@@ -77,17 +93,29 @@ def _pole_free(fp):
     n = len(fp[0].weights)
     groups = Counter()
     for pt in fp:
-        if len(pt.weights) != n or any(gcd(*w) != 1 for w in pt.weights):
+        found = line_groups(pt) if len(pt.weights) == n else None
+        if found is None:
             return False
-        lines = [canonical_line(w) for w in pt.weights]
-        if len({line for line, _ in lines}) != n:
-            return False
-        for j, (line, orient) in enumerate(lines):
-            i = next(i for i, c in enumerate(line) if c)
-            rest = sorted(tuple(line[i] * uc - u[i] * lc for uc, lc in zip(u, line))
-                          for m, u in enumerate(pt.weights) if m != j)
-            groups[line, tuple(rest)] += pt.sign * orient
+        for group, orient in found:
+            groups[group] += pt.sign * orient
     return not any(groups.values())
+
+
+def point_terms(pt, point, xis):
+    """(prod_j c_j, [e^xi(c) for xi in xis]), c_j = <Lambda_j(p), point> and
+    e^xi = e_1^xi_1 e_2^xi_2 ... in the c_j, no part of xi above their number.
+    SingularPoint if a c_j is 0."""
+    cs = []
+    for w in pt.weights:
+        c = sum(a * x for a, x in zip(w, point))
+        if c == 0:
+            raise SingularPoint("weight %s vanishes at %s" % (w, tuple(point)))
+        cs.append(c)
+    e = [1] + [0] * len(cs)
+    for i, c in enumerate(cs, 1):
+        for k in range(i, 0, -1):
+            e[k] += c * e[k - 1]
+    return prod(cs), [prod(e[k] ** m for k, m in enumerate(xi, 1) if m) for xi in xis]
 
 
 def point_chern_numbers(fp, point):
@@ -95,34 +123,18 @@ def point_chern_numbers(fp, point):
 
         c^xi = sum_p sign(p) e_1^xi_1 ... e_n^xi_n / prod_j c_j,
 
-    e_k the elementary symmetric functions of c_j = <Lambda_j(p), point>, in
-    exact integers over one common denominator; a value is an int where that
-    denominator divides it, else a Fraction. This is the localization sum at
-    that point; it is the Chern number wherever the sum is constant (see
-    _pole_free)."""
-    n = len(fp[0].weights)
-    point = tuple(point)
-    xis = omegas_of_weight(n)
-    rows = []
-    for pt in fp:
-        cs = []
-        for w in pt.weights:
-            c = sum(a * x for a, x in zip(w, point))
-            if c == 0:
-                raise SingularPoint("weight %s vanishes at %s" % (w, point))
-            cs.append(c)
-        e = [1] + [0] * n
-        for i, c in enumerate(cs, 1):
-            for k in range(i, 0, -1):
-                e[k] += c * e[k - 1]
-        rows.append((pt.sign, prod(cs),
-                     [prod(e[k] ** m for k, m in enumerate(xi, 1) if m) for xi in xis]))
+    e_k the elementary symmetric functions of c_j = <Lambda_j(p), point>
+    (point_terms), in exact integers over one common denominator; a value
+    is an int where that denominator divides it, else a Fraction. This is
+    the localization sum at that point; it is the Chern number wherever the
+    sum is constant (see _pole_free)."""
+    xis = omegas_of_weight(len(fp[0].weights))
+    rows = [(pt.sign,) + point_terms(pt, point, xis) for pt in fp]
     common = lcm(*(den for _, den, _ in rows))
     sums = [0] * len(xis)
     for sign, den, vals in rows:
         scale = sign * (common // den)
-        for i, v in enumerate(vals):
-            sums[i] += scale * v
+        sums = [t + scale * v for t, v in zip(sums, vals)]
     out = {}
     for xi, v in zip(xis, sums):
         q, r = divmod(v, common)

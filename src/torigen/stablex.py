@@ -7,12 +7,10 @@ imposes necessary conditions on the a_i(w): every f_omega sum with
 ||omega|| <= n-1 must vanish identically and the ||omega|| = n sums must be
 integers.  This module derives the rescaled fixed-point data and checks
 those conditions for one table on the numerator blocks of one kernel pass
-(character.character_numerator).  It enumerates all admissible tables by an
-exhaustive, exact search on ints: per point and sign vector, the kernel's
-packed blocks (exactalg.packed_product_sum) with ||omega|| < n become one
-int, a slot per (omega, packed exponent), which the table's sum must cancel,
-and those with ||omega|| = n another, whose sum must be an integer multiple
-of the common denominator in every block.
+(character.character_numerator, loaded only there).  It enumerates the
+admissible tables by an exhaustive, exact search that shares nothing with
+that check: it reads each table's group sums in the certificate of
+genus._pole_free and its Chern numbers at one point off packed ints.
 
 "Admissible" is deliberate: the conditions are necessary, and which admissible
 tables are realized by honest stable complex structures is a separate
@@ -26,14 +24,12 @@ import json
 import sys
 from collections import namedtuple
 from itertools import product
+from math import lcm, prod
 
 from . import CheckFailure
-from .character import character_numerator, localization_data
-from .cobordism import clean
-from .exactalg import MultiPoly, NotDivisible, exact_div, packed_product_sum
-from .genus import s_numbers as _genus_s_numbers
+from .genus import SingularPoint, default_numeric_point, line_groups, point_terms, s_numbers as _genus_s_numbers
 from .rootdata import FixedPoint, fixed_point_weights
-from .symmfunc import omega_weight, omegas_of_weight
+from .symmfunc import omegas_of_weight
 
 
 class BudgetExceeded(CheckFailure):
@@ -62,6 +58,13 @@ def _check_shape(assign, base):
             raise ValueError("signs must be +-1")
 
 
+def _signed(pt, avec, epsilon=1):
+    """pt with weight j rescaled by avec[j], and its sign by epsilon * prod_j
+    avec[j]."""
+    weights = tuple(tuple(a * c for c in w) for a, w in zip(avec, pt.weights))
+    return FixedPoint(pt.rep, weights, epsilon * pt.sign * prod(avec))
+
+
 def derived_fixed_point_data(spec, assign):
     """Fixed-point table of the rescaled structure.
 
@@ -71,14 +74,7 @@ def derived_fixed_point_data(spec, assign):
     """
     base = fixed_point_weights(spec)
     _check_shape(assign, base)
-    out = []
-    for avec, pt in zip(assign.table, base):
-        weights = tuple(tuple(a * c for c in w) for a, w in zip(avec, pt.weights))
-        sgn = assign.epsilon * pt.sign
-        for a in avec:
-            sgn *= a
-        out.append(FixedPoint(pt.rep, weights, sgn))
-    return out
+    return [_signed(pt, avec, assign.epsilon) for avec, pt in zip(assign.table, base)]
 
 
 def check_necessary(spec, assign):
@@ -90,6 +86,8 @@ def check_necessary(spec, assign):
     integer.  Returns the first violated omega with the offending value
     (residue polynomial or non-integer constant).
     """
+    from .character import character_numerator
+    from .exactalg import NotDivisible, clean, exact_div
     fp = derived_fixed_point_data(spec, assign)
     n = len(fp[0].weights)
     loc, blocks = character_numerator(fp, n)
@@ -109,111 +107,113 @@ def check_necessary(spec, assign):
     return NecessaryReport(True, None, None)
 
 
-def _point_blocks(base, loc, signs):
-    """(layout, rows): per point p and sign vector a, the a^omega blocks,
-    ||omega|| <= n, of cofactor_p * prefactor_p * prod_j f(<a_j w_j, x>), as
-    the kernel packs them (packed_product_sum).
-
-    Every cofactor has degree D - n, D = deg loc.denom, so every call builds
-    the same layout, for degree D, and loc.denom packs into it too.
-    prefactor_p does not depend on a: flipping a weight also flips its
-    canonical line orientation, so each a_i enters it squared and cancels.
-    """
-    n = len(base[0].weights)
-    rows = []
-    for pt, cof, pre in zip(base, loc.cofactors, loc.prefactors):
-        times = cof * pre
-        row = []
-        for avec in signs:
-            weights = [tuple(a * c for c in w) for a, w in zip(avec, pt.weights)]
-            layout, blocks = packed_product_sum(loc.arena, [(weights, times)], n)
-            row.append(blocks)
-        rows.append(row)
-    return layout, rows
+def _group_ints(rows, chi):
+    """(ints, lines): per point and sign vector, sign * orientation in a
+    slot of W = (2 chi + 1).bit_length() bits per (line, key) group of
+    line_groups, and {line: {key}} over the groups.  A point touches a slot
+    at most once, so a table's slot totals are at most chi in size: its sum,
+    in balanced base 2^W, is 0 exactly when every group sum is."""
+    width = (2 * chi + 1).bit_length()
+    slots, lines, ints = {}, {}, []
+    for row in rows:
+        ints.append([])
+        for pt in row:
+            groups = line_groups(pt)
+            if groups is None:
+                raise CheckFailure("the weights %s are not primitive on distinct lines" % (pt.weights,))
+            for (line, key), _ in groups:
+                lines.setdefault(line, set()).add(key)
+            ints[-1].append(sum(pt.sign * orient << width * slots.setdefault(group, len(slots))
+                                for group, orient in groups))
+    return ints, lines
 
 
-def _bound(rows):
-    """Sum over points of the largest |c| in any block of a point's row."""
-    return sum(max((abs(c) for b in row for terms in b.values() for c in terms.values()), default=0)
-               for row in rows)
-
-
-def _slot_ints(rows, width, slots):
-    """One int per point and sign vector: c << width * slot per (omega,
-    exponent) term, slots[omega, exponent] the slot (new keys appended)."""
-    return [[sum(c << width * slots.setdefault((om, e), len(slots))
-                 for om, terms in b.items() for e, c in terms.items()) for b in row] for row in rows]
-
-
-def _pack(rows):
-    """One int per point and sign vector, from rows of {omega: {exponent: c}}.
-
-    Each (omega, exponent) gets its own slot of W bits.  With B = _bound(rows),
-    2^W > 2B + 1: a table's packed sum is a number in balanced base 2^W whose
-    digits are the slot totals, and balanced digits are unique, so the sum is
-    0 exactly when every slot total is 0.
-    """
-    return _slot_ints(rows, (2 * _bound(rows) + 1).bit_length(), {})
-
-
-def _top_rule(rows, denom):
-    """The ||omega|| = n rule of check_necessary on packed ints: (packed,
-    accepts), packed one int per point and sign vector as in _pack, and
-    accepts(total) True exactly when, for every omega, the slot totals of
-    block omega in a table's packed sum are q_omega * denom for an integer
-    q_omega, zero included.
-
-    accepts reads one digit per omega, at the slot of denom's first monomial
-    e0, takes q_omega = digit / d0 (rejecting if d0 does not divide it) and
-    compares total with sum_omega q_omega * D_omega, D_omega denom packed into
-    omega's slots.  Guarantee: with B = _bound(rows), C = max |c_e| over
-    denom's coefficients and d0 = denom[e0], the width W has
-    2^W > 2 * B * C / |d0|.  A table's slot totals are at most B <=
-    B * C / |d0| in size, and so is every digit q_omega * c_e of the other
-    side, as |q_omega| <= B / |d0|.  Both sides are then numbers in balanced
-    base 2^W with these digits, and balanced digits are unique, so they are
-    equal exactly when every block is q_omega * denom.  A width sized by B
-    alone lets a digit q_omega * c_e carry into the next slot and match a
-    wrong table.
-    """
-    e0, d0 = next(iter(denom.items()))
-    width = (2 * _bound(rows) * max(abs(c) for c in denom.values()) // abs(d0) + 1).bit_length()
-    omegas = sorted({om for row in rows for b in row for om in b})
-    slots = {key: i for i, key in enumerate(product(omegas, denom))}
-    packed = _slot_ints(rows, width, slots)
-    reads = [(width * slots[om, e0], sum(c << width * slots[om, e] for e, c in denom.items()))
-             for om in omegas]
+def _top_ints(rows, point, xis):
+    """(ints, integral): per point and sign vector, sign * e^xi(c) * L / prod c
+    at point (point_terms) in a slot per xi, L the lcm of the |prod c|, of a
+    width W with 2^(W-1) above the sum over points of the largest |value|.
+    A table's slot totals, L * c^xi at point, are then its balanced digits
+    in base 2^W; integral(total) is True exactly when L divides each."""
+    terms = [[(pt.sign,) + point_terms(pt, point, xis) for pt in row] for row in rows]
+    common = lcm(*(den for row in terms for _, den, _ in row))
+    values = [[[sign * (common // den) * v for v in vals] for sign, den, vals in row] for row in terms]
+    width = (2 * sum(max(abs(v) for vals in row for v in vals) for row in values) + 1).bit_length()
+    ints = [[sum(v << width * slot for slot, v in enumerate(vals)) for vals in row] for row in values]
     half, mask = 1 << width - 1, (1 << width) - 1
 
-    def accepts(total):
-        rest = total
-        for shift, multiple in reads:
-            # the balanced digit at shift: round off the digits below, then
-            # read W bits as a balanced residue
-            digit = (((total + (1 << shift >> 1)) >> shift) + half & mask) - half
-            q, r = divmod(digit, d0)
-            if r:
-                return False
-            rest -= q * multiple
-        return rest == 0
+    def integral(total):
+        # the balanced digit at each slot: round off the digits below, then
+        # read W bits as a balanced residue
+        return all((((total + (1 << s >> 1) >> s) + half & mask) - half) % common == 0
+                   for s in range(0, width * len(xis), width))
 
-    return packed, accepts
+    return ints, integral
+
+
+def _full_rank(n, line, keys):
+    """The column rank reached by the residue rows along one weight line l,
+    one column per group: len(keys) proves full rank.
+
+    The rows are e^xi(V) / prod V, |xi| <= n with parts <= n - 1, V a group's
+    other weights on <l, y> = 0: they span the residues m_lambda(V) / prod V
+    of the blocks with ||omega|| <= n.  There a key l_i u - u_i l is l_i <u, y>,
+    which scales a whole row, so the rows are taken on the keys at points
+    y = <l, l> p - <l, p> l, p pseudo-random, one per group at most, cleared
+    to integers and reduced modulo P = 2^61 - 1: a rank modulo P is that of a
+    nonzero integer minor."""
+    xis = [xi for d in range(n + 1) for xi in omegas_of_weight(d) if len(xi) < n]
+    norm, P = sum(c * c for c in line), (1 << 61) - 1
+    basis = []   # (pivot, row): 1 at its pivot, 0 at the pivots before it
+    for t in range(len(keys)):
+        p = [pow(5, t * len(line) + i, 10007) % 201 - 100 for i in range(len(line))]
+        along = sum(a * b for a, b in zip(line, p))
+        try:
+            terms = [point_terms(FixedPoint(None, key, 1), [norm * a - along * b for a, b in zip(p, line)], xis)
+                     for key in keys]
+        except SingularPoint:
+            continue
+        common = lcm(*(den for den, _ in terms))
+        for r in range(len(xis)):
+            row = [vals[r] * (common // den) % P for den, vals in terms]
+            for pivot, b in basis:
+                c = row[pivot]
+                if c:
+                    row = [(x - c * v) % P for x, v in zip(row, b)]
+            pivot = next((j for j, x in enumerate(row) if x), None)
+            if pivot is not None:
+                c = pow(row[pivot], -1, P)
+                basis.append((pivot, [x * c % P for x in row]))
+                if len(basis) == len(keys):
+                    return len(keys)
+    return len(basis)
 
 
 def enumerate_feasible(spec, budget=1 << 20):
     """All sign tables passing check_necessary, in the order of
     product((1, -1), repeat=n*chi).
 
-    The search is exhaustive and exact.  Per point and sign vector, the
-    kernel's blocks are packed into two ints: the ||omega|| < n blocks
-    (_pack) and, in slots and a width of their own, the ||omega|| = n blocks
-    (_top_rule).  A depth-first walk over the points adds one low int per
-    step and looks up the last point by the value that cancels the rest,
-    2^(n*(chi-1)) additions and lookups in all; past `budget` of them it
-    raises BudgetExceeded instead.  At each table found there, the chi top
-    ints are summed and checked by _top_rule.  Feasibility does not depend
-    on epsilon (a global sign scales every condition), so each table is
-    reported once with epsilon = +1.
+    The search is exhaustive and exact.  Per point and sign vector, two
+    ints: its share of the certificate's group sums, in slots of
+    (2 chi + 1).bit_length() bits (_group_ints), and of the Chern numbers at
+    default_numeric_point over their common denominator L, in slots as wide
+    as the sum over points of the largest value needs (_top_ints).  A
+    depth-first walk over the points adds one group int per step and looks
+    up the last point by the value that cancels the rest, 2^(n*(chi-1))
+    additions and lookups in all; past `budget` of them it raises
+    BudgetExceeded before any other work.  Of the tables found there, it
+    keeps those whose summed top int has every digit divisible by L:
+    integral Chern numbers, so integral s-numbers (c = T s, T integer
+    unitriangular).  Each is reported once, with epsilon = +1, as a global
+    sign scales every condition.
+
+    Guarantee: a table whose groups cancel is pole-free (genus._pole_free),
+    so it passes check_necessary exactly when its point values are
+    integral.  A table passing check_necessary has polynomial blocks for
+    ||omega|| <= n, whose residues along each weight line, sum_g c_g R_g
+    over its groups, vanish; where the R_g have full column rank
+    (_full_rank), every group sum c_g is 0.  So the rank is checked on every
+    line first, and where it is not proved full the search raises
+    CheckFailure with the line and the rank reached.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1, got %d" % budget)
@@ -222,14 +222,17 @@ def enumerate_feasible(spec, budget=1 << 20):
     chi = len(base)
     if 2 ** (n * (chi - 1)) > budget:
         raise BudgetExceeded("2^%d additions and lookups exceed budget %d" % (n * (chi - 1), budget))
-    loc = localization_data(base)
     signs = list(product((1, -1), repeat=n))
-    layout, blocks = _point_blocks(base, loc, signs)
-    packed = _pack([[{om: t for om, t in b.items() if omega_weight(om) < n} for b in row] for row in blocks])
-    top, accepts = _top_rule([[{om: t for om, t in b.items() if omega_weight(om) == n} for b in row]
-                              for row in blocks], layout.pack(loc.denom.terms))
+    rows = [[_signed(pt, avec) for avec in signs] for pt in base]
+    low, lines = _group_ints(rows, chi)
+    for line, keys in lines.items():
+        rank = _full_rank(n, line, keys)
+        if rank < len(keys):
+            raise CheckFailure("residue rank %d of %d groups on line %s: the search cannot prove "
+                               "that it finds every admissible table" % (rank, len(keys), list(line)))
+    top, integral = _top_ints(rows, default_numeric_point(base), omegas_of_weight(n))
     cancels = {}
-    for i, v in enumerate(packed[-1]):
+    for i, v in enumerate(low[-1]):
         cancels.setdefault(-v, []).append(i)
     found = []
 
@@ -237,10 +240,10 @@ def enumerate_feasible(spec, budget=1 << 20):
         if p == chi - 1:
             for i in cancels.get(total, ()):
                 table = picks + (i,)
-                if accepts(sum(row[j] for row, j in zip(top, table))):
+                if integral(sum(row[j] for row, j in zip(top, table))):
                     found.append(SignAssignment(tuple(signs[j] for j in table), 1))
             return
-        for i, v in enumerate(packed[p]):
+        for i, v in enumerate(low[p]):
             walk(p + 1, total + v, picks + (i,))
 
     walk(0, 0, ())
@@ -282,11 +285,11 @@ def cmd_stable(args):
         report = check_necessary(spec, assign)
         if report.ok:
             table = s_numbers_for(spec, assign)
-            n = len(next(iter(fixed_point_weights(spec))).weights)
-            rows = [(list(_pad(om, n)), v) for om, v in sorted(table.items())]
+            rows = [(list(_pad(om, spec.n)), v) for om, v in sorted(table.items())]
             text = "PASS\n" + "\n".join("s_%s = %d" % (om, v) for om, v in rows)
             _emit(args, text, {"ok": True, "s_numbers": [{"omega": om, "value": v} for om, v in rows]})
             return 0
+        from .exactalg import MultiPoly
         value = report.value.canonical_text() if isinstance(report.value, MultiPoly) else str(report.value)
         _emit(args, "FAIL at omega=%s: %s" % (list(report.omega), value),
               {"ok": False, "omega": list(report.omega), "value": value})

@@ -255,6 +255,17 @@ def test_stable_budget_exit(capsys):
     assert "budget" in err
 
 
+def test_stable_refuses_where_the_residues_do_not_separate_the_groups(capsys):
+    # past the budget check, the rank check refuses the SU(4) quotient
+    argv = ("stable", "--space", "SU(4)/S(U(1)xU(1)xU(2))", "--budget")
+    code, out, err = run(capsys, *argv, str((1 << 55) - 1))
+    assert (code, out, err) == (1, "", "error: 2^55 additions and lookups exceed budget %d\n" % ((1 << 55) - 1))
+    code, out, err = run(capsys, *argv, str(1 << 55))
+    assert (code, out) == (1, "")
+    assert err == ("error: residue rank 27 of 33 groups on line [1, 0, -1, 0]: "
+                   "the search cannot prove that it finds every admissible table\n")
+
+
 @pytest.mark.parametrize("budget", ["0", "-1"])
 def test_stable_budget_below_one_is_usage_error(capsys, budget):
     code, out, err = run(capsys, "stable", "--space", "CP1", "--budget", budget)
@@ -382,6 +393,24 @@ def test_verify_class_mismatch_names_omega(capsys, monkeypatch):
     assert json.loads(out)["evidence"] == {
         "class_matches_s": {"omega": [0, 1], "symbolic": "3", "point": "4"},
         "numeric_agreement": {"xi": [2, 0], "default_point": "10", "second_point": "9"}}
+
+
+def test_verify_euler_mismatch_names_both_values(capsys, monkeypatch):
+    # c2 reads 4 at every point, so the two points still agree, but the
+    # table's c_n no longer matches sum_p sign(p) = 3
+    real = genus.point_chern_numbers
+
+    def fake(fp, point):
+        table = dict(real(fp, point))
+        table[(0, 1)] += 1
+        return table
+    monkeypatch.setattr(genus, "point_chern_numbers", fake)
+    code, out, _ = run(capsys, "verify", "--space", "CP2")
+    assert code == 1
+    assert "check euler: FAIL at c_n=4, sum_signs=3" in out.splitlines()
+    code, out, _ = run(capsys, "verify", "--space", "CP2", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["evidence"]["euler"] == {"c_n": "4", "sum_signs": "3"}
 
 
 def test_verify_numeric_mismatch_names_xi(capsys, monkeypatch):

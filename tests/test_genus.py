@@ -31,7 +31,9 @@ from torigen.genus import (
     chern_numbers,
     cobordism_class,
     default_numeric_point,
+    line_groups,
     point_chern_numbers,
+    point_terms,
     s_number_numeric,
     s_numbers,
     second_numeric_point,
@@ -381,6 +383,24 @@ def test_point_values_are_ints_or_exact_fractions():
     # second point: c = (5, -3), e = (2, -15), prod c = -15
     assert point_chern_numbers(two, (2, 3)) == {(2,): Fraction(25, 6) + Fraction(4, -15),
                                                   (0, 1): 2}
+
+
+def test_point_terms_are_the_product_and_the_e_monomials():
+    # the second point above: c = (5, -3), e = (2, -15)
+    pt = FixedPoint(1, ((1, 1), (0, -1)), 1)
+    assert point_terms(pt, (2, 3), [(2,), (0, 1), ()]) == (-15, [4, -15, 1])
+    with pytest.raises(SingularPoint, match=r"weight \(0, -1\) vanishes at \(2, 0\)"):
+        point_terms(pt, (2, 0), [(2,)])
+
+
+def test_line_groups_key_the_other_weights_modulo_the_line():
+    # weights x1 - x2 and x2 - x3 at (1, 2, 3): the first lies on line
+    # (1, -1, 0) with orientation 1, the second on (0, 1, -1); modulo the
+    # first line, x2 - x3 is 1 * (0, 1, -1) - 0 * (1, -1, 0)
+    pt = FixedPoint(0, ((1, -1, 0), (0, -1, 1)), 1)
+    assert line_groups(pt) == [(((1, -1, 0), ((0, -1, 1),)), 1), (((0, 1, -1), ((1, 0, -1),)), -1)]
+    assert line_groups(FixedPoint(0, ((2, -2, 0), (0, 1, -1)), 1)) is None
+    assert line_groups(FixedPoint(0, ((1, -1, 0), (-1, 1, 0)), 1)) is None
 
 
 @pytest.mark.parametrize("text", ["U(5)/U(1)xU(2)xU(2)", "U(6)/U(3)xU(3)"])

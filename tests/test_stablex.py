@@ -6,17 +6,19 @@ from itertools import product
 
 import pytest
 
+from torigen import CheckFailure, stablex
 from torigen.character import localization_data
-from torigen.exactalg import MultiPoly, NotDivisible, clean, exact_div, f_product_sum, xvars
-from torigen.genus import _pole_free, cobordism_class, s_numbers
-from torigen.rootdata import build_space, fixed_point_weights
+from torigen.exactalg import MultiPoly, NotDivisible, clean, exact_div
+from torigen.genus import _pole_free, cobordism_class, point_chern_numbers, s_numbers
+from torigen.rootdata import FixedPoint, build_space, fixed_point_weights
 from torigen.stablex import (
     BudgetExceeded,
     NecessaryReport,
     SignAssignment,
-    _pack,
-    _point_blocks,
-    _top_rule,
+    _full_rank,
+    _group_ints,
+    _signed,
+    _top_ints,
     assignment_from_json,
     check_necessary,
     derived_fixed_point_data,
@@ -198,125 +200,100 @@ def test_cp4_fits_the_default_budget():
     assert all(check_necessary(spec, sol).ok for sol in sols)
 
 
-@pytest.mark.parametrize("text", ["CP3", "G2/SU(3)"])
-def test_point_blocks_are_the_kernel_blocks_of_one_summand(text):
-    # the search keys its slots on the kernel's packed exponents: once
-    # unpacked, the row of each point and sign vector is that one summand's
-    # f_product_sum, and loc.denom packs into the same layout
+def test_certificate_is_the_symbolic_checker_exhaustively():
+    # on these spaces every table whose groups cancel is integral, so the
+    # certificate alone decides each of the 2^(n*chi) tables, both epsilons
+    for text in ("CP1", "CP2", "G2/SU(3)"):
+        spec = build_space(text)
+        for assign in _tables_to_check(text):
+            assert _pole_free(derived_fixed_point_data(spec, assign)) == check_necessary(spec, assign).ok
+
+
+@pytest.mark.parametrize("text", ["CP2", "G2/SU(3)", "U(3)/T3"])
+def test_group_ints_cancel_exactly_when_the_certificate_holds(text):
+    # balanced slots of (2 chi + 1).bit_length() bits: no carry lets a
+    # table's sum read 0 while some group sum is not 0
+    spec = build_space(text)
+    base = fixed_point_weights(spec)
+    signs = list(product((1, -1), repeat=len(base[0].weights)))
+    ints, _ = _group_ints([[_signed(pt, avec) for avec in signs] for pt in base], len(base))
+    rng = random.Random(text)
+    tables = all_tables(base) if text != "U(3)/T3" else \
+        (tuple(rng.choice(signs) for _ in base) for _ in range(2000))
+    for table in tables:
+        total = sum(row[signs.index(avec)] for row, avec in zip(ints, table))
+        assert (total == 0) == _pole_free(derived_fixed_point_data(spec, SignAssignment(table, 1)))
+
+
+def test_group_ints_do_not_carry():
+    # five points, each on group A with sign * orientation +1 or -1 or on
+    # group B with -1: four A's and one B would read 4 - 4 = 0 in slots of
+    # two bits
+    choices = [FixedPoint(0, ((1, 0),), 1), FixedPoint(0, ((0, 1),), -1), FixedPoint(0, ((-1, 0),), 1)]
+    ints, _ = _group_ints([choices] * 5, 5)
+    for picks in product(range(3), repeat=5):
+        total = sum(ints[p][i] for p, i in enumerate(picks))
+        assert (total == 0) == _pole_free([choices[i] for i in picks])
+
+
+def test_top_digits_are_the_chern_totals():
+    # random points of three weights: the values of neighbouring slots take
+    # either sign, and the digit read must agree with the exact Chern sums
+    # of every table
+    xis = omegas_of_weight(3)
+    point = (1, 0)
+    rng = random.Random(28)
+    seen = set()
+    for _ in range(60):
+        rows = [[FixedPoint(p, tuple((rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.randint(-2, 2))
+                                    for _ in range(3)), rng.choice((1, -1))) for _ in range(3)]
+                for p in range(3)]
+        ints, integral = _top_ints(rows, point, xis)
+        for picks in product(range(3), repeat=3):
+            table = [rows[p][i] for p, i in enumerate(picks)]
+            want = all(isinstance(v, int) for v in point_chern_numbers(table, point).values())
+            assert integral(sum(ints[p][i] for p, i in enumerate(picks))) == want
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def _lines(text):
+    """n and {line: {key}} over every signed point of a space."""
     base = fixed_point_weights(build_space(text))
-    loc = localization_data(base)
     n = len(base[0].weights)
-    signs = list(product((1, -1), repeat=n))
-    layout, rows = _point_blocks(base, loc, signs)
-    for pt, cof, pre, row in zip(base, loc.cofactors, loc.prefactors, rows):
-        for avec, blocks in zip(signs, row):
-            weights = [tuple(a * c for c in w) for a, w in zip(avec, pt.weights)]
-            want = f_product_sum(loc.arena, [(weights, cof * pre)], n)
-            assert {om: MultiPoly(loc.arena, layout.unpack(t)) for om, t in blocks.items()} == want
-    assert MultiPoly(loc.arena, layout.unpack(layout.pack(loc.denom.terms))) == loc.denom
+    rows = [[_signed(pt, avec) for avec in product((1, -1), repeat=n)] for pt in base]
+    return n, _group_ints(rows, len(base))[1]
 
 
-def test_packed_sum_is_zero_exactly_when_every_slot_cancels():
-    # 2 at slot 0 and -1 at slot 1 would read 0 with one-bit slots
-    assert sum(r[0] for r in _pack([[{(): {(0,): 2}}], [{(): {(1,): -1}}]])) != 0
-    rng = random.Random(7)
-    keys = [((), (0,)), ((), (1,)), ((1,), (0,))]
-    for _ in range(200):
-        rows = [[{} for _ in range(3)] for _ in range(3)]
-        for row in rows:
-            for b in row:
-                for om, e in rng.sample(keys, 2):
-                    b.setdefault(om, {})[e] = rng.randint(-3, 3)
-        packed = _pack(rows)
-        for picks in product(range(3), repeat=3):
-            totals = {key: sum(rows[p][i].get(key[0], {}).get(key[1], 0) for p, i in enumerate(picks))
-                      for key in keys}
-            assert (sum(packed[p][i] for p, i in enumerate(picks)) == 0) == (not any(totals.values()))
+@pytest.mark.parametrize("text", ["CP1", "CP2", "CP3", "CP4", "G2/SU(3)", "U(3)/T3", "U(4)/U(2)xU(2)"])
+def test_residue_rows_separate_the_groups_within_the_default_budget(text):
+    # so on every space that the default budget reaches, the search lists
+    # exactly the tables that check_necessary admits
+    n, lines = _lines(text)
+    for line, keys in lines.items():
+        assert _full_rank(n, line, keys) == len(keys)
 
 
-def _symbolic_top_rule(num, denom):
-    # the ||omega|| = n test of check_necessary, on int maps in two variables
-    if not num:
-        return True
-    arena = xvars(2)
-    try:
-        value = clean(exact_div(MultiPoly(arena, num), MultiPoly(arena, denom)).as_constant())
-    except (NotDivisible, ValueError):
-        return False
-    return isinstance(value, int)
+def test_search_refuses_where_the_residues_do_not_separate_the_groups():
+    # line [1, 0, -1, 0] carries 33 groups, and its residue rows reach rank
+    # 27: a table with nonzero group sums there might still be admissible
+    spec = build_space(M10)
+    with pytest.raises(BudgetExceeded):
+        enumerate_feasible(spec, budget=(1 << 55) - 1)
+    with pytest.raises(CheckFailure) as info:
+        enumerate_feasible(spec, budget=1 << 55)
+    assert type(info.value) is CheckFailure
+    assert str(info.value) == ("residue rank 27 of 33 groups on line [1, 0, -1, 0]: "
+                               "the search cannot prove that it finds every admissible table")
+    n, lines = _lines(M10)
+    assert _full_rank(n, (1, 0, -1, 0), lines[1, 0, -1, 0]) == 27
 
 
-def _top_accepts(nums, denom):
-    """_top_rule on one point with one sign vector whose blocks are nums."""
-    packed, accepts = _top_rule([[nums]], denom)
-    return accepts(packed[0][0])
-
-
-@pytest.mark.parametrize("denom", [
-    {(1, 1): 1, (0, 2): -1},    # x2 * (x1 - x2)
-    {(2, 0): 2, (1, 1): 4},     # 2 * x1 * (x1 + 2 x2): not primitive
-])
-def test_top_weight_rule(denom):
-    # no table of a real space reaches this rule after the low blocks cancel,
-    # so it is planted on synthetic maps
-    double = {e: 2 * c for e, c in denom.items()}
-    bent = {e: c + (e == max(denom)) for e, c in double.items()}
-    extra = dict(double)
-    extra[(0, 1)] = 1
-    accepted = [double, {}]
-    rejected = [bent, extra]
-    if any(abs(c) != 1 for c in denom.values()):
-        rejected.append({e: c // 2 for e, c in denom.items()})    # denom / 2
-    for num in accepted:
-        assert _top_accepts({(3,): num}, denom) and _symbolic_top_rule(num, denom)
-        assert _top_accepts({(3,): num, (1, 1): double}, denom)
-    for num in rejected:
-        assert not _top_accepts({(3,): num}, denom) and not _symbolic_top_rule(num, denom)
-        assert not _top_accepts({(3,): double, (1, 1): num}, denom)
-
-
-def test_top_weight_rule_width_covers_the_quotient():
-    # num = 3 x1^2 - x1 x2 + 2 x2^2 is no multiple of x1^2 + 5 x1 x2.  With
-    # B = 3, a width sized by B alone is 3 bits, and q = 3 puts the digit 15
-    # in the x1 x2 slot, which carries: 3 - 8 + 2 * 64 == 3 + 15 * 8.  The
-    # width of _top_rule also covers q * 5.
-    denom = {(2, 0): 1, (1, 1): 5}
-    num = {(2, 0): 3, (1, 1): -1, (0, 2): 2}
-    assert 3 - 1 * 8 + 2 * 64 == 3 + 15 * 8
-    assert not _symbolic_top_rule(num, denom)
-    assert not _top_accepts({(2,): num}, denom)
-
-
-def test_top_weight_rule_on_packed_sums():
-    # tables of three points with three sign vectors each: every block a
-    # small multiple of denom, some with a planted error; a table passes
-    # exactly when every omega's total is a multiple of denom
-    denom = {(1, 1): 2, (0, 2): -3, (2, 0): 1}
-    omegas = [(2,), (0, 1)]
-    rng = random.Random(11)
-    for _ in range(100):
-        rows = []
-        for _ in range(3):
-            row = []
-            for _ in range(3):
-                b = {}
-                for om in rng.sample(omegas, rng.randint(0, 2)):
-                    q = rng.randint(-4, 4)
-                    b[om] = {e: q * c for e, c in denom.items()}
-                    if rng.random() < 0.3:
-                        e = rng.choice([(2, 0), (1, 1), (0, 2)])
-                        b[om][e] = b[om].get(e, 0) + rng.choice((-2, -1, 1, 2))
-                row.append(b)
-            rows.append(row)
-        packed, accepts = _top_rule(rows, denom)
-        for picks in product(range(3), repeat=3):
-            totals = {om: {} for om in omegas}
-            for p, i in enumerate(picks):
-                for om, terms in rows[p][i].items():
-                    for e, c in terms.items():
-                        totals[om][e] = totals[om].get(e, 0) + c
-            want = all(_symbolic_top_rule({e: c for e, c in t.items() if c}, denom) for t in totals.values())
-            assert accepts(sum(packed[p][i] for p, i in enumerate(picks))) == want
+def test_search_refuses_weights_off_distinct_primitive_lines(monkeypatch):
+    doubled = [FixedPoint(0, ((2, -2),), 1), FixedPoint(1, ((-2, 2),), 1)]
+    monkeypatch.setattr(stablex, "fixed_point_weights", lambda spec: doubled)
+    with pytest.raises(CheckFailure, match=re.escape("the weights ((2, -2),) are not primitive")):
+        enumerate_feasible(build_space("CP1"))
 
 
 def reference_check(spec, assign):

@@ -141,6 +141,16 @@ def test_kernel_verbs_load_no_fractions(argv):
     assert "fractions" not in _modules(RUN_AND_LIST, *argv) - bare
 
 
+def test_stable_search_loads_no_kernel():
+    # the search reads the certificate's line groups and one point; only
+    # --assign checks a table on the kernel's blocks
+    loaded = _loaded("stable", "--space", "CP3")
+    assert "stablex" in loaded
+    assert not loaded & {"exactalg", "character"}
+    assign = str(Path(__file__).with_name("assign") / "cp3.json")
+    assert {"exactalg", "character"} <= _loaded("stable", "--space", "CP3", "--assign", assign)
+
+
 def test_flag_loads_no_localization():
     loaded = _loaded("flag", "--n", "3")
     assert "divdiff" in loaded
