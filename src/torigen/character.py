@@ -10,12 +10,14 @@ simplification. The character stays in that form, {omega: MultiPoly}, and
 carries the low-block cancellation, the class (the blocks' constant terms)
 and the Weyl check.
 
-genus answers class, snumbers and chern by its certified point route, and
-imports this module only where the certificate does not hold. verify and
-genus read the character itself, and stablex and reproduce read its
-numerator and blocks. The tests check the kernel and
-stablex.check_necessary against omega_numerator in tests/reference.py, which
-builds one a^omega block by m_lambda substitution instead.
+genus answers class, snumbers, chern and stable --assign by its certified
+point route, and imports this module only where the certificate does not
+hold; a failed cancellation, division or integrality check there names its
+first block (genus.FailedBlock). verify and genus read the character
+itself, and reproduce reads its blocks. The tests check the kernel against
+omega_numerator in tests/reference.py, which builds one a^omega block by
+m_lambda substitution instead, and stablex.check_necessary against
+reference_check, which walks those blocks.
 
 Degrees: block omega of ch Phi is homogeneous of geometric degree
 d = ||omega|| - n, where 2n is the real dimension. Truncation orders are
@@ -25,17 +27,13 @@ absolute: an order-N character holds the blocks with ||omega|| = n + d <= N.
 from collections import Counter, namedtuple
 from itertools import combinations_with_replacement
 
-from . import CheckFailure, genus
+from . import genus
 from .chern import chern_to_s
 from .cobordism import CobordismPoly, render_series
 from .exactalg import MultiPoly, NotDivisible, block_coefficient, exact_div_terms, f_product_sum, xvars
-from .genus import NonIntegerClass, canonical_line
+from .genus import SingularSum, canonical_line, non_integer_class
 from .rootdata import fixed_point_weights, reflect
 from .symmfunc import omega_weight
-
-
-class SingularSum(CheckFailure):
-    pass
 
 
 LocData = namedtuple("LocData", "arena n denom cofactors prefactors")
@@ -116,16 +114,18 @@ def chern_character_of_genus(fp, order):
             for om in by_weight[wt]:
                 for e, c in num[om].terms.items():
                     block[e] = block.get(e, 0) + CobordismPoly.monomial(om, c)
+            om = by_weight[wt][0]
             raise SingularSum(
                 "degree-%d numerator block does not cancel: %s"
-                % (wt + D - n, render_series(block, loc.arena.names)))
+                % (wt + D - n, render_series(block, loc.arena.names)), om, num[om].canonical_text())
     blocks = {}
     for wt in range(n, order + 1):
         for om in by_weight[wt]:
             try:
                 blocks[om] = MultiPoly(loc.arena, exact_div_terms(num[om].terms, loc.denom.terms))
             except NotDivisible as exc:
-                raise SingularSum("degree-%d block not divisible by denominator" % (wt + D - n)) from exc
+                raise SingularSum("degree-%d block not divisible by denominator" % (wt + D - n),
+                                  om, num[om].canonical_text()) from exc
     return blocks
 
 
@@ -137,7 +137,7 @@ def class_of_character(ch, n):
     if not cls.is_homogeneous(n):
         raise SingularSum("class is not homogeneous of weight %d" % n)
     if not cls.is_integral():
-        raise NonIntegerClass(cls.canonical_text())
+        raise non_integer_class(cls)
     return cls
 
 

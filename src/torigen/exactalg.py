@@ -10,8 +10,7 @@ a_2 t^2 + ...: each product times a polynomial cofactor, summed over the
 products, as a^omega blocks in x, one MultiPoly each, built on packed
 exponents. Its one caller is the localization character (character), whose
 readers take the x^e coefficient over all blocks as one CobordismPoly
-(block_coefficient); through it, stablex.check_necessary is the independent
-oracle of the sign search, which does not load this module. The
+(block_coefficient), and which divides the blocks by exact_div_terms. The
 divided-difference routes have their own reader on packed big ints
 (divdiff). CobordismPoly, clean and the term rendering live in cobordism,
 which the certified point route, the sign search, the fgl verb and the
@@ -101,15 +100,6 @@ class MultiPoly:
 
     def coeff(self, exp):
         return self.terms.get(tuple(exp), 0)
-
-    def as_constant(self):
-        if not self.terms:
-            return 0
-        if len(self.terms) == 1:
-            ((exp, c),) = self.terms.items()
-            if not any(exp):
-                return c
-        raise ValueError("not a constant: %s" % self.canonical_text())
 
     def degree(self):
         return max((sum(e) for e in self.terms), default=0)
@@ -205,16 +195,6 @@ def exact_div_terms(num_terms, div_terms):
     return quot
 
 
-def exact_div(p, q):
-    """Exact polynomial quotient p/q; NotDivisible if the remainder is nonzero."""
-    _check_arena(p.arena, q.arena)
-    if q.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if p.is_zero():
-        return MultiPoly(p.arena)
-    return MultiPoly(p.arena, exact_div_terms(p.terms, q.terms))
-
-
 def f_product_sum(arena, summands, order):
     """{omega: MultiPoly}: the blocks of sum over (weights, times) in summands
     of times * prod_j f(<w_j, x>), f(t) = 1 + a_1 t + a_2 t^2 + ..., times a
@@ -240,8 +220,10 @@ def f_product_sum(arena, summands, order):
                     e = e1 + e2
                     acc[e] = acc.get(e, 0) + c1 * c2
     mask = (1 << bits) - 1
-    # one block at a time, so that only one is held in both forms
-    return {om: MultiPoly(arena, {tuple(e >> s & mask for s in offsets): c for e, c in total.pop(om).items()})
+    # one block at a time, so that only one is held in both forms; cancelled
+    # terms are dropped before they are unpacked
+    return {om: MultiPoly(arena, {tuple(e >> s & mask for s in offsets): c
+                                  for e, c in total.pop(om).items() if c})
             for om in list(total)}
 
 

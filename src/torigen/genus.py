@@ -20,6 +20,9 @@ off that sum here; its a^omega blocks in x are built in character.
   input data. This module imports character only on that fallback, so a
   verb that the certificate answers never loads it or the polynomial kernel
   in exactalg.
+- Either route's failure is a FailedBlock that names the first failing
+  a^omega block, by weight and then in sorted order, and its value as text:
+  the check of stable --assign is s_numbers itself.
 
 Block omega of ch Phi is homogeneous of geometric degree d = ||omega|| - n,
 where 2n is the real dimension.
@@ -34,7 +37,22 @@ from .cobordism import CobordismPoly
 from .symmfunc import omegas_of_weight, trim
 
 
-class NonIntegerClass(CheckFailure):
+class FailedBlock(CheckFailure):
+    """A localization sum that fails a check at an a^omega block: omega names
+    the first such block and value its value as text (the numerator block,
+    or the non-integral s-number), None where no block is named."""
+
+    def __init__(self, message, omega=None, value=None):
+        super().__init__(message)
+        self.omega = omega
+        self.value = value
+
+
+class NonIntegerClass(FailedBlock):
+    pass
+
+
+class SingularSum(FailedBlock):
     pass
 
 
@@ -157,8 +175,15 @@ def _certified_chern_numbers(fp):
     except SingularPoint:
         return None
     if not all(isinstance(v, int) for v in table.values()):
-        raise NonIntegerClass(CobordismPoly(chern_to_s(table, len(fp[0].weights))).canonical_text())
+        raise non_integer_class(CobordismPoly(chern_to_s(table, len(fp[0].weights))))
     return table
+
+
+def non_integer_class(cls):
+    """NonIntegerClass for a class that is not integral, naming its first
+    non-integral coefficient in sorted omega order."""
+    omega = next(om for om in sorted(cls.terms) if type(cls.terms[om]) is not int)
+    return NonIntegerClass(cls.canonical_text(), omega, str(cls.terms[omega]))
 
 
 def _symbolic_s_numbers(fp):
@@ -214,12 +239,9 @@ def second_numeric_point(fp):
 
 
 def s_number_numeric(fp, omega, point):
-    """s_omega of the localization sum at point. Data that _pole_free rejects
-    goes through symbolic_class first, so inconsistent data raises the error
-    that class raises."""
-    if _certified_chern_numbers(fp) is None:
-        from .character import symbolic_class
-        symbolic_class(fp)
+    """s_omega of the localization sum at point, once s_numbers has accepted
+    the data, so inconsistent data raises the error that class raises."""
+    s_numbers(fp)
     return chern_to_s(point_chern_numbers(fp, point), len(fp[0].weights))[trim(omega)]
 
 

@@ -6,11 +6,12 @@ a_i(w), with point signs epsilon * prod_i a_i(w).  The localization sum then
 imposes necessary conditions on the a_i(w): every f_omega sum with
 ||omega|| <= n-1 must vanish identically and the ||omega|| = n sums must be
 integers.  This module derives the rescaled fixed-point data and checks
-those conditions for one table on the numerator blocks of one kernel pass
-(character.character_numerator, loaded only there).  It enumerates the
-admissible tables by an exhaustive, exact search that shares nothing with
-that check: it reads each table's group sums in the certificate of
-genus._pole_free and its Chern numbers at one point off packed ints.
+those conditions for one table on the route of class, one call of
+genus.s_numbers.  It enumerates the admissible tables by an exhaustive,
+exact search: it reads each table's group sums in the certificate of
+genus._pole_free and its Chern numbers at one point off packed ints.  It
+loads neither character nor the polynomial kernel; genus does, for a table
+that the certificate does not decide.
 
 "Admissible" is deliberate: the conditions are necessary, and which admissible
 tables are realized by honest stable complex structures is a separate
@@ -27,7 +28,8 @@ from itertools import product
 from math import lcm, prod
 
 from . import CheckFailure
-from .genus import SingularPoint, default_numeric_point, line_groups, point_terms, s_numbers as _genus_s_numbers
+from .genus import (FailedBlock, SingularPoint, default_numeric_point, line_groups, point_terms,
+                    s_numbers as _genus_s_numbers)
 from .rootdata import FixedPoint, fixed_point_weights
 from .symmfunc import omegas_of_weight
 
@@ -78,33 +80,23 @@ def derived_fixed_point_data(spec, assign):
 
 
 def check_necessary(spec, assign):
-    """Evaluate the localization conditions for one sign table.
+    """Evaluate the localization conditions for one sign table: every sum
+    with ||omega|| <= n-1 must vanish identically and every ||omega|| = n
+    sum must be an integer.
 
-    Walks omega by weight over the numerator blocks of one kernel pass
-    (character.character_numerator at order n): each sum with ||omega|| <= n-1
-    must vanish as a polynomial, each ||omega|| = n sum must collapse to an
-    integer.  Returns the first violated omega with the offending value
-    (residue polynomial or non-integer constant).
+    One call of genus.s_numbers on the derived table decides them, the route
+    that class takes. A table that the certificate _pole_free passes has
+    zero low blocks and its point values as top blocks, so one point decides
+    it; any other goes to the symbolic class, which checks the blocks in
+    order of weight, then of omega. Returns ok with the s-numbers as value,
+    else the first failing omega and its value as text: the numerator block
+    that does not cancel or divide, or the non-integral s-number.
     """
-    from .character import character_numerator
-    from .exactalg import NotDivisible, clean, exact_div
-    fp = derived_fixed_point_data(spec, assign)
-    n = len(fp[0].weights)
-    loc, blocks = character_numerator(fp, n)
-    for k in range(n + 1):
-        for omega in omegas_of_weight(k):
-            num = blocks.get(omega)
-            if num is None or num.is_zero():
-                continue
-            if k < n:
-                return NecessaryReport(False, omega, num)
-            try:
-                value = clean(exact_div(num, loc.denom).as_constant())
-            except (NotDivisible, ValueError):
-                return NecessaryReport(False, omega, num)
-            if not isinstance(value, int):
-                return NecessaryReport(False, omega, value)
-    return NecessaryReport(True, None, None)
+    try:
+        table = _genus_s_numbers(derived_fixed_point_data(spec, assign))
+    except FailedBlock as exc:
+        return NecessaryReport(False, exc.omega, exc.value)
+    return NecessaryReport(True, None, table)
 
 
 def _group_ints(rows, chi):
@@ -250,11 +242,6 @@ def enumerate_feasible(spec, budget=1 << 20):
     return found
 
 
-def s_numbers_for(spec, assign):
-    """s_omega table of the rescaled structure; assumes check_necessary passes."""
-    return _genus_s_numbers(derived_fixed_point_data(spec, assign))
-
-
 def assignment_from_json(data, spec):
     """SignAssignment from {coset_index: [signs], "epsilon": e}, optionally
     nested under "table"; ValueError for any other shape."""
@@ -284,15 +271,12 @@ def cmd_stable(args):
             assign = assignment_from_json(json.load(fh), spec)
         report = check_necessary(spec, assign)
         if report.ok:
-            table = s_numbers_for(spec, assign)
-            rows = [(list(_pad(om, spec.n)), v) for om, v in sorted(table.items())]
+            rows = [(list(_pad(om, spec.n)), v) for om, v in sorted(report.value.items())]
             text = "PASS\n" + "\n".join("s_%s = %d" % (om, v) for om, v in rows)
             _emit(args, text, {"ok": True, "s_numbers": [{"omega": om, "value": v} for om, v in rows]})
             return 0
-        from .exactalg import MultiPoly
-        value = report.value.canonical_text() if isinstance(report.value, MultiPoly) else str(report.value)
-        _emit(args, "FAIL at omega=%s: %s" % (list(report.omega), value),
-              {"ok": False, "omega": list(report.omega), "value": value})
+        _emit(args, "FAIL at omega=%s: %s" % (list(report.omega), report.value),
+              {"ok": False, "omega": list(report.omega), "value": report.value})
         return 1
     sols = enumerate_feasible(spec, budget=args.budget)
     _write_tables(args, spec, sols)

@@ -3,8 +3,9 @@
 No verb runs any of these. Each builds its answer the slow, direct way:
 
 - omega_numerator substitutes the weights into m_lambda, one a^omega block
-  at a time; the kernel (exactalg.f_product_sum) and
-  stablex.check_necessary must agree with it.
+  at a time; the kernel (exactalg.f_product_sum) must agree with it, and
+  reference_check, which walks a sign table's blocks on it, must agree with
+  stablex.check_necessary and the sign search.
 - operator_L antisymmetrizes and divides by the Vandermonde; the signed
   delta-orbit sums of divdiff must agree with it.
 - pair_product_blocks builds the blocks of prod f(x_a - x_b) with the
@@ -49,12 +50,13 @@ from itertools import combinations, permutations, product
 from math import factorial, prod
 import re
 
-from torigen.cobordism import CobordismPoly, grlex_key
-from torigen.exactalg import (ArenaMismatch, MultiPoly, _check_arena, block_coefficient, exact_div,
-                              f_product_sum, xvars)
+from torigen.character import localization_data
+from torigen.cobordism import CobordismPoly, clean, grlex_key
+from torigen.exactalg import (ArenaMismatch, MultiPoly, NotDivisible, _check_arena, block_coefficient,
+                              exact_div_terms, f_product_sum, xvars)
 from torigen.fgl import exp_series, log_series
 from torigen.rootdata import M10_DESCRIPTOR, fixed_point_weights
-from torigen.stablex import SignAssignment
+from torigen.stablex import NecessaryReport, SignAssignment, derived_fixed_point_data
 from torigen.symmfunc import omega_weight, omegas_of_weight, perm_sign
 
 
@@ -179,6 +181,20 @@ def antisymmetrize(p):
     return total
 
 
+def exact_div(p, q):
+    """The exact quotient p / q of two MultiPolys, by the kernel's
+    exact_div_terms; NotDivisible if a remainder is left."""
+    _check_arena(p.arena, q.arena)
+    return MultiPoly(p.arena, exact_div_terms(p.terms, q.terms))
+
+
+def as_constant(p):
+    """The value of a constant MultiPoly; ValueError for any other."""
+    if any(any(e) for e in p.terms):
+        raise ValueError("not a constant: %s" % p.canonical_text())
+    return p.coeff((0,) * p.arena.arity)
+
+
 def vandermonde(arena):
     n = arena.arity
     v = MultiPoly.const(arena, 1)
@@ -287,6 +303,33 @@ def omega_numerator(fp, loc, omega):
         bindings = {j: MultiPoly.linear_form(loc.arena, w) for j, w in enumerate(pt.weights)}
         num = num + substitute(f_omega, bindings) * loc.cofactors[idx] * loc.prefactors[idx]
     return num
+
+
+def reference_check(spec, assign):
+    """stablex.check_necessary by one omega_numerator per omega, sharing
+    neither the certificate nor the kernel with it: the first omega, by
+    weight and then in sorted order, whose numerator does not cancel below
+    weight n, or at weight n does not divide or gives no integer, with its
+    value as text; else ok with the s-numbers."""
+    fp = derived_fixed_point_data(spec, assign)
+    n = len(fp[0].weights)
+    loc = localization_data(fp)
+    for k in range(n):
+        for omega in omegas_of_weight(k):
+            num = omega_numerator(fp, loc, omega)
+            if not num.is_zero():
+                return NecessaryReport(False, omega, num.canonical_text())
+    table = {}
+    for omega in omegas_of_weight(n):
+        num = omega_numerator(fp, loc, omega)
+        try:
+            value = clean(as_constant(exact_div(num, loc.denom)))
+        except (NotDivisible, ValueError):
+            return NecessaryReport(False, omega, num.canonical_text())
+        if type(value) is not int:
+            return NecessaryReport(False, omega, str(value))
+        table[omega] = value
+    return NecessaryReport(True, None, table)
 
 
 G2_DESCRIPTOR = "G2/SU(3)"

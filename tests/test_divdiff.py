@@ -22,8 +22,9 @@ from torigen.exactalg import CobordismPoly, MultiPoly, f_product_sum, xvars
 from torigen.genus import cobordism_class
 from torigen.rootdata import build_space, fixed_point_weights
 
-from reference import (delta_orbit, elementary, grassmann_base_blocks, grassmann_class_by_base, grassmann_Q_by_base,
-                       operator_L, pair_product_blocks, pair_product_reads, pair_weights, permute, vandermonde)
+from reference import (as_constant, delta_orbit, elementary, grassmann_base_blocks, grassmann_class_by_base,
+                       grassmann_Q_by_base, operator_L, pair_product_blocks, pair_product_reads, pair_weights,
+                       permute, vandermonde)
 
 PDELTA = "a1^3 - a1*a2 - 3*a3"
 PDELTA_SWAP = "-a1^3 - 5*a1*a2 - 3*a3"
@@ -134,7 +135,7 @@ def test_flag_vanishing_reports_n5():
 
 def L_of_top_blocks(blocks):
     """sum_omega a^omega * L(block omega), L by antisymmetrizing and dividing."""
-    return CobordismPoly({om: operator_L(b).as_constant() for om, b in blocks.items()})
+    return CobordismPoly({om: as_constant(operator_L(b)) for om, b in blocks.items()})
 
 
 def flag_pairs(n):

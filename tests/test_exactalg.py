@@ -13,12 +13,11 @@ from torigen.exactalg import (
     CobordismPoly,
     MultiPoly,
     NotDivisible,
-    exact_div,
     f_product_sum,
     xvars,
 )
 
-from reference import GradedSeries, permute, permute_series, substitute
+from reference import GradedSeries, exact_div, permute, permute_series, substitute
 
 
 def test_multipoly_basic_arithmetic():

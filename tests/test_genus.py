@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from torigen import character
 from torigen.character import (
-    SingularSum,
     character_numerator,
     chern_character_of_genus,
     genus_report,
@@ -26,6 +25,7 @@ from torigen.exactalg import CobordismPoly, MultiPoly, block_coefficient, f_prod
 from torigen.genus import (
     NonIntegerClass,
     SingularPoint,
+    SingularSum,
     _pole_free,
     canonical_line,
     chern_numbers,

@@ -1,19 +1,20 @@
 """Admissible torus-equivariant sign systems on the fixed-point data."""
 
+import json
 import random
 import re
+from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from torigen import CheckFailure, stablex
-from torigen.character import localization_data
-from torigen.exactalg import MultiPoly, NotDivisible, clean, exact_div
-from torigen.genus import _pole_free, cobordism_class, point_chern_numbers, s_numbers
+from torigen import CheckFailure, character, genus, stablex
+from torigen.cli import main
+from torigen.genus import NonIntegerClass, _pole_free, cobordism_class, point_chern_numbers, s_numbers
 from torigen.rootdata import FixedPoint, build_space, fixed_point_weights
 from torigen.stablex import (
     BudgetExceeded,
-    NecessaryReport,
     SignAssignment,
     _full_rank,
     _group_ints,
@@ -23,11 +24,10 @@ from torigen.stablex import (
     check_necessary,
     derived_fixed_point_data,
     enumerate_feasible,
-    s_numbers_for,
 )
 from torigen.symmfunc import omegas_of_weight
 
-from reference import assignment_to_json, identity_assignment, omega_numerator
+from reference import assignment_to_json, identity_assignment, reference_check
 
 M10 = "SU(4)/S(U(1)xU(1)xU(2))"
 
@@ -79,7 +79,49 @@ def test_single_flip_breaks_first_moment():
         rep = check_necessary(spec, SignAssignment(tuple(tuple(r) for r in table), 1))
         assert not rep.ok
         assert rep.omega == (1,)
-        assert not rep.value.is_zero()
+        # the numerator block that does not cancel, as text
+        assert rep.value not in ("", "0") and "x1" in rep.value
+
+
+def test_a_non_integral_point_value_names_its_omega(monkeypatch, capsys, tmp_path):
+    # no natural pole-free table has a non-integral point value, so CP2's
+    # c_2 is shifted by 1/2: s_(0,1) = c_1^2 - 2 c_2 stays integral, as a
+    # Fraction, and s_(2) = c_2 becomes 7/2, the first non-integral omega
+    real = genus.point_chern_numbers
+
+    def shifted(fp, point):
+        table = real(fp, point)
+        table[(0, 1)] += Fraction(1, 2)
+        return table
+
+    monkeypatch.setattr(genus, "point_chern_numbers", shifted)
+    spec = build_space("CP2")
+    with pytest.raises(NonIntegerClass) as info:
+        s_numbers(fixed_point_weights(spec))
+    assert (str(info.value), info.value.omega, info.value.value) == ("7/2*a1^2 + 2*a2", (2,), "7/2")
+    assert main(["class", "--space", "CP2"]) == 1
+    assert capsys.readouterr() == ("", "error: 7/2*a1^2 + 2*a2\n")
+    identity = tmp_path / "identity.json"
+    identity.write_text(json.dumps(assignment_to_json(identity_assignment(spec))))
+    for fmt, out in (("text", "FAIL at omega=[2]: 7/2\n"), ("json", '{"ok":false,"omega":[2],"value":"7/2"}\n')):
+        assert main(["stable", "--space", "CP2", "--assign", str(identity), "--format", fmt]) == 1
+        assert capsys.readouterr() == (out, "")
+
+
+@pytest.mark.parametrize("space, name, symbolic", [("CP3", "cp3.json", 0), (M10, "m10_j.json", 0),
+                                                   ("CP3", "cp3_flip.json", 1)])
+def test_one_route_call_per_assign_run(monkeypatch, capsys, space, name, symbolic):
+    # --assign enters genus's route once, and builds the symbolic character
+    # only for a table that the certificate does not decide
+    certified, build = genus._certified_chern_numbers, character.chern_character_of_genus
+    entries, builds = [], []
+    monkeypatch.setattr(genus, "_certified_chern_numbers", lambda fp: entries.append(fp) or certified(fp))
+    monkeypatch.setattr(character, "chern_character_of_genus",
+                        lambda fp, order: builds.append(order) or build(fp, order))
+    code = main(["stable", "--space", space, "--assign", str(Path(__file__).with_name("assign") / name)])
+    assert code == symbolic
+    assert (len(entries), len(builds)) == (1, symbolic)
+    assert capsys.readouterr().out.startswith("FAIL" if symbolic else "PASS")
 
 
 def test_cp1_enumeration_and_classes():
@@ -143,15 +185,15 @@ def test_line_sum_structure():
     assign = SignAssignment(((1, 1, 1), (1, 1, -1), (1, 1, -1), (1, 1, -1)), -1)
     derived = derived_fixed_point_data(spec, assign)
     assert [pt.sign for pt in derived] == [-1, 1, 1, 1]
-    table = s_numbers_for(spec, assign)
+    table = check_necessary(spec, assign).value
     assert table[(0, 0, 1)] == -2
     cls = cobordism_class(derived)
     assert cls.canonical_text() == "2*a1^3 - 6*a1*a2 - 2*a3"
 
 
-def test_s_numbers_for_identity_matches_direct():
+def test_check_necessary_reports_the_s_numbers_of_a_passing_table():
     spec = build_space("U(3)/T3")
-    assert s_numbers_for(spec, identity_assignment(spec)) == \
+    assert check_necessary(spec, identity_assignment(spec)).value == \
         s_numbers(fixed_point_weights(spec))
 
 
@@ -172,9 +214,11 @@ def all_tables(base):
 
 @pytest.mark.parametrize("text", ["CP1", "CP2", "G2/SU(3)"])
 def test_search_matches_symbolic_checker_exhaustively(text):
+    # reference_check shares neither the certificate nor the kernel with
+    # the search
     spec = build_space(text)
     expected = [SignAssignment(t, 1) for t in all_tables(fixed_point_weights(spec))
-                if check_necessary(spec, SignAssignment(t, 1)).ok]
+                if reference_check(spec, SignAssignment(t, 1)).ok]
     assert enumerate_feasible(spec) == expected
 
 
@@ -206,7 +250,7 @@ def test_certificate_is_the_symbolic_checker_exhaustively():
     for text in ("CP1", "CP2", "G2/SU(3)"):
         spec = build_space(text)
         for assign in _tables_to_check(text):
-            assert _pole_free(derived_fixed_point_data(spec, assign)) == check_necessary(spec, assign).ok
+            assert _pole_free(derived_fixed_point_data(spec, assign)) == reference_check(spec, assign).ok
 
 
 @pytest.mark.parametrize("text", ["CP2", "G2/SU(3)", "U(3)/T3"])
@@ -296,34 +340,6 @@ def test_search_refuses_weights_off_distinct_primitive_lines(monkeypatch):
         enumerate_feasible(build_space("CP1"))
 
 
-def reference_check(spec, assign):
-    """check_necessary with one omega_numerator m_lambda substitution per omega."""
-    fp = derived_fixed_point_data(spec, assign)
-    n = len(fp[0].weights)
-    loc = localization_data(fp)
-    for k in range(n):
-        for omega in omegas_of_weight(k):
-            num = omega_numerator(fp, loc, omega)
-            if not num.is_zero():
-                return NecessaryReport(False, omega, num)
-    for omega in omegas_of_weight(n):
-        num = omega_numerator(fp, loc, omega)
-        if num.is_zero():
-            continue
-        try:
-            value = clean(exact_div(num, loc.denom).as_constant())
-        except (NotDivisible, ValueError):
-            return NecessaryReport(False, omega, num)
-        if not isinstance(value, int):
-            return NecessaryReport(False, omega, value)
-    return NecessaryReport(True, None, None)
-
-
-def _report_text(rep):
-    value = rep.value.canonical_text() if isinstance(rep.value, MultiPoly) else str(rep.value)
-    return rep.ok, rep.omega, value
-
-
 def _tables_to_check(text):
     spec = build_space(text)
     base = fixed_point_weights(spec)
@@ -338,15 +354,17 @@ def _tables_to_check(text):
         sample += [SignAssignment(((a, b, a, b, c),) * len(base), 1) for a, b, c in product((1, -1), repeat=3)]
     else:
         sols = enumerate_feasible(spec)
-        sample += [SignAssignment(sol.table, rng.choice((1, -1))) for sol in rng.sample(sols, 4)]
+        picked = sols if text == "CP3" else rng.sample(sols, 4)
+        sample += [SignAssignment(sol.table, rng.choice((1, -1))) for sol in picked]
     return sample
 
 
-@pytest.mark.parametrize("text", ["CP1", "CP2", "G2/SU(3)", "CP3", "U(3)/T3", "CP4", M10])
+@pytest.mark.parametrize("text", ["CP1", "CP2", "G2/SU(3)", "CP3", "U(3)/T3", "CP4", "U(4)/U(2)xU(2)", M10])
 def test_check_necessary_matches_reference(text):
+    # ok, the first failing omega and its value as text, or the s-numbers
     spec = build_space(text)
     for assign in _tables_to_check(text):
-        assert _report_text(check_necessary(spec, assign)) == _report_text(reference_check(spec, assign))
+        assert check_necessary(spec, assign) == reference_check(spec, assign)
 
 
 def test_assignment_json_round_trip():

@@ -6,6 +6,7 @@ picks the right exit code without them. These tests start a new
 interpreter for each command.
 """
 
+import ast
 import hashlib
 import json
 import os
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import torigen
-from torigen import cli
+from torigen import cli, stablex
 from torigen.cobordism import CobordismPoly
 
 from test_golden_localize import STABLE_DIGESTS
@@ -41,15 +42,16 @@ def _python(*args):
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
 
 
-def _modules(code, *argv):
+def _modules(code, *argv, exit_code=0):
     proc = _python("-c", code, *argv)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == exit_code, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
-def _loaded(*argv):
+def _loaded(*argv, exit_code=0):
     """The torigen modules, without the package prefix, that one command loads."""
-    return {name[len("torigen."):] for name in _modules(RUN_AND_LIST, *argv) if name.startswith("torigen.")}
+    return {name[len("torigen."):] for name in _modules(RUN_AND_LIST, *argv, exit_code=exit_code)
+            if name.startswith("torigen.")}
 
 
 # the kernel, and the modules of every verb but class, snumbers and chern
@@ -142,13 +144,29 @@ def test_kernel_verbs_load_no_fractions(argv):
 
 
 def test_stable_search_loads_no_kernel():
-    # the search reads the certificate's line groups and one point; only
-    # --assign checks a table on the kernel's blocks
+    # the search reads the certificate's line groups and one point; --assign
+    # takes the route of class, so only a table that the certificate does
+    # not decide loads the symbolic character and the kernel
     loaded = _loaded("stable", "--space", "CP3")
     assert "stablex" in loaded
     assert not loaded & {"exactalg", "character"}
-    assign = str(Path(__file__).with_name("assign") / "cp3.json")
-    assert {"exactalg", "character"} <= _loaded("stable", "--space", "CP3", "--assign", assign)
+    assign = Path(__file__).with_name("assign")
+    for space, name in (("CP3", "cp3.json"), ("SU(4)/S(U(1)xU(1)xU(2))", "m10_j.json")):
+        assert not _loaded("stable", "--space", space, "--assign", str(assign / name)) & {"exactalg", "character"}
+    flip = _loaded("stable", "--space", "CP3", "--assign", str(assign / "cp3_flip.json"), exit_code=1)
+    assert {"exactalg", "character"} <= flip
+
+
+def test_stablex_imports_no_kernel():
+    # not at module level and not inside a function
+    tree = ast.parse(Path(stablex.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module} | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not {name.rsplit(".", 1)[-1] for name in imported if name} & {"character", "exactalg"}
 
 
 def test_flag_loads_no_localization():
