@@ -1,150 +1,139 @@
-"""The symbolic character of the genus, and the verify and genus verbs.
+"""The character blocks of the genus, and the verify and genus verbs.
 
-ch Phi = sum_p sign(p) prod_j f(<Lambda_j(p), x>) / <Lambda_j(p), x> is put
-over one polynomial common denominator (localization_data); the numerator,
-sum_p prefactor_p * cofactor_p * prod_j f(<Lambda_j(p), x>), comes from
-exactalg.f_product_sum as one polynomial in x per a^omega, and is checked
-and divided a^omega by a^omega. Inconsistent input data is detected as a
-failed cancellation or division, never hidden by per-summand
-simplification. The character stays in that form, {omega: MultiPoly}, and
-carries the low-block cancellation, the class (the blocks' constant terms)
-and the Weyl check.
+ch Phi = sum_p sign(p) prod_j f(<Lambda_j(p), x>) / <Lambda_j(p), x> is read
+by point evaluation alone. Once genus.check_poles has shown that its blocks
+have no poles, block a^omega is a homogeneous polynomial of degree
+d = ||omega|| - n in x, where 2n is the real dimension, and character_blocks
+interpolates it exactly from its values at integer points, which the
+a-series product prod_j (1 + sum_i a_i c_j^i) at each fixed point gives
+(point_blocks). The blocks are plain {exponent: coefficient} dicts, and the Weyl check, verify,
+genus and reproduce read them. Truncation orders are absolute: an order-N
+character holds the blocks with ||omega|| = n + d <= N.
 
-genus answers class, snumbers, chern and stable --assign by its certified
-point route, and imports this module only where the certificate does not
-hold; a failed cancellation, division or integrality check there names its
-first block (genus.FailedBlock). verify and genus read the character
-itself, and reproduce reads its blocks. The tests check the kernel against
-omega_numerator in tests/reference.py, which builds one a^omega block by
-m_lambda substitution instead, and stablex.check_necessary against
-reference_check, which walks those blocks.
-
-Degrees: block omega of ch Phi is homogeneous of geometric degree
-d = ||omega|| - n, where 2n is the real dimension. Truncation orders are
-absolute: an order-N character holds the blocks with ||omega|| = n + d <= N.
+verify compares two routes to the class that share no basis change: the
+a-series product at one point (point_class), and chern_to_s of the
+point-evaluated Chern numbers. The symbolic
+common-denominator character, which the tests keep in tests/reference.py
+as an oracle, must agree with character_blocks block by block.
 """
 
-from collections import Counter, namedtuple
+from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import factorial, lcm, prod
 
-from . import genus
+from . import genus, residues
 from .chern import chern_to_s
-from .cobordism import CobordismPoly, render_series
-from .exactalg import MultiPoly, NotDivisible, block_coefficient, exact_div_terms, f_product_sum, xvars
-from .genus import SingularSum, canonical_line, non_integer_class
+from .cobordism import CobordismPoly
 from .rootdata import fixed_point_weights, reflect
 from .symmfunc import omega_weight
 
 
-LocData = namedtuple("LocData", "arena n denom cofactors prefactors")
+def _falling(corner, b):
+    """The coefficients, lowest first, of prod_{j<b} (z - corner - j)."""
+    coeffs = [1]
+    for j in range(b):
+        coeffs = [(coeffs[e - 1] if e else 0) - (corner + j) * (coeffs[e] if e < len(coeffs) else 0)
+                  for e in range(len(coeffs) + 1)]
+    return coeffs
 
 
-def localization_data(fp):
-    """Common denominator for the localization sum.
+def _interpolate(values, corner, d):
+    """{e: d! * coefficient} of the polynomial r of degree <= d in
+    len(corner) variables whose values at corner + alpha, alpha over
+    residues.simplex, are the ints values. Its Newton form on the nodes
+    corner_i + j has the coefficients Delta^beta r(corner) / beta!: forward
+    differences taken one axis at a time (the system is triangular on the
+    simplex, which holds every point below one of its own), scaled to d!
+    over beta!, an int, then expanded into monomials one axis at a time."""
+    dims = len(corner)
+    f = dict(zip(residues.simplex(dims, d), values))
+    for i in range(dims):
+        for s in range(1, d + 1):
+            for alpha in sorted((a for a in f if a[i] >= s), key=lambda a: -a[i]):
+                f[alpha] -= f[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]]
+    f = {beta: v * (factorial(d) // prod(map(factorial, beta))) for beta, v in f.items() if v}
+    for i in range(dims):
+        out = {}
+        for beta, c in f.items():
+            for e, pc in enumerate(_falling(corner[i], beta[i])):
+                key = beta[:i] + (e,) + beta[i + 1:]
+                out[key] = out.get(key, 0) + c * pc
+        f = out
+    return f
 
-    denom = product over weight lines of the highest multiplicity seen at any
-    point; cofactors[p] * (point p's own denominator) = denom up to the sign
-    prefactors[p], which absorbs sign(p) and the orientation of each weight.
-    """
-    k = len(fp[0].weights[0])
+
+def point_blocks(fp, point, order):
+    """(common, {omega: common * value}), n <= ||omega|| <= order: the
+    a^omega coefficients of sum_p sign(p) prod_j f(c_j(p)) / prod_j c_j(p) at
+    one nonsingular point, c_j = <Lambda_j(p), point>, over their common
+    denominator. Each point's a-series product prod_j (1 + sum_i a_i c_j^i)
+    (residues.series_values) enters with no e -> m basis change."""
     n = len(fp[0].weights)
-    arena = xvars(k)
-    counted = []
-    prefactors = []
+    rows = []
     for pt in fp:
-        if len(pt.weights) != n:
-            raise ValueError("ragged fixed-point table")
-        cnt = Counter()
-        s = pt.sign
-        for w in pt.weights:
-            line, sg = canonical_line(w)
-            cnt[line] += 1
-            s *= sg
-        counted.append(cnt)
-        prefactors.append(s)
-    need = Counter()
-    for cnt in counted:
-        for line, m in cnt.items():
-            need[line] = max(need[line], m)
-    lines = {line: MultiPoly.linear_form(arena, line) for line in need}
-    denom = MultiPoly.const(arena, 1)
-    for line in sorted(need):
-        for _ in range(need[line]):
-            denom = denom * lines[line]
-    cofactors = []
-    for cnt in counted:
-        cof = MultiPoly.const(arena, 1)
-        for line in need:
-            for _ in range(need[line] - cnt.get(line, 0)):
-                cof = cof * lines[line]
-        cofactors.append(cof)
-    return LocData(arena, n, denom, cofactors, prefactors)
+        cs = [sum(a * x for a, x in zip(w, point)) for w in pt.weights]
+        rows.append((pt.sign * prod(cs), residues.series_values(cs, order)))
+    common = lcm(*(den for den, _ in rows))
+    return common, {om: sum(common // den * vals[om] for den, vals in rows)
+                    for om in rows[0][1] if omega_weight(om) >= n}
 
 
-def character_numerator(fp, order):
-    """loc and the numerator blocks sum_p prefactor_p * cofactor_p *
-    prod_j f(<Lambda_j(p), x>), {omega: MultiPoly} for ||omega|| <= order,
-    multiplied and summed over the points in the kernel (f_product_sum)."""
-    loc = localization_data(fp)
-    summands = [(pt.weights, cof * pre) for pt, cof, pre in zip(fp, loc.cofactors, loc.prefactors)]
-    return loc, f_product_sum(loc.arena, summands, order)
+def point_class(fp, point):
+    """The class read at one point: the blocks with ||omega|| = n there. It
+    is the class wherever the sum has no poles."""
+    common, at = point_blocks(fp, point, len(fp[0].weights))
+    return CobordismPoly({om: Fraction(v, common) for om, v in at.items()})
 
 
-def chern_character_of_genus(fp, order):
-    """ch Phi truncated at absolute order: {omega: MultiPoly}, the nonzero
-    a^omega blocks with n <= ||omega|| <= order.
+def character_blocks(fp, order):
+    """ch Phi truncated at absolute order: {omega: block}, the nonzero
+    a^omega blocks with n <= ||omega|| <= order, each {exponent e:
+    coefficient}, homogeneous of degree d = ||omega|| - n. genus.check_poles
+    raises SingularSum unless no block with ||omega|| <= order has a pole,
+    so the blocks below n vanish and these are polynomials.
 
-    The a^omega block of the numerator (character_numerator) has x-degree
-    ||omega|| + D - n. Blocks with ||omega|| < n must vanish; the others are
-    divided exactly by the denominator, and block omega of the quotient is
-    homogeneous of x-degree ||omega|| - n.
-    """
+    With x_k fixed at s, block p gives p(z, s), a polynomial of degree <= d
+    in the other k - 1 coordinates whose z^e' coefficient is that of
+    x^(e', d - |e'|) times s^(d - |e'|). It is interpolated (_interpolate)
+    from point_blocks on the simplex of degree d shifted by m b, over one
+    common denominator G, and divided back. b is genus.second_numeric_point
+    and m exceeds d times the largest weight entry, so no weight vanishes at
+    m b + alpha; s = m b_k."""
     n = len(fp[0].weights)
     if order < n:
         raise ValueError("order %d below dimension grade %d" % (order, n))
-    loc, num = character_numerator(fp, order)
-    D = loc.denom.degree()
-    by_weight = [[] for _ in range(order + 1)]
-    for om in sorted(num):
-        if num[om].terms:
-            by_weight[omega_weight(om)].append(om)
-    for wt in range(n):
-        if by_weight[wt]:
-            block = {}
-            for om in by_weight[wt]:
-                for e, c in num[om].terms.items():
-                    block[e] = block.get(e, 0) + CobordismPoly.monomial(om, c)
-            om = by_weight[wt][0]
-            raise SingularSum(
-                "degree-%d numerator block does not cancel: %s"
-                % (wt + D - n, render_series(block, loc.arena.names)), om, num[om].canonical_text())
+    genus.check_poles(fp, order)
+    top = order - n
+    b = genus.second_numeric_point(fp)
+    m = top * max(abs(c) for pt in fp for w in pt.weights for c in w) + 1
+    corner, s = [m * c for c in b[:-1]], m * b[-1]
+    lattice = [(sum(alpha),) + point_blocks(fp, [c + a for c, a in zip(corner, alpha)] + [s], order)
+               for alpha in residues.simplex(len(corner), top)]
+    G = lcm(*(common for _, common, _ in lattice))
     blocks = {}
-    for wt in range(n, order + 1):
-        for om in by_weight[wt]:
-            try:
-                blocks[om] = MultiPoly(loc.arena, exact_div_terms(num[om].terms, loc.denom.terms))
-            except NotDivisible as exc:
-                raise SingularSum("degree-%d block not divisible by denominator" % (wt + D - n),
-                                  om, num[om].canonical_text()) from exc
+    for om in lattice[0][2]:
+        d = omega_weight(om) - n
+        vals = [G // common * at[om] for size, common, at in lattice if size <= d]
+        if not any(vals):
+            continue
+        block = {}
+        for e, c in _interpolate(vals, corner, d).items():
+            if c:
+                c = Fraction(c, factorial(d) * G * s ** (d - sum(e)))
+                block[e + (d - sum(e),)] = c.numerator if c.denominator == 1 else c
+        if block:
+            blocks[om] = block
     return blocks
 
 
-def class_of_character(ch, n):
-    """The t^n coefficient of a character: the constant terms of its blocks,
-    which must form an integer class of weight n."""
-    k = next((b.arena.arity for b in ch.values()), 0)
-    cls = block_coefficient(ch, (0,) * k)
-    if not cls.is_homogeneous(n):
-        raise SingularSum("class is not homogeneous of weight %d" % n)
-    if not cls.is_integral():
-        raise non_integer_class(cls)
-    return cls
+def block_coefficient(blocks, e):
+    """sum_omega a^omega * (x^e coefficient of block omega)."""
+    return CobordismPoly({om: block.get(tuple(e), 0) for om, block in blocks.items()})
 
 
-def symbolic_class(fp):
-    """The class read off the symbolic character of order n."""
-    n = len(fp[0].weights)
-    return class_of_character(chern_character_of_genus(fp, n), n)
+def _value(block, point):
+    """A block's value at point."""
+    return sum(c * prod(v ** d for v, d in zip(point, e)) for e, c in block.items())
 
 
 def weyl_invariance_failure(spec, ch):
@@ -162,16 +151,16 @@ def weyl_invariance_failure(spec, ch):
     then p(P)."""
     for om in sorted(ch):
         block = ch[om]
-        k = block.arena.arity
+        k = spec.rank
         # index k is the slack, so the coordinates sum to at most d
-        for picks in combinations_with_replacement(range(k + 1), block.degree()):
+        for picks in combinations_with_replacement(range(k + 1), max(map(sum, block), default=0)):
             point = tuple(picks.count(i) for i in range(k))
-            value = block.evaluate(point)
+            value = _value(block, point)
             for index, (alpha, coroot) in enumerate(spec.simple, 1):
                 image = reflect(point, coroot, alpha)
                 if image == point:
                     continue
-                moved = block.evaluate(image)
+                moved = _value(block, image)
                 if moved != value:
                     return {"omega": list(om) + [0] * (spec.n - len(om)), "reflection": index,
                             "point": list(point), "block_at_p": str(value), "block_at_sp": str(moved)}
@@ -196,9 +185,9 @@ def genus_report(spec, order=None):
     if order is None:
         order = n + 1
     stable = genus.s_numbers(fp)
-    # the build raises SingularSum unless the low blocks cancel, so a report
-    # exists only if the vanishing check holds
-    ch = chern_character_of_genus(fp, order)
+    # the blocks exist only where no block has a pole, so a report exists
+    # only if the vanishing check holds
+    ch = character_blocks(fp, order)
     rows = [(list(om) + [0] * (n - len(om)), val) for om, val in sorted(stable.items())]
     failure = weyl_invariance_failure(spec, ch)
     report = {
@@ -234,16 +223,20 @@ def cmd_verify(args):
     fp = fixed_point_weights(spec)
     n = len(fp[0].weights)
     checks = {}
-    # one symbolic character: building it raises SingularSum unless the low
-    # blocks cancel, and its degree-0 block is the class
-    ch = chern_character_of_genus(fp, n + 1)
-    checks["low_vanishing"] = True
-    cls = class_of_character(ch, n)
-    checks["class_integral"] = True  # class_of_character raises unless integral of weight n
-    # two independent routes: the symbolic class against the point-evaluated
-    # table, and that table against the sum at a second point
+    # a sum with poles fails here as in class, naming its first such block
     chern = genus.chern_numbers(fp)
     table = chern_to_s(chern, n)
+    # the blocks exist only where no block has a pole, so the low blocks
+    # vanish; the degree-0 blocks are the class
+    ch = character_blocks(fp, n + 1)
+    checks["low_vanishing"] = True
+    cls = point_class(fp, genus.default_numeric_point(fp))
+    if not cls.is_integral():
+        raise genus.non_integer_class(cls)
+    checks["class_integral"] = True
+    # two independent routes: the a-series class against the point-evaluated
+    # table, which passes through chern_to_s, and that table against the sum
+    # at a second point; the evidence key "symbolic" names the a-series class
     # a failed comparison names its first offending omega or xi and both values
     evidence = {}
     bad = [om for om in sorted(table) if cls.coeff(om) != table[om]]

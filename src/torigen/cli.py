@@ -6,13 +6,12 @@ files stay diff-stable; --format json emits deterministic JSON (sorted keys).
 Exit codes: 0 success, 1 check failure, 2 usage error.
 
 A call compiles only what its verb runs. This module holds main, the parser,
-the helpers the verbs share and the three verbs of the certified point route
+the helpers the verbs share and the three verbs of the point route
 (class, snumbers, chern); every other verb lives in the module whose work it
 runs, and VERBS names that module and the function. main imports the module
 only for the verb that runs, the parser registers only that verb, and each
-verb imports inside its function what it needs: class, snumbers and chern on
-a space that the certificate answers load neither character nor the
-polynomial kernel in exactalg. At exit the interpreter's remaining objects
+verb imports inside its function what it needs: class, snumbers and chern
+load genus and never character. At exit the interpreter's remaining objects
 are frozen out of the garbage collector, so shutdown does not walk them; a
 caller that imports cli keeps normal collection until then.
 """

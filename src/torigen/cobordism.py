@@ -1,18 +1,16 @@
 """The coefficient ring and the canonical text of every polynomial.
 
 CobordismPoly is a polynomial in the cobordism generators a_1, a_2, ...:
-the class of a space, the coefficient of each x^e in the kernel's blocks,
-and that of each u^a v^b in the formal group law. clean collapses an integral Fraction to int, and
-render_terms writes an exponent -> coefficient map in graded lex order,
-highest first; MultiPoly and CobordismPoly print through it. render_series
-writes an exponent -> CobordismPoly map, lowest first: the fgl verb's law and
-the blocks of a localization sum that does not cancel.
+the class of a space, the coefficient of each x^e in the character's
+blocks, and that of each u^a v^b in the formal group law. clean collapses
+an integral Fraction to int, and render_terms writes an exponent ->
+coefficient map in graded lex order, highest first; CobordismPoly and the
+weight lines of the residues' pole messages print through it. render_series
+writes an exponent -> CobordismPoly map, lowest first: the fgl verb's law.
 
-The certified point route of genus (class, s-numbers, Chern numbers) needs
-only this module, not the polynomial kernel in exactalg. Coefficients are
-ints, or Fractions where they are not integral, so a coefficient that is
-not an int is a Fraction: testing for int keeps the fractions module
-unloaded on a route that makes no Fraction.
+Coefficients are ints, or Fractions where they are not integral, so a
+coefficient that is not an int is a Fraction: testing for int keeps the
+fractions module unloaded on a route that makes no Fraction.
 """
 
 
@@ -112,10 +110,6 @@ class CobordismPoly:
         """The generator a_i, i >= 1."""
         return cls({(0,) * (i - 1) + (1,): 1})
 
-    @classmethod
-    def monomial(cls, omega, c=1):
-        return cls({tuple(omega): c})
-
     def is_zero(self):
         return not self.terms
 
@@ -124,15 +118,6 @@ class CobordismPoly:
         while omega and omega[-1] == 0:
             omega = omega[:-1]
         return self.terms.get(omega, 0)
-
-    def weights(self):
-        return {sum((l + 1) * m for l, m in enumerate(e)) for e in self.terms}
-
-    def is_homogeneous(self, weight=None):
-        ws = self.weights()
-        if len(ws) > 1:
-            return False
-        return True if weight is None else (not ws or ws == {weight})
 
     def is_integral(self):
         return all(isinstance(c, int) for c in self.terms.values())

@@ -59,11 +59,25 @@ from itertools import combinations, permutations
 from math import comb
 
 from .cobordism import CobordismPoly
-from .symmfunc import omegas_of_weight, perm_sign
+from .symmfunc import omegas_of_weight
 
 
 def _delta(n):
     return tuple(range(n - 1, -1, -1))
+
+
+def _sign(perm):
+    """The sign of a permutation of range(n), (-1)^(n - its cycles)."""
+    seen = [False] * len(perm)
+    parity = len(perm)
+    for start in range(len(perm)):
+        if not seen[start]:
+            parity -= 1
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                i = perm[i]
+    return -1 if parity % 2 else 1
 
 
 def _delta_orbit(n):
@@ -71,8 +85,8 @@ def _delta_orbit(n):
     polynomial of degree C(n, 2) reads these, and Delta_n is
     sum sign(sigma) x^sigma(delta). sigma(delta) = e is a permutation of
     range(n) with e o sigma = delta, so sign(sigma) = sign(e) * sign(delta)."""
-    sign = perm_sign(_delta(n))
-    return [(e, sign * perm_sign(e)) for e in permutations(range(n))]
+    sign = _sign(_delta(n))
+    return [(e, sign * _sign(e)) for e in permutations(range(n))]
 
 
 @lru_cache(maxsize=None)

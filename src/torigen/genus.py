@@ -5,42 +5,46 @@ Given a fixed-point weight table, the Chern-Dold character of the genus is
     ch Phi = sum_p sign(p) prod_j f(<Lambda_j(p), x>) / <Lambda_j(p), x>
 
 and the cobordism class, the s_omega numbers and the Chern numbers are read
-off that sum here; its a^omega blocks in x are built in character.
+off that sum here, from fixed-point data alone (Atiyah-Bott).
 
 - The numbers come from one point evaluator. At a fixed point the Chern
   classes restrict to the elementary symmetric functions of the weights, so
-  c^xi[M] = sum_p sign(p) e^xi(c(p)) / prod_j c_j(p) (Atiyah-Bott);
-  point_chern_numbers evaluates this at an integer point, and the s-numbers
-  solve c = T s by forward substitution on the integer unitriangular e -> m
-  matrix T (chern.chern_to_s). Where the exact certificate _pole_free shows
-  that the sum has no poles, one point gives every number exactly.
-- Where the certificate does not hold, the numbers are the coefficients of
-  the class that character.symbolic_class reads off the symbolic
-  character, whose failed cancellation or division reports inconsistent
-  input data. This module imports character only on that fallback, so a
-  verb that the certificate answers never loads it or the polynomial kernel
-  in exactalg.
-- Either route's failure is a FailedBlock that names the first failing
-  a^omega block, by weight and then in sorted order, and its value as text:
-  the check of stable --assign is s_numbers itself.
+  c^xi[M] = sum_p sign(p) e^xi(c(p)) / prod_j c_j(p); point_chern_numbers
+  evaluates this at an integer point, and the s-numbers solve c = T s by
+  forward substitution on the integer unitriangular e -> m matrix T
+  (chern.chern_to_s). Where the sum has no poles, one point gives every
+  number exactly.
+- The exact certificate _pole_free shows that it has none when the points
+  on each weight line cancel in groups. Where it does not, check_poles
+  decides by residues (the residues module, loaded only then): along each
+  weight line whose groups do not cancel, the residue of block a^omega is
+  sum_g c_g m_lambda(V_g) / prod V_g over the groups, evaluated on a
+  determining set. The first block with a nonzero residue, by weight and
+  then in sorted order, is a SingularSum that names the line, the point and
+  the value; when every residue is zero, the blocks are polynomials and one
+  point gives the class.
+- Either failure is a FailedBlock that names the a^omega block and its
+  value as text: the check of stable --assign is s_numbers itself.
 
 Block omega of ch Phi is homogeneous of geometric degree d = ||omega|| - n,
-where 2n is the real dimension.
+where 2n is the real dimension. The character module reads the blocks of
+positive degree, and this module never loads it.
 """
 
 from collections import Counter
 from math import gcd, lcm, prod
 
 from . import CheckFailure
-from .chern import chern_to_s, s_to_chern
+from .chern import chern_to_s
 from .cobordism import CobordismPoly
 from .symmfunc import omegas_of_weight, trim
 
 
 class FailedBlock(CheckFailure):
     """A localization sum that fails a check at an a^omega block: omega names
-    the first such block and value its value as text (the numerator block,
-    or the non-integral s-number), None where no block is named."""
+    the first such block and value its value as text (the residue of a pole
+    with its point and line, or the non-integral s-number), None where no
+    block is named."""
 
     def __init__(self, message, omega=None, value=None):
         super().__init__(message)
@@ -92,6 +96,21 @@ def line_groups(pt):
     return out
 
 
+def line_sums(fp):
+    """{line: Counter({key: sum of sign(p) * orientation_p(line)})} over the
+    groups of line_groups at every point; None when a point has a weight
+    that is not primitive, two weights on one line, or not n weights."""
+    n = len(fp[0].weights)
+    sums = {}
+    for pt in fp:
+        found = line_groups(pt) if len(pt.weights) == n else None
+        if found is None:
+            return None
+        for (line, key), orient in found:
+            sums.setdefault(line, Counter())[key] += pt.sign * orient
+    return sums
+
+
 def _pole_free(fp):
     """Exact certificate that every residue of the localization sum cancels.
 
@@ -106,17 +125,23 @@ def _pole_free(fp):
     therefore a polynomial, homogeneous of degree ||omega|| - n: zero for
     ||omega|| < n, and for ||omega|| = n a constant that its value at one
     nonsingular integer point gives exactly. False promises nothing; the
-    caller falls back to the symbolic route.
+    residues decide (check_poles).
     """
-    n = len(fp[0].weights)
-    groups = Counter()
-    for pt in fp:
-        found = line_groups(pt) if len(pt.weights) == n else None
-        if found is None:
-            return False
-        for group, orient in found:
-            groups[group] += pt.sign * orient
-    return not any(groups.values())
+    sums = line_sums(fp)
+    return sums is not None and not any(c for groups in sums.values() for c in groups.values())
+
+
+def check_poles(fp, order):
+    """Return when no a^omega block with ||omega|| <= order has a pole; else
+    raise SingularSum naming the first that has one, by weight and then in
+    sorted order, the line, a point on it and the residue's value there.
+
+    _pole_free answers first; only a table that it does not certify loads
+    the residues module, which reads the residues of the sum along every
+    line whose groups do not cancel (residues.check_residues)."""
+    if not _pole_free(fp):
+        from .residues import check_residues
+        check_residues(fp, order)
 
 
 def point_terms(pt, point, xis):
@@ -145,7 +170,7 @@ def point_chern_numbers(fp, point):
     (point_terms), in exact integers over one common denominator; a value
     is an int where that denominator divides it, else a Fraction. This is
     the localization sum at that point; it is the Chern number wherever the
-    sum is constant (see _pole_free)."""
+    sum is constant (see check_poles)."""
     xis = omegas_of_weight(len(fp[0].weights))
     rows = [(pt.sign,) + point_terms(pt, point, xis) for pt in fp]
     common = lcm(*(den for _, den, _ in rows))
@@ -163,22 +188,6 @@ def point_chern_numbers(fp, point):
     return out
 
 
-def _certified_chern_numbers(fp):
-    """point_chern_numbers at default_numeric_point if _pole_free holds, else
-    None. A certified table that is not integral raises NonIntegerClass: T is
-    integer unitriangular, so the Chern numbers are integers exactly when the
-    s-numbers are."""
-    if not _pole_free(fp):
-        return None
-    try:
-        table = point_chern_numbers(fp, default_numeric_point(fp))
-    except SingularPoint:
-        return None
-    if not all(isinstance(v, int) for v in table.values()):
-        raise non_integer_class(CobordismPoly(chern_to_s(table, len(fp[0].weights))))
-    return table
-
-
 def non_integer_class(cls):
     """NonIntegerClass for a class that is not integral, naming its first
     non-integral coefficient in sorted omega order."""
@@ -186,28 +195,24 @@ def non_integer_class(cls):
     return NonIntegerClass(cls.canonical_text(), omega, str(cls.terms[omega]))
 
 
-def _symbolic_s_numbers(fp):
-    from .character import symbolic_class
-    cls = symbolic_class(fp)
-    return {om: cls.coeff(om) for om in omegas_of_weight(len(fp[0].weights))}
-
-
 def chern_numbers(fp):
-    """All c^xi, |xi| = n: the certified point values, else s_to_chern of the
-    coefficients of symbolic_class (whose errors propagate)."""
-    table = _certified_chern_numbers(fp)
-    if table is None:
-        return s_to_chern(_symbolic_s_numbers(fp), len(fp[0].weights))
+    """All c^xi, |xi| = n: the point values at default_numeric_point, once
+    check_poles has shown that the blocks with ||omega|| <= n have no poles
+    (its SingularSum propagates). A table that is not integral raises
+    NonIntegerClass: T is integer unitriangular, so the Chern numbers are
+    integers exactly when the s-numbers are."""
+    n = len(fp[0].weights)
+    check_poles(fp, n)
+    table = point_chern_numbers(fp, default_numeric_point(fp))
+    if not all(isinstance(v, int) for v in table.values()):
+        raise non_integer_class(CobordismPoly(chern_to_s(table, n)))
     return table
 
 
 def s_numbers(fp):
-    """All s_omega, ||omega|| = n: chern_to_s of the certified Chern numbers, else
-    the coefficients of symbolic_class (whose errors propagate)."""
-    table = _certified_chern_numbers(fp)
-    if table is None:
-        return _symbolic_s_numbers(fp)
-    return chern_to_s(table, len(fp[0].weights))
+    """All s_omega, ||omega|| = n: chern_to_s of chern_numbers, whose errors
+    propagate."""
+    return chern_to_s(chern_numbers(fp), len(fp[0].weights))
 
 
 def _nonsingular(fp, point):

@@ -10,29 +10,36 @@ import json
 
 from . import character, divdiff, genus, rootdata, stablex
 from .cobordism import CobordismPoly
-from .exactalg import MultiPoly, block_coefficient, xvars
+
+
+def _times(p, q):
+    """The product of two polynomials held as {exponent: coefficient}."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
 
 
 def _s6_sigma_blocks():
     """ch_U Phi(S^6) blocks rewritten in sigma_2, sigma_3 (x3 eliminated)."""
     spec = rootdata.build_space("G2/SU(3)")
     fp = rootdata.fixed_point_weights(spec)
-    ch = character.chern_character_of_genus(fp, 9)
-    arena = xvars(2)
-    x1 = MultiPoly.variable(arena, 0)
-    x2 = MultiPoly.variable(arena, 1)
-    s2 = x1 * x2 + (x1 + x2) * (-(x1 + x2))
-    s3 = x1 * x2 * (-(x1 + x2))
+    ch = character.character_blocks(fp, 9)
+    # x3 = -x1 - x2: sigma_2 = -(x1^2 + x1 x2 + x2^2), sigma_3 = -x1 x2 (x1 + x2)
+    s2 = {(2, 0): -1, (1, 1): -1, (0, 2): -1}
+    s3 = {(2, 1): -1, (1, 2): -1}
     out = {}
-    for d, basis in ((2, s2), (4, s2 * s2)):
-        mono = next(iter(basis.terms))
-        out[("s2", d)] = block_coefficient(ch, mono) / basis.terms[mono]
-    b1, b2 = s2 * s2 * s2, s3 * s3
+    for d, basis in ((2, s2), (4, _times(s2, s2))):
+        mono = next(iter(basis))
+        out[("s2", d)] = character.block_coefficient(ch, mono) / basis[mono]
+    b1, b2 = _times(s2, _times(s2, s2)), _times(s3, s3)
     e1, e2 = (6, 0), (4, 2)
-    a11, a12 = b1.coeff(e1), b2.coeff(e1)
-    a21, a22 = b1.coeff(e2), b2.coeff(e2)
+    a11, a12 = b1.get(e1, 0), b2.get(e1, 0)
+    a21, a22 = b1.get(e2, 0), b2.get(e2, 0)
     det = a11 * a22 - a12 * a21
-    v1, v2 = block_coefficient(ch, e1), block_coefficient(ch, e2)
+    v1, v2 = character.block_coefficient(ch, e1), character.block_coefficient(ch, e2)
     out[("s2", 6)] = (v1 * a22 - v2 * a12) / det
     out[("s3", 6)] = (v2 * a11 - v1 * a21) / det
     return out

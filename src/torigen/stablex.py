@@ -9,9 +9,9 @@ integers.  This module derives the rescaled fixed-point data and checks
 those conditions for one table on the route of class, one call of
 genus.s_numbers.  It enumerates the admissible tables by an exhaustive,
 exact search: it reads each table's group sums in the certificate of
-genus._pole_free and its Chern numbers at one point off packed ints.  It
-loads neither character nor the polynomial kernel; genus does, for a table
-that the certificate does not decide.
+genus._pole_free and its Chern numbers at one point off packed ints, and
+proves on every line, by the residue rows of the residues module, that the
+group sums decide admissibility.
 
 "Admissible" is deliberate: the conditions are necessary, and which admissible
 tables are realized by honest stable complex structures is a separate
@@ -85,12 +85,12 @@ def check_necessary(spec, assign):
     sum must be an integer.
 
     One call of genus.s_numbers on the derived table decides them, the route
-    that class takes. A table that the certificate _pole_free passes has
-    zero low blocks and its point values as top blocks, so one point decides
-    it; any other goes to the symbolic class, which checks the blocks in
-    order of weight, then of omega. Returns ok with the s-numbers as value,
-    else the first failing omega and its value as text: the numerator block
-    that does not cancel or divide, or the non-integral s-number.
+    that class takes. A table whose blocks have no poles (the certificate
+    _pole_free, else the residues of genus.check_poles, block by block in
+    order of weight, then of omega) has zero low blocks and its point values
+    as top blocks, so one point decides it. Returns ok with the s-numbers as
+    value, else the first failing omega and its value as text: the residue
+    of its pole with the point and the line, or the non-integral s-number.
     """
     try:
         table = _genus_s_numbers(derived_fixed_point_data(spec, assign))
@@ -146,27 +146,25 @@ def _full_rank(n, line, keys):
     """The column rank reached by the residue rows along one weight line l,
     one column per group: len(keys) proves full rank.
 
-    The rows are e^xi(V) / prod V, |xi| <= n with parts <= n - 1, V a group's
-    other weights on <l, y> = 0: they span the residues m_lambda(V) / prod V
-    of the blocks with ||omega|| <= n.  There a key l_i u - u_i l is l_i <u, y>,
-    which scales a whole row, so the rows are taken on the keys at points
-    y = <l, l> p - <l, p> l, p pseudo-random, one per group at most, cleared
-    to integers and reduced modulo P = 2^61 - 1: a rank modulo P is that of a
-    nonzero integer minor."""
-    xis = [xi for d in range(n + 1) for xi in omegas_of_weight(d) if len(xi) < n]
+    The rows are residues.residue_rows, m_lambda(V) / prod V for the blocks with
+    ||omega|| <= n, V a group's other weights on <l, y> = 0.  There a key
+    l_i u - u_i l is l_i <u, y>, which scales a whole row, so the rows are
+    taken on the keys at points y = <l, l> p - <l, p> l, p pseudo-random, one
+    per group at most, cleared to integers and reduced modulo P = 2^61 - 1:
+    a rank modulo P is that of a nonzero integer minor. Only the search
+    loads the residues module; --assign does not."""
+    from .residues import residue_rows
     norm, P = sum(c * c for c in line), (1 << 61) - 1
     basis = []   # (pivot, row): 1 at its pivot, 0 at the pivots before it
     for t in range(len(keys)):
         p = [pow(5, t * len(line) + i, 10007) % 201 - 100 for i in range(len(line))]
         along = sum(a * b for a, b in zip(line, p))
         try:
-            terms = [point_terms(FixedPoint(None, key, 1), [norm * a - along * b for a, b in zip(p, line)], xis)
-                     for key in keys]
+            _, rows = residue_rows(keys, [norm * a - along * b for a, b in zip(p, line)], n)
         except SingularPoint:
             continue
-        common = lcm(*(den for den, _ in terms))
-        for r in range(len(xis)):
-            row = [vals[r] * (common // den) % P for den, vals in terms]
+        for row in rows.values():
+            row = [x % P for x in row]
             for pivot, b in basis:
                 c = row[pivot]
                 if c:

@@ -54,15 +54,6 @@ def conjugate_partition(lam):
     return tuple(sum(1 for p in lam if p >= k) for k in range(1, lam[0] + 1))
 
 
-def perm_sign(perm):
-    s = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                s = -s
-    return s
-
-
 def _row_choices(groups, r):
     """(ways, column sums left) for one row of sum r over column groups.
 

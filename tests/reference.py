@@ -2,14 +2,23 @@
 
 No verb runs any of these. Each builds its answer the slow, direct way:
 
+- The symbolic kernel (MultiPoly, f_product_sum, exact_div_terms) and the
+  symbolic character built on it (localization_data, character_numerator,
+  chern_character_of_genus, class_of_character, symbolic_class) put ch Phi
+  over one polynomial common denominator. character.character_blocks must
+  equal its blocks, and genus.check_poles must reach its verdict on the
+  same omega.
 - omega_numerator substitutes the weights into m_lambda, one a^omega block
-  at a time; the kernel (exactalg.f_product_sum) must agree with it, and
-  reference_check, which walks a sign table's blocks on it, must agree with
-  stablex.check_necessary and the sign search.
+  at a time, and omega_numerator_values gives its values at a point in
+  integers, by way of the e^xi and elementary_product (e_to_m); the kernel
+  must agree with the one, and character.character_blocks with the other
+  on a determining set; reference_check, which walks a sign
+  table's blocks on it, must agree with stablex.check_necessary and the
+  sign search.
 - operator_L antisymmetrizes and divides by the Vandermonde; the signed
   delta-orbit sums of divdiff must agree with it.
 - pair_product_blocks builds the blocks of prod f(x_a - x_b) with the
-  kernel (exactalg.f_product_sum), with no box, taking the odd part of f as
+  kernel (f_product_sum), with no box, taking the odd part of f as
   (f(t) - f(-t))/2, and pair_product_reads reads them; divdiff's packed
   product and reader must agree with them. The
   Grassmann base route multiplies Delta_q * Delta_{q+1,q+l} into the product
@@ -29,6 +38,8 @@ No verb runs any of these. Each builds its answer the slow, direct way:
   order. For G2, g2_weyl_group and g2_subgroup build W(G2) and W(SU(3)) by
   closure from the matrices here, and the representatives must be the
   first element of each coset, as first_of_each_coset lists them.
+- is_homogeneous reads the weights of a CobordismPoly, and perm_sign counts
+  inversions.
 - permute and substitute act on a MultiPoly term by term; antisymmetrize
   and omega_numerator are built on them, and weyl_invariance_by_substitution
   compares each block of a character with its image under the simple
@@ -44,20 +55,409 @@ No verb runs any of these. Each builds its answer the slow, direct way:
   streamed rendering must equal json.dumps of these dicts.
 """
 
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial, prod
 import re
 
-from torigen.character import localization_data
-from torigen.cobordism import CobordismPoly, clean, grlex_key
-from torigen.exactalg import (ArenaMismatch, MultiPoly, NotDivisible, _check_arena, block_coefficient,
-                              exact_div_terms, f_product_sum, xvars)
+from torigen.cobordism import CobordismPoly, clean, grlex_key, render_series, render_terms
 from torigen.fgl import exp_series, log_series
+from torigen.genus import SingularSum, canonical_line, non_integer_class
 from torigen.rootdata import M10_DESCRIPTOR, fixed_point_weights
 from torigen.stablex import NecessaryReport, SignAssignment, derived_fixed_point_data
-from torigen.symmfunc import omega_weight, omegas_of_weight, perm_sign
+from torigen.symmfunc import omega_weight, omegas_of_weight
+
+
+# -- the symbolic kernel and the symbolic character ----------------------------
+#
+# Multivariate polynomials over Q on a fixed variable arena, exact division,
+# and f_product_sum, the kernel for prod_j f(<w_j, x>), f(t) = 1 + a_1 t +
+# a_2 t^2 + ..., each product times a polynomial cofactor, summed over the
+# products as a^omega blocks in x built on packed exponents. Everything is
+# exact: coefficients are ints whenever they are integral and Fractions
+# otherwise. The symbolic character puts ch Phi over one polynomial common
+# denominator (localization_data), checks that the numerator blocks below
+# weight n cancel and divides the others exactly: the route that
+# character.character_blocks and genus.check_poles must agree with.
+
+
+class ArenaMismatch(Exception):
+    pass
+
+
+class NotDivisible(Exception):
+    pass
+
+
+class VarArena:
+    """Immutable set of variable names; fixes exponent-vector arity."""
+
+    __slots__ = ("names",)
+
+    def __init__(self, names):
+        self.names = tuple(names)
+
+    @property
+    def arity(self):
+        return len(self.names)
+
+    def __eq__(self, other):
+        return isinstance(other, VarArena) and self.names == other.names
+
+    def __hash__(self):
+        return hash(self.names)
+
+    def __repr__(self):
+        return "VarArena(%s)" % ",".join(self.names)
+
+
+def xvars(k, prefix="x"):
+    return VarArena("%s%d" % (prefix, i + 1) for i in range(k))
+
+
+def _check_arena(a, b):
+    if a != b:
+        raise ArenaMismatch("%r vs %r" % (a, b))
+
+
+class MultiPoly:
+    """Multivariate polynomial over Q with a fixed variable arena."""
+
+    __slots__ = ("arena", "terms")
+
+    def __init__(self, arena, terms=None):
+        self.arena = arena
+        t = {}
+        if terms:
+            for exp, c in terms.items():
+                c = clean(c)
+                if c:
+                    t[tuple(exp)] = c
+        self.terms = t
+
+    @classmethod
+    def const(cls, arena, c):
+        return cls(arena, {(0,) * arena.arity: c})
+
+    @classmethod
+    def variable(cls, arena, i):
+        exp = [0] * arena.arity
+        exp[i] = 1
+        return cls(arena, {tuple(exp): 1})
+
+    @classmethod
+    def linear_form(cls, arena, coeffs):
+        """sum coeffs[i]*x_i from an integer vector."""
+        t = {}
+        for i, c in enumerate(coeffs):
+            if c:
+                exp = [0] * arena.arity
+                exp[i] = 1
+                t[tuple(exp)] = c
+        return cls(arena, t)
+
+    def is_zero(self):
+        return not self.terms
+
+    def coeff(self, exp):
+        return self.terms.get(tuple(exp), 0)
+
+    def degree(self):
+        return max((sum(e) for e in self.terms), default=0)
+
+    def evaluate(self, point):
+        """The value at point, one number per variable."""
+        total = 0
+        for e, c in self.terms.items():
+            for v, d in zip(point, e):
+                c *= v ** d
+            total += c
+        return total
+
+    def __add__(self, other):
+        if not isinstance(other, MultiPoly):
+            other = MultiPoly.const(self.arena, other)
+        _check_arena(self.arena, other.arena)
+        t = dict(self.terms)
+        for exp, c in other.terms.items():
+            t[exp] = t.get(exp, 0) + c
+        return MultiPoly(self.arena, t)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return MultiPoly(self.arena, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if not isinstance(other, MultiPoly):
+            if other == 0:
+                return MultiPoly(self.arena)
+            return MultiPoly(self.arena, {e: c * other for e, c in self.terms.items()})
+        _check_arena(self.arena, other.arena)
+        t = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                t[e] = t.get(e, 0) + c1 * c2
+        return MultiPoly(self.arena, t)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        result = MultiPoly.const(self.arena, 1)
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def __eq__(self, other):
+        if not isinstance(other, MultiPoly):
+            return self.terms == MultiPoly.const(self.arena, other).terms
+        return self.arena == other.arena and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.arena, frozenset(self.terms.items())))
+
+    def canonical_text(self):
+        return render_terms(self.terms, self.arena.names)
+
+    def __repr__(self):
+        return "MultiPoly(%s)" % self.canonical_text()
+
+
+def exact_div_terms(num_terms, div_terms):
+    """Divide exponent->coeff maps with numeric coefficients, raising
+    NotDivisible on nonzero remainder."""
+    rem = dict(num_terms)
+    dexp = max(div_terms, key=grlex_key)
+    dc = div_terms[dexp]
+    quot = {}
+    while rem:
+        exp = max(rem, key=grlex_key)
+        q = tuple(a - b for a, b in zip(exp, dexp))
+        if any(x < 0 for x in q):
+            raise NotDivisible("leading term x^%s not divisible" % (exp,))
+        qc = clean(Fraction(rem[exp]) / dc)
+        quot[q] = qc
+        for e2, c2 in div_terms.items():
+            e = tuple(a + b for a, b in zip(q, e2))
+            nc = clean(rem.get(e, 0) - qc * c2)
+            if nc:
+                rem[e] = nc
+            else:
+                rem.pop(e, None)
+    return quot
+
+
+def f_product_sum(arena, summands, order):
+    """{omega: MultiPoly}: the blocks of sum over (weights, times) in summands
+    of times * prod_j f(<w_j, x>), f(t) = 1 + a_1 t + a_2 t^2 + ..., times a
+    MultiPoly, for the omega (trimmed, as CobordismPoly keys) of weight sum
+    l * omega_l <= order. Block omega of one product is homogeneous of
+    x-degree its weight.
+
+    Products and sum stay on packed exponents, one int per monomial with
+    `bits` bits per variable (Monagan and Pearce, CASC 2007), so multiplying
+    monomials adds ints. No exponent exceeds order plus the largest degree
+    of a times, so no field carries into the next."""
+    bits = (order + max((t.degree() for _, t in summands), default=0)).bit_length() or 1
+    offsets = range(0, bits * arena.arity, bits)
+    shifts = [1 << s for s in offsets]
+    total = {}
+    for weights, times in summands:
+        blocks = _packed_blocks([[(shifts[i], c) for i, c in enumerate(w) if c] for w in weights], order)
+        times = [(sum(d << s for s, d in zip(offsets, e)), c) for e, c in times.terms.items()]
+        for om, t in blocks.items():
+            acc = total.setdefault(om, {})
+            for e1, c1 in t.items():
+                for e2, c2 in times:
+                    e = e1 + e2
+                    acc[e] = acc.get(e, 0) + c1 * c2
+    mask = (1 << bits) - 1
+    # one block at a time, so that only one is held in both forms; cancelled
+    # terms are dropped before they are unpacked
+    return {om: MultiPoly(arena, {tuple(e >> s & mask for s in offsets): c
+                                  for e, c in total.pop(om).items() if c})
+            for om in list(total)}
+
+
+def _packed_blocks(forms, order):
+    """{omega: {packed exponent: c}} for prod_j f(form_j), each form a list of
+    (shift, coefficient). One pass over the factors, updating the blocks in
+    place: factor j adds form_j^k times block omega into block omega + e_k.
+    A block only adds into heavier ones, so visiting the blocks heaviest
+    first reads each before this factor adds into it (the 0/1 knapsack
+    order)."""
+    blocks = {(): (0, {0: 1})}
+    for form in forms:
+        for om in sorted(blocks, key=lambda om: blocks[om][0], reverse=True):
+            wt, t = blocks[om]
+            for k in range(1, order - wt + 1):
+                t = _times_form(t, form)
+                if not t:
+                    break
+                key = list(om) + [0] * (k - len(om))
+                key[k - 1] += 1
+                acc = blocks.setdefault(tuple(key), (wt + k, {}))[1]
+                for e, c in t.items():
+                    acc[e] = acc.get(e, 0) + c
+    return {om: t for om, (_, t) in blocks.items()}
+
+
+def _times_form(t, form):
+    """t times one form, {packed exponent: c}."""
+    step = {}
+    get = step.get
+    for sh, wc in form:
+        for e, c in t.items():
+            x = e + sh
+            step[x] = get(x, 0) + c * wc
+    return step
+
+
+def kernel_coefficient(blocks, e):
+    """sum_omega a^omega * (x^e coefficient of block omega), for blocks
+    {omega: MultiPoly} as f_product_sum returns them."""
+    return CobordismPoly({om: b.coeff(e) for om, b in blocks.items()})
+
+
+LocData = namedtuple("LocData", "arena n denom cofactors prefactors")
+
+
+def localization_data(fp):
+    """Common denominator for the localization sum.
+
+    denom = product over weight lines of the highest multiplicity seen at any
+    point; cofactors[p] * (point p's own denominator) = denom up to the sign
+    prefactors[p], which absorbs sign(p) and the orientation of each weight.
+    """
+    k = len(fp[0].weights[0])
+    n = len(fp[0].weights)
+    arena = xvars(k)
+    counted = []
+    prefactors = []
+    for pt in fp:
+        if len(pt.weights) != n:
+            raise ValueError("ragged fixed-point table")
+        cnt = Counter()
+        s = pt.sign
+        for w in pt.weights:
+            line, sg = canonical_line(w)
+            cnt[line] += 1
+            s *= sg
+        counted.append(cnt)
+        prefactors.append(s)
+    need = Counter()
+    for cnt in counted:
+        for line, m in cnt.items():
+            need[line] = max(need[line], m)
+    lines = {line: MultiPoly.linear_form(arena, line) for line in need}
+    denom = MultiPoly.const(arena, 1)
+    for line in sorted(need):
+        for _ in range(need[line]):
+            denom = denom * lines[line]
+    cofactors = []
+    for cnt in counted:
+        cof = MultiPoly.const(arena, 1)
+        for line in need:
+            for _ in range(need[line] - cnt.get(line, 0)):
+                cof = cof * lines[line]
+        cofactors.append(cof)
+    return LocData(arena, n, denom, cofactors, prefactors)
+
+
+def character_numerator(fp, order):
+    """loc and the numerator blocks sum_p prefactor_p * cofactor_p *
+    prod_j f(<Lambda_j(p), x>), {omega: MultiPoly} for ||omega|| <= order,
+    multiplied and summed over the points in the kernel (f_product_sum)."""
+    loc = localization_data(fp)
+    summands = [(pt.weights, cof * pre) for pt, cof, pre in zip(fp, loc.cofactors, loc.prefactors)]
+    return loc, f_product_sum(loc.arena, summands, order)
+
+
+def chern_character_of_genus(fp, order):
+    """ch Phi truncated at absolute order: {omega: MultiPoly}, the nonzero
+    a^omega blocks with n <= ||omega|| <= order.
+
+    The a^omega block of the numerator (character_numerator) has x-degree
+    ||omega|| + D - n. Blocks with ||omega|| < n must vanish; the others are
+    divided exactly by the denominator, and block omega of the quotient is
+    homogeneous of x-degree ||omega|| - n.
+    """
+    n = len(fp[0].weights)
+    if order < n:
+        raise ValueError("order %d below dimension grade %d" % (order, n))
+    loc, num = character_numerator(fp, order)
+    D = loc.denom.degree()
+    by_weight = [[] for _ in range(order + 1)]
+    for om in sorted(num):
+        if num[om].terms:
+            by_weight[omega_weight(om)].append(om)
+    for wt in range(n):
+        if by_weight[wt]:
+            block = {}
+            for om in by_weight[wt]:
+                for e, c in num[om].terms.items():
+                    block[e] = block.get(e, 0) + CobordismPoly({om: c})
+            om = by_weight[wt][0]
+            raise SingularSum(
+                "degree-%d numerator block does not cancel: %s"
+                % (wt + D - n, render_series(block, loc.arena.names)), om, num[om].canonical_text())
+    blocks = {}
+    for wt in range(n, order + 1):
+        for om in by_weight[wt]:
+            try:
+                blocks[om] = MultiPoly(loc.arena, exact_div_terms(num[om].terms, loc.denom.terms))
+            except NotDivisible as exc:
+                raise SingularSum("degree-%d block not divisible by denominator" % (wt + D - n),
+                                  om, num[om].canonical_text()) from exc
+    return blocks
+
+
+def class_of_character(ch, n):
+    """The t^n coefficient of a character: the constant terms of its blocks,
+    each of degree ||omega|| - n, which must form an integer class."""
+    k = next((b.arena.arity for b in ch.values()), 0)
+    cls = kernel_coefficient(ch, (0,) * k)
+    if not cls.is_integral():
+        raise non_integer_class(cls)
+    return cls
+
+
+def symbolic_class(fp):
+    """The class read off the symbolic character of order n."""
+    n = len(fp[0].weights)
+    return class_of_character(chern_character_of_genus(fp, n), n)
+
+
+def cobordism_weights(cls):
+    """The weights of the monomials of a CobordismPoly."""
+    return {sum((l + 1) * m for l, m in enumerate(e)) for e in cls.terms}
+
+
+def is_homogeneous(cls, weight=None):
+    """Whether a CobordismPoly has monomials of one weight, that weight if given."""
+    ws = cobordism_weights(cls)
+    if len(ws) > 1:
+        return False
+    return True if weight is None else (not ws or ws == {weight})
+
+
+def perm_sign(perm):
+    """The sign of a permutation, by counting its inversions."""
+    s = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                s = -s
+    return s
 
 
 # -- partitions and symmetric polynomials ------------------------------------
@@ -245,7 +645,7 @@ def pair_product_reads(n, pairs, order, reads, odd=()):
     blocks = pair_product_blocks(n, tuple(pairs), order, tuple(odd))
     total = CobordismPoly()
     for r, s in reads:
-        total = total + block_coefficient(blocks, r) * s
+        total = total + kernel_coefficient(blocks, r) * s
     return total
 
 
@@ -280,14 +680,14 @@ def grassmann_class_by_base(q, l):
     blocks = grassmann_base_blocks(q, l, q * l)
     total = CobordismPoly()
     for e, s in delta_orbit(q + l):
-        total = total + block_coefficient(blocks, e) * s
+        total = total + kernel_coefficient(blocks, e) * s
     return total / (factorial(q) * factorial(l))
 
 
 def grassmann_Q_by_base(q, l, xi):
     """The x^xi coefficient of Delta_q Delta_{q+1,q+l} prod f(x_i - x_j)."""
     weight = sum(xi) - q * (q - 1) // 2 - l * (l - 1) // 2
-    return block_coefficient(grassmann_base_blocks(q, l, weight), xi)
+    return kernel_coefficient(grassmann_base_blocks(q, l, weight), xi)
 
 
 # -- localization and fixed points -------------------------------------------
@@ -303,6 +703,65 @@ def omega_numerator(fp, loc, omega):
         bindings = {j: MultiPoly.linear_form(loc.arena, w) for j, w in enumerate(pt.weights)}
         num = num + substitute(f_omega, bindings) * loc.cofactors[idx] * loc.prefactors[idx]
     return num
+
+
+@lru_cache(maxsize=None)
+def e_to_m(weight):
+    """{omega: {xi: q}}, m_lambda(omega) = sum_xi q e^xi in weight: the
+    inverse, by Gauss-Jordan elimination over Q, of the matrix whose row xi
+    holds the coefficients of the monomials x^lambda in
+    elementary_product(xi, weight)."""
+    oms = omegas_of_weight(weight)
+    rows = []
+    for r, xi in enumerate(oms):
+        e = elementary_product(xi, weight)
+        rows.append([Fraction(e.coeff(omega_to_partition(om, weight))) for om in oms]
+                    + [Fraction(int(i == r)) for i in range(len(oms))])
+    for col in range(len(oms)):
+        pivot = next(r for r in range(col, len(oms)) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(len(oms)):
+            if r != col and rows[r][col]:
+                rows[r] = [v - rows[r][col] * u for v, u in zip(rows[r], rows[col])]
+    return {om: {xi: clean(rows[c][len(oms) + r]) for r, xi in enumerate(oms) if rows[c][len(oms) + r]}
+            for c, om in enumerate(oms)}
+
+
+def denominator_lines(fp):
+    """{line: multiplicity} of the common denominator of localization_data:
+    each weight line at the highest multiplicity seen at any point."""
+    need = Counter()
+    for pt in fp:
+        for line, m in Counter(canonical_line(w)[0] for w in pt.weights).items():
+            need[line] = max(need[line], m)
+    return need
+
+
+def omega_numerator_values(fp, point, weight):
+    """(denominator, {omega: numerator}) at point, ||omega|| = weight: the
+    values of loc.denom and of omega_numerator(fp, loc, omega), loc =
+    localization_data(fp), computed in integers at that point. Per fixed
+    point, prefactor * cofactor * e^xi(c), c_j = <w_j, point>, the cofactor
+    as the product of its line values; m_lambda then comes from the e^xi by
+    e_to_m."""
+    need = denominator_lines(fp)
+    at = {line: sum(a * b for a, b in zip(line, point)) for line in need}
+    xis = omegas_of_weight(weight)
+    sums = [0] * len(xis)
+    for pt in fp:
+        lines = [canonical_line(w) for w in pt.weights]
+        cnt = Counter(line for line, _ in lines)
+        scale = pt.sign * prod(sg for _, sg in lines) * prod(at[line] ** (m - cnt[line]) for line, m in need.items())
+        e = [1] + [0] * max(weight, len(pt.weights))
+        for line, sg in lines:
+            c = sg * at[line]
+            for k in range(len(e) - 1, 0, -1):
+                e[k] += c * e[k - 1]
+        sums = [t + scale * prod(e[k] ** m for k, m in enumerate(xi, 1)) for t, xi in zip(sums, xis)]
+    by_xi = dict(zip(xis, sums))
+    values = {om: sum(q * by_xi[xi] for xi, q in row.items()) for om, row in e_to_m(weight).items()}
+    return prod(at[line] ** m for line, m in need.items()), values
 
 
 def reference_check(spec, assign):

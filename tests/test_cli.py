@@ -179,12 +179,12 @@ def test_unwritable_cache_fails_before_the_work(tmp_path, capsys, monkeypatch, a
                          ids=" ".join)
 def test_rejected_signs_fail_alike_on_every_verb(capsys, argv):
     # the localization sum of these weights has poles: no verb prints numbers,
-    # not even the value of the sum at one point
+    # not even the value of the sum at one point; the error names the first
+    # block with a pole, its line, a point on it and the residue there
     code, out, err = run(capsys, argv[0], "--space", "CP2", "--signs=1,-1", *argv[1:])
     assert code == 1
     assert out == ""
-    assert err == ("error: degree-2 numerator block does not cancel: "
-                   "(2*a1)*x2*x3 + (-2*a1)*x2^2 + (-2*a1)*x1*x3 + (2*a1)*x1*x2\n")
+    assert err == "error: block omega=[1, 0] has a pole: residue 2 at (6, 3, 6) on x1 - x3 = 0\n"
 
 
 @pytest.mark.parametrize("argv", [("class",), ("snumbers",), ("snumbers", "--omega", "0,1"),

@@ -18,13 +18,13 @@ from torigen.divdiff import (
     grassmann_Q_polynomials,
     grassmann_class,
 )
-from torigen.exactalg import CobordismPoly, MultiPoly, f_product_sum, xvars
+from torigen.cobordism import CobordismPoly
 from torigen.genus import cobordism_class
 from torigen.rootdata import build_space, fixed_point_weights
 
-from reference import (as_constant, delta_orbit, elementary, grassmann_base_blocks, grassmann_class_by_base,
-                       grassmann_Q_by_base, operator_L, pair_product_blocks, pair_product_reads, pair_weights,
-                       permute, vandermonde)
+from reference import (MultiPoly, as_constant, delta_orbit, elementary, f_product_sum, grassmann_base_blocks,
+                       grassmann_class_by_base, grassmann_Q_by_base, operator_L, pair_product_blocks,
+                       pair_product_reads, pair_weights, permute, vandermonde, xvars)
 
 PDELTA = "a1^3 - a1*a2 - 3*a3"
 PDELTA_SWAP = "-a1^3 - 5*a1*a2 - 3*a3"

@@ -4,10 +4,9 @@ exponential and the addition law."""
 import pytest
 
 from torigen.cobordism import CobordismPoly
-from torigen.exactalg import xvars
 from torigen.fgl import exp_series, fgl_addition, log_series
 
-from reference import GradedSeries, _univariate, apply_series, multi_bracket, substitute_series
+from reference import GradedSeries, _univariate, apply_series, multi_bracket, substitute_series, xvars
 
 
 def texts(coeffs, prefix="a"):

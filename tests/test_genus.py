@@ -1,33 +1,31 @@
-"""Localization pipeline: characters, classes, s_omega, Chern numbers."""
+"""Localization pipeline: characters, classes, s_omega, Chern numbers.
+
+The point engine (genus, character) is checked against the symbolic kernel
+and character of tests/reference.py, and that oracle against omega_numerator.
+"""
 
 import json
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torigen import character
-from torigen.character import (
-    character_numerator,
-    chern_character_of_genus,
-    genus_report,
-    localization_data,
-    symbolic_class,
-    weyl_invariance_failure,
-)
+from torigen import character, genus, residues
+from torigen.character import block_coefficient, character_blocks, genus_report, weyl_invariance_failure
 from torigen.chern import chern_to_s, s_to_chern
 from torigen.cli import main
-from torigen.exactalg import CobordismPoly, MultiPoly, block_coefficient, f_product_sum, xvars
+from torigen.cobordism import CobordismPoly
 from torigen.genus import (
     NonIntegerClass,
     SingularPoint,
     SingularSum,
     _pole_free,
     canonical_line,
+    check_poles,
     chern_numbers,
     cobordism_class,
     default_numeric_point,
@@ -45,14 +43,24 @@ from torigen.symmfunc import omega_weight, omegas_of_weight
 
 from reference import (
     G2_DESCRIPTOR,
+    MultiPoly,
+    character_numerator,
+    chern_character_of_genus,
+    denominator_lines,
     euler_characteristic,
+    f_product_sum,
     g2_weyl_group,
+    kernel_coefficient,
+    localization_data,
     omega_numerator,
+    omega_numerator_values,
     omegas_up_to,
     permute,
     substitute,
+    symbolic_class,
     unitary_blocks,
     weyl_invariance_by_substitution,
+    xvars,
 )
 
 U3T3 = "6*a1^3 + 6*a1*a2 - 6*a3"
@@ -128,7 +136,7 @@ def check_kernel_numerators(fp):
 
 def test_cp1_character_blocks():
     fp = fp_of("CP1")
-    ch = chern_character_of_genus(fp, 5)
+    ch = character_blocks(fp, 5)
     assert block_coefficient(ch, (0, 0)) == CobordismPoly.gen(1) * 2
     # odd degrees cancel between the two fixed points: block omega has
     # x-degree ||omega|| - 1, so every block left has odd weight
@@ -152,22 +160,28 @@ def test_conjugate_structure_classes():
 
 
 def test_low_vanishing_reports():
-    # building the character raises SingularSum unless the low blocks cancel
+    # the blocks exist only where no block has a pole, so the low blocks vanish
     for text in ("CP1", "CP3", "U(3)/T3", "G2/SU(3)"):
         fp = fp_of(text)
-        chern_character_of_genus(fp, len(fp[0].weights))
+        assert check_poles(fp, len(fp[0].weights) + 1) is None
+        character_blocks(fp, len(fp[0].weights))
 
 
 def test_inconsistent_data_fails_cancellation():
     fp = fp_of("CP2")
     broken = [FixedPoint(fp[0].rep, fp[0].weights, -1)] + list(fp[1:])
     n = len(fp[0].weights)
-    # the first low block, t^0, is the numerator block of degree D - n
+    # the first low block, t^0, has a pole: the symbolic character's
+    # numerator block of degree D - n does not cancel
     low = localization_data(broken).denom.degree() - n
-    with pytest.raises(SingularSum, match="^degree-%d numerator block does not cancel: " % low):
+    with pytest.raises(SingularSum, match="^degree-%d numerator block does not cancel: " % low) as oracle:
         chern_character_of_genus(broken, n)
-    with pytest.raises(SingularSum):
+    with pytest.raises(SingularSum, match=r"^block omega=\[0, 0\] has a pole: residue -?\d+(/\d+)? at ") as exc:
+        character_blocks(broken, n)
+    assert exc.value.omega == oracle.value.omega == ()
+    with pytest.raises(SingularSum) as cls:
         cobordism_class(broken)
+    assert str(cls.value) == str(exc.value)
 
 
 def test_s_numbers_golden_and_class_match():
@@ -192,15 +206,21 @@ def test_weyl_invariance_of_character():
     for text, structure in (("CP2", None), ("U(3)/T3", None),
                             ("G2/SU(3)", None), ("G2/SU(3)", "conjugate")):
         spec = build_space(text, structure=structure)
-        ch = chern_character_of_genus(fixed_point_weights(spec), spec.n + 1)
-        assert all(isinstance(block, MultiPoly) for block in ch.values())
+        ch = character_blocks(fixed_point_weights(spec), spec.n + 1)
+        assert all(isinstance(block, dict) for block in ch.values())
         assert weyl_invariance_failure(spec, ch) is None
+
+
+def _plus_x1(block, power=1):
+    """block plus x1^power."""
+    e = (power,) + (0,) * (len(next(iter(block))) - 1)
+    return {**block, e: block.get(e, 0) + 1}
 
 
 def _moved_term(ch):
     """ch with x1 added to its largest block."""
     om, block = max(ch.items())
-    return {**ch, om: block + MultiPoly.variable(block.arena, 0)}
+    return {**ch, om: _plus_x1(block)}
 
 
 def test_weyl_invariance_fails_on_a_moved_term():
@@ -209,7 +229,7 @@ def test_weyl_invariance_fails_on_a_moved_term():
     # block is the constant 6 on U(3)/T3 and 2 on G2/SU(3)
     for text, point, values in (("U(3)/T3", [1, 0, 0], ("7", "6")), ("G2/SU(3)", [1, 0], ("3", "1"))):
         spec = build_space(text)
-        ch = _moved_term(chern_character_of_genus(fixed_point_weights(spec), spec.n + 1))
+        ch = _moved_term(character_blocks(fixed_point_weights(spec), spec.n + 1))
         assert weyl_invariance_failure(spec, ch) == {
             "omega": [3, 0, 0], "reflection": 1, "point": point,
             "block_at_p": values[0], "block_at_sp": values[1]}
@@ -217,12 +237,12 @@ def test_weyl_invariance_fails_on_a_moved_term():
     # U(3) moves it to x2^2, and the long reflection of G2 swaps x1 and x2
     for text, reflection in (("U(3)/T3", 1), ("G2/SU(3)", 2)):
         spec = build_space(text)
-        ch = chern_character_of_genus(fixed_point_weights(spec), spec.n + 2)
+        ch = character_blocks(fixed_point_weights(spec), spec.n + 2)
         assert weyl_invariance_failure(spec, ch) is None
         om = max(om for om in ch if omega_weight(om) == spec.n + 2)
         block = ch[om]
-        assert block.degree() == 2
-        ch[om] = block + MultiPoly.variable(block.arena, 0) ** 2
+        assert max(map(sum, block)) == 2
+        ch[om] = _plus_x1(block, 2)
         failure = weyl_invariance_failure(spec, ch)
         assert (failure["omega"], failure["reflection"]) == ([2, 0, 1], reflection)
 
@@ -230,8 +250,8 @@ def test_weyl_invariance_fails_on_a_moved_term():
 @pytest.mark.parametrize("verb", ["verify", "genus"])
 def test_weyl_invariance_failure_names_its_evidence(verb, monkeypatch, capsys):
     # the verbs read the character with x1 added to its largest block
-    real = character.chern_character_of_genus
-    monkeypatch.setattr(character, "chern_character_of_genus", lambda fp, order: _moved_term(real(fp, order)))
+    real = character.character_blocks
+    monkeypatch.setattr(character, "character_blocks", lambda fp, order: _moved_term(real(fp, order)))
     assert main([verb, "--space", "U(3)/T3"]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
     assert failed == ["check weyl_invariance: FAIL at omega=[3, 0, 0], reflection=1, point=[1, 0, 0], "
@@ -276,9 +296,8 @@ def test_weyl_invariance_matches_substitution(text):
         p = _random_poly(rng, arena, 4)
         avg = sum((g(p) for g in group), MultiPoly(arena)) * Fraction(1, len(group))
         for q in (p, avg, avg + _random_poly(rng, arena, 4)):
-            ch = {(1,): q}
-            expected = weyl_invariance_by_substitution(spec, ch)
-            assert (weyl_invariance_failure(spec, ch) is None) == expected
+            expected = weyl_invariance_by_substitution(spec, {(1,): q})
+            assert (weyl_invariance_failure(spec, {(1,): q.terms}) is None) == expected
             verdicts.add(expected)
     assert verdicts == {True, False}
 
@@ -312,20 +331,78 @@ GOLDEN_SIGNS = [("U(4)/T4", (1, -1, 1, 1, -1, 1)), ("U(4)/T4", (-1, 1, 1, -1, -1
                 ("U(4)/U(1)xU(1)xU(2)", (1, -1, 1, -1, 1))]
 
 
+def check_blocks_by_values(fp):
+    """The blocks of character_blocks at order n + 1 equal omega_numerator
+    over the common denominator: block omega times the denominator and
+    omega_numerator are homogeneous of degree D + ||omega|| - n, so they are
+    compared by their values, in integers, at the points of N^k whose
+    coordinates sum to that degree. Two such polynomials that agree there
+    agree on the hyperplane of that sum, and so everywhere. Where the sum has
+    poles, character_blocks must raise, naming a low block or a block of
+    weight n whose numerator does not vanish there."""
+    n, k = len(fp[0].weights), len(fp[0].weights[0])
+    D = sum(denominator_lines(fp).values())
+    try:
+        blocks = character_blocks(fp, n + 1)
+    except SingularSum as exc:
+        weight = omega_weight(exc.omega)
+        assert weight <= n
+        if weight < n:
+            point = tuple(range(2, k + 2))
+            assert omega_numerator_values(fp, point, weight)[1][exc.omega] != 0
+        return
+    arena = xvars(k)
+    for weight in (n, n + 1):
+        for picks in combinations_with_replacement(range(k), D + weight - n):
+            point = tuple(picks.count(i) for i in range(k))
+            den, values = omega_numerator_values(fp, point, weight)
+            for om, value in values.items():
+                assert MultiPoly(arena, blocks.get(om, {})).evaluate(point) * den == value, (om, point)
+
+
 @pytest.mark.parametrize("text,structure", SYMBOLIC_SPACES)
 def test_kernel_matches_omega_numerator(text, structure):
-    check_kernel_numerators(fp_of(text, structure))
+    check_blocks_by_values(fp_of(text, structure))
 
 
 @pytest.mark.parametrize("text,signs", GOLDEN_SIGNS)
 def test_kernel_matches_omega_numerator_signed(text, signs):
-    check_kernel_numerators(fixed_point_weights(build_space(text, signs=signs)))
+    check_blocks_by_values(fixed_point_weights(build_space(text, signs=signs)))
+
+
+@pytest.mark.parametrize("text", ["CP2", "CP3", "U(3)/T3"])
+def test_symbolic_kernel_matches_omega_numerator(text):
+    # the oracle against itself: the kernel's numerators against the
+    # substituted m_lambda, and those against their values in integers
+    fp = fp_of(text)
+    check_kernel_numerators(fp)
+    loc = localization_data(fp)
+    n, k = len(fp[0].weights), len(fp[0].weights[0])
+    for point in ((1,) + (0,) * (k - 1), tuple(range(2, k + 2)), tuple((-3) ** i for i in range(k))):
+        for weight in range(n + 2):
+            den, values = omega_numerator_values(fp, point, weight)
+            assert den == loc.denom.evaluate(point)
+            for om, value in values.items():
+                # m_lambda of n numbers vanishes when lambda has more parts
+                want = omega_numerator(fp, loc, om).evaluate(point) if sum(om) <= n else 0
+                assert value == want, (om, point)
+
+
+@pytest.mark.parametrize("text,structure,signs,order", [
+    ("SU(4)/S(U(1)xU(1)xU(2))", "J2", None, 6), ("CP4", None, None, 5),
+    ("U(4)/U(1)xU(1)xU(2)", None, None, 6), ("U(4)/U(1)xU(1)xU(2)", None, (1, -1, -1, 1, 1), 6),
+    ("G2/SU(3)", None, None, 9), ("CP3", None, None, 6), ("U(3)/T3", None, None, 5), ("CP1", None, None, 7)])
+def test_blocks_match_the_symbolic_character(text, structure, signs, order):
+    # coefficient by coefficient, the order-n + 1 blocks and deeper ones
+    fp = fixed_point_weights(build_space(text, structure=structure, signs=signs))
+    oracle = chern_character_of_genus(fp, order)
+    assert character_blocks(fp, order) == {om: block.terms for om, block in oracle.items()}
 
 
 def character_class(fp):
     """Constant terms of the symbolic character's blocks, with no check on the class."""
     ch = chern_character_of_genus(fp, len(fp[0].weights))
-    return block_coefficient(ch, (0,) * len(fp[0].weights[0]))
+    return kernel_coefficient(ch, (0,) * len(fp[0].weights[0]))
 
 
 def evaluated(fp):
@@ -444,7 +521,7 @@ def test_certificate_rejects_broken_sign():
         s_numbers(broken)
     with pytest.raises(SingularSum) as direct:
         symbolic_class(broken)
-    assert str(exc.value) == str(direct.value)
+    assert exc.value.omega == direct.value.omega
 
 
 def test_second_point_differs_in_weight_values():
@@ -459,19 +536,20 @@ def test_second_point_differs_in_weight_values():
 
 
 def outcome(fn, fp):
+    """ok and the class, or the failure's type and the omega it names."""
     try:
         return "ok", fn(fp)
     except (SingularSum, NonIntegerClass) as exc:
-        return type(exc).__name__, str(exc)
+        return type(exc).__name__, exc.omega
 
 
 def check_routes(fp):
     """Certified: evaluator = symbolic character. Always: cobordism_class
-    returns what symbolic_class returns, class or exception."""
+    reaches the verdict of symbolic_class, on the same omega, and on a pass
+    the same class."""
     if _pole_free(fp):
         assert CobordismPoly(evaluated(fp)) == character_class(fp)
     assert outcome(cobordism_class, fp) == outcome(symbolic_class, fp)
-    check_kernel_numerators(fp)
 
 
 ROOTS = {"CP2": 2, "CP3": 3, "U(3)/T3": 3}
@@ -481,7 +559,9 @@ ROOTS = {"CP2": 2, "CP3": 3, "U(3)/T3": 3}
 @given(st.sampled_from(sorted(ROOTS)), st.data())
 def test_random_root_signs_agree_with_symbolic(text, data):
     signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=ROOTS[text], max_size=ROOTS[text]))
-    check_routes(fixed_point_weights(build_space(text, signs=tuple(signs))))
+    fp = fixed_point_weights(build_space(text, signs=tuple(signs)))
+    check_routes(fp)
+    check_kernel_numerators(fp)
 
 
 @settings(max_examples=60, deadline=None)
@@ -491,7 +571,55 @@ def test_random_sign_tables_agree_with_symbolic(text, data):
     base = fixed_point_weights(spec)
     table = tuple(tuple(data.draw(st.sampled_from((1, -1))) for _ in pt.weights) for pt in base)
     epsilon = data.draw(st.sampled_from((1, -1)))
-    check_routes(derived_fixed_point_data(spec, SignAssignment(table, epsilon)))
+    fp = derived_fixed_point_data(spec, SignAssignment(table, epsilon))
+    check_routes(fp)
+    check_kernel_numerators(fp)
+
+
+RESIDUE_SPACES = ["CP3", "U(3)/T3", "U(4)/U(2)xU(2)", M10]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(RESIDUE_SPACES), st.data())
+def test_residues_agree_with_the_oracle(text, data):
+    # sign tables that the certificate mostly does not pass: the residues
+    # of check_poles against the symbolic class
+    spec = build_space(text)
+    base = fixed_point_weights(spec)
+    table = tuple(tuple(data.draw(st.sampled_from((1, -1))) for _ in pt.weights) for pt in base)
+    check_routes(derived_fixed_point_data(spec, SignAssignment(table, 1)))
+
+
+def test_a_planted_residue_that_vanishes_at_the_first_points_is_a_pole(monkeypatch):
+    # along x1 = 0, groups with keys x2 and x3 and sums 1 and -2 leave the
+    # residue 1/x2 - 2/x3 of the block of weight 0: zero on the line x3 = 2 x2,
+    # which holds the first point of the determining set, and nowhere else
+    planted = {(1, 0, 0): {((0, 1, 0),): 1, ((0, 0, 1),): -2}}
+    monkeypatch.setattr(genus, "line_sums", lambda fp: planted)
+    res = residues._ResidueLine((1, 0, 0), sorted(planted[(1, 0, 0)].items()), 2, 2)
+    first = res.points[0]
+    assert first[2] == 2 * first[1] and res.first_nonzero(()) is not None
+    _, rows = residues.residue_rows(res.keys, first, 2)
+    assert sum(c * r for c, r in zip(res.weights, rows[()])) == 0
+    with pytest.raises(SingularSum) as exc:
+        check_poles([FixedPoint(None, ((1, 0, 0), (0, 1, 0)), 1)], 2)
+    assert exc.value.omega == () and str(exc.value).endswith("on x1 = 0")
+    assert "at (0, %d, %d)" % tuple(first[1:]) not in str(exc.value)
+
+
+def test_residues_that_cancel_across_groups_are_no_pole(monkeypatch):
+    # along x1 = 0, keys s x2 for s = 1..4 with sums 1, -6, 9, -4: no group
+    # cancels, yet the residues of the blocks of weight <= 2, the sums of
+    # c_g / (s x2), of c_g and of c_g s x2, all vanish, and check_poles must
+    # prove it; with the last sum changed they do not
+    planted = {(1, 0, 0): {((0, s, 0),): c for s, c in zip((1, 2, 3, 4), (1, -6, 9, -4))}}
+    monkeypatch.setattr(genus, "line_sums", lambda fp: planted)
+    fp = [FixedPoint(None, ((1, 0, 0), (0, 1, 0)), 1)]
+    assert not _pole_free(fp)
+    assert check_poles(fp, 2) is None
+    planted[(1, 0, 0)][((0, 4, 0),)] = -3
+    with pytest.raises(SingularSum):
+        check_poles(fp, 2)
 
 
 @pytest.mark.parametrize("argv", [("verify", "--space", "CP3"), ("genus", "--space", "CP3"),
@@ -499,12 +627,12 @@ def test_random_sign_tables_agree_with_symbolic(text, data):
                          ids=" ".join)
 def test_one_character_per_run(monkeypatch, capsys, argv):
     orders = []
-    build = character.chern_character_of_genus
+    build = character.character_blocks
 
     def counted(fp, order):
         orders.append(order)
         return build(fp, order)
-    monkeypatch.setattr(character, "chern_character_of_genus", counted)
+    monkeypatch.setattr(character, "character_blocks", counted)
     assert main(list(argv)) == 0
     assert "FAIL" not in capsys.readouterr().out
     assert len(orders) == 1

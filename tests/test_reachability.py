@@ -9,9 +9,10 @@ attribute, in code already reached; the walk then takes in the names its own
 code uses. A reached class brings its bases, decorators, class-level
 statements and dunder methods with it; its other methods must be reached by
 name. The walk goes by name, not by type, so a method that shares its name
-with a reached one passes too: a MultiPoly.monomial would pass beside the
-reached CobordismPoly.monomial. Code that only tests need belongs in
-tests/reference.py.
+with a reached one passes too: a Series.const would pass beside the
+reached CobordismPoly.const. Code that only tests need belongs in
+tests/reference.py: the symbolic kernel and character there are the oracle
+of the point engine, and no module of the package imports or defines them.
 
 A name that a module imports and never uses fails as well.
 """
@@ -116,6 +117,29 @@ def test_every_definition_is_reached_from_a_verb():
 def test_every_import_is_used():
     unused = unused_imports(_modules())
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+# the symbolic kernel and character, the oracle of the point engine
+ORACLE_MODULES = {"exactalg", "reference"}
+ORACLE_NAMES = {"MultiPoly", "f_product_sum", "exact_div_terms",
+                "localization_data", "character_numerator", "chern_character_of_genus",
+                "class_of_character", "symbolic_class"}
+
+
+def test_no_verb_reaches_the_oracle():
+    # the oracle lives in tests/reference.py: no module of the package is
+    # named after it or imports it, and none defines its names
+    modules = _modules()
+    assert not set(modules) & ORACLE_MODULES
+    imported = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Import):
+                imported |= {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+    assert not imported & ORACLE_MODULES
+    assert not set(_definitions(modules)) & ORACLE_NAMES
 
 
 def _parse(**sources):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from torigen import CheckFailure, character, genus, stablex
+from torigen import CheckFailure, genus, residues, stablex
 from torigen.cli import main
 from torigen.genus import NonIntegerClass, _pole_free, cobordism_class, point_chern_numbers, s_numbers
 from torigen.rootdata import FixedPoint, build_space, fixed_point_weights
@@ -79,8 +79,8 @@ def test_single_flip_breaks_first_moment():
         rep = check_necessary(spec, SignAssignment(tuple(tuple(r) for r in table), 1))
         assert not rep.ok
         assert rep.omega == (1,)
-        # the numerator block that does not cancel, as text
-        assert rep.value not in ("", "0") and "x1" in rep.value
+        # the residue of the pole, with its point and its line
+        assert re.fullmatch(r"residue -?\d+(/\d+)? at \(-?\d+(, -?\d+)*\) on x\d.* = 0", rep.value)
 
 
 def test_a_non_integral_point_value_names_its_omega(monkeypatch, capsys, tmp_path):
@@ -108,20 +108,19 @@ def test_a_non_integral_point_value_names_its_omega(monkeypatch, capsys, tmp_pat
         assert capsys.readouterr() == (out, "")
 
 
-@pytest.mark.parametrize("space, name, symbolic", [("CP3", "cp3.json", 0), (M10, "m10_j.json", 0),
+@pytest.mark.parametrize("space, name, poles", [("CP3", "cp3.json", 0), (M10, "m10_j.json", 0),
                                                    ("CP3", "cp3_flip.json", 1)])
-def test_one_route_call_per_assign_run(monkeypatch, capsys, space, name, symbolic):
-    # --assign enters genus's route once, and builds the symbolic character
-    # only for a table that the certificate does not decide
-    certified, build = genus._certified_chern_numbers, character.chern_character_of_genus
-    entries, builds = [], []
-    monkeypatch.setattr(genus, "_certified_chern_numbers", lambda fp: entries.append(fp) or certified(fp))
-    monkeypatch.setattr(character, "chern_character_of_genus",
-                        lambda fp, order: builds.append(order) or build(fp, order))
+def test_one_route_call_per_assign_run(monkeypatch, capsys, space, name, poles):
+    # --assign enters genus's route once, and reads residues only for a
+    # table that the certificate does not decide
+    checked, read = genus.check_poles, residues._ResidueLine
+    entries, lines = [], []
+    monkeypatch.setattr(genus, "check_poles", lambda fp, order: entries.append(fp) or checked(fp, order))
+    monkeypatch.setattr(residues, "_ResidueLine", lambda *args: lines.append(args) or read(*args))
     code = main(["stable", "--space", space, "--assign", str(Path(__file__).with_name("assign") / name)])
-    assert code == symbolic
-    assert (len(entries), len(builds)) == (1, symbolic)
-    assert capsys.readouterr().out.startswith("FAIL" if symbolic else "PASS")
+    assert code == poles
+    assert (len(entries), bool(lines)) == (1, bool(poles))
+    assert capsys.readouterr().out.startswith("FAIL" if poles else "PASS")
 
 
 def test_cp1_enumeration_and_classes():
@@ -361,10 +360,14 @@ def _tables_to_check(text):
 
 @pytest.mark.parametrize("text", ["CP1", "CP2", "G2/SU(3)", "CP3", "U(3)/T3", "CP4", "U(4)/U(2)xU(2)", M10])
 def test_check_necessary_matches_reference(text):
-    # ok, the first failing omega and its value as text, or the s-numbers
+    # ok, the first failing omega and its value as text, or the s-numbers; a
+    # pole's value is its residue here and its numerator block there
     spec = build_space(text)
     for assign in _tables_to_check(text):
-        assert check_necessary(spec, assign) == reference_check(spec, assign)
+        got, want = check_necessary(spec, assign), reference_check(spec, assign)
+        assert (got.ok, got.omega) == (want.ok, want.omega)
+        if got.ok or not got.value.startswith("residue "):
+            assert got.value == want.value
 
 
 def test_assignment_json_round_trip():

@@ -54,15 +54,16 @@ def _loaded(*argv, exit_code=0):
             if name.startswith("torigen.")}
 
 
-# the kernel, and the modules of every verb but class, snumbers and chern
-SYMBOLIC = {"exactalg", "character", "divdiff", "stablex", "fgl", "reproduce"}
+# the modules of every verb but class, snumbers and chern
+OTHER_VERBS = {"character", "divdiff", "stablex", "fgl", "reproduce"}
 
 
 @pytest.mark.parametrize("verb", ["class", "snumbers", "chern"])
 def test_certified_point_route_loads_no_symbolic_engine(verb):
+    # a table that the certificate passes compiles no residues either
     loaded = _loaded(verb, "--space", "CP5", "--format", "json")
     assert "genus" in loaded
-    assert not loaded & SYMBOLIC
+    assert not loaded & (OTHER_VERBS | {"residues"})
 
 
 @pytest.mark.parametrize("verb", sorted(cli.VERBS))
@@ -81,12 +82,15 @@ def test_a_verb_loads_its_own_module(argv, module):
 
 def test_module_run_loads_cli_once():
     # python -m runs cli.py as __main__; verify's module imports cli's
-    # helpers, and must find that copy instead of loading the file again
+    # helpers, and must find that copy instead of loading the file again.
+    # -X importtime lists what import statements load, so the verb's module
+    # itself, which main loads by importlib.import_module, is not listed,
+    # but genus, which it imports, is
     proc = _python("-X", "importtime", "-m", "torigen.cli", "verify", "--space", "CP3")
     assert proc.returncode == 0, proc.stderr
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:")]
-    assert "torigen.exactalg" in imported
+    assert "torigen.genus" in imported
     assert "torigen.cli" not in imported
 
 
@@ -138,23 +142,24 @@ def test_integral_point_values_load_no_fractions():
 
 @pytest.mark.parametrize("argv", [("flag", "--n", "4"), ("stable", "--space", "CP2")], ids=" ".join)
 def test_kernel_verbs_load_no_fractions(argv):
-    # exactalg imports fractions, and with it decimal, only to divide
+    # character imports fractions, and with it decimal, to interpolate; the
+    # divided differences and the sign search make no Fraction
     bare = _modules("import json, sys; print(json.dumps(sorted(sys.modules)))")
     assert "fractions" not in _modules(RUN_AND_LIST, *argv) - bare
 
 
 def test_stable_search_loads_no_kernel():
     # the search reads the certificate's line groups and one point; --assign
-    # takes the route of class, so only a table that the certificate does
-    # not decide loads the symbolic character and the kernel
+    # takes the route of class, and a table that the certificate does not
+    # decide is read by genus's residues, so no stable run loads character
     loaded = _loaded("stable", "--space", "CP3")
     assert "stablex" in loaded
-    assert not loaded & {"exactalg", "character"}
+    assert "character" not in loaded
     assign = Path(__file__).with_name("assign")
     for space, name in (("CP3", "cp3.json"), ("SU(4)/S(U(1)xU(1)xU(2))", "m10_j.json")):
-        assert not _loaded("stable", "--space", space, "--assign", str(assign / name)) & {"exactalg", "character"}
+        assert not _loaded("stable", "--space", space, "--assign", str(assign / name)) & {"character", "residues"}
     flip = _loaded("stable", "--space", "CP3", "--assign", str(assign / "cp3_flip.json"), exit_code=1)
-    assert {"exactalg", "character"} <= flip
+    assert "residues" in flip and "character" not in flip
 
 
 def test_stablex_imports_no_kernel():
@@ -166,7 +171,7 @@ def test_stablex_imports_no_kernel():
             imported |= {node.module} | {alias.name for alias in node.names}
         elif isinstance(node, ast.Import):
             imported |= {alias.name for alias in node.names}
-    assert not {name.rsplit(".", 1)[-1] for name in imported if name} & {"character", "exactalg"}
+    assert not {name.rsplit(".", 1)[-1] for name in imported if name} & {"character"}
 
 
 def test_flag_loads_no_localization():
@@ -180,23 +185,23 @@ def test_divided_differences_load_no_kernel(argv):
     # the operator-L routes read packed big ints of their own
     loaded = _loaded(*argv)
     assert "divdiff" in loaded
-    assert not loaded & {"exactalg", "character"}
+    assert "character" not in loaded
 
 
 def test_fgl_loads_no_kernel():
     loaded = _loaded("fgl", "--trunc", "4")
     assert {"fgl", "cobordism"} <= loaded
-    assert not loaded & {"exactalg", "genus", "divdiff", "stablex", "reproduce"}
+    assert not loaded & {"character", "genus", "divdiff", "stablex", "reproduce"}
 
 
 def test_chern_module_loads_no_kernel():
-    assert "torigen.exactalg" not in _modules("import json, sys, torigen.chern; "
-                                              "print(json.dumps(sorted(sys.modules)))")
+    assert not {"torigen.character", "torigen.genus"} & _modules("import json, sys, torigen.chern; "
+                                                                "print(json.dumps(sorted(sys.modules)))")
 
 
 @pytest.mark.parametrize("argv, code, message", [
     (("stable", "--space", "CP5"), 1, "error: 2^25 additions and lookups exceed budget 1048576"),
-    (("class", "--space", "CP2", "--signs=1,-1"), 1, "error: degree-2 numerator block does not cancel"),
+    (("class", "--space", "CP2", "--signs=1,-1"), 1, "error: block omega=[1, 0] has a pole: residue 2 at "),
     (("class", "--space", "U(4)/U(2)xU(3)"), 2, "error: subgroup blocks sum to 5, expected 4"),
 ], ids=["stable-budget", "signs-with-poles", "grammar"])
 def test_exit_codes_in_a_fresh_interpreter(argv, code, message):
@@ -205,4 +210,19 @@ def test_exit_codes_in_a_fresh_interpreter(argv, code, message):
     assert proc.stdout == ""
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith(message)
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, stream, line", [
+    (("class", "--space", "CP2", "--signs=1,-1"), "stderr",
+     "error: block omega=[1, 0] has a pole: residue 2 at (6, 3, 6) on x1 - x3 = 0"),
+    (("stable", "--space", "CP3", "--assign", str(Path(__file__).with_name("assign") / "cp3_flip.json")), "stdout",
+     "FAIL at omega=[1]: residue -1/6 at (4, 8, 16, 16) on x3 - x4 = 0"),
+], ids=["class", "stable-assign"])
+def test_pole_tables_print_the_residue(argv, stream, line):
+    # a table whose sum has poles: one line naming the block, the residue,
+    # the point and the line, exit 1, and no traceback
+    proc = _python("-m", "torigen.cli", *argv)
+    assert proc.returncode == 1
+    assert getattr(proc, stream).splitlines() == [line]
     assert "Traceback" not in proc.stderr
