@@ -177,17 +177,16 @@ def _check_lines(checks, evidence):
     return lines
 
 
-def genus_report(spec, order=None):
+def genus_report(spec):
     """Full result bundle for a space: the report (class, s-table and
-    consistency checks) and the class as a CobordismPoly."""
+    consistency checks) and the class as a CobordismPoly. The Weyl check
+    reads the character at order n + 1."""
     fp = fixed_point_weights(spec)
     n = spec.n
-    if order is None:
-        order = n + 1
     stable = genus.s_numbers(fp)
     # the blocks exist only where no block has a pole, so a report exists
     # only if the vanishing check holds
-    ch = character_blocks(fp, order)
+    ch = character_blocks(fp, n + 1)
     rows = [(list(om) + [0] * (n - len(om)), val) for om, val in sorted(stable.items())]
     failure = weyl_invariance_failure(spec, ch)
     report = {
@@ -204,11 +203,7 @@ def genus_report(spec, order=None):
 
 def cmd_genus(args):
     from .cli import _build_space, _emit
-    spec = _build_space(args)
-    if args.trunc is not None and not spec.n <= args.trunc <= spec.n + 1:
-        raise ValueError("--trunc must be %d or %d on %s, got %d"
-                         % (spec.n, spec.n + 1, spec.descriptor, args.trunc))
-    report, cls = genus_report(spec, order=args.trunc)
+    report, cls = genus_report(_build_space(args))
     lines = ["space: %s  structure: %s" % (report["space"], report["structure"]),
              "class: %s" % cls.canonical_text()]
     lines += ["s_%s = %d" % (row["omega"], row["value"]) for row in report["s_numbers"]]

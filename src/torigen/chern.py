@@ -8,7 +8,6 @@ an integer matrix-vector product and s-numbers from forward substitution on
 the same rows, in integers for an integer table.
 """
 
-from .cobordism import clean
 from .symmfunc import omegas_of_weight, transition_table
 
 
@@ -39,8 +38,8 @@ def s_to_chern(s, n):
     rows = transition_table(n)
     out = {}
     for xi in index:
-        v = clean(sum(c * s[om] for om, c in rows[xi][1].items()))
-        if not isinstance(v, int):
+        v = sum(c * s[om] for om, c in rows[xi][1].items())
+        if v.denominator != 1:
             raise NonIntegerSolution("c^%s = %s is not an integer" % (xi, v))
-        out[xi] = v
+        out[xi] = v.numerator
     return out

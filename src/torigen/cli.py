@@ -37,8 +37,7 @@ atexit.register(gc.freeze)
 # space, its own arguments)
 VERBS = {
     "class": ("cobordism class", "cli", "cmd_class", True, ()),
-    "genus": ("full genus report", "character", "cmd_genus", True,
-              (("--trunc", {"type": int, "help": "character truncation order"}),)),
+    "genus": ("full genus report", "character", "cmd_genus", True, ()),
     "snumbers": ("s_omega characteristic numbers", "cli", "cmd_snumbers", True,
                  (("--omega", {"help": "single omega, e.g. 0,0,0,1"}),
                   ("--numeric", {"help": "evaluate at an integer point, e.g. 1,2,3,4"}))),
@@ -46,11 +45,9 @@ VERBS = {
     "verify": ("run consistency checks for a space", "character", "cmd_verify", True, ()),
     "flag": ("[U(n)/T^n] by Schubert calculus", "divdiff", "cmd_flag", False,
              (("--n", {"type": int, "required": True}),
-              ("--method", {"choices": ("corL", "tchi", "thm8"), "default": "corL"}),
-              ("--cache", {"help": "directory for memoized polynomials"}))),
+              ("--method", {"choices": ("corL", "tchi", "thm8"), "default": "corL"}))),
     "grassmann": ("[G_{q+l,l}] by the operator L", "divdiff", "cmd_grassmann", False,
-                  (("--q", {"type": int, "required": True}), ("--l", {"type": int, "required": True}),
-                   ("--cache", {"help": "directory for memoized polynomials"}))),
+                  (("--q", {"type": int, "required": True}), ("--l", {"type": int, "required": True}))),
     "stable": ("equivariant stable complex structures", "stablex", "cmd_stable", True,
                (("--assign", {"help": "JSON file {coset_index: [signs], epsilon}"}),
                 ("--budget", {"type": int, "default": 1 << 20}))),

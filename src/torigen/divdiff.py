@@ -48,12 +48,9 @@ L1 mass of the products without cancellation, sum over the factor degrees
 k_j of prod_j ||w_j||_1^k_j = [t^d] prod_j 1/(1 - 2t), and 2^W exceeds it for
 every d <= order.
 
-The flag and grassmann verbs live here, with the --cache store that memoizes
-their classes.
+The flag and grassmann verbs live here.
 """
 
-import json
-import os
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
@@ -285,51 +282,6 @@ def flag_vanishing_checks(n):
     return report
 
 
-CACHE_VERSION = 1
-
-
-def _cache_load(path):
-    """The CobordismPoly stored at path; None if absent, corrupt or of another version."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict) or raw.get("version") != CACHE_VERSION:
-            return None
-        return CobordismPoly({tuple(t["exponents"]): int(t["coefficient"]) for t in raw["terms"]})
-    except (FileNotFoundError, ValueError, KeyError, TypeError):
-        return None
-
-
-def _cache_poly(args, key, compute):
-    """Memoize a CobordismPoly as versioned canonical JSON terms under --cache DIR.
-
-    A missing, corrupt or stale entry is recomputed and replaced atomically:
-    the entry is written to a temporary file in DIR and renamed over the old one.
-    DIR and the temporary file are made before computing, so a cache that
-    cannot be written fails at once, not after the work.
-    """
-    if not args.cache:
-        return compute()
-    import tempfile
-    path = os.path.join(args.cache, key + ".json")
-    value = _cache_load(path)
-    if value is not None:
-        return value
-    os.makedirs(args.cache, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=args.cache, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            value = compute()
-            json.dump({"version": CACHE_VERSION,
-                       "terms": [{"exponents": list(e), "coefficient": str(c)}
-                                 for e, c in sorted(value.terms.items())]}, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return value
-
-
 # flag --n 6 takes 3.5-5.5 s on a 2-vCPU VM and peaks at about 118 MB (108 MB
 # by thm8): 684 blocks, two ints of up to 76 kB each (14,406 slots of 42
 # bits). At n = 7 the box has 229,376 slots of 59 bits, and the 3,506 blocks
@@ -341,8 +293,7 @@ def cmd_flag(args):
     from .cli import _emit
     if args.n > FLAG_N_LIMIT:
         raise ValueError("--n must be at most %d, got %d" % (FLAG_N_LIMIT, args.n))
-    text = _cache_poly(args, "flag_%d_%s" % (args.n, args.method),
-                       lambda: flag_class(args.n, args.method)).canonical_text()
+    text = flag_class(args.n, args.method).canonical_text()
     _emit(args, text, {"n": args.n, "method": args.method, "class": text})
     return 0
 
@@ -366,7 +317,6 @@ def cmd_grassmann(args):
     if max(args.q, args.l) > GRASSMANN_SIDE_LIMIT:
         raise ValueError("--q and --l must be at most %d, got %d"
                          % (GRASSMANN_SIDE_LIMIT, max(args.q, args.l)))
-    text = _cache_poly(args, "grassmann_%d_%d" % (args.q, args.l),
-                       lambda: grassmann_class(args.q, args.l)).canonical_text()
+    text = grassmann_class(args.q, args.l).canonical_text()
     _emit(args, text, {"q": args.q, "l": args.l, "class": text})
     return 0

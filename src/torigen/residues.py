@@ -112,10 +112,12 @@ class _ResidueLine:
     form vanishes there, b a point where none does and m above the largest
     |<v, alpha>| on the simplex, so Q vanishes there exactly when R does:
     R is zero exactly when it is zero at those points. The points of lower
-    degree come first, so every block reads a prefix of one list."""
+    degree come first, so every block reads a prefix of one list; each
+    point is evaluated only to the weight of the block being proved, and
+    the prefix is evaluated again when that weight rises."""
 
     def __init__(self, line, groups, n, order):
-        self.line, self.n, self.order = line, n, order
+        self.line, self.n = line, n
         self.keys = [key for key, _ in groups]
         self.weights = [c for _, c in groups]
         self.i = next(i for i, c in enumerate(line) if c)
@@ -138,17 +140,21 @@ class _ResidueLine:
                 z[j] = m * b[j] + a
             self.points.append(z)
         self.sizes = Counter(sum(a) for a in lattice)
+        self.weight = None   # the omega weight that done is evaluated to
         self.done = []   # (point, common, {omega: residue times common})
 
     def first_nonzero(self, omega):
         """(point, common, value times common) at the first point of the
         determining set of omega's residue where it is not 0; None when it
         is 0 there, and so everywhere."""
-        d = omega_weight(omega) - (self.n - 1) + self.clear
+        weight = omega_weight(omega)
+        d = weight - (self.n - 1) + self.clear
         need = sum(self.sizes[t] for t in range(d + 1)) if d >= 0 else 0
+        if weight != self.weight:
+            self.weight, self.done = weight, []
         while len(self.done) < need:
             point = self.points[len(self.done)]
-            common, rows = residue_rows(self.keys, point, self.order)
+            common, rows = residue_rows(self.keys, point, weight)
             self.done.append((point, common, {om: sum(c * r for c, r in zip(self.weights, row))
                                               for om, row in rows.items()}))
         return next(((p, common, vals[omega]) for p, common, vals in self.done[:need] if vals.get(omega)), None)

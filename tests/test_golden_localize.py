@@ -16,6 +16,7 @@ import os
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
@@ -58,7 +59,7 @@ EXTRA = [
     ("genus", "--space", "CP3"),
     ("genus", "--space", "G2/SU(3)"),
     ("genus", "--space", "U(4)/U(2)xU(2)"),
-    # a truncation below n is a usage error
+    # genus takes no truncation order: a usage error
     ("genus", "--space", "U(4)/U(2)xU(2)", "--trunc", "3"),
     # large chi: the point evaluator does the most work here
     ("class", "--space", "U(5)/T5"),
@@ -155,8 +156,12 @@ def chdir(path):
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
-    with chdir(GOLDEN.parent), redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
+    # argparse wraps its usage to COLUMNS
+    with chdir(GOLDEN.parent), patch.dict(os.environ, COLUMNS="80"), redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # an option argparse does not know
+            code = exc.code
     return {"argv": list(argv), "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 

@@ -19,7 +19,6 @@ import pytest
 
 import torigen
 from torigen import cli, stablex
-from torigen.cobordism import CobordismPoly
 
 from test_golden_localize import STABLE_DIGESTS
 
@@ -124,15 +123,6 @@ def test_streamed_tables_survive_the_exit_hook():
     assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, size)
 
 
-def test_cache_entry_is_complete_after_exit(tmp_path):
-    proc = _python("-m", "torigen.cli", "flag", "--n", "4", "--cache", str(tmp_path))
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["flag_4_corL.json"]
-    raw = json.loads((tmp_path / "flag_4_corL.json").read_text())
-    cls = CobordismPoly({tuple(t["exponents"]): int(t["coefficient"]) for t in raw["terms"]})
-    assert raw["version"] == 1 and cls.canonical_text() == proc.stdout.strip()
-
-
 def test_integral_point_values_load_no_fractions():
     # an integral table makes no Fraction; whatever the interpreter loads at
     # start-up (site, .pth files) is left out of the comparison
@@ -195,8 +185,9 @@ def test_fgl_loads_no_kernel():
 
 
 def test_chern_module_loads_no_kernel():
-    assert not {"torigen.character", "torigen.genus"} & _modules("import json, sys, torigen.chern; "
-                                                                "print(json.dumps(sorted(sys.modules)))")
+    # s_to_chern tests integrality by .denominator, so no cobordism either
+    loaded = _modules("import json, sys, torigen.chern; print(json.dumps(sorted(sys.modules)))")
+    assert not {"torigen.character", "torigen.genus", "torigen.cobordism"} & loaded
 
 
 @pytest.mark.parametrize("argv, code, message", [
