@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from torigen import cli, genus, reproduce, stablex
+from torigen import character, cli, divdiff, genus, reproduce, stablex
 from torigen.cli import main
 from torigen.reproduce import reproduce_table
 from torigen.stablex import SignAssignment
@@ -118,6 +118,28 @@ def test_flag_grassmann_fgl_verbs(capsys):
     code, out, _ = run(capsys, "fgl", "--trunc", "2")
     assert code == 0
     assert "-2*b1" in out
+
+
+@pytest.mark.parametrize("argv", [("flag", "--n", "3", "--cache", "d"),
+                                  ("grassmann", "--q", "2", "--l", "2", "--cache", "d"),
+                                  ("genus", "--space", "CP2", "--trunc", "2")],
+                         ids=" ".join)
+def test_retired_options_are_refused_before_the_work(tmp_path, capsys, monkeypatch, argv):
+    # flag and grassmann keep no store and genus takes no truncation order:
+    # argparse refuses the options, nothing is computed and no directory made
+    def never(*args, **kwargs):
+        raise AssertionError("computed despite a usage error")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(divdiff, "flag_class", never)
+    monkeypatch.setattr(divdiff, "grassmann_class", never)
+    monkeypatch.setattr(character, "genus_report", never)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith("\ntorigen: error: unrecognized arguments: %s\n" % " ".join(argv[-2:]))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_os_errors_exit_two(tmp_path, capsys):

@@ -622,6 +622,58 @@ def test_residues_that_cancel_across_groups_are_no_pole(monkeypatch):
         check_poles(fp, 2)
 
 
+def first_nonzero_at_full_order(res, omega, order):
+    """What _ResidueLine.first_nonzero gives when every point of the
+    determining set is read to the full order."""
+    d = omega_weight(omega) - (res.n - 1) + res.clear
+    need = sum(res.sizes[t] for t in range(d + 1)) if d >= 0 else 0
+    for point in res.points[:need]:
+        common, rows = residues.residue_rows(res.keys, point, order)
+        value = sum(c * r for c, r in zip(res.weights, rows[omega]))
+        if value:
+            return point, common, value
+    return None
+
+
+@pytest.mark.parametrize("text,signs", [("CP2", (1, -1)), ("CP3", (1, 1, -1)), ("CP3", (1, -1, -1)),
+                                        ("U(4)/U(1)xU(1)xU(2)", (1, -1, 1, -1, 1))])
+def test_residues_by_weight_match_the_full_order(text, signs):
+    # each point read only to the weight of the block asked for gives the
+    # point, denominator and value of reading it to order n + 1, whether the
+    # weights rise, as in check_residues, or rise and fall
+    fp = fixed_point_weights(build_space(text, signs=signs))
+    n = len(fp[0].weights)
+    sums = genus.line_sums(fp)
+    groups = [(line, [(key, c) for key, c in sorted(sums[line].items()) if c]) for line in sorted(sums)]
+    omegas = [om for w in range(n + 2) for om in omegas_of_weight(w)]
+    shuffled = random.Random(7).sample(omegas, len(omegas))
+    hits = 0
+    for line, kept in groups:
+        if not kept:
+            continue
+        res = residues._ResidueLine(line, kept, n, n + 1)
+        for om in omegas + shuffled:
+            expected = first_nonzero_at_full_order(res, om, n + 1)
+            assert res.first_nonzero(om) == expected
+            hits += expected is not None
+    assert hits
+
+
+@pytest.mark.parametrize("text", ["CP2", "U(3)/T3"])
+def test_genus_reads_the_character_at_order_n_plus_one(monkeypatch, text):
+    orders = []
+    build = character.character_blocks
+
+    def recorded(fp, order):
+        orders.append(order)
+        return build(fp, order)
+    monkeypatch.setattr(character, "character_blocks", recorded)
+    spec = build_space(text)
+    report, _ = genus_report(spec)
+    assert orders == [spec.n + 1]
+    assert report["checks"]["weyl_invariance"]
+
+
 @pytest.mark.parametrize("argv", [("verify", "--space", "CP3"), ("genus", "--space", "CP3"),
                                   ("verify", "--space", "U(3)/T3", "--structure", "conjugate")],
                          ids=" ".join)
