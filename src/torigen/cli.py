@@ -165,7 +165,8 @@ def _parser(argv):
     registered, with the metavar that the full list would print, so the
     top-level usage keeps its bytes. Otherwise all verbs are registered: -h
     before the verb lists them all, and the errors for no verb or an unknown
-    one name the argument "verb"."""
+    one name the argument "verb". Its `verbs` holds the verb parsers by
+    name: main reports an argument the verb does not take through them."""
     p = argparse.ArgumentParser(
         prog="torigen",
         description="Exact toric genus, cobordism classes and characteristic "
@@ -178,6 +179,7 @@ def _parser(argv):
     else:
         sub = p.add_subparsers(dest="verb", required=True)
         registered = VERBS
+    p.verbs = sub.choices
     for verb in registered:
         text, _, _, space, extra = VERBS[verb]
         sp = sub.add_parser(verb, help=text)
@@ -195,7 +197,10 @@ def _parser(argv):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = _parser(argv).parse_args(argv)
+    parser = _parser(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        parser.verbs[args.verb].error("unrecognized arguments: %s" % " ".join(extra))
     _, module, name, _, _ = VERBS[args.verb]
     fn = globals()[name] if module == "cli" else getattr(import_module("." + module, __package__), name)
     try:

@@ -111,13 +111,14 @@ def line_sums(fp):
     return sums
 
 
-def _pole_free(fp):
-    """Exact certificate that every residue of the localization sum cancels.
+def _pole_free(sums):
+    """Exact certificate that every residue of the localization sum cancels,
+    read off sums = line_sums(fp).
 
     True only if every weight is primitive, the n weight lines at each point
-    are distinct, and for every line l the points carrying l cancel in
-    groups (line_groups): points whose other weights agree modulo l as
-    multisets have sum sign(p) * orientation_p(l) = 0.
+    are distinct (sums is not None), and for every line l the points
+    carrying l cancel in groups (line_groups): points whose other weights
+    agree modulo l as multisets have sum sign(p) * orientation_p(l) = 0.
 
     Guarantee: then each point's term has at most a simple pole along
     <l, x> = 0, and within a group the residues there are one and the same
@@ -127,7 +128,6 @@ def _pole_free(fp):
     nonsingular integer point gives exactly. False promises nothing; the
     residues decide (check_poles).
     """
-    sums = line_sums(fp)
     return sums is not None and not any(c for groups in sums.values() for c in groups.values())
 
 
@@ -138,10 +138,12 @@ def check_poles(fp, order):
 
     _pole_free answers first; only a table that it does not certify loads
     the residues module, which reads the residues of the sum along every
-    line whose groups do not cancel (residues.check_residues)."""
-    if not _pole_free(fp):
+    line whose groups do not cancel (residues.check_residues), off the same
+    line_sums."""
+    sums = line_sums(fp)
+    if not _pole_free(sums):
         from .residues import check_residues
-        check_residues(fp, order)
+        check_residues(sums, len(fp[0].weights), order)
 
 
 def point_terms(pt, point, xis):

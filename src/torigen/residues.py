@@ -11,8 +11,9 @@ the groups of genus.line_groups: the residue of block a^omega along l is
 sum_g c_g m_lambda(V_g) / prod V_g, c_g a group's sum of
 sign(p) * orientation_p(l) and V_g its other weights on the hyperplane
 (residue_rows). A block has no pole exactly when every residue is zero, and
-_ResidueLine decides that exactly on a determining set. The residue rows
-are those the sign search reads too (stablex._full_rank).
+_ResidueLine decides that exactly on a determining set. The sign search
+reads the same rows at the same points: the rank of _ResidueLine is its
+proof that the group sums decide admissibility.
 
 series_values is the a-series product prod_j (1 + sum_i a_i c_j^i) at
 numbers c_j, whose a^omega coefficient is m_lambda(c): the residue rows and
@@ -99,65 +100,80 @@ def _primitive(v):
 
 
 class _ResidueLine:
-    """The residues of the blocks along one weight line l whose groups do
-    not cancel, at the points of a determining set, evaluated as needed.
+    """The residue rows of the groups with keys `keys` along one weight line
+    l, at the points of a determining set, read as needed.
 
-    The residue R of block omega is a rational function on the hyperplane
-    <l, x> = 0, homogeneous of degree ||omega|| - (n - 1), with denominators
-    the key forms. Cleared by D, the product of the distinct forms (up to
-    scale) at their highest multiplicity in one group, it is a polynomial
-    Q = D R of degree ||omega|| - (n - 1) + deg D in the k - 1 coordinates
-    off i: zero when that is negative, and else zero exactly when it
-    vanishes on the simplex of that degree (simplex), shifted by m b. No
-    form vanishes there, b a point where none does and m above the largest
-    |<v, alpha>| on the simplex, so Q vanishes there exactly when R does:
-    R is zero exactly when it is zero at those points. The points of lower
-    degree come first, so every block reads a prefix of one list; each
-    point is evaluated only to the weight of the block being proved, and
-    the prefix is evaluated again when that weight rises."""
+    A combination R = sum_g c_g R_g of the rows of block omega is a
+    rational function on the hyperplane <l, x> = 0, homogeneous of degree
+    ||omega|| - (n - 1), with denominators the key forms. Cleared by D, the
+    product of the distinct forms (up to scale) at their highest
+    multiplicity in one group, it is a polynomial Q = D R of degree
+    ||omega|| - (n - 1) + deg D in the k - 1 coordinates off i: zero when
+    that is negative, and else zero exactly when it vanishes on the simplex
+    of that degree (simplex), shifted by m b. No form vanishes there, b a
+    point where none does and m above the largest |<v, alpha>| on the
+    simplex of the blocks of weight order, so Q vanishes there exactly when
+    R does: R is zero exactly when it is zero at points(||omega||), and the
+    set of a lower weight is a prefix of it. Each weight's rows are read
+    once, at its own points and only to that weight."""
 
-    def __init__(self, line, groups, n, order):
-        self.line, self.n = line, n
-        self.keys = [key for key, _ in groups]
-        self.weights = [c for _, c in groups]
+    def __init__(self, line, keys, n, order):
+        self.line, self.keys, self.n = line, keys, n
         self.i = next(i for i, c in enumerate(line) if c)
         need = Counter()
-        for key in self.keys:
+        for key in keys:
             for form, mult in Counter(_primitive(v) for v in key).items():
                 need[form] = max(need[form], mult)
         self.clear = sum(need.values())
-        top = order - (n - 1) + self.clear
-        free = [j for j in range(len(line)) if j != self.i]
-        vectors = [v for key in self.keys for v in key]
-        b = next(b for b in ({j: base ** r for r, j in enumerate(free)} for base in count(2))
-                 if all(sum(v[j] * b[j] for j in free) for v in vectors))
-        m = top * max(abs(c) for v in vectors for c in v) + 1
-        lattice = simplex(len(free), top) if top >= 0 else []
-        self.points = []
-        for alpha in lattice:
-            z = [0] * len(line)
-            for j, a in zip(free, alpha):
-                z[j] = m * b[j] + a
-            self.points.append(z)
-        self.sizes = Counter(sum(a) for a in lattice)
-        self.weight = None   # the omega weight that done is evaluated to
-        self.done = []   # (point, common, {omega: residue times common})
+        self.free = [j for j in range(len(line)) if j != self.i]
+        vectors = [v for key in keys for v in key]
+        b = next(b for b in ({j: base ** r for r, j in enumerate(self.free)} for base in count(2))
+                 if all(sum(v[j] * b[j] for j in self.free) for v in vectors))
+        m = (order - (n - 1) + self.clear) * max((abs(c) for v in vectors for c in v), default=0) + 1
+        self.shift = {j: m * b[j] for j in self.free}
+        self.read = {}   # weight: [(point, common, {omega: row})]
 
-    def first_nonzero(self, omega):
-        """(point, common, value times common) at the first point of the
-        determining set of omega's residue where it is not 0; None when it
-        is 0 there, and so everywhere."""
-        weight = omega_weight(omega)
+    def points(self, weight):
+        """The determining set of the blocks of this weight, at most order."""
         d = weight - (self.n - 1) + self.clear
-        need = sum(self.sizes[t] for t in range(d + 1)) if d >= 0 else 0
-        if weight != self.weight:
-            self.weight, self.done = weight, []
-        while len(self.done) < need:
-            point = self.points[len(self.done)]
-            common, rows = residue_rows(self.keys, point, weight)
-            self.done.append((point, common, {om: sum(c * r for c, r in zip(self.weights, row))
-                                              for om, row in rows.items()}))
-        return next(((p, common, vals[omega]) for p, common, vals in self.done[:need] if vals.get(omega)), None)
+        out = []
+        for alpha in simplex(len(self.free), d) if d >= 0 else ():
+            z = [0] * len(self.line)
+            for j, a in zip(self.free, alpha):
+                z[j] = self.shift[j] + a
+            out.append(z)
+        return out
+
+    def rows(self, weight):
+        """[(point, common, rows)]: residue_rows to this weight at each of
+        points(weight), read once."""
+        if weight not in self.read:
+            self.read[weight] = [(z,) + residue_rows(self.keys, z, weight) for z in self.points(weight)]
+        return self.read[weight]
+
+    def rank(self):
+        """The rank of the groups' rows over the blocks with ||omega|| <= n:
+        points(n) holds the determining set of every such block, so a
+        combination of the groups is 0 in all of them exactly when it is 0
+        on these rows. Reduced modulo P = 2^61 - 1, a rank modulo P is that
+        of a nonzero integer minor, so no more than the exact rank. The
+        points are read one at a time, up to len(keys), full rank."""
+        P = (1 << 61) - 1
+        basis = []   # (pivot, row): 1 at its pivot, 0 at the pivots before it
+        for z in self.points(self.n):
+            for row in residue_rows(self.keys, z, self.n)[1].values():
+                row = [x % P for x in row]
+                for pivot, b in basis:
+                    c = row[pivot]
+                    if c:
+                        row = [(x - c * v) % P for x, v in zip(row, b)]
+                pivot = next((j for j, x in enumerate(row) if x), None)
+                if pivot is not None:
+                    c = pow(row[pivot], -1, P)
+                    basis.append((pivot, [x * c % P for x in row]))
+                    if len(basis) == len(self.keys):
+                        return len(basis)
+        return len(basis)
 
     def on_line(self, z):
         """The point y of <l, y> = 0 at which the key values at z are the
@@ -168,39 +184,36 @@ class _ResidueLine:
         return tuple(y)
 
 
-def check_residues(fp, order):
+def check_residues(sums, n, order):
     """Return when no a^omega block with ||omega|| <= order has a pole; else
     raise SingularSum naming the first that has one, by weight and then in
     sorted order, the line, a point on it and the residue's value there.
 
-    Every line whose groups do not cancel is read by _ResidueLine. A block
-    has no pole exactly when every residue is 0; a nonzero value proves a
-    pole, and a zero is proved on a determining set. CheckFailure where the
-    weights at a point are not primitive on distinct lines, which the
-    residues need."""
-    sums = genus.line_sums(fp)
+    sums are genus.line_sums of a table with n weights per point. Every
+    line whose groups do not cancel is read by _ResidueLine. A block has no
+    pole exactly when every residue sum_g c_g R_g is 0; a nonzero value
+    proves a pole, and a zero is proved on a determining set. CheckFailure
+    where the weights at a point are not primitive on distinct lines, which
+    the residues need."""
     if sums is None:
         raise CheckFailure("the residues need primitive weights on distinct lines at every point")
-    n = len(fp[0].weights)
     lines = []
     for line in sorted(sums):
         groups = [(key, c) for key, c in sorted(sums[line].items()) if c]
         if groups:
-            lines.append(_ResidueLine(line, groups, n, order))
+            keys, weights = zip(*groups)
+            lines.append((_ResidueLine(line, keys, n, order), weights))
     for weight in range(order + 1):
         for omega in omegas_of_weight(weight):
-            for res in lines:
-                hit = res.first_nonzero(omega)
-                if hit is None:
-                    continue
-                z, common, value = hit
-                from fractions import Fraction
-                residue = Fraction(value, common)
-                form = render_terms({tuple(int(j == i) for j in range(len(res.line))): c
-                                     for i, c in enumerate(res.line) if c},
-                                    ["x%d" % (j + 1) for j in range(len(res.line))])
-                text = "residue %s at %s on %s = 0" % (residue, res.on_line(z), form)
-                padded = list(omega) + [0] * (n - len(omega))
-                raise genus.SingularSum("block omega=%s has a pole: %s" % (padded, text), omega, text)
-
-
+            for res, weights in lines:
+                for z, common, rows in res.rows(weight):
+                    value = sum(c * r for c, r in zip(weights, rows[omega]))
+                    if not value:
+                        continue
+                    from fractions import Fraction
+                    form = render_terms({tuple(int(j == i) for j in range(len(res.line))): c
+                                         for i, c in enumerate(res.line) if c},
+                                        ["x%d" % (j + 1) for j in range(len(res.line))])
+                    text = "residue %s at %s on %s = 0" % (Fraction(value, common), res.on_line(z), form)
+                    padded = list(omega) + [0] * (n - len(omega))
+                    raise genus.SingularSum("block omega=%s has a pole: %s" % (padded, text), omega, text)

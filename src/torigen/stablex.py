@@ -9,9 +9,9 @@ integers.  This module derives the rescaled fixed-point data and checks
 those conditions for one table on the route of class, one call of
 genus.s_numbers.  It enumerates the admissible tables by an exhaustive,
 exact search: it reads each table's group sums in the certificate of
-genus._pole_free and its Chern numbers at one point off packed ints, and
-proves on every line, by the residue rows of the residues module, that the
-group sums decide admissibility.
+genus._pole_free off packed ints and its Chern numbers at one point, and
+proves on every line, by the rank of the residue rows that check_poles
+reads (residues._ResidueLine), that the group sums decide admissibility.
 
 "Admissible" is deliberate: the conditions are necessary, and which admissible
 tables are realized by honest stable complex structures is a separate
@@ -28,8 +28,7 @@ from itertools import product
 from math import lcm, prod
 
 from . import CheckFailure
-from .genus import (FailedBlock, SingularPoint, default_numeric_point, line_groups, point_terms,
-                    s_numbers as _genus_s_numbers)
+from .genus import FailedBlock, default_numeric_point, line_groups, point_terms, s_numbers as _genus_s_numbers
 from .rootdata import FixedPoint, fixed_point_weights
 from .symmfunc import omegas_of_weight
 
@@ -120,90 +119,47 @@ def _group_ints(rows, chi):
     return ints, lines
 
 
-def _top_ints(rows, point, xis):
-    """(ints, integral): per point and sign vector, sign * e^xi(c) * L / prod c
-    at point (point_terms) in a slot per xi, L the lcm of the |prod c|, of a
-    width W with 2^(W-1) above the sum over points of the largest |value|.
-    A table's slot totals, L * c^xi at point, are then its balanced digits
-    in base 2^W; integral(total) is True exactly when L divides each."""
+def _integral(rows, point, xis):
+    """integral(table): whether a table, one index per point into its row
+    of sign vectors, has integral Chern numbers at point. Per point and sign
+    vector, sign * e^xi(c) * L / prod c at point (point_terms) for each xi,
+    L the lcm of the |prod c|: a table's sums are L * c^xi at point, and
+    integral exactly when L divides each."""
     terms = [[(pt.sign,) + point_terms(pt, point, xis) for pt in row] for row in rows]
     common = lcm(*(den for row in terms for _, den, _ in row))
     values = [[[sign * (common // den) * v for v in vals] for sign, den, vals in row] for row in terms]
-    width = (2 * sum(max(abs(v) for vals in row for v in vals) for row in values) + 1).bit_length()
-    ints = [[sum(v << width * slot for slot, v in enumerate(vals)) for vals in row] for row in values]
-    half, mask = 1 << width - 1, (1 << width) - 1
 
-    def integral(total):
-        # the balanced digit at each slot: round off the digits below, then
-        # read W bits as a balanced residue
-        return all((((total + (1 << s >> 1) >> s) + half & mask) - half) % common == 0
-                   for s in range(0, width * len(xis), width))
+    def integral(table):
+        return all(sum(col) % common == 0 for col in zip(*(row[j] for row, j in zip(values, table))))
 
-    return ints, integral
-
-
-def _full_rank(n, line, keys):
-    """The column rank reached by the residue rows along one weight line l,
-    one column per group: len(keys) proves full rank.
-
-    The rows are residues.residue_rows, m_lambda(V) / prod V for the blocks with
-    ||omega|| <= n, V a group's other weights on <l, y> = 0.  There a key
-    l_i u - u_i l is l_i <u, y>, which scales a whole row, so the rows are
-    taken on the keys at points y = <l, l> p - <l, p> l, p pseudo-random, one
-    per group at most, cleared to integers and reduced modulo P = 2^61 - 1:
-    a rank modulo P is that of a nonzero integer minor. Only the search
-    loads the residues module; --assign does not."""
-    from .residues import residue_rows
-    norm, P = sum(c * c for c in line), (1 << 61) - 1
-    basis = []   # (pivot, row): 1 at its pivot, 0 at the pivots before it
-    for t in range(len(keys)):
-        p = [pow(5, t * len(line) + i, 10007) % 201 - 100 for i in range(len(line))]
-        along = sum(a * b for a, b in zip(line, p))
-        try:
-            _, rows = residue_rows(keys, [norm * a - along * b for a, b in zip(p, line)], n)
-        except SingularPoint:
-            continue
-        for row in rows.values():
-            row = [x % P for x in row]
-            for pivot, b in basis:
-                c = row[pivot]
-                if c:
-                    row = [(x - c * v) % P for x, v in zip(row, b)]
-            pivot = next((j for j, x in enumerate(row) if x), None)
-            if pivot is not None:
-                c = pow(row[pivot], -1, P)
-                basis.append((pivot, [x * c % P for x in row]))
-                if len(basis) == len(keys):
-                    return len(keys)
-    return len(basis)
+    return integral
 
 
 def enumerate_feasible(spec, budget=1 << 20):
     """All sign tables passing check_necessary, in the order of
     product((1, -1), repeat=n*chi).
 
-    The search is exhaustive and exact.  Per point and sign vector, two
-    ints: its share of the certificate's group sums, in slots of
-    (2 chi + 1).bit_length() bits (_group_ints), and of the Chern numbers at
-    default_numeric_point over their common denominator L, in slots as wide
-    as the sum over points of the largest value needs (_top_ints).  A
-    depth-first walk over the points adds one group int per step and looks
-    up the last point by the value that cancels the rest, 2^(n*(chi-1))
-    additions and lookups in all; past `budget` of them it raises
-    BudgetExceeded before any other work.  Of the tables found there, it
-    keeps those whose summed top int has every digit divisible by L:
-    integral Chern numbers, so integral s-numbers (c = T s, T integer
-    unitriangular).  Each is reported once, with epsilon = +1, as a global
-    sign scales every condition.
+    The search is exhaustive and exact.  Per point and sign vector, one
+    int: its share of the certificate's group sums, in slots of
+    (2 chi + 1).bit_length() bits (_group_ints).  A depth-first walk over
+    the points adds one group int per step and looks up the last point by
+    the value that cancels the rest, 2^(n*(chi-1)) additions and lookups in
+    all; past `budget` of them it raises BudgetExceeded before any other
+    work.  Of the tables found there, it keeps those whose Chern numbers at
+    default_numeric_point, summed per xi over the points, are integers
+    (_integral): integral s-numbers (c = T s, T integer unitriangular).
+    Each is reported once, with epsilon = +1, as a global sign scales every
+    condition.
 
     Guarantee: a table whose groups cancel is pole-free (genus._pole_free),
     so it passes check_necessary exactly when its point values are
     integral.  A table passing check_necessary has polynomial blocks for
     ||omega|| <= n, whose residues along each weight line, sum_g c_g R_g
-    over its groups, vanish; where the R_g have full column rank
-    (_full_rank), every group sum c_g is 0.  So the rank is checked on every
-    line first, and where it is not proved full the search raises
-    CheckFailure with the line and the rank reached.
+    over its groups, vanish; where the R_g have full column rank, every
+    group sum c_g is 0.  So the rank is checked on every line first, on the
+    rows that check_poles reads, at the determining set of the blocks of
+    weight n (residues._ResidueLine.rank), and where it is not full the
+    search raises CheckFailure with the line and the rank.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1, got %d" % budget)
@@ -215,12 +171,13 @@ def enumerate_feasible(spec, budget=1 << 20):
     signs = list(product((1, -1), repeat=n))
     rows = [[_signed(pt, avec) for avec in signs] for pt in base]
     low, lines = _group_ints(rows, chi)
+    from .residues import _ResidueLine   # the search's alone: --assign loads it only for a pole
     for line, keys in lines.items():
-        rank = _full_rank(n, line, keys)
+        rank = _ResidueLine(line, keys, n, n).rank()
         if rank < len(keys):
             raise CheckFailure("residue rank %d of %d groups on line %s: the search cannot prove "
                                "that it finds every admissible table" % (rank, len(keys), list(line)))
-    top, integral = _top_ints(rows, default_numeric_point(base), omegas_of_weight(n))
+    integral = _integral(rows, default_numeric_point(base), omegas_of_weight(n))
     cancels = {}
     for i, v in enumerate(low[-1]):
         cancels.setdefault(-v, []).append(i)
@@ -230,7 +187,7 @@ def enumerate_feasible(spec, budget=1 << 20):
         if p == chi - 1:
             for i in cancels.get(total, ()):
                 table = picks + (i,)
-                if integral(sum(row[j] for row, j in zip(top, table))):
+                if integral(table):
                     found.append(SignAssignment(tuple(signs[j] for j in table), 1))
             return
         for i, v in enumerate(low[p]):

@@ -897,6 +897,29 @@ def weyl_invariance_by_substitution(spec, ch):
     return True
 
 
+def residue_rank(line, keys, n):
+    """The rank over the rationals of the residue rows of the groups with
+    keys `keys` along line, one column per group, every block with
+    ||omega|| <= n read at the determining set of the blocks of weight n
+    (_ResidueLine.points(n)): the exact rank of the residue map, by
+    Fraction elimination."""
+    from torigen.residues import _ResidueLine, residue_rows
+    rows = [[Fraction(x) for x in row] for z in _ResidueLine(line, keys, n, n).points(n)
+            for row in residue_rows(keys, z, n)[1].values()]
+    rank = 0
+    for col in range(len(keys)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
 def identity_assignment(spec):
     """All a_i(w) = +1, epsilon = +1: reproduces the structure spec carries."""
     base = fixed_point_weights(spec)

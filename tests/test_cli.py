@@ -126,7 +126,8 @@ def test_flag_grassmann_fgl_verbs(capsys):
                          ids=" ".join)
 def test_retired_options_are_refused_before_the_work(tmp_path, capsys, monkeypatch, argv):
     # flag and grassmann keep no store and genus takes no truncation order:
-    # argparse refuses the options, nothing is computed and no directory made
+    # the verb's parser refuses the options, nothing is computed and no
+    # directory made
     def never(*args, **kwargs):
         raise AssertionError("computed despite a usage error")
 
@@ -138,7 +139,8 @@ def test_retired_options_are_refused_before_the_work(tmp_path, capsys, monkeypat
         main(list(argv))
     out, err = capsys.readouterr()
     assert (exc.value.code, out) == (2, "")
-    assert err.endswith("\ntorigen: error: unrecognized arguments: %s\n" % " ".join(argv[-2:]))
+    assert err.startswith("usage: torigen %s [-h]" % argv[0])
+    assert err.endswith("\ntorigen %s: error: unrecognized arguments: %s\n" % (argv[0], " ".join(argv[-2:])))
     assert list(tmp_path.iterdir()) == []
 
 
@@ -614,18 +616,17 @@ torigen class: error: the following arguments are required: --space
     (('class', '--space', 'CP1', '--bogus'), 2,
      "",
      """\
-usage: torigen [-h]
-               {class,genus,snumbers,chern,verify,flag,grassmann,stable,fgl,reproduce}
-               ...
-torigen: error: unrecognized arguments: --bogus
+usage: torigen class [-h] --space SPACE [--structure STRUCTURE]
+                     [--signs SIGNS] [--format {text,json}]
+torigen class: error: unrecognized arguments: --bogus
 """),
     (('stable', '--space', 'CP1', '--bogus'), 2,
      "",
      """\
-usage: torigen [-h]
-               {class,genus,snumbers,chern,verify,flag,grassmann,stable,fgl,reproduce}
-               ...
-torigen: error: unrecognized arguments: --bogus
+usage: torigen stable [-h] --space SPACE [--structure STRUCTURE]
+                      [--signs SIGNS] [--format {text,json}] [--assign ASSIGN]
+                      [--budget BUDGET]
+torigen stable: error: unrecognized arguments: --bogus
 """),
 ]
 

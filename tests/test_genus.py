@@ -30,6 +30,7 @@ from torigen.genus import (
     cobordism_class,
     default_numeric_point,
     line_groups,
+    line_sums,
     point_chern_numbers,
     point_terms,
     s_number_numeric,
@@ -413,7 +414,7 @@ def evaluated(fp):
 @pytest.mark.parametrize("text,structure", SYMBOLIC_SPACES)
 def test_evaluator_matches_symbolic_character(text, structure):
     fp = fp_of(text, structure)
-    assert _pole_free(fp)
+    assert _pole_free(line_sums(fp))
     n = len(fp[0].weights)
     table = evaluated(fp)
     assert set(table) == set(omegas_of_weight(n))
@@ -428,7 +429,7 @@ def test_evaluator_matches_symbolic_character(text, structure):
 def test_evaluator_matches_projective_closed_form(n):
     # [CP^n] is the t^n coefficient of f(t)^(n+1): s_omega is a multinomial
     fp = fp_of("CP%d" % n)
-    assert _pole_free(fp)
+    assert _pole_free(line_sums(fp))
     for om, v in s_numbers(fp).items():
         rest = n + 1 - sum(om)
         assert v == factorial(n + 1) // (factorial(rest) * prod(factorial(m) for m in om))
@@ -445,7 +446,7 @@ def test_chern_numbers_match_projective_closed_form(n):
 
 def test_evaluator_matches_flag_route():
     fp = fp_of("U(5)/T5")
-    assert _pole_free(fp)
+    assert _pole_free(line_sums(fp))
     assert cobordism_class(fp) == flag_class(5)
 
 
@@ -486,7 +487,7 @@ def test_evaluator_beyond_symbolic_reach(text):
     # unrelated points, integral, with top number chi
     spec = build_space(text)
     fp = fixed_point_weights(spec)
-    assert _pole_free(fp)
+    assert _pole_free(line_sums(fp))
     chern = point_chern_numbers(fp, default_numeric_point(fp))
     assert point_chern_numbers(fp, second_numeric_point(fp)) == chern
     assert point_chern_numbers(fp, (3, -1, 4, -15, 9, 26)[:len(fp[0].weights[0])]) == chern
@@ -501,8 +502,8 @@ def test_certificate_rejects_non_primitive_weight():
     fp = fp_of("CP2")
     w0 = fp[0].weights
     doubled = [FixedPoint(fp[0].rep, (tuple(2 * c for c in w0[0]),) + w0[1:], fp[0].sign)]
-    assert _pole_free(fp)
-    assert not _pole_free(doubled + list(fp[1:]))
+    assert _pole_free(line_sums(fp))
+    assert not _pole_free(line_sums(doubled + list(fp[1:])))
 
 
 def test_certificate_rejects_repeated_line():
@@ -510,13 +511,13 @@ def test_certificate_rejects_repeated_line():
     w0 = fp[0].weights
     for twin in (w0[0], tuple(-c for c in w0[0])):
         bad = [FixedPoint(fp[0].rep, (w0[0], twin), fp[0].sign)] + list(fp[1:])
-        assert not _pole_free(bad)
+        assert not _pole_free(line_sums(bad))
 
 
 def test_certificate_rejects_broken_sign():
     fp = fp_of("CP2")
     broken = [FixedPoint(fp[0].rep, fp[0].weights, -1)] + list(fp[1:])
-    assert not _pole_free(broken)
+    assert not _pole_free(line_sums(broken))
     with pytest.raises(SingularSum) as exc:
         s_numbers(broken)
     with pytest.raises(SingularSum) as direct:
@@ -547,7 +548,7 @@ def check_routes(fp):
     """Certified: evaluator = symbolic character. Always: cobordism_class
     reaches the verdict of symbolic_class, on the same omega, and on a pass
     the same class."""
-    if _pole_free(fp):
+    if _pole_free(line_sums(fp)):
         assert CobordismPoly(evaluated(fp)) == character_class(fp)
     assert outcome(cobordism_class, fp) == outcome(symbolic_class, fp)
 
@@ -596,11 +597,12 @@ def test_a_planted_residue_that_vanishes_at_the_first_points_is_a_pole(monkeypat
     # which holds the first point of the determining set, and nowhere else
     planted = {(1, 0, 0): {((0, 1, 0),): 1, ((0, 0, 1),): -2}}
     monkeypatch.setattr(genus, "line_sums", lambda fp: planted)
-    res = residues._ResidueLine((1, 0, 0), sorted(planted[(1, 0, 0)].items()), 2, 2)
-    first = res.points[0]
-    assert first[2] == 2 * first[1] and res.first_nonzero(()) is not None
-    _, rows = residues.residue_rows(res.keys, first, 2)
-    assert sum(c * r for c, r in zip(res.weights, rows[()])) == 0
+    keys, weights = zip(*sorted(planted[(1, 0, 0)].items()))
+    res = residues._ResidueLine((1, 0, 0), keys, 2, 2)
+    first = res.points(0)[0]
+    assert first[2] == 2 * first[1] and first_nonzero(res.rows(0), weights, ()) is not None
+    _, rows = residues.residue_rows(keys, first, 2)
+    assert sum(c * r for c, r in zip(weights, rows[()])) == 0
     with pytest.raises(SingularSum) as exc:
         check_poles([FixedPoint(None, ((1, 0, 0), (0, 1, 0)), 1)], 2)
     assert exc.value.omega == () and str(exc.value).endswith("on x1 = 0")
@@ -615,47 +617,63 @@ def test_residues_that_cancel_across_groups_are_no_pole(monkeypatch):
     planted = {(1, 0, 0): {((0, s, 0),): c for s, c in zip((1, 2, 3, 4), (1, -6, 9, -4))}}
     monkeypatch.setattr(genus, "line_sums", lambda fp: planted)
     fp = [FixedPoint(None, ((1, 0, 0), (0, 1, 0)), 1)]
-    assert not _pole_free(fp)
+    assert not _pole_free(genus.line_sums(fp))
     assert check_poles(fp, 2) is None
     planted[(1, 0, 0)][((0, 4, 0),)] = -3
     with pytest.raises(SingularSum):
         check_poles(fp, 2)
 
 
-def first_nonzero_at_full_order(res, omega, order):
-    """What _ResidueLine.first_nonzero gives when every point of the
-    determining set is read to the full order."""
-    d = omega_weight(omega) - (res.n - 1) + res.clear
-    need = sum(res.sizes[t] for t in range(d + 1)) if d >= 0 else 0
-    for point in res.points[:need]:
-        common, rows = residues.residue_rows(res.keys, point, order)
-        value = sum(c * r for c, r in zip(res.weights, rows[omega]))
+def first_nonzero(rows, weights, omega):
+    """(point, common, value times common) at the first of rows, as
+    _ResidueLine.rows gives them, where sum_g c_g R_g of block omega is not
+    0; None when it is 0 at all of them."""
+    for point, common, row in rows:
+        value = sum(c * r for c, r in zip(weights, row[omega]))
         if value:
             return point, common, value
     return None
 
 
+def first_nonzero_at_full_order(res, weights, omega, order):
+    """What first_nonzero gives when every point of the determining set is
+    read to the full order."""
+    points = res.points(omega_weight(omega))
+    return first_nonzero([(z,) + residues.residue_rows(res.keys, z, order) for z in points], weights, omega)
+
+
 @pytest.mark.parametrize("text,signs", [("CP2", (1, -1)), ("CP3", (1, 1, -1)), ("CP3", (1, -1, -1)),
                                         ("U(4)/U(1)xU(1)xU(2)", (1, -1, 1, -1, 1))])
-def test_residues_by_weight_match_the_full_order(text, signs):
+def test_residues_by_weight_match_the_full_order(monkeypatch, text, signs):
     # each point read only to the weight of the block asked for gives the
     # point, denominator and value of reading it to order n + 1, whether the
-    # weights rise, as in check_residues, or rise and fall
+    # weights rise, as in check_residues, or rise and fall; each weight's
+    # points are read once, and a lower weight's set is a prefix of a higher's
     fp = fixed_point_weights(build_space(text, signs=signs))
     n = len(fp[0].weights)
     sums = genus.line_sums(fp)
     groups = [(line, [(key, c) for key, c in sorted(sums[line].items()) if c]) for line in sorted(sums)]
     omegas = [om for w in range(n + 2) for om in omegas_of_weight(w)]
     shuffled = random.Random(7).sample(omegas, len(omegas))
+    read, reads = residues.residue_rows, []
+    monkeypatch.setattr(residues, "residue_rows",
+                        lambda keys, z, order: reads.append(order) or read(keys, z, order))
     hits = 0
     for line, kept in groups:
         if not kept:
             continue
-        res = residues._ResidueLine(line, kept, n, n + 1)
+        keys, weights = zip(*kept)
+        res, seen = residues._ResidueLine(line, keys, n, n + 1), set()
         for om in omegas + shuffled:
-            expected = first_nonzero_at_full_order(res, om, n + 1)
-            assert res.first_nonzero(om) == expected
+            w = omega_weight(om)
+            expected = first_nonzero_at_full_order(res, weights, om, n + 1)
+            reads.clear()
+            assert first_nonzero(res.rows(w), weights, om) == expected
+            assert reads == ([] if w in seen else [w] * len(res.points(w)))
+            seen.add(w)
             hits += expected is not None
+        for w in range(n + 1):
+            assert res.points(w + 1)[:len(res.points(w))] == res.points(w)
     assert hits
 
 

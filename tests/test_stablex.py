@@ -11,15 +11,15 @@ import pytest
 
 from torigen import CheckFailure, genus, residues, stablex
 from torigen.cli import main
-from torigen.genus import NonIntegerClass, _pole_free, cobordism_class, point_chern_numbers, s_numbers
+from torigen.genus import (NonIntegerClass, _pole_free, cobordism_class, line_sums, point_chern_numbers,
+                          s_numbers)
 from torigen.rootdata import FixedPoint, build_space, fixed_point_weights
 from torigen.stablex import (
     BudgetExceeded,
     SignAssignment,
-    _full_rank,
     _group_ints,
+    _integral,
     _signed,
-    _top_ints,
     assignment_from_json,
     check_necessary,
     derived_fixed_point_data,
@@ -27,7 +27,7 @@ from torigen.stablex import (
 )
 from torigen.symmfunc import omegas_of_weight
 
-from reference import assignment_to_json, identity_assignment, reference_check
+from reference import assignment_to_json, identity_assignment, reference_check, residue_rank
 
 M10 = "SU(4)/S(U(1)xU(1)xU(2))"
 
@@ -170,12 +170,12 @@ def test_certificate_accepts_admissible_tables():
     spec = build_space("CP3")
     for table in cp3_slot_tables():
         for epsilon in (1, -1):
-            assert _pole_free(derived_fixed_point_data(spec, SignAssignment(table, epsilon)))
+            assert _pole_free(line_sums(derived_fixed_point_data(spec, SignAssignment(table, epsilon))))
     spec = build_space("G2/SU(3)")
     sols = enumerate_feasible(spec)
     assert len(sols) == 10
     for sol in sols:
-        assert _pole_free(derived_fixed_point_data(spec, sol))
+        assert _pole_free(line_sums(derived_fixed_point_data(spec, sol)))
 
 
 def test_line_sum_structure():
@@ -249,7 +249,8 @@ def test_certificate_is_the_symbolic_checker_exhaustively():
     for text in ("CP1", "CP2", "G2/SU(3)"):
         spec = build_space(text)
         for assign in _tables_to_check(text):
-            assert _pole_free(derived_fixed_point_data(spec, assign)) == reference_check(spec, assign).ok
+            fp = derived_fixed_point_data(spec, assign)
+            assert _pole_free(line_sums(fp)) == reference_check(spec, assign).ok
 
 
 @pytest.mark.parametrize("text", ["CP2", "G2/SU(3)", "U(3)/T3"])
@@ -265,7 +266,7 @@ def test_group_ints_cancel_exactly_when_the_certificate_holds(text):
         (tuple(rng.choice(signs) for _ in base) for _ in range(2000))
     for table in tables:
         total = sum(row[signs.index(avec)] for row, avec in zip(ints, table))
-        assert (total == 0) == _pole_free(derived_fixed_point_data(spec, SignAssignment(table, 1)))
+        assert (total == 0) == _pole_free(line_sums(derived_fixed_point_data(spec, SignAssignment(table, 1))))
 
 
 def test_group_ints_do_not_carry():
@@ -276,13 +277,13 @@ def test_group_ints_do_not_carry():
     ints, _ = _group_ints([choices] * 5, 5)
     for picks in product(range(3), repeat=5):
         total = sum(ints[p][i] for p, i in enumerate(picks))
-        assert (total == 0) == _pole_free([choices[i] for i in picks])
+        assert (total == 0) == _pole_free(line_sums([choices[i] for i in picks]))
 
 
 def test_top_digits_are_the_chern_totals():
-    # random points of three weights: the values of neighbouring slots take
-    # either sign, and the digit read must agree with the exact Chern sums
-    # of every table
+    # random points of three weights, whose Chern values take either sign:
+    # the integrality test of the search must agree with the exact Chern
+    # sums of every table
     xis = omegas_of_weight(3)
     point = (1, 0)
     rng = random.Random(28)
@@ -291,11 +292,11 @@ def test_top_digits_are_the_chern_totals():
         rows = [[FixedPoint(p, tuple((rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.randint(-2, 2))
                                     for _ in range(3)), rng.choice((1, -1))) for _ in range(3)]
                 for p in range(3)]
-        ints, integral = _top_ints(rows, point, xis)
+        integral = _integral(rows, point, xis)
         for picks in product(range(3), repeat=3):
             table = [rows[p][i] for p, i in enumerate(picks)]
             want = all(isinstance(v, int) for v in point_chern_numbers(table, point).values())
-            assert integral(sum(ints[p][i] for p, i in enumerate(picks))) == want
+            assert integral(picks) == want
             seen.add(want)
     assert seen == {True, False}
 
@@ -311,10 +312,11 @@ def _lines(text):
 @pytest.mark.parametrize("text", ["CP1", "CP2", "CP3", "CP4", "G2/SU(3)", "U(3)/T3", "U(4)/U(2)xU(2)"])
 def test_residue_rows_separate_the_groups_within_the_default_budget(text):
     # so on every space that the default budget reaches, the search lists
-    # exactly the tables that check_necessary admits
+    # exactly the tables that check_necessary admits; the rank modulo a
+    # prime is the exact rank of the rows over the rationals
     n, lines = _lines(text)
     for line, keys in lines.items():
-        assert _full_rank(n, line, keys) == len(keys)
+        assert residues._ResidueLine(line, keys, n, n).rank() == len(keys) == residue_rank(line, keys, n)
 
 
 def test_search_refuses_where_the_residues_do_not_separate_the_groups():
@@ -329,7 +331,18 @@ def test_search_refuses_where_the_residues_do_not_separate_the_groups():
     assert str(info.value) == ("residue rank 27 of 33 groups on line [1, 0, -1, 0]: "
                                "the search cannot prove that it finds every admissible table")
     n, lines = _lines(M10)
-    assert _full_rank(n, (1, 0, -1, 0), lines[1, 0, -1, 0]) == 27
+    assert residues._ResidueLine((1, 0, -1, 0), lines[1, 0, -1, 0], n, n).rank() == 27
+
+
+@pytest.mark.parametrize("text", [M10, "U(4)/U(1)xU(1)xU(2)"])
+def test_a_residue_rank_short_of_full_is_the_exact_rank(text):
+    # 27 is the rank of the residue map over the rationals, not merely the
+    # rank that the rows reach modulo a prime
+    n, lines = _lines(text)
+    line = (1, 0, -1, 0)
+    keys = lines[line]
+    assert len(keys) == 33
+    assert residues._ResidueLine(line, keys, n, n).rank() == residue_rank(line, keys, n) == 27
 
 
 def test_search_refuses_weights_off_distinct_primitive_lines(monkeypatch):

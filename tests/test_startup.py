@@ -153,15 +153,21 @@ def test_stable_search_loads_no_kernel():
 
 
 def test_stablex_imports_no_kernel():
-    # not at module level and not inside a function
+    # not at module level and not inside a function; of residues, only
+    # _ResidueLine and only inside enumerate_feasible, so --assign loads none
     tree = ast.parse(Path(stablex.__file__).read_text())
-    imported = set()
+    imported, from_residues = set(), []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             imported |= {node.module} | {alias.name for alias in node.names}
+            if node.module == "residues":
+                from_residues.append(node)
         elif isinstance(node, ast.Import):
             imported |= {alias.name for alias in node.names}
-    assert not {name.rsplit(".", 1)[-1] for name in imported if name} & {"character"}
+    assert not {name.rsplit(".", 1)[-1] for name in imported if name} & {"character", "residue_rows"}
+    search = next(node for node in tree.body if getattr(node, "name", None) == "enumerate_feasible")
+    assert [[alias.name for alias in node.names] for node in from_residues] == [["_ResidueLine"]]
+    assert from_residues[0] in list(ast.walk(search))
 
 
 def test_flag_loads_no_localization():
