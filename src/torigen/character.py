@@ -4,17 +4,18 @@ ch Phi = sum_p sign(p) prod_j f(<Lambda_j(p), x>) / <Lambda_j(p), x> is read
 by point evaluation alone. Once genus.check_poles has shown that its blocks
 have no poles, block a^omega is a homogeneous polynomial of degree
 d = ||omega|| - n in x, where 2n is the real dimension, and character_blocks
-interpolates it exactly from its values at integer points, which the
-a-series product prod_j (1 + sum_i a_i c_j^i) at each fixed point gives
-(point_blocks). The blocks are plain {exponent: coefficient} dicts, and the Weyl check, verify,
-genus and reproduce read them. Truncation orders are absolute: an order-N
-character holds the blocks with ||omega|| = n + d <= N.
+interpolates it exactly from its values on residues.lattice's determining
+set, which the a-series product prod_j (1 + sum_i a_i c_j^i) at each fixed
+point gives (point_blocks). The blocks are plain {exponent: coefficient}
+dicts, and the Weyl check, verify, genus and reproduce read them.
+Truncation orders are absolute: an order-N character holds the blocks with
+||omega|| = n + d <= N.
 
 verify compares two routes to the class that share no basis change: the
-a-series product at one point (point_class), and chern_to_s of the
-point-evaluated Chern numbers. The symbolic
-common-denominator character, which the tests keep in tests/reference.py
-as an oracle, must agree with character_blocks block by block.
+degree-0 blocks, read off the a-series product, and chern_to_s of the
+point-evaluated Chern numbers. The symbolic common-denominator character,
+which the tests keep in tests/reference.py as an oracle, must agree with
+character_blocks block by block.
 """
 
 from fractions import Fraction
@@ -65,24 +66,12 @@ def _interpolate(values, corner, d):
 def point_blocks(fp, point, order):
     """(common, {omega: common * value}), n <= ||omega|| <= order: the
     a^omega coefficients of sum_p sign(p) prod_j f(c_j(p)) / prod_j c_j(p) at
-    one nonsingular point, c_j = <Lambda_j(p), point>, over their common
-    denominator. Each point's a-series product prod_j (1 + sum_i a_i c_j^i)
-    (residues.series_values) enters with no e -> m basis change."""
+    one nonsingular point, c_j = <Lambda_j(p), point>, with no e -> m basis
+    change: the signed sum of residues.residue_rows of the weights."""
     n = len(fp[0].weights)
-    rows = []
-    for pt in fp:
-        cs = [sum(a * x for a, x in zip(w, point)) for w in pt.weights]
-        rows.append((pt.sign * prod(cs), residues.series_values(cs, order)))
-    common = lcm(*(den for den, _ in rows))
-    return common, {om: sum(common // den * vals[om] for den, vals in rows)
-                    for om in rows[0][1] if omega_weight(om) >= n}
-
-
-def point_class(fp, point):
-    """The class read at one point: the blocks with ||omega|| = n there. It
-    is the class wherever the sum has no poles."""
-    common, at = point_blocks(fp, point, len(fp[0].weights))
-    return CobordismPoly({om: Fraction(v, common) for om, v in at.items()})
+    common, rows = residues.residue_rows([pt.weights for pt in fp], point, order)
+    return common, {om: sum(pt.sign * v for pt, v in zip(fp, row))
+                    for om, row in rows.items() if omega_weight(om) >= n}
 
 
 def character_blocks(fp, order):
@@ -92,28 +81,25 @@ def character_blocks(fp, order):
     raises SingularSum unless no block with ||omega|| <= order has a pole,
     so the blocks below n vanish and these are polynomials.
 
-    With x_k fixed at s, block p gives p(z, s), a polynomial of degree <= d
-    in the other k - 1 coordinates whose z^e' coefficient is that of
-    x^(e', d - |e'|) times s^(d - |e'|). It is interpolated (_interpolate)
-    from point_blocks on the simplex of degree d shifted by m b, over one
-    common denominator G, and divided back. b is genus.second_numeric_point
-    and m exceeds d times the largest weight entry, so no weight vanishes at
-    m b + alpha; s = m b_k."""
+    Block p is read at residues.lattice's determining set of degree d on
+    every coordinate, whose last coordinate is held at s: p(z, s) is a
+    polynomial of degree <= d in the other k - 1 coordinates whose z^e'
+    coefficient is that of x^(e', d - |e'|) times s^(d - |e'|). It is
+    interpolated (_interpolate) from point_blocks there, over one common
+    denominator G, and divided back."""
     n = len(fp[0].weights)
     if order < n:
         raise ValueError("order %d below dimension grade %d" % (order, n))
     genus.check_poles(fp, order)
-    top = order - n
-    b = genus.second_numeric_point(fp)
-    m = top * max(abs(c) for pt in fp for w in pt.weights for c in w) + 1
-    corner, s = [m * c for c in b[:-1]], m * b[-1]
-    lattice = [(sum(alpha),) + point_blocks(fp, [c + a for c, a in zip(corner, alpha)] + [s], order)
-               for alpha in residues.simplex(len(corner), top)]
-    G = lcm(*(common for _, common, _ in lattice))
+    k = len(fp[0].weights[0])
+    points = residues.lattice([w for pt in fp for w in pt.weights], range(k), k, order - n)
+    read = [point_blocks(fp, z, order) for z in points(order - n)]
+    G = lcm(*(common for common, _ in read))
+    *corner, s = points(0)[0]
     blocks = {}
-    for om in lattice[0][2]:
+    for om in read[0][1]:
         d = omega_weight(om) - n
-        vals = [G // common * at[om] for size, common, at in lattice if size <= d]
+        vals = [G // common * at[om] for _, (common, at) in zip(points(d), read)]
         if not any(vals):
             continue
         block = {}
@@ -121,8 +107,7 @@ def character_blocks(fp, order):
             if c:
                 c = Fraction(c, factorial(d) * G * s ** (d - sum(e)))
                 block[e + (d - sum(e),)] = c.numerator if c.denominator == 1 else c
-        if block:
-            blocks[om] = block
+        blocks[om] = block   # values not all 0 determine a nonzero block
     return blocks
 
 
@@ -225,7 +210,7 @@ def cmd_verify(args):
     # vanish; the degree-0 blocks are the class
     ch = character_blocks(fp, n + 1)
     checks["low_vanishing"] = True
-    cls = point_class(fp, genus.default_numeric_point(fp))
+    cls = block_coefficient(ch, (0,) * len(fp[0].weights[0]))
     if not cls.is_integral():
         raise genus.non_integer_class(cls)
     checks["class_integral"] = True

@@ -9,11 +9,11 @@ A call compiles only what its verb runs. This module holds main, the parser,
 the helpers the verbs share and the three verbs of the point route
 (class, snumbers, chern); every other verb lives in the module whose work it
 runs, and VERBS names that module and the function. main imports the module
-only for the verb that runs, the parser registers only that verb, and each
-verb imports inside its function what it needs: class, snumbers and chern
-load genus and never character. At exit the interpreter's remaining objects
-are frozen out of the garbage collector, so shutdown does not walk them; a
-caller that imports cli keeps normal collection until then.
+only for the verb that runs, a verb named first gets a parser of its own,
+and each verb imports inside its function what it needs: class, snumbers and
+chern load genus and never character. At exit the interpreter's remaining
+objects are frozen out of the garbage collector, so shutdown does not walk
+them; a caller that imports cli keeps normal collection until then.
 """
 
 import argparse
@@ -156,51 +156,46 @@ def cmd_chern(args):
     return 0
 
 
-def _parser(argv):
-    """The parser of argv. The verb that argv names is the first token not
-    starting with "-": the top level takes no option but -h, so argparse
-    hands that token to the verb parsers, and a "-" token that it reads as a
-    verb instead ("-1") it rejects as no verb. Only that verb gets its
-    arguments, and when it is also the first token it is the only verb
-    registered, with the metavar that the full list would print, so the
-    top-level usage keeps its bytes. Otherwise all verbs are registered: -h
-    before the verb lists them all, and the errors for no verb or an unknown
-    one name the argument "verb". Its `verbs` holds the verb parsers by
-    name: main reports an argument the verb does not take through them."""
+def _arguments(parser, verb):
+    """parser, given the arguments of verb."""
+    _, _, _, space, extra = VERBS[verb]
+    if space:
+        parser.add_argument("--space", required=True, help="space descriptor")
+        parser.add_argument("--structure", help="structure preset (standard, conjugate, J1..J3)")
+        parser.add_argument("--signs", help="explicit root signs, e.g. 1,-1,1")
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    for flag, kwargs in extra:
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(verb=verb)
+    return parser
+
+
+def _parse(argv):
+    """The arguments of argv. When argv starts with a verb, one parser,
+    "torigen VERB", reads the rest with that verb's arguments alone.
+    Otherwise the top-level parser reads argv: it takes no option but -h and
+    registers every verb, so -h lists them all and the errors for no verb
+    or an unknown one name the argument "verb"; the verb that argv names,
+    the first token not starting with "-", gets its arguments, so that an
+    option placed before it is all the top level reports."""
+    if argv and argv[0] in VERBS:
+        return _arguments(argparse.ArgumentParser(prog="torigen " + argv[0]), argv[0]).parse_args(argv[1:])
     p = argparse.ArgumentParser(
         prog="torigen",
         description="Exact toric genus, cobordism classes and characteristic "
                     "numbers of homogeneous spaces.",
         epilog="Space grammar: %s." % SPACE_GRAMMAR)
+    sub = p.add_subparsers(dest="verb", required=True)
     named = next((a for a in argv if not a.startswith("-")), None)
-    if named in VERBS and argv[0] == named:
-        sub = p.add_subparsers(dest="verb", required=True, metavar="{%s}" % ",".join(VERBS))
-        registered = (named,)
-    else:
-        sub = p.add_subparsers(dest="verb", required=True)
-        registered = VERBS
-    p.verbs = sub.choices
-    for verb in registered:
-        text, _, _, space, extra = VERBS[verb]
+    for verb, (text, *_) in VERBS.items():
         sp = sub.add_parser(verb, help=text)
-        if verb != named:
-            continue
-        if space:
-            sp.add_argument("--space", required=True, help="space descriptor")
-            sp.add_argument("--structure", help="structure preset (standard, conjugate, J1..J3)")
-            sp.add_argument("--signs", help="explicit root signs, e.g. 1,-1,1")
-        sp.add_argument("--format", choices=("text", "json"), default="text")
-        for flag, kwargs in extra:
-            sp.add_argument(flag, **kwargs)
-    return p
+        if verb == named:
+            _arguments(sp, verb)
+    return p.parse_args(argv)
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    parser = _parser(argv)
-    args, extra = parser.parse_known_args(argv)
-    if extra:
-        parser.verbs[args.verb].error("unrecognized arguments: %s" % " ".join(extra))
+    args = _parse(sys.argv[1:] if argv is None else argv)
     _, module, name, _, _ = VERBS[args.verb]
     fn = globals()[name] if module == "cli" else getattr(import_module("." + module, __package__), name)
     try:

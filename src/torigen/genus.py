@@ -19,10 +19,10 @@ off that sum here, from fixed-point data alone (Atiyah-Bott).
   decides by residues (the residues module, loaded only then): along each
   weight line whose groups do not cancel, the residue of block a^omega is
   sum_g c_g m_lambda(V_g) / prod V_g over the groups, evaluated on a
-  determining set. The first block with a nonzero residue, by weight and
-  then in sorted order, is a SingularSum that names the line, the point and
-  the value; when every residue is zero, the blocks are polynomials and one
-  point gives the class.
+  determining set (residues.lattice). The first block with a nonzero
+  residue, by weight and then in sorted order, is a SingularSum that names
+  the line, the point and the value; when every residue is zero, the blocks
+  are polynomials and one point gives the class.
 - Either failure is a FailedBlock that names the a^omega block and its
   value as text: the check of stable --assign is s_numbers itself.
 
@@ -217,32 +217,25 @@ def s_numbers(fp):
     return chern_to_s(chern_numbers(fp), len(fp[0].weights))
 
 
-def _nonsingular(fp, point):
-    return all(sum(c * x for c, x in zip(w, point)) != 0 for pt in fp for w in pt.weights)
-
-
 def default_numeric_point(fp):
     """Deterministic integer point avoiding all weight hyperplanes."""
     k = len(fp[0].weights[0])
     point = tuple(range(k))
     for _ in range(32):
-        if _nonsingular(fp, point):
+        if all(sum(c * x for c, x in zip(w, point)) for pt in fp for w in pt.weights):
             return point
         point = tuple(x + k for x in point)
     raise SingularPoint("no nonsingular default point found")
 
 
 def second_numeric_point(fp):
-    """A nonsingular point (1, m, m^2, ...), m >= 2, for a cross-check against
-    default_numeric_point. The default sequence steps along (1, ..., 1), on
-    which every root of U(n) vanishes, so its points all give the same weight
-    values; this one does not."""
+    """A nonsingular point (1, m, m^2, ...), m >= 2, residues.lattice's on
+    every coordinate, for a cross-check against default_numeric_point, whose
+    points all give the same weight values (every root of U(n) vanishes on
+    their step (1, ..., 1)); this one does not."""
+    from .residues import lattice
     k = len(fp[0].weights[0])
-    for m in range(2, 34):
-        point = tuple(m ** i for i in range(k))
-        if _nonsingular(fp, point):
-            return point
-    raise SingularPoint("no nonsingular second point found")
+    return tuple(lattice([w for pt in fp for w in pt.weights], range(k), k, 0)(0)[0])
 
 
 def s_number_numeric(fp, omega, point):

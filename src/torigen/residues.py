@@ -1,4 +1,5 @@
-"""The residues of a localization sum that the certificate does not pass.
+"""The residues of a localization sum that the certificate does not pass,
+and the points at which every determining set is read.
 
 genus.check_poles loads this module only where genus._pole_free fails, so
 the certified route compiles none of it. Each point's term of
@@ -15,9 +16,9 @@ _ResidueLine decides that exactly on a determining set. The sign search
 reads the same rows at the same points: the rank of _ResidueLine is its
 proof that the group sums decide admissibility.
 
-series_values is the a-series product prod_j (1 + sum_i a_i c_j^i) at
-numbers c_j, whose a^omega coefficient is m_lambda(c): the residue rows and
-the interpolated character blocks (character.point_blocks) read it.
+lattice builds every determining set, also character.character_blocks'.
+residue_rows reads the a-series product prod_j (1 + sum_i a_i c_j^i) over one
+common denominator, also for the character's values (character.point_blocks).
 """
 
 from collections import Counter
@@ -68,13 +69,13 @@ def series_values(cs, order):
 
 
 def residue_rows(keys, point, order):
-    """(common, rows): the residue rows of one weight line at point. Per
-    omega, ||omega|| <= order, rows[omega] lists common * m_lambda(V) / prod V
-    over the groups, V the values <v, point> of the vectors v of a group's
-    key and common the lcm of the |prod V|. The key of line_groups has 0 at
-    the line's first nonzero coordinate i, and <key, z> = <u, y> for y on
-    the line's hyperplane with y_j = l_i z_j off i, so every point z gives
-    the true residues at such a y. SingularPoint if a V is 0."""
+    """(common, rows): per omega, ||omega|| <= order, rows[omega] lists
+    common * m_lambda(V) / prod V over the keys, V the values <v, point> of
+    the vectors v of a key and common the lcm of the |prod V|. The key of a
+    line's group has 0 at the line's first nonzero coordinate i, and
+    <key, z> = <u, y> for y on the line's hyperplane with y_j = l_i z_j off
+    i, so every z gives the true residues at such a y. SingularPoint if a V
+    is 0."""
     terms = []
     for key in keys:
         vs = [sum(a * b for a, b in zip(v, point)) for v in key]
@@ -94,6 +95,36 @@ def simplex(dims, d):
     return sorted(pts, key=lambda a: (sum(a), a))
 
 
+def lattice(vectors, coords, size, top):
+    """points(d), d <= top: the determining set of degree d, lists of size
+    coordinates at which no vector of `vectors` vanishes. They are
+    m b + (alpha, 0), alpha over simplex(len(coords) - 1, d) on coords but
+    the last: b is base^r at the r-th of coords and 0 off them, base >= 2
+    the first at which no vector vanishes, and m = top * max|entry| + 1, so
+    |<v, m b>| >= m exceeds |<v, (alpha, 0)>|. They run by |alpha|: m b
+    comes first, and points(d) is a prefix of points(top).
+
+    A polynomial Q homogeneous of degree d in coords is zero exactly when it
+    is zero at points(d): with the last coordinate fixed at s != 0, Q(z', s)
+    has degree <= d in one coordinate fewer, so it is zero exactly when it
+    vanishes on a shifted simplex of degree d, and Q(z', t) = (t / s)^d
+    Q(s z' / t, s) for t != 0."""
+    base = next(b for b in count(2) if all(sum(v[j] * b ** r for r, j in enumerate(coords)) for v in vectors))
+    m = top * max((abs(c) for v in vectors for c in v), default=0) + 1
+    shift = [m * base ** coords.index(j) if j in coords else 0 for j in range(size)]
+
+    @lru_cache(maxsize=None)
+    def points(d):
+        out = []
+        for alpha in simplex(len(coords) - 1, d):
+            z = list(shift)
+            for j, a in zip(coords, alpha):
+                z[j] += a
+            out.append(z)
+        return out
+    return points
+
+
 def _primitive(v):
     g = gcd(*v)
     return genus.canonical_line(tuple(c // g for c in v))[0]
@@ -107,15 +138,12 @@ class _ResidueLine:
     rational function on the hyperplane <l, x> = 0, homogeneous of degree
     ||omega|| - (n - 1), with denominators the key forms. Cleared by D, the
     product of the distinct forms (up to scale) at their highest
-    multiplicity in one group, it is a polynomial Q = D R of degree
-    ||omega|| - (n - 1) + deg D in the k - 1 coordinates off i: zero when
-    that is negative, and else zero exactly when it vanishes on the simplex
-    of that degree (simplex), shifted by m b. No form vanishes there, b a
-    point where none does and m above the largest |<v, alpha>| on the
-    simplex of the blocks of weight order, so Q vanishes there exactly when
-    R does: R is zero exactly when it is zero at points(||omega||), and the
-    set of a lower weight is a prefix of it. Each weight's rows are read
-    once, at its own points and only to that weight."""
+    multiplicity in one group, it is a polynomial Q = D R, homogeneous of
+    degree ||omega|| - (n - 1) + deg D in the k - 1 coordinates off i: zero
+    when that is negative, and else zero exactly when it is zero on
+    lattice's set of that degree, where no key form vanishes. So R is zero
+    exactly when it is zero at points(||omega||). Each weight's rows are
+    read once, at its own points and only to that weight."""
 
     def __init__(self, line, keys, n, order):
         self.line, self.keys, self.n = line, keys, n
@@ -125,24 +153,14 @@ class _ResidueLine:
             for form, mult in Counter(_primitive(v) for v in key).items():
                 need[form] = max(need[form], mult)
         self.clear = sum(need.values())
-        self.free = [j for j in range(len(line)) if j != self.i]
-        vectors = [v for key in keys for v in key]
-        b = next(b for b in ({j: base ** r for r, j in enumerate(self.free)} for base in count(2))
-                 if all(sum(v[j] * b[j] for j in self.free) for v in vectors))
-        m = (order - (n - 1) + self.clear) * max((abs(c) for v in vectors for c in v), default=0) + 1
-        self.shift = {j: m * b[j] for j in self.free}
+        self.at = lattice([v for key in keys for v in key], [j for j in range(len(line)) if j != self.i],
+                          len(line), order - (n - 1) + self.clear)
         self.read = {}   # weight: [(point, common, {omega: row})]
 
     def points(self, weight):
         """The determining set of the blocks of this weight, at most order."""
         d = weight - (self.n - 1) + self.clear
-        out = []
-        for alpha in simplex(len(self.free), d) if d >= 0 else ():
-            z = [0] * len(self.line)
-            for j, a in zip(self.free, alpha):
-                z[j] = self.shift[j] + a
-            out.append(z)
-        return out
+        return self.at(d) if d >= 0 else []
 
     def rows(self, weight):
         """[(point, common, rows)]: residue_rows to this weight at each of
@@ -152,16 +170,21 @@ class _ResidueLine:
         return self.read[weight]
 
     def rank(self):
-        """The rank of the groups' rows over the blocks with ||omega|| <= n:
-        points(n) holds the determining set of every such block, so a
-        combination of the groups is 0 in all of them exactly when it is 0
-        on these rows. Reduced modulo P = 2^61 - 1, a rank modulo P is that
-        of a nonzero integer minor, so no more than the exact rank. The
-        points are read one at a time, up to len(keys), full rank."""
+        """The rank of the groups' rows over the blocks with ||omega|| <= n.
+        A combination of the groups is 0 in all of them exactly when it is 0
+        on each block's rows at its own weight's set, a prefix of points(n):
+        a block of weight w reads z = points(n)[0] + alpha only where
+        |alpha| <= w - (n - 1) + clear. Reduced modulo P = 2^61 - 1, a rank
+        modulo P is that of a nonzero integer minor, so no more than the
+        exact rank. The points are read one at a time, up to full rank."""
         P = (1 << 61) - 1
+        points = self.points(self.n)
         basis = []   # (pivot, row): 1 at its pivot, 0 at the pivots before it
-        for z in self.points(self.n):
-            for row in residue_rows(self.keys, z, self.n)[1].values():
+        for z in points:
+            low = sum(z) - sum(points[0]) + self.n - 1 - self.clear
+            for om, row in residue_rows(self.keys, z, self.n)[1].items():
+                if omega_weight(om) < low:
+                    continue
                 row = [x % P for x in row]
                 for pivot, b in basis:
                     c = row[pivot]

@@ -157,9 +157,9 @@ def enumerate_feasible(spec, budget=1 << 20):
     ||omega|| <= n, whose residues along each weight line, sum_g c_g R_g
     over its groups, vanish; where the R_g have full column rank, every
     group sum c_g is 0.  So the rank is checked on every line first, on the
-    rows that check_poles reads, at the determining set of the blocks of
-    weight n (residues._ResidueLine.rank), and where it is not full the
-    search raises CheckFailure with the line and the rank.
+    rows that check_poles reads, each block's at its own weight's
+    determining set (residues._ResidueLine.rank), and where it is not full
+    the search raises CheckFailure with the line and the rank.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1, got %d" % budget)

@@ -59,7 +59,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import factorial, prod
+from math import factorial, gcd, prod
 import re
 
 from torigen.cobordism import CobordismPoly, clean, grlex_key, render_series, render_terms
@@ -900,11 +900,11 @@ def weyl_invariance_by_substitution(spec, ch):
 def residue_rank(line, keys, n):
     """The rank over the rationals of the residue rows of the groups with
     keys `keys` along line, one column per group, every block with
-    ||omega|| <= n read at the determining set of the blocks of weight n
-    (_ResidueLine.points(n)): the exact rank of the residue map, by
-    Fraction elimination."""
+    ||omega|| <= n read at every point of the determining set of the blocks
+    of weight n (_ResidueLine.points(n)): the exact rank of the residue
+    map, by integer elimination with each row divided by its content."""
     from torigen.residues import _ResidueLine, residue_rows
-    rows = [[Fraction(x) for x in row] for z in _ResidueLine(line, keys, n, n).points(n)
+    rows = [row for z in _ResidueLine(line, keys, n, n).points(n)
             for row in residue_rows(keys, z, n)[1].values()]
     rank = 0
     for col in range(len(keys)):
@@ -912,10 +912,12 @@ def residue_rank(line, keys, n):
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
         for r in range(rank + 1, len(rows)):
             if rows[r][col]:
-                f = rows[r][col] / rows[rank][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+                row = [top[col] * a - rows[r][col] * b for a, b in zip(rows[r], top)]
+                g = gcd(*row) or 1
+                rows[r] = [a // g for a in row]
         rank += 1
     return rank
 

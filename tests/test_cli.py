@@ -424,10 +424,10 @@ def test_streamed_tables_match_json_dumps(capsys, count):
     assert capsys.readouterr().out == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-# torigen --help, VERB --help for every verb, and five usage errors (no verb,
-# an unknown verb, a missing --space, an unknown option on two verbs), byte
-# for byte at 80 columns: the parser adds a verb's arguments only when it
-# parses that verb, and registers no other verb when that verb comes first
+# torigen --help, VERB --help for every verb, and six usage errors (no verb,
+# an unknown verb, a missing --space, an unknown option on two verbs and one
+# before the verb), byte for byte at 80 columns: a verb that comes first has
+# a parser of its own, and the top level reports an option before the verb
 USAGE = [
     (('--help',), 0,
      """\
@@ -628,6 +628,14 @@ usage: torigen stable [-h] --space SPACE [--structure STRUCTURE]
                       [--budget BUDGET]
 torigen stable: error: unrecognized arguments: --bogus
 """),
+    (('--bogus', 'class', '--space', 'CP1'), 2,
+     "",
+     """\
+usage: torigen [-h]
+               {class,genus,snumbers,chern,verify,flag,grassmann,stable,fgl,reproduce}
+               ...
+torigen: error: unrecognized arguments: --bogus
+"""),
 ]
 
 
@@ -646,9 +654,9 @@ def test_help_before_the_verb_lists_every_verb(capsys, monkeypatch):
     assert capsys.readouterr().out == USAGE[0][2]
 
 
-def test_a_named_verb_builds_two_parsers(monkeypatch):
-    # the top level and that verb's; with no verb, or an unknown one, all ten
-    # verbs are registered so that the error can list them
+def test_a_named_verb_builds_one_parser(monkeypatch):
+    # that verb's alone; with no verb, or an unknown one, the top level and
+    # all ten verbs are built so that the error can list them
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -656,8 +664,9 @@ def test_a_named_verb_builds_two_parsers(monkeypatch):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    args = cli._parser(["chern", "--space", "CP2"]).parse_args(["chern", "--space", "CP2"])
-    assert (args.verb, args.space, built) == ("chern", "CP2", ["torigen", "torigen chern"])
+    args = cli._parse(["chern", "--space", "CP2"])
+    assert (args.verb, args.space, built) == ("chern", "CP2", ["torigen chern"])
     built.clear()
-    cli._parser(["nope"])
+    with pytest.raises(SystemExit):
+        cli._parse(["nope"])
     assert len(built) == 11

@@ -594,12 +594,14 @@ def test_residues_agree_with_the_oracle(text, data):
 def test_a_planted_residue_that_vanishes_at_the_first_points_is_a_pole(monkeypatch):
     # along x1 = 0, groups with keys x2 and x3 and sums 1 and -2 leave the
     # residue 1/x2 - 2/x3 of the block of weight 0: zero on the line x3 = 2 x2,
-    # which holds the first point of the determining set, and nowhere else
+    # which holds the first of the two points of the determining set, and
+    # nowhere else
     planted = {(1, 0, 0): {((0, 1, 0),): 1, ((0, 0, 1),): -2}}
     monkeypatch.setattr(genus, "line_sums", lambda fp: planted)
     keys, weights = zip(*sorted(planted[(1, 0, 0)].items()))
     res = residues._ResidueLine((1, 0, 0), keys, 2, 2)
     first = res.points(0)[0]
+    assert len(res.points(0)) == 2
     assert first[2] == 2 * first[1] and first_nonzero(res.rows(0), weights, ()) is not None
     _, rows = residues.residue_rows(keys, first, 2)
     assert sum(c * r for c, r in zip(weights, rows[()])) == 0
@@ -607,6 +609,58 @@ def test_a_planted_residue_that_vanishes_at_the_first_points_is_a_pole(monkeypat
         check_poles([FixedPoint(None, ((1, 0, 0), (0, 1, 0)), 1)], 2)
     assert exc.value.omega == () and str(exc.value).endswith("on x1 = 0")
     assert "at (0, %d, %d)" % tuple(first[1:]) not in str(exc.value)
+
+
+@pytest.mark.parametrize("text,signs", [("CP3", (1, 1, -1)), ("U(4)/U(1)xU(1)xU(2)", (1, -1, 1, -1, 1))])
+def test_a_residue_line_holds_its_last_free_coordinate_at_the_shift(text, signs):
+    # points(w) is the simplex of degree d in the free coordinates but the
+    # last, C(len(free) - 1 + d, d) points, shifted by m b with b the powers
+    # of one base: the shift comes first, and the last free coordinate and
+    # the line's first nonzero one never move
+    fp = fixed_point_weights(build_space(text, signs=signs))
+    n = len(fp[0].weights)
+    for line, groups in sorted(genus.line_sums(fp).items()):
+        keys = [key for key, c in sorted(groups.items()) if c]
+        if not keys:
+            continue
+        res = residues._ResidueLine(line, keys, n, n + 1)
+        free = [j for j in range(len(line)) if j != res.i]
+        shift = res.points(n + 1)[0]
+        base = shift[free[1]] // shift[free[0]]
+        assert base >= 2 and all(shift[j] == shift[free[0]] * base ** r for r, j in enumerate(free))
+        for w in range(n + 2):
+            d = w - (n - 1) + res.clear
+            points = res.points(w)
+            assert len(points) == (comb(len(free) - 1 + d, d) if d >= 0 else 0)
+            assert all(z[res.i] == 0 and z[free[-1]] == shift[free[-1]] for z in points)
+            assert points[:1] == ([shift] if d >= 0 else [])
+            assert len({tuple(z) for z in points}) == len(points)
+
+
+def test_residue_lines_and_character_blocks_take_their_points_from_the_lattice(monkeypatch):
+    # every point that the residues, the character and the second point read
+    # is one of residues.lattice's, built once per line and once per
+    # character
+    built, lattices, reads = [], [], []
+    lattice, read = residues.lattice, residues.residue_rows
+
+    def recorded(vectors, coords, size, top):
+        built.append((tuple(coords), top))
+        points = lattice(vectors, coords, size, top)
+        lattices.append(points(top))
+        return points
+    monkeypatch.setattr(residues, "lattice", recorded)
+    monkeypatch.setattr(residues, "residue_rows", lambda keys, z, order: reads.append(list(z)) or read(keys, z, order))
+    fp = fixed_point_weights(build_space("CP3", signs=(1, 1, -1)))
+    with pytest.raises(SingularSum):
+        check_poles(fp, 4)
+    lines = len(built)
+    assert lines == len([line for line, groups in genus.line_sums(fp).items() if any(groups.values())])
+    character_blocks(fixed_point_weights(build_space("CP2")), 4)
+    assert built[lines:] == [((0, 1, 2), 2)]
+    assert reads and all(any(z in points for points in lattices) for z in reads)
+    point = second_numeric_point(fp)
+    assert built[-1] == ((0, 1, 2, 3), 0) and list(point) == lattices[-1][0]
 
 
 def test_residues_that_cancel_across_groups_are_no_pole(monkeypatch):

@@ -25,7 +25,7 @@ from torigen.stablex import (
     derived_fixed_point_data,
     enumerate_feasible,
 )
-from torigen.symmfunc import omegas_of_weight
+from torigen.symmfunc import omega_weight, omegas_of_weight
 
 from reference import assignment_to_json, identity_assignment, reference_check, residue_rank
 
@@ -336,13 +336,34 @@ def test_search_refuses_where_the_residues_do_not_separate_the_groups():
 
 @pytest.mark.parametrize("text", [M10, "U(4)/U(1)xU(1)xU(2)"])
 def test_a_residue_rank_short_of_full_is_the_exact_rank(text):
-    # 27 is the rank of the residue map over the rationals, not merely the
-    # rank that the rows reach modulo a prime
+    # 27 is the rank of the residue map over the rationals on every line,
+    # not merely the rank that the rows reach modulo a prime
     n, lines = _lines(text)
+    assert len(lines) == 6
+    for line, keys in lines.items():
+        assert len(keys) == 33
+        assert residues._ResidueLine(line, keys, n, n).rank() == residue_rank(line, keys, n) == 27
+
+
+def test_the_rank_reads_each_block_only_on_its_own_set(monkeypatch):
+    # rows of a block at the points of points(n) past its own weight's set
+    # are replaced by noise that lifts the rank of all rows to full: the
+    # rank, which eliminates none of them, stays 27
+    n, lines = _lines(M10)
     line = (1, 0, -1, 0)
     keys = lines[line]
-    assert len(keys) == 33
-    assert residues._ResidueLine(line, keys, n, n).rank() == residue_rank(line, keys, n) == 27
+    res = residues._ResidueLine(line, keys, n, n)
+    sizes = [len(res.points(w)) for w in range(n + 1)]
+    index = {tuple(z): i for i, z in enumerate(res.points(n))}
+    read, rng = residues.residue_rows, random.Random(5)
+
+    def noisy(keys, z, order):
+        common, rows = read(keys, z, order)
+        return common, {om: row if index[tuple(z)] < sizes[omega_weight(om)] else
+                        [rng.randrange(1, 1 << 20) for _ in row] for om, row in rows.items()}
+    monkeypatch.setattr(residues, "residue_rows", noisy)
+    assert sizes[-1] > sizes[0] and res.rank() == 27
+    assert residue_rank(line, keys, n) == 33
 
 
 def test_search_refuses_weights_off_distinct_primitive_lines(monkeypatch):
