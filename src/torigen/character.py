@@ -74,12 +74,13 @@ def point_blocks(fp, point, order):
                     for om, row in rows.items() if omega_weight(om) >= n}
 
 
-def character_blocks(fp, order):
+def character_blocks(fp, order, sums=None):
     """ch Phi truncated at absolute order: {omega: block}, the nonzero
     a^omega blocks with n <= ||omega|| <= order, each {exponent e:
     coefficient}, homogeneous of degree d = ||omega|| - n. genus.check_poles
-    raises SingularSum unless no block with ||omega|| <= order has a pole,
-    so the blocks below n vanish and these are polynomials.
+    (on sums = genus.line_sums(fp), if given) raises SingularSum unless no
+    block with ||omega|| <= order has a pole, so the blocks below n vanish
+    and these are polynomials.
 
     Block p is read at residues.lattice's determining set of degree d on
     every coordinate, whose last coordinate is held at s: p(z, s) is a
@@ -90,7 +91,7 @@ def character_blocks(fp, order):
     n = len(fp[0].weights)
     if order < n:
         raise ValueError("order %d below dimension grade %d" % (order, n))
-    genus.check_poles(fp, order)
+    genus.check_poles(fp, order, sums)
     k = len(fp[0].weights[0])
     points = residues.lattice([w for pt in fp for w in pt.weights], range(k), k, order - n)
     read = [point_blocks(fp, z, order) for z in points(order - n)]
@@ -168,10 +169,12 @@ def genus_report(spec):
     reads the character at order n + 1."""
     fp = fixed_point_weights(spec)
     n = spec.n
-    stable = genus.s_numbers(fp)
+    # one certificate for both checks
+    sums = genus.line_sums(fp)
+    stable = chern_to_s(genus.chern_numbers(fp, sums), n)
     # the blocks exist only where no block has a pole, so a report exists
     # only if the vanishing check holds
-    ch = character_blocks(fp, n + 1)
+    ch = character_blocks(fp, n + 1, sums)
     rows = [(list(om) + [0] * (n - len(om)), val) for om, val in sorted(stable.items())]
     failure = weyl_invariance_failure(spec, ch)
     report = {
@@ -203,12 +206,14 @@ def cmd_verify(args):
     fp = fixed_point_weights(spec)
     n = len(fp[0].weights)
     checks = {}
-    # a sum with poles fails here as in class, naming its first such block
-    chern = genus.chern_numbers(fp)
+    # a sum with poles fails here as in class, naming its first such block;
+    # one certificate for both checks
+    sums = genus.line_sums(fp)
+    chern = genus.chern_numbers(fp, sums)
     table = chern_to_s(chern, n)
     # the blocks exist only where no block has a pole, so the low blocks
     # vanish; the degree-0 blocks are the class
-    ch = character_blocks(fp, n + 1)
+    ch = character_blocks(fp, n + 1, sums)
     checks["low_vanishing"] = True
     cls = block_coefficient(ch, (0,) * len(fp[0].weights[0]))
     if not cls.is_integral():

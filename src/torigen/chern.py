@@ -3,9 +3,10 @@
 The dictionary is the integer e -> m transition matrix T: expanding
 e_1^{xi_1} ... e_n^{xi_n} in orbit polynomials gives
 c^xi = sum_omega T[xi][omega] s_omega. T is lower unitriangular in
-lexicographic order (symmfunc.transition_table), so Chern numbers come from
-an integer matrix-vector product and s-numbers from forward substitution on
-the same rows, in integers for an integer table.
+lexicographic order (symmfunc.transition_table, one Pieri product
+m_mu * e_r at a time), so Chern numbers come from an integer matrix-vector
+product and s-numbers from forward substitution on the same rows, in
+integers for an integer table.
 """
 
 from .symmfunc import omegas_of_weight, transition_table

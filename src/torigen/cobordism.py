@@ -1,9 +1,13 @@
-"""The coefficient ring and the canonical text of every polynomial.
+"""Polynomials in the cobordism generators, and the canonical text of every
+polynomial.
 
 CobordismPoly is a polynomial in the cobordism generators a_1, a_2, ...:
 the class of a space, the coefficient of each x^e in the character's
-blocks, and that of each u^a v^b in the formal group law. clean collapses
-an integral Fraction to int, and render_terms writes an exponent ->
+blocks, and that of each u^a v^b in the formal group law. It holds and
+prints them and does no arithmetic: the engines compute on plain dicts (the
+fgl module on packed exponents), and the ring operations that the tests
+need are their reference's (tests/reference.py). clean collapses an
+integral Fraction to int, and render_terms writes an exponent ->
 coefficient map in graded lex order, highest first; CobordismPoly and the
 weight lines of the residues' pole messages print through it. render_series
 writes an exponent -> CobordismPoly map, lowest first: the fgl verb's law.
@@ -79,10 +83,13 @@ def render_series(terms, names, prefix="a"):
 
 
 class CobordismPoly:
-    """Integer/rational polynomial in the cobordism generators a_1, a_2, ...
+    """Integer/rational polynomial in the cobordism generators a_1, a_2, ...,
+    built from an {exponent: coefficient} map and compared, read and printed,
+    with no arithmetic.
 
     Keys are exponent tuples with trailing zeros stripped; generator a_i has
-    weight i, so the monomial a^omega has weight sum(l * omega_l).
+    weight i, so the monomial a^omega has weight sum(l * omega_l). A scalar
+    compares as a constant polynomial.
     """
 
     __slots__ = ("terms",)
@@ -101,15 +108,6 @@ class CobordismPoly:
                         del t[exp]
         self.terms = t
 
-    @classmethod
-    def const(cls, c):
-        return cls({(): c})
-
-    @classmethod
-    def gen(cls, i):
-        """The generator a_i, i >= 1."""
-        return cls({(0,) * (i - 1) + (1,): 1})
-
     def is_zero(self):
         return not self.terms
 
@@ -122,56 +120,9 @@ class CobordismPoly:
     def is_integral(self):
         return all(isinstance(c, int) for c in self.terms.values())
 
-    def __add__(self, other):
-        if not isinstance(other, CobordismPoly):
-            other = CobordismPoly.const(other)
-        t = dict(self.terms)
-        for exp, c in other.terms.items():
-            t[exp] = t.get(exp, 0) + c
-        return CobordismPoly(t)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CobordismPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-(other if isinstance(other, CobordismPoly) else CobordismPoly.const(other)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, CobordismPoly):
-            if other == 0:
-                return CobordismPoly()
-            return CobordismPoly({e: c * other for e, c in self.terms.items()})
-        t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                if len(e1) < len(e2):
-                    ea, eb = e2, e1
-                else:
-                    ea, eb = e1, e2
-                e = tuple(a + b for a, b in zip(ea, eb)) + ea[len(eb):]
-                t[e] = t.get(e, 0) + c1 * c2
-        return CobordismPoly(t)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, num):
-        from fractions import Fraction
-        return CobordismPoly({e: Fraction(c) / Fraction(num) for e, c in self.terms.items()})
-
-    def __pow__(self, n):
-        result = CobordismPoly.const(1)
-        for _ in range(n):
-            result = result * self
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, CobordismPoly):
-            other = CobordismPoly.const(other)
+            other = CobordismPoly({(): other})
         return self.terms == other.terms
 
     def __hash__(self):

@@ -131,16 +131,18 @@ def _pole_free(sums):
     return sums is not None and not any(c for groups in sums.values() for c in groups.values())
 
 
-def check_poles(fp, order):
+def check_poles(fp, order, sums=None):
     """Return when no a^omega block with ||omega|| <= order has a pole; else
     raise SingularSum naming the first that has one, by weight and then in
     sorted order, the line, a point on it and the residue's value there.
 
-    _pole_free answers first; only a table that it does not certify loads
-    the residues module, which reads the residues of the sum along every
-    line whose groups do not cancel (residues.check_residues), off the same
-    line_sums."""
-    sums = line_sums(fp)
+    _pole_free answers first, off sums = line_sums(fp), which a caller that
+    checks twice computes once and passes; only a table that it does not
+    certify loads the residues module, which reads the residues of the sum
+    along every line whose groups do not cancel (residues.check_residues),
+    off the same sums."""
+    if sums is None:
+        sums = line_sums(fp)
     if not _pole_free(sums):
         from .residues import check_residues
         check_residues(sums, len(fp[0].weights), order)
@@ -197,14 +199,14 @@ def non_integer_class(cls):
     return NonIntegerClass(cls.canonical_text(), omega, str(cls.terms[omega]))
 
 
-def chern_numbers(fp):
+def chern_numbers(fp, sums=None):
     """All c^xi, |xi| = n: the point values at default_numeric_point, once
-    check_poles has shown that the blocks with ||omega|| <= n have no poles
-    (its SingularSum propagates). A table that is not integral raises
-    NonIntegerClass: T is integer unitriangular, so the Chern numbers are
-    integers exactly when the s-numbers are."""
+    check_poles (on sums, if given) has shown that the blocks with
+    ||omega|| <= n have no poles (its SingularSum propagates). A table that
+    is not integral raises NonIntegerClass: T is integer unitriangular, so
+    the Chern numbers are integers exactly when the s-numbers are."""
     n = len(fp[0].weights)
-    check_poles(fp, n)
+    check_poles(fp, n, sums)
     table = point_chern_numbers(fp, default_numeric_point(fp))
     if not all(isinstance(v, int) for v in table.values()):
         raise non_integer_class(CobordismPoly(chern_to_s(table, n)))

@@ -7,6 +7,7 @@ exactly with the published value.
 """
 
 import json
+from fractions import Fraction
 
 from . import character, divdiff, genus, rootdata, stablex
 from .cobordism import CobordismPoly
@@ -23,26 +24,31 @@ def _times(p, q):
 
 
 def _s6_sigma_blocks():
-    """ch_U Phi(S^6) blocks rewritten in sigma_2, sigma_3 (x3 eliminated)."""
+    """ch_U Phi(S^6) blocks rewritten in sigma_2, sigma_3 (x3 eliminated):
+    {(sigma, degree): canonical text}."""
     spec = rootdata.build_space("G2/SU(3)")
     fp = rootdata.fixed_point_weights(spec)
     ch = character.character_blocks(fp, 9)
     # x3 = -x1 - x2: sigma_2 = -(x1^2 + x1 x2 + x2^2), sigma_3 = -x1 x2 (x1 + x2)
     s2 = {(2, 0): -1, (1, 1): -1, (0, 2): -1}
     s3 = {(2, 1): -1, (1, 2): -1}
+
+    def at(e):
+        return {om: block.get(e, 0) for om, block in ch.items()}
+
     out = {}
     for d, basis in ((2, s2), (4, _times(s2, s2))):
         mono = next(iter(basis))
-        out[("s2", d)] = character.block_coefficient(ch, mono) / basis[mono]
+        out[("s2", d)] = {om: Fraction(c, basis[mono]) for om, c in at(mono).items()}
     b1, b2 = _times(s2, _times(s2, s2)), _times(s3, s3)
     e1, e2 = (6, 0), (4, 2)
     a11, a12 = b1.get(e1, 0), b2.get(e1, 0)
     a21, a22 = b1.get(e2, 0), b2.get(e2, 0)
     det = a11 * a22 - a12 * a21
-    v1, v2 = character.block_coefficient(ch, e1), character.block_coefficient(ch, e2)
-    out[("s2", 6)] = (v1 * a22 - v2 * a12) / det
-    out[("s3", 6)] = (v2 * a11 - v1 * a21) / det
-    return out
+    v1, v2 = at(e1), at(e2)
+    out[("s2", 6)] = {om: Fraction(v1[om] * a22 - v2[om] * a12, det) for om in ch}
+    out[("s3", 6)] = {om: Fraction(v2[om] * a11 - v1[om] * a21, det) for om in ch}
+    return {key: CobordismPoly(block).canonical_text() for key, block in out.items()}
 
 
 def _reproduce_rows():
@@ -148,24 +154,15 @@ def _reproduce_rows():
 
     @row("S6-sigma-coefficients")
     def _():
-        blocks = _s6_sigma_blocks()
-        g = CobordismPoly.gen
         want = {
-            ("s2", 2): (g(1) * g(2) ** 2 - g(1) ** 2 * g(3) * 2 - g(2) * g(3)
-                        + g(1) * g(4) * 5 - g(5) * 5) * 2,
-            ("s2", 4): (g(1) * g(3) ** 2 - g(1) * g(2) * g(4) * 2 - g(3) * g(4)
-                        + g(1) ** 2 * g(5) * 2 + g(2) * g(5) * 3 - g(1) * g(6) * 7
-                        + g(7) * 7) * 2,
-            ("s2", 6): (g(9) * -9 + g(1) * g(8) * 9 - g(2) * g(7) * 5 + g(3) * g(6) * 3
-                        - g(4) * g(5) - g(1) ** 2 * g(7) * 2 + g(1) * g(2) * g(6) * 2
-                        - g(1) * g(3) * g(5) * 2 + g(1) * g(4) ** 2) * 2,
-            ("s3", 6): (g(9) * 3 - g(1) * g(8) * 3 - g(2) * g(7) * 3 + g(3) * g(6) * 6
-                        - g(4) * g(5) * 3 + g(1) ** 2 * g(7) * 3 - g(1) * g(2) * g(6) * 3
-                        - g(1) * g(3) * g(5) * 3 + g(1) * g(4) ** 2 * 3 + g(2) ** 2 * g(5) * 3
-                        - g(2) * g(3) * g(4) * 3 + g(3) ** 3) * 2,
+            ("s2", 2): "-4*a1^2*a3 + 2*a1*a2^2 + 10*a1*a4 - 2*a2*a3 - 10*a5",
+            ("s2", 4): "4*a1^2*a5 - 4*a1*a2*a4 + 2*a1*a3^2 - 14*a1*a6 + 6*a2*a5 - 2*a3*a4 + 14*a7",
+            ("s2", 6): ("-4*a1^2*a7 + 4*a1*a2*a6 - 4*a1*a3*a5 + 2*a1*a4^2 + 18*a1*a8 - 10*a2*a7"
+                        " + 6*a3*a6 - 2*a4*a5 - 18*a9"),
+            ("s3", 6): ("6*a1^2*a7 - 6*a1*a2*a6 - 6*a1*a3*a5 + 6*a1*a4^2 + 6*a2^2*a5 - 6*a2*a3*a4"
+                        " + 2*a3^3 - 6*a1*a8 - 6*a2*a7 + 12*a3*a6 - 6*a4*a5 + 6*a9"),
         }
-        ok = all(blocks[k] == want[k] for k in want)
-        return ok, "4 blocks"
+        return _s6_sigma_blocks() == want, "4 blocks"
 
     @row("S6-stable-count")
     def _():

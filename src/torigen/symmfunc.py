@@ -3,10 +3,13 @@
 An omega index is a tuple (i_1, i_2, ...) counting how many parts of the
 matching partition equal 1, 2, ...; its weight is sum l*i_l. We keep omega
 tuples trimmed of trailing zeros so they double as cobordism exponent keys.
+
+The basis change e -> m is built by the Pieri rule: each product e_pi is
+its prefix's times one e_r, expanded one orbit polynomial m_mu at a time
+(_times_e, memoized on (mu, r), so every weight shares the products).
 """
 
 from functools import lru_cache
-from itertools import groupby
 from math import comb
 
 
@@ -54,57 +57,58 @@ def conjugate_partition(lam):
     return tuple(sum(1 for p in lam if p >= k) for k in range(1, lam[0] + 1))
 
 
-def _row_choices(groups, r):
-    """(ways, column sums left) for one row of sum r over column groups.
+@lru_cache(maxsize=None)
+def _times_e(mu, r):
+    """m_mu * e_r as {rho: coefficient of m_rho}, mu and rho partitions.
 
-    groups lists (remaining sum v, number of columns c), v decreasing. Taking
-    k columns of a group leaves c - k at v and k at v - 1, in comb(c, k) ways;
-    the column sums left stay weakly decreasing.
+    With r zeros counted as parts of mu, e_r raises r of the parts by 1. If
+    k_v of the parts equal to v are raised, rho has r_{v+1} parts equal to
+    v + 1, and any k_v of those came from v: the coefficient is
+    prod_v C(r_{v+1}, k_v) (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.6). The k_v fix rho, and rho has at most |rho| parts, so
+    this holds in every number of variables >= |rho|.
     """
-    if not groups:
-        if r == 0:
-            yield 1, ()
-        return
-    (v, c), rest = groups[0], groups[1:]
-    for k in range(min(c, r) + 1):
-        for ways, tail in _row_choices(rest, r - k):
-            yield comb(c, k) * ways, (v,) * (c - k) + (v - 1,) * k + tail
-
-
-def _zero_one_count(rows, cols, memo):
-    """Number of 0-1 matrices with row sums rows and column sums cols.
-
-    Both are partitions without zeros. The count depends only on the multiset
-    of column sums, so memo is keyed on the sorted tuple.
-    """
-    if not rows:
-        return 0 if cols else 1
-    key = (rows, cols)
-    if key not in memo:
-        groups = tuple((v, len(tuple(g))) for v, g in groupby(cols))
-        memo[key] = sum(ways * _zero_one_count(rows[1:], tuple(v for v in left if v), memo)
-                        for ways, left in _row_choices(groups, rows[0]))
-    return memo[key]
+    states = [((), r, 0, 1)]  # (parts of rho so far, raises left, unraised parts at v + 1, ways)
+    for v in range(mu[0] if mu else 0, -1, -1):
+        c = mu.count(v) if v else r
+        states = [(parts + (v + 1,) * k + (v,) * (c - k), left - k, c - k, ways * comb(kept + k, k))
+                  for parts, left, kept, ways in states for k in range(min(c, left) + 1)]
+    return {tuple(p for p in parts if p): ways for parts, left, _, ways in states if not left}
 
 
 @lru_cache(maxsize=None)
 def transition_table(n):
     """The e -> m basis change in weight n, as sparse rows.
 
-    T[nu][lambda] = number of 0-1 matrices with row sums nu' and column sums
-    lambda is the coefficient of m_lambda in e_{nu'} (Macdonald, Symmetric
-    Functions and Hall Polynomials, I.6, (6.6)). It is unitriangular in
-    dominance order, so lower unitriangular in lexicographic order. Returns
-    {xi: (omega, row)} with the rows in lexicographic order of nu: xi and
-    omega are the omega indices of nu' and nu, and e^xi = sum row[omega'] *
-    m_{lambda(omega')}. row[omega] = 1 is the diagonal, and every other
-    omega' in row is the diagonal of an earlier row.
+    T[nu][lambda], the coefficient of m_lambda in e_{nu'}, counts the 0-1
+    matrices with row sums nu' and column sums lambda (Macdonald, I.6,
+    (6.6)). Each e_pi, pi a partition of n with decreasing parts, is its
+    prefix's product times e_{pi_last}, by _times_e. The matrix is
+    unitriangular in dominance order, so lower unitriangular in
+    lexicographic order. Returns {xi: (omega, row)} with the rows in
+    lexicographic order of nu: xi and omega are the omega indices of nu' and
+    nu, and e^xi = sum row[omega'] * m_{lambda(omega')}, in lexicographic
+    order of lambda. row[omega] = 1 is the diagonal, and every other omega'
+    in row is the diagonal of an earlier row.
     """
-    lams = sorted(partitions(n))
-    memo = {}
-    T = [[_zero_one_count(conjugate_partition(nu), lam, memo) for lam in lams] for nu in lams]
-    if any(t[i] != 1 or any(t[i + 1:]) for i, t in enumerate(T)):
-        raise AssertionError("e to m transition matrix is not unitriangular")
-    omegas = [partition_to_omega(lam) for lam in lams]
-    return {partition_to_omega(conjugate_partition(nu)): (om, {o: c for o, c in zip(omegas, t) if c})
-            for nu, om, t in zip(lams, omegas, T)}
+    e = {}
+
+    def walk(prefix, left, poly):
+        if not left:
+            e[prefix] = poly
+        for r in range(min(left, prefix[-1] if prefix else left), 0, -1):
+            nxt = {}
+            for mu, c in poly.items():
+                for rho, ways in _times_e(mu, r).items():
+                    nxt[rho] = nxt.get(rho, 0) + c * ways
+            walk(prefix + (r,), left - r, nxt)
+
+    walk((), n, {(): 1})
+    table = {}
+    for nu in sorted(partitions(n)):
+        row = e[conjugate_partition(nu)]
+        if row.get(nu) != 1 or max(row) != nu:
+            raise AssertionError("e to m transition matrix is not unitriangular")
+        table[partition_to_omega(conjugate_partition(nu))] = (
+            partition_to_omega(nu), {partition_to_omega(lam): row[lam] for lam in sorted(row)})
+    return table

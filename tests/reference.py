@@ -2,6 +2,8 @@
 
 No verb runs any of these. Each builds its answer the slow, direct way:
 
+- RingPoly adds the ring operations to CobordismPoly, which torigen only
+  holds and prints; the sums of classes and blocks below are taken in it.
 - The symbolic kernel (MultiPoly, f_product_sum, exact_div_terms) and the
   symbolic character built on it (localization_data, character_numerator,
   chern_character_of_genus, class_of_character, symbolic_class) put ch Phi
@@ -27,6 +29,8 @@ No verb runs any of these. Each builds its answer the slow, direct way:
   bare product must agree with it.
 - elementary_product and monomial_sym build e^xi and m_lambda as
   polynomials; symmfunc.transition_table and chern.chern_to_s must agree.
+  zero_one_count counts the 0-1 matrices with given row and column sums,
+  row by row, which transition_table's entries must equal.
 - unitary_blocks reads the blocks of a type A space off its descriptor,
   apart from rootdata's root datum; G2/SU(3) is told apart by its
   descriptor too.
@@ -45,12 +49,14 @@ No verb runs any of these. Each builds its answer the slow, direct way:
   compares each block of a character with its image under the simple
   reflections, as character.weyl_invariance_failure must by values at points.
 - GradedSeries is a series in several variables truncated by total degree,
-  and apply_series substitutes one into a univariate series: the formal
-  group law as g^{-1}(g(u1) + g(u2)) by series products, which
-  fgl.fgl_addition must equal. substitute_series and permute_series
-  substitute into and permute a truncated series, and multi_bracket builds
-  [Lambda](u) from the law's own logarithm and exponential; the axioms of
-  the fgl verb's addition law are checked with them.
+  and apply_series substitutes one into a univariate series: exp_series
+  reverts log_series by fixed-point iteration, and addition_law is the
+  formal group law g^{-1}(g(u1) + g(u2)) by series products, all in
+  RingPoly, which fgl's packed exp_series and fgl_addition must equal.
+  substitute_series and permute_series substitute into and permute a
+  truncated series, and multi_bracket builds [Lambda](u) from the reference
+  logarithm and exponential; the axioms of the fgl verb's addition law are
+  checked with them.
 - assignment_to_json builds one sign table as a dict; the stable verb's
   streamed rendering must equal json.dumps of these dicts.
 """
@@ -58,16 +64,81 @@ No verb runs any of these. Each builds its answer the slow, direct way:
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
-from math import factorial, gcd, prod
+from itertools import combinations, groupby, permutations, product
+from math import comb, factorial, gcd, prod
 import re
 
 from torigen.cobordism import CobordismPoly, clean, grlex_key, render_series, render_terms
-from torigen.fgl import exp_series, log_series
 from torigen.genus import SingularSum, canonical_line, non_integer_class
 from torigen.rootdata import M10_DESCRIPTOR, fixed_point_weights
 from torigen.stablex import NecessaryReport, SignAssignment, derived_fixed_point_data
 from torigen.symmfunc import omega_weight, omegas_of_weight
+
+
+# -- the reference ring -------------------------------------------------------
+
+
+class RingPoly(CobordismPoly):
+    """CobordismPoly with the ring operations, which torigen itself never
+    needs: its engines compute on plain dicts. Sums, products and powers
+    take RingPoly, CobordismPoly or scalar operands (ring)."""
+
+    __slots__ = ()
+
+    @classmethod
+    def const(cls, c):
+        return cls({(): c})
+
+    @classmethod
+    def gen(cls, i):
+        """The generator a_i, i >= 1."""
+        return cls({(0,) * (i - 1) + (1,): 1})
+
+    def __add__(self, other):
+        t = dict(self.terms)
+        for exp, c in ring(other).terms.items():
+            t[exp] = t.get(exp, 0) + c
+        return RingPoly(t)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RingPoly({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-ring(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if not isinstance(other, CobordismPoly):
+            return RingPoly({e: c * other for e, c in self.terms.items()})
+        t = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                ea, eb = (e2, e1) if len(e1) < len(e2) else (e1, e2)
+                e = tuple(a + b for a, b in zip(ea, eb)) + ea[len(eb):]
+                t[e] = t.get(e, 0) + c1 * c2
+        return RingPoly(t)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, num):
+        return RingPoly({e: Fraction(c) / Fraction(num) for e, c in self.terms.items()})
+
+    def __pow__(self, n):
+        result = RingPoly.const(1)
+        for _ in range(n):
+            result = result * self
+        return result
+
+
+def ring(x):
+    """x, a CobordismPoly or a scalar, as a RingPoly."""
+    if isinstance(x, RingPoly):
+        return x
+    return RingPoly(x.terms if isinstance(x, CobordismPoly) else {(): x})
 
 
 # -- the symbolic kernel and the symbolic character ----------------------------
@@ -325,7 +396,7 @@ def _times_form(t, form):
 def kernel_coefficient(blocks, e):
     """sum_omega a^omega * (x^e coefficient of block omega), for blocks
     {omega: MultiPoly} as f_product_sum returns them."""
-    return CobordismPoly({om: b.coeff(e) for om, b in blocks.items()})
+    return RingPoly({om: b.coeff(e) for om, b in blocks.items()})
 
 
 LocData = namedtuple("LocData", "arena n denom cofactors prefactors")
@@ -405,7 +476,7 @@ def chern_character_of_genus(fp, order):
             block = {}
             for om in by_weight[wt]:
                 for e, c in num[om].terms.items():
-                    block[e] = block.get(e, 0) + CobordismPoly({om: c})
+                    block[e] = block.get(e, 0) + RingPoly({om: c})
             om = by_weight[wt][0]
             raise SingularSum(
                 "degree-%d numerator block does not cancel: %s"
@@ -643,7 +714,7 @@ def pair_product_blocks(n, pairs, order, odd=()):
 def pair_product_reads(n, pairs, order, reads, odd=()):
     """sum_r s_r [x^r] of pair_product_blocks, reads listing (r, s_r)."""
     blocks = pair_product_blocks(n, tuple(pairs), order, tuple(odd))
-    total = CobordismPoly()
+    total = RingPoly()
     for r, s in reads:
         total = total + kernel_coefficient(blocks, r) * s
     return total
@@ -678,7 +749,7 @@ def grassmann_class_by_base(q, l):
     """(1/q!l!) L(Delta_q Delta_{q+1,q+l} prod f(x_i - x_j)), L of the top
     blocks as their signed delta-orbit sums."""
     blocks = grassmann_base_blocks(q, l, q * l)
-    total = CobordismPoly()
+    total = RingPoly()
     for e, s in delta_orbit(q + l):
         total = total + kernel_coefficient(blocks, e) * s
     return total / (factorial(q) * factorial(l))
@@ -688,6 +759,41 @@ def grassmann_Q_by_base(q, l, xi):
     """The x^xi coefficient of Delta_q Delta_{q+1,q+l} prod f(x_i - x_j)."""
     weight = sum(xi) - q * (q - 1) // 2 - l * (l - 1) // 2
     return kernel_coefficient(grassmann_base_blocks(q, l, weight), xi)
+
+
+def _row_choices(groups, r):
+    """(ways, column sums left) for one row of sum r over column groups.
+
+    groups lists (remaining sum v, number of columns c), v decreasing. Taking
+    k columns of a group leaves c - k at v and k at v - 1, in comb(c, k) ways;
+    the column sums left stay weakly decreasing.
+    """
+    if not groups:
+        if r == 0:
+            yield 1, ()
+        return
+    (v, c), rest = groups[0], groups[1:]
+    for k in range(min(c, r) + 1):
+        for ways, tail in _row_choices(rest, r - k):
+            yield comb(c, k) * ways, (v,) * (c - k) + (v - 1,) * k + tail
+
+
+def zero_one_count(rows, cols, memo=None):
+    """Number of 0-1 matrices with row sums rows and column sums cols, both
+    partitions without zeros, row by row: the coefficient of m_cols in
+    e_rows, which symmfunc.transition_table must give. The count depends
+    only on the multiset of column sums, so memo is keyed on the sorted
+    tuple."""
+    if memo is None:
+        memo = {}
+    if not rows:
+        return 0 if cols else 1
+    key = (rows, cols)
+    if key not in memo:
+        groups = tuple((v, len(tuple(g))) for v, g in groupby(cols))
+        memo[key] = sum(ways * zero_one_count(rows[1:], tuple(v for v in left if v), memo)
+                        for ways, left in _row_choices(groups, rows[0]))
+    return memo[key]
 
 
 # -- localization and fixed points -------------------------------------------
@@ -941,7 +1047,7 @@ def assignment_to_json(assign):
 class GradedSeries:
     """Series in geometric variables truncated by total degree.
 
-    Coefficients are CobordismPoly; exponent tuples follow the arena.
+    Coefficients are RingPoly (ring); exponent tuples follow the arena.
     """
 
     __slots__ = ("arena", "order", "terms")
@@ -954,8 +1060,7 @@ class GradedSeries:
             for exp, c in terms.items():
                 if sum(exp) > order:
                     continue
-                if not isinstance(c, CobordismPoly):
-                    c = CobordismPoly.const(c)
+                c = ring(c)
                 if not c.is_zero():
                     t[tuple(exp)] = c
         self.terms = t
@@ -969,7 +1074,7 @@ class GradedSeries:
         return cls(p.arena, order, p.terms)
 
     def coeff(self, exp):
-        return self.terms.get(tuple(exp), CobordismPoly())
+        return self.terms.get(tuple(exp), RingPoly())
 
     def is_zero(self):
         return not self.terms
@@ -980,7 +1085,7 @@ class GradedSeries:
         _check_arena(self.arena, other.arena)
         t = dict(self.terms)
         for exp, c in other.terms.items():
-            s = t.get(exp, CobordismPoly()) + c
+            s = t.get(exp, RingPoly()) + c
             if s.is_zero():
                 t.pop(exp, None)
             else:
@@ -1053,7 +1158,7 @@ def apply_series(coeffs, s):
     for m in range(1, min(len(coeffs), s.order + 1)):
         power = power * s
         c = coeffs[m]
-        if not (isinstance(c, CobordismPoly) and c.is_zero()):
+        if not ring(c).is_zero():
             out = out + power * c
     return out
 
@@ -1109,3 +1214,30 @@ def multi_bracket(weight, order, arena=None):
         if wq:
             s = s + _univariate(arena, order, [c * wq for c in g], q)
     return apply_series(exp_series(order), s)
+
+
+def log_series(order):
+    """g(u) = u + b_1 u^2 + b_2 u^3 + ... with b_i on the a-slots, as the
+    list of its RingPoly coefficients (index = power)."""
+    return [RingPoly(), RingPoly.const(1)] + [RingPoly.gen(i - 1) for i in range(2, order + 1)]
+
+
+@lru_cache(maxsize=None)
+def exp_series(order):
+    """g^{-1}(y) on the reference ring, by the fixed point e = y - (g(e) - e):
+    g(e) - e has no term below y^2, so each step makes one more coefficient
+    right."""
+    ar = xvars(1, "y")
+    y = _univariate(ar, order, [0, 1], 0)
+    e = y
+    for _ in range(order):
+        e = y - (apply_series(log_series(order), e) - e)
+    return tuple(e.coeff((m,)) for m in range(order + 1))
+
+
+def addition_law(order):
+    """g^{-1}(g(u1) + g(u2)) by products of truncated series: {(a, b):
+    RingPoly}, which fgl.fgl_addition must equal."""
+    ar = xvars(2, "u")
+    g = log_series(order)
+    return apply_series(exp_series(order), _univariate(ar, order, g, 0) + _univariate(ar, order, g, 1)).terms

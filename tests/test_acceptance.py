@@ -16,7 +16,6 @@ from torigen.divdiff import (
     grassmann_class,
 )
 from torigen.character import block_coefficient, character_blocks, weyl_invariance_failure
-from torigen.cobordism import CobordismPoly
 from torigen.fgl import fgl_addition
 from torigen.genus import SingularPoint, cobordism_class, s_number_numeric, s_numbers
 from torigen.rootdata import (
@@ -32,8 +31,8 @@ from torigen.stablex import (
 )
 from torigen.symmfunc import omega_weight, omegas_of_weight
 
-from reference import (GradedSeries, MultiPoly, euler_characteristic, multi_bracket, permute_series,
-                       substitute_series, xvars)
+from reference import (GradedSeries, MultiPoly, RingPoly, euler_characteristic, multi_bracket, permute_series,
+                       ring, substitute_series, xvars)
 
 
 def fp_of(text, structure=None):
@@ -41,7 +40,7 @@ def fp_of(text, structure=None):
 
 
 def g(i):
-    return CobordismPoly.gen(i)
+    return RingPoly.gen(i)
 
 
 def test_projective_line():
@@ -100,9 +99,9 @@ def test_su4_flag_quotient_structures():
 
 
 def degree_part(ch, d):
-    """{x^e: CobordismPoly} over the exponents of x-degree d in the blocks of ch."""
+    """{x^e: RingPoly} over the exponents of x-degree d in the blocks of ch."""
     exps = {e for block in ch.values() for e in block if sum(e) == d}
-    return {e: block_coefficient(ch, e) for e in exps}
+    return {e: ring(block_coefficient(ch, e)) for e in exps}
 
 
 def _sigma_blocks_of_six_sphere():
@@ -120,20 +119,20 @@ def _sigma_blocks_of_six_sphere():
         coeff = block[mono] / basis.terms[mono]
         # proportionality, not just one matching monomial
         for e, c in basis.terms.items():
-            assert block.get(e, CobordismPoly()) == coeff * c
+            assert block.get(e, RingPoly()) == coeff * c
         assert len(block) == len(basis.terms)
         out[label] = coeff
     block6 = degree_part(ch, 6)
     b1, b2 = (s2 * s2 * s2), (s3 * s3)
     e1, e2 = (6, 0), (4, 2)
     det = b1.coeff(e1) * b2.coeff(e2) - b2.coeff(e1) * b1.coeff(e2)
-    v1 = block6.get(e1, CobordismPoly())
-    v2 = block6.get(e2, CobordismPoly())
+    v1 = block6.get(e1, RingPoly())
+    v2 = block6.get(e2, RingPoly())
     A = (v1 * b2.coeff(e2) - v2 * b2.coeff(e1)) / det
     B = (v2 * b1.coeff(e1) - v1 * b1.coeff(e2)) / det
     # the two coefficients reproduce the whole degree-6 block
     for e in set(b1.terms) | set(b2.terms) | set(block6):
-        lhs = block6.get(e, CobordismPoly())
+        lhs = block6.get(e, RingPoly())
         assert lhs == A * b1.coeff(e) + B * b2.coeff(e)
     out["s2^3"] = A
     out["s3^2"] = B
@@ -244,13 +243,13 @@ def test_structural_invariants():
     ar2 = xvars(2, "u")
     ar3 = xvars(3, "u")
     law = GradedSeries(ar2, order, fgl_addition(order))
-    u = GradedSeries(ar1, order, {(1,): CobordismPoly.const(1)})
+    u = GradedSeries(ar1, order, {(1,): RingPoly.const(1)})
     zero = GradedSeries(ar1, order)
     assert substitute_series(law, [u, zero], ar1, order) == u
     assert permute_series(law, (1, 0)) == law
-    u1 = GradedSeries(ar3, order, {(1, 0, 0): CobordismPoly.const(1)})
-    u2 = GradedSeries(ar3, order, {(0, 1, 0): CobordismPoly.const(1)})
-    u3 = GradedSeries(ar3, order, {(0, 0, 1): CobordismPoly.const(1)})
+    u1 = GradedSeries(ar3, order, {(1, 0, 0): RingPoly.const(1)})
+    u2 = GradedSeries(ar3, order, {(0, 1, 0): RingPoly.const(1)})
+    u3 = GradedSeries(ar3, order, {(0, 0, 1): RingPoly.const(1)})
     f12 = substitute_series(law, [u1, u2], ar3, order)
     f23 = substitute_series(law, [u2, u3], ar3, order)
     assert substitute_series(law, [f12, u3], ar3, order) == \

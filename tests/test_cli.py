@@ -406,6 +406,7 @@ def test_reproduce_table_passes():
     ok, rows = reproduce_table()
     assert [name for name, row_ok, _ in rows if not row_ok] == []
     assert ok and len(rows) == 27
+    assert ("S6-sigma-coefficients", True, "4 blocks") in rows
 
 
 @pytest.mark.parametrize("count", [0, 5])

@@ -22,9 +22,9 @@ from torigen.cobordism import CobordismPoly
 from torigen.genus import cobordism_class
 from torigen.rootdata import build_space, fixed_point_weights
 
-from reference import (MultiPoly, as_constant, delta_orbit, elementary, f_product_sum, grassmann_base_blocks,
-                       grassmann_class_by_base, grassmann_Q_by_base, operator_L, pair_product_blocks,
-                       pair_product_reads, pair_weights, permute, vandermonde, xvars)
+from reference import (MultiPoly, RingPoly, as_constant, delta_orbit, elementary, f_product_sum,
+                       grassmann_base_blocks, grassmann_class_by_base, grassmann_Q_by_base, operator_L,
+                       pair_product_blocks, pair_product_reads, pair_weights, permute, vandermonde, xvars)
 
 PDELTA = "a1^3 - a1*a2 - 3*a3"
 PDELTA_SWAP = "-a1^3 - 5*a1*a2 - 3*a3"
@@ -71,7 +71,7 @@ def test_flag_P_delta_orbit():
         (0, 2, 1): PDELTA,
         (0, 1, 2): "-a1^3 + a1*a2 + 3*a3",
     }
-    total = CobordismPoly()
+    total = RingPoly()
     for xi, text in vals.items():
         p = flag_P_polynomials(3, xi)
         assert p.canonical_text() == text
@@ -135,7 +135,7 @@ def test_flag_vanishing_reports_n5():
 
 def L_of_top_blocks(blocks):
     """sum_omega a^omega * L(block omega), L by antisymmetrizing and dividing."""
-    return CobordismPoly({om: as_constant(operator_L(b)) for om, b in blocks.items()})
+    return RingPoly({om: as_constant(operator_L(b)) for om, b in blocks.items()})
 
 
 def flag_pairs(n):

@@ -15,6 +15,7 @@ from reference import (
     GradedSeries,
     MultiPoly,
     NotDivisible,
+    RingPoly,
     cobordism_weights,
     exact_div,
     f_product_sum,
@@ -86,25 +87,25 @@ def test_arena_mismatch_rejected():
 
 
 def test_cobordism_poly_normalization():
-    p = CobordismPoly({(1, 0, 0): 2, (0, 1): 3})
+    p = RingPoly({(1, 0, 0): 2, (0, 1): 3})
     assert p.terms == {(1,): 2, (0, 1): 3}
     assert p.coeff((1, 0, 0)) == 2
     assert p.coeff((1,)) == 2
-    assert CobordismPoly.gen(3).terms == {(0, 0, 1): 1}
+    assert RingPoly.gen(3).terms == {(0, 0, 1): 1}
     assert (p - p).is_zero()
 
 
 def test_cobordism_poly_weights_and_grading():
     # weight of a^omega is sum (i+1) * omega_i
-    p = CobordismPoly.gen(1) ** 3 + CobordismPoly.gen(4)
+    p = RingPoly.gen(1) ** 3 + RingPoly.gen(4)
     assert cobordism_weights(p) == {3, 4}
     assert not is_homogeneous(p)
-    q = CobordismPoly.gen(1) * CobordismPoly.gen(2)
+    q = RingPoly.gen(1) * RingPoly.gen(2)
     assert is_homogeneous(q, 3)
 
 
 def test_cobordism_poly_division_and_integrality():
-    p = CobordismPoly.gen(1) * 6
+    p = RingPoly.gen(1) * 6
     half = p / 4
     assert half.terms == {(1,): Fraction(3, 2)}
     assert not half.is_integral()
@@ -113,20 +114,20 @@ def test_cobordism_poly_division_and_integrality():
 
 
 def test_cobordism_canonical_text():
-    g = CobordismPoly.gen
+    g = RingPoly.gen
     p = g(1) ** 3 * 6 + g(1) * g(2) * 6 - g(3) * 6
     assert p.canonical_text() == "6*a1^3 + 6*a1*a2 - 6*a3"
     assert CobordismPoly().canonical_text() == "0"
-    assert CobordismPoly.const(-1).canonical_text() == "-1"
+    assert RingPoly.const(-1).canonical_text() == "-1"
 
 
 def test_render_series():
-    g = CobordismPoly.gen
+    g = RingPoly.gen
     names = ("u1", "u2")
     assert render_series({}, names) == "0"
     # a bare constant first, then ascending grlex, whatever the dict order
-    terms = {(1, 1): g(1) * -2, (0, 1): CobordismPoly.const(1),
-             (1, 0): CobordismPoly.const(Fraction(-3, 2)), (0, 0): CobordismPoly.const(Fraction(1, 2)),
+    terms = {(1, 1): g(1) * -2, (0, 1): RingPoly.const(1),
+             (1, 0): RingPoly.const(Fraction(-3, 2)), (0, 0): RingPoly.const(Fraction(1, 2)),
              (2, 1): g(1) ** 2 * 4 - g(2) * 3}
     assert render_series(terms, names, "b") == \
         "1/2 + (1)*u2 + (-3/2)*u1 + (-2*b1)*u1*u2 + (4*b1^2 - 3*b2)*u1^2*u2"
@@ -138,8 +139,8 @@ def test_graded_series_truncation_in_products():
     x = MultiPoly.variable(ar, 0)
     s = GradedSeries.from_multipoly(MultiPoly.const(ar, 1) + x, 3)
     cube = s * s * s
-    assert cube.coeff((3,)) == CobordismPoly.const(1)
-    assert cube.coeff((2,)) == CobordismPoly.const(3)
+    assert cube.coeff((3,)) == RingPoly.const(1)
+    assert cube.coeff((2,)) == RingPoly.const(3)
     quart = cube * s
     # order is absolute: degree 4 is dropped, not carried
     assert quart.coeff((4,)).is_zero()
@@ -150,11 +151,11 @@ def test_graded_series_permute_and_scalars():
     x, y = MultiPoly.variable(ar, 0), MultiPoly.variable(ar, 1)
     s = GradedSeries.from_multipoly(x * x + y, 4)
     t = permute_series(s, (1, 0))
-    assert t.coeff((0, 2)) == CobordismPoly.const(1)
-    assert t.coeff((1, 0)) == CobordismPoly.const(1)
-    u = s * CobordismPoly.gen(2) + 1
-    assert u.coeff((2, 0)) == CobordismPoly.gen(2)
-    assert u.coeff((0, 0)) == CobordismPoly.const(1)
+    assert t.coeff((0, 2)) == RingPoly.const(1)
+    assert t.coeff((1, 0)) == RingPoly.const(1)
+    u = s * RingPoly.gen(2) + 1
+    assert u.coeff((2, 0)) == RingPoly.gen(2)
+    assert u.coeff((0, 0)) == RingPoly.const(1)
 
 
 # -- light randomized ring checks ---------------------------------------------

@@ -9,8 +9,8 @@ attribute, in code already reached; the walk then takes in the names its own
 code uses. A reached class brings its bases, decorators, class-level
 statements and dunder methods with it; its other methods must be reached by
 name. The walk goes by name, not by type, so a method that shares its name
-with a reached one passes too: a Series.const would pass beside the
-reached CobordismPoly.const. Code that only tests need belongs in
+with a reached one passes too: a Series.coeff would pass beside the
+reached CobordismPoly.coeff. Code that only tests need belongs in
 tests/reference.py: the symbolic kernel and character there are the oracle
 of the point engine, and no module of the package imports or defines them.
 

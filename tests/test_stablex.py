@@ -115,7 +115,7 @@ def test_one_route_call_per_assign_run(monkeypatch, capsys, space, name, poles):
     # table that the certificate does not decide
     checked, read = genus.check_poles, residues._ResidueLine
     entries, lines = [], []
-    monkeypatch.setattr(genus, "check_poles", lambda fp, order: entries.append(fp) or checked(fp, order))
+    monkeypatch.setattr(genus, "check_poles", lambda fp, *args: entries.append(fp) or checked(fp, *args))
     monkeypatch.setattr(residues, "_ResidueLine", lambda *args: lines.append(args) or read(*args))
     code = main(["stable", "--space", space, "--assign", str(Path(__file__).with_name("assign") / name)])
     assert code == poles

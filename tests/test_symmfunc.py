@@ -32,6 +32,7 @@ from reference import (
     permute,
     vandermonde,
     xvars,
+    zero_one_count,
 )
 
 # partition counts p(0)..p(8)
@@ -133,6 +134,31 @@ def test_transition_rows_expand_e_products():
             for om, c in row.items():
                 acc = acc + monomial_sym(omega_to_partition(om), w, ar) * c
             assert acc == elementary_product(xi, w, ar)
+
+
+def test_transition_rows_count_zero_one_matrices():
+    # row nu, in lexicographic order, holds the counts of 0-1 matrices with
+    # row sums nu' and column sums lambda, in lexicographic order of lambda
+    for n in range(13):
+        lams = sorted(partitions(n))
+        table = transition_table(n)
+        assert list(table) == [partition_to_omega(conjugate_partition(nu)) for nu in lams]
+        memo = {}
+        for nu in lams:
+            om, row = table[partition_to_omega(conjugate_partition(nu))]
+            assert om == partition_to_omega(nu)
+            counts = [(partition_to_omega(lam), zero_one_count(conjugate_partition(nu), lam, memo)) for lam in lams]
+            assert list(row.items()) == [(o, c) for o, c in counts if c]
+
+
+def test_transition_table_is_symmetric():
+    # transposing a 0-1 matrix swaps its row and column sums, so the count
+    # for (xi, omega) is the count for (omega, xi)
+    for n in range(19):
+        table = transition_table(n)
+        for a, (_, row) in table.items():
+            for b, c in row.items():
+                assert table[b][1].get(a, 0) == c
 
 
 def test_transition_directions_are_inverse():
