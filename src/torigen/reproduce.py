@@ -3,7 +3,11 @@
 Each row recomputes one value of the paper (a class, an s- or Chern-number
 table, a sigma-coefficient block, a count of admissible sign systems) by
 localization, by divided differences or by the sign search, and compares it
-exactly with the published value.
+exactly with the published value. A row is its name and a function that
+returns (ok, shown value): _row(computation, published value) shows str of
+what it computed, _class and _table are its forms for a class and for a
+{key: number} table, and the few rows that show something else are
+functions of their own.
 """
 
 import json
@@ -11,6 +15,11 @@ from fractions import Fraction
 
 from . import character, divdiff, genus, rootdata, stablex
 from .cobordism import CobordismPoly
+
+
+def _fp(descriptor, structure=None):
+    """The fixed-point table of a grammar space, in a preset structure."""
+    return rootdata.fixed_point_weights(rootdata.build_space(descriptor, structure=structure))
 
 
 def _times(p, q):
@@ -26,9 +35,7 @@ def _times(p, q):
 def _s6_sigma_blocks():
     """ch_U Phi(S^6) blocks rewritten in sigma_2, sigma_3 (x3 eliminated):
     {(sigma, degree): canonical text}."""
-    spec = rootdata.build_space("G2/SU(3)")
-    fp = rootdata.fixed_point_weights(spec)
-    ch = character.character_blocks(fp, 9)
+    ch = character.character_blocks(_fp("G2/SU(3)"), 9)
     # x3 = -x1 - x2: sigma_2 = -(x1^2 + x1 x2 + x2^2), sigma_3 = -x1 x2 (x1 + x2)
     s2 = {(2, 0): -1, (1, 1): -1, (0, 2): -1}
     s3 = {(2, 1): -1, (1, 2): -1}
@@ -51,192 +58,135 @@ def _s6_sigma_blocks():
     return {key: CobordismPoly(block).canonical_text() for key, block in out.items()}
 
 
+def _row(compute, published):
+    """A row that passes when compute() equals the published value exactly,
+    and shows str of what it computed."""
+    def fn():
+        got = compute()
+        return got == published, str(got)
+    return fn
+
+
+def _class(descriptor, published, structure=None):
+    """A row of the class of a grammar space by localization, in canonical text."""
+    return _row(lambda: genus.cobordism_class(_fp(descriptor, structure)).canonical_text(), published)
+
+
+def _table(compute, published):
+    """A row of a {key: number} table, compared and shown as its sorted items."""
+    return _row(lambda: sorted(compute().items()), sorted(published.items()))
+
+
+def _m10_chern(structure):
+    """The seven Chern numbers of the SU(4) quotient that the paper lists, in its order."""
+    table = genus.chern_numbers(_fp(rootdata.M10_DESCRIPTOR, structure))
+    keys = [(0, 0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 1), (2, 0, 1), (1, 2), (3, 1), (5,)]
+    return tuple(table[k] for k in keys)
+
+
+def _s6_sigma_coefficients():
+    want = {
+        ("s2", 2): "-4*a1^2*a3 + 2*a1*a2^2 + 10*a1*a4 - 2*a2*a3 - 10*a5",
+        ("s2", 4): "4*a1^2*a5 - 4*a1*a2*a4 + 2*a1*a3^2 - 14*a1*a6 + 6*a2*a5 - 2*a3*a4 + 14*a7",
+        ("s2", 6): ("-4*a1^2*a7 + 4*a1*a2*a6 - 4*a1*a3*a5 + 2*a1*a4^2 + 18*a1*a8 - 10*a2*a7"
+                    " + 6*a3*a6 - 2*a4*a5 - 18*a9"),
+        ("s3", 6): ("6*a1^2*a7 - 6*a1*a2*a6 - 6*a1*a3*a5 + 6*a1*a4^2 + 6*a2^2*a5 - 6*a2*a3*a4"
+                    " + 2*a3^3 - 6*a1*a8 - 6*a2*a7 + 12*a3*a6 - 6*a4*a5 + 6*a9"),
+    }
+    return _s6_sigma_blocks() == want, "4 blocks"
+
+
+def _s6_stable_non_j_trivial():
+    spec = rootdata.build_space("G2/SU(3)")
+    bad = []
+    for sol in stablex.enumerate_feasible(spec):
+        if sol.table in (((1, 1, 1), (1, 1, 1)), ((-1, -1, -1), (-1, -1, -1))):
+            continue
+        cls = genus.cobordism_class(stablex.derived_fixed_point_data(spec, sol))
+        if not cls.is_zero():
+            bad.append(sol.table)
+    return not bad, "all trivial" if not bad else str(bad)
+
+
+def _flag_methods_agree_n4():
+    a = divdiff.flag_class(4, "corL")
+    b = divdiff.flag_class(4, "tchi")
+    c = divdiff.flag_class(4, "thm8")
+    d = genus.cobordism_class(_fp("U(4)/T4"))
+    return a == b == c == d, "4 routes"
+
+
+def _flag_vanishing_n4():
+    rep = divdiff.flag_vanishing_checks(4)
+    return rep["ok"], json.dumps(rep, sort_keys=True)
+
+
+def _flag_p_delta():
+    p = divdiff.flag_P_polynomials(3, (2, 1, 0)).canonical_text()
+    q = divdiff.flag_P_polynomials(3, (2, 0, 1)).canonical_text()
+    return "%s ; %s" % (p, q)
+
+
+def _cpn_sn():
+    got = []
+    for n in range(1, 6):
+        table = genus.s_numbers(_fp("CP%d" % n))
+        got.append(table[(0,) * (n - 1) + (1,)])
+    return got
+
+
+def _cp3_nonstandard_s3():
+    spec = rootdata.build_space("CP3")
+    assign = stablex.SignAssignment(
+        ((1, 1, 1), (1, 1, -1), (1, 1, -1), (1, 1, -1)), -1)
+    fp = stablex.derived_fixed_point_data(spec, assign)
+    signs = tuple(pt.sign for pt in fp)
+    s3 = genus.s_numbers(fp)[(0, 0, 1)]
+    # %s, not %d, which would print a fraction truncated: the row compares this text
+    return "signs=%s s3=%s" % (signs, s3)
+
+
 def _reproduce_rows():
-    """(name, fn) pairs; fn returns (ok, shown-value) with exact comparisons."""
-    rows = []
-
-    def row(name):
-        def deco(fn):
-            rows.append((name, fn))
-            return fn
-        return deco
-
-    def cls_of(descriptor, structure=None):
-        spec = rootdata.build_space(descriptor, structure=structure)
-        return genus.cobordism_class(rootdata.fixed_point_weights(spec))
-
-    @row("CP1-class")
-    def _():
-        got = cls_of("CP1").canonical_text()
-        return got == "2*a1", got
-
-    @row("U3T3-class")
-    def _():
-        got = cls_of("U(3)/T3").canonical_text()
-        return got == "6*a1^3 + 6*a1*a2 - 6*a3", got
-
-    @row("U3T3-operator-L-route")
-    def _():
-        got = divdiff.flag_class(3).canonical_text()
-        return got == "6*a1^3 + 6*a1*a2 - 6*a3", got
-
-    @row("U3T3-chern")
-    def _():
-        spec = rootdata.build_space("U(3)/T3")
-        table = genus.chern_numbers(rootdata.fixed_point_weights(spec))
-        want = {(0, 0, 1): 6, (1, 1): 24, (3,): 48}
-        return table == want, str(sorted(table.items()))
-
-    @row("G42-class")
-    def _():
-        got = cls_of("U(4)/U(2)xU(2)").canonical_text()
-        want = "6*a1^4 + 24*a1^2*a2 + 4*a1*a3 + 14*a2^2 - 20*a4"
-        return got == want, got
-
-    @row("G42-s-table")
-    def _():
-        spec = rootdata.build_space("U(4)/U(2)xU(2)")
-        got = genus.s_numbers(rootdata.fixed_point_weights(spec))
-        want = {(4,): 6, (2, 1): 24, (0, 2): 14, (1, 0, 1): 4, (0, 0, 0, 1): -20}
-        return got == want, str(sorted(got.items()))
-
-    @row("G42-chern")
-    def _():
-        spec = rootdata.build_space("U(4)/U(2)xU(2)")
-        table = genus.chern_numbers(rootdata.fixed_point_weights(spec))
-        want = {(0, 0, 0, 1): 6, (1, 0, 1): 48, (0, 2): 98, (2, 1): 224, (4,): 512}
-        return table == want, str(sorted(table.items()))
-
-    @row("G42-s4-numeric")
-    def _():
-        spec = rootdata.build_space("U(4)/U(2)xU(2)")
-        got = genus.s_number_numeric(rootdata.fixed_point_weights(spec), (0, 0, 0, 1), (1, 2, 3, 4))
-        return got == -20, str(got)
-
-    @row("G42-Q-delta")
-    def _():
-        got = divdiff.grassmann_Q_polynomials(2, 2, (3, 2, 1, 0)).canonical_text()
-        return got == "a1^4 - 4*a1*a3 + 4*a2^2", got
-
-    m10_class = {
-        "J1": "12*a1^5 + 48*a1^3*a2 - 20*a1^2*a3 + 28*a1*a2^2 - 40*a1*a4 - 8*a2*a3 + 20*a5",
-        "J2": "12*a1^5 + 48*a1^3*a2 - 20*a1^2*a3 + 28*a1*a2^2 - 40*a1*a4 + 32*a2*a3 - 20*a5",
-        "J3": "12*a1^5 - 48*a1^3*a2 + 60*a1^2*a3 + 28*a1*a2^2 - 40*a1*a4 - 48*a2*a3 + 60*a5",
-    }
-    m10_chern = {
-        "J1": (12, 108, 292, 612, 1028, 2148, 4500),
-        "J2": (12, 108, 292, 612, 1068, 2268, 4860),
-        "J3": (12, 12, 4, 20, -4, -4, -20),
-    }
-    m10_keys = [(0, 0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 1), (2, 0, 1), (1, 2), (3, 1), (5,)]
-
-    def m10_rows(name):
-        @row("M10-%s-class" % name)
-        def _():
-            spec = rootdata.build_space(rootdata.M10_DESCRIPTOR, structure=name)
-            got = genus.cobordism_class(rootdata.fixed_point_weights(spec)).canonical_text()
-            return got == m10_class[name], got
-
-        @row("M10-%s-chern" % name)
-        def _():
-            spec = rootdata.build_space(rootdata.M10_DESCRIPTOR, structure=name)
-            table = genus.chern_numbers(rootdata.fixed_point_weights(spec))
-            got = tuple(table[k] for k in m10_keys)
-            return got == m10_chern[name], str(got)
-
-    for name in ("J1", "J2", "J3"):
-        m10_rows(name)
-
-    @row("S6-class")
-    def _():
-        got = cls_of("G2/SU(3)").canonical_text()
-        return got == "2*a1^3 - 6*a1*a2 + 6*a3", got
-
-    @row("S6-sigma-coefficients")
-    def _():
-        want = {
-            ("s2", 2): "-4*a1^2*a3 + 2*a1*a2^2 + 10*a1*a4 - 2*a2*a3 - 10*a5",
-            ("s2", 4): "4*a1^2*a5 - 4*a1*a2*a4 + 2*a1*a3^2 - 14*a1*a6 + 6*a2*a5 - 2*a3*a4 + 14*a7",
-            ("s2", 6): ("-4*a1^2*a7 + 4*a1*a2*a6 - 4*a1*a3*a5 + 2*a1*a4^2 + 18*a1*a8 - 10*a2*a7"
-                        " + 6*a3*a6 - 2*a4*a5 - 18*a9"),
-            ("s3", 6): ("6*a1^2*a7 - 6*a1*a2*a6 - 6*a1*a3*a5 + 6*a1*a4^2 + 6*a2^2*a5 - 6*a2*a3*a4"
-                        " + 2*a3^3 - 6*a1*a8 - 6*a2*a7 + 12*a3*a6 - 6*a4*a5 + 6*a9"),
-        }
-        return _s6_sigma_blocks() == want, "4 blocks"
-
-    @row("S6-stable-count")
-    def _():
-        sols = stablex.enumerate_feasible(rootdata.build_space("G2/SU(3)"))
-        return len(sols) == 10, str(len(sols))
-
-    @row("S6-stable-nonJ-trivial")
-    def _():
-        spec = rootdata.build_space("G2/SU(3)")
-        bad = []
-        for sol in stablex.enumerate_feasible(spec):
-            if sol.table in (((1, 1, 1), (1, 1, 1)), ((-1, -1, -1), (-1, -1, -1))):
-                continue
-            cls = genus.cobordism_class(stablex.derived_fixed_point_data(spec, sol))
-            if not cls.is_zero():
-                bad.append(sol.table)
-        return not bad, "all trivial" if not bad else str(bad)
-
-    @row("flag-s80")
-    def _():
-        got = divdiff.flag_class(4).coeff((1, 0, 0, 0, 1, 0))
-        return got == 80, str(got)
-
-    @row("flag-methods-agree-n4")
-    def _():
-        a = divdiff.flag_class(4, "corL")
-        b = divdiff.flag_class(4, "tchi")
-        c = divdiff.flag_class(4, "thm8")
-        spec = rootdata.build_space("U(4)/T4")
-        d = genus.cobordism_class(rootdata.fixed_point_weights(spec))
-        return a == b == c == d, "4 routes"
-
-    @row("flag-even-n4")
-    def _():
-        rep = divdiff.flag_vanishing_checks(4)
-        return rep["even_chern"]["ok"], str(rep["even_chern"])
-
-    @row("flag-vanishing-n4")
-    def _():
-        rep = divdiff.flag_vanishing_checks(4)
-        return rep["ok"], json.dumps(rep, sort_keys=True)
-
-    @row("flag-P-delta")
-    def _():
-        p = divdiff.flag_P_polynomials(3, (2, 1, 0)).canonical_text()
-        q = divdiff.flag_P_polynomials(3, (2, 0, 1)).canonical_text()
-        ok = p == "a1^3 - a1*a2 - 3*a3" and q == "-a1^3 - 5*a1*a2 - 3*a3"
-        return ok, "%s ; %s" % (p, q)
-
-    @row("CPn-sn")
-    def _():
-        got = []
-        for n in range(1, 6):
-            spec = rootdata.build_space("CP%d" % n)
-            table = genus.s_numbers(rootdata.fixed_point_weights(spec))
-            got.append(table[(0,) * (n - 1) + (1,)])
-        return got == [2, 3, 4, 5, 6], str(got)
-
-    @row("CP3-nonstandard-s3")
-    def _():
-        spec = rootdata.build_space("CP3")
-        assign = stablex.SignAssignment(
-            ((1, 1, 1), (1, 1, -1), (1, 1, -1), (1, 1, -1)), -1)
-        fp = stablex.derived_fixed_point_data(spec, assign)
-        signs = tuple(pt.sign for pt in fp)
-        s3 = genus.s_numbers(fp)[(0, 0, 1)]
-        return signs == (-1, 1, 1, 1) and s3 == -2, "signs=%s s3=%d" % (signs, s3)
-
-    @row("CP3-admissible-16")
-    def _():
-        sols = stablex.enumerate_feasible(rootdata.build_space("CP3"))
-        return len(sols) == 16, str(len(sols))
-
-    return rows
+    """(name, fn) pairs in table order; fn returns (ok, shown value). Building
+    the list computes nothing, so a row that raises is one crashed row."""
+    g42, m10, s6 = "U(4)/U(2)xU(2)", rootdata.M10_DESCRIPTOR, "G2/SU(3)"
+    return [
+        ("CP1-class", _class("CP1", "2*a1")),
+        ("U3T3-class", _class("U(3)/T3", "6*a1^3 + 6*a1*a2 - 6*a3")),
+        ("U3T3-operator-L-route", _row(lambda: divdiff.flag_class(3).canonical_text(),
+                                       "6*a1^3 + 6*a1*a2 - 6*a3")),
+        ("U3T3-chern", _table(lambda: genus.chern_numbers(_fp("U(3)/T3")),
+                              {(0, 0, 1): 6, (1, 1): 24, (3,): 48})),
+        ("G42-class", _class(g42, "6*a1^4 + 24*a1^2*a2 + 4*a1*a3 + 14*a2^2 - 20*a4")),
+        ("G42-s-table", _table(lambda: genus.s_numbers(_fp(g42)),
+                               {(4,): 6, (2, 1): 24, (0, 2): 14, (1, 0, 1): 4, (0, 0, 0, 1): -20})),
+        ("G42-chern", _table(lambda: genus.chern_numbers(_fp(g42)),
+                             {(0, 0, 0, 1): 6, (1, 0, 1): 48, (0, 2): 98, (2, 1): 224, (4,): 512})),
+        ("G42-s4-numeric", _row(lambda: genus.s_number_numeric(_fp(g42), (0, 0, 0, 1), (1, 2, 3, 4)), -20)),
+        ("G42-Q-delta", _row(lambda: divdiff.grassmann_Q_polynomials(2, 2, (3, 2, 1, 0)).canonical_text(),
+                             "a1^4 - 4*a1*a3 + 4*a2^2")),
+        ("M10-J1-class", _class(m10, "12*a1^5 + 48*a1^3*a2 - 20*a1^2*a3 + 28*a1*a2^2 - 40*a1*a4"
+                                     " - 8*a2*a3 + 20*a5", "J1")),
+        ("M10-J1-chern", _row(lambda: _m10_chern("J1"), (12, 108, 292, 612, 1028, 2148, 4500))),
+        ("M10-J2-class", _class(m10, "12*a1^5 + 48*a1^3*a2 - 20*a1^2*a3 + 28*a1*a2^2 - 40*a1*a4"
+                                     " + 32*a2*a3 - 20*a5", "J2")),
+        ("M10-J2-chern", _row(lambda: _m10_chern("J2"), (12, 108, 292, 612, 1068, 2268, 4860))),
+        ("M10-J3-class", _class(m10, "12*a1^5 - 48*a1^3*a2 + 60*a1^2*a3 + 28*a1*a2^2 - 40*a1*a4"
+                                     " - 48*a2*a3 + 60*a5", "J3")),
+        ("M10-J3-chern", _row(lambda: _m10_chern("J3"), (12, 12, 4, 20, -4, -4, -20))),
+        ("S6-class", _class(s6, "2*a1^3 - 6*a1*a2 + 6*a3")),
+        ("S6-sigma-coefficients", _s6_sigma_coefficients),
+        ("S6-stable-count", _row(lambda: len(stablex.enumerate_feasible(rootdata.build_space(s6))), 10)),
+        ("S6-stable-nonJ-trivial", _s6_stable_non_j_trivial),
+        ("flag-s80", _row(lambda: divdiff.flag_class(4).coeff((1, 0, 0, 0, 1, 0)), 80)),
+        ("flag-methods-agree-n4", _flag_methods_agree_n4),
+        ("flag-even-n4", _row(lambda: divdiff.flag_vanishing_checks(4)["even_chern"], {"ok": True})),
+        ("flag-vanishing-n4", _flag_vanishing_n4),
+        ("flag-P-delta", _row(_flag_p_delta, "a1^3 - a1*a2 - 3*a3 ; -a1^3 - 5*a1*a2 - 3*a3")),
+        ("CPn-sn", _row(_cpn_sn, [2, 3, 4, 5, 6])),
+        ("CP3-nonstandard-s3", _row(_cp3_nonstandard_s3, "signs=(-1, 1, 1, 1) s3=-2")),
+        ("CP3-admissible-16", _row(lambda: len(stablex.enumerate_feasible(rootdata.build_space("CP3"))), 16)),
+    ]
 
 
 def reproduce_table():

@@ -25,7 +25,6 @@ signed roots.
 """
 
 from collections import namedtuple
-from math import gcd
 from operator import mul
 import re
 
@@ -37,10 +36,6 @@ class ParseError(SpaceGrammarError):
 
 
 class UnsupportedGroup(SpaceGrammarError):
-    pass
-
-
-class NonPrimitiveWeight(Exception):
     pass
 
 
@@ -85,12 +80,29 @@ class SpaceSpec:
         return "SpaceSpec(%s, signs=%s)" % (self.descriptor, ",".join("%+d" % s for s in self.signs))
 
 
+# class --space CPn, start-up included, on a 2-vCPU VM: 1.4 s at n = 20,
+# 1.8 s and 68 MB at 21, 2.6 s at 22, 5.0 s at 23, 9.1 s at 24, 14 s and
+# 333 MB at 25, most of it in symmfunc.transition_table(n); U(7)/T7, also
+# n = 21, takes 11 s. CP40 did not finish in 20 s.
+SPACE_N_LIMIT = 21
+
+
+def _check_dimension(descriptor, k, squares):
+    """ValueError when U(k)/U(k_1)x...xU(k_m), squares = sum k_i^2, has
+    complex dimension (k^2 - squares)/2 above SPACE_N_LIMIT; it reads the
+    block sizes alone, so nothing of length k is built first."""
+    n = (k * k - squares) // 2
+    if n > SPACE_N_LIMIT:
+        raise ValueError("the dimension of %s must be at most %d, got %d" % (descriptor, SPACE_N_LIMIT, n))
+
+
 def _unitary(descriptor, sizes):
     """U(k)/U(k_1)x...xU(k_m), the blocks contiguous in x_1..x_k: the simple
     roots x_i - x_{i+1}, each its own coroot; those inside a block are H's,
     and the complementary roots x_i - x_j, i < j in different blocks, come in
     lex order."""
     k = sum(sizes)
+    _check_dimension(descriptor, k, sum(s * s for s in sizes))
     owner = [b for b, size in enumerate(sizes) for _ in range(size)]
 
     def root(i, j):
@@ -114,7 +126,8 @@ def build_space(text, structure=None, signs=None):
     """Parse a space descriptor and install structure signs (default all +1).
 
     Grammar: U(n)/U(k1)x...xU(km) with sum k_i = n; U(n)/Tn; CPn;
-    SU(4)/S(U(1)xU(1)xU(2)); G2/SU(3).
+    SU(4)/S(U(1)xU(1)xU(2)); G2/SU(3). A space of complex dimension above
+    SPACE_N_LIMIT is a ValueError.
     """
     descriptor = text.replace(" ", "")
     if not descriptor:
@@ -145,6 +158,7 @@ def build_space(text, structure=None, signs=None):
         rank = int(m.group(1))
         sub = m.group(2)
         if sub == "T%d" % rank:
+            _check_dimension(descriptor, rank, rank)
             sizes = [1] * rank
         else:
             sizes = []
@@ -232,15 +246,12 @@ def fixed_point_weights(spec):
     """Weight table (Lambda_j(w))_j at every fixed point.
 
     Weights at the coset of w are w applied to the signed complementary roots.
-    w is an automorphism of the weight lattice, so they are primitive
-    exactly when the roots are, which is checked once.
+    w is an automorphism of the weight lattice, and every root of the
+    grammar is primitive and every sign +-1, so the weights are primitive.
     An invariant structure carries its own orientation, so signs are +1; the
     conjugate preset is expressed in the standard structure's orientation,
     where reversing all n weight lines contributes (-1)^n per point.
     """
     signed = spec.signed_roots()
-    for root in signed:
-        if gcd(*root) != 1:
-            raise NonPrimitiveWeight("weight %s has common factor %d" % (root, gcd(*root)))
     sign = -1 if spec.structure_name == "conjugate" and spec.n % 2 == 1 else 1
     return [FixedPoint(rep, weights, sign) for rep, weights in _walk(spec, signed)]

@@ -402,6 +402,33 @@ def test_reproduce_verb_counts_failed_and_crashed_rows(capsys, monkeypatch):
     assert out.splitlines()[-1] == "1/1 rows pass"
 
 
+def test_reproduce_rows_compare_exactly():
+    # the comparator: pass only on an exact match, show str of the value
+    assert reproduce._row(lambda: Fraction(4, 2), 2)() == (True, "2")
+    assert reproduce._row(lambda: Fraction(5, 2), 2)() == (False, "5/2")
+    assert reproduce._class("CP1", "2*a1")() == (True, "2*a1")
+    assert reproduce._class("CP1", "2*a1", "conjugate")() == (False, "-2*a1")
+    # a table compares and shows its sorted items, so a missing key fails
+    assert reproduce._table(lambda: {(2,): 1, (1,): 3}, {(1,): 3, (2,): 1})() == (True, "[((1,), 3), ((2,), 1)]")
+    assert reproduce._table(lambda: {(1,): 3}, {(1,): 3, (2,): 0})() == (False, "[((1,), 3)]")
+
+
+def test_reproduce_rows_compute_nothing_until_run(monkeypatch):
+    # every engine call raises: building the row list must still succeed, and
+    # each row must then fail on its own
+    class Offline:
+        def __getattr__(self, name):
+            def call(*args, **kwargs):
+                raise RuntimeError("%s called" % name)
+            return call
+    for module in ("character", "divdiff", "genus", "rootdata", "stablex"):
+        monkeypatch.setattr(reproduce, module, Offline())
+    assert len(reproduce._reproduce_rows()) == 27
+    ok, rows = reproduce_table()
+    assert not ok and len(rows) == 27
+    assert all(not row_ok and shown.startswith("RuntimeError: ") for _, row_ok, shown in rows)
+
+
 def test_reproduce_table_passes():
     ok, rows = reproduce_table()
     assert [name for name, row_ok, _ in rows if not row_ok] == []

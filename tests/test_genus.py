@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torigen import character, genus, residues
+from torigen import CheckFailure, character, genus, residues
 from torigen.character import block_coefficient, character_blocks, genus_report, weyl_invariance_failure
 from torigen.chern import chern_to_s, s_to_chern
 from torigen.cli import main
@@ -503,9 +503,14 @@ def test_evaluator_beyond_symbolic_reach(text):
 def test_certificate_rejects_non_primitive_weight():
     fp = fp_of("CP2")
     w0 = fp[0].weights
-    doubled = [FixedPoint(fp[0].rep, (tuple(2 * c for c in w0[0]),) + w0[1:], fp[0].sign)]
+    doubled = [FixedPoint(fp[0].rep, (tuple(2 * c for c in w0[0]),) + w0[1:], fp[0].sign)] + list(fp[1:])
     assert _pole_free(line_sums(fp))
-    assert not _pole_free(line_sums(doubled + list(fp[1:])))
+    assert not _pole_free(line_sums(doubled))
+    # no grammar space or --signs structure has such a weight, as every root
+    # is primitive; library input that does is refused by the residues (exit 1)
+    for engine in (chern_numbers, s_numbers, cobordism_class):
+        with pytest.raises(CheckFailure, match="the residues need primitive weights on distinct lines"):
+            engine(doubled)
 
 
 def test_certificate_rejects_repeated_line():

@@ -1,6 +1,6 @@
 """Pinned CLI output of class, snumbers and chern on the localization ladder,
 of verify, genus and stable on a few spaces, of the divided-difference
-routes flag and grassmann, and of the formal group law fgl.
+routes flag and grassmann, of the formal group law fgl and of reproduce.
 
 Each case records stdout, stderr and the exit code of one command, in text
 and JSON; file arguments are relative to this directory. The file golden_localize.json was written by running this module
@@ -101,6 +101,11 @@ EXTRA = [
     ("grassmann", "--q", "3", "--l", "3"),
     # the formal group law; higher orders are pinned by digest below
     *(("fgl", "--trunc", str(t)) for t in range(1, 9)),
+    # the published value table, every row's shown value
+    ("reproduce",),
+    # above rootdata.SPACE_N_LIMIT: refused before the root datum is built
+    ("class", "--space", "CP99999999999"),
+    ("class", "--space", "CP40"),
 ]
 
 # U(3)/T3 lists 4372 tables, too many for the golden file: pin the sha256 and

@@ -2,13 +2,16 @@
 
 import hashlib
 import random
+import re
 from operator import mul
 import time
 
 import pytest
 
+from torigen import SpaceGrammarError
 from torigen.rootdata import (
     M10_DESCRIPTOR,
+    SPACE_N_LIMIT,
     ParseError,
     SpaceSpec,
     UnsupportedGroup,
@@ -73,6 +76,27 @@ def test_projective_and_subgroup_grammar_errors():
         build_space("U(3)/U(2)xT1")
     with pytest.raises(ParseError, match=r"bad subgroup factor 'V\(1\)'"):
         build_space("U(3)/U(2)xV(1)")
+
+
+def test_dimension_is_bounded_before_the_datum_is_built():
+    # n = (k^2 - sum k_i^2)/2 is read off the block sizes, so a rank of 10^11
+    # is refused at once instead of building lists of its length; the error
+    # is a usage error of one line, not a grammar error
+    for text in ("CP21", "U(7)/T7", "U(7)/U(1)xU(6)", "U(8)/U(1)xU(7)"):
+        assert build_space(text).n <= SPACE_N_LIMIT == 21
+    big = 99999999999
+    for text, n in (("CP22", 22), ("CP40", 40), ("U(8)/T8", 28), ("U(12)/U(6)xU(6)", 36), ("CP%d" % big, big),
+                    ("U(%d)/T%d" % (big, big), big * (big - 1) // 2),
+                    ("U(%d)/U(%d)xU(1)" % (big, big - 1), big - 1)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape("the dimension of %s must be at most 21, got %d"
+                                                       % (text, n))) as exc:
+            build_space(text)
+        assert time.perf_counter() - start < 1.0
+        assert not isinstance(exc.value, SpaceGrammarError)
+    # blocks that do not sum to the rank are still a grammar error first
+    with pytest.raises(ParseError, match="subgroup blocks sum to 2, expected %d" % big):
+        build_space("U(%d)/U(1)xU(1)" % big)
 
 
 def test_euler_characteristic_counts_cosets():
