@@ -4,7 +4,7 @@ ch Phi = sum_p sign(p) prod_j f(<Lambda_j(p), x>) / <Lambda_j(p), x> is read
 by point evaluation alone. Once genus.check_poles has shown that its blocks
 have no poles, block a^omega is a homogeneous polynomial of degree
 d = ||omega|| - n in x, where 2n is the real dimension, and character_blocks
-interpolates it exactly from its values on residues.lattice's determining
+interpolates it exactly from its values on genus.lattice's determining
 set, which the a-series product prod_j (1 + sum_i a_i c_j^i) at each fixed
 point gives (point_blocks). The blocks are plain {exponent: coefficient}
 dicts, and the Weyl check, verify, genus and reproduce read them.
@@ -26,7 +26,16 @@ from . import genus, residues
 from .chern import chern_to_s
 from .cobordism import CobordismPoly
 from .rootdata import fixed_point_weights, reflect
-from .symmfunc import omega_weight
+from .symmfunc import omega_weight, omegas_of_weight, pad
+
+# verify, one run each, start-up included, on a 2-vCPU Xeon VM, against the cost
+# k * chi * n * N(n + 1) of check_cost: 0.28 s at CP12 (7.6e5), 0.36 s at
+# U(5)/T5 (1.2e6), 1.3 s at CP15 (3.5e6), 5.5 s at CP18 (1.4e7), 6.3 s at
+# U(6)/U(2)xT4 (2.1e7), 15 s at CP20 (3.1e7), 25 s and 100 MB at CP21
+# (4.6e7), 21 s and 121 MB at U(6)/T6 (5.9e7), and 37 s and 140 MB at
+# U(8)/U(5)xT3 (1.01e8, just past the limit); 0.3-0.55 us per unit, rising
+# with n. U(7)/T7 (3.3e9) would take about half an hour.
+CHARACTER_COST_LIMIT = 10 ** 8
 
 
 def _falling(corner, b):
@@ -41,13 +50,13 @@ def _falling(corner, b):
 def _interpolate(values, corner, d):
     """{e: d! * coefficient} of the polynomial r of degree <= d in
     len(corner) variables whose values at corner + alpha, alpha over
-    residues.simplex, are the ints values. Its Newton form on the nodes
+    genus.simplex, are the ints values. Its Newton form on the nodes
     corner_i + j has the coefficients Delta^beta r(corner) / beta!: forward
     differences taken one axis at a time (the system is triangular on the
     simplex, which holds every point below one of its own), scaled to d!
     over beta!, an int, then expanded into monomials one axis at a time."""
     dims = len(corner)
-    f = dict(zip(residues.simplex(dims, d), values))
+    f = dict(zip(genus.simplex(dims, d), values))
     for i in range(dims):
         for s in range(1, d + 1):
             for alpha in sorted((a for a in f if a[i] >= s), key=lambda a: -a[i]):
@@ -82,7 +91,7 @@ def character_blocks(fp, order, sums=None):
     block with ||omega|| <= order has a pole, so the blocks below n vanish
     and these are polynomials.
 
-    Block p is read at residues.lattice's determining set of degree d on
+    Block p is read at genus.lattice's determining set of degree d on
     every coordinate, whose last coordinate is held at s: p(z, s) is a
     polynomial of degree <= d in the other k - 1 coordinates whose z^e'
     coefficient is that of x^(e', d - |e'|) times s^(d - |e'|). It is
@@ -93,7 +102,7 @@ def character_blocks(fp, order, sums=None):
         raise ValueError("order %d below dimension grade %d" % (order, n))
     genus.check_poles(fp, order, sums)
     k = len(fp[0].weights[0])
-    points = residues.lattice([w for pt in fp for w in pt.weights], range(k), k, order - n)
+    points = genus.lattice([w for pt in fp for w in pt.weights], range(k), k, order - n)
     read = [point_blocks(fp, z, order) for z in points(order - n)]
     G = lcm(*(common for common, _ in read))
     *corner, s = points(0)[0]
@@ -148,7 +157,7 @@ def weyl_invariance_failure(spec, ch):
                     continue
                 moved = _value(block, image)
                 if moved != value:
-                    return {"omega": list(om) + [0] * (spec.n - len(om)), "reflection": index,
+                    return {"omega": pad(om, spec.n), "reflection": index,
                             "point": list(point), "block_at_p": str(value), "block_at_sp": str(moved)}
     return None
 
@@ -163,11 +172,25 @@ def _check_lines(checks, evidence):
     return lines
 
 
+def check_cost(spec, fp):
+    """ValueError when the character at order n + 1, which verify and genus
+    read, costs more than CHARACTER_COST_LIMIT: k * chi * n * N(n + 1), as
+    character_blocks reads the a-series products of n factors, each over
+    the N(n + 1) omegas of weight at most n + 1, at the chi fixed points
+    for each of its k points. The fixed points alone give every factor."""
+    n = spec.n
+    cost = len(fp[0].weights[0]) * len(fp) * n * sum(len(omegas_of_weight(w)) for w in range(n + 2))
+    if cost > CHARACTER_COST_LIMIT:
+        raise ValueError("the cost k*chi*n*N(n+1) of the character of %s must be at most %d, got %d"
+                         % (spec.descriptor, CHARACTER_COST_LIMIT, cost))
+
+
 def genus_report(spec):
     """Full result bundle for a space: the report (class, s-table and
     consistency checks) and the class as a CobordismPoly. The Weyl check
-    reads the character at order n + 1."""
+    reads the character at order n + 1; check_cost bounds it first."""
     fp = fixed_point_weights(spec)
+    check_cost(spec, fp)
     n = spec.n
     # one certificate for both checks
     sums = genus.line_sums(fp)
@@ -175,13 +198,13 @@ def genus_report(spec):
     # the blocks exist only where no block has a pole, so a report exists
     # only if the vanishing check holds
     ch = character_blocks(fp, n + 1, sums)
-    rows = [(list(om) + [0] * (n - len(om)), val) for om, val in sorted(stable.items())]
+    rows = genus.s_table(stable, n)
     failure = weyl_invariance_failure(spec, ch)
     report = {
         "space": spec.descriptor,
         "structure": genus.structure_label(spec),
-        "class": [{"omega": om, "coeff": str(val)} for om, val in rows if val],
-        "s_numbers": [{"omega": om, "value": val} for om, val in rows],
+        "class": [{"omega": row["omega"], "coeff": str(row["value"])} for row in rows if row["value"]],
+        "s_numbers": rows,
         "checks": {"vanishing": True, "weyl_invariance": failure is None},
     }
     if failure:
@@ -194,16 +217,17 @@ def cmd_genus(args):
     report, cls = genus_report(_build_space(args))
     lines = ["space: %s  structure: %s" % (report["space"], report["structure"]),
              "class: %s" % cls.canonical_text()]
-    lines += ["s_%s = %d" % (row["omega"], row["value"]) for row in report["s_numbers"]]
+    lines += genus.s_lines(report["s_numbers"])
     lines += _check_lines(report["checks"], report.get("evidence", {}))
     _emit(args, "\n".join(lines), report)
     return 0 if all(report["checks"].values()) else 1
 
 
 def cmd_verify(args):
-    from .cli import _build_space, _emit, _pad
+    from .cli import _build_space, _emit
     spec = _build_space(args)
     fp = fixed_point_weights(spec)
+    check_cost(spec, fp)
     n = len(fp[0].weights)
     checks = {}
     # a sum with poles fails here as in class, naming its first such block;
@@ -227,7 +251,7 @@ def cmd_verify(args):
     bad = [om for om in sorted(table) if cls.coeff(om) != table[om]]
     checks["class_matches_s"] = not bad
     if bad:
-        evidence["class_matches_s"] = {"omega": list(_pad(bad[0], n)), "symbolic": str(cls.coeff(bad[0])),
+        evidence["class_matches_s"] = {"omega": pad(bad[0], n), "symbolic": str(cls.coeff(bad[0])),
                                        "point": str(table[bad[0]])}
     # c_n[M] = sum_p sign(p): -chi for a conjugate structure of odd n
     c_n, signs = table.get((n,), 0), sum(pt.sign for pt in fp)
@@ -242,7 +266,7 @@ def cmd_verify(args):
     bad = [xi for xi in sorted(set(chern) | set(second)) if chern.get(xi) != second.get(xi)]
     checks["numeric_agreement"] = not bad
     if bad:
-        evidence["numeric_agreement"] = {"xi": list(_pad(bad[0], n)), "default_point": str(chern.get(bad[0])),
+        evidence["numeric_agreement"] = {"xi": pad(bad[0], n), "default_point": str(chern.get(bad[0])),
                                          "second_point": str(second.get(bad[0]))}
     ok = all(checks.values())
     lines = _check_lines(checks, evidence)

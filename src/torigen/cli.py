@@ -89,20 +89,6 @@ def _emit(args, text, data):
         print(text)
 
 
-def _pad(omega, n):
-    return tuple(omega) + (0,) * (n - len(omega))
-
-
-def _chern_label(xi):
-    parts = []
-    for i, d in enumerate(xi):
-        if d == 1:
-            parts.append("c%d" % (i + 1))
-        elif d > 1:
-            parts.append("c%d^%d" % (i + 1, d))
-    return "*".join(parts) if parts else "1"
-
-
 def cmd_class(args):
     from . import genus, rootdata
     spec = _build_space(args)
@@ -137,22 +123,22 @@ def cmd_snumbers(args):
         value = table.get(trim(omega), 0)
         _emit(args, str(value), {"omega": list(omega), "value": value})
         return 0
-    rows = [(list(_pad(om, n)), v) for om, v in sorted(table.items())]
-    text = "\n".join("s_%s = %d" % (om, v) for om, v in rows)
-    _emit(args, text, {"space": spec.descriptor, "s_numbers": [{"omega": om, "value": v} for om, v in rows]})
+    rows = genus.s_table(table, n)
+    _emit(args, "\n".join(genus.s_lines(rows)), {"space": spec.descriptor, "s_numbers": rows})
     return 0
 
 
 def cmd_chern(args):
     from . import genus, rootdata
+    from .cobordism import CobordismPoly
+    from .symmfunc import pad
     spec = _build_space(args)
     fp = rootdata.fixed_point_weights(spec)
     n = len(fp[0].weights)
     table = genus.chern_numbers(fp)
     rows = [(xi, table[xi]) for xi in sorted(table)]
-    text = "\n".join("%s = %d" % (_chern_label(_pad(xi, n)), v) for xi, v in rows)
-    _emit(args, text, {"space": spec.descriptor,
-                       "chern": [{"xi": list(_pad(xi, n)), "value": v} for xi, v in rows]})
+    text = "\n".join("%s = %d" % (CobordismPoly({xi: 1}).canonical_text("c"), v) for xi, v in rows)
+    _emit(args, text, {"space": spec.descriptor, "chern": [{"xi": pad(xi, n), "value": v} for xi, v in rows]})
     return 0
 
 

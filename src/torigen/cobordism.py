@@ -132,10 +132,9 @@ class CobordismPoly:
         return max((len(e) for e in self.terms), default=0)
 
     def canonical_text(self, prefix="a"):
-        n = self.max_gen()
-        names = ["%s%d" % (prefix, i + 1) for i in range(n)]
-        padded = {e + (0,) * (n - len(e)): c for e, c in self.terms.items()}
-        return render_terms(padded, names)
+        # the trimmed keys sort as padded ones would: two of one degree
+        # differ within the shorter, as neither is a prefix of the other
+        return render_terms(self.terms, ["%s%d" % (prefix, i + 1) for i in range(self.max_gen())])
 
     def __repr__(self):
         return "CobordismPoly(%s)" % self.canonical_text()

@@ -161,7 +161,6 @@ def _read(n, pairs, order, reads, odd=(), cap=0):
     return CobordismPoly({om: value(p) - value(q) for om, (p, q) in blocks.items()})
 
 
-@lru_cache(maxsize=None)
 def flag_P_polynomials(n, xi):
     """P_xi for the flag manifold: the x^xi coefficient of prod f(x_i - x_j).
     The box is max(xi) in every coordinate, so P over an orbit of xi shares
@@ -204,7 +203,6 @@ def _grassmann_read(q, l, order, reads):
     return _read(q + l, pairs, order, [(tuple(sorted(r[:q])) + tuple(sorted(r[q:])), s) for r, s in reads])
 
 
-@lru_cache(maxsize=None)
 def grassmann_Q_polynomials(q, l, xi):
     """Q_{(q+l,l)xi}: the x^xi coefficient of Delta_q Delta_{q+1,q+l} C, read
     as C at xi - e over the monomials x^e of the base."""

@@ -19,10 +19,10 @@ off that sum here, from fixed-point data alone (Atiyah-Bott).
   decides by residues (the residues module, loaded only then): along each
   weight line whose groups do not cancel, the residue of block a^omega is
   sum_g c_g m_lambda(V_g) / prod V_g over the groups, evaluated on a
-  determining set (residues.lattice). The first block with a nonzero
-  residue, by weight and then in sorted order, is a SingularSum that names
-  the line, the point and the value; when every residue is zero, the blocks
-  are polynomials and one point gives the class.
+  determining set (lattice). The first block with a nonzero residue, by
+  weight and then in sorted order, is a SingularSum that names the line,
+  the point and the value; when every residue is zero, the blocks are
+  polynomials and one point gives the class.
 - Either failure is a FailedBlock that names the a^omega block and its
   value as text: the check of stable --assign is s_numbers itself.
 
@@ -32,12 +32,14 @@ positive degree, and this module never loads it.
 """
 
 from collections import Counter
+from functools import lru_cache
+from itertools import count
 from math import gcd, lcm, prod
 
 from . import CheckFailure
 from .chern import chern_to_s
 from .cobordism import CobordismPoly
-from .symmfunc import omegas_of_weight, trim
+from .symmfunc import omegas_of_weight, pad, trim
 
 
 class FailedBlock(CheckFailure):
@@ -219,23 +221,60 @@ def s_numbers(fp):
     return chern_to_s(chern_numbers(fp), len(fp[0].weights))
 
 
+def simplex(dims, d):
+    """The points of N^dims with coordinate sum at most d, by sum and then in
+    lexicographic order, so that those of sum at most d' < d come first."""
+    pts = [()]
+    for _ in range(dims):
+        pts = [p + (c,) for p in pts for c in range(d + 1 - sum(p))]
+    return sorted(pts, key=lambda a: (sum(a), a))
+
+
+def lattice(vectors, coords, size, top):
+    """points(d), d <= top: the determining set of degree d, lists of size
+    coordinates at which no vector of `vectors` vanishes. They are
+    m b + (alpha, 0), alpha over simplex(len(coords) - 1, d) on coords but
+    the last: b is base^r at the r-th of coords and 0 off them, base >= 2
+    the first at which no vector vanishes, and m = top * max|entry| + 1, so
+    |<v, m b>| >= m exceeds |<v, (alpha, 0)>|. They run by |alpha|: m b
+    comes first, and points(d) is a prefix of points(top).
+
+    A polynomial Q homogeneous of degree d in coords is zero exactly when it
+    is zero at points(d): with the last coordinate fixed at s != 0, Q(z', s)
+    has degree <= d in one coordinate fewer, so it is zero exactly when it
+    vanishes on a shifted simplex of degree d, and Q(z', t) = (t / s)^d
+    Q(s z' / t, s) for t != 0.
+
+    The residues' and the character's determining sets and both numeric
+    points are all built here."""
+    base = next(b for b in count(2) if all(sum(v[j] * b ** r for r, j in enumerate(coords)) for v in vectors))
+    m = top * max((abs(c) for v in vectors for c in v), default=0) + 1
+    shift = [m * base ** coords.index(j) if j in coords else 0 for j in range(size)]
+
+    @lru_cache(maxsize=None)
+    def points(d):
+        out = []
+        for alpha in simplex(len(coords) - 1, d):
+            z = list(shift)
+            for j, a in zip(coords, alpha):
+                z[j] += a
+            out.append(z)
+        return out
+    return points
+
+
 def default_numeric_point(fp):
-    """Deterministic integer point avoiding all weight hyperplanes."""
+    """m b + e_1, the last point of lattice's degree-1 set on every
+    coordinate: nonsingular, and not proportional to second_numeric_point's
+    b, so the two points give different weight values."""
     k = len(fp[0].weights[0])
-    point = tuple(range(k))
-    for _ in range(32):
-        if all(sum(c * x for c, x in zip(w, point)) for pt in fp for w in pt.weights):
-            return point
-        point = tuple(x + k for x in point)
-    raise SingularPoint("no nonsingular default point found")
+    return tuple(lattice([w for pt in fp for w in pt.weights], range(k), k, 1)(1)[-1])
 
 
 def second_numeric_point(fp):
-    """A nonsingular point (1, m, m^2, ...), m >= 2, residues.lattice's on
-    every coordinate, for a cross-check against default_numeric_point, whose
-    points all give the same weight values (every root of U(n) vanishes on
-    their step (1, ..., 1)); this one does not."""
-    from .residues import lattice
+    """b = (1, base, base^2, ...), lattice's degree-0 point on every
+    coordinate: a nonsingular point for a cross-check against
+    default_numeric_point."""
     k = len(fp[0].weights[0])
     return tuple(lattice([w for pt in fp for w in pt.weights], range(k), k, 0)(0)[0])
 
@@ -245,6 +284,17 @@ def s_number_numeric(fp, omega, point):
     the data, so inconsistent data raises the error that class raises."""
     s_numbers(fp)
     return chern_to_s(point_chern_numbers(fp, point), len(fp[0].weights))[trim(omega)]
+
+
+def s_table(table, n):
+    """An s-table as the rows {"omega": omega padded to n, "value": s}, by
+    omega: the rows that snumbers, genus and stable --assign print."""
+    return [{"omega": pad(om, n), "value": v} for om, v in sorted(table.items())]
+
+
+def s_lines(rows):
+    """The text lines "s_[...] = s" of the rows of s_table."""
+    return ["s_%s = %d" % (row["omega"], row["value"]) for row in rows]
 
 
 def structure_label(spec):

@@ -16,19 +16,18 @@ _ResidueLine decides that exactly on a determining set. The sign search
 reads the same rows at the same points: the rank of _ResidueLine is its
 proof that the group sums decide admissibility.
 
-lattice builds every determining set, also character.character_blocks'.
+The determining sets are genus.lattice's, as are character.character_blocks'.
 residue_rows reads the a-series product prod_j (1 + sum_i a_i c_j^i) over one
 common denominator, also for the character's values (character.point_blocks).
 """
 
 from collections import Counter
 from functools import lru_cache
-from itertools import count
 from math import gcd, lcm, prod
 
 from . import CheckFailure, genus
 from .cobordism import render_terms
-from .symmfunc import omega_weight, omegas_of_weight
+from .symmfunc import omega_weight, omegas_of_weight, pad
 
 
 @lru_cache(maxsize=None)
@@ -86,45 +85,6 @@ def residue_rows(keys, point, order):
     return common, {om: [vals[om] * (common // den) for den, vals in terms] for om in terms[0][1]}
 
 
-def simplex(dims, d):
-    """The points of N^dims with coordinate sum at most d, by sum and then in
-    lexicographic order, so that those of sum at most d' < d come first."""
-    pts = [()]
-    for _ in range(dims):
-        pts = [p + (c,) for p in pts for c in range(d + 1 - sum(p))]
-    return sorted(pts, key=lambda a: (sum(a), a))
-
-
-def lattice(vectors, coords, size, top):
-    """points(d), d <= top: the determining set of degree d, lists of size
-    coordinates at which no vector of `vectors` vanishes. They are
-    m b + (alpha, 0), alpha over simplex(len(coords) - 1, d) on coords but
-    the last: b is base^r at the r-th of coords and 0 off them, base >= 2
-    the first at which no vector vanishes, and m = top * max|entry| + 1, so
-    |<v, m b>| >= m exceeds |<v, (alpha, 0)>|. They run by |alpha|: m b
-    comes first, and points(d) is a prefix of points(top).
-
-    A polynomial Q homogeneous of degree d in coords is zero exactly when it
-    is zero at points(d): with the last coordinate fixed at s != 0, Q(z', s)
-    has degree <= d in one coordinate fewer, so it is zero exactly when it
-    vanishes on a shifted simplex of degree d, and Q(z', t) = (t / s)^d
-    Q(s z' / t, s) for t != 0."""
-    base = next(b for b in count(2) if all(sum(v[j] * b ** r for r, j in enumerate(coords)) for v in vectors))
-    m = top * max((abs(c) for v in vectors for c in v), default=0) + 1
-    shift = [m * base ** coords.index(j) if j in coords else 0 for j in range(size)]
-
-    @lru_cache(maxsize=None)
-    def points(d):
-        out = []
-        for alpha in simplex(len(coords) - 1, d):
-            z = list(shift)
-            for j, a in zip(coords, alpha):
-                z[j] += a
-            out.append(z)
-        return out
-    return points
-
-
 def _primitive(v):
     g = gcd(*v)
     return genus.canonical_line(tuple(c // g for c in v))[0]
@@ -141,8 +101,8 @@ class _ResidueLine:
     multiplicity in one group, it is a polynomial Q = D R, homogeneous of
     degree ||omega|| - (n - 1) + deg D in the k - 1 coordinates off i: zero
     when that is negative, and else zero exactly when it is zero on
-    lattice's set of that degree, where no key form vanishes. So R is zero
-    exactly when it is zero at points(||omega||). Each weight's rows are
+    genus.lattice's set of that degree, where no key form vanishes. So R is
+    zero exactly when it is zero at points(||omega||). Each weight's rows are
     read once, at its own points and only to that weight."""
 
     def __init__(self, line, keys, n, order):
@@ -153,8 +113,8 @@ class _ResidueLine:
             for form, mult in Counter(_primitive(v) for v in key).items():
                 need[form] = max(need[form], mult)
         self.clear = sum(need.values())
-        self.at = lattice([v for key in keys for v in key], [j for j in range(len(line)) if j != self.i],
-                          len(line), order - (n - 1) + self.clear)
+        vectors, free = [v for key in keys for v in key], [j for j in range(len(line)) if j != self.i]
+        self.at = genus.lattice(vectors, free, len(line), order - (n - 1) + self.clear)
         self.read = {}   # weight: [(point, common, {omega: row})]
 
     def points(self, weight):
@@ -170,22 +130,21 @@ class _ResidueLine:
         return self.read[weight]
 
     def rank(self):
-        """The rank of the groups' rows over the blocks with ||omega|| <= n.
-        A combination of the groups is 0 in all of them exactly when it is 0
-        on each block's rows at its own weight's set, a prefix of points(n):
-        a block of weight w reads z = points(n)[0] + alpha only where
-        |alpha| <= w - (n - 1) + clear. Reduced modulo P = 2^61 - 1, a rank
-        modulo P is that of a nonzero integer minor, so no more than the
-        exact rank. The points are read one at a time, up to full rank."""
+        """The rank of the groups' rows over the blocks with ||omega|| <= n,
+        each block's read at its own weight's points, the rows that
+        check_residues reads: a combination of the groups is 0 in all of
+        them exactly when it is 0 on these rows. The sets are prefixes of
+        points(n), so each of its points is read once, to weight n, for the
+        blocks whose set holds it, one point at a time up to full rank.
+        Reduced modulo P = 2^61 - 1, a rank modulo P is that of a nonzero
+        integer minor, so no more than the exact rank."""
         P = (1 << 61) - 1
-        points = self.points(self.n)
+        sets = [(len(self.points(w)), omegas_of_weight(w)) for w in range(self.n + 1)]
         basis = []   # (pivot, row): 1 at its pivot, 0 at the pivots before it
-        for z in points:
-            low = sum(z) - sum(points[0]) + self.n - 1 - self.clear
-            for om, row in residue_rows(self.keys, z, self.n)[1].items():
-                if omega_weight(om) < low:
-                    continue
-                row = [x % P for x in row]
+        for i, z in enumerate(self.points(self.n)):
+            rows = residue_rows(self.keys, z, self.n)[1]
+            for om in (om for size, blocks in sets if i < size for om in blocks):
+                row = [x % P for x in rows[om]]
                 for pivot, b in basis:
                     c = row[pivot]
                     if c:
@@ -238,5 +197,5 @@ def check_residues(sums, n, order):
                                          for i, c in enumerate(res.line) if c},
                                         ["x%d" % (j + 1) for j in range(len(res.line))])
                     text = "residue %s at %s on %s = 0" % (Fraction(value, common), res.on_line(z), form)
-                    padded = list(omega) + [0] * (n - len(omega))
-                    raise genus.SingularSum("block omega=%s has a pole: %s" % (padded, text), omega, text)
+                    message = "block omega=%s has a pole: %s" % (pad(omega, n), text)
+                    raise genus.SingularSum(message, omega, text)

@@ -178,14 +178,23 @@ def build_space(text, structure=None, signs=None):
     return set_structure(spec, structure=structure, signs=signs)
 
 
+def is_sign(a):
+    """a is a sign: the int +1 or -1, not a float such as 1.0, a string or a
+    bool. The one rule for --signs and for the tables of stable --assign."""
+    return type(a) is int and a in (1, -1)
+
+
 def set_structure(spec, structure=None, signs=None):
     if structure is not None and signs is not None:
         raise ParseError("give either a structure name or explicit signs, not both")
     if structure is None and signs is None:
         return spec
     if signs is not None:
-        signs = tuple(int(s) for s in signs)
-        if len(signs) != spec.n or any(s not in (1, -1) for s in signs):
+        signs = tuple(signs)
+        for s in signs:
+            if not is_sign(s):
+                raise ParseError("need %d signs from {+1,-1}, got %r" % (spec.n, s))
+        if len(signs) != spec.n:
             raise ParseError("need %d signs from {+1,-1}" % spec.n)
         name = "standard" if all(s == 1 for s in signs) else (
             "conjugate" if all(s == -1 for s in signs) else "custom")

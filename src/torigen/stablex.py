@@ -28,8 +28,9 @@ from itertools import product
 from math import lcm, prod
 
 from . import CheckFailure
-from .genus import FailedBlock, default_numeric_point, line_groups, point_terms, s_numbers as _genus_s_numbers
-from .rootdata import FixedPoint, fixed_point_weights
+from .genus import FailedBlock, default_numeric_point, line_groups, point_terms, s_lines, s_table
+from .genus import s_numbers as _genus_s_numbers
+from .rootdata import FixedPoint, fixed_point_weights, is_sign
 from .symmfunc import omegas_of_weight
 
 
@@ -41,13 +42,8 @@ SignAssignment = namedtuple("SignAssignment", "table epsilon")
 NecessaryReport = namedtuple("NecessaryReport", "ok omega value")
 
 
-def _is_unit(a):
-    """a is the int +1 or -1: not a float such as 1.0, and not a bool."""
-    return type(a) is int and a in (1, -1)
-
-
 def _check_shape(assign, base):
-    if not _is_unit(assign.epsilon):
+    if not is_sign(assign.epsilon):
         raise ValueError("epsilon must be +-1")
     if len(assign.table) != len(base):
         raise ValueError("assignment covers %d points, space has %d" % (len(assign.table), len(base)))
@@ -55,7 +51,7 @@ def _check_shape(assign, base):
     for index, (avec, pt) in enumerate(zip(assign.table, base)):
         if len(avec) != len(pt.weights):
             raise ValueError("point %d needs %d signs" % (index, len(pt.weights)))
-        if not all(_is_unit(a) for a in avec):
+        if not all(map(is_sign, avec)):
             raise ValueError("signs must be +-1")
 
 
@@ -199,11 +195,21 @@ def enumerate_feasible(spec, budget=1 << 20):
 
 def assignment_from_json(data, spec):
     """SignAssignment from {coset_index: [signs], "epsilon": e}, optionally
-    nested under "table"; ValueError for any other shape."""
+    nested under "table", beside which only "epsilon" may stand; ValueError
+    for any other shape, and for a key that is not read, such as an index of
+    chi or more, which names no point."""
     base = fixed_point_weights(spec)
     src = data.get("table", data) if isinstance(data, dict) else data
     if not isinstance(src, dict):
         raise ValueError("assignment must be a JSON object, got %s" % type(src).__name__)
+    keys = {str(i) for i in range(len(base))} | {"epsilon"}
+    stray = [key for key in src if key not in keys]
+    if src is not data:
+        stray += [key for key in data if key not in ("table", "epsilon")]
+    if stray:
+        raise ValueError('assignment key %s is not read: the keys are the coset indices 0 to %d of %s and '
+                         '"epsilon", or "table" holding them'
+                         % (json.dumps(stray[0]), len(base) - 1, spec.descriptor))
     table = []
     for i in range(len(base)):
         key = str(i)
@@ -219,16 +225,15 @@ def assignment_from_json(data, spec):
 
 
 def cmd_stable(args):
-    from .cli import _build_space, _emit, _pad
+    from .cli import _build_space, _emit
     spec = _build_space(args)
     if args.assign is not None:
         with open(args.assign) as fh:
             assign = assignment_from_json(json.load(fh), spec)
         report = check_necessary(spec, assign)
         if report.ok:
-            rows = [(list(_pad(om, spec.n)), v) for om, v in sorted(report.value.items())]
-            text = "PASS\n" + "\n".join("s_%s = %d" % (om, v) for om, v in rows)
-            _emit(args, text, {"ok": True, "s_numbers": [{"omega": om, "value": v} for om, v in rows]})
+            rows = s_table(report.value, spec.n)
+            _emit(args, "\n".join(["PASS"] + s_lines(rows)), {"ok": True, "s_numbers": rows})
             return 0
         _emit(args, "FAIL at omega=%s: %s" % (list(report.omega), report.value),
               {"ok": False, "omega": list(report.omega), "value": report.value})

@@ -20,6 +20,11 @@ def trim(omega):
     return omega
 
 
+def pad(omega, n):
+    """omega as a list of n entries, trim undone."""
+    return list(omega) + [0] * (n - len(omega))
+
+
 def omega_weight(omega):
     return sum((l + 1) * m for l, m in enumerate(omega))
 

@@ -3,6 +3,7 @@
 import argparse
 import json
 import random
+import time
 from argparse import Namespace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ import pytest
 from torigen import character, cli, divdiff, genus, reproduce, stablex
 from torigen.cli import main
 from torigen.reproduce import reproduce_table
+from torigen.rootdata import build_space, fixed_point_weights
 from torigen.stablex import SignAssignment
 
 from reference import assignment_to_json
@@ -203,6 +205,29 @@ def test_stable_assign_non_integer_signs_exit_two(tmp_path, capsys, table, messa
     assert code == 2
     assert out == ""
     assert err == "error: %s\n" % message
+
+
+def test_verify_and_genus_are_bounded_by_the_character_cost(capsys, monkeypatch):
+    # U(7)/T7 (chi = 5040, n = 21) is refused once its fixed points are
+    # listed; U(6)/T6 and CP21, which verify answers in 20-25 s, stay inside
+    for verb in ("verify", "genus"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, verb, "--space", "U(7)/T7")
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert err == ("error: the cost k*chi*n*N(n+1) of the character of U(7)/T7 must be at most "
+                       "100000000, got 3339887040\n")
+    for text in ("U(6)/T6", "CP21"):
+        spec = build_space(text)
+        character.check_cost(spec, fixed_point_weights(spec))
+    # CP3: k = 4, chi = 4, n = 3 and N(4) = 12 omegas of weight at most 4
+    spec = build_space("CP3")
+    fp = fixed_point_weights(spec)
+    monkeypatch.setattr(character, "CHARACTER_COST_LIMIT", 4 * 4 * 3 * 12)
+    character.check_cost(spec, fp)
+    monkeypatch.setattr(character, "CHARACTER_COST_LIMIT", 4 * 4 * 3 * 12 - 1)
+    with pytest.raises(ValueError, match="got 576$"):
+        character.check_cost(spec, fp)
 
 
 def test_stable_verbs(tmp_path, capsys):

@@ -7,7 +7,7 @@ and character of tests/reference.py, and that oracle against omega_numerator.
 import json
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial, prod
 
 import pytest
@@ -41,6 +41,8 @@ from torigen.divdiff import flag_class
 from torigen.rootdata import FixedPoint, build_space, fixed_point_weights
 from torigen.stablex import SignAssignment, derived_fixed_point_data
 from torigen.symmfunc import omega_weight, omegas_of_weight
+
+from test_golden_localize import SPACES as GOLDEN_SPACES
 
 from reference import (
     G2_DESCRIPTOR,
@@ -543,6 +545,31 @@ def test_second_point_differs_in_weight_values():
     assert point_chern_numbers(fp, first) == point_chern_numbers(fp, second)
 
 
+def golden_spec(space):
+    """The space of one golden SPACES entry: a descriptor, then nothing,
+    --structure NAME or --signs=...."""
+    text, *options = space
+    if not options:
+        return build_space(text)
+    if options[0] == "--structure":
+        return build_space(text, structure=options[1])
+    return build_space(text, signs=tuple(int(c) for c in options[0].split("=")[1].split(",")))
+
+
+@pytest.mark.parametrize("space", GOLDEN_SPACES, ids=" ".join)
+def test_both_numeric_points_on_every_golden_space(space):
+    # both nonsingular and not proportional: a sum of degree 0 agrees at
+    # any two proportional points, so numeric_agreement would check
+    # nothing; where the sum has no poles, the same Chern numbers
+    fp = fixed_point_weights(golden_spec(space))
+    first, second = default_numeric_point(fp), second_numeric_point(fp)
+    for point in (first, second):
+        assert all(sum(c * x for c, x in zip(w, point)) for pt in fp for w in pt.weights)
+    assert any(a * d != b * c for (a, b), (c, d) in combinations(zip(first, second), 2))
+    if _pole_free(line_sums(fp)):
+        assert point_chern_numbers(fp, first) == point_chern_numbers(fp, second)
+
+
 def outcome(fn, fp):
     """ok and the class, or the failure's type and the omega it names."""
     try:
@@ -645,18 +672,18 @@ def test_a_residue_line_holds_its_last_free_coordinate_at_the_shift(text, signs)
 
 
 def test_residue_lines_and_character_blocks_take_their_points_from_the_lattice(monkeypatch):
-    # every point that the residues, the character and the second point read
-    # is one of residues.lattice's, built once per line and once per
-    # character
+    # every point that the residues, the character and both numeric points
+    # read is one of genus.lattice's, built once per line, once per
+    # character and once per numeric point
     built, lattices, reads = [], [], []
-    lattice, read = residues.lattice, residues.residue_rows
+    lattice, read = genus.lattice, residues.residue_rows
 
     def recorded(vectors, coords, size, top):
         built.append((tuple(coords), top))
         points = lattice(vectors, coords, size, top)
         lattices.append(points(top))
         return points
-    monkeypatch.setattr(residues, "lattice", recorded)
+    monkeypatch.setattr(genus, "lattice", recorded)
     monkeypatch.setattr(residues, "residue_rows", lambda keys, z, order: reads.append(list(z)) or read(keys, z, order))
     fp = fixed_point_weights(build_space("CP3", signs=(1, 1, -1)))
     with pytest.raises(SingularSum):
@@ -668,6 +695,8 @@ def test_residue_lines_and_character_blocks_take_their_points_from_the_lattice(m
     assert reads and all(any(z in points for points in lattices) for z in reads)
     point = second_numeric_point(fp)
     assert built[-1] == ((0, 1, 2, 3), 0) and list(point) == lattices[-1][0]
+    point = default_numeric_point(fp)
+    assert built[-1] == ((0, 1, 2, 3), 1) and list(point) in lattices[-1]
 
 
 def test_residues_that_cancel_across_groups_are_no_pole(monkeypatch):

@@ -106,6 +106,11 @@ EXTRA = [
     # above rootdata.SPACE_N_LIMIT: refused before the root datum is built
     ("class", "--space", "CP99999999999"),
     ("class", "--space", "CP40"),
+    # above character.CHARACTER_COST_LIMIT: refused once the fixed points are listed
+    ("verify", "--space", "U(7)/T7"),
+    ("genus", "--space", "U(7)/T7"),
+    # a key that names no point (CP1 has points 0 and 1) is refused, not dropped
+    ("stable", "--space", "CP1", "--assign", "assign/cp1_stray_key.json"),
 ]
 
 # U(3)/T3 lists 4372 tables, too many for the golden file: pin the sha256 and

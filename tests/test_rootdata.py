@@ -17,6 +17,7 @@ from torigen.rootdata import (
     UnsupportedGroup,
     build_space,
     fixed_point_weights,
+    is_sign,
     reflect,
 )
 
@@ -185,6 +186,19 @@ def test_explicit_signs_and_structure_names():
         build_space("CP2", signs=(1, 2))
     with pytest.raises(ParseError):
         build_space("CP2", structure="standard", signs=(1, 1))
+
+
+def test_a_sign_is_the_int_plus_or_minus_one():
+    # one rule for --signs and for the tables of stable --assign; a float, a
+    # string or a bool is named, not coerced
+    assert [is_sign(a) for a in (1, -1, 0, 2, 1.0, -1.0, "1", True, False, None)] == [True] * 2 + [False] * 8
+    for signs, bad in (((1.5, 1), "1.5"), (("1", "-1"), "'1'"), ((True, 1), "True"), ((1, -1.0), "-1.0"),
+                       ((1, 2), "2")):
+        with pytest.raises(ParseError, match=r"^need 2 signs from \{\+1,-1\}, got %s$" % re.escape(bad)):
+            build_space("CP2", signs=signs)
+    assert build_space("CP2", signs=[1, -1]).signs == (1, -1)
+    from torigen import stablex
+    assert stablex.is_sign is is_sign
 
 
 def test_j_presets_are_m10_only():

@@ -319,6 +319,24 @@ def test_residue_rows_separate_the_groups_within_the_default_budget(text):
         assert residues._ResidueLine(line, keys, n, n).rank() == len(keys) == residue_rank(line, keys, n)
 
 
+def test_every_assignment_key_is_read():
+    # a key that is not a coset index below chi or "epsilon", or beside
+    # "table" anything but "epsilon", names no point: it is refused, not
+    # dropped
+    spec = build_space("CP1")
+    good = {"0": [1], "1": [-1]}
+    assert assignment_from_json(dict(good, epsilon=-1), spec) == SignAssignment(((1,), (-1,)), -1)
+    assert assignment_from_json({"table": good, "epsilon": -1}, spec) == SignAssignment(((1,), (-1,)), -1)
+    assert assignment_from_json({"table": dict(good, epsilon=-1)}, spec) == SignAssignment(((1,), (-1,)), -1)
+    for data, key in ((dict(good, **{"7": [1]}), "7"), (dict(good, **{"2": [1]}), "2"),
+                      (dict(good, **{"01": [1]}), "01"), (dict(good, **{"-1": [1]}), "-1"),
+                      (dict(good, Epsilon=1), "Epsilon"), ({"table": good, "0": [1]}, "0"),
+                      ({"table": good, "tables": 1}, "tables"), ({"table": dict(good, table=good)}, "table")):
+        with pytest.raises(ValueError, match='^assignment key "%s" is not read: the keys are the coset indices '
+                                             '0 to 1 of CP1 and "epsilon", or "table" holding them$' % key):
+            assignment_from_json(data, spec)
+
+
 def test_search_refuses_where_the_residues_do_not_separate_the_groups():
     # line [1, 0, -1, 0] carries 33 groups, and its residue rows reach rank
     # 27: a table with nonzero group sums there might still be admissible
