@@ -4,15 +4,18 @@ ch Phi = sum_p sign(p) prod_j f(<Lambda_j(p), x>) / <Lambda_j(p), x> is read
 by point evaluation alone. Once genus.check_poles has shown that its blocks
 have no poles, block a^omega is a homogeneous polynomial of degree
 d = ||omega|| - n in x, where 2n is the real dimension, and character_blocks
-interpolates it exactly from its values on genus.lattice's determining
-set, which the a-series product prod_j (1 + sum_i a_i c_j^i) at each fixed
-point gives (point_blocks). The blocks are plain {exponent: coefficient}
-dicts, and the Weyl check, verify, genus and reproduce read them.
-Truncation orders are absolute: an order-N character holds the blocks with
-||omega|| = n + d <= N.
+interpolates it exactly from its values on genus.lattice's determining set
+of degree d. The class's engine gives those values: chern_to_s of
+genus.point_chern_numbers at weight ||omega||, since
+e^xi = sum_omega T[xi][omega] m_lambda(omega) holds in the n weights of a
+point. The blocks are plain {exponent: coefficient} dicts, and the Weyl
+check, verify, genus and reproduce read them. Truncation orders are
+absolute: an order-N character holds the blocks with ||omega|| = n + d <= N.
 
-verify compares two routes to the class that share no basis change: the
-degree-0 blocks, read off the a-series product, and chern_to_s of the
+verify and genus share one pipeline (_checked). verify compares two routes
+to the class that share no basis change: the a-series product
+prod_j (1 + sum_i a_i c_j^i) at one point and to order n (point_blocks, the
+one read of residues.residue_rows here), and chern_to_s of the
 point-evaluated Chern numbers. The symbolic common-denominator character,
 which the tests keep in tests/reference.py as an oracle, must agree with
 character_blocks block by block.
@@ -20,21 +23,23 @@ character_blocks block by block.
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial, lcm, prod
+from math import factorial, prod
 
 from . import genus, residues
 from .chern import chern_to_s
-from .cobordism import CobordismPoly
+from .cobordism import CobordismPoly, clean
 from .rootdata import fixed_point_weights, reflect
 from .symmfunc import omega_weight, omegas_of_weight, pad
 
 # verify, one run each, start-up included, on a 2-vCPU Xeon VM, against the cost
-# k * chi * n * N(n + 1) of check_cost: 0.28 s at CP12 (7.6e5), 0.36 s at
-# U(5)/T5 (1.2e6), 1.3 s at CP15 (3.5e6), 5.5 s at CP18 (1.4e7), 6.3 s at
-# U(6)/U(2)xT4 (2.1e7), 15 s at CP20 (3.1e7), 25 s and 100 MB at CP21
-# (4.6e7), 21 s and 121 MB at U(6)/T6 (5.9e7), and 37 s and 140 MB at
-# U(8)/U(5)xT3 (1.01e8, just past the limit); 0.3-0.55 us per unit, rising
-# with n. U(7)/T7 (3.3e9) would take about half an hour.
+# k * chi * n * N(n + 1) of check_cost: 0.18 s at CP12 (7.6e5), 0.21 s at
+# U(5)/T5 (1.2e6), 0.51 s at CP15 (3.5e6), 2.0 s at CP18 (1.4e7), 1.9 s at
+# U(6)/U(2)xT4 (2.1e7), 4.7 s and 106 MB at CP20 (3.1e7), 8.2 s and 158 MB at
+# CP21 (4.6e7), 6.0 s and 101 MB at U(6)/T6 (5.9e7), and 7.6 s and 125 MB at
+# U(8)/U(5)xT3 (1.01e8, just past the limit). The e-sums of the character
+# cost far less than the estimate, which is kept so that every refusal
+# stays as it was; the time goes to the e -> m tables of weights n and
+# n + 1 and to verify's one a-series product.
 CHARACTER_COST_LIMIT = 10 ** 8
 
 
@@ -50,11 +55,12 @@ def _falling(corner, b):
 def _interpolate(values, corner, d):
     """{e: d! * coefficient} of the polynomial r of degree <= d in
     len(corner) variables whose values at corner + alpha, alpha over
-    genus.simplex, are the ints values. Its Newton form on the nodes
-    corner_i + j has the coefficients Delta^beta r(corner) / beta!: forward
-    differences taken one axis at a time (the system is triangular on the
-    simplex, which holds every point below one of its own), scaled to d!
-    over beta!, an int, then expanded into monomials one axis at a time."""
+    genus.simplex, are the exact values `values`, ints or Fractions. Its
+    Newton form on the nodes corner_i + j has the coefficients
+    Delta^beta r(corner) / beta!: forward differences taken one axis at a
+    time (the system is triangular on the simplex, which holds every point
+    below one of its own), scaled by d! over beta!, an int, then expanded
+    into monomials one axis at a time."""
     dims = len(corner)
     f = dict(zip(genus.simplex(dims, d), values))
     for i in range(dims):
@@ -91,39 +97,31 @@ def character_blocks(fp, order, sums=None):
     block with ||omega|| <= order has a pole, so the blocks below n vanish
     and these are polynomials.
 
-    Block p is read at genus.lattice's determining set of degree d on
-    every coordinate, whose last coordinate is held at s: p(z, s) is a
-    polynomial of degree <= d in the other k - 1 coordinates whose z^e'
-    coefficient is that of x^(e', d - |e'|) times s^(d - |e'|). It is
-    interpolated (_interpolate) from point_blocks there, over one common
-    denominator G, and divided back."""
+    The blocks of degree d are read at genus.lattice's determining set of
+    degree d on every coordinate, points(d), whose last coordinate is held
+    at s: there chern_to_s of genus.point_chern_numbers at weight n + d
+    gives the value of every block of that weight. p(z, s) is a polynomial
+    of degree <= d in the other k - 1 coordinates whose z^e' coefficient is
+    that of x^(e', d - |e'|) times s^(d - |e'|); it is interpolated
+    (_interpolate) from those exact values and divided back."""
     n = len(fp[0].weights)
     if order < n:
         raise ValueError("order %d below dimension grade %d" % (order, n))
     genus.check_poles(fp, order, sums)
     k = len(fp[0].weights[0])
     points = genus.lattice([w for pt in fp for w in pt.weights], range(k), k, order - n)
-    read = [point_blocks(fp, z, order) for z in points(order - n)]
-    G = lcm(*(common for common, _ in read))
     *corner, s = points(0)[0]
     blocks = {}
-    for om in read[0][1]:
-        d = omega_weight(om) - n
-        vals = [G // common * at[om] for _, (common, at) in zip(points(d), read)]
-        if not any(vals):
-            continue
-        block = {}
-        for e, c in _interpolate(vals, corner, d).items():
-            if c:
-                c = Fraction(c, factorial(d) * G * s ** (d - sum(e)))
-                block[e + (d - sum(e),)] = c.numerator if c.denominator == 1 else c
-        blocks[om] = block   # values not all 0 determine a nonzero block
+    for d in range(order - n + 1):
+        read = [chern_to_s(genus.point_chern_numbers(fp, z, n + d), n + d) for z in points(d)]
+        for om in omegas_of_weight(n + d):
+            vals = [at[om] for at in read]
+            if not any(vals):
+                continue
+            # values not all 0 determine a nonzero block
+            blocks[om] = {e + (d - sum(e),): clean(Fraction(c, factorial(d) * s ** (d - sum(e))))
+                          for e, c in _interpolate(vals, corner, d).items() if c}
     return blocks
-
-
-def block_coefficient(blocks, e):
-    """sum_omega a^omega * (x^e coefficient of block omega)."""
-    return CobordismPoly({om: block.get(tuple(e), 0) for om, block in blocks.items()})
 
 
 def _value(block, point):
@@ -174,10 +172,13 @@ def _check_lines(checks, evidence):
 
 def check_cost(spec, fp):
     """ValueError when the character at order n + 1, which verify and genus
-    read, costs more than CHARACTER_COST_LIMIT: k * chi * n * N(n + 1), as
-    character_blocks reads the a-series products of n factors, each over
-    the N(n + 1) omegas of weight at most n + 1, at the chi fixed points
-    for each of its k points. The fixed points alone give every factor."""
+    read, costs more than CHARACTER_COST_LIMIT by the estimate
+    k * chi * n * N(n + 1): a-series products of n factors, each over the
+    N(n + 1) omegas of weight at most n + 1, at the chi fixed points for
+    each of k points. character_blocks reads e-sums instead, and verify one
+    a-series product to order n, so the estimate over-counts the route; it
+    is kept so that every refusal stays as it was. The fixed points alone
+    give every factor."""
     n = spec.n
     cost = len(fp[0].weights[0]) * len(fp) * n * sum(len(omegas_of_weight(w)) for w in range(n + 2))
     if cost > CHARACTER_COST_LIMIT:
@@ -185,21 +186,26 @@ def check_cost(spec, fp):
                          % (spec.descriptor, CHARACTER_COST_LIMIT, cost))
 
 
-def genus_report(spec):
-    """Full result bundle for a space: the report (class, s-table and
-    consistency checks) and the class as a CobordismPoly. The Weyl check
-    reads the character at order n + 1; check_cost bounds it first."""
+def _checked(spec):
+    """(fp, chern, failure), what verify and genus share: the fixed points,
+    once check_cost has bounded their character; the Chern numbers
+    (genus.chern_numbers); and weyl_invariance_failure of the character at
+    order n + 1. The two pole checks read one line_sums, and the blocks
+    exist only where no block has a pole, so a result means that the
+    vanishing check holds."""
     fp = fixed_point_weights(spec)
     check_cost(spec, fp)
-    n = spec.n
-    # one certificate for both checks
     sums = genus.line_sums(fp)
-    stable = chern_to_s(genus.chern_numbers(fp, sums), n)
-    # the blocks exist only where no block has a pole, so a report exists
-    # only if the vanishing check holds
-    ch = character_blocks(fp, n + 1, sums)
-    rows = genus.s_table(stable, n)
-    failure = weyl_invariance_failure(spec, ch)
+    chern = genus.chern_numbers(fp, sums)
+    return fp, chern, weyl_invariance_failure(spec, character_blocks(fp, spec.n + 1, sums))
+
+
+def genus_report(spec):
+    """Full result bundle for a space: the report (class, s-table and
+    consistency checks) and the class as a CobordismPoly (_checked)."""
+    _, chern, failure = _checked(spec)
+    stable = chern_to_s(chern, spec.n)
+    rows = genus.s_table(stable, spec.n)
     report = {
         "space": spec.descriptor,
         "structure": genus.structure_label(spec),
@@ -226,20 +232,14 @@ def cmd_genus(args):
 def cmd_verify(args):
     from .cli import _build_space, _emit
     spec = _build_space(args)
-    fp = fixed_point_weights(spec)
-    check_cost(spec, fp)
-    n = len(fp[0].weights)
-    checks = {}
-    # a sum with poles fails here as in class, naming its first such block;
-    # one certificate for both checks
-    sums = genus.line_sums(fp)
-    chern = genus.chern_numbers(fp, sums)
+    # a sum with poles fails here as in class, naming its first such block
+    fp, chern, failure = _checked(spec)
+    n = spec.n
     table = chern_to_s(chern, n)
-    # the blocks exist only where no block has a pole, so the low blocks
-    # vanish; the degree-0 blocks are the class
-    ch = character_blocks(fp, n + 1, sums)
-    checks["low_vanishing"] = True
-    cls = block_coefficient(ch, (0,) * len(fp[0].weights[0]))
+    checks = {"low_vanishing": True}
+    # the class off the a-series product at one point, to order n
+    common, at = point_blocks(fp, genus.default_numeric_point(fp), n)
+    cls = CobordismPoly({om: Fraction(v, common) for om, v in at.items()})
     if not cls.is_integral():
         raise genus.non_integer_class(cls)
     checks["class_integral"] = True
@@ -258,7 +258,6 @@ def cmd_verify(args):
     checks["euler"] = c_n == signs
     if c_n != signs:
         evidence["euler"] = {"c_n": str(c_n), "sum_signs": str(signs)}
-    failure = weyl_invariance_failure(spec, ch)
     checks["weyl_invariance"] = failure is None
     if failure:
         evidence["weyl_invariance"] = failure

@@ -28,7 +28,8 @@ off that sum here, from fixed-point data alone (Atiyah-Bott).
 
 Block omega of ch Phi is homogeneous of geometric degree d = ||omega|| - n,
 where 2n is the real dimension. The character module reads the blocks of
-positive degree, and this module never loads it.
+positive degree off point_chern_numbers at their weight, and this module
+never loads it.
 """
 
 from collections import Counter
@@ -152,7 +153,7 @@ def check_poles(fp, order, sums=None):
 
 def point_terms(pt, point, xis):
     """(prod_j c_j, [e^xi(c) for xi in xis]), c_j = <Lambda_j(p), point> and
-    e^xi = e_1^xi_1 e_2^xi_2 ... in the c_j, no part of xi above their number.
+    e^xi = e_1^xi_1 e_2^xi_2 ... in the c_j, e_k = 0 above their number.
     SingularPoint if a c_j is 0."""
     cs = []
     for w in pt.weights:
@@ -164,20 +165,24 @@ def point_terms(pt, point, xis):
     for i, c in enumerate(cs, 1):
         for k in range(i, 0, -1):
             e[k] += c * e[k - 1]
-    return prod(cs), [prod(e[k] ** m for k, m in enumerate(xi, 1) if m) for xi in xis]
+    return prod(cs), [0 if len(xi) > len(cs) else prod(e[k] ** m for k, m in enumerate(xi, 1) if m)
+                      for xi in xis]
 
 
-def point_chern_numbers(fp, point):
-    """All Chern numbers c^xi, |xi| = n, evaluated at one integer point:
+def point_chern_numbers(fp, point, weight=None):
+    """All c^xi, |xi| = weight (default n), evaluated at one integer point:
 
-        c^xi = sum_p sign(p) e_1^xi_1 ... e_n^xi_n / prod_j c_j,
+        c^xi = sum_p sign(p) e_1^xi_1 e_2^xi_2 ... / prod_j c_j,
 
     e_k the elementary symmetric functions of c_j = <Lambda_j(p), point>
-    (point_terms), in exact integers over one common denominator; a value
-    is an int where that denominator divides it, else a Fraction. This is
-    the localization sum at that point; it is the Chern number wherever the
-    sum is constant (see check_poles)."""
-    xis = omegas_of_weight(len(fp[0].weights))
+    (point_terms), 0 for k above n, in exact integers over one common
+    denominator; a value is an int where that denominator divides it, else
+    a Fraction. This is the localization sum at that point. At weight n it
+    is the Chern number wherever the sum is constant (see check_poles); at
+    any weight, chern_to_s of it gives the value there of every block a^omega
+    of that weight, as e^xi = sum_omega T[xi][omega] m_lambda(omega) holds in
+    n variables too."""
+    xis = omegas_of_weight(len(fp[0].weights) if weight is None else weight)
     rows = [(pt.sign,) + point_terms(pt, point, xis) for pt in fp]
     common = lcm(*(den for _, den, _ in rows))
     sums = [0] * len(xis)

@@ -18,7 +18,9 @@ proof that the group sums decide admissibility.
 
 The determining sets are genus.lattice's, as are character.character_blocks'.
 residue_rows reads the a-series product prod_j (1 + sum_i a_i c_j^i) over one
-common denominator, also for the character's values (character.point_blocks).
+common denominator. Beyond the residues, only verify reads it, once, for
+the class at one point (character.point_blocks); the character's blocks
+come from genus.point_chern_numbers.
 """
 
 from collections import Counter

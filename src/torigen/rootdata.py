@@ -185,17 +185,20 @@ def is_sign(a):
 
 
 def set_structure(spec, structure=None, signs=None):
+    """spec with a structure preset or explicit signs installed. A name or
+    signs that the space does not take is a ValueError, not a grammar
+    error: the descriptor itself parsed."""
     if structure is not None and signs is not None:
-        raise ParseError("give either a structure name or explicit signs, not both")
+        raise ValueError("give either a structure name or explicit signs, not both")
     if structure is None and signs is None:
         return spec
     if signs is not None:
         signs = tuple(signs)
         for s in signs:
             if not is_sign(s):
-                raise ParseError("need %d signs from {+1,-1}, got %r" % (spec.n, s))
+                raise ValueError("need %d signs from {+1,-1}, got %r" % (spec.n, s))
         if len(signs) != spec.n:
-            raise ParseError("need %d signs from {+1,-1}" % spec.n)
+            raise ValueError("need %d signs from {+1,-1}, got %d" % (spec.n, len(signs)))
         name = "standard" if all(s == 1 for s in signs) else (
             "conjugate" if all(s == -1 for s in signs) else "custom")
     elif structure == "standard":
@@ -204,10 +207,10 @@ def set_structure(spec, structure=None, signs=None):
         signs, name = (-1,) * spec.n, "conjugate"
     elif structure in J_PRESETS:
         if spec.descriptor != M10_DESCRIPTOR:
-            raise ParseError("structure %s is only defined for %s" % (structure, M10_DESCRIPTOR))
+            raise ValueError("structure %s is only defined for %s" % (structure, M10_DESCRIPTOR))
         signs, name = J_PRESETS[structure], structure
     else:
-        raise ParseError("unknown structure %r" % structure)
+        raise ValueError("unknown structure %r" % structure)
     return SpaceSpec(spec.descriptor, spec.simple, spec.rho_check, spec.h_simple, spec.roots, signs, name)
 
 

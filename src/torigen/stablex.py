@@ -229,7 +229,11 @@ def cmd_stable(args):
     spec = _build_space(args)
     if args.assign is not None:
         with open(args.assign) as fh:
-            assign = assignment_from_json(json.load(fh), spec)
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise ValueError("--assign %s is not JSON: %s" % (args.assign, exc)) from None
+        assign = assignment_from_json(data, spec)
         report = check_necessary(spec, assign)
         if report.ok:
             rows = s_table(report.value, spec.n)

@@ -9,7 +9,8 @@ No verb runs any of these. Each builds its answer the slow, direct way:
   chern_character_of_genus, class_of_character, symbolic_class) put ch Phi
   over one polynomial common denominator. character.character_blocks must
   equal its blocks, and genus.check_poles must reach its verdict on the
-  same omega.
+  same omega. block_coefficient reads the x^e coefficient off the blocks
+  of character_blocks, as kernel_coefficient off the kernel's.
 - omega_numerator substitutes the weights into m_lambda, one a^omega block
   at a time, and omega_numerator_values gives its values at a point in
   integers, by way of the e^xi and elementary_product (e_to_m); the kernel
@@ -397,6 +398,13 @@ def kernel_coefficient(blocks, e):
     """sum_omega a^omega * (x^e coefficient of block omega), for blocks
     {omega: MultiPoly} as f_product_sum returns them."""
     return RingPoly({om: b.coeff(e) for om, b in blocks.items()})
+
+
+def block_coefficient(blocks, e):
+    """sum_omega a^omega * (x^e coefficient of block omega), for blocks
+    {omega: {exponent: coefficient}} as character.character_blocks returns
+    them."""
+    return CobordismPoly({om: block.get(tuple(e), 0) for om, block in blocks.items()})
 
 
 LocData = namedtuple("LocData", "arena n denom cofactors prefactors")

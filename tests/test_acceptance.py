@@ -15,7 +15,7 @@ from torigen.divdiff import (
     grassmann_Q_polynomials,
     grassmann_class,
 )
-from torigen.character import block_coefficient, character_blocks, weyl_invariance_failure
+from torigen.character import character_blocks, weyl_invariance_failure
 from torigen.fgl import fgl_addition
 from torigen.genus import SingularPoint, cobordism_class, s_number_numeric, s_numbers
 from torigen.rootdata import (
@@ -31,8 +31,8 @@ from torigen.stablex import (
 )
 from torigen.symmfunc import omega_weight, omegas_of_weight
 
-from reference import (GradedSeries, MultiPoly, RingPoly, euler_characteristic, multi_bracket, permute_series,
-                       ring, substitute_series, xvars)
+from reference import (GradedSeries, MultiPoly, RingPoly, block_coefficient, euler_characteristic, multi_bracket,
+                       permute_series, ring, substitute_series, xvars)
 
 
 def fp_of(text, structure=None):

@@ -100,6 +100,19 @@ def test_usage_errors_exit_two(capsys):
     assert (code, out, err) == (2, "", "error: --q and --l must be at most 6, got 8\n")
 
 
+@pytest.mark.parametrize("options, message", [
+    (("--signs", "1,2"), "need 2 signs from {+1,-1}, got 2"),
+    (("--signs", "1"), "need 2 signs from {+1,-1}, got 1"),
+    (("--structure", "J1"), "structure J1 is only defined for SU(4)/S(U(1)xU(1)xU(2))"),
+    (("--structure", "bogus"), "unknown structure 'bogus'"),
+    (("--structure", "standard", "--signs", "1,1"), "give either a structure name or explicit signs, not both"),
+], ids=["bad sign", "sign count", "J1 off the quotient", "unknown name", "name and signs"])
+def test_a_structure_the_space_does_not_take_is_no_grammar_error(capsys, options, message):
+    # CP2 parses: the error is one line and the space grammar is not shown
+    code, out, err = run(capsys, "class", "--space", "CP2", *options)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
 def test_json_output_is_stable(capsys):
     code, out1, _ = run(capsys, "genus", "--space", "CP2", "--format", "json")
     assert code == 0
@@ -191,6 +204,14 @@ def test_stable_assign_non_object_exits_two(tmp_path, capsys, content):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_stable_assign_that_is_not_json_names_the_file(tmp_path, capsys):
+    path = tmp_path / "assign.txt"
+    path.write_text("not json")
+    code, out, err = run(capsys, "stable", "--space", "CP1", "--assign", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: --assign %s is not JSON: Expecting value: line 1 column 1 (char 0)\n" % path
+
+
 @pytest.mark.parametrize("table, message", [
     ({"0": [1.0], "1": [1]}, "signs must be +-1"),
     ({"0": [1], "1": [1], "epsilon": 1.0}, "epsilon must be +-1"),
@@ -209,7 +230,7 @@ def test_stable_assign_non_integer_signs_exit_two(tmp_path, capsys, table, messa
 
 def test_verify_and_genus_are_bounded_by_the_character_cost(capsys, monkeypatch):
     # U(7)/T7 (chi = 5040, n = 21) is refused once its fixed points are
-    # listed; U(6)/T6 and CP21, which verify answers in 20-25 s, stay inside
+    # listed; U(6)/T6 and CP21, which verify answers in 6-8 s, stay inside
     for verb in ("verify", "genus"):
         start = time.perf_counter()
         code, out, err = run(capsys, verb, "--space", "U(7)/T7")
@@ -341,12 +362,13 @@ def test_fgl_rejects_order_above_limit(capsys):
 
 
 def _raise_c1_squared(monkeypatch, at_point):
-    """Make point_chern_numbers return c1^2 + 1 on CP2 at one of its two points."""
+    """Make point_chern_numbers return c1^2 + 1 on CP2 at one of its two
+    points, and change no other weight than n = 2."""
     real = genus.point_chern_numbers
 
-    def fake(fp, point):
-        table = dict(real(fp, point))
-        if point == at_point(fp):
+    def fake(fp, point, weight=None):
+        table = dict(real(fp, point, weight))
+        if point == at_point(fp) and weight in (None, 2):
             table[(2,)] += 1
         return table
     monkeypatch.setattr(genus, "point_chern_numbers", fake)
@@ -369,12 +391,14 @@ def test_verify_class_mismatch_names_omega(capsys, monkeypatch):
 
 def test_verify_euler_mismatch_names_both_values(capsys, monkeypatch):
     # c2 reads 4 at every point, so the two points still agree, but the
-    # table's c_n no longer matches sum_p sign(p) = 3
+    # table's c_n no longer matches sum_p sign(p) = 3; no other weight than
+    # n = 2 changes
     real = genus.point_chern_numbers
 
-    def fake(fp, point):
-        table = dict(real(fp, point))
-        table[(0, 1)] += 1
+    def fake(fp, point, weight=None):
+        table = dict(real(fp, point, weight))
+        if weight in (None, 2):
+            table[(0, 1)] += 1
         return table
     monkeypatch.setattr(genus, "point_chern_numbers", fake)
     code, out, _ = run(capsys, "verify", "--space", "CP2")

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torigen import CheckFailure, character, genus, residues
-from torigen.character import block_coefficient, character_blocks, genus_report, weyl_invariance_failure
+from torigen.character import character_blocks, genus_report, weyl_invariance_failure
 from torigen.chern import chern_to_s, s_to_chern
 from torigen.cli import main
 from torigen.cobordism import CobordismPoly
@@ -47,6 +47,7 @@ from test_golden_localize import SPACES as GOLDEN_SPACES
 from reference import (
     G2_DESCRIPTOR,
     MultiPoly,
+    block_coefficient,
     character_numerator,
     chern_character_of_genus,
     denominator_lines,
@@ -674,29 +675,35 @@ def test_a_residue_line_holds_its_last_free_coordinate_at_the_shift(text, signs)
 def test_residue_lines_and_character_blocks_take_their_points_from_the_lattice(monkeypatch):
     # every point that the residues, the character and both numeric points
     # read is one of genus.lattice's, built once per line, once per
-    # character and once per numeric point
-    built, lattices, reads = [], [], []
-    lattice, read = genus.lattice, residues.residue_rows
+    # character and once per numeric point; the character reads the blocks
+    # of weight n + d at exactly its points(d), and no residue row
+    built, lattices, reads, values = [], [], [], []
+    lattice, read, evaluate = genus.lattice, residues.residue_rows, genus.point_chern_numbers
 
     def recorded(vectors, coords, size, top):
         built.append((tuple(coords), top))
         points = lattice(vectors, coords, size, top)
-        lattices.append(points(top))
+        lattices.append(points)
         return points
     monkeypatch.setattr(genus, "lattice", recorded)
     monkeypatch.setattr(residues, "residue_rows", lambda keys, z, order: reads.append(list(z)) or read(keys, z, order))
+    monkeypatch.setattr(genus, "point_chern_numbers",
+                        lambda fp, z, weight=None: values.append((list(z), weight)) or evaluate(fp, z, weight))
     fp = fixed_point_weights(build_space("CP3", signs=(1, 1, -1)))
     with pytest.raises(SingularSum):
         check_poles(fp, 4)
     lines = len(built)
     assert lines == len([line for line, groups in genus.line_sums(fp).items() if any(groups.values())])
+    assert reads and all(any(z in points(top) for points, (_, top) in zip(lattices, built)) for z in reads)
+    del reads[:]
     character_blocks(fixed_point_weights(build_space("CP2")), 4)
     assert built[lines:] == [((0, 1, 2), 2)]
-    assert reads and all(any(z in points for points in lattices) for z in reads)
+    assert values == [(z, 2 + d) for d in range(3) for z in lattices[-1](d)]
+    assert reads == []
     point = second_numeric_point(fp)
-    assert built[-1] == ((0, 1, 2, 3), 0) and list(point) == lattices[-1][0]
+    assert built[-1] == ((0, 1, 2, 3), 0) and list(point) == lattices[-1](0)[0]
     point = default_numeric_point(fp)
-    assert built[-1] == ((0, 1, 2, 3), 1) and list(point) in lattices[-1]
+    assert built[-1] == ((0, 1, 2, 3), 1) and list(point) in lattices[-1](1)
 
 
 def test_residues_that_cancel_across_groups_are_no_pole(monkeypatch):
@@ -796,6 +803,24 @@ def test_one_character_per_run(monkeypatch, capsys, argv):
     assert main(list(argv)) == 0
     assert "FAIL" not in capsys.readouterr().out
     assert len(orders) == 1
+
+
+@pytest.mark.parametrize("text, structure", [("U(4)/T4", None), (M10, "J2")])
+def test_verify_reads_the_a_series_once(monkeypatch, capsys, text, structure):
+    # class_matches_s keeps a route with no e -> m basis change: verify reads
+    # the a-series product once, at default_numeric_point and to order n,
+    # and the character reads none
+    read, reads = residues.residue_rows, []
+    monkeypatch.setattr(residues, "residue_rows",
+                        lambda keys, z, order: reads.append((tuple(z), order)) or read(keys, z, order))
+    assert main(["verify", "--space", text] + (["--structure", structure] if structure else [])) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    fp = fixed_point_weights(build_space(text, structure=structure))
+    n = len(fp[0].weights)
+    assert reads == [(default_numeric_point(fp), n)]
+    del reads[:]
+    character_blocks(fp, n + 1)
+    assert reads == []
 
 
 @pytest.mark.parametrize("argv, code", [(("verify", "--space", "CP3"), 0), (("genus", "--space", "CP3"), 0),
