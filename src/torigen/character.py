@@ -1,24 +1,34 @@
-"""The character blocks of the genus, and the verify and genus verbs.
+"""The character of the genus as equivariant Chern numbers, and the verify
+and genus verbs.
 
 ch Phi = sum_p sign(p) prod_j f(<Lambda_j(p), x>) / <Lambda_j(p), x> is read
-by point evaluation alone. Once genus.check_poles has shown that its blocks
-have no poles, block a^omega is a homogeneous polynomial of degree
-d = ||omega|| - n in x, where 2n is the real dimension, and character_blocks
-interpolates it exactly from its values on genus.lattice's determining set
-of degree d. The class's engine gives those values: chern_to_s of
-genus.point_chern_numbers at weight ||omega||, since
+by point evaluation alone, in the Chern basis in which the class's engine
+reads it: its blocks are the torus-equivariant Chern numbers
+
+    c^xi(x) = sum_p sign(p) e^xi(c_p(x)) / prod_j c_j(p)(x),
+
+c_j(p) = <Lambda_j(p), x>. Once genus.check_poles has shown that the sum has
+no poles, c^xi is a homogeneous polynomial of degree d = |xi| - n in x,
+where 2n is the real dimension, so the blocks of weight n are the Chern
+numbers; character_blocks interpolates each block exactly from
+genus.point_chern_numbers at weight |xi| on genus.lattice's determining set
+of degree d. The a^omega blocks of a weight are chern_to_s of its c^xi
+blocks, a fixed invertible integer combination, as
 e^xi = sum_omega T[xi][omega] m_lambda(omega) holds in the n weights of a
-point. The blocks are plain {exponent: coefficient} dicts, and the Weyl
-check, verify, genus and reproduce read them. Truncation orders are
-absolute: an order-N character holds the blocks with ||omega|| = n + d <= N.
+point: the Weyl check reaches the same verdict on either, and the one
+reader that needs a^omega blocks (reproduce's S^6 row) converts its own
+reads. The blocks are plain {exponent: coefficient} dicts. Truncation
+orders are absolute: an order-N character holds the blocks with
+|xi| = n + d <= N.
 
 verify and genus share one pipeline (_checked). verify compares two routes
 to the class that share no basis change: the a-series product
 prod_j (1 + sum_i a_i c_j^i) at one point and to order n (point_blocks, the
 one read of residues.residue_rows here), and chern_to_s of the
-point-evaluated Chern numbers. The symbolic common-denominator character,
-which the tests keep in tests/reference.py as an oracle, must agree with
-character_blocks block by block.
+point-evaluated Chern numbers; and it compares those Chern numbers with
+the character's blocks of degree 0, read at another point. The symbolic
+common-denominator character, which the tests keep in tests/reference.py
+as an oracle, must agree with character_blocks block by block.
 """
 
 from fractions import Fraction
@@ -32,14 +42,14 @@ from .rootdata import fixed_point_weights, reflect
 from .symmfunc import omega_weight, omegas_of_weight, pad
 
 # verify, one run each, start-up included, on a 2-vCPU Xeon VM, against the cost
-# k * chi * n * N(n + 1) of check_cost: 0.18 s at CP12 (7.6e5), 0.21 s at
-# U(5)/T5 (1.2e6), 0.51 s at CP15 (3.5e6), 2.0 s at CP18 (1.4e7), 1.9 s at
-# U(6)/U(2)xT4 (2.1e7), 4.7 s and 106 MB at CP20 (3.1e7), 8.2 s and 158 MB at
-# CP21 (4.6e7), 6.0 s and 101 MB at U(6)/T6 (5.9e7), and 7.6 s and 125 MB at
+# k * chi * n * N(n + 1) of check_cost: 0.16 s at CP12 (7.6e5), 0.21 s at
+# U(5)/T5 (1.2e6), 0.39 s at CP15 (3.5e6), 1.1 s at CP18 (1.4e7), 1.8 s at
+# U(6)/U(2)xT4 (2.1e7), 2.6 s and 63 MB at CP20 (3.1e7), 4.2 s and 88 MB at
+# CP21 (4.6e7), 4.9 s and 95 MB at U(6)/T6 (5.9e7), and 6.9 s and 112 MB at
 # U(8)/U(5)xT3 (1.01e8, just past the limit). The e-sums of the character
 # cost far less than the estimate, which is kept so that every refusal
-# stays as it was; the time goes to the e -> m tables of weights n and
-# n + 1 and to verify's one a-series product.
+# stays as it was; the time goes to the e -> m table of weight n, to the
+# e-sums of weight n + 1 and to verify's one a-series product.
 CHARACTER_COST_LIMIT = 10 ** 8
 
 
@@ -90,20 +100,21 @@ def point_blocks(fp, point, order):
 
 
 def character_blocks(fp, order, sums=None):
-    """ch Phi truncated at absolute order: {omega: block}, the nonzero
-    a^omega blocks with n <= ||omega|| <= order, each {exponent e:
-    coefficient}, homogeneous of degree d = ||omega|| - n. genus.check_poles
-    (on sums = genus.line_sums(fp), if given) raises SingularSum unless no
-    block with ||omega|| <= order has a pole, so the blocks below n vanish
-    and these are polynomials.
+    """ch Phi truncated at absolute order, as equivariant Chern numbers:
+    {xi: block}, the nonzero blocks of
+    sum_p sign(p) e^xi(c_p(x)) / prod_j c_j(p)(x) with n <= |xi| <= order,
+    each {exponent e: coefficient}, homogeneous of degree d = |xi| - n.
+    genus.check_poles (on sums = genus.line_sums(fp), if given) raises
+    SingularSum unless no a^omega block with ||omega|| <= order has a pole,
+    so the sums below weight n vanish and these are polynomials.
 
     The blocks of degree d are read at genus.lattice's determining set of
     degree d on every coordinate, points(d), whose last coordinate is held
-    at s: there chern_to_s of genus.point_chern_numbers at weight n + d
-    gives the value of every block of that weight. p(z, s) is a polynomial
-    of degree <= d in the other k - 1 coordinates whose z^e' coefficient is
-    that of x^(e', d - |e'|) times s^(d - |e'|); it is interpolated
-    (_interpolate) from those exact values and divided back."""
+    at s: there genus.point_chern_numbers at weight n + d gives the value of
+    every block of that weight. p(z, s) is a polynomial of degree <= d in
+    the other k - 1 coordinates whose z^e' coefficient is that of
+    x^(e', d - |e'|) times s^(d - |e'|); it is interpolated (_interpolate)
+    from those exact values and divided back."""
     n = len(fp[0].weights)
     if order < n:
         raise ValueError("order %d below dimension grade %d" % (order, n))
@@ -113,13 +124,13 @@ def character_blocks(fp, order, sums=None):
     *corner, s = points(0)[0]
     blocks = {}
     for d in range(order - n + 1):
-        read = [chern_to_s(genus.point_chern_numbers(fp, z, n + d), n + d) for z in points(d)]
-        for om in omegas_of_weight(n + d):
-            vals = [at[om] for at in read]
+        read = [genus.point_chern_numbers(fp, z, n + d) for z in points(d)]
+        for xi in omegas_of_weight(n + d):
+            vals = [at[xi] for at in read]
             if not any(vals):
                 continue
             # values not all 0 determine a nonzero block
-            blocks[om] = {e + (d - sum(e),): clean(Fraction(c, factorial(d) * s ** (d - sum(e))))
+            blocks[xi] = {e + (d - sum(e),): clean(Fraction(c, factorial(d) * s ** (d - sum(e))))
                           for e, c in _interpolate(vals, corner, d).items() if c}
     return blocks
 
@@ -132,9 +143,10 @@ def _value(block, point):
 def weyl_invariance_failure(spec, ch):
     """None when every block of the character ch of a space of spec is
     invariant under every simple reflection s of W_G, acting on x by
-    x -> x - <alpha, x> alpha^vee; else the first failure found: omega, the
+    x -> x - <alpha, x> alpha^vee; else the first failure found: xi, the
     reflection's index from 1, the point P, and the block's values at P and
-    s P.
+    s P. At each weight the a^omega blocks are an invertible integer
+    combination of the c^xi blocks (chern_to_s), so the verdict is theirs.
 
     A block p of degree d in k variables is compared with p(s x) at the
     points P of N^k whose coordinates sum to at most d. That is exact: a
@@ -142,8 +154,8 @@ def weyl_invariance_failure(spec, ch):
     on k), so it is x_1 q, and q vanishes on the points of sum <= d - 1
     (induction on d). A reflection that fixes P is skipped, as p(s P) is
     then p(P)."""
-    for om in sorted(ch):
-        block = ch[om]
+    for xi in sorted(ch):
+        block = ch[xi]
         k = spec.rank
         # index k is the slack, so the coordinates sum to at most d
         for picks in combinations_with_replacement(range(k + 1), max(map(sum, block), default=0)):
@@ -155,7 +167,7 @@ def weyl_invariance_failure(spec, ch):
                     continue
                 moved = _value(block, image)
                 if moved != value:
-                    return {"omega": pad(om, spec.n), "reflection": index,
+                    return {"xi": pad(xi, spec.n), "reflection": index,
                             "point": list(point), "block_at_p": str(value), "block_at_sp": str(moved)}
     return None
 
@@ -187,23 +199,24 @@ def check_cost(spec, fp):
 
 
 def _checked(spec):
-    """(fp, chern, failure), what verify and genus share: the fixed points,
-    once check_cost has bounded their character; the Chern numbers
-    (genus.chern_numbers); and weyl_invariance_failure of the character at
-    order n + 1. The two pole checks read one line_sums, and the blocks
-    exist only where no block has a pole, so a result means that the
-    vanishing check holds."""
+    """(fp, chern, ch, failure), what verify and genus share: the fixed
+    points, once check_cost has bounded their character; the Chern numbers
+    (genus.chern_numbers); the character ch at order n + 1; and
+    weyl_invariance_failure of ch. The two pole checks read one line_sums,
+    and the blocks exist only where no block has a pole, so a result means
+    that the vanishing check holds."""
     fp = fixed_point_weights(spec)
     check_cost(spec, fp)
     sums = genus.line_sums(fp)
     chern = genus.chern_numbers(fp, sums)
-    return fp, chern, weyl_invariance_failure(spec, character_blocks(fp, spec.n + 1, sums))
+    ch = character_blocks(fp, spec.n + 1, sums)
+    return fp, chern, ch, weyl_invariance_failure(spec, ch)
 
 
 def genus_report(spec):
     """Full result bundle for a space: the report (class, s-table and
     consistency checks) and the class as a CobordismPoly (_checked)."""
-    _, chern, failure = _checked(spec)
+    _, chern, _, failure = _checked(spec)
     stable = chern_to_s(chern, spec.n)
     rows = genus.s_table(stable, spec.n)
     report = {
@@ -233,7 +246,7 @@ def cmd_verify(args):
     from .cli import _build_space, _emit
     spec = _build_space(args)
     # a sum with poles fails here as in class, naming its first such block
-    fp, chern, failure = _checked(spec)
+    fp, chern, ch, failure = _checked(spec)
     n = spec.n
     table = chern_to_s(chern, n)
     checks = {"low_vanishing": True}
@@ -244,8 +257,9 @@ def cmd_verify(args):
         raise genus.non_integer_class(cls)
     checks["class_integral"] = True
     # two independent routes: the a-series class against the point-evaluated
-    # table, which passes through chern_to_s, and that table against the sum
-    # at a second point; the evidence key "symbolic" names the a-series class
+    # table, which passes through chern_to_s, and that table against the
+    # character's blocks of degree 0, read at m b, the lattice's first point
+    # (genus.lattice); the evidence key "symbolic" names the a-series class
     # a failed comparison names its first offending omega or xi and both values
     evidence = {}
     bad = [om for om in sorted(table) if cls.coeff(om) != table[om]]
@@ -261,12 +275,12 @@ def cmd_verify(args):
     checks["weyl_invariance"] = failure is None
     if failure:
         evidence["weyl_invariance"] = failure
-    second = genus.point_chern_numbers(fp, genus.second_numeric_point(fp))
-    bad = [xi for xi in sorted(set(chern) | set(second)) if chern.get(xi) != second.get(xi)]
+    second = {xi: ch.get(xi, {}).get((0,) * spec.rank, 0) for xi in chern}
+    bad = [xi for xi in sorted(chern) if chern[xi] != second[xi]]
     checks["numeric_agreement"] = not bad
     if bad:
-        evidence["numeric_agreement"] = {"xi": pad(bad[0], n), "default_point": str(chern.get(bad[0])),
-                                         "second_point": str(second.get(bad[0]))}
+        evidence["numeric_agreement"] = {"xi": pad(bad[0], n), "default_point": str(chern[bad[0]]),
+                                         "second_point": str(second[bad[0]])}
     ok = all(checks.values())
     lines = _check_lines(checks, evidence)
     data = {"space": spec.descriptor, "structure": genus.structure_label(spec), "checks": checks, "ok": ok}

@@ -62,16 +62,18 @@ SPACE_GRAMMAR = '"CPn", "U(n)/Tn", "U(n)/U(k1)x...xU(km)", "G2/SU(3)", "SU(4)/S(
 
 def _ints(option, text):
     """The integers of an option's value, separated by commas or spaces. An
-    empty value, or a token that is not an integer, is a usage error that
-    names the option and the token."""
+    empty value or comma-separated item (as in "1,,1" or "1,1,"), or a
+    token that is not an integer, is a usage error that names the option and
+    the value or the token."""
     values = []
-    for tok in text.replace(",", " ").split():
-        try:
-            values.append(int(tok))
-        except ValueError:
-            raise ValueError("%s takes integers, got %r" % (option, tok)) from None
-    if not values:
-        raise ValueError("%s takes integers, got %r" % (option, text))
+    for item in text.split(","):
+        if not item.strip():
+            raise ValueError("%s takes integers, got %r" % (option, text))
+        for tok in item.split():
+            try:
+                values.append(int(tok))
+            except ValueError:
+                raise ValueError("%s takes integers, got %r" % (option, tok)) from None
     return tuple(values)
 
 
@@ -166,8 +168,10 @@ def _parse(argv):
     option placed before it is all the top level reports."""
     if argv and argv[0] in VERBS:
         return _arguments(argparse.ArgumentParser(prog="torigen " + argv[0]), argv[0]).parse_args(argv[1:])
+    # a usage line of its own, as argparse wraps the list of verbs
+    # differently from one Python to the next
     p = argparse.ArgumentParser(
-        prog="torigen",
+        prog="torigen", usage="%(prog)s [-h] verb ...",
         description="Exact toric genus, cobordism classes and characteristic "
                     "numbers of homogeneous spaces.",
         epilog="Space grammar: %s." % SPACE_GRAMMAR)

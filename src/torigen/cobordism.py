@@ -2,8 +2,8 @@
 polynomial.
 
 CobordismPoly is a polynomial in the cobordism generators a_1, a_2, ...:
-the class of a space, the coefficient of each x^e in the character's
-blocks, and that of each u^a v^b in the formal group law. It holds and
+the class of a space, the coefficient of each sigma monomial in the S^6
+blocks of reproduce, and that of each u^a v^b in the formal group law. It holds and
 prints them and does no arithmetic: the engines compute on plain dicts (the
 fgl module on packed exponents), and the ring operations that the tests
 need are their reference's (tests/reference.py). clean collapses an
@@ -17,6 +17,8 @@ coefficient that is not an int is a Fraction: testing for int keeps the
 fractions module unloaded on a route that makes no Fraction.
 """
 
+from .symmfunc import trim
+
 
 def clean(c):
     """Collapse integral Fractions to int."""
@@ -27,13 +29,6 @@ def clean(c):
 
 def grlex_key(exp):
     return (sum(exp), exp)
-
-
-def _fmt_coeff(c):
-    c = clean(c)
-    if type(c) is not int:
-        return "%d/%d" % (c.numerator, c.denominator)
-    return str(c)
 
 
 def _fmt_term(exp, c, names):
@@ -47,11 +42,11 @@ def _fmt_term(exp, c, names):
     neg = c < 0
     c = -c if neg else c
     if not factors:
-        body = _fmt_coeff(c)
+        body = str(c)
     elif c == 1:
         body = "*".join(factors)
     else:
-        body = _fmt_coeff(c) + "*" + "*".join(factors)
+        body = str(c) + "*" + "*".join(factors)
     return neg, body
 
 
@@ -100,9 +95,7 @@ class CobordismPoly:
             for exp, c in terms.items():
                 c = clean(c)
                 if c:
-                    exp = tuple(exp)
-                    while exp and exp[-1] == 0:
-                        exp = exp[:-1]
+                    exp = trim(exp)
                     t[exp] = t.get(exp, 0) + c
                     if t[exp] == 0:
                         del t[exp]
@@ -112,10 +105,7 @@ class CobordismPoly:
         return not self.terms
 
     def coeff(self, omega):
-        omega = tuple(omega)
-        while omega and omega[-1] == 0:
-            omega = omega[:-1]
-        return self.terms.get(omega, 0)
+        return self.terms.get(trim(omega), 0)
 
     def is_integral(self):
         return all(isinstance(c, int) for c in self.terms.values())
@@ -128,13 +118,11 @@ class CobordismPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def max_gen(self):
-        return max((len(e) for e in self.terms), default=0)
-
     def canonical_text(self, prefix="a"):
         # the trimmed keys sort as padded ones would: two of one degree
         # differ within the shorter, as neither is a prefix of the other
-        return render_terms(self.terms, ["%s%d" % (prefix, i + 1) for i in range(self.max_gen())])
+        top = max((len(e) for e in self.terms), default=0)
+        return render_terms(self.terms, ["%s%d" % (prefix, i + 1) for i in range(top)])
 
     def __repr__(self):
         return "CobordismPoly(%s)" % self.canonical_text()

@@ -27,9 +27,9 @@ off that sum here, from fixed-point data alone (Atiyah-Bott).
   value as text: the check of stable --assign is s_numbers itself.
 
 Block omega of ch Phi is homogeneous of geometric degree d = ||omega|| - n,
-where 2n is the real dimension. The character module reads the blocks of
-positive degree off point_chern_numbers at their weight, and this module
-never loads it.
+where 2n is the real dimension. The character module interpolates its
+blocks, the equivariant Chern numbers, from point_chern_numbers at every
+weight, and this module never loads it.
 """
 
 from collections import Counter
@@ -179,9 +179,10 @@ def point_chern_numbers(fp, point, weight=None):
     denominator; a value is an int where that denominator divides it, else
     a Fraction. This is the localization sum at that point. At weight n it
     is the Chern number wherever the sum is constant (see check_poles); at
-    any weight, chern_to_s of it gives the value there of every block a^omega
-    of that weight, as e^xi = sum_omega T[xi][omega] m_lambda(omega) holds in
-    n variables too."""
+    any weight, it is the value there of the equivariant Chern number c^xi
+    of the character (character.character_blocks), and chern_to_s of it
+    that of every block a^omega of that weight, as
+    e^xi = sum_omega T[xi][omega] m_lambda(omega) holds in n variables too."""
     xis = omegas_of_weight(len(fp[0].weights) if weight is None else weight)
     rows = [(pt.sign,) + point_terms(pt, point, xis) for pt in fp]
     common = lcm(*(den for _, den, _ in rows))
@@ -250,8 +251,8 @@ def lattice(vectors, coords, size, top):
     vanishes on a shifted simplex of degree d, and Q(z', t) = (t / s)^d
     Q(s z' / t, s) for t != 0.
 
-    The residues' and the character's determining sets and both numeric
-    points are all built here."""
+    The residues' and the character's determining sets and
+    default_numeric_point are all built here."""
     base = next(b for b in count(2) if all(sum(v[j] * b ** r for r, j in enumerate(coords)) for v in vectors))
     m = top * max((abs(c) for v in vectors for c in v), default=0) + 1
     shift = [m * base ** coords.index(j) if j in coords else 0 for j in range(size)]
@@ -270,18 +271,11 @@ def lattice(vectors, coords, size, top):
 
 def default_numeric_point(fp):
     """m b + e_1, the last point of lattice's degree-1 set on every
-    coordinate: nonsingular, and not proportional to second_numeric_point's
-    b, so the two points give different weight values."""
+    coordinate: nonsingular, and not proportional to m b, the first point,
+    at which the character (character.character_blocks) reads its blocks of
+    degree 0, so verify's two reads give different weight values."""
     k = len(fp[0].weights[0])
     return tuple(lattice([w for pt in fp for w in pt.weights], range(k), k, 1)(1)[-1])
-
-
-def second_numeric_point(fp):
-    """b = (1, base, base^2, ...), lattice's degree-0 point on every
-    coordinate: a nonsingular point for a cross-check against
-    default_numeric_point."""
-    k = len(fp[0].weights[0])
-    return tuple(lattice([w for pt in fp for w in pt.weights], range(k), k, 0)(0)[0])
 
 
 def s_number_numeric(fp, omega, point):

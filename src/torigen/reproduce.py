@@ -14,7 +14,9 @@ import json
 from fractions import Fraction
 
 from . import character, divdiff, genus, rootdata, stablex
+from .chern import chern_to_s
 from .cobordism import CobordismPoly
+from .symmfunc import omegas_of_weight
 
 
 def _fp(descriptor, structure=None):
@@ -34,14 +36,16 @@ def _times(p, q):
 
 def _s6_sigma_blocks():
     """ch_U Phi(S^6) blocks rewritten in sigma_2, sigma_3 (x3 eliminated):
-    {(sigma, degree): canonical text}."""
+    {(sigma, degree): canonical text}. The character holds the equivariant
+    Chern numbers; each read of an x^e coefficient is converted to the
+    a^omega blocks by chern_to_s at its weight, 3 + |e|."""
     ch = character.character_blocks(_fp("G2/SU(3)"), 9)
     # x3 = -x1 - x2: sigma_2 = -(x1^2 + x1 x2 + x2^2), sigma_3 = -x1 x2 (x1 + x2)
     s2 = {(2, 0): -1, (1, 1): -1, (0, 2): -1}
     s3 = {(2, 1): -1, (1, 2): -1}
 
     def at(e):
-        return {om: block.get(e, 0) for om, block in ch.items()}
+        return chern_to_s({xi: ch.get(xi, {}).get(e, 0) for xi in omegas_of_weight(3 + sum(e))}, 3 + sum(e))
 
     out = {}
     for d, basis in ((2, s2), (4, _times(s2, s2))):
@@ -53,8 +57,8 @@ def _s6_sigma_blocks():
     a21, a22 = b1.get(e2, 0), b2.get(e2, 0)
     det = a11 * a22 - a12 * a21
     v1, v2 = at(e1), at(e2)
-    out[("s2", 6)] = {om: Fraction(v1[om] * a22 - v2[om] * a12, det) for om in ch}
-    out[("s3", 6)] = {om: Fraction(v2[om] * a11 - v1[om] * a21, det) for om in ch}
+    out[("s2", 6)] = {om: Fraction(v1[om] * a22 - v2[om] * a12, det) for om in v1}
+    out[("s3", 6)] = {om: Fraction(v2[om] * a11 - v1[om] * a21, det) for om in v1}
     return {key: CobordismPoly(block).canonical_text() for key, block in out.items()}
 
 

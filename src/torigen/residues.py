@@ -1,5 +1,5 @@
 """The residues of a localization sum that the certificate does not pass,
-and the points at which every determining set is read.
+and the a-series product at a point that reads them.
 
 genus.check_poles loads this module only where genus._pole_free fails, so
 the certified route compiles none of it. Each point's term of
@@ -19,8 +19,8 @@ proof that the group sums decide admissibility.
 The determining sets are genus.lattice's, as are character.character_blocks'.
 residue_rows reads the a-series product prod_j (1 + sum_i a_i c_j^i) over one
 common denominator. Beyond the residues, only verify reads it, once, for
-the class at one point (character.point_blocks); the character's blocks
-come from genus.point_chern_numbers.
+the class at one point (character.point_blocks); the character's blocks,
+the equivariant Chern numbers, come from genus.point_chern_numbers.
 """
 
 from collections import Counter

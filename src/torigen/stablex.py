@@ -23,7 +23,7 @@ The stable verb, which enumerates the tables or checks one given with
 
 import json
 import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import product
 from math import lcm, prod
 
@@ -196,8 +196,9 @@ def enumerate_feasible(spec, budget=1 << 20):
 def assignment_from_json(data, spec):
     """SignAssignment from {coset_index: [signs], "epsilon": e}, optionally
     nested under "table", beside which only "epsilon" may stand; ValueError
-    for any other shape, and for a key that is not read, such as an index of
-    chi or more, which names no point."""
+    for any other shape, for a key that is not read, such as an index of
+    chi or more, which names no point, and for "epsilon" given both inside
+    "table" and beside it."""
     base = fixed_point_weights(spec)
     src = data.get("table", data) if isinstance(data, dict) else data
     if not isinstance(src, dict):
@@ -210,6 +211,8 @@ def assignment_from_json(data, spec):
         raise ValueError('assignment key %s is not read: the keys are the coset indices 0 to %d of %s and '
                          '"epsilon", or "table" holding them'
                          % (json.dumps(stray[0]), len(base) - 1, spec.descriptor))
+    if src is not data and "epsilon" in src and "epsilon" in data:
+        raise ValueError('assignment key "epsilon" is given both inside "table" and beside it')
     table = []
     for i in range(len(base)):
         key = str(i)
@@ -224,15 +227,25 @@ def assignment_from_json(data, spec):
     return assign
 
 
+def _object(pairs, repeated):
+    """The JSON object of pairs as a dict; a key given again is added to
+    repeated, so that no value silently replaces another."""
+    repeated += [key for key, count in Counter(key for key, _ in pairs).items() if count > 1]
+    return dict(pairs)
+
+
 def cmd_stable(args):
     from .cli import _build_space, _emit
     spec = _build_space(args)
     if args.assign is not None:
+        repeated = []
         with open(args.assign) as fh:
             try:
-                data = json.load(fh)
+                data = json.load(fh, object_pairs_hook=lambda pairs: _object(pairs, repeated))
             except ValueError as exc:
                 raise ValueError("--assign %s is not JSON: %s" % (args.assign, exc)) from None
+        if repeated:
+            raise ValueError("assignment key %s is given twice" % json.dumps(repeated[0]))
         assign = assignment_from_json(data, spec)
         report = check_necessary(spec, assign)
         if report.ok:

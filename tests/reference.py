@@ -9,8 +9,10 @@ No verb runs any of these. Each builds its answer the slow, direct way:
   chern_character_of_genus, class_of_character, symbolic_class) put ch Phi
   over one polynomial common denominator. character.character_blocks must
   equal its blocks, and genus.check_poles must reach its verdict on the
-  same omega. block_coefficient reads the x^e coefficient off the blocks
-  of character_blocks, as kernel_coefficient off the kernel's.
+  same omega, once omega_blocks has converted its equivariant Chern
+  numbers to a^omega blocks by chern_to_s. block_coefficient reads the x^e
+  coefficient off those blocks, as kernel_coefficient off the kernel's;
+  degree_zero_point is where character_blocks reads its constant blocks.
 - omega_numerator substitutes the weights into m_lambda, one a^omega block
   at a time, and omega_numerator_values gives its values at a point in
   integers, by way of the e^xi and elementary_product (e_to_m); the kernel
@@ -69,8 +71,9 @@ from itertools import combinations, groupby, permutations, product
 from math import comb, factorial, gcd, prod
 import re
 
+from torigen.chern import chern_to_s
 from torigen.cobordism import CobordismPoly, clean, grlex_key, render_series, render_terms
-from torigen.genus import SingularSum, canonical_line, non_integer_class
+from torigen.genus import SingularSum, canonical_line, lattice, non_integer_class
 from torigen.rootdata import M10_DESCRIPTOR, fixed_point_weights
 from torigen.stablex import NecessaryReport, SignAssignment, derived_fixed_point_data
 from torigen.symmfunc import omega_weight, omegas_of_weight
@@ -402,9 +405,32 @@ def kernel_coefficient(blocks, e):
 
 def block_coefficient(blocks, e):
     """sum_omega a^omega * (x^e coefficient of block omega), for blocks
-    {omega: {exponent: coefficient}} as character.character_blocks returns
-    them."""
+    {omega: {exponent: coefficient}} as omega_blocks returns them."""
     return CobordismPoly({om: block.get(tuple(e), 0) for om, block in blocks.items()})
+
+
+def omega_blocks(ch):
+    """The a^omega blocks {omega: {exponent: coefficient}}, nonzero ones
+    only, of a character held as character.character_blocks holds it, by
+    its equivariant Chern numbers {xi: block}: at each weight w and exponent
+    e, chern_to_s of the x^e coefficients of the blocks of weight w. Every
+    comparison of character_blocks with an a^omega oracle converts here."""
+    out = {}
+    for w in sorted({omega_weight(xi) for xi in ch}):
+        for e in sorted({e for xi, block in ch.items() if omega_weight(xi) == w for e in block}):
+            table = chern_to_s({xi: ch.get(xi, {}).get(e, 0) for xi in omegas_of_weight(w)}, w)
+            for om, c in table.items():
+                if c:
+                    out.setdefault(om, {})[e] = clean(c)
+    return out
+
+
+def degree_zero_point(fp):
+    """m b, the first point of genus.lattice on every coordinate at top 1:
+    where character.character_blocks at order n + 1 reads its blocks of
+    degree 0, the second numeric point of verify."""
+    k = len(fp[0].weights[0])
+    return tuple(lattice([w for pt in fp for w in pt.weights], range(k), k, 1)(0)[0])
 
 
 LocData = namedtuple("LocData", "arena n denom cofactors prefactors")

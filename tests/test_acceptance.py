@@ -32,7 +32,7 @@ from torigen.stablex import (
 from torigen.symmfunc import omega_weight, omegas_of_weight
 
 from reference import (GradedSeries, MultiPoly, RingPoly, block_coefficient, euler_characteristic, multi_bracket,
-                       permute_series, ring, substitute_series, xvars)
+                       omega_blocks, permute_series, ring, substitute_series, xvars)
 
 
 def fp_of(text, structure=None):
@@ -47,7 +47,7 @@ def test_projective_line():
     fp = fp_of("CP1")
     assert cobordism_class(fp).canonical_text() == "2*a1"
     # ch Phi = 2 sum_k a_{2k+1} (x1 - x2)^{2k} through degree 6
-    ch = character_blocks(fp, 7)
+    ch = omega_blocks(character_blocks(fp, 7))
     u = MultiPoly.linear_form(xvars(2), (1, -1))
     assert ch == {(0,) * (2 * k) + (1,): (u ** (2 * k) * 2).terms for k in range(4)}
 
@@ -106,7 +106,7 @@ def degree_part(ch, d):
 
 def _sigma_blocks_of_six_sphere():
     """Rewrite the degree 2, 4, 6 blocks of ch Phi(S^6) in sigma_2, sigma_3."""
-    ch = character_blocks(fp_of("G2/SU(3)"), 9)
+    ch = omega_blocks(character_blocks(fp_of("G2/SU(3)"), 9))
     ar = xvars(2)
     x1, x2 = MultiPoly.variable(ar, 0), MultiPoly.variable(ar, 1)
     x3 = -(x1 + x2)
@@ -232,8 +232,8 @@ def test_structural_invariants():
         # the blocks exist only where no block has a pole
         ch = character_blocks(fp, n + 2)
         assert weyl_invariance_failure(spec, ch) is None
-        for om, block in ch.items():
-            assert all(sum(e) == omega_weight(om) - n for e in block)
+        for xi, block in ch.items():
+            assert all(sum(e) == omega_weight(xi) - n for e in block)
         table = s_numbers(fp)
         assert table[(n,)] == euler_characteristic(spec) * (1 if fp[0].sign == 1 else -1)
 

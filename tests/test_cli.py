@@ -16,7 +16,7 @@ from torigen.reproduce import reproduce_table
 from torigen.rootdata import build_space, fixed_point_weights
 from torigen.stablex import SignAssignment
 
-from reference import assignment_to_json
+from reference import assignment_to_json, degree_zero_point
 
 
 def run(capsys, *argv):
@@ -204,6 +204,28 @@ def test_stable_assign_non_object_exits_two(tmp_path, capsys, content):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("content, key", [
+    ('{"0": [1, 1], "0": [1, -1], "1": [1, 1], "2": [1, 1]}', '"0"'),
+    ('{"table": {"0": [1, 1], "1": [1, 1], "2": [1, 1], "1": [1, -1]}}', '"1"'),
+    ('{"0": [1, 1], "1": [1, 1], "2": [1, 1], "epsilon": 1, "epsilon": -1}', '"epsilon"'),
+])
+def test_stable_assign_key_given_twice_exits_two(tmp_path, capsys, content, key):
+    # json.load keeps the last of two values for one key: the file is
+    # ambiguous, and is refused rather than read one way
+    path = tmp_path / "assign.json"
+    path.write_text(content)
+    assert run(capsys, "stable", "--space", "CP2", "--assign", str(path)) == (
+        2, "", "error: assignment key %s is given twice\n" % key)
+
+
+def test_stable_assign_epsilon_inside_and_beside_table_exits_two(tmp_path, capsys):
+    # either level alone is read; both would leave one of them unread
+    path = tmp_path / "assign.json"
+    path.write_text('{"table": {"0": [1, 1], "1": [1, 1], "2": [1, 1], "epsilon": 1}, "epsilon": -1}')
+    assert run(capsys, "stable", "--space", "CP2", "--assign", str(path)) == (
+        2, "", 'error: assignment key "epsilon" is given both inside "table" and beside it\n')
+
+
 def test_stable_assign_that_is_not_json_names_the_file(tmp_path, capsys):
     path = tmp_path / "assign.txt"
     path.write_text("not json")
@@ -328,6 +350,14 @@ NOT_INTEGERS = [
      "error: --numeric takes integers, got ''\n"),
     (("snumbers", "--space", "CP2", "--omega", "0,1", "--numeric", "1,two,3"),
      "error: --numeric takes integers, got 'two'\n"),
+    # an empty item between, after or before the commas is refused, not
+    # dropped: each of these read once as a valid shorter list
+    (("snumbers", "--space", "CP3", "--omega", "1,,1"), "error: --omega takes integers, got '1,,1'\n"),
+    (("snumbers", "--space", "CP3", "--omega", "1,1,"), "error: --omega takes integers, got '1,1,'\n"),
+    (("snumbers", "--space", "CP3", "--omega", ",1,1"), "error: --omega takes integers, got ',1,1'\n"),
+    (("class", "--space", "CP2", "--signs=1,,-1"), "error: --signs takes integers, got '1,,-1'\n"),
+    (("snumbers", "--space", "CP2", "--omega", "0,1", "--numeric", "1,2,4,"),
+     "error: --numeric takes integers, got '1,2,4,'\n"),
 ]
 
 
@@ -363,12 +393,13 @@ def test_fgl_rejects_order_above_limit(capsys):
 
 def _raise_c1_squared(monkeypatch, at_point):
     """Make point_chern_numbers return c1^2 + 1 on CP2 at one of its two
-    points, and change no other weight than n = 2."""
+    points, default_numeric_point or the character's degree-0 read at
+    degree_zero_point, and change no other weight than n = 2."""
     real = genus.point_chern_numbers
 
     def fake(fp, point, weight=None):
         table = dict(real(fp, point, weight))
-        if point == at_point(fp) and weight in (None, 2):
+        if tuple(point) == at_point(fp) and weight in (None, 2):
             table[(2,)] += 1
         return table
     monkeypatch.setattr(genus, "point_chern_numbers", fake)
@@ -376,7 +407,7 @@ def _raise_c1_squared(monkeypatch, at_point):
 
 def test_verify_class_mismatch_names_omega(capsys, monkeypatch):
     # the certified table now disagrees with the symbolic class and with the
-    # second point: s_(0,1) = c1^2 - 2*c2 reads 4 instead of 3
+    # character's degree-0 blocks: s_(0,1) = c1^2 - 2*c2 reads 4 instead of 3
     _raise_c1_squared(monkeypatch, genus.default_numeric_point)
     code, out, _ = run(capsys, "verify", "--space", "CP2")
     assert code == 1
@@ -410,7 +441,8 @@ def test_verify_euler_mismatch_names_both_values(capsys, monkeypatch):
 
 
 def test_verify_numeric_mismatch_names_xi(capsys, monkeypatch):
-    _raise_c1_squared(monkeypatch, genus.second_numeric_point)
+    # the character's block c1^2 of degree 0 reads 10 instead of 9
+    _raise_c1_squared(monkeypatch, degree_zero_point)
     code, out, _ = run(capsys, "verify", "--space", "CP2")
     assert code == 1
     assert [line for line in out.splitlines() if "FAIL" in line] == [
@@ -504,13 +536,12 @@ def test_streamed_tables_match_json_dumps(capsys, count):
 # torigen --help, VERB --help for every verb, and six usage errors (no verb,
 # an unknown verb, a missing --space, an unknown option on two verbs and one
 # before the verb), byte for byte at 80 columns: a verb that comes first has
-# a parser of its own, and the top level reports an option before the verb
+# a parser of its own, and the top level reports an option before the verb;
+# its usage line is its own, the same on every Python from 3.10
 USAGE = [
     (('--help',), 0,
      """\
-usage: torigen [-h]
-               {class,genus,snumbers,chern,verify,flag,grassmann,stable,fgl,reproduce}
-               ...
+usage: torigen [-h] verb ...
 
 Exact toric genus, cobordism classes and characteristic numbers of homogeneous
 spaces.
@@ -670,17 +701,13 @@ options:
     ((), 2,
      "",
      """\
-usage: torigen [-h]
-               {class,genus,snumbers,chern,verify,flag,grassmann,stable,fgl,reproduce}
-               ...
+usage: torigen [-h] verb ...
 torigen: error: the following arguments are required: verb
 """),
     (('nope',), 2,
      "",
      """\
-usage: torigen [-h]
-               {class,genus,snumbers,chern,verify,flag,grassmann,stable,fgl,reproduce}
-               ...
+usage: torigen [-h] verb ...
 torigen: error: argument verb: invalid choice: 'nope' (choose from 'class', 'genus', 'snumbers', 'chern', 'verify', 'flag', 'grassmann', 'stable', 'fgl', 'reproduce')
 """),
     (('class',), 2,
@@ -708,9 +735,7 @@ torigen stable: error: unrecognized arguments: --bogus
     (('--bogus', 'class', '--space', 'CP1'), 2,
      "",
      """\
-usage: torigen [-h]
-               {class,genus,snumbers,chern,verify,flag,grassmann,stable,fgl,reproduce}
-               ...
+usage: torigen [-h] verb ...
 torigen: error: unrecognized arguments: --bogus
 """),
 ]

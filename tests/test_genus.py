@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torigen import CheckFailure, character, genus, residues
+from torigen import CheckFailure, character, chern, genus, residues
 from torigen.character import character_blocks, genus_report, weyl_invariance_failure
 from torigen.chern import chern_to_s, s_to_chern
 from torigen.cli import main
@@ -35,7 +35,6 @@ from torigen.genus import (
     point_terms,
     s_number_numeric,
     s_numbers,
-    second_numeric_point,
 )
 from torigen.divdiff import flag_class
 from torigen.rootdata import FixedPoint, build_space, fixed_point_weights
@@ -50,6 +49,7 @@ from reference import (
     block_coefficient,
     character_numerator,
     chern_character_of_genus,
+    degree_zero_point,
     denominator_lines,
     euler_characteristic,
     f_product_sum,
@@ -57,6 +57,7 @@ from reference import (
     kernel_coefficient,
     localization_data,
     omega_numerator,
+    omega_blocks,
     omega_numerator_values,
     omegas_up_to,
     RingPoly,
@@ -142,7 +143,7 @@ def check_kernel_numerators(fp):
 
 def test_cp1_character_blocks():
     fp = fp_of("CP1")
-    ch = character_blocks(fp, 5)
+    ch = omega_blocks(character_blocks(fp, 5))
     assert block_coefficient(ch, (0, 0)) == RingPoly.gen(1) * 2
     # odd degrees cancel between the two fixed points: block omega has
     # x-degree ||omega|| - 1, so every block left has odd weight
@@ -230,43 +231,61 @@ def _moved_term(ch):
 
 
 def test_weyl_invariance_fails_on_a_moved_term():
-    # x1 added to one block: a transposition of U(3) moves it to x2, and it is
-    # not fixed by both G2 reflections, as no nonzero linear form is; the
-    # block is the constant 6 on U(3)/T3 and 2 on G2/SU(3)
+    # x1 added to one a^omega block: a transposition of U(3) moves it to x2,
+    # and it is not fixed by both G2 reflections, as no nonzero linear form
+    # is; the block is the constant 6 on U(3)/T3 and 2 on G2/SU(3). The
+    # check takes any blocks, and names the key of the failing one "xi"
     for text, point, values in (("U(3)/T3", [1, 0, 0], ("7", "6")), ("G2/SU(3)", [1, 0], ("3", "1"))):
         spec = build_space(text)
-        ch = _moved_term(character_blocks(fixed_point_weights(spec), spec.n + 1))
+        ch = _moved_term(omega_blocks(character_blocks(fixed_point_weights(spec), spec.n + 1)))
         assert weyl_invariance_failure(spec, ch) == {
-            "omega": [3, 0, 0], "reflection": 1, "point": point,
+            "xi": [3, 0, 0], "reflection": 1, "point": point,
             "block_at_p": values[0], "block_at_sp": values[1]}
     # x1^2 added to a block of degree 2 at order n + 2: a transposition of
     # U(3) moves it to x2^2, and the long reflection of G2 swaps x1 and x2
     for text, reflection in (("U(3)/T3", 1), ("G2/SU(3)", 2)):
         spec = build_space(text)
-        ch = character_blocks(fixed_point_weights(spec), spec.n + 2)
+        ch = omega_blocks(character_blocks(fixed_point_weights(spec), spec.n + 2))
         assert weyl_invariance_failure(spec, ch) is None
         om = max(om for om in ch if omega_weight(om) == spec.n + 2)
         block = ch[om]
         assert max(map(sum, block)) == 2
         ch[om] = _plus_x1(block, 2)
         failure = weyl_invariance_failure(spec, ch)
-        assert (failure["omega"], failure["reflection"]) == ([2, 0, 1], reflection)
+        assert (failure["xi"], failure["reflection"]) == ([2, 0, 1], reflection)
 
 
 @pytest.mark.parametrize("verb", ["verify", "genus"])
 def test_weyl_invariance_failure_names_its_evidence(verb, monkeypatch, capsys):
-    # the verbs read the character with x1 added to its largest block
+    # the verbs read the character with x1 added to its largest block, the
+    # equivariant Chern number c1^3, the constant 48 on U(3)/T3
     real = character.character_blocks
     monkeypatch.setattr(character, "character_blocks", lambda *args: _moved_term(real(*args)))
     assert main([verb, "--space", "U(3)/T3"]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
-    assert failed == ["check weyl_invariance: FAIL at omega=[3, 0, 0], reflection=1, point=[1, 0, 0], "
-                      "block_at_p=7, block_at_sp=6"]
+    assert failed == ["check weyl_invariance: FAIL at xi=[3, 0, 0], reflection=1, point=[1, 0, 0], "
+                      "block_at_p=49, block_at_sp=48"]
     assert main([verb, "--space", "U(3)/T3", "--format", "json"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["checks"]["weyl_invariance"] is False
-    assert data["evidence"] == {"weyl_invariance": {"omega": [3, 0, 0], "reflection": 1, "point": [1, 0, 0],
-                                                    "block_at_p": "7", "block_at_sp": "6"}}
+    assert data["evidence"] == {"weyl_invariance": {"xi": [3, 0, 0], "reflection": 1, "point": [1, 0, 0],
+                                                    "block_at_p": "49", "block_at_sp": "48"}}
+
+
+@pytest.mark.parametrize("space", GOLDEN_SPACES, ids=" ".join)
+def test_weyl_verdict_on_the_chern_blocks_is_that_on_the_omega_blocks(space):
+    # at each weight the a^omega blocks are chern_to_s of the c^xi blocks,
+    # an invertible integer combination, so the check reaches one verdict on
+    # both: on the character, and with x1 added to its largest block
+    spec = golden_spec(space)
+    try:
+        ch = character_blocks(fixed_point_weights(spec), spec.n + 1)
+    except SingularSum:
+        return
+    verdicts = [weyl_invariance_failure(spec, blocks) is None for blocks in (ch, _moved_term(ch))]
+    assert verdicts == [weyl_invariance_failure(spec, omega_blocks(blocks)) is None
+                        for blocks in (ch, _moved_term(ch))]
+    assert verdicts == [True, False]
 
 
 def _weyl_group_on_x(spec):
@@ -349,7 +368,7 @@ def check_blocks_by_values(fp):
     n, k = len(fp[0].weights), len(fp[0].weights[0])
     D = sum(denominator_lines(fp).values())
     try:
-        blocks = character_blocks(fp, n + 1)
+        blocks = omega_blocks(character_blocks(fp, n + 1))
     except SingularSum as exc:
         weight = omega_weight(exc.omega)
         assert weight <= n
@@ -402,7 +421,7 @@ def test_blocks_match_the_symbolic_character(text, structure, signs, order):
     # coefficient by coefficient, the order-n + 1 blocks and deeper ones
     fp = fixed_point_weights(build_space(text, structure=structure, signs=signs))
     oracle = chern_character_of_genus(fp, order)
-    assert character_blocks(fp, order) == {om: block.terms for om, block in oracle.items()}
+    assert omega_blocks(character_blocks(fp, order)) == {om: block.terms for om, block in oracle.items()}
 
 
 def character_class(fp):
@@ -494,7 +513,7 @@ def test_evaluator_beyond_symbolic_reach(text):
     fp = fixed_point_weights(spec)
     assert _pole_free(line_sums(fp))
     chern = point_chern_numbers(fp, default_numeric_point(fp))
-    assert point_chern_numbers(fp, second_numeric_point(fp)) == chern
+    assert point_chern_numbers(fp, degree_zero_point(fp)) == chern
     assert point_chern_numbers(fp, (3, -1, 4, -15, 9, 26)[:len(fp[0].weights[0])]) == chern
     assert all(isinstance(v, int) for v in chern.values())
     assert chern_numbers(fp) == chern
@@ -537,7 +556,7 @@ def test_certificate_rejects_broken_sign():
 
 def test_second_point_differs_in_weight_values():
     fp = fp_of("U(3)/T3")
-    first, second = default_numeric_point(fp), second_numeric_point(fp)
+    first, second = default_numeric_point(fp), degree_zero_point(fp)
 
     def values(point):
         return [sum(c * x for c, x in zip(w, point)) for pt in fp for w in pt.weights]
@@ -561,14 +580,18 @@ def golden_spec(space):
 def test_both_numeric_points_on_every_golden_space(space):
     # both nonsingular and not proportional: a sum of degree 0 agrees at
     # any two proportional points, so numeric_agreement would check
-    # nothing; where the sum has no poles, the same Chern numbers
+    # nothing; where the sum has no poles, the same Chern numbers, and the
+    # second point's are the character's blocks of degree 0
     fp = fixed_point_weights(golden_spec(space))
-    first, second = default_numeric_point(fp), second_numeric_point(fp)
+    first, second = default_numeric_point(fp), degree_zero_point(fp)
     for point in (first, second):
         assert all(sum(c * x for c, x in zip(w, point)) for pt in fp for w in pt.weights)
     assert any(a * d != b * c for (a, b), (c, d) in combinations(zip(first, second), 2))
     if _pole_free(line_sums(fp)):
         assert point_chern_numbers(fp, first) == point_chern_numbers(fp, second)
+        n, zero = len(fp[0].weights), (0,) * len(first)
+        blocks = character_blocks(fp, n + 1)
+        assert {xi: blocks.get(xi, {}).get(zero, 0) for xi in omegas_of_weight(n)} == point_chern_numbers(fp, second)
 
 
 def outcome(fn, fp):
@@ -673,10 +696,10 @@ def test_a_residue_line_holds_its_last_free_coordinate_at_the_shift(text, signs)
 
 
 def test_residue_lines_and_character_blocks_take_their_points_from_the_lattice(monkeypatch):
-    # every point that the residues, the character and both numeric points
-    # read is one of genus.lattice's, built once per line, once per
-    # character and once per numeric point; the character reads the blocks
-    # of weight n + d at exactly its points(d), and no residue row
+    # every point that the residues, the character and the default numeric
+    # point read is one of genus.lattice's, built once per line, once per
+    # character and once for the point; the character reads the blocks of
+    # weight n + d at exactly its points(d), and no residue row
     built, lattices, reads, values = [], [], [], []
     lattice, read, evaluate = genus.lattice, residues.residue_rows, genus.point_chern_numbers
 
@@ -700,8 +723,6 @@ def test_residue_lines_and_character_blocks_take_their_points_from_the_lattice(m
     assert built[lines:] == [((0, 1, 2), 2)]
     assert values == [(z, 2 + d) for d in range(3) for z in lattices[-1](d)]
     assert reads == []
-    point = second_numeric_point(fp)
-    assert built[-1] == ((0, 1, 2, 3), 0) and list(point) == lattices[-1](0)[0]
     point = default_numeric_point(fp)
     assert built[-1] == ((0, 1, 2, 3), 1) and list(point) in lattices[-1](1)
 
@@ -803,6 +824,19 @@ def test_one_character_per_run(monkeypatch, capsys, argv):
     assert main(list(argv)) == 0
     assert "FAIL" not in capsys.readouterr().out
     assert len(orders) == 1
+
+
+@pytest.mark.parametrize("verb", ["verify", "genus"])
+@pytest.mark.parametrize("text", ["CP5", "U(4)/T4"])
+def test_one_e_to_m_table_per_run(monkeypatch, capsys, verb, text):
+    # the character holds the equivariant Chern numbers, so only the class
+    # crosses the e -> m basis change, at weight n and never at n + 1
+    weights = []
+    build = chern.transition_table
+    monkeypatch.setattr(chern, "transition_table", lambda w: weights.append(w) or build(w))
+    assert main([verb, "--space", text]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert set(weights) == {build_space(text).n}
 
 
 @pytest.mark.parametrize("text, structure", [("U(4)/T4", None), (M10, "J2")])
