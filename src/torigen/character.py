@@ -23,33 +23,38 @@ orders are absolute: an order-N character holds the blocks with
 
 verify and genus share one pipeline (_checked). verify compares two routes
 to the class that share no basis change: the a-series product
-prod_j (1 + sum_i a_i c_j^i) at one point and to order n (point_blocks, the
-one read of residues.residue_rows here), and chern_to_s of the
-point-evaluated Chern numbers; and it compares those Chern numbers with
+prod_j (1 + sum_i a_i c_j^i) at one point and to order n (point_blocks, by
+series_values, which lives here because nothing else reads the a-series:
+the residues and the sign search read genus.point_terms, as the class
+does), and chern_to_s of the point-evaluated Chern numbers; and it
+compares those Chern numbers with
 the character's blocks of degree 0, read at another point. The symbolic
 common-denominator character, which the tests keep in tests/reference.py
 as an oracle, must agree with character_blocks block by block.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial, prod
 
-from . import genus, residues
+from . import genus
 from .chern import chern_to_s
 from .cobordism import CobordismPoly, clean
 from .rootdata import fixed_point_weights, reflect
 from .symmfunc import omega_weight, omegas_of_weight, pad
 
-# verify, one run each, start-up included, on a 2-vCPU Xeon VM, against the cost
-# k * chi * n * N(n + 1) of check_cost: 0.16 s at CP12 (7.6e5), 0.21 s at
-# U(5)/T5 (1.2e6), 0.39 s at CP15 (3.5e6), 1.1 s at CP18 (1.4e7), 1.8 s at
-# U(6)/U(2)xT4 (2.1e7), 2.6 s and 63 MB at CP20 (3.1e7), 4.2 s and 88 MB at
-# CP21 (4.6e7), 4.9 s and 95 MB at U(6)/T6 (5.9e7), and 6.9 s and 112 MB at
-# U(8)/U(5)xT3 (1.01e8, just past the limit). The e-sums of the character
-# cost far less than the estimate, which is kept so that every refusal
-# stays as it was; the time goes to the e -> m table of weight n, to the
-# e-sums of weight n + 1 and to verify's one a-series product.
+# verify, two runs each in one sitting, start-up included, on a 2-vCPU Xeon
+# VM, against the cost k * chi * n * N(n + 1) of check_cost: 0.19-0.25 s at
+# CP12 (7.6e5), 0.22-0.32 s at U(5)/T5 (1.2e6), 0.51-0.58 s at CP15
+# (3.5e6), 1.5-1.8 s at CP18 (1.4e7), 2.2-2.4 s and 20 MB at U(6)/U(2)xT4
+# (2.1e7), 3.8-4.0 s and 53 MB at CP20 (3.1e7), 4.4-6.9 s and 74 MB at CP21
+# (4.6e7), 5.1-6.4 s and 26 MB at U(6)/T6 (5.9e7), and 7.8-9.2 s and 32 MB
+# at U(8)/U(5)xT3 (1.01e8, just past the limit). The e-sums of the
+# character cost far less than the estimate, which is kept so that every
+# refusal stays as it was; the time goes to the e -> m table of weight n,
+# to the e-sums of weight n + 1 and to verify's a-series product at each
+# fixed point.
 CHARACTER_COST_LIMIT = 10 ** 8
 
 
@@ -88,15 +93,52 @@ def _interpolate(values, corner, d):
     return f
 
 
+@lru_cache(maxsize=None)
+def _series_plan(order):
+    """(omegas, steps) for series_values: every omega of weight <= order, by
+    weight and then sorted, and per omega, heaviest first, its index and the
+    (index, k) of omega + e_k."""
+    omegas = [om for w in range(order + 1) for om in omegas_of_weight(w)]
+    index = {om: i for i, om in enumerate(omegas)}
+    steps = []
+    for om in sorted(omegas, key=omega_weight, reverse=True):
+        ups = []
+        for k in range(1, order - omega_weight(om) + 1):
+            up = list(om) + [0] * (k - len(om))
+            up[k - 1] += 1
+            ups.append((index[tuple(up)], k))
+        steps.append((index[om], ups))
+    return omegas, steps
+
+
+def series_values(cs, order):
+    """[m_lambda(cs) for omega in _series_plan(order)'s omegas]: the a^omega
+    coefficients of prod_j (1 + a_1 c_j + a_2 c_j^2 + ...) at the numbers
+    cs, lambda the partition of omega. One pass over the factors, in place:
+    factor j adds c_j^k times block omega into block omega + e_k, the
+    heaviest blocks first, so each is read before this factor adds into it."""
+    omegas, steps = _series_plan(order)
+    vals = [1] + [0] * (len(omegas) - 1)
+    for c in cs:
+        powers = [c ** k for k in range(order + 1)]
+        for i, ups in steps:
+            v = vals[i]
+            if v:
+                for j, k in ups:
+                    vals[j] += v * powers[k]
+    return vals
+
+
 def point_blocks(fp, point, order):
     """(common, {omega: common * value}), n <= ||omega|| <= order: the
     a^omega coefficients of sum_p sign(p) prod_j f(c_j(p)) / prod_j c_j(p) at
     one nonsingular point, c_j = <Lambda_j(p), point>, with no e -> m basis
-    change: the signed sum of residues.residue_rows of the weights."""
-    n = len(fp[0].weights)
-    common, rows = residues.residue_rows([pt.weights for pt in fp], point, order)
-    return common, {om: sum(pt.sign * v for pt, v in zip(fp, row))
-                    for om, row in rows.items() if omega_weight(om) >= n}
+    change: the a-series product at each point (series_values), summed as
+    genus.signed_sum streams them."""
+    omegas = _series_plan(order)[0]
+    low = sum(len(omegas_of_weight(w)) for w in range(len(fp[0].weights)))
+    common, sums = genus.signed_sum(fp, point, lambda cs: series_values(cs, order)[low:])
+    return common, dict(zip(omegas[low:], sums))
 
 
 def character_blocks(fp, order, sums=None):

@@ -9,19 +9,24 @@ off that sum here, from fixed-point data alone (Atiyah-Bott).
 
 - The numbers come from one point evaluator. At a fixed point the Chern
   classes restrict to the elementary symmetric functions of the weights, so
-  c^xi[M] = sum_p sign(p) e^xi(c(p)) / prod_j c_j(p); point_chern_numbers
-  evaluates this at an integer point, and the s-numbers solve c = T s by
+  c^xi[M] = sum_p sign(p) e^xi(c(p)) / prod_j c_j(p). point_terms gives
+  every e^xi with |xi| <= order at once, one multiplication each on the
+  plan of that order (plan); point_chern_numbers sums them at an integer
+  point as they stream (signed_sum), and the s-numbers solve c = T s by
   forward substitution on the integer unitriangular e -> m matrix T
   (chern.chern_to_s). Where the sum has no poles, one point gives every
-  number exactly.
-- The exact certificate _pole_free shows that it has none when the points
-  on each weight line cancel in groups. Where it does not, check_poles
-  decides by residues (the residues module, loaded only then): along each
-  weight line whose groups do not cancel, the residue of block a^omega is
-  sum_g c_g m_lambda(V_g) / prod V_g over the groups, evaluated on a
-  determining set (lattice). The first block with a nonzero residue, by
-  weight and then in sorted order, is a SingularSum that names the line,
-  the point and the value; when every residue is zero, the blocks are
+  number exactly. The residues and the sign search read the same
+  point_terms, and form_values is the one place a point is found
+  singular.
+- The exact certificate _pole_free shows that the sum has no poles when the
+  points on each weight line cancel in groups. Where it does not,
+  check_poles decides by residues (the residues module, loaded only then):
+  along each weight line whose groups do not cancel, the residue of c^xi
+  is sum_g c_g e^xi(V_g) / prod V_g over the groups, evaluated on a
+  determining set (lattice), and that of block a^omega is chern_to_s of
+  those of its weight. The first block with a nonzero residue, by weight
+  and then in sorted order, is a SingularSum that names the line, the
+  point and the value; when every residue is zero, the blocks are
   polynomials and one point gives the class.
 - Either failure is a FailedBlock that names the a^omega block and its
   value as text: the check of stable --assign is s_numbers itself.
@@ -34,7 +39,7 @@ weight, and this module never loads it.
 
 from collections import Counter
 from functools import lru_cache
-from itertools import count
+from itertools import count, repeat
 from math import gcd, lcm, prod
 
 from . import CheckFailure
@@ -151,22 +156,58 @@ def check_poles(fp, order, sums=None):
         check_residues(sums, len(fp[0].weights), order)
 
 
-def point_terms(pt, point, xis):
-    """(prod_j c_j, [e^xi(c) for xi in xis]), c_j = <Lambda_j(p), point> and
-    e^xi = e_1^xi_1 e_2^xi_2 ... in the c_j, e_k = 0 above their number.
-    SingularPoint if a c_j is 0."""
-    cs = []
-    for w in pt.weights:
-        c = sum(a * x for a, x in zip(w, point))
-        if c == 0:
-            raise SingularPoint("weight %s vanishes at %s" % (w, tuple(point)))
-        cs.append(c)
-    e = [1] + [0] * len(cs)
+def form_values(forms, point):
+    """[<v, point> for v in forms]: the values of weights, or of the vectors
+    of a residue key, at an integer point. SingularPoint if one is 0."""
+    cs = [sum(a * x for a, x in zip(v, point)) for v in forms]
+    if 0 in cs:
+        raise SingularPoint("weight %s vanishes at %s" % (forms[cs.index(0)], tuple(point)))
+    return cs
+
+
+@lru_cache(maxsize=None)
+def plan(order):
+    """(xis, steps) for point_terms: every xi with |xi| <= order, by weight
+    and then sorted, and for each after () the (index, k) of its parent, xi
+    less one smallest part k, so that e^xi = e^parent * e_k."""
+    xis = tuple(xi for w in range(order + 1) for xi in omegas_of_weight(w))
+    index = {xi: i for i, xi in enumerate(xis)}
+    steps = []
+    for xi in xis[1:]:
+        k = next(k for k, m in enumerate(xi, 1) if m)
+        steps.append((index[trim(xi[:k - 1] + (xi[k - 1] - 1,) + xi[k:])], k))
+    return xis, tuple(steps)
+
+
+def point_terms(cs, order):
+    """[e^xi(cs) for xi in plan(order)'s xis], e^xi = e_1^xi_1 e_2^xi_2 ...
+    in the numbers cs, e_k = 0 above their number: one multiplication per
+    xi. The weight-w terms are the last len(omegas_of_weight(w)) of
+    point_terms(cs, w)."""
+    e = [1] + [0] * order
     for i, c in enumerate(cs, 1):
-        for k in range(i, 0, -1):
+        for k in range(min(i, order), 0, -1):
             e[k] += c * e[k - 1]
-    return prod(cs), [0 if len(xi) > len(cs) else prod(e[k] ** m for k, m in enumerate(xi, 1) if m)
-                      for xi in xis]
+    vals = [1]
+    for parent, k in plan(order)[1]:
+        vals.append(vals[parent] * e[k])
+    return vals
+
+
+def signed_sum(fp, point, values):
+    """(common, sums): sums[i] = common * sum_p sign(p) values(cs)[i] / prod cs,
+    cs = form_values(pt.weights, point) at each point p of fp and common
+    the lcm of the |prod cs|. The denominators come first, and each point's
+    scaled values are added into one running list, so no point's values
+    outlive its turn."""
+    cs = [form_values(pt.weights, point) for pt in fp]
+    dens = [prod(c) for c in cs]
+    common = lcm(*dens)
+    sums = []
+    for pt, c, den in zip(fp, cs, dens):
+        scale = pt.sign * (common // den)
+        sums = [t + scale * v for t, v in zip(sums or repeat(0), values(c))]
+    return common, sums
 
 
 def point_chern_numbers(fp, point, weight=None):
@@ -176,20 +217,17 @@ def point_chern_numbers(fp, point, weight=None):
 
     e_k the elementary symmetric functions of c_j = <Lambda_j(p), point>
     (point_terms), 0 for k above n, in exact integers over one common
-    denominator; a value is an int where that denominator divides it, else
-    a Fraction. This is the localization sum at that point. At weight n it
-    is the Chern number wherever the sum is constant (see check_poles); at
-    any weight, it is the value there of the equivariant Chern number c^xi
-    of the character (character.character_blocks), and chern_to_s of it
-    that of every block a^omega of that weight, as
-    e^xi = sum_omega T[xi][omega] m_lambda(omega) holds in n variables too."""
-    xis = omegas_of_weight(len(fp[0].weights) if weight is None else weight)
-    rows = [(pt.sign,) + point_terms(pt, point, xis) for pt in fp]
-    common = lcm(*(den for _, den, _ in rows))
-    sums = [0] * len(xis)
-    for sign, den, vals in rows:
-        scale = sign * (common // den)
-        sums = [t + scale * v for t, v in zip(sums, vals)]
+    denominator (signed_sum); a value is an int where that denominator
+    divides it, else a Fraction. This is the localization sum at that
+    point. At weight n it is the Chern number wherever the sum is constant
+    (see check_poles); at any weight, it is the value there of the
+    equivariant Chern number c^xi of the character
+    (character.character_blocks), and chern_to_s of it that of every block
+    a^omega of that weight, as e^xi = sum_omega T[xi][omega] m_lambda(omega)
+    holds in n variables too."""
+    w = len(fp[0].weights) if weight is None else weight
+    xis = omegas_of_weight(w)
+    common, sums = signed_sum(fp, point, lambda cs: point_terms(cs, w)[-len(xis):])
     out = {}
     for xi, v in zip(xis, sums):
         q, r = divmod(v, common)

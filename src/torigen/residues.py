@@ -1,5 +1,4 @@
-"""The residues of a localization sum that the certificate does not pass,
-and the a-series product at a point that reads them.
+"""The residues of a localization sum that the certificate does not pass.
 
 genus.check_poles loads this module only where genus._pole_free fails, so
 the certified route compiles none of it. Each point's term of
@@ -8,83 +7,44 @@ the certified route compiles none of it. Each point's term of
 
 has at most a simple pole along each weight line <l, x> = 0 (primitive
 weights on distinct lines), and the points carrying l enter its residue in
-the groups of genus.line_groups: the residue of block a^omega along l is
-sum_g c_g m_lambda(V_g) / prod V_g, c_g a group's sum of
-sign(p) * orientation_p(l) and V_g its other weights on the hyperplane
-(residue_rows). A block has no pole exactly when every residue is zero, and
-_ResidueLine decides that exactly on a determining set. The sign search
-reads the same rows at the same points: the rank of _ResidueLine is its
-proof that the group sums decide admissibility.
+the groups of genus.line_groups: the residue of the equivariant Chern
+number c^xi along l is sum_g c_g e^xi(V_g) / prod V_g, c_g a group's sum
+of sign(p) * orientation_p(l) and V_g its other weights on the hyperplane
+(residue_rows, off genus.point_terms). Those of the blocks a^omega of a
+weight are chern_to_s of those of its c^xi: at each weight the two differ
+by the integer unimodular e -> m matrix T, which holds in the n - 1 values
+too, so a block has no pole exactly when every c^xi residue of its weight
+is zero, and _ResidueLine decides that exactly on a determining set. The
+sign search reads the same rows at the same points: the rank of
+_ResidueLine, the same in either basis, is its proof that the group sums
+decide admissibility.
 
 The determining sets are genus.lattice's, as are character.character_blocks'.
-residue_rows reads the a-series product prod_j (1 + sum_i a_i c_j^i) over one
-common denominator. Beyond the residues, only verify reads it, once, for
-the class at one point (character.point_blocks); the character's blocks,
-the equivariant Chern numbers, come from genus.point_chern_numbers.
 """
 
 from collections import Counter
-from functools import lru_cache
 from math import gcd, lcm, prod
+from operator import mul
 
 from . import CheckFailure, genus
+from .chern import chern_to_s
 from .cobordism import render_terms
-from .symmfunc import omega_weight, omegas_of_weight, pad
-
-
-@lru_cache(maxsize=None)
-def _series_plan(order):
-    """(omegas, steps) for series_values: every omega of weight <= order, and
-    per omega, heaviest first, its index and the (index, k) of omega + e_k."""
-    omegas = [om for w in range(order + 1) for om in omegas_of_weight(w)]
-    index = {om: i for i, om in enumerate(omegas)}
-    steps = []
-    for om in sorted(omegas, key=omega_weight, reverse=True):
-        ups = []
-        for k in range(1, order - omega_weight(om) + 1):
-            up = list(om) + [0] * (k - len(om))
-            up[k - 1] += 1
-            ups.append((index[tuple(up)], k))
-        steps.append((index[om], ups))
-    return omegas, steps
-
-
-def series_values(cs, order):
-    """{omega: m_lambda(cs)}, ||omega|| <= order: the a^omega coefficients of
-    prod_j (1 + a_1 c_j + a_2 c_j^2 + ...) at the numbers cs, lambda the
-    partition of omega. One pass over the factors, in place: factor j adds
-    c_j^k times block omega into block omega + e_k, the heaviest blocks
-    first, so each is read before this factor adds into it."""
-    omegas, steps = _series_plan(order)
-    vals = [1] + [0] * (len(omegas) - 1)
-    for c in cs:
-        powers = [1]
-        for _ in range(order):
-            powers.append(powers[-1] * c)
-        for i, ups in steps:
-            v = vals[i]
-            if v:
-                for j, k in ups:
-                    vals[j] += v * powers[k]
-    return dict(zip(omegas, vals))
+from .symmfunc import omegas_of_weight, pad
 
 
 def residue_rows(keys, point, order):
-    """(common, rows): per omega, ||omega|| <= order, rows[omega] lists
-    common * m_lambda(V) / prod V over the keys, V the values <v, point> of
-    the vectors v of a key and common the lcm of the |prod V|. The key of a
-    line's group has 0 at the line's first nonzero coordinate i, and
-    <key, z> = <u, y> for y on the line's hyperplane with y_j = l_i z_j off
-    i, so every z gives the true residues at such a y. SingularPoint if a V
-    is 0."""
-    terms = []
-    for key in keys:
-        vs = [sum(a * b for a, b in zip(v, point)) for v in key]
-        if 0 in vs:
-            raise genus.SingularPoint("weight %s vanishes at %s" % (key[vs.index(0)], tuple(point)))
-        terms.append((prod(vs), series_values(vs, order)))
-    common = lcm(*(den for den, _ in terms))
-    return common, {om: [vals[om] * (common // den) for den, vals in terms] for om in terms[0][1]}
+    """(common, rows): per xi, |xi| <= order, rows[xi] lists
+    common * e^xi(V) / prod V over the keys (genus.point_terms), V the
+    values <v, point> of the vectors v of a key and common the lcm of the
+    |prod V|. The key of a line's group has 0 at the line's first nonzero
+    coordinate i, and <key, z> = <u, y> for y on the line's hyperplane with
+    y_j = l_i z_j off i, so every z gives the true residues at such a y.
+    SingularPoint if a V is 0."""
+    values = [genus.form_values(key, point) for key in keys]
+    dens = [prod(vs) for vs in values]
+    common = lcm(*dens)
+    terms = [[v * (common // den) for v in genus.point_terms(vs, order)] for vs, den in zip(values, dens)]
+    return common, dict(zip(genus.plan(order)[0], zip(*terms)))
 
 
 def _primitive(v):
@@ -96,15 +56,16 @@ class _ResidueLine:
     """The residue rows of the groups with keys `keys` along one weight line
     l, at the points of a determining set, read as needed.
 
-    A combination R = sum_g c_g R_g of the rows of block omega is a
-    rational function on the hyperplane <l, x> = 0, homogeneous of degree
-    ||omega|| - (n - 1), with denominators the key forms. Cleared by D, the
+    A combination R = sum_g c_g R_g of the rows of c^xi is a rational
+    function on the hyperplane <l, x> = 0, homogeneous of degree
+    |xi| - (n - 1), with denominators the key forms. Cleared by D, the
     product of the distinct forms (up to scale) at their highest
     multiplicity in one group, it is a polynomial Q = D R, homogeneous of
-    degree ||omega|| - (n - 1) + deg D in the k - 1 coordinates off i: zero
+    degree |xi| - (n - 1) + deg D in the k - 1 coordinates off i: zero
     when that is negative, and else zero exactly when it is zero on
     genus.lattice's set of that degree, where no key form vanishes. So R is
-    zero exactly when it is zero at points(||omega||). Each weight's rows are
+    zero exactly when it is zero at points(|xi|), and so are those of the
+    blocks a^omega of that weight, chern_to_s of them. Each weight's rows are
     read once, at its own points and only to that weight."""
 
     def __init__(self, line, keys, n, order):
@@ -117,7 +78,7 @@ class _ResidueLine:
         self.clear = sum(need.values())
         vectors, free = [v for key in keys for v in key], [j for j in range(len(line)) if j != self.i]
         self.at = genus.lattice(vectors, free, len(line), order - (n - 1) + self.clear)
-        self.read = {}   # weight: [(point, common, {omega: row})]
+        self.read = {}   # weight: [(point, common, {xi: row})]
 
     def points(self, weight):
         """The determining set of the blocks of this weight, at most order."""
@@ -132,32 +93,36 @@ class _ResidueLine:
         return self.read[weight]
 
     def rank(self):
-        """The rank of the groups' rows over the blocks with ||omega|| <= n,
-        each block's read at its own weight's points, the rows that
-        check_residues reads: a combination of the groups is 0 in all of
-        them exactly when it is 0 on these rows. The sets are prefixes of
-        points(n), so each of its points is read once, to weight n, for the
-        blocks whose set holds it, one point at a time up to full rank.
+        """The rank of the groups' rows over the xi with |xi| <= n, each
+        read at its own weight's points, the rows that check_residues
+        reads: a combination of the groups is 0 in all of them exactly when
+        it is 0 on these rows. The sets are prefixes of points(n), so each
+        of its points is read once, to weight n, for the xi whose set holds
+        it, one point at a time up to full rank.
         Reduced modulo P = 2^61 - 1, a rank modulo P is that of a nonzero
-        integer minor, so no more than the exact rank."""
+        integer minor, so no more than the exact rank. The basis is kept in
+        reduced echelon form, by its columns off the pivots, so a row is
+        reduced by one product per free column and pivot."""
         P = (1 << 61) - 1
         sets = [(len(self.points(w)), omegas_of_weight(w)) for w in range(self.n + 1)]
-        basis = []   # (pivot, row): 1 at its pivot, 0 at the pivots before it
+        pivots = []
+        cols = {j: [] for j in range(len(self.keys))}   # free column: its entry in each basis row
         for i, z in enumerate(self.points(self.n)):
             rows = residue_rows(self.keys, z, self.n)[1]
-            for om in (om for size, blocks in sets if i < size for om in blocks):
-                row = [x % P for x in rows[om]]
-                for pivot, b in basis:
-                    c = row[pivot]
-                    if c:
-                        row = [(x - c * v) % P for x, v in zip(row, b)]
-                pivot = next((j for j, x in enumerate(row) if x), None)
+            for xi in (xi for size, blocks in sets if i < size for xi in blocks):
+                cs = [rows[xi][p] % P for p in pivots]
+                left = {j: (rows[xi][j] - sum(map(mul, cs, col))) % P for j, col in cols.items()}
+                pivot = next((j for j, x in left.items() if x), None)
                 if pivot is not None:
-                    c = pow(row[pivot], -1, P)
-                    basis.append((pivot, [x * c % P for x in row]))
-                    if len(basis) == len(self.keys):
-                        return len(basis)
-        return len(basis)
+                    c = pow(left.pop(pivot), -1, P)
+                    at = cols.pop(pivot)
+                    for j, col in cols.items():
+                        v = left[j] * c % P
+                        col[:] = [(b - a * v) % P for a, b in zip(at, col)] + [v]
+                    pivots.append(pivot)
+                    if not cols:
+                        return len(pivots)
+        return len(pivots)
 
     def on_line(self, z):
         """The point y of <l, y> = 0 at which the key values at z are the
@@ -176,9 +141,12 @@ def check_residues(sums, n, order):
     sums are genus.line_sums of a table with n weights per point. Every
     line whose groups do not cancel is read by _ResidueLine. A block has no
     pole exactly when every residue sum_g c_g R_g is 0; a nonzero value
-    proves a pole, and a zero is proved on a determining set. CheckFailure
-    where the weights at a point are not primitive on distinct lines, which
-    the residues need."""
+    proves a pole, and a zero is proved on a determining set. The rows are
+    those of the c^xi, so at each weight the a^omega residues at a (line,
+    point) are chern_to_s of its c^xi residues, converted when the scan,
+    block by block, first reaches it, and only where one is nonzero.
+    CheckFailure where the weights at a point are not primitive on distinct
+    lines, which the residues need."""
     if sums is None:
         raise CheckFailure("the residues need primitive weights on distinct lines at every point")
     lines = []
@@ -188,10 +156,15 @@ def check_residues(sums, n, order):
             keys, weights = zip(*groups)
             lines.append((_ResidueLine(line, keys, n, order), weights))
     for weight in range(order + 1):
-        for omega in omegas_of_weight(weight):
+        xis = omegas_of_weight(weight)
+        blocks = {}   # (line, point index): the a^omega residues there
+        for omega in xis:
             for res, weights in lines:
-                for z, common, rows in res.rows(weight):
-                    value = sum(c * r for c, r in zip(weights, rows[omega]))
+                for p, (z, common, rows) in enumerate(res.rows(weight)):
+                    if (res, p) not in blocks:
+                        at = [sum(c * r for c, r in zip(weights, rows[xi])) for xi in xis]
+                        blocks[res, p] = chern_to_s(dict(zip(xis, at)), weight) if any(at) else {}
+                    value = blocks[res, p].get(omega)
                     if not value:
                         continue
                     from fractions import Fraction

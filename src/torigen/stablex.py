@@ -12,6 +12,8 @@ exact search: it reads each table's group sums in the certificate of
 genus._pole_free off packed ints and its Chern numbers at one point, and
 proves on every line, by the rank of the residue rows that check_poles
 reads (residues._ResidueLine), that the group sums decide admissibility.
+The Chern numbers and the residue rows are both e-sums of
+genus.point_terms.
 
 "Admissible" is deliberate: the conditions are necessary, and which admissible
 tables are realized by honest stable complex structures is a separate
@@ -28,7 +30,7 @@ from itertools import product
 from math import lcm, prod
 
 from . import CheckFailure
-from .genus import FailedBlock, default_numeric_point, line_groups, point_terms, s_lines, s_table
+from .genus import FailedBlock, default_numeric_point, form_values, line_groups, point_terms, s_lines, s_table
 from .genus import s_numbers as _genus_s_numbers
 from .rootdata import FixedPoint, fixed_point_weights, is_sign
 from .symmfunc import omegas_of_weight
@@ -115,15 +117,16 @@ def _group_ints(rows, chi):
     return ints, lines
 
 
-def _integral(rows, point, xis):
+def _integral(rows, point, n):
     """integral(table): whether a table, one index per point into its row
     of sign vectors, has integral Chern numbers at point. Per point and sign
-    vector, sign * e^xi(c) * L / prod c at point (point_terms) for each xi,
-    L the lcm of the |prod c|: a table's sums are L * c^xi at point, and
-    integral exactly when L divides each."""
-    terms = [[(pt.sign,) + point_terms(pt, point, xis) for pt in row] for row in rows]
-    common = lcm(*(den for row in terms for _, den, _ in row))
-    values = [[[sign * (common // den) * v for v in vals] for sign, den, vals in row] for row in terms]
+    vector, sign * e^xi(c) * L / prod c at point (point_terms) for each xi
+    with |xi| = n, L the lcm of the |prod c|: a table's sums are L * c^xi
+    at point, and integral exactly when L divides each."""
+    terms = [[(pt.sign, form_values(pt.weights, point)) for pt in row] for row in rows]
+    common = lcm(*(prod(c) for row in terms for _, c in row))
+    size = len(omegas_of_weight(n))
+    values = [[[sign * (common // prod(c)) * v for v in point_terms(c, n)[-size:]] for sign, c in row] for row in terms]
 
     def integral(table):
         return all(sum(col) % common == 0 for col in zip(*(row[j] for row, j in zip(values, table))))
@@ -154,7 +157,9 @@ def enumerate_feasible(spec, budget=1 << 20):
     over its groups, vanish; where the R_g have full column rank, every
     group sum c_g is 0.  So the rank is checked on every line first, on the
     rows that check_poles reads, each block's at its own weight's
-    determining set (residues._ResidueLine.rank), and where it is not full
+    determining set (residues._ResidueLine.rank: those of the c^xi, which
+    the unimodular e -> m matrix takes to those of the a^omega at each
+    weight, so the rank is the same), and where it is not full
     the search raises CheckFailure with the line and the rank.
     """
     if budget < 1:
@@ -173,7 +178,7 @@ def enumerate_feasible(spec, budget=1 << 20):
         if rank < len(keys):
             raise CheckFailure("residue rank %d of %d groups on line %s: the search cannot prove "
                                "that it finds every admissible table" % (rank, len(keys), list(line)))
-    integral = _integral(rows, default_numeric_point(base), omegas_of_weight(n))
+    integral = _integral(rows, default_numeric_point(base), n)
     cancels = {}
     for i, v in enumerate(low[-1]):
         cancels.setdefault(-v, []).append(i)

@@ -32,6 +32,10 @@ No verb runs any of these. Each builds its answer the slow, direct way:
   bare product must agree with it.
 - elementary_product and monomial_sym build e^xi and m_lambda as
   polynomials; symmfunc.transition_table and chern.chern_to_s must agree.
+  e_monomials takes each e^xi at numbers as a product of powers of the e_k,
+  which genus.point_terms, one multiplication per xi, must equal;
+  residue_rank ranks the a^omega residue rows, m_lambda by monomial_sym,
+  by exact_rank: residues._ResidueLine.rank, on e^xi rows, must agree.
   zero_one_count counts the 0-1 matrices with given row and column sums,
   row by row, which transition_table's entries must equal.
 - unitary_blocks reads the blocks of a type A space off its descriptor,
@@ -68,7 +72,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, groupby, permutations, product
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd, lcm, prod
 import re
 
 from torigen.chern import chern_to_s
@@ -623,6 +627,17 @@ def elementary(k, n, arena=None):
     return orbit_monomial((1,) * k + (0,) * (n - k), n, arena)
 
 
+def e_monomials(cs, xis):
+    """[e^xi(cs) for xi in xis], e^xi = e_1^xi_1 e_2^xi_2 ... in the numbers
+    cs, each a product of powers of the e_k, and 0 where xi has a part
+    above their number: genus.point_terms must equal it on its plan."""
+    e = [1] + [0] * len(cs)
+    for i, c in enumerate(cs, 1):
+        for k in range(i, 0, -1):
+            e[k] += c * e[k - 1]
+    return [0 if len(xi) > len(cs) else prod(e[k] ** m for k, m in enumerate(xi, 1) if m) for xi in xis]
+
+
 def elementary_product(xi, n, arena=None):
     """e_1^{xi_1} * e_2^{xi_2} * ... in n variables."""
     if arena is None:
@@ -1042,12 +1057,29 @@ def residue_rank(line, keys, n):
     keys `keys` along line, one column per group, every block with
     ||omega|| <= n read at every point of the determining set of the blocks
     of weight n (_ResidueLine.points(n)): the exact rank of the residue
-    map, by integer elimination with each row divided by its content."""
-    from torigen.residues import _ResidueLine, residue_rows
-    rows = [row for z in _ResidueLine(line, keys, n, n).points(n)
-            for row in residue_rows(keys, z, n)[1].values()]
+    map (exact_rank). The rows are the a^omega residues,
+    L * m_lambda(V) / prod V over the keys, V a key's values at the point
+    and L the lcm of the |prod V|, with m_lambda by monomial_sym in the
+    n - 1 values (0, and left out, where lambda has more parts). torigen's
+    residue rows are e^xi sums, which reach the same rank because T is
+    unimodular."""
+    from torigen.residues import _ResidueLine
+    syms = [monomial_sym(omega_to_partition(om), n - 1) for om in omegas_up_to(n)
+            if sum(om) <= n - 1]
+    rows = []
+    for z in _ResidueLine(line, keys, n, n).points(n):
+        values = [[sum(a * b for a, b in zip(v, z)) for v in key] for key in keys]
+        common = lcm(*map(prod, values))
+        rows += [[sym.evaluate(vs) * (common // prod(vs)) for vs in values] for sym in syms]
+    return exact_rank(rows)
+
+
+def exact_rank(rows):
+    """The rank over the rationals of integer rows, by integer elimination
+    with each row divided by its content."""
+    rows = [list(row) for row in rows]
     rank = 0
-    for col in range(len(keys)):
+    for col in range(len(rows[0]) if rows else 0):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue

@@ -29,6 +29,7 @@ from torigen.genus import (
     chern_numbers,
     cobordism_class,
     default_numeric_point,
+    form_values,
     line_groups,
     line_sums,
     point_chern_numbers,
@@ -51,6 +52,7 @@ from reference import (
     chern_character_of_genus,
     degree_zero_point,
     denominator_lines,
+    e_monomials,
     euler_characteristic,
     f_product_sum,
     g2_weyl_group,
@@ -488,11 +490,30 @@ def test_point_values_are_ints_or_exact_fractions():
 
 
 def test_point_terms_are_the_product_and_the_e_monomials():
-    # the second point above: c = (5, -3), e = (2, -15)
+    # the second point above: c = (5, -3), prod c = -15, e = (2, -15); the
+    # plan to order 2 lists (), (1,), (0, 1), (2,)
     pt = FixedPoint(1, ((1, 1), (0, -1)), 1)
-    assert point_terms(pt, (2, 3), [(2,), (0, 1), ()]) == (-15, [4, -15, 1])
+    cs = form_values(pt.weights, (2, 3))
+    assert cs == [5, -3] and prod(cs) == -15
+    assert genus.plan(2)[0] == ((), (1,), (0, 1), (2,))
+    assert point_terms(cs, 2) == [1, 2, -15, 4]
     with pytest.raises(SingularPoint, match=r"weight \(0, -1\) vanishes at \(2, 0\)"):
-        point_terms(pt, (2, 0), [(2,)])
+        form_values(pt.weights, (2, 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)), max_size=7),
+       st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9)), st.integers(0, 12))
+def test_the_plan_gives_the_e_monomials(forms, point, order):
+    # one multiplication per xi, parent first, against the product of
+    # powers; the plan lists every xi of weight <= order, those with a part
+    # above the number of forms too, whose value is 0
+    cs = [sum(a * x for a, x in zip(v, point)) for v in forms]
+    xis = genus.plan(order)[0]
+    assert list(xis) == omegas_up_to(order)
+    values = point_terms(cs, order)
+    assert values == e_monomials(cs, xis)
+    assert all(v == 0 for xi, v in zip(xis, values) if len(xi) > len(cs))
 
 
 def test_line_groups_key_the_other_weights_modulo_the_line():
@@ -842,19 +863,36 @@ def test_one_e_to_m_table_per_run(monkeypatch, capsys, verb, text):
 @pytest.mark.parametrize("text, structure", [("U(4)/T4", None), (M10, "J2")])
 def test_verify_reads_the_a_series_once(monkeypatch, capsys, text, structure):
     # class_matches_s keeps a route with no e -> m basis change: verify reads
-    # the a-series product once, at default_numeric_point and to order n,
-    # and the character reads none
-    read, reads = residues.residue_rows, []
-    monkeypatch.setattr(residues, "residue_rows",
-                        lambda keys, z, order: reads.append((tuple(z), order)) or read(keys, z, order))
+    # the a-series product once per fixed point, at default_numeric_point
+    # and to order n, and the character reads none
+    read, reads = character.series_values, []
+    monkeypatch.setattr(character, "series_values",
+                        lambda cs, order: reads.append((tuple(cs), order)) or read(cs, order))
     assert main(["verify", "--space", text] + (["--structure", structure] if structure else [])) == 0
     assert "FAIL" not in capsys.readouterr().out
     fp = fixed_point_weights(build_space(text, structure=structure))
     n = len(fp[0].weights)
-    assert reads == [(default_numeric_point(fp), n)]
+    point = default_numeric_point(fp)
+    assert reads == [(tuple(form_values(pt.weights, point)), n) for pt in fp]
     del reads[:]
     character_blocks(fp, n + 1)
     assert reads == []
+
+
+@pytest.mark.parametrize("argv, code", [(("class", "--space", "CP2", "--signs=1,-1"), 1),
+                                        (("stable", "--space", "CP3"), 0)], ids=lambda v: " ".join(v)
+                         if isinstance(v, tuple) else str(v))
+def test_the_residues_and_the_search_read_the_e_sums(monkeypatch, capsys, argv, code):
+    # the pole route and the sign search's rank read their residue rows off
+    # genus.point_terms; the a-series product is verify's alone
+    series, terms = [], []
+    monkeypatch.setattr(character, "series_values", lambda cs, order: series.append(order))
+    read = genus.point_terms
+    monkeypatch.setattr(genus, "point_terms", lambda cs, order: terms.append(order) or read(cs, order))
+    assert main(list(argv)) == code
+    assert ("has a pole" in capsys.readouterr().err) == bool(code)
+    assert series == [] and terms
+    assert not hasattr(residues, "series_values")
 
 
 @pytest.mark.parametrize("argv, code", [(("verify", "--space", "CP3"), 0), (("genus", "--space", "CP3"), 0),

@@ -65,6 +65,14 @@ def test_certified_point_route_loads_no_symbolic_engine(verb):
     assert not loaded & (OTHER_VERBS | {"residues"})
 
 
+@pytest.mark.parametrize("argv", [("verify", "--space", "CP2"), ("genus", "--space", "U(3)/T3")], ids=" ".join)
+def test_certified_character_route_loads_no_residues(argv):
+    # the character and verify's a-series route read the fixed points
+    # alone; only a table that the certificate does not pass reads residues
+    loaded = _loaded(*argv)
+    assert "character" in loaded and "residues" not in loaded
+
+
 @pytest.mark.parametrize("verb", sorted(cli.VERBS))
 def test_every_verb_resolves_to_a_function(verb):
     _, module, name, _, _ = cli.VERBS[verb]
