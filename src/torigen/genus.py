@@ -194,19 +194,28 @@ def point_terms(cs, order):
     return vals
 
 
+def common_scales(groups, point):
+    """(common, [(cs, common // prod cs)]): cs = form_values(forms, point) for
+    each list of forms in groups, and common the lcm of the |prod cs|, so
+    that v * scale is common * v / prod cs exactly. Every sum over one
+    common denominator (signed_sum, the residue rows, the sign search's
+    integrality test) is scaled here."""
+    cs = [form_values(forms, point) for forms in groups]
+    dens = [prod(c) for c in cs]
+    common = lcm(*dens)
+    return common, [(c, common // den) for c, den in zip(cs, dens)]
+
+
 def signed_sum(fp, point, values):
     """(common, sums): sums[i] = common * sum_p sign(p) values(cs)[i] / prod cs,
     cs = form_values(pt.weights, point) at each point p of fp and common
-    the lcm of the |prod cs|. The denominators come first, and each point's
-    scaled values are added into one running list, so no point's values
-    outlive its turn."""
-    cs = [form_values(pt.weights, point) for pt in fp]
-    dens = [prod(c) for c in cs]
-    common = lcm(*dens)
+    the lcm of the |prod cs| (common_scales). The denominators come first,
+    and each point's scaled values are added into one running list, so no
+    point's values outlive its turn."""
+    common, scales = common_scales([pt.weights for pt in fp], point)
     sums = []
-    for pt, c, den in zip(fp, cs, dens):
-        scale = pt.sign * (common // den)
-        sums = [t + scale * v for t, v in zip(sums or repeat(0), values(c))]
+    for pt, (c, scale) in zip(fp, scales):
+        sums = [t + pt.sign * scale * v for t, v in zip(sums or repeat(0), values(c))]
     return common, sums
 
 

@@ -114,10 +114,9 @@ def _s6_stable_non_j_trivial():
 
 def _flag_methods_agree_n4():
     a = divdiff.flag_class(4, "corL")
-    b = divdiff.flag_class(4, "tchi")
-    c = divdiff.flag_class(4, "thm8")
-    d = genus.cobordism_class(_fp("U(4)/T4"))
-    return a == b == c == d, "4 routes"
+    b = divdiff.flag_class(4, "thm8")
+    c = genus.cobordism_class(_fp("U(4)/T4"))
+    return a == b == c, "3 routes"
 
 
 def _flag_vanishing_n4():

@@ -23,7 +23,7 @@ The determining sets are genus.lattice's, as are character.character_blocks'.
 """
 
 from collections import Counter
-from math import gcd, lcm, prod
+from math import gcd
 from operator import mul
 
 from . import CheckFailure, genus
@@ -40,10 +40,8 @@ def residue_rows(keys, point, order):
     coordinate i, and <key, z> = <u, y> for y on the line's hyperplane with
     y_j = l_i z_j off i, so every z gives the true residues at such a y.
     SingularPoint if a V is 0."""
-    values = [genus.form_values(key, point) for key in keys]
-    dens = [prod(vs) for vs in values]
-    common = lcm(*dens)
-    terms = [[v * (common // den) for v in genus.point_terms(vs, order)] for vs, den in zip(values, dens)]
+    common, scales = genus.common_scales(keys, point)
+    terms = [[v * scale for v in genus.point_terms(vs, order)] for vs, scale in scales]
     return common, dict(zip(genus.plan(order)[0], zip(*terms)))
 
 

@@ -27,10 +27,10 @@ import json
 import sys
 from collections import Counter, namedtuple
 from itertools import product
-from math import lcm, prod
+from math import prod
 
 from . import CheckFailure
-from .genus import FailedBlock, default_numeric_point, form_values, line_groups, point_terms, s_lines, s_table
+from .genus import FailedBlock, common_scales, default_numeric_point, line_groups, point_terms, s_lines, s_table
 from .genus import s_numbers as _genus_s_numbers
 from .rootdata import FixedPoint, fixed_point_weights, is_sign
 from .symmfunc import omegas_of_weight
@@ -121,12 +121,12 @@ def _integral(rows, point, n):
     """integral(table): whether a table, one index per point into its row
     of sign vectors, has integral Chern numbers at point. Per point and sign
     vector, sign * e^xi(c) * L / prod c at point (point_terms) for each xi
-    with |xi| = n, L the lcm of the |prod c|: a table's sums are L * c^xi
-    at point, and integral exactly when L divides each."""
-    terms = [[(pt.sign, form_values(pt.weights, point)) for pt in row] for row in rows]
-    common = lcm(*(prod(c) for row in terms for _, c in row))
-    size = len(omegas_of_weight(n))
-    values = [[[sign * (common // prod(c)) * v for v in point_terms(c, n)[-size:]] for sign, c in row] for row in terms]
+    with |xi| = n, L the lcm of the |prod c| (common_scales): a table's sums
+    are L * c^xi at point, and integral exactly when L divides each."""
+    common, scales = common_scales([pt.weights for row in rows for pt in row], point)
+    size, at = len(omegas_of_weight(n)), iter(scales)
+    values = [[[pt.sign * scale * v for v in point_terms(c, n)[-size:]] for pt, (c, scale) in zip(row, at)]
+              for row in rows]
 
     def integral(table):
         return all(sum(col) % common == 0 for col in zip(*(row[j] for row, j in zip(values, table))))

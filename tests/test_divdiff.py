@@ -4,6 +4,7 @@ import hashlib
 import random
 import tracemalloc
 from itertools import combinations
+from math import factorial, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 from torigen.divdiff import (
     _packed_product,
     _read,
+    block_class,
+    block_polynomial,
     flag_P_polynomials,
     flag_class,
     flag_vanishing_checks,
@@ -22,7 +25,7 @@ from torigen.cobordism import CobordismPoly
 from torigen.genus import cobordism_class
 from torigen.rootdata import build_space, fixed_point_weights
 
-from reference import (MultiPoly, RingPoly, as_constant, delta_orbit, elementary, f_product_sum,
+from reference import (MultiPoly, RingPoly, as_constant, delta_orbit, elementary, f_product_sum, ring,
                        grassmann_base_blocks, grassmann_class_by_base, grassmann_Q_by_base, operator_L,
                        pair_product_blocks, pair_product_reads, pair_weights, permute, vandermonde, xvars)
 
@@ -100,6 +103,11 @@ def test_grassmann_routes():
     assert grassmann_class(2, 1) == cp2
     with pytest.raises(ValueError):
         grassmann_class(0, 2)
+    for sizes in [(3,), (0, 2), ()]:
+        with pytest.raises(ValueError, match="need two or more blocks"):
+            block_class(sizes)
+    with pytest.raises(ValueError, match="need two or more blocks"):
+        block_polynomial((2,), (1, 0))
 
 
 def test_grassmann_Q_values():
@@ -304,6 +312,32 @@ def test_P_off_the_delta_orbit_matches_the_unpruned_kernel(xi):
     want = CobordismPoly({om: b.coeff(xi) for om, b in full.items()})
     assert not want.is_zero()
     assert flag_P_polynomials(4, xi) == want
+
+
+def compositions(n):
+    """The ordered block sizes (k_1, ..., k_m) of n with m >= 2."""
+    return [c + (k,) for k in range(1, n) for c in compositions(n - k) + [(n - k,)]]
+
+
+# every type-A block quotient of rank up to 5, and one of rank 6; a single
+# block is a point, which localization rejects
+BLOCK_SIZES = [c for n in range(2, 6) for c in compositions(n)] + [(2, 2, 2)]
+
+
+@pytest.mark.parametrize("sizes", BLOCK_SIZES, ids=lambda c: "-".join(map(str, c)))
+def test_block_class_matches_localization(sizes):
+    space = "U(%d)/%s" % (sum(sizes), "x".join("U(%d)" % k for k in sizes))
+    assert block_class(sizes) == cobordism_class(fixed_point_weights(build_space(space)))
+
+
+@pytest.mark.parametrize("sizes", [(1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 3), (2, 2)], ids=lambda c: "-".join(map(str, c)))
+def test_block_polynomial_on_the_delta_orbit_is_the_class(sizes):
+    # (1/k_1!...k_m!) L(Delta_k_1 ... Delta_k_m C), L the signed sum of the
+    # x^sigma(delta) coefficients, each a block_polynomial
+    total = RingPoly()
+    for e, s in delta_orbit(sum(sizes)):
+        total = total + ring(block_polynomial(sizes, e)) * s
+    assert total / prod(map(factorial, sizes)) == block_class(sizes)
 
 
 def test_grassmann_3_3_matches_localization():
