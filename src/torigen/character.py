@@ -35,7 +35,6 @@ as an oracle, must agree with character_blocks block by block.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import factorial, prod
 
 from . import genus
@@ -198,10 +197,7 @@ def weyl_invariance_failure(spec, ch):
     then p(P)."""
     for xi in sorted(ch):
         block = ch[xi]
-        k = spec.rank
-        # index k is the slack, so the coordinates sum to at most d
-        for picks in combinations_with_replacement(range(k + 1), max(map(sum, block), default=0)):
-            point = tuple(picks.count(i) for i in range(k))
+        for point in sorted(genus.simplex(spec.rank, max(map(sum, block), default=0)), reverse=True):
             value = _value(block, point)
             for index, (alpha, coroot) in enumerate(spec.simple, 1):
                 image = reflect(point, coroot, alpha)
@@ -273,20 +269,16 @@ def genus_report(spec):
     return report, CobordismPoly(stable)
 
 
-def cmd_genus(args):
-    from .cli import _build_space, _emit
-    report, cls = genus_report(_build_space(args))
+def cmd_genus(args, spec):
+    report, cls = genus_report(spec)
     lines = ["space: %s  structure: %s" % (report["space"], report["structure"]),
              "class: %s" % cls.canonical_text()]
     lines += genus.s_lines(report["s_numbers"])
     lines += _check_lines(report["checks"], report.get("evidence", {}))
-    _emit(args, "\n".join(lines), report)
-    return 0 if all(report["checks"].values()) else 1
+    return "\n".join(lines), report, 0 if all(report["checks"].values()) else 1
 
 
-def cmd_verify(args):
-    from .cli import _build_space, _emit
-    spec = _build_space(args)
+def cmd_verify(args, spec):
     # a sum with poles fails here as in class, naming its first such block
     fp, chern, ch, failure = _checked(spec)
     n = spec.n
@@ -328,5 +320,4 @@ def cmd_verify(args):
     data = {"space": spec.descriptor, "structure": genus.structure_label(spec), "checks": checks, "ok": ok}
     if evidence:
         data["evidence"] = evidence
-    _emit(args, "\n".join(lines), data)
-    return 0 if ok else 1
+    return "\n".join(lines), data, 0 if ok else 1

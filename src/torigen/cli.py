@@ -5,15 +5,21 @@ reproduce. Text output uses the canonical polynomial rendering so golden
 files stay diff-stable; --format json emits deterministic JSON (sorted keys).
 Exit codes: 0 success, 1 check failure, 2 usage error.
 
-A call compiles only what its verb runs. This module holds main, the parser,
-the helpers the verbs share and the three verbs of the point route
-(class, snumbers, chern); every other verb lives in the module whose work it
-runs, and VERBS names that module and the function. main imports the module
-only for the verb that runs, a verb named first gets a parser of its own,
-and each verb imports inside its function what it needs: class, snumbers and
-chern load genus and never character. At exit the interpreter's remaining
-objects are frozen out of the garbage collector, so shutdown does not walk
-them; a caller that imports cli keeps normal collection until then.
+A verb is a function cmd_VERB(args, spec) that returns (text, data,
+exit_code) and writes nothing: spec is the space that --space names when the
+verb reads one, and None otherwise; data is what --format json writes, and
+None when text is the output in either format. main builds the space, runs
+the verb and writes its output, so no other module imports this one.
+
+A call compiles only what its verb runs. This module holds main, the parser
+and the three verbs of the point route (class, snumbers, chern); every other
+verb lives in the module whose work it runs, and VERBS names that module and
+the function. main imports the module only for the verb that runs, a verb
+named first gets a parser of its own, and each verb imports inside its
+function what it needs: class, snumbers and chern load genus and never
+character. At exit the interpreter's remaining objects are frozen out of the
+garbage collector, so shutdown does not walk them; a caller that imports cli
+keeps normal collection until then.
 """
 
 import argparse
@@ -24,12 +30,6 @@ import sys
 from importlib import import_module
 
 from . import CheckFailure, SpaceGrammarError
-
-if __name__ == "__main__":
-    # python -m torigen.cli runs this file as __main__; registering it under
-    # its own name too keeps a verb's `from .cli import ...` from loading
-    # the file a second time
-    sys.modules.setdefault(__spec__.name, sys.modules[__name__])
 
 atexit.register(gc.freeze)
 
@@ -85,24 +85,22 @@ def _build_space(args):
 
 
 def _emit(args, text, data):
-    if args.format == "json":
-        print(json.dumps(data, sort_keys=True, separators=(",", ":")))
-    else:
-        print(text)
+    """Write a verb's output: data as JSON under --format json, text
+    otherwise; data None means text is the output in either format."""
+    if data is not None and args.format == "json":
+        text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    print(text)
 
 
-def cmd_class(args):
+def cmd_class(args, spec):
     from . import genus, rootdata
-    spec = _build_space(args)
     text = genus.cobordism_class(rootdata.fixed_point_weights(spec)).canonical_text()
-    _emit(args, text, {"space": spec.descriptor, "structure": genus.structure_label(spec), "class": text})
-    return 0
+    return text, {"space": spec.descriptor, "structure": genus.structure_label(spec), "class": text}, 0
 
 
-def cmd_snumbers(args):
+def cmd_snumbers(args, spec):
     from . import genus, rootdata
     from .symmfunc import omega_weight, trim
-    spec = _build_space(args)
     fp = rootdata.fixed_point_weights(spec)
     n = len(fp[0].weights)
     omega = None if args.omega is None else _ints("--omega", args.omega)
@@ -118,30 +116,25 @@ def cmd_snumbers(args):
             raise ValueError("point %s has %d coordinates; the weights of %s have %d"
                              % (list(point), len(point), spec.descriptor, k))
         value = genus.s_number_numeric(fp, omega, point)
-        _emit(args, str(value), {"omega": list(omega), "point": list(point), "value": str(value)})
-        return 0
+        return str(value), {"omega": list(omega), "point": list(point), "value": str(value)}, 0
     table = genus.s_numbers(fp)
     if omega is not None:
         value = table.get(trim(omega), 0)
-        _emit(args, str(value), {"omega": list(omega), "value": value})
-        return 0
+        return str(value), {"omega": list(omega), "value": value}, 0
     rows = genus.s_table(table, n)
-    _emit(args, "\n".join(genus.s_lines(rows)), {"space": spec.descriptor, "s_numbers": rows})
-    return 0
+    return "\n".join(genus.s_lines(rows)), {"space": spec.descriptor, "s_numbers": rows}, 0
 
 
-def cmd_chern(args):
+def cmd_chern(args, spec):
     from . import genus, rootdata
     from .cobordism import CobordismPoly
     from .symmfunc import pad
-    spec = _build_space(args)
     fp = rootdata.fixed_point_weights(spec)
     n = len(fp[0].weights)
     table = genus.chern_numbers(fp)
     rows = [(xi, table[xi]) for xi in sorted(table)]
     text = "\n".join("%s = %d" % (CobordismPoly({xi: 1}).canonical_text("c"), v) for xi, v in rows)
-    _emit(args, text, {"space": spec.descriptor, "chern": [{"xi": pad(xi, n), "value": v} for xi, v in rows]})
-    return 0
+    return text, {"space": spec.descriptor, "chern": [{"xi": pad(xi, n), "value": v} for xi, v in rows]}, 0
 
 
 def _arguments(parser, verb):
@@ -186,10 +179,12 @@ def _parse(argv):
 
 def main(argv=None):
     args = _parse(sys.argv[1:] if argv is None else argv)
-    _, module, name, _, _ = VERBS[args.verb]
+    _, module, name, space, _ = VERBS[args.verb]
     fn = globals()[name] if module == "cli" else getattr(import_module("." + module, __package__), name)
     try:
-        return fn(args)
+        text, data, code = fn(args, _build_space(args) if space else None)
+        _emit(args, text, data)
+        return code
     except SpaceGrammarError as exc:
         print("error: %s" % exc, file=sys.stderr)
         print("space grammar: %s" % SPACE_GRAMMAR, file=sys.stderr)

@@ -142,17 +142,17 @@ def _packed_product(n, pairs, order, odd, cap):
     return width, shifts, {om: (p, q) for om, (wt, p, q) in blocks.items() if wt == order}
 
 
-def _read(n, pairs, order, reads, odd=(), cap=0):
+def _read(n, pairs, order, reads, odd=()):
     """sum_r s_r [x^r] of the weight-order a^omega blocks of prod_j f(x_a - x_b),
     (a, b) = pairs[j], as one CobordismPoly; reads lists (r, s_r), and a
     factor whose index is in odd uses the odd part of f. A block of weight
     order is homogeneous of that degree, so a read of another degree, or
-    with a negative entry, is 0. The box is cap_i = max(cap, every r_i): a
-    caller passes cap to share one product between reads."""
+    with a negative entry, is 0. The box is the largest r_i of the reads in
+    each of the first n - 1 coordinates."""
     reads = [(r, s) for r, s in reads if min(r) >= 0 and sum(r) == order]
     if not reads:
         return CobordismPoly()
-    box = tuple(max(cap, *col) for col in list(zip(*(r for r, _ in reads)))[:n - 1])
+    box = tuple(max(col) for col in list(zip(*(r for r, _ in reads)))[:n - 1])
     width, shifts, blocks = _packed_product(n, tuple(pairs), order, tuple(odd), box)
     signs = {}
     for r, s in reads:
@@ -304,13 +304,11 @@ def flag_vanishing_checks(n):
 FLAG_N_LIMIT = 6
 
 
-def cmd_flag(args):
-    from .cli import _emit
+def cmd_flag(args, spec):
     if args.n > FLAG_N_LIMIT:
         raise ValueError("--n must be at most %d, got %d" % (FLAG_N_LIMIT, args.n))
     text = flag_class(args.n, args.method).canonical_text()
-    _emit(args, text, {"n": args.n, "method": args.method, "class": text})
-    return 0
+    return text, {"n": args.n, "method": args.method, "class": text}, 0
 
 
 # grassmann_class (3,3) takes 0.07 s on a 2-vCPU VM, (1,6) 0.05 s and (2,4)
@@ -325,13 +323,11 @@ GRASSMANN_QL_LIMIT = 9
 GRASSMANN_SIDE_LIMIT = 6
 
 
-def cmd_grassmann(args):
-    from .cli import _emit
+def cmd_grassmann(args, spec):
     if args.q * args.l > GRASSMANN_QL_LIMIT:
         raise ValueError("--q times --l must be at most %d, got %d" % (GRASSMANN_QL_LIMIT, args.q * args.l))
     if max(args.q, args.l) > GRASSMANN_SIDE_LIMIT:
         raise ValueError("--q and --l must be at most %d, got %d"
                          % (GRASSMANN_SIDE_LIMIT, max(args.q, args.l)))
     text = grassmann_class(args.q, args.l).canonical_text()
-    _emit(args, text, {"q": args.q, "l": args.l, "class": text})
-    return 0
+    return text, {"q": args.q, "l": args.l, "class": text}, 0

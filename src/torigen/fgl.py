@@ -103,13 +103,11 @@ def fgl_addition(order):
 FGL_TRUNC_LIMIT = 24
 
 
-def cmd_fgl(args):
-    from .cli import _emit
+def cmd_fgl(args, spec):
     order = 4 if args.trunc is None else args.trunc
     if order < 1:
         raise ValueError("--trunc must be at least 1, got %d" % order)
     if order > FGL_TRUNC_LIMIT:
         raise ValueError("--trunc must be at most %d, got %d" % (FGL_TRUNC_LIMIT, order))
     text = render_series(fgl_addition(order), ("u1", "u2"), "b")
-    _emit(args, text, {"order": order, "addition": text})
-    return 0
+    return text, {"order": order, "addition": text}, 0

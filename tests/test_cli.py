@@ -518,19 +518,18 @@ def test_reproduce_table_passes():
 
 
 @pytest.mark.parametrize("count", [0, 5])
-def test_streamed_tables_match_json_dumps(capsys, count):
+def test_streamed_tables_match_json_dumps(count):
     # 12 points, so the keys "10" and "11" sort before "2"; with no table the
     # text is "admissible: 0" and the JSON has "assignments":[]
     rng = random.Random(12)
     sols = [SignAssignment(tuple(tuple(rng.choice((1, -1)) for _ in range(3)) for _ in range(12)),
                            rng.choice((1, -1))) for _ in range(count)]
     spec = SimpleNamespace(n=3, descriptor="X(12)")
-    stablex._write_tables(Namespace(format="text"), spec, sols)
     lines = ["admissible: %d" % count] + [json.dumps(assignment_to_json(s), sort_keys=True) for s in sols]
-    assert capsys.readouterr().out == "\n".join(lines) + "\n"
-    stablex._write_tables(Namespace(format="json"), spec, sols)
+    assert stablex._tables_text(Namespace(format="text"), spec, sols) == "\n".join(lines)
     data = {"space": "X(12)", "count": count, "assignments": [assignment_to_json(s) for s in sols]}
-    assert capsys.readouterr().out == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    assert stablex._tables_text(Namespace(format="json"), spec, sols) == json.dumps(
+        data, sort_keys=True, separators=(",", ":"))
 
 
 # torigen --help, VERB --help for every verb, and six usage errors (no verb,

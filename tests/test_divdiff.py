@@ -273,20 +273,19 @@ def reader_cases(draw):
     read = st.tuples(st.lists(st.integers(0, order), min_size=n - 1, max_size=n - 1), st.sampled_from((0, 0, 0, 1, -1)))
     reads = [(tuple(head) + (order - sum(head) + off,), s)
              for (head, off), s in draw(st.lists(st.tuples(read, st.integers(-2, 2)), min_size=1, max_size=6))]
-    cap = draw(st.integers(0, order + 1))
-    return n, pairs, order, reads, odd, cap
+    return n, pairs, order, reads, odd
 
 
 @settings(max_examples=120, deadline=None)
 @given(reader_cases())
 # the last factor odd, as in thm8, and reads with unequal entries
 @example((4, [(0, 1), (0, 2), (2, 3), (1, 3), (2, 3)], 5, [((2, 1, 1, 1), 1), ((1, 0, 2, 2), -1), ((3, 2, 0, 0), 2)],
-          (0, 4), 0))
+          (0, 4)))
 # x_n as the first variable of a pair, and a read outside the box of the others
-@example((3, [(2, 0), (2, 1), (0, 1)], 4, [((0, 1, 3), 1), ((1, 1, 2), 1)], (), 2))
+@example((3, [(2, 0), (2, 1), (0, 1)], 4, [((0, 1, 3), 1), ((1, 1, 2), 1)], ()))
 def test_read_matches_the_unpruned_kernel(case):
-    n, pairs, order, reads, odd, cap = case
-    assert _read(n, pairs, order, reads, odd, cap) == pair_product_reads(n, pairs, order, reads, odd)
+    n, pairs, order, reads, odd = case
+    assert _read(n, pairs, order, reads, odd) == pair_product_reads(n, pairs, order, reads, odd)
 
 
 def test_flag_product_traced_peak():

@@ -88,8 +88,8 @@ def test_a_verb_loads_its_own_module(argv, module):
 
 
 def test_module_run_loads_cli_once():
-    # python -m runs cli.py as __main__; verify's module imports cli's
-    # helpers, and must find that copy instead of loading the file again.
+    # python -m runs cli.py as __main__; a module that imported cli back
+    # would load the file a second time, under its own name.
     # -X importtime lists what import statements load, so the verb's module
     # itself, which main loads by importlib.import_module, is not listed,
     # but genus, which it imports, is
@@ -117,16 +117,16 @@ def test_collection_stays_on_until_exit():
 
 
 def test_library_modules_load_no_command_line():
-    # a verb's module imports cli only when its verb runs, so importing the
-    # library registers no exit hook and loads no argparse
+    # no verb's module imports cli, so importing the library registers no
+    # exit hook and loads no argparse
     loaded = _modules("import json, sys, torigen.character, torigen.divdiff, torigen.fgl, "
                       "torigen.reproduce, torigen.stablex; print(json.dumps(sorted(sys.modules)))")
     assert not loaded & {"torigen.cli", "argparse"}
 
 
 def test_streamed_tables_survive_the_exit_hook():
-    # stable writes its 415 kB of JSON in pieces; a fresh interpreter must
-    # print all of it, as the golden digest pins, before it exits
+    # stable's listing is 415 kB of JSON; a fresh interpreter must print
+    # all of it, as the golden digest pins, before it exits
     proc = _python("-m", "torigen.cli", "stable", "--space", "U(3)/T3", "--format", "json")
     assert (proc.returncode, proc.stderr) == (0, "")
     data = proc.stdout.encode()
@@ -179,6 +179,43 @@ def test_stablex_imports_no_kernel():
     search = next(node for node in tree.body if getattr(node, "name", None) == "enumerate_feasible")
     assert [[alias.name for alias in node.names] for node in from_residues] == [["_ResidueLine"]]
     assert from_residues[0] in list(ast.walk(search))
+
+
+def test_only_cli_imports_cli():
+    # a verb returns its output and cli writes it, so no other module needs
+    # cli's helpers, and python -m torigen.cli loads cli once
+    package = Path(torigen.__file__).parent
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                base = ".".join(["torigen"] + [node.module] * bool(node.module)) if node.level else node.module
+                names = {base} | {base + "." + alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            if "torigen.cli" in names:
+                importers.add(path.stem)
+    assert importers == set()
+
+
+# the smallest input of every verb
+SMALL = {"class": ("--space", "CP1"), "genus": ("--space", "CP1"), "snumbers": ("--space", "CP1"),
+         "chern": ("--space", "CP1"), "verify": ("--space", "CP1"), "flag": ("--n", "2"),
+         "grassmann": ("--q", "1", "--l", "1"), "stable": ("--space", "CP1"), "fgl": ("--trunc", "2"),
+         "reproduce": ()}
+
+
+@pytest.mark.parametrize("verb", sorted(cli.VERBS))
+def test_every_verb_returns_its_output(verb, capsys):
+    _, module, name, space, _ = cli.VERBS[verb]
+    args = cli._parse([verb, *SMALL[verb]])
+    result = getattr(import_module("torigen." + module), name)(args, cli._build_space(args) if space else None)
+    assert capsys.readouterr().out == ""
+    text, data, code = result
+    assert (type(text), type(data), type(code)) == (str, type(None) if verb == "stable" else dict, int)
+    assert code == 0
 
 
 def test_flag_loads_no_localization():
