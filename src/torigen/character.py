@@ -16,10 +16,10 @@ of degree d. The a^omega blocks of a weight are chern_to_s of its c^xi
 blocks, a fixed invertible integer combination, as
 e^xi = sum_omega T[xi][omega] m_lambda(omega) holds in the n weights of a
 point: the Weyl check reaches the same verdict on either, and the one
-reader that needs a^omega blocks (reproduce's S^6 row) converts its own
-reads. The blocks are plain {exponent: coefficient} dicts. Truncation
-orders are absolute: an order-N character holds the blocks with
-|xi| = n + d <= N.
+reader that needs a^omega blocks (reproduce's S^6 row) reads the c^xi
+blocks by value at two points (block_value) and converts those values. The
+blocks are plain {exponent: coefficient} dicts. Truncation orders are
+absolute: an order-N character holds the blocks with |xi| = n + d <= N.
 
 verify and genus share one pipeline (_checked). verify compares two routes
 to the class that share no basis change: the a-series product
@@ -176,8 +176,10 @@ def character_blocks(fp, order, sums=None):
     return blocks
 
 
-def _value(block, point):
-    """A block's value at point."""
+def block_value(block, point):
+    """A block's value at point: the localization sum c^xi at point, wherever
+    no weight vanishes there (genus.point_chern_numbers), as the block is
+    that sum as a polynomial."""
     return sum(c * prod(v ** d for v, d in zip(point, e)) for e, c in block.items())
 
 
@@ -198,12 +200,12 @@ def weyl_invariance_failure(spec, ch):
     for xi in sorted(ch):
         block = ch[xi]
         for point in sorted(genus.simplex(spec.rank, max(map(sum, block), default=0)), reverse=True):
-            value = _value(block, point)
+            value = block_value(block, point)
             for index, (alpha, coroot) in enumerate(spec.simple, 1):
                 image = reflect(point, coroot, alpha)
                 if image == point:
                     continue
-                moved = _value(block, image)
+                moved = block_value(block, image)
                 if moved != value:
                     return {"xi": pad(xi, spec.n), "reflection": index,
                             "point": list(point), "block_at_p": str(value), "block_at_sp": str(moved)}
@@ -287,15 +289,16 @@ def cmd_verify(args, spec):
     # the class off the a-series product at one point, to order n
     common, at = point_blocks(fp, genus.default_numeric_point(fp), n)
     cls = CobordismPoly({om: Fraction(v, common) for om, v in at.items()})
-    if not cls.is_integral():
-        raise genus.non_integer_class(cls)
-    checks["class_integral"] = True
     # two independent routes: the a-series class against the point-evaluated
     # table, which passes through chern_to_s, and that table against the
     # character's blocks of degree 0, read at m b, the lattice's first point
     # (genus.lattice); the evidence key "symbolic" names the a-series class
-    # a failed comparison names its first offending omega or xi and both values
+    # a failed check names its first offending omega or xi and its values
     evidence = {}
+    checks["class_integral"] = cls.is_integral()
+    if not checks["class_integral"]:
+        first = genus.non_integer_class(cls)
+        evidence["class_integral"] = {"omega": pad(first.omega, n), "symbolic": first.value}
     bad = [om for om in sorted(table) if cls.coeff(om) != table[om]]
     checks["class_matches_s"] = not bad
     if bad:

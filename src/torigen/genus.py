@@ -19,7 +19,9 @@ off that sum here, from fixed-point data alone (Atiyah-Bott).
   point_terms, and form_values is the one place a point is found
   singular.
 - The exact certificate _pole_free shows that the sum has no poles when the
-  points on each weight line cancel in groups. Where it does not,
+  points on each weight line cancel in groups. line_sums holds only the
+  groups that stay open, the ones its readers read: a group leaves as soon
+  as its running sum returns to 0. Where the certificate fails,
   check_poles decides by residues (the residues module, loaded only then):
   along each weight line whose groups do not cancel, the residue of c^xi
   is sum_g c_g e^xi(V_g) / prod V_g over the groups, evaluated on a
@@ -37,7 +39,6 @@ blocks, the equivariant Chern numbers, from point_chern_numbers at every
 weight, and this module never loads it.
 """
 
-from collections import Counter
 from functools import lru_cache
 from itertools import count, repeat
 from math import gcd, lcm, prod
@@ -105,9 +106,11 @@ def line_groups(pt):
 
 
 def line_sums(fp):
-    """{line: Counter({key: sum of sign(p) * orientation_p(line)})} over the
-    groups of line_groups at every point; None when a point has a weight
-    that is not primitive, two weights on one line, or not n weights."""
+    """{line: {key: sum of sign(p) * orientation_p(line)}} over the groups of
+    line_groups at every point, holding only the open groups: a group leaves
+    its line's dict as soon as its running sum returns to 0, so a line whose
+    groups all cancel maps to {}. None when a point has a weight that is not
+    primitive, two weights on one line, or not n weights."""
     n = len(fp[0].weights)
     sums = {}
     for pt in fp:
@@ -115,13 +118,17 @@ def line_sums(fp):
         if found is None:
             return None
         for (line, key), orient in found:
-            sums.setdefault(line, Counter())[key] += pt.sign * orient
+            groups = sums.setdefault(line, {})
+            c = groups.pop(key, 0) + pt.sign * orient
+            if c:
+                groups[key] = c
     return sums
 
 
 def _pole_free(sums):
     """Exact certificate that every residue of the localization sum cancels,
-    read off sums = line_sums(fp).
+    read off sums = line_sums(fp), which holds only the groups that do not
+    cancel: the certificate holds when no line holds one.
 
     True only if every weight is primitive, the n weight lines at each point
     are distinct (sums is not None), and for every line l the points
@@ -136,7 +143,7 @@ def _pole_free(sums):
     nonsingular integer point gives exactly. False promises nothing; the
     residues decide (check_poles).
     """
-    return sums is not None and not any(c for groups in sums.values() for c in groups.values())
+    return sums is not None and not any(sums.values())
 
 
 def check_poles(fp, order, sums=None):

@@ -24,41 +24,23 @@ def _fp(descriptor, structure=None):
     return rootdata.fixed_point_weights(rootdata.build_space(descriptor, structure=structure))
 
 
-def _times(p, q):
-    """The product of two polynomials held as {exponent: coefficient}."""
-    out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return out
-
-
 def _s6_sigma_blocks():
-    """ch_U Phi(S^6) blocks rewritten in sigma_2, sigma_3 (x3 eliminated):
-    {(sigma, degree): canonical text}. The character holds the equivariant
-    Chern numbers; each read of an x^e coefficient is converted to the
-    a^omega blocks by chern_to_s at its weight, 3 + |e|."""
+    """ch_U Phi(S^6) blocks in sigma_2, sigma_3 of x1, x2, x3 = -x1 - x2:
+    {(sigma, degree): canonical text}. The a^omega blocks are W(G2)-invariant,
+    so that of degree d is c sigma_2^(d/2) for d = 2, 4 and
+    c sigma_2^3 + c' sigma_3^2 for d = 6. They are read by value: B_d(z) is
+    chern_to_s of the values at z of the c^xi blocks of weight 3 + d
+    (character.block_value). At (1, -1), sigma_2 = -1 and sigma_3 = 0, so
+    c = (-1)^(d/2) B_d(1, -1); at (1, 1), sigma_2 = -3 and sigma_3 = -2, so
+    c' = (B_6(1, 1) + 27 c) / 4."""
     ch = character.character_blocks(_fp("G2/SU(3)"), 9)
-    # x3 = -x1 - x2: sigma_2 = -(x1^2 + x1 x2 + x2^2), sigma_3 = -x1 x2 (x1 + x2)
-    s2 = {(2, 0): -1, (1, 1): -1, (0, 2): -1}
-    s3 = {(2, 1): -1, (1, 2): -1}
 
-    def at(e):
-        return chern_to_s({xi: ch.get(xi, {}).get(e, 0) for xi in omegas_of_weight(3 + sum(e))}, 3 + sum(e))
+    def at(d, z):
+        w = 3 + d
+        return chern_to_s({xi: character.block_value(ch.get(xi, {}), z) for xi in omegas_of_weight(w)}, w)
 
-    out = {}
-    for d, basis in ((2, s2), (4, _times(s2, s2))):
-        mono = next(iter(basis))
-        out[("s2", d)] = {om: Fraction(c, basis[mono]) for om, c in at(mono).items()}
-    b1, b2 = _times(s2, _times(s2, s2)), _times(s3, s3)
-    e1, e2 = (6, 0), (4, 2)
-    a11, a12 = b1.get(e1, 0), b2.get(e1, 0)
-    a21, a22 = b1.get(e2, 0), b2.get(e2, 0)
-    det = a11 * a22 - a12 * a21
-    v1, v2 = at(e1), at(e2)
-    out[("s2", 6)] = {om: Fraction(v1[om] * a22 - v2[om] * a12, det) for om in v1}
-    out[("s3", 6)] = {om: Fraction(v2[om] * a11 - v1[om] * a21, det) for om in v1}
+    out = {("s2", d): {om: (-1) ** (d // 2) * v for om, v in at(d, (1, -1)).items()} for d in (2, 4, 6)}
+    out["s3", 6] = {om: Fraction(v + 27 * out["s2", 6][om], 4) for om, v in at(6, (1, 1)).items()}
     return {key: CobordismPoly(block).canonical_text() for key, block in out.items()}
 
 

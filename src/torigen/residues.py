@@ -149,7 +149,7 @@ def check_residues(sums, n, order):
         raise CheckFailure("the residues need primitive weights on distinct lines at every point")
     lines = []
     for line in sorted(sums):
-        groups = [(key, c) for key, c in sorted(sums[line].items()) if c]
+        groups = sorted(sums[line].items())
         if groups:
             keys, weights = zip(*groups)
             lines.append((_ResidueLine(line, keys, n, order), weights))

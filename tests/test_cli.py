@@ -15,6 +15,7 @@ from torigen.cli import main
 from torigen.reproduce import reproduce_table
 from torigen.rootdata import build_space, fixed_point_weights
 from torigen.stablex import SignAssignment
+from torigen.symmfunc import omegas_of_weight
 
 from reference import assignment_to_json, degree_zero_point
 
@@ -451,6 +452,35 @@ def test_verify_numeric_mismatch_names_xi(capsys, monkeypatch):
     assert code == 1
     assert json.loads(out)["evidence"] == {
         "numeric_agreement": {"xi": [2, 0], "default_point": "9", "second_point": "10"}}
+
+
+def test_verify_non_integral_a_series_class_is_a_failed_check(capsys, monkeypatch):
+    # the a-series values of weight n = 2 at the first fixed point read one
+    # more each, so the a-series class is no longer integral: verify prints
+    # every check line, class_integral and class_matches_s failing, and no
+    # error
+    real = character.series_values
+
+    def fake(cs, order):
+        values = real(cs, order)
+        if not seen:
+            values[-top:] = [v + 1 for v in values[-top:]]
+        seen.append(cs)
+        return values
+    monkeypatch.setattr(character, "series_values", fake)
+    top, seen = len(omegas_of_weight(2)), []
+    code, out, err = run(capsys, "verify", "--space", "CP2")
+    assert code == 1 and "error:" not in out + err
+    assert out.splitlines() == ["check class_integral: FAIL at omega=[0, 1], symbolic=61/20",
+                                "check class_matches_s: FAIL at omega=[0, 1], symbolic=61/20, point=3",
+                                "check euler: ok", "check low_vanishing: ok",
+                                "check numeric_agreement: ok", "check weyl_invariance: ok"]
+    del seen[:]
+    code, out, _ = run(capsys, "verify", "--space", "CP2", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["evidence"] == {
+        "class_integral": {"omega": [0, 1], "symbolic": "61/20"},
+        "class_matches_s": {"omega": [0, 1], "symbolic": "61/20", "point": "3"}}
 
 
 def test_zero_dimensional_spaces_rejected(capsys):

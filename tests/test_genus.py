@@ -6,12 +6,14 @@ and character of tests/reference.py, and that oracle against omega_numerator.
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torigen import CheckFailure, character, chern, genus, residues
@@ -426,6 +428,30 @@ def test_blocks_match_the_symbolic_character(text, structure, signs, order):
     assert omega_blocks(character_blocks(fp, order)) == {om: block.terms for om, block in oracle.items()}
 
 
+@lru_cache(maxsize=None)
+def _blocks_and_lattice(text):
+    """(fp, n, the character at order n + 2, the lattice points it read)."""
+    fp = fp_of(text)
+    n, k = len(fp[0].weights), len(fp[0].weights[0])
+    points = genus.lattice([w for pt in fp for w in pt.weights], range(k), k, 2)
+    return fp, n, character_blocks(fp, n + 2), {tuple(z) for d in range(3) for z in points(d)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["CP2", "CP3", "U(3)/T3", "G2/SU(3)", "U(4)/U(2)xU(2)"]), st.data())
+def test_a_block_read_by_value_is_the_localization_sum_there(text, data):
+    # off the determining set the blocks were read on, each block's value at
+    # a point where no weight vanishes is the localization sum at that point:
+    # the S^6 row of reproduce reads its blocks this way
+    fp, n, ch, read = _blocks_and_lattice(text)
+    k = len(fp[0].weights[0])
+    z = tuple(data.draw(st.lists(st.integers(-30, 30), min_size=k, max_size=k)))
+    assume(z not in read and all(sum(a * b for a, b in zip(w, z)) for pt in fp for w in pt.weights))
+    for w in range(n, n + 3):
+        at = point_chern_numbers(fp, z, w)
+        assert {xi: character.block_value(ch.get(xi, {}), z) for xi in omegas_of_weight(w)} == at
+
+
 def character_class(fp):
     """Constant terms of the symbolic character's blocks, with no check on the class."""
     ch = chern_character_of_genus(fp, len(fp[0].weights))
@@ -524,6 +550,50 @@ def test_line_groups_key_the_other_weights_modulo_the_line():
     assert line_groups(pt) == [(((1, -1, 0), ((0, -1, 1),)), 1), (((0, 1, -1), ((1, 0, -1),)), -1)]
     assert line_groups(FixedPoint(0, ((2, -2, 0), (0, 1, -1)), 1)) is None
     assert line_groups(FixedPoint(0, ((1, -1, 0), (-1, 1, 0)), 1)) is None
+
+
+def _open_groups(fp):
+    """{line: {key: sum}} of the groups of line_groups whose sum is not 0,
+    recounted in full over every point."""
+    full = {}
+    for pt in fp:
+        for (line, key), orient in line_groups(pt):
+            full.setdefault(line, Counter())[key] += pt.sign * orient
+    return {line: {key: c for key, c in groups.items() if c} for line, groups in full.items()}
+
+
+def _m10_table(seed):
+    """A sign table of the SU(4) quotient: for a tuple seed, the invariant
+    one with that sign vector (a, b, a, b, c) at every point, one sign per
+    isotropy summand; else a random one of that seed."""
+    base = fixed_point_weights(build_space(M10))
+    if isinstance(seed, tuple):
+        return (seed,) * len(base)
+    rng = random.Random(seed)
+    return tuple(tuple(rng.choice((1, -1)) for _ in pt.weights) for pt in base)
+
+
+@pytest.mark.parametrize("text, options, certified", [
+    *[("CP%d" % n, {}, True) for n in range(1, 9)],
+    *[("U(%d)/T%d" % (n, n), {}, True) for n in range(3, 6)],
+    ("U(4)/U(2)xU(2)", {}, True), ("U(5)/U(2)xU(3)", {}, True), ("G2/SU(3)", {}, True),
+    *[(M10, {"structure": j}, True) for j in ("J1", "J2", "J3")],
+    ("CP2", {"signs": (1, -1)}, False), ("U(4)/U(1)xU(1)xU(2)", {"signs": (1, -1, 1, -1, 1)}, False),
+    *[(M10, {"table": seed}, isinstance(seed, tuple)) for seed in ((1, -1, 1, -1, 1), (1, 1, 1, 1, -1), 0, 1)],
+], ids=str)
+def test_the_certificate_holds_exactly_the_open_groups(text, options, certified):
+    # line_sums drops a group when its running sum returns to 0: it holds
+    # the full recount less its closed groups, every line kept, so a
+    # certified table holds no group at all; the sign tables of the SU(4)
+    # quotient have lines of 33 groups whose residue rows reach rank 27
+    if "table" in options:
+        spec = build_space(text)
+        fp = derived_fixed_point_data(spec, SignAssignment(_m10_table(options["table"]), 1))
+    else:
+        fp = fixed_point_weights(build_space(text, **options))
+    sums = line_sums(fp)
+    assert sums == _open_groups(fp)
+    assert _pole_free(sums) == certified == all(groups == {} for groups in sums.values())
 
 
 @pytest.mark.parametrize("text", ["U(5)/U(1)xU(2)xU(2)", "U(6)/U(3)xU(3)"])
