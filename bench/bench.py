@@ -1,19 +1,23 @@
 """Time the torigen command line end to end and write bench/BENCH_<tag>.json.
 
-    python bench/bench.py TAG [--src DIR]
+    python bench/bench.py TAG[=DIR] [TAG[=DIR] ...]
 
-DIR is the checkout to measure (default: the one holding this script); its
-src/ is the only PYTHONPATH of every child, and the file is written beside
-this script. Standard library only.
+Each TAG names a tree, the checkout DIR (default: the one holding this
+script); its src/ is the only PYTHONPATH of every child, and one file per
+tree is written beside this script, naming the tags measured beside it.
+Standard library only.
 
-Each row runs one command RUNS times, one after another, each in a fresh
-interpreter with PYTHONDONTWRITEBYTECODE=1, output discarded. It records
-the median and range of the wall time, spawn to reap, and the median and
-maximum of the child's peak resident set from os.wait4. A run that passes
-the row's cap is killed; the row is then recorded as a timeout, with no
-figures, and its remaining runs are not made. The floor row, python -c
-pass, is the least a row can read: a child's peak starts at the peak of
-the process that spawned it, so this script imports nothing heavy.
+Each row runs one command RUNS times on every tree, each run in a fresh
+interpreter with PYTHONDONTWRITEBYTECODE=1, output discarded. The trees
+take turns within a row, and which goes first rotates from one run to the
+next (A, B, B, A, ...), so a drift of the machine falls on every tree
+alike. A row records, per tree, the median and range of the wall time,
+spawn to reap, and the median and maximum of the child's peak resident set
+from os.wait4. A run that passes the row's cap is killed; that tree's row
+is then recorded as a timeout, with no figures, and makes no more runs.
+The floor row, python -c pass, is the least a row can read: a child's peak
+starts at the peak of the process that spawned it, so this script imports
+nothing heavy.
 """
 
 import argparse
@@ -74,23 +78,32 @@ def run_once(argv, env, cap):
     return wall, usage.ru_maxrss / 1024, os.waitstatus_to_exitcode(status)
 
 
-def measure(args, src, runs=RUNS, cap=CAP_S):
-    """One row: python ARGS run `runs` times with src/ as PYTHONPATH."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(Path(src) / "src"))
+def _row(args, runs, cap, got):
+    """A tree's row: its runs' figures, or a timeout where got is None."""
     row = {"argv": list(args), "runs": runs, "cap_s": cap}
-    got = []
-    for _ in range(runs):
-        one = run_once([sys.executable] + list(args), env, cap)
-        if one is None:
-            row["timeout"] = True
-            return row
-        got.append(one)
+    if got is None:
+        row["timeout"] = True
+        return row
     walls, peaks, codes = zip(*got)
     row.update(timeout=False, exit=sorted(set(codes)),
                wall_s={"median": round(statistics.median(walls), 3),
                        "min": round(min(walls), 3), "max": round(max(walls), 3)},
                peak_mb={"median": round(statistics.median(peaks), 1), "max": round(max(peaks), 1)})
     return row
+
+
+def measure(args, srcs, runs=RUNS, cap=CAP_S):
+    """One row per tree of srcs: python ARGS run `runs` times with each
+    tree's src/ as PYTHONPATH, the trees in turn, run i starting at tree i
+    modulo their number."""
+    envs = [dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(Path(src) / "src")) for src in srcs]
+    got, k = [[] for _ in srcs], len(srcs)
+    for i in range(runs):
+        for t in (j % k for j in range(i, i + k)):
+            if got[t] is not None:
+                one = run_once([sys.executable] + list(args), envs[t], cap)
+                got[t] = None if one is None else got[t] + [one]
+    return [_row(args, runs, cap, one) for one in got]
 
 
 def _git(src, *args):
@@ -109,26 +122,40 @@ def _cpu():
         return platform.processor() or None
 
 
-def bench(src, rows=ROWS, runs=RUNS, cap=CAP_S):
-    """The BENCH document of the tree src: where it was measured and each row."""
-    status = _git(src, "status", "--porcelain")
-    return {
-        "commit": _git(src, "rev-parse", "HEAD"),
-        "dirty": None if status is None else bool(status),
-        "python": platform.python_version(),
-        "machine": {"platform": platform.platform(), "cpu": _cpu(), "cpus": os.cpu_count()},
-        "rows": [dict(name=name, **measure(args, src, runs, cap)) for name, args in rows],
-    }
+def bench(trees, rows=ROWS, runs=RUNS, cap=CAP_S):
+    """{tag: the BENCH document of its tree} for trees {tag: checkout}:
+    where the tree was measured, the tags measured beside it, and each
+    row."""
+    measured = [measure(args, list(trees.values()), runs, cap) for _, args in rows]
+    docs = {}
+    for t, (tag, src) in enumerate(trees.items()):
+        status = _git(src, "status", "--porcelain")
+        docs[tag] = {
+            "commit": _git(src, "rev-parse", "HEAD"),
+            "dirty": None if status is None else bool(status),
+            "python": platform.python_version(),
+            "machine": {"platform": platform.platform(), "cpu": _cpu(), "cpus": os.cpu_count()},
+            "beside": [other for other in trees if other != tag],
+            "rows": [dict(name=name, **row[t]) for (name, _), row in zip(rows, measured)],
+        }
+    return docs
 
 
 def main(argv):
-    parser = argparse.ArgumentParser(prog="bench.py", description="Write bench/BENCH_<tag>.json.")
-    parser.add_argument("tag")
-    parser.add_argument("--src", type=Path, default=HERE.parent, help="the checkout to measure")
+    parser = argparse.ArgumentParser(prog="bench.py", description="Write bench/BENCH_<tag>.json per tree.")
+    parser.add_argument("trees", nargs="+", metavar="TAG[=DIR]",
+                        help="a tag and the checkout it measures (default: this one)")
     args = parser.parse_args(argv)
-    out = HERE / ("BENCH_%s.json" % args.tag)
-    out.write_text(json.dumps(bench(args.src.resolve()), indent=1) + "\n")
-    print(out)
+    trees = {}
+    for text in args.trees:
+        tag, _, src = text.partition("=")
+        if not tag or tag in trees:
+            parser.error("each tree needs a tag of its own, got %r" % text)
+        trees[tag] = Path(src or HERE.parent).resolve()
+    for tag, doc in bench(trees).items():
+        out = HERE / ("BENCH_%s.json" % tag)
+        out.write_text(json.dumps(doc, indent=1) + "\n")
+        print(out)
     return 0
 
 

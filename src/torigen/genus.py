@@ -37,6 +37,10 @@ Block omega of ch Phi is homogeneous of geometric degree d = ||omega|| - n,
 where 2n is the real dimension. The character module interpolates its
 blocks, the equivariant Chern numbers, from point_chern_numbers at every
 weight, and this module never loads it.
+
+The verbs class, snumbers and chern (cmd_class, cmd_snumbers, cmd_chern)
+print these numbers for the space that --space names; each loads rootdata
+for the fixed points inside its body.
 """
 
 from functools import lru_cache
@@ -46,7 +50,7 @@ from math import gcd, lcm, prod
 from . import CheckFailure
 from .chern import chern_to_s
 from .cobordism import CobordismPoly
-from .symmfunc import omegas_of_weight, pad, trim
+from .symmfunc import omega_weight, omegas_of_weight, pad, trim
 
 
 class FailedBlock(CheckFailure):
@@ -91,11 +95,12 @@ def cobordism_class(fp):
 def line_groups(pt):
     """The groups of _pole_free at one point: ((line, key), orientation) per
     weight, key the other weights modulo the line (l_i*u - u_i*l, i the first
-    nonzero coordinate of l), sorted. None when a weight is not primitive or
-    two weights share a line."""
+    nonzero coordinate of l), sorted. CheckFailure when a weight is not
+    primitive or two weights share a line: every reader of the groups needs
+    the weights primitive on distinct lines, and this is where they enter."""
     lines = [canonical_line(w) for w in pt.weights if gcd(*w) == 1]
     if len({line for line, _ in lines}) != len(pt.weights):
-        return None
+        raise CheckFailure("the weights %s are not primitive on distinct lines" % (pt.weights,))
     out = []
     for j, (line, orient) in enumerate(lines):
         i = next(i for i, c in enumerate(line) if c)
@@ -109,15 +114,14 @@ def line_sums(fp):
     """{line: {key: sum of sign(p) * orientation_p(line)}} over the groups of
     line_groups at every point, holding only the open groups: a group leaves
     its line's dict as soon as its running sum returns to 0, so a line whose
-    groups all cancel maps to {}. None when a point has a weight that is not
-    primitive, two weights on one line, or not n weights."""
+    groups all cancel maps to {}. CheckFailure when a point has not n
+    weights, or weights that line_groups refuses."""
     n = len(fp[0].weights)
     sums = {}
     for pt in fp:
-        found = line_groups(pt) if len(pt.weights) == n else None
-        if found is None:
-            return None
-        for (line, key), orient in found:
+        if len(pt.weights) != n:
+            raise CheckFailure("the weights %s are not n = %d weights" % (pt.weights, n))
+        for (line, key), orient in line_groups(pt):
             groups = sums.setdefault(line, {})
             c = groups.pop(key, 0) + pt.sign * orient
             if c:
@@ -130,10 +134,11 @@ def _pole_free(sums):
     read off sums = line_sums(fp), which holds only the groups that do not
     cancel: the certificate holds when no line holds one.
 
-    True only if every weight is primitive, the n weight lines at each point
-    are distinct (sums is not None), and for every line l the points
-    carrying l cancel in groups (line_groups): points whose other weights
-    agree modulo l as multisets have sum sign(p) * orientation_p(l) = 0.
+    line_sums has refused a table unless every point has n primitive
+    weights on distinct lines. True only if, moreover, for every line l the
+    points carrying l cancel in groups (line_groups): points whose other
+    weights agree modulo l as multisets have sum sign(p) * orientation_p(l)
+    = 0.
 
     Guarantee: then each point's term has at most a simple pole along
     <l, x> = 0, and within a group the residues there are one and the same
@@ -143,7 +148,7 @@ def _pole_free(sums):
     nonsingular integer point gives exactly. False promises nothing; the
     residues decide (check_poles).
     """
-    return sums is not None and not any(sums.values())
+    return not any(sums.values())
 
 
 def check_poles(fp, order, sums=None):
@@ -354,3 +359,45 @@ def structure_label(spec):
     if spec.structure_name != "custom":
         return spec.structure_name
     return ",".join("%+d" % s for s in spec.signs)
+
+
+def cmd_class(args, spec):
+    from . import rootdata
+    text = cobordism_class(rootdata.fixed_point_weights(spec)).canonical_text()
+    return text, {"space": spec.descriptor, "structure": structure_label(spec), "class": text}, 0
+
+
+def cmd_snumbers(args, spec):
+    from . import rootdata
+    fp = rootdata.fixed_point_weights(spec)
+    n = len(fp[0].weights)
+    omega = None if args.omega is None else rootdata.int_list("--omega", args.omega)
+    if omega is not None and (min(omega, default=0) < 0 or omega_weight(omega) != n):
+        raise ValueError("omega %s is not a nonnegative omega of weight %d, the dimension of %s"
+                         % (list(omega), n, spec.descriptor))
+    if args.numeric is not None:
+        point = rootdata.int_list("--numeric", args.numeric)
+        if omega is None:
+            raise ValueError("--numeric needs --omega")
+        k = len(fp[0].weights[0])
+        if len(point) != k:
+            raise ValueError("point %s has %d coordinates; the weights of %s have %d"
+                             % (list(point), len(point), spec.descriptor, k))
+        value = s_number_numeric(fp, omega, point)
+        return str(value), {"omega": list(omega), "point": list(point), "value": str(value)}, 0
+    table = s_numbers(fp)
+    if omega is not None:
+        value = table.get(trim(omega), 0)
+        return str(value), {"omega": list(omega), "value": value}, 0
+    rows = s_table(table, n)
+    return "\n".join(s_lines(rows)), {"space": spec.descriptor, "s_numbers": rows}, 0
+
+
+def cmd_chern(args, spec):
+    from . import rootdata
+    fp = rootdata.fixed_point_weights(spec)
+    n = len(fp[0].weights)
+    table = chern_numbers(fp)
+    rows = [(xi, table[xi]) for xi in sorted(table)]
+    text = "\n".join("%s = %d" % (CobordismPoly({xi: 1}).canonical_text("c"), v) for xi, v in rows)
+    return text, {"space": spec.descriptor, "chern": [{"xi": pad(xi, n), "value": v} for xi, v in rows]}, 0

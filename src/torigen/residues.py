@@ -26,7 +26,7 @@ from collections import Counter
 from math import gcd
 from operator import mul
 
-from . import CheckFailure, genus
+from . import genus
 from .chern import chern_to_s
 from .cobordism import render_terms
 from .symmfunc import omegas_of_weight, pad
@@ -142,11 +142,7 @@ def check_residues(sums, n, order):
     proves a pole, and a zero is proved on a determining set. The rows are
     those of the c^xi, so at each weight the a^omega residues at a (line,
     point) are chern_to_s of its c^xi residues, converted when the scan,
-    block by block, first reaches it, and only where one is nonzero.
-    CheckFailure where the weights at a point are not primitive on distinct
-    lines, which the residues need."""
-    if sums is None:
-        raise CheckFailure("the residues need primitive weights on distinct lines at every point")
+    block by block, first reaches it, and only where one is nonzero."""
     lines = []
     for line in sorted(sums):
         groups = sorted(sums[line].items())

@@ -184,6 +184,23 @@ def is_sign(a):
     return type(a) is int and a in (1, -1)
 
 
+def int_list(option, text):
+    """The integers of an option's value, separated by commas or spaces. An
+    empty value or comma-separated item (as in "1,,1" or "1,1,"), or a
+    token that is not an integer, is a usage error that names the option and
+    the value or the token."""
+    values = []
+    for item in text.split(","):
+        if not item.strip():
+            raise ValueError("%s takes integers, got %r" % (option, text))
+        for tok in item.split():
+            try:
+                values.append(int(tok))
+            except ValueError:
+                raise ValueError("%s takes integers, got %r" % (option, tok)) from None
+    return tuple(values)
+
+
 def set_structure(spec, structure=None, signs=None):
     """spec with a structure preset or explicit signs installed. A name or
     signs that the space does not take is a ValueError, not a grammar

@@ -107,8 +107,6 @@ def _group_ints(rows, chi):
         ints.append([])
         for pt in row:
             groups = line_groups(pt)
-            if groups is None:
-                raise CheckFailure("the weights %s are not primitive on distinct lines" % (pt.weights,))
             for (line, key), _ in groups:
                 lines.setdefault(line, set()).add(key)
             ints[-1].append(sum(pt.sign * orient << width * slots.setdefault(group, len(slots))

@@ -41,7 +41,7 @@ from torigen.genus import (
 )
 from torigen.divdiff import flag_class
 from torigen.rootdata import FixedPoint, build_space, fixed_point_weights
-from torigen.stablex import SignAssignment, derived_fixed_point_data
+from torigen.stablex import SignAssignment, _group_ints, derived_fixed_point_data
 from torigen.symmfunc import omega_weight, omegas_of_weight
 
 from test_golden_localize import SPACES as GOLDEN_SPACES
@@ -548,8 +548,10 @@ def test_line_groups_key_the_other_weights_modulo_the_line():
     # first line, x2 - x3 is 1 * (0, 1, -1) - 0 * (1, -1, 0)
     pt = FixedPoint(0, ((1, -1, 0), (0, -1, 1)), 1)
     assert line_groups(pt) == [(((1, -1, 0), ((0, -1, 1),)), 1), (((0, 1, -1), ((1, 0, -1),)), -1)]
-    assert line_groups(FixedPoint(0, ((2, -2, 0), (0, 1, -1)), 1)) is None
-    assert line_groups(FixedPoint(0, ((1, -1, 0), (-1, 1, 0)), 1)) is None
+    for weights in (((2, -2, 0), (0, 1, -1)), ((1, -1, 0), (-1, 1, 0))):
+        with pytest.raises(CheckFailure) as info:
+            line_groups(FixedPoint(0, weights, 1))
+        assert str(info.value) == "the weights %s are not primitive on distinct lines" % (weights,)
 
 
 def _open_groups(fp):
@@ -613,17 +615,26 @@ def test_evaluator_beyond_symbolic_reach(text):
     assert table[(spec.n,)] == euler_characteristic(spec)
 
 
-def test_certificate_rejects_non_primitive_weight():
+def _doubled_cp2():
+    """The fixed points of CP2 with the first weight at the first point
+    doubled, and the message that refuses them."""
     fp = fp_of("CP2")
     w0 = fp[0].weights
     doubled = [FixedPoint(fp[0].rep, (tuple(2 * c for c in w0[0]),) + w0[1:], fp[0].sign)] + list(fp[1:])
-    assert _pole_free(line_sums(fp))
-    assert not _pole_free(line_sums(doubled))
+    return doubled, "the weights %s are not primitive on distinct lines" % (doubled[0].weights,)
+
+
+def test_certificate_rejects_non_primitive_weight():
+    doubled, message = _doubled_cp2()
+    assert _pole_free(line_sums(fp_of("CP2")))
     # no grammar space or --signs structure has such a weight, as every root
-    # is primitive; library input that does is refused by the residues (exit 1)
-    for engine in (chern_numbers, s_numbers, cobordism_class):
-        with pytest.raises(CheckFailure, match="the residues need primitive weights on distinct lines"):
+    # is primitive; library input that does is refused where its groups are
+    # built (exit 1), with one message for every reader
+    for engine in (line_sums, chern_numbers, s_numbers, cobordism_class, lambda fp: character_blocks(fp, 3),
+                   lambda fp: _group_ints([[pt] for pt in fp], len(fp))):
+        with pytest.raises(CheckFailure) as info:
             engine(doubled)
+        assert str(info.value) == message
 
 
 def test_certificate_rejects_repeated_line():
@@ -631,7 +642,30 @@ def test_certificate_rejects_repeated_line():
     w0 = fp[0].weights
     for twin in (w0[0], tuple(-c for c in w0[0])):
         bad = [FixedPoint(fp[0].rep, (w0[0], twin), fp[0].sign)] + list(fp[1:])
-        assert not _pole_free(line_sums(bad))
+        with pytest.raises(CheckFailure) as info:
+            line_sums(bad)
+        assert str(info.value) == "the weights %s are not primitive on distinct lines" % ((w0[0], twin),)
+
+
+def test_certificate_rejects_a_point_without_n_weights():
+    fp = fp_of("CP2")
+    short = list(fp[:-1]) + [FixedPoint(fp[-1].rep, fp[-1].weights[:1], fp[-1].sign)]
+    with pytest.raises(CheckFailure) as info:
+        s_numbers(short)
+    assert str(info.value) == "the weights %s are not n = 2 weights" % (fp[-1].weights[:1],)
+
+
+def test_an_unreadable_table_is_refused_once_where_its_groups_are_built(monkeypatch):
+    # verify and genus build the groups of a table once, refused or not
+    doubled, message = _doubled_cp2()
+    calls = []
+    build = genus.line_sums
+    monkeypatch.setattr(genus, "line_sums", lambda fp: calls.append(fp) or build(fp))
+    monkeypatch.setattr(character, "fixed_point_weights", lambda spec: doubled)
+    with pytest.raises(CheckFailure) as info:
+        character._checked(build_space("CP2"))
+    assert str(info.value) == message
+    assert len(calls) == 1
 
 
 def test_certificate_rejects_broken_sign():

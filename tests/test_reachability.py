@@ -1,7 +1,7 @@
 """src/torigen holds only what a verb runs.
 
-The walk starts from the names in cli.main, from the functions that the verb
-table cli.VERBS names by string, and from the names in the module-level
+The walk starts from the names in cli.main, from cmd_VERB for each verb of
+the table cli.VERBS, and from the names in the module-level
 statements of every module in the package (the `if __name__ == "__main__"`
 block included; import statements excluded). A top-level function or class,
 or a method, is reached when its name is used, as a bare name or as an
@@ -71,12 +71,13 @@ def _own_code(node, is_class):
 
 
 def verb_functions(modules):
-    """The function names in cli's VERBS table: each entry is (help, module,
-    function, reads a space, arguments), the module and the function as
-    strings, since main imports the module only for the verb that runs."""
+    """The verb functions that cli's VERBS table names: each key is a verb,
+    run by cmd_VERB in the module that its entry (help, module, reads a
+    space, arguments) names as a string, since main imports the module only
+    for the verb that runs."""
     for node in modules["cli"].body:
         if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["VERBS"]:
-            return {entry.elts[2].value for entry in node.value.values}
+            return {"cmd_" + key.value for key in node.value.keys}
     raise AssertionError("cli defines no VERBS table")
 
 
@@ -222,23 +223,20 @@ def main():
 
 
 def test_walk_follows_the_verb_table():
-    # a verb's function is named by string, in the module that runs it; a
-    # cmd_ function that no entry names is still listed
+    # a verb's function is cmd_ and its key, in the module that its entry
+    # names by string; a cmd_ function that no key names is still listed
     mods = _parse(cli='''
 VERBS = {
-    "show": ("show it", "cli", "cmd_show", False, ()),
-    "draw": ("draw it", "art", "cmd_draw", True, (("--size", {"type": int}),)),
+    "show": ("show it", "art", False, ()),
+    "draw": ("draw it", "art", True, (("--size", {"type": int}),)),
 }
 
 def main():
     return 0
-
+''', art='''
 def cmd_show(args):
     return 0
 
-def cmd_hide(args):
-    return 0
-''', art='''
 def cmd_draw(args):
     return brush()
 
@@ -249,7 +247,7 @@ def cmd_erase(args):
     return 0
 ''')
     assert verb_functions(mods) == {"cmd_show", "cmd_draw"}
-    assert unreached(mods) == ["art.cmd_erase", "cli.cmd_hide"]
+    assert unreached(mods) == ["art.cmd_erase"]
 
 
 def test_unused_import_is_listed():

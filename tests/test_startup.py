@@ -35,10 +35,14 @@ sys.exit(code)
 """
 
 
-def _python(*args):
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else SRC
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+    return env
+
+
+def _python(*args):
+    return subprocess.run([sys.executable, *args], env=_env(), capture_output=True, text=True, timeout=120)
 
 
 def _modules(code, *argv, exit_code=0):
@@ -75,9 +79,16 @@ def test_certified_character_route_loads_no_residues(argv):
 
 @pytest.mark.parametrize("verb", sorted(cli.VERBS))
 def test_every_verb_resolves_to_a_function(verb):
-    _, module, name, _, _ = cli.VERBS[verb]
-    assert callable(getattr(import_module("torigen." + module), name))
-    assert name == "cmd_" + verb
+    # one rule finds every verb: cmd_VERB in the module its entry names. cli
+    # defines no verb and looks none up among its own names
+    assert len(cli.VERBS[verb]) == 4
+    _, module, _, _ = cli.VERBS[verb]
+    assert callable(getattr(import_module("torigen." + module), "cmd_" + verb))
+    tree = ast.parse(Path(cli.__file__).read_text())
+    assert not [node.name for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "globals"]
 
 
 @pytest.mark.parametrize("argv, module", [(("verify", "--space", "CP2"), "character"),
@@ -209,9 +220,9 @@ SMALL = {"class": ("--space", "CP1"), "genus": ("--space", "CP1"), "snumbers": (
 
 @pytest.mark.parametrize("verb", sorted(cli.VERBS))
 def test_every_verb_returns_its_output(verb, capsys):
-    _, module, name, space, _ = cli.VERBS[verb]
+    _, module, space, _ = cli.VERBS[verb]
     args = cli._parse([verb, *SMALL[verb]])
-    result = getattr(import_module("torigen." + module), name)(args, cli._build_space(args) if space else None)
+    result = getattr(import_module("torigen." + module), "cmd_" + verb)(args, cli._build_space(args) if space else None)
     assert capsys.readouterr().out == ""
     text, data, code = result
     assert (type(text), type(data), type(code)) == (str, type(None) if verb == "stable" else dict, int)
@@ -256,6 +267,30 @@ def test_exit_codes_in_a_fresh_interpreter(argv, code, message):
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith(message)
     assert "Traceback" not in proc.stderr
+
+
+def test_a_reader_that_stops_early_ends_the_run_quietly():
+    # stable's 0.5 MB of tables do not fit in a pipe: once the reader has
+    # read one line and gone, the next write fails. That is no usage error:
+    # the status is the shell's for SIGPIPE, and nothing is printed
+    proc = subprocess.Popen([sys.executable, "-m", "torigen.cli", "stable", "--space", "U(3)/T3"], env=_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"admissible: 4372\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def test_a_reader_gone_before_the_output_ends_the_run_quietly():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "torigen.cli", "class", "--space", "CP3"], env=_env(),
+                              stdout=write, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 @pytest.mark.parametrize("argv, stream, line", [
