@@ -44,16 +44,16 @@ from .rootdata import fixed_point_weights, reflect
 from .symmfunc import omega_weight, omegas_of_weight, pad
 
 # verify, two runs each in one sitting, start-up included, on a 2-vCPU Xeon
-# VM, against the cost k * chi * n * N(n + 1) of check_cost: 0.19-0.25 s at
-# CP12 (7.6e5), 0.22-0.32 s at U(5)/T5 (1.2e6), 0.51-0.58 s at CP15
-# (3.5e6), 1.5-1.8 s at CP18 (1.4e7), 2.2-2.4 s and 20 MB at U(6)/U(2)xT4
-# (2.1e7), 3.8-4.0 s and 53 MB at CP20 (3.1e7), 4.4-6.9 s and 74 MB at CP21
-# (4.6e7), 5.1-6.4 s and 26 MB at U(6)/T6 (5.9e7), and 7.8-9.2 s and 32 MB
-# at U(8)/U(5)xT3 (1.01e8, just past the limit). The e-sums of the
-# character cost far less than the estimate, which is kept so that every
-# refusal stays as it was; the time goes to the e -> m table of weight n,
-# to the e-sums of weight n + 1 and to verify's a-series product at each
-# fixed point.
+# VM under CPython 3.11, against the cost k * chi * n * N(n + 1) of
+# check_cost: 0.11 s at CP12 (7.6e5), 0.13-0.14 s at U(5)/T5 (1.2e6),
+# 0.27 s at CP15 (3.5e6), 0.74-0.78 s at CP18 (1.4e7), 0.94-1.1 s and
+# 18 MB at U(6)/U(2)xT4 (2.1e7), 1.6-1.9 s and 53 MB at CP20 (3.1e7),
+# 3.2-3.3 s and 73 MB at CP21 (4.6e7), 2.4-3.1 s and 20 MB at U(6)/T6
+# (5.9e7), and 4.2-5.6 s and 31 MB at U(8)/U(5)xT3 (1.01e8, just past the
+# limit, run with it lifted). The e-sums of the character cost far less
+# than the estimate, which is kept so that every refusal stays as it was;
+# the time goes to the e -> m table of weight n, to the e-sums of weight
+# n + 1 and to verify's a-series product at each fixed point.
 CHARACTER_COST_LIMIT = 10 ** 8
 
 

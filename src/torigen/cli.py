@@ -46,7 +46,8 @@ VERBS = {
     "verify": ("run consistency checks for a space", "character", True, ()),
     "flag": ("[U(n)/T^n] by Schubert calculus", "divdiff", False,
              (("--n", {"type": int, "required": True}),
-              ("--method", {"choices": ("corL", "tchi", "thm8"), "default": "corL"}))),
+              ("--method", {"choices": ("corL", "tchi", "thm8"), "default": "corL",
+                            "help": "tchi is corL's read of the same product"}))),
     "grassmann": ("[G_{q+l,l}] by the operator L", "divdiff", False,
                   (("--q", {"type": int, "required": True}), ("--l", {"type": int, "required": True}))),
     "stable": ("equivariant stable complex structures", "stablex", True,

@@ -310,8 +310,7 @@ def lattice(vectors, coords, size, top):
     vanishes on a shifted simplex of degree d, and Q(z', t) = (t / s)^d
     Q(s z' / t, s) for t != 0.
 
-    The residues' and the character's determining sets and
-    default_numeric_point are all built here."""
+    The residues' and the character's determining sets are built here."""
     base = next(b for b in count(2) if all(sum(v[j] * b ** r for r, j in enumerate(coords)) for v in vectors))
     m = top * max((abs(c) for v in vectors for c in v), default=0) + 1
     shift = [m * base ** coords.index(j) if j in coords else 0 for j in range(size)]
@@ -329,12 +328,17 @@ def lattice(vectors, coords, size, top):
 
 
 def default_numeric_point(fp):
-    """m b + e_1, the last point of lattice's degree-1 set on every
-    coordinate: nonsingular, and not proportional to m b, the first point,
-    at which the character (character.character_blocks) reads its blocks of
-    degree 0, so verify's two reads give different weight values."""
-    k = len(fp[0].weights[0])
-    return tuple(lattice([w for pt in fp for w in pt.weights], range(k), k, 1)(1)[-1])
+    """(k, k - 1, ..., 1), k the number of coordinates: the point at which
+    chern_numbers, verify's a-series read and the sign search evaluate. It
+    is positive and strictly decreasing, so every root x_i - x_j, +-x_i +-
+    x_j, x_i or 2 x_i is nonzero there; for type A it is rho_check + (1,
+    ..., 1), and for G2 the image (2, 1) of rho_check under the long simple
+    reflection, nonzero on every root. Every weight of a grammar, --signs or
+    --assign table is +- a root, so those tables are nonsingular there; a
+    table with a weight that vanishes gets SingularPoint (form_values).
+    lattice's first point m b increases, so the two are never proportional
+    and verify's two reads give different weight values."""
+    return tuple(range(len(fp[0].weights[0]), 0, -1))
 
 
 def s_number_numeric(fp, omega, point):

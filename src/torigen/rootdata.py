@@ -11,8 +11,11 @@ lattice; a new kind of space supplies its four parts:
     the transpose, as <s v, x> = <v, s x>; reflect does both.
   * rho_check: a covector positive on every positive root of G.
   * h_simple: the simple roots of H, positive roots of G.
-  * roots: the positive roots of G that are not roots of H; with the
-    structure's signs, the weights at the identity coset.
+  * roots: the complementary roots, one of each pair +-alpha of roots of G
+    that are not roots of H, signed so that the set is W_H-invariant; with
+    the structure's signs, the weights at the identity coset. They need not
+    be positive: G2/SU(3)'s are (1, 0), (0, 1) and (-1, -1), and rho_check
+    is -3 on the last.
 Type A has x_i - x_{i+1} as root and coroot and rho_check = (k-1, ..., 0).
 G2 eliminates x_3 = -x_1 - x_2, so its weights live in Z^2.
 

@@ -471,16 +471,16 @@ def test_verify_non_integral_a_series_class_is_a_failed_check(capsys, monkeypatc
     top, seen = len(omegas_of_weight(2)), []
     code, out, err = run(capsys, "verify", "--space", "CP2")
     assert code == 1 and "error:" not in out + err
-    assert out.splitlines() == ["check class_integral: FAIL at omega=[0, 1], symbolic=61/20",
-                                "check class_matches_s: FAIL at omega=[0, 1], symbolic=61/20, point=3",
+    assert out.splitlines() == ["check class_integral: FAIL at omega=[0, 1], symbolic=7/2",
+                                "check class_matches_s: FAIL at omega=[0, 1], symbolic=7/2, point=3",
                                 "check euler: ok", "check low_vanishing: ok",
                                 "check numeric_agreement: ok", "check weyl_invariance: ok"]
     del seen[:]
     code, out, _ = run(capsys, "verify", "--space", "CP2", "--format", "json")
     assert code == 1
     assert json.loads(out)["evidence"] == {
-        "class_integral": {"omega": [0, 1], "symbolic": "61/20"},
-        "class_matches_s": {"omega": [0, 1], "symbolic": "61/20", "point": "3"}}
+        "class_integral": {"omega": [0, 1], "symbolic": "7/2"},
+        "class_matches_s": {"omega": [0, 1], "symbolic": "7/2", "point": "3"}}
 
 
 def test_zero_dimensional_spaces_rejected(capsys):
@@ -678,6 +678,7 @@ options:
   --format {text,json}
   --n N
   --method {corL,tchi,thm8}
+                        tchi is corL's read of the same product
 """,
      ""),
     (('grassmann', '--help'), 0,

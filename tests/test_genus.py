@@ -719,6 +719,62 @@ def test_both_numeric_points_on_every_golden_space(space):
         assert {xi: blocks.get(xi, {}).get(zero, 0) for xi in omegas_of_weight(n)} == point_chern_numbers(fp, second)
 
 
+@st.composite
+def small_structures(draw):
+    """(text, structure, signs): a grammar space with at most 7 coordinates
+    (CPn, U(n)/Tn, a block quotient of U(n), G2/SU(3) or the SU(4)
+    quotient) in a preset structure or, on draws below 7 coordinates, where
+    a table has at most 720 points, with a drawn --signs vector."""
+    n = draw(st.integers(2, 7))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=1)))
+    blocks = "x".join("U(%d)" % (b - a) for a, b in zip([0] + cuts, cuts + [n]))
+    text = draw(st.sampled_from(["CP%d" % (n - 1), "U(%d)/T%d" % (n, n), "U(%d)/%s" % (n, blocks),
+                                 "G2/SU(3)", M10]))
+    presets = ["J1", "J2", "J3"] if text == M10 else ["standard", "conjugate"]
+    structure = draw(st.sampled_from(presets + [None] * (n < 7)))
+    if structure:
+        return text, structure, None
+    roots = build_space(text).n
+    return text, None, tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=roots, max_size=roots)))
+
+
+@lru_cache(maxsize=4)
+def structured_fp(text, structure, signs):
+    """The fixed points of a drawn structure and the character's first
+    lattice point on them."""
+    fp = fixed_point_weights(build_space(text, structure=structure, signs=signs))
+    return fp, degree_zero_point(fp)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_structures(), st.data())
+def test_the_numeric_point_is_nonsingular_on_every_structure(space, data):
+    # (k, ..., 1) is nonzero on every weight, and not proportional to the
+    # character's first lattice point; where the sum has no poles, its
+    # Chern numbers are those at any other nonsingular point (read up to
+    # 120 fixed points)
+    fp, second = structured_fp(*space)
+    k = len(fp[0].weights[0])
+    point = default_numeric_point(fp)
+    assert point == tuple(range(k, 0, -1))
+    assert all(form_values(sorted({w for pt in fp for w in pt.weights}), point))
+    assert any(a * d != b * c for (a, b), (c, d) in combinations(zip(point, second), 2))
+    if len(fp) <= 120 and _pole_free(line_sums(fp)):
+        other = tuple(data.draw(st.lists(st.integers(-1000, 1000), min_size=k, max_size=k)))
+        assume(all(sum(c * x for c, x in zip(w, other)) for pt in fp for w in pt.weights))
+        assert point_chern_numbers(fp, point) == point_chern_numbers(fp, other)
+
+
+def test_a_table_singular_at_the_numeric_point_is_refused():
+    # CP1 on the weights +-(1, -2), which vanish at (2, 1): the sum has no
+    # pole and reads c1 = 2 at any other point, and chern_numbers names the
+    # weight rather than read another point
+    fp = [FixedPoint(0, ((1, -2),), 1), FixedPoint(1, ((-1, 2),), 1)]
+    assert check_poles(fp, 1) is None and point_chern_numbers(fp, (1, 1)) == {(1,): 2}
+    with pytest.raises(SingularPoint, match=r"^weight \(1, -2\) vanishes at \(2, 1\)$"):
+        chern_numbers(fp)
+
+
 def outcome(fn, fp):
     """ok and the class, or the failure's type and the omega it names."""
     try:
@@ -821,10 +877,11 @@ def test_a_residue_line_holds_its_last_free_coordinate_at_the_shift(text, signs)
 
 
 def test_residue_lines_and_character_blocks_take_their_points_from_the_lattice(monkeypatch):
-    # every point that the residues, the character and the default numeric
-    # point read is one of genus.lattice's, built once per line, once per
-    # character and once for the point; the character reads the blocks of
-    # weight n + d at exactly its points(d), and no residue row
+    # every point that the residues and the character read is one of
+    # genus.lattice's, built once per line and once per character; the
+    # character reads the blocks of weight n + d at exactly its points(d),
+    # and no residue row; the default numeric point is (k, ..., 1) and
+    # builds no lattice
     built, lattices, reads, values = [], [], [], []
     lattice, read, evaluate = genus.lattice, residues.residue_rows, genus.point_chern_numbers
 
@@ -848,8 +905,8 @@ def test_residue_lines_and_character_blocks_take_their_points_from_the_lattice(m
     assert built[lines:] == [((0, 1, 2), 2)]
     assert values == [(z, 2 + d) for d in range(3) for z in lattices[-1](d)]
     assert reads == []
-    point = default_numeric_point(fp)
-    assert built[-1] == ((0, 1, 2, 3), 1) and list(point) in lattices[-1](1)
+    before = len(built)
+    assert default_numeric_point(fp) == (4, 3, 2, 1) and len(built) == before
 
 
 def test_residues_that_cancel_across_groups_are_no_pole(monkeypatch):
