@@ -4,8 +4,9 @@
 
 Each TAG names a tree, the checkout DIR (default: the one holding this
 script); its src/ is the only PYTHONPATH of every child, and one file per
-tree is written beside this script, naming the tags measured beside it.
-Standard library only.
+tree is written beside this script, naming the commit it holds and the tags
+measured beside it. A DIR that is not a git checkout is refused before any
+run. Standard library only.
 
 Each row runs one command RUNS times on every tree, each run in a fresh
 interpreter with PYTHONDONTWRITEBYTECODE=1, output discarded. The trees
@@ -129,10 +130,9 @@ def bench(trees, rows=ROWS, runs=RUNS, cap=CAP_S):
     measured = [measure(args, list(trees.values()), runs, cap) for _, args in rows]
     docs = {}
     for t, (tag, src) in enumerate(trees.items()):
-        status = _git(src, "status", "--porcelain")
         docs[tag] = {
             "commit": _git(src, "rev-parse", "HEAD"),
-            "dirty": None if status is None else bool(status),
+            "dirty": bool(_git(src, "status", "--porcelain")),
             "python": platform.python_version(),
             "machine": {"platform": platform.platform(), "cpu": _cpu(), "cpus": os.cpu_count()},
             "beside": [other for other in trees if other != tag],
@@ -152,6 +152,8 @@ def main(argv):
         if not tag or tag in trees:
             parser.error("each tree needs a tag of its own, got %r" % text)
         trees[tag] = Path(src or HERE.parent).resolve()
+        if _git(trees[tag], "rev-parse", "HEAD") is None:
+            parser.error("tree %s, %s, is not a git checkout" % (tag, trees[tag]))
     for tag, doc in bench(trees).items():
         out = HERE / ("BENCH_%s.json" % tag)
         out.write_text(json.dumps(doc, indent=1) + "\n")

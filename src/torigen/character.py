@@ -12,8 +12,10 @@ no poles, c^xi is a homogeneous polynomial of degree d = |xi| - n in x,
 where 2n is the real dimension, so the blocks of weight n are the Chern
 numbers; character_blocks interpolates each block exactly from
 genus.point_chern_numbers at weight |xi| on genus.lattice's determining set
-of degree d. The a^omega blocks of a weight are chern_to_s of its c^xi
-blocks, a fixed invertible integer combination, as
+of degree d. Every point sum comes back exact (genus.signed_sum), an int
+wherever it is integral, and every division here goes through genus.exact,
+so an integral table makes no Fraction. The a^omega blocks of a weight are
+chern_to_s of its c^xi blocks, a fixed invertible integer combination, as
 e^xi = sum_omega T[xi][omega] m_lambda(omega) holds in the n weights of a
 point: the Weyl check reaches the same verdict on either, and the one
 reader that needs a^omega blocks (reproduce's S^6 row) reads the c^xi
@@ -33,13 +35,12 @@ common-denominator character, which the tests keep in tests/reference.py
 as an oracle, must agree with character_blocks block by block.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
 from . import genus
 from .chern import chern_to_s
-from .cobordism import CobordismPoly, clean
+from .cobordism import CobordismPoly
 from .rootdata import fixed_point_weights, reflect
 from .symmfunc import omega_weight, omegas_of_weight, pad
 
@@ -129,15 +130,14 @@ def series_values(cs, order):
 
 
 def point_blocks(fp, point, order):
-    """(common, {omega: common * value}), n <= ||omega|| <= order: the
-    a^omega coefficients of sum_p sign(p) prod_j f(c_j(p)) / prod_j c_j(p) at
-    one nonsingular point, c_j = <Lambda_j(p), point>, with no e -> m basis
-    change: the a-series product at each point (series_values), summed as
+    """{omega: value}, n <= ||omega|| <= order: the a^omega coefficients of
+    sum_p sign(p) prod_j f(c_j(p)) / prod_j c_j(p) at one nonsingular point,
+    c_j = <Lambda_j(p), point>, exact, with no e -> m basis change: the
+    a-series product at each point (series_values), summed as
     genus.signed_sum streams them."""
     omegas = _series_plan(order)[0]
     low = sum(len(omegas_of_weight(w)) for w in range(len(fp[0].weights)))
-    common, sums = genus.signed_sum(fp, point, lambda cs: series_values(cs, order)[low:])
-    return common, dict(zip(omegas[low:], sums))
+    return dict(zip(omegas[low:], genus.signed_sum(fp, point, lambda cs: series_values(cs, order)[low:])))
 
 
 def character_blocks(fp, order, sums=None):
@@ -171,7 +171,7 @@ def character_blocks(fp, order, sums=None):
             if not any(vals):
                 continue
             # values not all 0 determine a nonzero block
-            blocks[xi] = {e + (d - sum(e),): clean(Fraction(c, factorial(d) * s ** (d - sum(e))))
+            blocks[xi] = {e + (d - sum(e),): genus.exact(c, factorial(d) * s ** (d - sum(e)))
                           for e, c in _interpolate(vals, corner, d).items() if c}
     return blocks
 
@@ -287,8 +287,7 @@ def cmd_verify(args, spec):
     table = chern_to_s(chern, n)
     checks = {"low_vanishing": True}
     # the class off the a-series product at one point, to order n
-    common, at = point_blocks(fp, genus.default_numeric_point(fp), n)
-    cls = CobordismPoly({om: Fraction(v, common) for om, v in at.items()})
+    cls = CobordismPoly(point_blocks(fp, genus.default_numeric_point(fp), n))
     # two independent routes: the a-series class against the point-evaluated
     # table, which passes through chern_to_s, and that table against the
     # character's blocks of degree 0, read at m b, the lattice's first point

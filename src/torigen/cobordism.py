@@ -14,7 +14,9 @@ writes an exponent -> CobordismPoly map, lowest first: the fgl verb's law.
 
 Coefficients are ints, or Fractions where they are not integral, so a
 coefficient that is not an int is a Fraction: testing for int keeps the
-fractions module unloaded on a route that makes no Fraction.
+fractions module unloaded on a route that makes no Fraction. The one
+division by a common denominator, genus.exact, keeps that rule at the
+source: it gives an int wherever the quotient is integral.
 """
 
 from .symmfunc import trim

@@ -12,7 +12,8 @@ off that sum here, from fixed-point data alone (Atiyah-Bott).
   c^xi[M] = sum_p sign(p) e^xi(c(p)) / prod_j c_j(p). point_terms gives
   every e^xi with |xi| <= order at once, one multiplication each on the
   plan of that order (plan); point_chern_numbers sums them at an integer
-  point as they stream (signed_sum), and the s-numbers solve c = T s by
+  point as they stream (signed_sum), over one common denominator divided
+  out exactly at the end (exact), and the s-numbers solve c = T s by
   forward substitution on the integer unitriangular e -> m matrix T
   (chern.chern_to_s). Where the sum has no poles, one point gives every
   number exactly. The residues and the sign search read the same
@@ -218,17 +219,30 @@ def common_scales(groups, point):
     return common, [(c, common // den) for c, den in zip(cs, dens)]
 
 
+def exact(v, d):
+    """v / d exactly: an int where d divides v, else a Fraction. Every
+    division by a common denominator (signed_sum, character_blocks, a
+    residue's value, reproduce's S^6 row) is made here, the one place that
+    loads fractions, so a route whose sums are integral never does."""
+    q, r = divmod(v, d)
+    if r:
+        from fractions import Fraction
+        return Fraction(v, d)
+    return q
+
+
 def signed_sum(fp, point, values):
-    """(common, sums): sums[i] = common * sum_p sign(p) values(cs)[i] / prod cs,
-    cs = form_values(pt.weights, point) at each point p of fp and common
-    the lcm of the |prod cs| (common_scales). The denominators come first,
-    and each point's scaled values are added into one running list, so no
+    """[sum_p sign(p) values(cs)[i] / prod cs], exact: cs =
+    form_values(pt.weights, point) at each point p of fp. The sums are taken
+    over one common denominator, the lcm of the |prod cs| (common_scales),
+    and divided out at the end (exact). The denominators come first, and
+    each point's scaled values are added into one running list, so no
     point's values outlive its turn."""
     common, scales = common_scales([pt.weights for pt in fp], point)
     sums = []
     for pt, (c, scale) in zip(fp, scales):
         sums = [t + pt.sign * scale * v for t, v in zip(sums or repeat(0), values(c))]
-    return common, sums
+    return [exact(v, common) for v in sums]
 
 
 def point_chern_numbers(fp, point, weight=None):
@@ -237,26 +251,17 @@ def point_chern_numbers(fp, point, weight=None):
         c^xi = sum_p sign(p) e_1^xi_1 e_2^xi_2 ... / prod_j c_j,
 
     e_k the elementary symmetric functions of c_j = <Lambda_j(p), point>
-    (point_terms), 0 for k above n, in exact integers over one common
-    denominator (signed_sum); a value is an int where that denominator
-    divides it, else a Fraction. This is the localization sum at that
-    point. At weight n it is the Chern number wherever the sum is constant
-    (see check_poles); at any weight, it is the value there of the
-    equivariant Chern number c^xi of the character
+    (point_terms), 0 for k above n, summed exactly (signed_sum): a value is
+    an int where it is integral, else a Fraction. This is the localization
+    sum at that point. At weight n it is the Chern number wherever the sum
+    is constant (see check_poles); at any weight, it is the value there of
+    the equivariant Chern number c^xi of the character
     (character.character_blocks), and chern_to_s of it that of every block
     a^omega of that weight, as e^xi = sum_omega T[xi][omega] m_lambda(omega)
     holds in n variables too."""
     w = len(fp[0].weights) if weight is None else weight
     xis = omegas_of_weight(w)
-    common, sums = signed_sum(fp, point, lambda cs: point_terms(cs, w)[-len(xis):])
-    out = {}
-    for xi, v in zip(xis, sums):
-        q, r = divmod(v, common)
-        if r:
-            from fractions import Fraction
-            q = Fraction(v, common)
-        out[xi] = q
-    return out
+    return dict(zip(xis, signed_sum(fp, point, lambda cs: point_terms(cs, w)[-len(xis):])))
 
 
 def non_integer_class(cls):

@@ -11,7 +11,6 @@ functions of their own.
 """
 
 import json
-from fractions import Fraction
 
 from . import character, divdiff, genus, rootdata, stablex
 from .chern import chern_to_s
@@ -40,7 +39,7 @@ def _s6_sigma_blocks():
         return chern_to_s({xi: character.block_value(ch.get(xi, {}), z) for xi in omegas_of_weight(w)}, w)
 
     out = {("s2", d): {om: (-1) ** (d // 2) * v for om, v in at(d, (1, -1)).items()} for d in (2, 4, 6)}
-    out["s3", 6] = {om: Fraction(v + 27 * out["s2", 6][om], 4) for om, v in at(6, (1, 1)).items()}
+    out["s3", 6] = {om: genus.exact(v + 27 * out["s2", 6][om], 4) for om, v in at(6, (1, 1)).items()}
     return {key: CobordismPoly(block).canonical_text() for key, block in out.items()}
 
 

@@ -161,10 +161,9 @@ def check_residues(sums, n, order):
                     value = blocks[res, p].get(omega)
                     if not value:
                         continue
-                    from fractions import Fraction
                     form = render_terms({tuple(int(j == i) for j in range(len(res.line))): c
                                          for i, c in enumerate(res.line) if c},
                                         ["x%d" % (j + 1) for j in range(len(res.line))])
-                    text = "residue %s at %s on %s = 0" % (Fraction(value, common), res.on_line(z), form)
+                    text = "residue %s at %s on %s = 0" % (genus.exact(value, common), res.on_line(z), form)
                     message = "block omega=%s has a pole: %s" % (pad(omega, n), text)
                     raise genus.SingularSum(message, omega, text)

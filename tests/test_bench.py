@@ -4,6 +4,8 @@ import importlib.util
 import time
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 spec = importlib.util.spec_from_file_location("bench", ROOT / "bench" / "bench.py")
 bench = importlib.util.module_from_spec(spec)
@@ -62,3 +64,14 @@ def test_a_timeout_marks_only_its_own_tree(monkeypatch):
     assert launched == ["a", "b", "a"]
     assert b == {"argv": ["-c", "pass"], "runs": 2, "cap_s": bench.CAP_S, "timeout": True}
     assert a["timeout"] is False and a["exit"] == [0]
+
+
+def test_a_tree_that_is_not_a_git_checkout_is_refused_before_any_run(tmp_path, monkeypatch, capsys):
+    # with no commit to name, the file would say nothing of what it measured
+    monkeypatch.setattr(bench, "HERE", tmp_path)
+    monkeypatch.setattr(bench, "run_once", lambda argv, env, cap: pytest.fail("a run was made"))
+    with pytest.raises(SystemExit) as exit_:
+        bench.main(["here=%s" % ROOT, "t=%s" % tmp_path])
+    assert exit_.value.code == 2
+    assert "tree t, %s, is not a git checkout" % tmp_path in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

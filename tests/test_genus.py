@@ -31,6 +31,7 @@ from torigen.genus import (
     chern_numbers,
     cobordism_class,
     default_numeric_point,
+    exact,
     form_values,
     line_groups,
     line_sums,
@@ -513,6 +514,15 @@ def test_point_values_are_ints_or_exact_fractions():
     # second point: c = (5, -3), e = (2, -15), prod c = -15
     assert point_chern_numbers(two, (2, 3)) == {(2,): Fraction(25, 6) + Fraction(4, -15),
                                                   (0, 1): 2}
+
+
+@given(st.integers(), st.integers(-100, 100).filter(bool))
+def test_exact_division_is_an_int_exactly_where_the_divisor_divides(v, d):
+    # a divisor of either sign; an integral quotient is a plain int, so a
+    # route whose sums are integral makes no Fraction
+    q = exact(v, d)
+    assert q == Fraction(v, d)
+    assert (type(q) is int) == (v % d == 0)
 
 
 def test_point_terms_are_the_product_and_the_e_monomials():

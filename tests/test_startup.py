@@ -152,10 +152,12 @@ def test_integral_point_values_load_no_fractions():
     assert "fractions" not in _modules(RUN_AND_LIST, "class", "--space", "CP5") - bare
 
 
-@pytest.mark.parametrize("argv", [("flag", "--n", "4"), ("stable", "--space", "CP2")], ids=" ".join)
+@pytest.mark.parametrize("argv", [("flag", "--n", "4"), ("stable", "--space", "CP2"), ("verify", "--space", "CP3"),
+                                  ("genus", "--space", "U(3)/T3"), ("reproduce",)], ids=" ".join)
 def test_kernel_verbs_load_no_fractions(argv):
-    # character imports fractions, and with it decimal, to interpolate; the
-    # divided differences and the sign search make no Fraction
+    # every division by a common denominator goes through genus.exact, which
+    # loads fractions only for a value that is not integral; the character,
+    # the divided differences and the sign search make no Fraction on these
     bare = _modules("import json, sys; print(json.dumps(sorted(sys.modules)))")
     assert "fractions" not in _modules(RUN_AND_LIST, *argv) - bare
 
